@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet is go vet plus formatting: any file gofmt would rewrite fails the gate.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l internal cmd)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo-invariant source linter (hook discipline, panic
 # justification, no-alloc-in-Run, suppression hygiene) over the internal
@@ -22,12 +24,13 @@ lint:
 verify:
 	$(GO) run ./cmd/ugrapher-lint -ir
 
-# race runs the concurrency-sensitive packages (the parallel host backend
-# and its consumers, including the compiled-program runtime, the hardening
-# layer's fault-injection points, and the graph loaders) under the race
-# detector.
+# race runs the concurrency-sensitive packages (the worker pool, the
+# parallel host backend and its consumers, including the compiled-program
+# runtime, the hardening layer's fault-injection points, and the graph
+# loaders) under the race detector. CI runs it a second time with
+# GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are real.
 race:
-	$(GO) test -race ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
+	$(GO) test -race ./internal/workpool/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").
@@ -47,7 +50,7 @@ e2e:
 # scan, deadlines, fallback ladder).
 faults:
 	$(GO) test -race ./internal/faultinject/...
-	$(GO) test -race -run 'Fault|Inject|Resilient|Cancel|Deadline|Numeric|KernelPanic|Revalidate' ./internal/core/... ./internal/program/... ./internal/models/...
+	$(GO) test -race -run 'Fault|Inject|Resilient|Cancel|Deadline|Numeric|KernelPanic|Revalidate|DenseChunk' ./internal/core/... ./internal/program/... ./internal/models/...
 
 # check is the pre-commit gate: static analysis (go vet, the repo linter,
 # the IR/plan verifier) plus the race-enabled tests of the backend-facing

@@ -68,7 +68,7 @@ func main() {
 	checkNumerics := flag.Bool("check-numerics", false, "scan every graph operator's output for NaN/Inf and fail naming the op")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
-	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit")
+	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit; with -model, also how each compiled step ran (split over N pool workers, or inline)")
 	parallelSteps := flag.Bool("parallel-steps", false, "with -model: execute provably independent compiled steps concurrently (verified wave schedule)")
 	flag.Parse()
 
@@ -110,7 +110,7 @@ func main() {
 	}
 	var err error
 	if *model != "" {
-		err = runModel(ctx, *dataset, *graphFile, *model, *feat, *classes, *gpuName, *runs, *noCompile, *verify)
+		err = runModel(ctx, *dataset, *graphFile, *model, *feat, *classes, *gpuName, *runs, *noCompile, *verify, *profile)
 	} else {
 		err = run(ctx, *dataset, *graphFile, *opName, *feat, *gpuName, *schedText, *tune, *top, *source, *verify)
 	}
@@ -124,18 +124,24 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
-		if errors.Is(err, context.DeadlineExceeded) {
-			os.Exit(3)
-		}
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// exitCode maps a run error to the process exit code: 3 when the -timeout
+// budget ran out, 1 for any other execution error.
+func exitCode(err error) int {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return 3
+	}
+	return 1
 }
 
 // runModel times a whole model, either compiled (record -> fuse -> schedule
 // -> buffer-plan once, then repeated zero-allocation runs) or interpreted
 // (the op-by-op path, rebuilt every run), printing the one-off compile cost
 // and the steady-state per-run wall clock on separate lines.
-func runModel(ctx context.Context, dataset, graphFile, name string, feat, classes int, gpuName string, runs int, noCompile, verify bool) error {
+func runModel(ctx context.Context, dataset, graphFile, name string, feat, classes int, gpuName string, runs int, noCompile, verify, profile bool) error {
 	g, err := loadGraph(dataset, graphFile)
 	if err != nil {
 		return err
@@ -224,6 +230,18 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 		s.Waves, s.Steps, s.MaxWaveWidth, mode)
 	fmt.Printf("compile: %v (record + fuse + schedule + buffer-plan, paid once)\n", compileTime.Round(time.Microsecond))
 	fmt.Printf("steady-state: %v/run over %d runs (zero allocations per run)\n", per.Round(time.Microsecond), runs)
+	if profile {
+		// Whether parallelism engaged, step by step: a split step's chunks
+		// are dealt to the caller plus workers-1 pool helpers.
+		fmt.Println("steps:")
+		for i, sm := range cp.StepModes() {
+			mode := "inline"
+			if sm.Workers > 1 {
+				mode = fmt.Sprintf("split over %d workers", sm.Workers)
+			}
+			fmt.Printf("  %2d %-10s %-28s %s\n", i, sm.Op, sm.Name, mode)
+		}
+	}
 	return nil
 }
 

@@ -82,10 +82,10 @@ type Elem struct {
 // IRNode is one operation of the DAG. X and Y are operand value ids
 // (NoValue when absent); Out is the defined value.
 type IRNode struct {
-	Name  string
-	Kind  NodeKind
-	X, Y  int
-	Out   int
+	Name string
+	Kind NodeKind
+	X, Y int
+	Out  int
 	// Op is the operator descriptor of KindGraph nodes.
 	Op ops.OpInfo
 	// Fused marks graph nodes the fusion pass created by merging a

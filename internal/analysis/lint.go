@@ -35,12 +35,14 @@ import (
 //     attach one — NewTraceState/ContextWithTrace/MintTraceID belong to
 //     the admission layer (DESIGN.md §8); a layer that mints breaks the
 //     one-tree-per-request invariant and allocates on the hot path.
-//   - goroutine-accounting: every `go` statement in internal/serve and
-//     internal/program must be visibly tracked — a WaitGroup Add before
-//     the spawn, a body that signals completion via a deferred Done() or
-//     by closing a channel — or carry an explicit allow directive. An
-//     unaccounted goroutine is a leak the drain/cancellation machinery
-//     cannot see.
+//   - goroutine-accounting: every `go` statement in internal/serve and on
+//     the execution path (internal/program, internal/core, internal/tensor
+//     and the worker pool itself, internal/workpool) must be visibly
+//     tracked — a WaitGroup Add before the spawn, a body that signals
+//     completion via a deferred Done() or by closing a channel — or carry
+//     an explicit allow directive. An unaccounted goroutine is a leak the
+//     drain/cancellation machinery cannot see; on the execution path the
+//     only justified spawn is the pool's spawn-once helper.
 //
 // Exemptions are explicit: `//lint:allow <rule> -- <reason>` on the
 // offending line or the line above. A directive without a reason is itself
@@ -110,7 +112,7 @@ var hookDisciplinedDirs = []string{"internal/core", "internal/program"}
 
 // goroutineScopedDirs are the package directories (by path suffix) whose go
 // statements the goroutine-accounting rule audits.
-var goroutineScopedDirs = []string{"internal/serve", "internal/program"}
+var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/core", "internal/tensor", "internal/workpool"}
 
 // traceMintFuncs are the telemetry functions that create or attach a trace
 // context. Only the admission layer (internal/serve) may call them; the

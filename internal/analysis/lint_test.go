@@ -452,7 +452,7 @@ func f() {
 		wantClean(t, fs)
 	})
 	t.Run("unscoped package is not audited", func(t *testing.T) {
-		fs := lintOne(t, "internal/core", `package core
+		fs := lintOne(t, "internal/datasets", `package datasets
 func f() {
 	go func() {
 		for {
@@ -461,5 +461,18 @@ func f() {
 }
 `)
 		wantClean(t, fs)
+	})
+	t.Run("execution-path packages are audited", func(t *testing.T) {
+		for _, dir := range []string{"internal/core", "internal/tensor", "internal/workpool"} {
+			fs := lintOne(t, dir, `package p
+func f() {
+	go func() {
+		for {
+		}
+	}()
+}
+`)
+			wantFinding(t, fs, LintGoroutineAccounting)
+		}
 	})
 }

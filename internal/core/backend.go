@@ -53,8 +53,13 @@ type Counters struct {
 	// Shards is the total number of work shards executed (1 per run for
 	// sequential backends, one per worker chunk for the parallel backend).
 	Shards int64
-	// Workers is the size of the worker pool (1 for sequential backends).
+	// Workers is the backend's configured worker count (1 for sequential
+	// backends).
 	Workers int
+	// Fanout is how many goroutines each Run deals the kernel's chunks to:
+	// Workers for a kernel above the small-work threshold, 1 (or 0, for
+	// sequential backends) when the kernel runs inline on the caller.
+	Fanout int
 	// SimCycles is the simulated cycle count of the last run, for backends
 	// that model cost (zero for pure host backends).
 	SimCycles float64

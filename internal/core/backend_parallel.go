@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -12,22 +10,26 @@ import (
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/workpool"
 )
 
 // The parallel host backend: a multi-core executor that actually runs the
 // four schedule strategies on the machine uGrapher itself runs on, instead
 // of interpreting them sequentially. Work items (vertices for the
 // vertex-parallel strategies, edges for the edge-parallel ones) are dealt
-// to a runtime.NumCPU()-sized worker pool; edge-parallel reductions avoid
-// atomics by reducing into per-shard partial buffers that a parallel merge
-// folds into the output. The inner loops come from kernels_host.go: one
-// specialized fused loop per (edge_op x gather_op x operand-kind), so no
-// per-element closure calls survive lowering.
+// in chunks to the process-wide worker pool (internal/workpool), the
+// calling goroutine claiming chunks alongside up to workers-1 helpers;
+// edge-parallel reductions avoid atomics by reducing into per-partition
+// partial buffers that a parallel merge folds into the output. The inner
+// loops come from kernels_host.go: one specialized fused loop per (edge_op
+// x gather_op x operand-kind), so no per-element closure calls survive
+// lowering.
 //
-// Hardening (DESIGN.md §7): workers honour context cancellation at
-// chunk-claim granularity, recover panics into typed *KernelError values
-// instead of killing the process, and carry the fault-injection hooks the
-// test harness uses to prove both properties.
+// Hardening (DESIGN.md §7): the pool checks context cancellation at
+// chunk-claim granularity and recovers chunk panics, which surface here as
+// typed *KernelError values instead of killing the process; the chunk
+// bodies carry the fault-injection hooks the test harness uses to prove
+// both properties.
 
 // ParallelBackend executes plans on a host worker pool. The zero worker
 // count resolves to UGRAPHER_WORKERS or runtime.NumCPU(). A shard count
@@ -109,12 +111,23 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 		selA: lowerRowSel(o.A),
 		selB: lowerRowSel(o.B),
 		row:  row,
+		mean: p.Op.GatherOp == ops.GatherMean,
 		site: kernelSite(p, b.Name(), g),
 	}
-	// Bind the range bodies once: passing a method value per Run would
-	// allocate a closure each call and break the zero-steady-state contract.
-	k.bodyMsg = k.messageRange
-	k.bodyVtx = k.vertexRange
+	k.fanout = b.fanout(g, k.feat)
+	// Bind the chunk bodies and their pool jobs once: a closure or method
+	// value taken per Run would allocate each call and break the
+	// zero-steady-state contract.
+	switch {
+	case p.Op.CKind == tensor.EdgeK:
+		k.main = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.messageRange(int32(lo), int32(hi)) })
+	case p.Schedule.Strategy.VertexParallel():
+		k.main = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.vertexRange(int32(lo), int32(hi)) })
+	default:
+		k.reduce = workpool.NewJob(k.reducePartitions)
+		k.merge = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.mergeRange(int32(lo), int32(hi)) })
+		k.fixup = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.fixupRange(int32(lo), int32(hi)) })
+	}
 	return k, nil
 }
 
@@ -127,23 +140,50 @@ type parallelKernel struct {
 	selA rowSel
 	selB rowSel
 	row  fusedRow
+	mean bool
+	// fanout is the goroutine count chunks are dealt to (1 = inline).
+	fanout int
 
-	// bodyMsg/bodyVtx are the chunk bodies bound at lowering time (see
-	// Lower for why they are not method values taken per Run).
-	bodyMsg func(lo, hi int32)
-	bodyVtx func(lo, hi int32)
+	// main is the one pool job of message-creation and vertex-parallel
+	// kernels; edge-parallel kernels instead run reduce (phase 1, one item
+	// per edge partition) followed by merge (several partitions) or fixup
+	// (one). Jobs and their bodies are bound at lowering time.
+	main, reduce, merge, fixup *workpool.Job
 
-	// partials are the per-worker private output buffers of edge-parallel
+	// partials are the per-partition private output buffers of edge-parallel
 	// reductions, owned by the kernel and reused across Run calls so the
 	// steady state allocates nothing (the kernel-reuse contract compiled
 	// model programs rely on). Grown lazily on the first multi-worker run.
 	partials [][]float32
+	// bufs and per are the current run's phase-1 targets and edges per
+	// partition; direct holds the output itself for the single-partition
+	// shape, which reduces straight into it.
+	bufs   [][]float32
+	per    int
+	direct [1][]float32
 
 	runs   int64
 	shards int64
 
 	// site is the telemetry handle, resolved at Lower time.
 	site *telemetry.KernelSite
+}
+
+// chunkFaults is the fault-injection site at the head of every kernel chunk
+// body (each hook is one atomic load while disarmed).
+func chunkFaults() {
+	faultinject.MaybeSleep(faultinject.SlowChunk)
+	faultinject.MaybePanic(faultinject.KernelPanic)
+	faultinject.MaybePanic(faultinject.KernelPanicLoad)
+}
+
+// kernelErr converts a pool run's outcome into the execution layer's error
+// taxonomy: a recovered chunk panic becomes a *KernelError for plan p.
+func kernelErr(p *Plan, backend string, err error) error {
+	if pe, ok := err.(*workpool.PanicError); ok {
+		return newKernelError(p, backend, pe.Value, pe.Stack)
+	}
+	return err
 }
 
 // partialBufs returns `workers` buffers of n floats each, reusing previous
@@ -173,20 +213,30 @@ func (k *parallelKernel) Counters() Counters {
 		Edges:   k.runs * int64(k.g.NumEdges()),
 		Shards:  k.shards,
 		Workers: k.b.workers,
+		Fanout:  k.fanout,
 	}
 }
 
-// smallWork is the (edges x features) volume below which goroutine fan-out
-// costs more than it buys; such kernels run on the calling goroutine.
+// smallWork is the (edges x features) volume below which fanning out to the
+// pool costs more than it buys; such kernels run on the calling goroutine.
 const smallWork = 1 << 15
+
+// fanout is how many goroutines a kernel of the given output width over g
+// deals its chunks to: the backend's workers, or 1 below smallWork.
+func (b *ParallelBackend) fanout(g *graph.Graph, feat int) int {
+	if int64(g.NumEdges())*int64(feat) < smallWork {
+		return 1
+	}
+	return b.workers
+}
 
 // Run implements CompiledKernel.
 func (k *parallelKernel) Run() error { return k.RunCtx(context.Background()) }
 
-// RunCtx implements CompiledKernel. Any panic on the calling goroutine
-// (single-worker paths, lowered-loop bugs, injected faults) is recovered
-// here into a *KernelError; worker-goroutine panics are recovered at the
-// worker and surfaced through the same type.
+// RunCtx implements CompiledKernel. A panic in a chunk body, on the caller
+// or on a pool helper, comes back from the pool as a *KernelError; any other
+// panic on the calling goroutine (lowered-loop bugs outside a chunk) is
+// recovered here into the same type.
 func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 	tstart := k.site.Begin()
 	// Registered before the recover defer so it runs after it (LIFO) and
@@ -203,16 +253,15 @@ func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers := k.b.workers
-	if int64(k.g.NumEdges())*int64(k.feat) < smallWork {
-		workers = 1
-	}
+	workers := k.fanout
 	var runErr error
 	switch {
 	case k.p.Op.CKind == tensor.EdgeK:
-		runErr = k.runMessageCreation(ctx, workers)
+		// Each edge's output row is written exactly once, so edges split
+		// freely regardless of the strategy's traversal order.
+		runErr = k.runChunks(ctx, k.main, k.g.NumEdges(), workers)
 	case k.p.Schedule.Strategy.VertexParallel():
-		runErr = k.runVertexParallel(ctx, workers)
+		runErr = k.runChunks(ctx, k.main, k.g.NumVertices(), workers)
 	default:
 		runErr = k.runEdgeParallel(ctx, workers)
 	}
@@ -240,100 +289,15 @@ func chunkSize(items, workers int) int {
 	return c
 }
 
-// runChunks runs body over [0, items) in dynamically-claimed chunks,
-// accumulating completed chunks into k.shards. Cancellation is checked at
-// every chunk claim; worker panics are recovered into a *KernelError. The
-// single-worker, no-deadline path is a single direct call so the steady
-// state stays allocation-free.
-func (k *parallelKernel) runChunks(ctx context.Context, items, workers int, body func(lo, hi int32)) error {
-	if items == 0 {
-		return nil
-	}
-	done := ctx.Done()
-	if workers <= 1 {
-		if done == nil {
-			faultinject.MaybeSleep(faultinject.SlowChunk)
-			faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-			body(0, int32(items))
-			k.shards++
-			return nil
-		}
-		// A deadline is in play: chunk the walk so cancellation is honoured
-		// between chunks even without a worker pool.
-		chunk := chunkSize(items, 1)
-		for lo := 0; lo < items; lo += chunk {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			hi := lo + chunk
-			if hi > items {
-				hi = items
-			}
-			faultinject.MaybeSleep(faultinject.SlowChunk)
-			faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-			body(int32(lo), int32(hi))
-			k.shards++
-		}
-		return nil
-	}
-
-	chunk := chunkSize(items, workers)
-	var cursor atomic.Int64
-	var shards atomic.Int64
-	var stop atomic.Bool
-	var pc panicCell
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pc.record(r)
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				if done != nil {
-					select {
-					case <-done:
-						stop.Store(true)
-						return
-					default:
-					}
-				}
-				lo := cursor.Add(int64(chunk)) - int64(chunk)
-				if lo >= int64(items) {
-					return
-				}
-				hi := lo + int64(chunk)
-				if hi > int64(items) {
-					hi = int64(items)
-				}
-				faultinject.MaybeSleep(faultinject.SlowChunk)
-				faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-				body(int32(lo), int32(hi))
-				shards.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	k.shards += shards.Load()
-	if r, stack := pc.get(); r != nil {
-		return newKernelError(k.p, k.b.Name(), r, stack)
-	}
-	return ctx.Err()
-}
-
-// runMessageCreation writes each edge's output row exactly once, so edges
-// shard freely regardless of the strategy's traversal order.
-func (k *parallelKernel) runMessageCreation(ctx context.Context, workers int) error {
-	return k.runChunks(ctx, k.g.NumEdges(), workers, k.bodyMsg)
+// runChunks runs j's body over [0, items) in dynamically-claimed chunks on
+// the shared pool, accumulating completed chunks into k.shards.
+// Cancellation is checked at every chunk claim and a chunk panic comes back
+// as a *KernelError; with one worker the pool runs the body on the caller
+// (one direct call when no deadline is in play).
+func (k *parallelKernel) runChunks(ctx context.Context, j *workpool.Job, items, workers int) error {
+	err := workpool.Run(ctx, j, items, chunkSize(items, workers), workers)
+	k.shards += j.Chunks()
+	return kernelErr(k.p, k.b.Name(), err)
 }
 
 func (k *parallelKernel) messageRange(lo, hi int32) {
@@ -345,18 +309,12 @@ func (k *parallelKernel) messageRange(lo, hi int32) {
 	}
 }
 
-// runVertexParallel mirrors the thread-vertex / warp-vertex kernels: one
-// owner per output row, register-style accumulation, no synchronization on
-// the output.
-func (k *parallelKernel) runVertexParallel(ctx context.Context, workers int) error {
-	return k.runChunks(ctx, k.g.NumVertices(), workers, k.bodyVtx)
-}
-
+// vertexRange mirrors the thread-vertex / warp-vertex kernels: one owner
+// per output row, register-style accumulation, no synchronization on the
+// output.
 func (k *parallelKernel) vertexRange(lo, hi int32) {
 	out := k.o.C.T
-	gop := k.p.Op.GatherOp
-	identity := gop.Identity()
-	mean := gop == ops.GatherMean
+	identity := k.p.Op.GatherOp.Identity()
 	for v := lo; v < hi; v++ {
 		row := out.Row(int(v))
 		srcs, eids := k.g.InEdges(v)
@@ -373,7 +331,7 @@ func (k *parallelKernel) vertexRange(lo, hi int32) {
 			u := srcs[i]
 			k.row(row, k.selA(e, u, v), k.selB(e, u, v))
 		}
-		if mean {
+		if k.mean {
 			inv := 1 / float32(len(eids))
 			for j := range row {
 				row[j] *= inv
@@ -382,165 +340,117 @@ func (k *parallelKernel) vertexRange(lo, hi int32) {
 	}
 }
 
-// edgeBlock is how many edges a phase-1 reduction worker processes between
+// edgeBlock is how many edges a phase-1 reduction processes between
 // stop-flag / cancellation checks.
 const edgeBlock = 8192
 
 // runEdgeParallel mirrors the thread-edge / warp-edge kernels. Where the
 // GPU kernels use atomics on the shared destination rows, the host backend
-// gives each worker shard a private partial output buffer and folds the
-// shards into the output with a parallel merge — same associative
-// reduction, no contention.
+// gives each edge partition a private partial output buffer and folds the
+// partials into the output with a parallel merge — same associative
+// reduction, no contention. With one worker there is one partition, which
+// reduces straight into the output and needs only the zero-degree/mean
+// fixup pass.
 func (k *parallelKernel) runEdgeParallel(ctx context.Context, workers int) error {
-	out := k.o.C.T
-	g := k.g
-	gop := k.p.Op.GatherOp
-	identity := gop.Identity()
-	mean := gop == ops.GatherMean
-	numV, numE := g.NumVertices(), g.NumEdges()
-	edgeSrc, edgeDst := g.EdgeSrcs(), g.EdgeDsts()
-	feat := k.feat
-	done := ctx.Done()
+	numV, numE := k.g.NumVertices(), k.g.NumEdges()
 
-	if workers <= 1 {
-		// Sequential shape: reduce straight into the output, in blocks so a
-		// deadline can interrupt the walk.
-		for i := range out.Data {
-			out.Data[i] = identity
-		}
-		for lo := 0; lo < numE; lo += edgeBlock {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			faultinject.MaybeSleep(faultinject.SlowChunk)
-			faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-			hi := lo + edgeBlock
-			if hi > numE {
-				hi = numE
-			}
-			for e := int32(lo); e < int32(hi); e++ {
-				u, v := edgeSrc[e], edgeDst[e]
-				k.row(out.Row(int(v)), k.selA(e, u, v), k.selB(e, u, v))
-			}
-		}
-		k.shards++
-		return k.fixupVertexRows(ctx, 1, mean)
+	// Phase 1: every partition reduces a contiguous edge range into its own
+	// buffer (identity-filled each run, so a cancelled or panicked run leaks
+	// nothing into the next). Partitions are a prefix of the worker range:
+	// with ceil division only trailing workers can come up empty, so exactly
+	// nw buffers are live. The partition, not the claiming goroutine, picks
+	// the buffer, so the merge order is fixed for a fixed worker count.
+	nw := 1
+	k.per = numE
+	k.direct[0] = k.o.C.T.Data
+	k.bufs = k.direct[:]
+	if workers > 1 {
+		k.per = (numE + workers - 1) / workers
+		nw = (numE + k.per - 1) / k.per
+		k.bufs = k.partialBufs(nw, numV*k.feat)
+	}
+	err := workpool.Run(ctx, k.reduce, nw, 1, workers)
+	k.shards += k.reduce.Chunks()
+	if err != nil {
+		return kernelErr(k.p, k.b.Name(), err)
 	}
 
-	// Phase 1: each worker reduces a contiguous edge shard into its own
-	// partial buffer (identity-filled, owned by the kernel and reused across
-	// Run calls). Shards are a prefix of the worker range: with ceil division
-	// only trailing workers can come up empty, so exactly nw buffers are live.
-	// Cancellation: after a cancelled or panicked run the partials hold
-	// arbitrary data, but every run re-fills them with the identity before
-	// reducing, so nothing leaks into the next run of the same kernel.
-	per := (numE + workers - 1) / workers
-	nw := (numE + per - 1) / per
-	partials := k.partialBufs(nw, numV*feat)
-	var stop atomic.Bool
-	var pc panicCell
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * per
-		hi := lo + per
+	// Phase 2 over vertex ranges: fold each output row from the partials in
+	// partition order, or fix up the directly reduced rows.
+	if nw == 1 {
+		return k.runChunks(ctx, k.fixup, numV, workers)
+	}
+	return k.runChunks(ctx, k.merge, numV, workers)
+}
+
+// reducePartitions is the phase-1 chunk body: partition w reduces its edge
+// range into k.bufs[w], in blocks so a deadline or a sibling's panic stops
+// the walk.
+func (k *parallelKernel) reducePartitions(wlo, whi int) {
+	identity := k.p.Op.GatherOp.Identity()
+	edgeSrc, edgeDst := k.g.EdgeSrcs(), k.g.EdgeDsts()
+	feat, numE := k.feat, k.g.NumEdges()
+	for w := wlo; w < whi; w++ {
+		buf := k.bufs[w]
+		for i := range buf {
+			buf[i] = identity
+		}
+		lo, hi := w*k.per, (w+1)*k.per
 		if hi > numE {
 			hi = numE
 		}
-		wg.Add(1)
-		go func(lo, hi int32, buf []float32) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pc.record(r)
-					stop.Store(true)
-				}
-			}()
-			for i := range buf {
-				buf[i] = identity
+		for blo := lo; blo < hi; blo += edgeBlock {
+			if k.reduce.Stopped() {
+				return
 			}
-			for blo := lo; blo < hi; blo += edgeBlock {
-				if stop.Load() {
-					return
-				}
-				if done != nil {
-					select {
-					case <-done:
-						stop.Store(true)
-						return
-					default:
-					}
-				}
-				faultinject.MaybeSleep(faultinject.SlowChunk)
-				faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-				bhi := blo + edgeBlock
-				if bhi > hi {
-					bhi = hi
-				}
-				for e := blo; e < bhi; e++ {
-					u, v := edgeSrc[e], edgeDst[e]
-					k.row(buf[int(v)*feat:int(v)*feat+feat], k.selA(e, u, v), k.selB(e, u, v))
-				}
+			chunkFaults()
+			bhi := blo + edgeBlock
+			if bhi > hi {
+				bhi = hi
 			}
-		}(int32(lo), int32(hi), partials[w])
-		k.shards++
-	}
-	wg.Wait()
-	if r, stack := pc.get(); r != nil {
-		return newKernelError(k.p, k.b.Name(), r, stack)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Phase 2: parallel merge over vertex ranges — each output row is
-	// folded from the shard partials in shard order (deterministic for a
-	// fixed worker count), then mean/zero-degree fixups apply.
-	return k.runChunks(ctx, numV, workers, func(lo, hi int32) {
-		for v := lo; v < hi; v++ {
-			row := out.Row(int(v))
-			deg := g.InDegree(v)
-			if deg == 0 {
-				for j := range row {
-					row[j] = 0
-				}
-				continue
-			}
-			for j := range row {
-				row[j] = identity
-			}
-			for _, buf := range partials {
-				mergeRow(gop, row, buf[int(v)*feat:int(v)*feat+feat])
-			}
-			if mean {
-				inv := 1 / float32(deg)
-				for j := range row {
-					row[j] *= inv
-				}
+			for e := int32(blo); e < int32(bhi); e++ {
+				u, v := edgeSrc[e], edgeDst[e]
+				k.row(buf[int(v)*feat:int(v)*feat+feat], k.selA(e, u, v), k.selB(e, u, v))
 			}
 		}
-	})
-}
-
-// fixupVertexRows applies the zero-degree and mean post-passes to the
-// output, in parallel over vertex ranges.
-func (k *parallelKernel) fixupVertexRows(ctx context.Context, workers int, mean bool) error {
-	if workers <= 1 && ctx.Done() == nil {
-		k.fixupRange(0, int32(k.g.NumVertices()), mean)
-		k.shards++
-		return nil
 	}
-	return k.runChunks(ctx, k.g.NumVertices(), workers, func(lo, hi int32) {
-		k.fixupRange(lo, hi, mean)
-	})
 }
 
-func (k *parallelKernel) fixupRange(lo, hi int32, mean bool) {
+// mergeRange folds output rows [lo, hi) from the partition partials in
+// partition order (deterministic for a fixed worker count), then applies
+// the mean and zero-degree fixups.
+func (k *parallelKernel) mergeRange(lo, hi int32) {
+	out := k.o.C.T
+	gop := k.p.Op.GatherOp
+	identity := gop.Identity()
+	feat := k.feat
+	for v := lo; v < hi; v++ {
+		row := out.Row(int(v))
+		deg := k.g.InDegree(v)
+		if deg == 0 {
+			for j := range row {
+				row[j] = 0
+			}
+			continue
+		}
+		for j := range row {
+			row[j] = identity
+		}
+		for _, buf := range k.bufs {
+			mergeRow(gop, row, buf[int(v)*feat:int(v)*feat+feat])
+		}
+		if k.mean {
+			inv := 1 / float32(deg)
+			for j := range row {
+				row[j] *= inv
+			}
+		}
+	}
+}
+
+// fixupRange applies the zero-degree and mean post-passes to output rows
+// [lo, hi) of a directly reduced output.
+func (k *parallelKernel) fixupRange(lo, hi int32) {
 	out := k.o.C.T
 	g := k.g
 	for v := lo; v < hi; v++ {
@@ -552,7 +462,7 @@ func (k *parallelKernel) fixupRange(lo, hi int32, mean bool) {
 			}
 			continue
 		}
-		if mean {
+		if k.mean {
 			inv := 1 / float32(deg)
 			for j := range row {
 				row[j] *= inv

@@ -6,19 +6,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
+	"repro/internal/workpool"
 )
 
 // The partition-aware lowering path of the parallel backend. A graph is
 // split once (per graph, cached) into K cache-sized shards by
 // shard.Partition; aggregation kernels then execute shard-at-a-time with
-// worker-to-shard affinity: workers claim whole shards off an atomic
-// cursor, so each shard's sub-CSR, id map and partial buffer stay with one
-// worker for the duration of the shard.
+// worker-to-shard affinity: the pool's participants claim whole shards off
+// the job's cursor, so each shard's sub-CSR, id map and partial buffer stay
+// with one goroutine for the duration of the shard.
 //
 // Because shards own the incoming edges of their owned vertices, every
 // output row has exactly one producing shard and the two execution shapes
@@ -108,6 +108,7 @@ func (b *ParallelBackend) lowerSharded(p *Plan, g *graph.Graph, o Operands, sp *
 		identity:  gop.Identity(),
 		site:      kernelSite(p, b.Name(), g),
 	}
+	k.fanout = min(b.fanout(g, k.feat), sp.K)
 	if !k.vertexPar {
 		// Per-shard partial slices, carved from one block: shard s owns
 		// scratch[offsets[s] : offsets[s] + |owned_s| * feat]. The offsets
@@ -121,6 +122,7 @@ func (b *ParallelBackend) lowerSharded(p *Plan, g *graph.Graph, o Operands, sp *
 		}
 		k.scratch = make([]float32, total)
 	}
+	k.job = workpool.NewJob(k.shardRange)
 	// Span labels are precomputed so per-shard tracing allocates nothing at
 	// Run time.
 	k.labels = make([]string, sp.K)
@@ -146,6 +148,8 @@ type shardedKernel struct {
 	vertexPar bool
 	mean      bool
 	identity  float32
+	// fanout is the goroutine count shards are dealt to (1 = inline).
+	fanout int
 
 	// scratch holds the per-shard partials of the two-level reduction;
 	// offsets locates shard s's slice. Owned by the kernel unless the
@@ -156,8 +160,11 @@ type shardedKernel struct {
 	// labels are the per-shard span names, precomputed at Lower.
 	labels []string
 
+	// job is the pool job over the shard indices, bound at Lower.
+	job *workpool.Job
+
 	runs      int64
-	shardsRun int64
+	shardsRun atomic.Int64
 
 	site *telemetry.KernelSite
 }
@@ -170,8 +177,9 @@ func (k *shardedKernel) Counters() Counters {
 	return Counters{
 		Runs:    k.runs,
 		Edges:   k.runs * int64(k.g.NumEdges()),
-		Shards:  k.shardsRun,
+		Shards:  k.shardsRun.Load(),
 		Workers: k.b.workers,
+		Fanout:  k.fanout,
 	}
 }
 
@@ -211,12 +219,10 @@ func (k *shardedKernel) RunCtx(ctx context.Context) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers := k.b.workers
-	if int64(k.g.NumEdges())*int64(k.feat) < smallWork {
-		workers = 1
-	}
-	if err := k.runShards(ctx, workers); err != nil {
-		return err
+	// Whole shards are dealt to the pool's participants one claim at a time
+	// (worker-to-shard affinity); cancellation is checked at shard claims.
+	if err := workpool.Run(ctx, k.job, k.sp.K, 1, k.fanout); err != nil {
+		return kernelErr(k.p, k.b.Name(), err)
 	}
 	if err := finishRun(k.p, k.o.C.T); err != nil {
 		return err
@@ -225,77 +231,13 @@ func (k *shardedKernel) RunCtx(ctx context.Context) (err error) {
 	return nil
 }
 
-// runShards executes every shard once, dealing whole shards to workers off
-// an atomic cursor (worker-to-shard affinity). Cancellation is checked at
-// shard claims; worker panics recover into a *KernelError. The
-// single-worker, no-deadline path is a plain loop so the steady state stays
-// allocation-free.
-func (k *shardedKernel) runShards(ctx context.Context, workers int) error {
-	n := k.sp.K
-	if workers > n {
-		workers = n
+// shardRange is the pool chunk body: execute shards [lo, hi).
+func (k *shardedKernel) shardRange(lo, hi int) {
+	for s := lo; s < hi; s++ {
+		chunkFaults()
+		k.execShard(int32(s))
+		k.shardsRun.Add(1)
 	}
-	done := ctx.Done()
-	if workers <= 1 {
-		for s := 0; s < n; s++ {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			faultinject.MaybeSleep(faultinject.SlowChunk)
-			faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-			k.execShard(int32(s))
-			k.shardsRun++
-		}
-		return nil
-	}
-
-	var cursor atomic.Int64
-	var shards atomic.Int64
-	var stop atomic.Bool
-	var pc panicCell
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pc.record(r)
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				if done != nil {
-					select {
-					case <-done:
-						stop.Store(true)
-						return
-					default:
-					}
-				}
-				s := cursor.Add(1) - 1
-				if s >= int64(n) {
-					return
-				}
-				faultinject.MaybeSleep(faultinject.SlowChunk)
-				faultinject.MaybePanic(faultinject.KernelPanic)
-			faultinject.MaybePanic(faultinject.KernelPanicLoad)
-				k.execShard(int32(s))
-				shards.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	k.shardsRun += shards.Load()
-	if r, stack := pc.get(); r != nil {
-		return newKernelError(k.p, k.b.Name(), r, stack)
-	}
-	return ctx.Err()
 }
 
 // execShard runs one shard end to end, under a per-shard span when

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -85,33 +84,6 @@ func newKernelError(p *Plan, backend string, r any, stack []byte) *KernelError {
 func captureStack() []byte {
 	buf := make([]byte, 16<<10)
 	return buf[:runtime.Stack(buf, false)]
-}
-
-// panicCell collects the first panic of a worker pool; later panics (e.g.
-// several workers tripping over the same corrupt operand) are dropped.
-type panicCell struct {
-	mu    sync.Mutex
-	r     any
-	stack []byte
-}
-
-// record stores r (and the current stack) if the cell is empty. Must be
-// called from the panicking goroutine's deferred recover so the stack shows
-// the panic origin.
-func (c *panicCell) record(r any) {
-	stack := captureStack()
-	c.mu.Lock()
-	if c.r == nil {
-		c.r, c.stack = r, stack
-	}
-	c.mu.Unlock()
-}
-
-// get returns the recorded panic, if any.
-func (c *panicCell) get() (any, []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.r, c.stack
 }
 
 // NumericError reports the first non-finite value the CheckNumerics guard

@@ -66,9 +66,9 @@ func TestGenerateSourceUnnamedOp(t *testing.T) {
 
 func TestInstsPerElementMonotonic(t *testing.T) {
 	// More operands and heavier ops cost more instructions per element.
-	light := MustCompile(ops.AggrSum, DefaultSchedule)           // copy + sum, 1 operand
-	heavy := MustCompile(ops.WeightedAggrSum, DefaultSchedule)   // mul + sum, 2 operands
-	msgc := MustCompile(ops.CopyU, DefaultSchedule)              // copy, plain store
+	light := MustCompile(ops.AggrSum, DefaultSchedule)         // copy + sum, 1 operand
+	heavy := MustCompile(ops.WeightedAggrSum, DefaultSchedule) // mul + sum, 2 operands
+	msgc := MustCompile(ops.CopyU, DefaultSchedule)            // copy, plain store
 	if heavy.InstsPerElement <= light.InstsPerElement {
 		t.Errorf("binary op %v should cost more than copy %v",
 			heavy.InstsPerElement, light.InstsPerElement)

@@ -97,6 +97,14 @@ const (
 	// two same-wave steps share a scratch block in the view (wave-legal, and
 	// step-deps-sound for the now-missing scratch edge).
 	CorruptWaveSchedule
+	// DenseChunkPanic makes one row-range chunk of a split dense step (GEMM
+	// row panel, elementwise row range) panic, on whichever pool participant
+	// claimed it — proving the panic surfaces as a step-named error and the
+	// pool keeps serving.
+	DenseChunkPanic
+	// SlowDenseChunk delays a split dense step's chunk by the armed Spec's
+	// Delay, so a deadline can be shown to cut the step between chunks.
+	SlowDenseChunk
 
 	numPoints
 )
@@ -107,6 +115,7 @@ var pointNames = [numPoints]string{
 	"corrupt-fusion-region", "corrupt-shard-plan",
 	"slow-handler", "queue-stall", "kernel-panic-load",
 	"corrupt-wave-schedule",
+	"dense-chunk-panic", "slow-dense-chunk",
 }
 
 // String names the point.

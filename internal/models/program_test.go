@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -174,53 +175,82 @@ func TestGCNFusionReducesGraphOps(t *testing.T) {
 	}
 }
 
-// TestCompiledRunZeroAllocs pins the steady-state guarantee: after compile,
-// Run allocates nothing — intermediates live in the arena, kernels reuse
-// their scratch, and sharded lowerings run from the scratch block the
-// program bound at compile time. A single-worker parallel backend keeps the
-// run on this goroutine so AllocsPerRun observes everything.
-func TestCompiledRunZeroAllocs(t *testing.T) {
-	g := smallGraph(t, 24)
-	const inFeat, classes = 16, 7
-	x := tensor.NewDense(g.NumVertices(), inFeat)
-	x.FillRandom(rand.New(rand.NewSource(3)), 1)
-
+// zeroAllocConfigs walks the matrix the zero-alloc contract is claimed over:
+// workers {1, 2, 4} x shards {1, 4} x parallel-steps {off, on} x all six
+// models. The multi-worker configurations compile on a graph large enough
+// that the graph kernels leave the calling goroutine (edges x features >=
+// smallWork) and the widest GEMM of every model crosses the dense inline
+// threshold; workers=1 never leaves the caller on any graph, so it keeps
+// the small one. For each compiled program it checks that the parallel
+// machinery engaged exactly when it should before handing it to measure.
+func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.CompiledProgram, x *tensor.Dense)) {
+	const classes = 7
 	defer program.SetParallelSteps(false)
 	for _, parallel := range []bool{false, true} {
 		program.SetParallelSteps(parallel)
-		for _, shards := range []int{1, 4} {
-			eng := &FixedEngine{
-				EngineName:   "fixed-test",
-				Dev:          gpu.V100(),
-				AggrSchedule: core.DefaultSchedule,
-				MsgCSchedule: core.DefaultSchedule,
-				Fuses:        true,
-				Compute:      core.NewShardedParallelBackend(1, shards),
+		for _, workers := range []int{1, 2, 4} {
+			g, inFeat := smallGraph(t, 24), 16
+			if workers > 1 {
+				if raceBuild {
+					// Minutes of instrumented GEMM for an allocation count;
+					// the multi-worker paths run race-enabled in pool_test.go.
+					continue
+				}
+				g, inFeat = denseGraph(t, 24), 64
 			}
-			for _, m := range All() {
-				cp, err := CompileModel(m, g, inFeat, classes, eng)
-				if err != nil {
-					t.Fatal(err)
+			x := tensor.NewDense(g.NumVertices(), inFeat)
+			x.FillRandom(rand.New(rand.NewSource(3)), 1)
+			for _, shards := range []int{1, 4} {
+				eng := &FixedEngine{
+					EngineName:   "fixed-test",
+					Dev:          gpu.V100(),
+					AggrSchedule: core.DefaultSchedule,
+					MsgCSchedule: core.DefaultSchedule,
+					Fuses:        true,
+					Compute:      core.NewShardedParallelBackend(workers, shards),
 				}
-				if shards > 1 && cp.Stats().Shards < 2 {
-					t.Fatalf("%s: shards=%d compiled without a sharded lowering (stats: %d)",
-						m.Name(), shards, cp.Stats().Shards)
-				}
-				if _, err := cp.Run(x); err != nil { // warm up
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if _, err := cp.Run(x); err != nil {
+				for _, m := range All() {
+					cp, err := CompileModel(m, g, inFeat, classes, eng)
+					if err != nil {
 						t.Fatal(err)
 					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s shards=%d parallel=%v: steady-state Run allocates %.1f objects/run, want 0",
-						m.Name(), shards, parallel, allocs)
+					label := fmt.Sprintf("%s workers=%d shards=%d parallel=%v", m.Name(), workers, shards, parallel)
+					if shards > 1 && cp.Stats().Shards < 2 {
+						t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
+					}
+					dense, kernels := splitSteps(cp)
+					if (workers > 1) != (len(dense) > 0) || (workers > 1) != (kernels > 0) {
+						t.Fatalf("%s: %d dense steps and %d graph kernels run on the pool; want some of each exactly when workers > 1",
+							label, len(dense), kernels)
+					}
+					measure(label, cp, x)
 				}
 			}
 		}
 	}
+}
+
+// TestCompiledRunZeroAllocs pins the steady-state guarantee: after compile,
+// Run allocates nothing — intermediates live in the arena, kernels reuse
+// their scratch, sharded lowerings run from the scratch block the program
+// bound at compile time, and every fan-out (kernel chunks, shards, waves,
+// dense row ranges) is a pre-bound job on the process-wide worker pool.
+// AllocsPerRun counts process-wide mallocs, so allocations on pool helpers
+// would show up too.
+func TestCompiledRunZeroAllocs(t *testing.T) {
+	zeroAllocConfigs(t, func(label string, cp *program.CompiledProgram, x *tensor.Dense) {
+		if _, err := cp.Run(x); err != nil { // warm up
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := cp.Run(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Run allocates %.1f objects/run, want 0", label, allocs)
+		}
+	})
 }
 
 // TestCompiledRunConcurrentGuard pins the documented concurrency contract:

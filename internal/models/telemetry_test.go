@@ -182,43 +182,19 @@ func TestTracedRunZeroAllocs(t *testing.T) {
 	// backing array mid-measurement.
 	telemetry.Default().SetMaxEvents(1 << 16)
 
-	g := smallGraph(t, 24)
-	const inFeat, classes = 16, 7
-	x := tensor.NewDense(g.NumVertices(), inFeat)
-	x.FillRandom(rand.New(rand.NewSource(3)), 1)
-
-	defer program.SetParallelSteps(false)
-	for _, parallel := range []bool{false, true} {
-		program.SetParallelSteps(parallel)
-		for _, shards := range []int{1, 4} {
-			eng := &FixedEngine{
-				EngineName:   "fixed-test",
-				Dev:          gpu.V100(),
-				AggrSchedule: core.DefaultSchedule,
-				MsgCSchedule: core.DefaultSchedule,
-				Fuses:        true,
-				Compute:      core.NewShardedParallelBackend(1, shards),
-			}
-			for _, m := range All() {
-				cp, err := CompileModel(m, g, inFeat, classes, eng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := telemetry.NewTraceState(0, 0, 512)
-				ctx := telemetry.ContextWithTrace(context.Background(), ts)
-				if _, err := cp.RunCtx(ctx, x); err != nil { // warm up
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if _, err := cp.RunCtx(ctx, x); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%s shards=%d parallel=%v: traced RunCtx allocates %.1f objects/run, want 0",
-						m.Name(), shards, parallel, allocs)
-				}
-			}
+	zeroAllocConfigs(t, func(label string, cp *program.CompiledProgram, x *tensor.Dense) {
+		ts := telemetry.NewTraceState(0, 0, 512)
+		ctx := telemetry.ContextWithTrace(context.Background(), ts)
+		if _, err := cp.RunCtx(ctx, x); err != nil { // warm up
+			t.Fatal(err)
 		}
-	}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := cp.RunCtx(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: traced RunCtx allocates %.1f objects/run, want 0", label, allocs)
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/workpool"
 )
 
 // Compilation: bind a recorded Program to a concrete (graph, scheduler,
@@ -119,6 +120,9 @@ type step struct {
 	// bound to (-1 = none); same-block steps are serialized by the wave
 	// schedule's scratch-conflict edges.
 	scratch int32
+	// split is the row-range split plan of a dense step large enough to run
+	// on the worker pool (dense.go); nil = the step runs on the caller.
+	split *denseSplit
 }
 
 // regionsEnabled reports whether s opts into cost-modeled fusion regions:
@@ -186,12 +190,14 @@ type CompiledProgram struct {
 	waves    [][]int
 	// running guards against concurrent Run calls (0 = idle, 1 = running).
 	running atomic.Int32
-	// Wave-run state (waves.go): the active run's context, the per-wave
-	// barrier, and the mutex-guarded first step error.
-	wctx context.Context
-	wwg  sync.WaitGroup
-	wmu  sync.Mutex
-	werr error
+	// Wave-run state (waves.go): the pool job that runs one wave's steps,
+	// the active run's context and current wave, and the mutex-guarded first
+	// step error.
+	waveJob *workpool.Job
+	wctx    context.Context
+	wave    []int
+	wmu     sync.Mutex
+	werr    error
 }
 
 // Compile lowers p onto graph g with schedules chosen by s and kernels
@@ -354,6 +360,20 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			cp.scheds = append(cp.scheds, ScheduledOp{Name: n.Name, Op: op, Schedule: sched})
 		}
 		cp.steps = append(cp.steps, st)
+	}
+
+	// Dense steps large enough to pay for it are bound to a row-range split
+	// over the backend's worker count (dense.go). The lowered kernels report
+	// that count too, which keeps it visible when the caller handed in a
+	// decorator around the backend that does not forward Workers().
+	workers := core.Workers(backend)
+	for i := range cp.steps {
+		if k := cp.steps[i].kern; k != nil {
+			workers = max(workers, k.Counters().Workers)
+		}
+	}
+	for i := range cp.steps {
+		planDenseSplit(&cp.steps[i], workers)
 	}
 
 	// Sharded kernels: fold the partition shape into the stats and rebind
@@ -552,6 +572,9 @@ func (cp *CompiledProgram) runSequential(ctx context.Context) error {
 
 // runStep executes one compiled step against its prebound tensors.
 func (cp *CompiledProgram) runStep(ctx context.Context, st *step) error {
+	if st.split != nil {
+		return st.runSplit(ctx)
+	}
 	switch st.op {
 	case OpGEMM:
 		if st.pb != nil {

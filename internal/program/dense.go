@@ -1,0 +1,204 @@
+package program
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/faultinject"
+	"repro/internal/tensor"
+	"repro/internal/workpool"
+)
+
+// Dense step splitting: GEMM, unary chains, concat, add-scaled and
+// head-merge are all row-wise — output row r depends on operand row r alone
+// — so a step splits into disjoint row ranges that run concurrently on the
+// shared worker pool (internal/workpool). Every output element keeps its
+// accumulation order, so a split step is bit-identical to the sequential
+// one. The decision is made once, at compile time, from the step's shape
+// and the backend's worker count; the chunk body and the pool job are bound
+// then too, so a split step allocates nothing per Run.
+
+// Per-element cost estimates of the dense operators, in nanoseconds,
+// measured single-threaded on the 2-CPU bench host (EXPERIMENTS.md "Dense
+// step splitting"). They only rank steps against the two thresholds below;
+// a 2x error moves a step's chunk count, not its result.
+const (
+	gemmNsPerFlop      = 0.19 // packed kernel: ~5.3 flops/ns at every shape tried
+	copyNsPerElem      = 0.3
+	reluNsPerElem      = 0.5 // leaky-relu costs about the same
+	expNsPerElem       = 9.3
+	addScaledNsPerElem = 1.5
+	concatNsPerElem    = 0.5 // per output element
+	rowMeanNsPerElem   = 1.0 // per input element
+)
+
+const (
+	// denseInlineNs is the estimated single-threaded duration below which a
+	// dense step runs on the caller exactly as before. Measured on the 2-CPU
+	// host (EXPERIMENTS.md): a parked helper takes ~0.1 ms to join, so a
+	// two-way split of a packed GEMM is a wash at 0.2 ms (0.99x), 1.32x at
+	// 0.4 ms, 1.59x at 0.8 ms and 1.9x from 3 ms; when the second CPU is
+	// deep idle the helper misses a sub-millisecond step altogether and the
+	// offer costs ~40 us for nothing. Half a millisecond is where a split
+	// reliably saves more than the wake-up it spends, and it keeps the
+	// sub-0.3 ms GEMMs of small served graphs off the pool, whose helper
+	// would otherwise take a CPU from HTTP admission and JSON.
+	denseInlineNs = 500e3
+	// denseChunkNs is the target duration of one row-range chunk: long
+	// enough to amortise a chunk claim (one atomic add), short enough that a
+	// deadline cuts a long GEMM promptly and a late-starting helper still
+	// finds work.
+	denseChunkNs = 100e3
+)
+
+// denseSplit is one dense step's compile-time split plan.
+type denseSplit struct {
+	job     *workpool.Job
+	chunk   int // rows per chunk
+	workers int
+}
+
+// denseCostNs estimates a dense step's single-threaded duration from its
+// shape.
+func denseCostNs(st *step) float64 {
+	out := float64(len(st.out.Data))
+	switch st.op {
+	case OpGEMM:
+		return gemmNsPerFlop * float64(tensor.GEMMFlops(st.x.Rows, st.x.Cols, st.out.Cols))
+	case OpUnary:
+		per := 0.0
+		if !st.inPlace {
+			per = copyNsPerElem
+		}
+		for _, u := range st.chain {
+			if u.Kind == UnaryExp {
+				per += expNsPerElem
+			} else {
+				per += reluNsPerElem
+			}
+		}
+		return per * out
+	case OpAddScaled:
+		return addScaledNsPerElem * out
+	case OpConcat:
+		return concatNsPerElem * out
+	case OpHeadMerge:
+		return rowMeanNsPerElem * float64(len(st.x.Data))
+	}
+	return 0
+}
+
+// denseChunkFaults is the fault-injection site at the head of every split
+// dense chunk (one atomic load each while disarmed).
+func denseChunkFaults() {
+	faultinject.MaybeSleep(faultinject.SlowDenseChunk)
+	faultinject.MaybePanic(faultinject.DenseChunkPanic)
+}
+
+// planDenseSplit decides whether st splits and, if so, binds its chunk body
+// and pool job. It captures the step's tensors by value: they are arena
+// views fixed for the life of the compiled program.
+func planDenseSplit(st *step, workers int) {
+	rows := st.out.Rows
+	cost := denseCostNs(st)
+	if workers <= 1 || rows < 2 || cost < denseInlineNs {
+		return
+	}
+	out, x, y := st.out, st.x, st.y
+	var body func(lo, hi int)
+	switch st.op {
+	case OpGEMM:
+		pb := st.pb
+		if pb == nil {
+			return // the naive loop has no row-range form
+		}
+		body = func(lo, hi int) {
+			denseChunkFaults()
+			tensor.GemmPackedRowsInto(out, x, pb, lo, hi)
+		}
+	case OpUnary:
+		chain, inPlace := st.chain, st.inPlace
+		body = func(lo, hi int) {
+			denseChunkFaults()
+			o := out.RowRange(lo, hi)
+			if !inPlace {
+				copy(o.Data, x.RowRange(lo, hi).Data)
+			}
+			for _, u := range chain {
+				u.Apply(&o)
+			}
+		}
+	case OpAddScaled:
+		scale := st.scale
+		body = func(lo, hi int) {
+			denseChunkFaults()
+			o, a, b := out.RowRange(lo, hi), x.RowRange(lo, hi), y.RowRange(lo, hi)
+			tensor.AddScaledInto(&o, &a, &b, scale)
+		}
+	case OpHeadMerge:
+		body = func(lo, hi int) {
+			denseChunkFaults()
+			o, a := out.RowRange(lo, hi), x.RowRange(lo, hi)
+			tensor.RowMeanInto(&o, &a)
+		}
+	case OpConcat:
+		body = func(lo, hi int) {
+			denseChunkFaults()
+			o, a, b := out.RowRange(lo, hi), x.RowRange(lo, hi), y.RowRange(lo, hi)
+			tensor.ConcatInto(&o, &a, &b)
+		}
+	default:
+		return
+	}
+	chunk := int(float64(rows) * denseChunkNs / cost)
+	if chunk < 1 {
+		chunk = 1
+	}
+	st.split = &denseSplit{job: workpool.NewJob(body), chunk: chunk, workers: workers}
+}
+
+// runSplit executes a split dense step on the pool. A chunk panic, on the
+// caller or on a helper, comes back as an error naming the step; a deadline
+// stops the step between chunks.
+func (st *step) runSplit(ctx context.Context) error {
+	err := workpool.Run(ctx, st.split.job, st.out.Rows, st.split.chunk, st.split.workers)
+	if pe, ok := err.(*workpool.PanicError); ok {
+		return stepPanicError(st, pe.Value)
+	}
+	return err
+}
+
+// stepPanicError is the error a panic inside step st surfaces as.
+func stepPanicError(st *step, v any) error {
+	return fmt.Errorf("program: step %s panicked: %v", st.name, v)
+}
+
+// StepMode says how one compiled step executes: on the calling goroutine
+// (Workers == 1) or in chunks over the shared pool.
+type StepMode struct {
+	Op, Name string
+	// Workers is how many goroutines the step's chunks are offered to: the
+	// caller plus Workers-1 pool helpers. 1 means the step runs inline.
+	Workers int
+}
+
+// StepModes reports every step's execution mode, in execution order. Dense
+// steps decide at compile time; graph kernels report the fan-out their
+// backend lowered them with.
+func (cp *CompiledProgram) StepModes() []StepMode {
+	modes := make([]StepMode, len(cp.steps))
+	for i := range cp.steps {
+		st := &cp.steps[i]
+		m := StepMode{Op: st.op.String(), Name: st.name, Workers: 1}
+		switch {
+		case st.split != nil:
+			m.Workers = st.split.workers
+		case st.kern != nil:
+			if f := st.kern.Counters().Fanout; f > 1 {
+				m.Workers = f
+			}
+		}
+		modes[i] = m
+	}
+	return modes
+}

@@ -1,0 +1,128 @@
+package program
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/tensor"
+	"repro/internal/workpool"
+)
+
+// gemmStep builds a packed-GEMM step of the given shape on fresh tensors.
+func gemmStep(rows, k, n int) step {
+	rng := rand.New(rand.NewSource(9))
+	x := tensor.NewDense(rows, k)
+	w := tensor.NewDense(k, n)
+	x.FillRandom(rng, 1)
+	w.FillRandom(rng, 1)
+	return step{op: OpGEMM, name: "gemm", out: tensor.NewDense(rows, n), x: x, pb: tensor.PackB(w)}
+}
+
+// TestDenseSplitDecision pins the compile-time rule: a step splits exactly
+// when the backend has more than one worker and its estimated duration
+// reaches denseInlineNs, and a split step's chunks are about denseChunkNs
+// long. The small shape is the served CO graph's layer (2708 x 16 x 16,
+// ~0.26 ms), which must stay off the pool; the large one is sage-dense's
+// concat GEMM.
+func TestDenseSplitDecision(t *testing.T) {
+	small := gemmStep(2708, 16, 16)
+	if c := denseCostNs(&small); c >= denseInlineNs {
+		t.Fatalf("CO-sized GEMM estimated at %.0f ns, want under the %.0f ns inline threshold", c, float64(denseInlineNs))
+	}
+	planDenseSplit(&small, 4)
+	if small.split != nil {
+		t.Error("CO-sized GEMM split; it must run inline")
+	}
+
+	big := gemmStep(19717, 64, 256)
+	planDenseSplit(&big, 1)
+	if big.split != nil {
+		t.Error("workers=1 bound a split plan; the single-worker path must never touch the pool")
+	}
+	planDenseSplit(&big, 2)
+	if big.split == nil {
+		t.Fatal("a 120 ms GEMM did not split at workers=2")
+	}
+	if big.split.workers != 2 {
+		t.Errorf("split over %d workers, want 2", big.split.workers)
+	}
+	perChunk := denseCostNs(&big) * float64(big.split.chunk) / float64(big.out.Rows)
+	if perChunk < denseChunkNs/2 || perChunk > denseChunkNs*2 {
+		t.Errorf("chunk of %d rows estimated at %.0f ns, want about %.0f", big.split.chunk, perChunk, float64(denseChunkNs))
+	}
+
+	want := tensor.NewDense(big.out.Rows, big.out.Cols)
+	tensor.GemmPackedInto(want, big.x, big.pb)
+	if err := big.runSplit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !big.out.Equal(want) {
+		t.Errorf("split GEMM differs from the whole product (max diff %g), want bit-identical", big.out.MaxDiff(want))
+	}
+}
+
+// BenchmarkDenseOpCost measures what the per-element constants of dense.go
+// estimate: each elementwise operator single-threaded over a 19717 x 256
+// activation (sage-dense's hidden layer), reported as ns per element of the
+// tensor the constant is defined over.
+func BenchmarkDenseOpCost(b *testing.B) {
+	const rows, cols = 19717, 256
+	rng := rand.New(rand.NewSource(9))
+	x := tensor.NewDense(rows, cols)
+	y := tensor.NewDense(rows, cols)
+	x.FillRandom(rng, 1)
+	y.FillRandom(rng, 1)
+	out := tensor.NewDense(rows, cols)
+	wide := tensor.NewDense(rows, 2*cols)
+	narrow := tensor.NewDense(rows, 1)
+	for _, c := range []struct {
+		name  string
+		elems int
+		run   func()
+	}{
+		{"copy", rows * cols, func() { copy(out.Data, x.Data) }},
+		{"relu", rows * cols, func() { Unary{Kind: UnaryReLU}.Apply(out) }},
+		{"copy+exp", rows * cols, func() { copy(out.Data, x.Data); Unary{Kind: UnaryExp}.Apply(out) }},
+		{"add-scaled", rows * cols, func() { tensor.AddScaledInto(out, x, y, 0.5) }},
+		{"concat", rows * 2 * cols, func() { tensor.ConcatInto(wide, x, y) }},
+		{"row-mean", rows * cols, func() { tensor.RowMeanInto(narrow, x) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.elems), "ns/elem")
+		})
+	}
+}
+
+// BenchmarkDenseSplit is the measurement behind denseInlineNs: one packed
+// GEMM (k = n = 64, rows chosen for an estimated 0.1 to 6.4 ms) run whole on
+// the caller against the same product split into ~0.1 ms row chunks over two
+// pool participants. EXPERIMENTS.md "Dense step splitting" records the
+// table.
+func BenchmarkDenseSplit(b *testing.B) {
+	const k, n = 64, 64
+	ctx := context.Background()
+	for _, us := range []int{100, 200, 400, 800, 1600, 3200, 6400} {
+		rows := int(float64(us) * 1e3 / (gemmNsPerFlop * float64(tensor.GEMMFlops(1, k, n))))
+		st := gemmStep(rows, k, n)
+		b.Run(fmt.Sprintf("est=%dus/inline", us), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.GemmPackedInto(st.out, st.x, st.pb)
+			}
+		})
+		out, x, pb := st.out, st.x, st.pb
+		job := workpool.NewJob(func(lo, hi int) { tensor.GemmPackedRowsInto(out, x, pb, lo, hi) })
+		chunk := max(1, int(float64(rows)*denseChunkNs/denseCostNs(&st)))
+		b.Run(fmt.Sprintf("est=%dus/split2", us), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := workpool.Run(ctx, job, rows, chunk, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

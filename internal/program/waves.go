@@ -2,14 +2,12 @@ package program
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/telemetry"
+	"repro/internal/workpool"
 )
 
 // Step-effect dependence analysis: every compiled step's reads and writes
@@ -25,10 +23,10 @@ import (
 // discipline to the parallel schedule itself.
 //
 // Run-time: when SetParallelSteps(true) is in effect and the program has at
-// least one wave wider than one step, RunCtx dispatches each wave onto a
-// bounded, pre-spawned, process-wide step-worker pool and barriers between
-// waves. Programs whose every wave has width 1 (a pure chain) keep the
-// sequential loop — the schedule proves there is nothing to overlap.
+// least one wave wider than one step, RunCtx dispatches each wave onto the
+// process-wide worker pool (internal/workpool) and barriers between waves.
+// Programs whose every wave has width 1 (a pure chain) keep the sequential
+// loop — the schedule proves there is nothing to overlap.
 
 // maxShardScratchBlocks caps how many copies of the shared sharded-scratch
 // block a program allocates to let same-wave sharded kernels run
@@ -36,8 +34,8 @@ import (
 // are serialized by scratch-conflict edges instead.
 const maxShardScratchBlocks = 4
 
-// maxStepWorkers bounds the process-wide step-worker pool.
-const maxStepWorkers = 8
+// maxWaveWorkers bounds how many goroutines one wave's steps are dealt to.
+const maxWaveWorkers = 8
 
 // parallelSteps is the process-wide wave-execution default, set by the
 // CLIs' -parallel-steps flag. Off by default: sequential execution remains
@@ -224,6 +222,9 @@ func (cp *CompiledProgram) buildWaveSchedule() {
 			cp.stats.MaxWaveWidth = len(w)
 		}
 	}
+	if cp.stats.MaxWaveWidth > 1 {
+		cp.waveJob = workpool.NewJob(cp.waveRange)
+	}
 }
 
 // Waves exposes the verified wave schedule (step indices per wave) for
@@ -236,51 +237,25 @@ func (cp *CompiledProgram) Waves() [][]int {
 	return out
 }
 
-// waveTask is one step-execution request dispatched to the shared pool.
-type waveTask struct {
-	cp  *CompiledProgram
-	idx int32
-}
-
-var (
-	stepPoolOnce sync.Once
-	stepTasks    chan waveTask
-)
-
-// stepWorkerPool lazily spawns the bounded, process-wide step-worker set.
-// The workers live for the process (spawned exactly once), so steady-state
-// wave dispatch allocates nothing.
-func stepWorkerPool() chan<- waveTask {
-	stepPoolOnce.Do(func() {
-		n := runtime.NumCPU()
-		if n > maxStepWorkers {
-			n = maxStepWorkers
-		}
-		if n < 2 {
-			n = 2
-		}
-		stepTasks = make(chan waveTask, 4*maxStepWorkers)
-		for i := 0; i < n; i++ {
-			//lint:allow goroutine-accounting -- bounded process-lifetime pool worker, spawned once; every dispatched step is tracked by its run's WaitGroup
-			go stepWorker()
-		}
-	})
-	return stepTasks
-}
-
-// stepWorker drains the shared task channel for the life of the process.
-func stepWorker() {
-	for t := range stepTasks {
-		t.cp.execStep(t.idx)
+// waveRange is the pool chunk body of a wave: run steps [lo, hi) of the
+// current wave.
+func (cp *CompiledProgram) waveRange(lo, hi int) {
+	for _, idx := range cp.wave[lo:hi] {
+		cp.execStep(idx)
 	}
 }
 
-// execStep runs one dispatched step of the current wave, converting a step
-// panic into the run's first error so a crashing kernel cannot take the
-// pool (or the process) down with it.
-func (cp *CompiledProgram) execStep(idx int32) {
-	defer cp.waveStepDone(idx)
+// execStep runs one step of the current wave, recording a step error or
+// panic as the run's first error so a crashing step cannot take a pool
+// helper (or the process) down with it. The remaining steps of the wave
+// still run: they are independent by construction.
+func (cp *CompiledProgram) execStep(idx int) {
 	st := &cp.steps[idx]
+	defer func() {
+		if r := recover(); r != nil {
+			cp.failWave(stepPanicError(st, r))
+		}
+	}()
 	sp := telemetry.StartSpanCtx(cp.wctx, "program", "step", st.label)
 	if err := cp.runStep(cp.wctx, st); err != nil {
 		cp.failWave(err)
@@ -288,15 +263,6 @@ func (cp *CompiledProgram) execStep(idx int32) {
 		return
 	}
 	sp.End()
-}
-
-// waveStepDone recovers a step panic into the run error and releases the
-// wave barrier. Deferred by execStep, so Done runs on every exit path.
-func (cp *CompiledProgram) waveStepDone(idx int32) {
-	if r := recover(); r != nil {
-		cp.failWave(fmt.Errorf("program: step %s panicked: %v", cp.steps[idx].name, r))
-	}
-	cp.wwg.Done()
 }
 
 // failWave records the wave's first error.
@@ -309,15 +275,17 @@ func (cp *CompiledProgram) failWave(err error) {
 }
 
 // runWaves executes the verified wave schedule: width-1 waves run inline on
-// this goroutine, wider waves dispatch onto the shared step-worker pool and
-// barrier before the next wave starts. Step spans are siblings parented to
-// the run span (the trace's current parent is left at the run span —
-// concurrent steps cannot take turns mutating it), and ctx is checked
-// between waves with kernels honouring it inside a wave. Steady state
-// allocates nothing: tasks are value structs on a pre-made channel, and the
-// barrier is the program's reusable WaitGroup.
+// this goroutine; wider waves are one pool job with a step per chunk, this
+// goroutine claiming steps alongside the helpers, and the job's completion
+// is the barrier before the next wave. A step that itself splits (a GEMM, a
+// graph kernel) submits a nested job from whichever goroutine runs it; the
+// pool's caller-participates rule keeps that deadlock-free. Step spans are
+// siblings parented to the run span (the trace's current parent is left at
+// the run span — concurrent steps cannot take turns mutating it), and ctx
+// is checked between waves and between step claims, with kernels honouring
+// it inside a step. Steady state allocates nothing: the job is bound at
+// compile time and offers are value structs.
 func (cp *CompiledProgram) runWaves(ctx context.Context) error {
-	tasks := stepWorkerPool()
 	cp.wctx = ctx
 	cp.werr = nil
 	done := ctx.Done()
@@ -339,14 +307,14 @@ func (cp *CompiledProgram) runWaves(ctx context.Context) error {
 			sp.End()
 			continue
 		}
-		cp.wwg.Add(len(wave))
-		for _, idx := range wave {
-			tasks <- waveTask{cp: cp, idx: int32(idx)}
-		}
-		cp.wwg.Wait()
+		cp.wave = wave
+		poolErr := workpool.Run(ctx, cp.waveJob, len(wave), 1, maxWaveWorkers)
 		cp.wmu.Lock()
 		err := cp.werr
 		cp.wmu.Unlock()
+		if err == nil {
+			err = poolErr
+		}
 		if err != nil {
 			return err
 		}

@@ -2,10 +2,14 @@ package telemetry
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/workpool"
 )
 
 // The exporter contracts the ISSUE pins: Chrome traces are valid JSON with
@@ -167,6 +171,45 @@ func TestPrometheusAlwaysCarriesWellKnownSeries(t *testing.T) {
 	for _, name := range []string{MetricFallbacks, MetricNumericFailures, MetricProgramRuns, MetricTrainerEpochs} {
 		if !strings.Contains(sb.String(), name+" 0") {
 			t.Errorf("fresh snapshot missing %s:\n%s", name, sb.String())
+		}
+	}
+}
+
+// TestPrometheusCarriesPoolSeries: the worker pool's helper count, job count
+// and caller/helper chunk split are in every snapshot, and move when a job
+// is dispatched — "did parallelism engage" is answerable from /metrics.
+func TestPrometheusCarriesPoolSeries(t *testing.T) {
+	r := NewRegistry()
+	before := r.CounterValues()
+	j := workpool.NewJob(func(lo, hi int) { time.Sleep(100 * time.Microsecond) })
+	if err := workpool.Run(context.Background(), j, 32, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	after := r.CounterValues()
+	caller, helper := Series1(MetricPoolChunks, "by", "caller"), Series1(MetricPoolChunks, "by", "helper")
+	if after[MetricPoolJobs] != before[MetricPoolJobs]+1 {
+		t.Errorf("%s went %d -> %d over one job", MetricPoolJobs, before[MetricPoolJobs], after[MetricPoolJobs])
+	}
+	if d := after[caller] - before[caller] + after[helper] - before[helper]; d != 32 {
+		t.Errorf("chunk counters moved by %d over a 32-chunk job", d)
+	}
+	if w := r.GaugeValues()[MetricPoolWorkers]; w < 2 {
+		t.Errorf("%s = %v after a 3-worker job, want >= 2", MetricPoolWorkers, w)
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{
+		"# TYPE ugrapher_pool_workers gauge",
+		"# TYPE ugrapher_pool_jobs_total counter",
+		"# TYPE ugrapher_pool_chunks_total counter",
+		`ugrapher_pool_chunks_total{by="caller"} `,
+		`ugrapher_pool_chunks_total{by="helper"} `,
+	} {
+		if !strings.Contains(sb.String(), frag) {
+			t.Errorf("snapshot missing %q:\n%s", frag, sb.String())
 		}
 	}
 }

@@ -64,6 +64,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		hists = append(hists, hs)
 	}
 	r.mu.Unlock()
+	addPoolCounters(counters)
+	addPoolGauges(gauges)
 
 	// Counters and gauges, grouped by family with one TYPE line each.
 	emit := func(kind string, series []string, value func(string) string) error {

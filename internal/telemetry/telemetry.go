@@ -13,9 +13,10 @@
 // is <5% wall clock on kernel-scale work (EXPERIMENTS.md records measured
 // numbers).
 //
-// The package depends only on the standard library so every layer — core
-// backends, the program runtime, models, dglcompat, the CLIs — can import it
-// without cycles.
+// The package depends only on the standard library and the equally
+// dependency-free worker pool (whose counters it exports), so every layer —
+// core backends, the program runtime, models, dglcompat, the CLIs — can
+// import it without cycles.
 package telemetry
 
 import (
@@ -26,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/workpool"
 )
 
 // enabled is the process-wide master switch. All hot-path hooks collapse to
@@ -160,7 +163,29 @@ const (
 	MetricProgramRuns     = "ugrapher_program_runs_total"
 	MetricTrainerEpochs   = "ugrapher_trainer_epochs_total"
 	MetricKernelWall      = "ugrapher_kernel_wall_seconds"
+	// The worker pool's series are read from the pool at snapshot time
+	// rather than stored: the pool is process-wide, so every registry
+	// reports the same values and Reset does not clear them.
+	MetricPoolWorkers = "ugrapher_pool_workers"
+	MetricPoolJobs    = "ugrapher_pool_jobs_total"
+	MetricPoolChunks  = "ugrapher_pool_chunks_total"
 )
+
+// addPoolCounters folds the worker pool's counters into a snapshot: how
+// many jobs were dispatched onto the pool and who ran their chunks — the
+// submitting goroutine or a helper. helper = 0 with jobs > 0 means
+// parallelism was offered but never engaged.
+func addPoolCounters(counters map[string]int64) {
+	st := workpool.Snapshot()
+	counters[MetricPoolJobs] = st.Jobs
+	counters[Series1(MetricPoolChunks, "by", "caller")] = st.CallerChunks
+	counters[Series1(MetricPoolChunks, "by", "helper")] = st.HelperChunks
+}
+
+// addPoolGauges folds the pool's helper-goroutine count into a snapshot.
+func addPoolGauges(gauges map[string]float64) {
+	gauges[MetricPoolWorkers] = float64(workpool.Snapshot().Helpers)
+}
 
 const (
 	defaultMaxEvents  = 1 << 19
@@ -297,6 +322,7 @@ func (r *Registry) CounterValues() map[string]int64 {
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
+	addPoolCounters(out)
 	return out
 }
 
@@ -308,6 +334,7 @@ func (r *Registry) GaugeValues() map[string]float64 {
 	for name, g := range r.gauges {
 		out[name] = g.Value()
 	}
+	addPoolGauges(out)
 	return out
 }
 
@@ -361,4 +388,3 @@ func escapeLabel(v string) string {
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-

@@ -71,6 +71,15 @@ func PackB(b *Dense) *PackedB {
 // MatMulInto(out, a, unpackedB): per output element the partial products
 // accumulate in the same ascending-k order with the same zero-skip.
 func GemmPackedInto(out, a *Dense, pb *PackedB) {
+	GemmPackedRowsInto(out, a, pb, 0, a.Rows)
+}
+
+// GemmPackedRowsInto is the row-range form of GemmPackedInto: it computes
+// output rows [lo, hi) only. Every output row depends on its own input row
+// alone, so disjoint ranges may run concurrently, and splitting a product
+// into row panels leaves every element's accumulation order — hence every
+// bit of the result — unchanged.
+func GemmPackedRowsInto(out, a *Dense, pb *PackedB, lo, hi int) {
 	if a.Cols != pb.K {
 		// invariant: shapes come from model code and the compile-time packer,
 		// never from user input; a mismatch is a compiler bug.
@@ -81,9 +90,14 @@ func GemmPackedInto(out, a *Dense, pb *PackedB) {
 		// mismatch here means verification failed open.
 		panic(fmt.Sprintf("tensor: packed matmul output %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, pb.N))
 	}
+	if lo < 0 || hi > a.Rows || lo > hi {
+		// invariant: row ranges are carved from the output's own row count
+		// by the step splitter.
+		panic(fmt.Sprintf("tensor: packed matmul row range [%d,%d) outside %d rows", lo, hi, a.Rows))
+	}
 	k, n := pb.K, pb.N
 	numPanels := (n + gemmPanelN - 1) / gemmPanelN
-	for i := 0; i < a.Rows; i++ {
+	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for p := 0; p < numPanels; p++ {

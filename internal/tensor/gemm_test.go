@@ -65,6 +65,50 @@ func TestGemmPackedFeatureWidths(t *testing.T) {
 	}
 }
 
+// Row panels computed separately, in any order, reproduce the whole product
+// bit for bit and write nothing outside their own rows; the RowRange views
+// the elementwise splitters use alias the same rows.
+func TestGemmPackedRowsMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := NewDense(37, 19)
+	b := NewDense(19, 11)
+	a.FillRandom(rng, 1)
+	b.FillRandom(rng, 1)
+	pb := PackB(b)
+	want := NewDense(37, 11)
+	GemmPackedInto(want, a, pb)
+
+	const sentinel = -12345
+	got := NewDense(37, 11)
+	for i := range got.Data {
+		got.Data[i] = sentinel
+	}
+	GemmPackedRowsInto(got, a, pb, 20, 37)
+	GemmPackedRowsInto(got, a, pb, 5, 5) // empty range: no-op
+	for _, v := range got.RowRange(0, 20).Data {
+		if v != sentinel {
+			t.Fatal("row panel [20,37) wrote outside its rows")
+		}
+	}
+	GemmPackedRowsInto(got, a, pb, 7, 20)
+	GemmPackedRowsInto(got, a, pb, 0, 7)
+	if !got.Equal(want) {
+		t.Fatalf("row panels diverge from the whole product: max diff %g (want bit-identical)", got.MaxDiff(want))
+	}
+
+	v := got.RowRange(7, 9)
+	if v.Rows != 2 || v.Cols != 11 || &v.Data[0] != &got.Row(7)[0] || len(v.Data) != 22 {
+		t.Fatalf("RowRange(7,9) = %dx%d over %d floats, want a 2x11 view of row 7 on", v.Rows, v.Cols, len(v.Data))
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("row range past the last row did not panic")
+		}
+	}()
+	GemmPackedRowsInto(got, a, pb, 30, 38)
+}
+
 func TestPackBShapes(t *testing.T) {
 	b := NewDense(5, 11) // two panels: 8 + 3 (padded)
 	for i := range b.Data {

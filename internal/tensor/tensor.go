@@ -79,6 +79,14 @@ func FromSlice(rows, cols int, data []float32) *Dense {
 // Row returns row r as a slice aliasing the tensor's storage.
 func (t *Dense) Row(r int) []float32 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
 
+// RowRange returns rows [lo, hi) as a view aliasing the tensor's storage.
+// It is a value, so taking one allocates nothing; the dense operators run
+// unchanged over it, which is how a row-wise operator is split into
+// independent row ranges.
+func (t *Dense) RowRange(lo, hi int) Dense {
+	return Dense{Rows: hi - lo, Cols: t.Cols, Data: t.Data[lo*t.Cols : hi*t.Cols]}
+}
+
 // At returns element (r, c).
 func (t *Dense) At(r, c int) float32 { return t.Data[r*t.Cols+c] }
 
