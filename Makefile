@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-models bench-obs bench-shard bench-fusion bench-waves race vet faults obs lint verify serve e2e
+.PHONY: build test check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
@@ -104,3 +104,11 @@ bench-fusion:
 # schedules are the control: they take the sequential path in both arms.
 bench-waves:
 	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_waves.json ext-waves
+
+# bench-kernels is the measurement behind core/span.go's block width: the
+# operator shapes the benchmark's models run (GCN on AR, Sage on PU, GAT on
+# PR) as the per-edge loop the span kernels replaced, as each span form on
+# one worker (in-place, blocked), and as lowered on one and two workers.
+# EXPERIMENTS.md "Row-span kernels" records the table.
+bench-kernels:
+	$(GO) test -run '^$$' -bench BenchmarkSpanKernel -benchtime 20x ./internal/core/

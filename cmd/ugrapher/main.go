@@ -239,6 +239,14 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 			if sm.Workers > 1 {
 				mode = fmt.Sprintf("split over %d workers", sm.Workers)
 			}
+			// A graph step also says which loop the host ran — not the GPU
+			// strategy its schedule names — and where a fused epilogue went.
+			if sm.Walk != "" {
+				mode += ", " + sm.Walk
+			}
+			if sm.Epilogue != "" {
+				mode += ", epilogue " + sm.Epilogue
+			}
 			fmt.Printf("  %2d %-10s %-28s %s\n", i, sm.Op, sm.Name, mode)
 		}
 	}

@@ -27,8 +27,10 @@ import (
 //     adjacent comment containing the word "invariant" explaining why the
 //     condition is a bug, not an input (reachable conditions must be
 //     errors).
-//   - no-alloc-in-run: Run/RunCtx bodies of kernel types must not
-//     lexically allocate (make/new/append, non-deferred closures) — the
+//   - no-alloc-in-run: Run/RunCtx bodies of kernel types, and the per-row
+//     and per-edge inner loops they call (span* functions, methods of the
+//     span operand / row reducer / edge writer types), must not lexically
+//     allocate (make/new/append, non-deferred closures) — the
 //     zero-steady-state contract TestCompiledRunZeroAllocs asserts.
 //   - trace-propagation: internal/core and internal/program adopt the
 //     request trace from ctx (StartSpanCtx, EndCtx) but never mint or
@@ -126,6 +128,14 @@ var traceMintFuncs = map[string]bool{
 // kernelReceiver matches the receiver type names whose Run/RunCtx methods
 // the no-alloc rule audits.
 var kernelReceiver = regexp.MustCompile(`(?i)kernel$`)
+
+// spanFunc and spanReceiver match the host lowering's inner loops
+// (internal/core/span.go), which run once per destination row or edge chunk
+// under every kernel's Run and fall under the same no-alloc rule.
+var (
+	spanFunc     = regexp.MustCompile(`^span[A-Z]`)
+	spanReceiver = regexp.MustCompile(`^(span[A-Z]\w*|rowReducer|edgeWriter)$`)
+)
 
 // allowDirective parses `//lint:allow <rule> -- <reason>`.
 var allowDirective = regexp.MustCompile(`^//lint:allow\s+([a-z-]+)\s*(?:--\s*(.*))?$`)
@@ -658,16 +668,26 @@ func (lf *fileLinter) checkPanic(call *ast.CallExpr, path []ast.Node) {
 }
 
 // checkRunBody enforces no-alloc-in-run over Run/RunCtx methods of kernel
-// types: no make/new/append and no closures outside direct defer/go
-// statements, lexically, in the method body (callees are covered by their
-// own declarations or by the runtime zero-alloc test).
+// types and over the span inner loops: no make/new/append and no closures
+// outside direct defer/go statements, lexically, in the body (other callees
+// are covered by the runtime zero-alloc test).
 func (lf *fileLinter) checkRunBody(fd *ast.FuncDecl) {
-	if fd.Body == nil || fd.Recv == nil || (fd.Name.Name != "Run" && fd.Name.Name != "RunCtx") {
+	if fd.Body == nil {
 		return
 	}
-	recv := receiverTypeName(fd.Recv)
-	if !kernelReceiver.MatchString(recv) {
-		return
+	recv := ""
+	switch {
+	case fd.Recv == nil:
+		if !spanFunc.MatchString(fd.Name.Name) {
+			return
+		}
+	default:
+		recv = receiverTypeName(fd.Recv)
+		run := fd.Name.Name == "Run" || fd.Name.Name == "RunCtx"
+		if !(run && kernelReceiver.MatchString(recv)) && !spanReceiver.MatchString(recv) {
+			return
+		}
+		recv += "."
 	}
 	var path []ast.Node
 	var walk func(n ast.Node)
@@ -682,14 +702,14 @@ func (lf *fileLinter) checkRunBody(fd *ast.FuncDecl) {
 				for _, b := range [...]string{"make", "new", "append"} {
 					if lf.isBuiltin(id, b) {
 						lf.report(node.Pos(), LintNoAllocInRun,
-							fmt.Sprintf("%s in %s.%s allocates on the hot path; hoist it to Lower time", b, recv, fd.Name.Name))
+							fmt.Sprintf("%s in %s%s allocates on the hot path; hoist it to Lower time", b, recv, fd.Name.Name))
 					}
 				}
 			}
 		case *ast.FuncLit:
 			if !directDeferOrGo(path) {
 				lf.report(node.Pos(), LintNoAllocInRun,
-					fmt.Sprintf("closure in %s.%s may capture and allocate per call; bind it at Lower time", recv, fd.Name.Name))
+					fmt.Sprintf("closure in %s%s may capture and allocate per call; bind it at Lower time", recv, fd.Name.Name))
 			}
 		}
 		ast.Inspect(n, func(child ast.Node) bool {

@@ -228,6 +228,31 @@ func (k *fastKernel) Run() {
 `)
 		wantClean(t, fs)
 	})
+	t.Run("span inner loops are audited", func(t *testing.T) {
+		fs := lintOne(t, "internal/x", `package x
+
+type rowReducer struct{ tmp []float32 }
+
+func spanSum(r *rowReducer, acc []float32) {
+	r.tmp = append(r.tmp, acc...)
+}
+
+func (r *rowReducer) reduce(acc []float32) {
+	_ = make([]float32, len(acc))
+}
+
+func lowerRowReducer() *rowReducer { return new(rowReducer) }
+`)
+		var hits int
+		for _, f := range fs {
+			if f.Rule == LintNoAllocInRun {
+				hits++
+			}
+		}
+		if hits != 2 {
+			t.Fatalf("want two no-alloc findings (span func + reducer method, not the lowering), got %d in %v", hits, fs)
+		}
+	})
 	t.Run("non-kernel receivers not audited", func(t *testing.T) {
 		fs := lintOne(t, "internal/x", `package x
 

@@ -33,7 +33,8 @@ const (
 	ConflictSequential = "sequential"
 	// ConflictPerEdgeRows: each edge writes only its own output row.
 	ConflictPerEdgeRows = "per-edge-rows"
-	// ConflictOwnerPerRow: each output row has exactly one owning worker.
+	// ConflictOwnerPerRow: each output row has exactly one owning worker,
+	// which reduces the row's whole in-edge list.
 	ConflictOwnerPerRow = "owner-per-row"
 	// ConflictPrivatePartials: workers reduce into private buffers merged
 	// deterministically afterwards.
@@ -82,9 +83,11 @@ func VerifyLowering(f PlanFacts, handling string) error {
 		safe = true // one writer can never race
 	case ConflictPerEdgeRows:
 		safe = f.Op.CKind == tensor.EdgeK
-	case ConflictOwnerPerRow:
-		safe = f.Op.CKind == tensor.DstV && f.VertexParallel
-	case ConflictPrivatePartials, ConflictAtomic:
+	case ConflictOwnerPerRow, ConflictPrivatePartials, ConflictAtomic:
+		// One owner per row cannot race whichever strategy the plan names:
+		// the host lowering walks destination rows for edge-parallel plans
+		// too, so the discipline is judged on what runs, not on the GPU
+		// strategy it was derived from.
 		safe = f.Op.CKind == tensor.DstV
 	}
 	if safe {

@@ -515,7 +515,8 @@ func TestVerifyLowering(t *testing.T) {
 		{"per-edge-rows for edge output", ops.CopyU, false, ConflictPerEdgeRows, true},
 		{"per-edge-rows for vertex output races", aggrSum, false, ConflictPerEdgeRows, false},
 		{"owner-per-row under vertex-parallel", aggrSum, true, ConflictOwnerPerRow, true},
-		{"owner-per-row under edge-parallel races", aggrSum, false, ConflictOwnerPerRow, false},
+		{"owner-per-row under an edge-parallel plan", aggrSum, false, ConflictOwnerPerRow, true},
+		{"owner-per-row for edge output rejected", ops.CopyU, false, ConflictOwnerPerRow, false},
 		{"private partials for aggregation", aggrSum, false, ConflictPrivatePartials, true},
 		{"atomic for aggregation", aggrSum, false, ConflictAtomic, true},
 		{"unknown discipline rejected", aggrSum, false, "wishful-thinking", false},

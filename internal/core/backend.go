@@ -63,6 +63,52 @@ type Counters struct {
 	// SimCycles is the simulated cycle count of the last run, for backends
 	// that model cost (zero for pure host backends).
 	SimCycles float64
+	// Walk says how the host kernel traverses the graph: WalkRows or
+	// WalkEdgeChunks for the parallel backend ("" for sequential backends).
+	// It is a property of the host lowering, not of the plan's GPU strategy:
+	// a TE_* or WE_* aggregation still reads WalkRows here.
+	Walk string
+	// Epilogue says where a fused region's output epilogue runs:
+	// EpilogueInChunk, EpilogueAfter, or "" when the kernel has none.
+	Epilogue string
+}
+
+// The values of Counters.Walk and Counters.Epilogue.
+const (
+	// WalkRows: destination rows dealt in chunks, one owner per row, each
+	// row's in-edge list reduced by one span-kernel call.
+	WalkRows = "row-walk"
+	// WalkEdgeChunks: the edge range dealt in chunks, one output row per edge.
+	WalkEdgeChunks = "edge-chunks"
+	// EpilogueInChunk: applied to rows [lo, hi) by the chunk body that just
+	// produced them.
+	EpilogueInChunk = "in-chunk"
+	// EpilogueAfter: a separate stage over the whole output after the kernel.
+	EpilogueAfter = "after"
+)
+
+// RowEpilogue applies a fused region's elementwise output chain to output
+// rows [lo, hi) in place. It is called from pool goroutines on disjoint row
+// ranges and must not allocate.
+type RowEpilogue func(lo, hi int)
+
+// EpilogueBinder is implemented by lowered kernels whose chunk bodies can
+// apply a region's output epilogue to the rows they just produced, while
+// those rows are still in cache and on whichever goroutine produced them.
+// The program compiler binds through it when it can and otherwise composes
+// the epilogue as a stage after the kernel (ComposeRegion).
+type EpilogueBinder interface {
+	// BindEpilogue installs f; it reports false when the kernel cannot
+	// honour it and f must run as a stage instead. Call before the first Run.
+	BindEpilogue(f RowEpilogue) bool
+}
+
+// epilogueMode is the Counters.Epilogue value of a kernel's bound epilogue.
+func epilogueMode(f RowEpilogue) string {
+	if f != nil {
+		return EpilogueInChunk
+	}
+	return ""
 }
 
 // ExecBackend lowers plans into runnable kernels. Implementations:

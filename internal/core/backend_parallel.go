@@ -13,17 +13,17 @@ import (
 	"repro/internal/workpool"
 )
 
-// The parallel host backend: a multi-core executor that actually runs the
-// four schedule strategies on the machine uGrapher itself runs on, instead
-// of interpreting them sequentially. Work items (vertices for the
-// vertex-parallel strategies, edges for the edge-parallel ones) are dealt
-// in chunks to the process-wide worker pool (internal/workpool), the
-// calling goroutine claiming chunks alongside up to workers-1 helpers;
-// edge-parallel reductions avoid atomics by reducing into per-partition
-// partial buffers that a parallel merge folds into the output. The inner
-// loops come from kernels_host.go: one specialized fused loop per (edge_op
-// x gather_op x operand-kind), so no per-element closure calls survive
-// lowering.
+// The parallel host backend: a multi-core executor for the machine uGrapher
+// itself runs on. A plan's GPU strategy describes a V100 loop nest; the host
+// honours only what pays on the host (DESIGN.md §5). Every reducing kernel
+// walks destination rows, one owner per row, whatever strategy the plan
+// names: a row's whole in-edge list is reduced by one span-kernel call
+// (span.go), so no two workers ever write one output element, there is
+// nothing to merge, and the result does not depend on the worker count.
+// Edge-output kernels split the edge range freely. Rows or edges are dealt in
+// chunks to the process-wide worker pool (internal/workpool), the calling
+// goroutine claiming chunks alongside up to workers-1 helpers, and a fused
+// region's output epilogue runs inside the chunk that produced the rows.
 //
 // Hardening (DESIGN.md §7): the pool checks context cancellation at
 // chunk-claim granularity and recovers chunk panics, which surface here as
@@ -76,8 +76,8 @@ func (b *ParallelBackend) Workers() int { return b.workers }
 // Shards reports the configured shard count (0 = auto, 1 = unsharded).
 func (b *ParallelBackend) Shards() int { return b.shards }
 
-// Lower implements ExecBackend: validate once, resolve operand row
-// selectors, and pick the specialized inner loop.
+// Lower implements ExecBackend: validate once and resolve the operator's
+// span kernel (or edge writer) for the bound operands.
 func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck CompiledKernel, err error) {
 	sp := lowerSpan(b.Name(), p)
 	defer func() { endLower(sp, err) }()
@@ -87,80 +87,56 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 	if err := p.validateOperands(g.NumVertices(), g.NumEdges(), o); err != nil {
 		return nil, err
 	}
-	row, err := lowerRowKernel(p.Op.EdgeOp, p.Op.GatherOp)
-	if err != nil {
+	k := &parallelKernel{b: b, p: p, g: g, o: o, fanout: b.fanout(g, o.C.T.Cols), site: kernelSite(p, b.Name(), g)}
+	k.site.Walk = k.walk()
+	// The chunk body and its pool job are bound once: a closure or method
+	// value taken per Run would allocate each call and break the
+	// zero-steady-state contract.
+	if p.Op.CKind == tensor.EdgeK {
+		// Message creation stays on the flat path even when sharding is on:
+		// per-edge output rows never conflict, so sharding buys it nothing.
+		if k.msg, err = lowerEdgeWriter(p.Op, g, o); err != nil {
+			return nil, err
+		}
+		k.main = workpool.NewJob(k.edgeChunk)
+		return k, nil
+	}
+	if k.red, err = lowerRowReducer(p.Op, o, o.C.T.Cols); err != nil {
 		return nil, err
 	}
-	// Partition-aware path: aggregation kernels (Dst_V output) execute over
-	// a verified shard plan when sharding is on. Message creation stays on
-	// the flat path — per-edge output rows never conflict, so sharding buys
-	// it nothing. A plan that resolves to a single shard (auto on a small
-	// graph) falls through to the flat path too.
-	if b.shards != 1 && p.Op.CKind == tensor.DstV {
+	// Partition-aware path: aggregation kernels execute over a verified shard
+	// plan when sharding is on. A plan that resolves to a single shard (auto
+	// on a small graph) falls through to the flat path.
+	if b.shards != 1 {
 		sp, err := shardPlanFor(g, b.shards)
 		if err != nil {
 			return nil, err
 		}
 		if sp.K > 1 {
-			return b.lowerSharded(p, g, o, sp, row)
+			return b.lowerSharded(p, g, o, sp, k.red, k.site), nil
 		}
 	}
-	k := &parallelKernel{
-		b: b, p: p, g: g, o: o,
-		feat: o.C.T.Cols,
-		selA: lowerRowSel(o.A),
-		selB: lowerRowSel(o.B),
-		row:  row,
-		mean: p.Op.GatherOp == ops.GatherMean,
-		site: kernelSite(p, b.Name(), g),
-	}
-	k.fanout = b.fanout(g, k.feat)
-	// Bind the chunk bodies and their pool jobs once: a closure or method
-	// value taken per Run would allocate each call and break the
-	// zero-steady-state contract.
-	switch {
-	case p.Op.CKind == tensor.EdgeK:
-		k.main = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.messageRange(int32(lo), int32(hi)) })
-	case p.Schedule.Strategy.VertexParallel():
-		k.main = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.vertexRange(int32(lo), int32(hi)) })
-	default:
-		k.reduce = workpool.NewJob(k.reducePartitions)
-		k.merge = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.mergeRange(int32(lo), int32(hi)) })
-		k.fixup = workpool.NewJob(func(lo, hi int) { chunkFaults(); k.fixupRange(int32(lo), int32(hi)) })
-	}
+	k.main = workpool.NewJob(k.rowChunk)
 	return k, nil
 }
 
 type parallelKernel struct {
-	b    *ParallelBackend
-	p    *Plan
-	g    *graph.Graph
-	o    Operands
-	feat int
-	selA rowSel
-	selB rowSel
-	row  fusedRow
-	mean bool
+	b *ParallelBackend
+	p *Plan
+	g *graph.Graph
+	o Operands
+	// red is the lowered reduction of a Dst_V kernel, msg the lowered edge
+	// writer of an Edge-output kernel; exactly one is set.
+	red rowReducer
+	msg edgeWriter
 	// fanout is the goroutine count chunks are dealt to (1 = inline).
 	fanout int
-
-	// main is the one pool job of message-creation and vertex-parallel
-	// kernels; edge-parallel kernels instead run reduce (phase 1, one item
-	// per edge partition) followed by merge (several partitions) or fixup
-	// (one). Jobs and their bodies are bound at lowering time.
-	main, reduce, merge, fixup *workpool.Job
-
-	// partials are the per-partition private output buffers of edge-parallel
-	// reductions, owned by the kernel and reused across Run calls so the
-	// steady state allocates nothing (the kernel-reuse contract compiled
-	// model programs rely on). Grown lazily on the first multi-worker run.
-	partials [][]float32
-	// bufs and per are the current run's phase-1 targets and edges per
-	// partition; direct holds the output itself for the single-partition
-	// shape, which reduces straight into it.
-	bufs   [][]float32
-	per    int
-	direct [1][]float32
+	// main is the kernel's one pool job: rowChunk over destination rows or
+	// edgeChunk over edges, bound at lowering time.
+	main *workpool.Job
+	// epilogue, when bound, is applied to every chunk's output rows by the
+	// chunk that produced them (BindEpilogue).
+	epilogue RowEpilogue
 
 	runs   int64
 	shards int64
@@ -186,35 +162,35 @@ func kernelErr(p *Plan, backend string, err error) error {
 	return err
 }
 
-// partialBufs returns `workers` buffers of n floats each, reusing previous
-// runs' allocations.
-func (k *parallelKernel) partialBufs(workers, n int) [][]float32 {
-	if len(k.partials) < workers {
-		k.partials = append(k.partials, make([][]float32, workers-len(k.partials))...)
-	}
-	bufs := k.partials[:workers]
-	for w := range bufs {
-		if cap(bufs[w]) < n {
-			bufs[w] = make([]float32, n)
-		} else {
-			bufs[w] = bufs[w][:n]
-		}
-	}
-	return bufs
-}
-
 // Plan implements CompiledKernel.
 func (k *parallelKernel) Plan() *Plan { return k.p }
 
 // Counters implements CompiledKernel.
 func (k *parallelKernel) Counters() Counters {
 	return Counters{
-		Runs:    k.runs,
-		Edges:   k.runs * int64(k.g.NumEdges()),
-		Shards:  k.shards,
-		Workers: k.b.workers,
-		Fanout:  k.fanout,
+		Runs:     k.runs,
+		Edges:    k.runs * int64(k.g.NumEdges()),
+		Shards:   k.shards,
+		Workers:  k.b.workers,
+		Fanout:   k.fanout,
+		Walk:     k.walk(),
+		Epilogue: epilogueMode(k.epilogue),
 	}
+}
+
+// walk names the traversal the kernel runs (Counters.Walk).
+func (k *parallelKernel) walk() string {
+	if k.p.Op.CKind == tensor.EdgeK {
+		return WalkEdgeChunks
+	}
+	return WalkRows
+}
+
+// BindEpilogue implements EpilogueBinder: both chunk bodies own the rows they
+// write, so the epilogue runs at the end of each chunk.
+func (k *parallelKernel) BindEpilogue(f RowEpilogue) bool {
+	k.epilogue = f
+	return true
 }
 
 // smallWork is the (edges x features) volume below which fanning out to the
@@ -253,20 +229,16 @@ func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers := k.fanout
-	var runErr error
-	switch {
-	case k.p.Op.CKind == tensor.EdgeK:
-		// Each edge's output row is written exactly once, so edges split
-		// freely regardless of the strategy's traversal order.
-		runErr = k.runChunks(ctx, k.main, k.g.NumEdges(), workers)
-	case k.p.Schedule.Strategy.VertexParallel():
-		runErr = k.runChunks(ctx, k.main, k.g.NumVertices(), workers)
-	default:
-		runErr = k.runEdgeParallel(ctx, workers)
+	// Each output row — an edge's or a destination vertex's — is written by
+	// exactly one chunk, so rows split freely.
+	items := k.g.NumVertices()
+	if k.p.Op.CKind == tensor.EdgeK {
+		items = k.g.NumEdges()
 	}
-	if runErr != nil {
-		return runErr
+	err = workpool.Run(ctx, k.main, items, chunkSize(items, k.fanout), k.fanout)
+	k.shards += k.main.Chunks()
+	if err != nil {
+		return kernelErr(k.p, k.b.Name(), err)
 	}
 	if err := finishRun(k.p, k.o.C.T); err != nil {
 		return err
@@ -289,190 +261,29 @@ func chunkSize(items, workers int) int {
 	return c
 }
 
-// runChunks runs j's body over [0, items) in dynamically-claimed chunks on
-// the shared pool, accumulating completed chunks into k.shards.
-// Cancellation is checked at every chunk claim and a chunk panic comes back
-// as a *KernelError; with one worker the pool runs the body on the caller
-// (one direct call when no deadline is in play).
-func (k *parallelKernel) runChunks(ctx context.Context, j *workpool.Job, items, workers int) error {
-	err := workpool.Run(ctx, j, items, chunkSize(items, workers), workers)
-	k.shards += j.Chunks()
-	return kernelErr(k.p, k.b.Name(), err)
-}
-
-func (k *parallelKernel) messageRange(lo, hi int32) {
-	out := k.o.C.T
-	edgeSrc, edgeDst := k.g.EdgeSrcs(), k.g.EdgeDsts()
-	for e := lo; e < hi; e++ {
-		u, v := edgeSrc[e], edgeDst[e]
-		k.row(out.Row(int(e)), k.selA(e, u, v), k.selB(e, u, v))
+// rowChunk is the chunk body of a reducing kernel: destination rows
+// [lo, hi), one owner per row, register-style accumulation, no
+// synchronization on the output — the host form of the thread-vertex /
+// warp-vertex kernels, and what the edge-parallel strategies run as too.
+func (k *parallelKernel) rowChunk(lo, hi int) {
+	chunkFaults()
+	k.red.reduceRows(k.o.C.T, k.g, int32(lo), int32(hi))
+	if k.epilogue != nil {
+		k.epilogue(lo, hi)
 	}
 }
 
-// vertexRange mirrors the thread-vertex / warp-vertex kernels: one owner
-// per output row, register-style accumulation, no synchronization on the
-// output.
-func (k *parallelKernel) vertexRange(lo, hi int32) {
-	out := k.o.C.T
-	identity := k.p.Op.GatherOp.Identity()
-	for v := lo; v < hi; v++ {
-		row := out.Row(int(v))
-		srcs, eids := k.g.InEdges(v)
-		if len(eids) == 0 {
-			for j := range row {
-				row[j] = 0 // zero-degree convention (DGL)
-			}
-			continue
-		}
-		for j := range row {
-			row[j] = identity
-		}
-		for i, e := range eids {
-			u := srcs[i]
-			k.row(row, k.selA(e, u, v), k.selB(e, u, v))
-		}
-		if k.mean {
-			inv := 1 / float32(len(eids))
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
-}
-
-// edgeBlock is how many edges a phase-1 reduction processes between
-// stop-flag / cancellation checks.
-const edgeBlock = 8192
-
-// runEdgeParallel mirrors the thread-edge / warp-edge kernels. Where the
-// GPU kernels use atomics on the shared destination rows, the host backend
-// gives each edge partition a private partial output buffer and folds the
-// partials into the output with a parallel merge — same associative
-// reduction, no contention. With one worker there is one partition, which
-// reduces straight into the output and needs only the zero-degree/mean
-// fixup pass.
-func (k *parallelKernel) runEdgeParallel(ctx context.Context, workers int) error {
-	numV, numE := k.g.NumVertices(), k.g.NumEdges()
-
-	// Phase 1: every partition reduces a contiguous edge range into its own
-	// buffer (identity-filled each run, so a cancelled or panicked run leaks
-	// nothing into the next). Partitions are a prefix of the worker range:
-	// with ceil division only trailing workers can come up empty, so exactly
-	// nw buffers are live. The partition, not the claiming goroutine, picks
-	// the buffer, so the merge order is fixed for a fixed worker count.
-	nw := 1
-	k.per = numE
-	k.direct[0] = k.o.C.T.Data
-	k.bufs = k.direct[:]
-	if workers > 1 {
-		k.per = (numE + workers - 1) / workers
-		nw = (numE + k.per - 1) / k.per
-		k.bufs = k.partialBufs(nw, numV*k.feat)
-	}
-	err := workpool.Run(ctx, k.reduce, nw, 1, workers)
-	k.shards += k.reduce.Chunks()
-	if err != nil {
-		return kernelErr(k.p, k.b.Name(), err)
-	}
-
-	// Phase 2 over vertex ranges: fold each output row from the partials in
-	// partition order, or fix up the directly reduced rows.
-	if nw == 1 {
-		return k.runChunks(ctx, k.fixup, numV, workers)
-	}
-	return k.runChunks(ctx, k.merge, numV, workers)
-}
-
-// reducePartitions is the phase-1 chunk body: partition w reduces its edge
-// range into k.bufs[w], in blocks so a deadline or a sibling's panic stops
-// the walk.
-func (k *parallelKernel) reducePartitions(wlo, whi int) {
-	identity := k.p.Op.GatherOp.Identity()
-	edgeSrc, edgeDst := k.g.EdgeSrcs(), k.g.EdgeDsts()
-	feat, numE := k.feat, k.g.NumEdges()
-	for w := wlo; w < whi; w++ {
-		buf := k.bufs[w]
-		for i := range buf {
-			buf[i] = identity
-		}
-		lo, hi := w*k.per, (w+1)*k.per
-		if hi > numE {
-			hi = numE
-		}
-		for blo := lo; blo < hi; blo += edgeBlock {
-			if k.reduce.Stopped() {
-				return
-			}
-			chunkFaults()
-			bhi := blo + edgeBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			for e := int32(blo); e < int32(bhi); e++ {
-				u, v := edgeSrc[e], edgeDst[e]
-				k.row(buf[int(v)*feat:int(v)*feat+feat], k.selA(e, u, v), k.selB(e, u, v))
-			}
-		}
-	}
-}
-
-// mergeRange folds output rows [lo, hi) from the partition partials in
-// partition order (deterministic for a fixed worker count), then applies
-// the mean and zero-degree fixups.
-func (k *parallelKernel) mergeRange(lo, hi int32) {
-	out := k.o.C.T
-	gop := k.p.Op.GatherOp
-	identity := gop.Identity()
-	feat := k.feat
-	for v := lo; v < hi; v++ {
-		row := out.Row(int(v))
-		deg := k.g.InDegree(v)
-		if deg == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
-		}
-		for j := range row {
-			row[j] = identity
-		}
-		for _, buf := range k.bufs {
-			mergeRow(gop, row, buf[int(v)*feat:int(v)*feat+feat])
-		}
-		if k.mean {
-			inv := 1 / float32(deg)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
-}
-
-// fixupRange applies the zero-degree and mean post-passes to output rows
-// [lo, hi) of a directly reduced output.
-func (k *parallelKernel) fixupRange(lo, hi int32) {
-	out := k.o.C.T
-	g := k.g
-	for v := lo; v < hi; v++ {
-		row := out.Row(int(v))
-		deg := g.InDegree(v)
-		if deg == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
-		}
-		if k.mean {
-			inv := 1 / float32(deg)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
+// edgeChunk is the chunk body of an edge-output kernel: edges [lo, hi).
+func (k *parallelKernel) edgeChunk(lo, hi int) {
+	chunkFaults()
+	k.msg.writeEdges(k.o.C.T, lo, hi)
+	if k.epilogue != nil {
+		k.epilogue(lo, hi)
 	}
 }
 
 // mergeRow folds one shard's partial row into the output row with the
-// gather op's combiner.
+// gather op's combiner (the sharded two-level reduction's second level).
 func mergeRow(gop ops.GatherOp, dst, src []float32) {
 	switch gop {
 	case ops.GatherSum, ops.GatherMean:
@@ -485,10 +296,10 @@ func mergeRow(gop ops.GatherOp, dst, src []float32) {
 	case ops.GatherMin:
 		minCopy(dst, src)
 	default:
-		// Invariant, not input-reachable: runEdgeParallel is only entered
-		// for reducing gathers (message creation routes to runMessageCreation
-		// and plans are validated at Compile), so a non-reducing gather here
-		// is a programming error in the backend itself.
+		// Invariant, not input-reachable: only reducing kernels lower onto the
+		// sharded path (message creation stays flat and plans are validated at
+		// Compile), so a non-reducing gather here is a programming error in
+		// the backend itself.
 		panic("core: merge of non-reducing gather")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/ops"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/workpool"
@@ -22,19 +21,24 @@ import (
 //
 // Because shards own the incoming edges of their owned vertices, every
 // output row has exactly one producing shard and the two execution shapes
-// are conflict-free by construction:
+// are conflict-free by construction. Both reduce a row with the flat
+// kernel's span kernel (span.go) over the row's in-edge list in the global
+// CSR — the shard's sub-CSR lists the same edges in the same order under
+// local ids (the shard-* verifier rules pin that), so resolving them back
+// through L2G per edge would only re-derive what the global CSR already
+// holds:
 //
-//   - vertex-parallel strategies walk the shard's local CSR and write owned
-//     global rows directly (owner-per-row discipline);
+//   - vertex-parallel strategies write owned global rows directly
+//     (owner-per-row discipline);
 //   - edge-parallel strategies run the two-level reduction: level 1 reduces
-//     the shard's edges into its private partial slice (compact local
+//     each owned row into the shard's private partial slice (compact local
 //     indexing, |owned| x feat — the whole level-1 working set of a shard
 //     is partial + halo rows), level 2 folds the partial into the owned
-//     global rows with the same mergeRow machinery the flat backend uses,
-//     plus the zero-degree and mean fixups. Shard partials are disjoint
-//     slices of one scratch block, carved at Lower time so the steady state
-//     allocates nothing; determinism follows from row ownership plus the
-//     CSR-ordered level-1 walk, independent of worker count or claim order.
+//     global rows with mergeRow, plus the zero-degree and mean fixups.
+//     Shard partials are disjoint slices of one scratch block, carved at
+//     Lower time so the steady state allocates nothing; determinism follows
+//     from row ownership plus the CSR-ordered level-1 walk, independent of
+//     worker count or claim order.
 
 // shardPlanCache memoises verified shard plans per (graph, requested count):
 // a compiled model program lowers several kernels against the same graph,
@@ -92,28 +96,23 @@ type ShardedLowering interface {
 	BindShardScratch(buf []float32)
 }
 
-// lowerSharded builds the partition-aware kernel for an aggregation plan.
-// Only called with CKind == Dst_V and a plan of at least 2 shards.
-func (b *ParallelBackend) lowerSharded(p *Plan, g *graph.Graph, o Operands, sp *shard.Plan, row fusedRow) (CompiledKernel, error) {
-	gop := p.Op.GatherOp
+// lowerSharded builds the partition-aware kernel for an aggregation plan
+// already lowered to red. Only called with CKind == Dst_V and a plan of at
+// least 2 shards.
+func (b *ParallelBackend) lowerSharded(p *Plan, g *graph.Graph, o Operands, sp *shard.Plan, red rowReducer, site *telemetry.KernelSite) CompiledKernel {
 	k := &shardedKernel{
 		b: b, p: p, g: g, o: o,
 		feat:      o.C.T.Cols,
-		selA:      lowerRowSel(o.A),
-		selB:      lowerRowSel(o.B),
-		row:       row,
+		red:       red,
 		sp:        sp,
 		vertexPar: p.Schedule.Strategy.VertexParallel(),
-		mean:      gop == ops.GatherMean,
-		identity:  gop.Identity(),
-		site:      kernelSite(p, b.Name(), g),
+		site:      site,
 	}
 	k.fanout = min(b.fanout(g, k.feat), sp.K)
 	if !k.vertexPar {
 		// Per-shard partial slices, carved from one block: shard s owns
 		// scratch[offsets[s] : offsets[s] + |owned_s| * feat]. The offsets
-		// sum to |V| * feat — versus workers * |V| * feat for the flat
-		// edge-parallel path's per-worker partials.
+		// sum to |V| * feat.
 		k.offsets = make([]int, sp.K)
 		total := 0
 		for i := range sp.Shards {
@@ -129,7 +128,7 @@ func (b *ParallelBackend) lowerSharded(p *Plan, g *graph.Graph, o Operands, sp *
 	for s := range k.labels {
 		k.labels[s] = fmt.Sprintf("%s shard %d/%d", opLabel(p), s, sp.K)
 	}
-	return k, nil
+	return k
 }
 
 // shardedKernel is a Plan lowered onto a shard plan. Not safe for
@@ -140,14 +139,10 @@ type shardedKernel struct {
 	g    *graph.Graph
 	o    Operands
 	feat int
-	selA rowSel
-	selB rowSel
-	row  fusedRow
+	red  rowReducer
 	sp   *shard.Plan
 
 	vertexPar bool
-	mean      bool
-	identity  float32
 	// fanout is the goroutine count shards are dealt to (1 = inline).
 	fanout int
 
@@ -162,6 +157,9 @@ type shardedKernel struct {
 
 	// job is the pool job over the shard indices, bound at Lower.
 	job *workpool.Job
+	// epilogue, when bound, is applied to a shard's owned rows by the
+	// goroutine that just produced them (BindEpilogue).
+	epilogue RowEpilogue
 
 	runs      int64
 	shardsRun atomic.Int64
@@ -175,12 +173,21 @@ func (k *shardedKernel) Plan() *Plan { return k.p }
 // Counters implements CompiledKernel.
 func (k *shardedKernel) Counters() Counters {
 	return Counters{
-		Runs:    k.runs,
-		Edges:   k.runs * int64(k.g.NumEdges()),
-		Shards:  k.shardsRun.Load(),
-		Workers: k.b.workers,
-		Fanout:  k.fanout,
+		Runs:     k.runs,
+		Edges:    k.runs * int64(k.g.NumEdges()),
+		Shards:   k.shardsRun.Load(),
+		Workers:  k.b.workers,
+		Fanout:   k.fanout,
+		Walk:     WalkRows,
+		Epilogue: epilogueMode(k.epilogue),
 	}
+}
+
+// BindEpilogue implements EpilogueBinder: a shard owns its output rows, so
+// the epilogue runs over them as the shard finishes.
+func (k *shardedKernel) BindEpilogue(f RowEpilogue) bool {
+	k.epilogue = f
+	return true
 }
 
 // ShardCount implements ShardedLowering.
@@ -256,66 +263,39 @@ func (k *shardedKernel) execShard(s int32) {
 }
 
 // vertexShard mirrors the thread-vertex / warp-vertex kernels over one
-// shard: walk the local CSR, resolve global ids through L2G, accumulate
-// into the owned global row directly. One owner per row, so no partials.
+// shard: reduce each owned vertex's in-edge list straight into its global
+// row. One owner per row, so no partials.
 func (k *shardedKernel) vertexShard(sh *shard.Shard) {
 	out := k.o.C.T
-	for i := range sh.Owned {
-		v := sh.Owned[i]
-		row := out.Row(int(v))
-		lo, hi := sh.Ptr[i], sh.Ptr[i+1]
-		if lo == hi {
-			for j := range row {
-				row[j] = 0 // zero-degree convention (DGL)
-			}
-			continue
-		}
-		for j := range row {
-			row[j] = k.identity
-		}
-		for x := lo; x < hi; x++ {
-			e := sh.Edge[x]
-			u := sh.L2G[sh.Src[x]]
-			k.row(row, k.selA(e, u, v), k.selB(e, u, v))
-		}
-		if k.mean {
-			inv := 1 / float32(hi-lo)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
+	for _, v := range sh.Owned {
+		srcs, eids := k.g.InEdges(v)
+		k.red.reduce(out.Row(int(v)), srcs, eids, v)
 	}
+	k.ownedEpilogue(sh)
 }
 
 // edgeShard is the two-level reduction for the edge-parallel strategies.
-// Level 1 reduces the shard's edges into its private partial slice using
-// compact local row indexing; level 2 folds the partial into the owned
-// global rows (mergeRow, as in the flat backend's merge phase) and applies
-// the zero-degree and mean fixups. Destination ownership makes level 2
-// exclusive per row, so the fold order across shards cannot matter — the
-// canonical MergeOrder the verifier pins is trivially respected.
+// Level 1 reduces each owned row into the shard's private partial slice
+// using compact local row indexing; level 2 folds the partial into the owned
+// global rows (mergeRow) and applies the zero-degree and mean fixups.
+// Destination ownership makes level 2 exclusive per row, so the fold order
+// across shards cannot matter — the canonical MergeOrder the verifier pins
+// is trivially respected.
 func (k *shardedKernel) edgeShard(sh *shard.Shard) {
 	out := k.o.C.T
 	feat := k.feat
 	gop := k.p.Op.GatherOp
 	nOwned := len(sh.Owned)
 	buf := k.scratch[k.offsets[sh.ID] : k.offsets[sh.ID]+nOwned*feat]
-	for i := range buf {
-		buf[i] = k.identity
-	}
-	for i := 0; i < nOwned; i++ {
-		v := sh.Owned[i]
-		row := buf[i*feat : i*feat+feat]
-		for x := sh.Ptr[i]; x < sh.Ptr[i+1]; x++ {
-			e := sh.Edge[x]
-			u := sh.L2G[sh.Src[x]]
-			k.row(row, k.selA(e, u, v), k.selB(e, u, v))
+	for i, v := range sh.Owned {
+		srcs, eids := k.g.InEdges(v)
+		if len(eids) > 0 {
+			k.red.span(&k.red, buf[i*feat:i*feat+feat], srcs, eids, v)
 		}
 	}
-	for i := 0; i < nOwned; i++ {
-		v := sh.Owned[i]
+	for i, v := range sh.Owned {
 		row := out.Row(int(v))
-		deg := sh.Ptr[i+1] - sh.Ptr[i]
+		deg := k.g.InDegree(v)
 		if deg == 0 {
 			for j := range row {
 				row[j] = 0
@@ -323,14 +303,32 @@ func (k *shardedKernel) edgeShard(sh *shard.Shard) {
 			continue
 		}
 		for j := range row {
-			row[j] = k.identity
+			row[j] = k.red.identity
 		}
 		mergeRow(gop, row, buf[i*feat:i*feat+feat])
-		if k.mean {
+		if k.red.mean {
 			inv := 1 / float32(deg)
 			for j := range row {
 				row[j] *= inv
 			}
 		}
+	}
+	k.ownedEpilogue(sh)
+}
+
+// ownedEpilogue applies the bound epilogue to the shard's owned rows, one
+// call per run of consecutive vertex ids.
+func (k *shardedKernel) ownedEpilogue(sh *shard.Shard) {
+	if k.epilogue == nil {
+		return
+	}
+	owned := sh.Owned
+	for i := 0; i < len(owned); {
+		j := i + 1
+		for j < len(owned) && owned[j] == owned[j-1]+1 {
+			j++
+		}
+		k.epilogue(int(owned[i]), int(owned[j-1])+1)
+		i = j
 	}
 }

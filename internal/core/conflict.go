@@ -19,20 +19,15 @@ type ConflictReporter interface {
 // walks edges on a single goroutine, so there is never a second writer.
 func (k *refKernel) ConflictHandling() string { return analysis.ConflictSequential }
 
-// ConflictHandling implements ConflictReporter, mirroring the RunCtx
-// routing: message creation writes per-edge rows, vertex-parallel
-// aggregation gives each output row one owning worker, and edge-parallel
-// aggregation reduces into per-worker private partial buffers merged
-// deterministically afterwards.
+// ConflictHandling implements ConflictReporter, naming the walk that
+// actually runs rather than the plan's GPU strategy: message creation writes
+// per-edge rows, and every aggregation — vertex- or edge-parallel on the GPU
+// — walks destination rows with one owning worker per row.
 func (k *parallelKernel) ConflictHandling() string {
-	switch {
-	case k.p.Op.CKind == tensor.EdgeK:
+	if k.p.Op.CKind == tensor.EdgeK {
 		return analysis.ConflictPerEdgeRows
-	case k.p.Schedule.Strategy.VertexParallel():
-		return analysis.ConflictOwnerPerRow
-	default:
-		return analysis.ConflictPrivatePartials
 	}
+	return analysis.ConflictOwnerPerRow
 }
 
 // ConflictHandling implements ConflictReporter: destination ownership gives

@@ -102,8 +102,8 @@ func TestReferenceBackendPanicIsolated(t *testing.T) {
 
 // TestParallelCancellation is the satellite's race test: cancel mid-run on
 // the AR-sized graph (1.6M edges, heavy skew), assert the workers return
-// promptly, and prove no partial-buffer state leaks into the next run of the
-// same lowered kernel.
+// promptly, and prove nothing of the aborted run leaks into the next run of
+// the same lowered kernel.
 func TestParallelCancellation(t *testing.T) {
 	defer faultinject.Reset()
 	g, _, err := datasets.Load("AR")
@@ -126,7 +126,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 
 	// Slow every chunk so the run reliably outlives the cancel signal
-	// (1.6M edges / 8192-edge blocks ≈ 200 sleeps across 4 workers).
+	// (50.5k rows in 394-row chunks ≈ 128 sleeps across 4 workers).
 	faultinject.Arm(faultinject.SlowChunk, faultinject.Spec{After: 1, Every: 1, Delay: 2 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -145,9 +145,9 @@ func TestParallelCancellation(t *testing.T) {
 		t.Errorf("cancellation took %v; workers did not stop at chunk claims", elapsed)
 	}
 
-	// No partial-buffer leak: the aborted run left arbitrary data in the
-	// output and the per-worker partials, and the next run of the same
-	// kernel must still match the sequential oracle.
+	// No leak: the aborted run left a partly written output, and the next
+	// run of the same kernel must still match the sequential oracle (every
+	// row is rebuilt from its identity, never accumulated onto).
 	faultinject.Reset()
 	if err := k.Run(); err != nil {
 		t.Fatalf("rerun after cancellation: %v", err)

@@ -4,49 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/ops"
-	"repro/internal/tensor"
 )
 
-// Specialized host inner loops for the parallel backend. The reference
-// interpreter pays a fetcher-closure call per (edge, feature) element; here
-// lowering picks one fused row kernel per (edge_op x gather_op x
-// operand-kind) combination, so the inner loop is a straight slice walk the
-// compiler can bounds-check-eliminate. Broadcast (width-1) operands branch
-// once per edge row, not per element.
-
-// rowSel resolves one operand's feature row for an edge (e, u->v). A nil
-// return marks an absent operand; width-1 operands yield a 1-element slice.
-type rowSel func(e, u, v int32) []float32
-
-// lowerRowSel builds the row selector for one typed operand.
-func lowerRowSel(t tensor.Typed) rowSel {
-	switch t.Kind {
-	case tensor.Null:
-		return func(e, u, v int32) []float32 { return nil }
-	case tensor.SrcV:
-		d := t.T
-		c := d.Cols
-		return func(e, u, v int32) []float32 { i := int(u) * c; return d.Data[i : i+c] }
-	case tensor.DstV:
-		d := t.T
-		c := d.Cols
-		return func(e, u, v int32) []float32 { i := int(v) * c; return d.Data[i : i+c] }
-	case tensor.EdgeK:
-		d := t.T
-		c := d.Cols
-		return func(e, u, v int32) []float32 { i := int(e) * c; return d.Data[i : i+c] }
-	default:
-		// Invariant, not input-reachable: validateOperands (run at every
-		// Lower before this) rejects any operand kind outside the enum, so an
-		// unknown kind here means a new tensor.Kind was added without a
-		// selector.
-		panic("core: bad operand kind")
-	}
-}
+// Per-edge row kernels of the parallel backend: one fused loop per (edge_op
+// x gather_op) combination folding a single edge's operand rows into an
+// accumulator row — a straight slice walk the compiler can
+// bounds-check-eliminate, with broadcast (width-1) operands branching once
+// per edge row, not per element. The span kernels (span.go) call them for
+// the in-place form of a reduction and for the operator shapes that have no
+// loop of their own; the reference interpreter, by contrast, pays a
+// fetcher-closure call per (edge, feature) element.
 
 // fusedRow folds one edge's contribution into an accumulator row:
 // acc = gather(acc, edge_op(a, b)), elementwise over the feature dimension.
-// For message creation the "gather" is a plain store. a/b may be nil
+// For message creation the "gather" is a plain store. a/b may be empty
 // (absent operand) or length 1 (broadcast scalar).
 type fusedRow func(acc, a, b []float32)
 
@@ -270,21 +241,23 @@ func sumMul(acc, a, b []float32) {
 	case len(a) == len(acc) && len(b) == len(acc):
 		a, b = a[:len(acc)], b[:len(acc)]
 		for j := range acc {
-			acc[j] += a[j] * b[j]
+			acc[j] += float32(a[j] * b[j])
 		}
 	case len(b) == 1 && len(a) == len(acc):
-		// The hot GCN path: full-width source features scaled by a scalar
-		// edge weight.
+		// Full-width source features scaled by a scalar edge weight (GCN,
+		// GAT). The conversion rounds the product before the add on targets
+		// where the compiler would fuse the two, so this form and
+		// spanSumMulScalar's register form agree bit for bit everywhere.
 		w := b[0]
 		a = a[:len(acc)]
 		for j := range acc {
-			acc[j] += a[j] * w
+			acc[j] += float32(a[j] * w)
 		}
 	case len(a) == 1 && len(b) == len(acc):
 		w := a[0]
 		b = b[:len(acc)]
 		for j := range acc {
-			acc[j] += w * b[j]
+			acc[j] += float32(w * b[j])
 		}
 	default:
 		combineBin(acc, a, b, func(x, y float32) float32 { return x * y }, addInto)

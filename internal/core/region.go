@@ -14,7 +14,9 @@ import (
 // Compile time (they capture staging tensors and unary chains; see
 // internal/program); composition itself is backend-agnostic, so the same
 // region runs on the reference interpreter, the parallel host executor and
-// the sharded backend unchanged.
+// the sharded backend unchanged. An output epilogue is a post stage only
+// where the inner kernel cannot take it into its chunk bodies
+// (EpilogueBinder); the compiler tries that first.
 //
 // Telemetry follows the sim backend's precedent: one logical run must
 // produce one kernel record, so the inner kernel's site is silenced and the
@@ -70,6 +72,7 @@ func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, 
 	site := telemetry.NewKernelSite(
 		label, p.Schedule.Strategy.Code(), p.Schedule.String(), "region",
 		int64(g.NumVertices()), int64(g.NumEdges()))
+	site.Walk = inner.Counters().Walk
 	rk := regionKernel{inner: inner, pre: pre, post: post, site: site}
 	if sl, ok := inner.(ShardedLowering); ok {
 		return &shardedRegionKernel{regionKernel: rk, sl: sl}
@@ -87,9 +90,16 @@ type regionKernel struct {
 // Plan implements CompiledKernel.
 func (k *regionKernel) Plan() *Plan { return k.inner.Plan() }
 
-// Counters implements CompiledKernel: the inner kernel's counters, with Runs
-// counted at the region level (the inner kernel's runs equal the region's).
-func (k *regionKernel) Counters() Counters { return k.inner.Counters() }
+// Counters implements CompiledKernel: the inner kernel's counters (its runs
+// equal the region's), with a post stage reported as an epilogue that runs
+// after the kernel.
+func (k *regionKernel) Counters() Counters {
+	c := k.inner.Counters()
+	if len(k.post) > 0 {
+		c.Epilogue = EpilogueAfter
+	}
+	return c
+}
 
 // ConflictHandling implements ConflictReporter by delegation: the stages are
 // elementwise over private or output storage and introduce no new writes

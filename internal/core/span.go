@@ -1,0 +1,442 @@
+package core
+
+import (
+	"repro/internal/graph"
+	"repro/internal/ops"
+	"repro/internal/tensor"
+)
+
+// Row-span kernels: the host lowering of a graph operator (DESIGN.md §5).
+//
+// A reducing operator lowers to one span function that reduces a destination
+// row's whole in-edge list in a single call: the operand base, stride and
+// index array (the row's source ids, its edge ids, or the fixed destination
+// row) are picked once per row, not once per edge, and the accumulation runs
+// in ascending in-edge order whichever form executes it, so every form
+// produces the same bits. An edge-output operator lowers to an edgeWriter
+// that indexes its operands directly over an edge chunk.
+//
+// The flat and the sharded kernels both call these, so the host has one
+// inner loop per operator shape.
+
+// spanBlock is how many output columns a blocked span kernel keeps in scalar
+// register accumulators per pass over the in-edge list — the trick
+// tensor.GemmPackedRowsInto uses: eight float32 accumulators leave the other
+// eight SSE registers for the loads, and the output row is written once per
+// block where the in-place form (acc[j] += ...) reads and writes it once per
+// edge. The blocked form re-walks the in-edge list feat/8 times, which is
+// cheap while a row's sources stay in cache. BenchmarkSpanKernel, one worker,
+// 2-CPU bench host, ms per kernel (`make bench-kernels`; EXPERIMENTS.md
+// "Row-span kernels" has every row):
+//
+//	                        per-edge  in-place  blocked
+//	AR u_mul_e.sum feat   8     26.8      25.7     15.4
+//	AR u_mul_e.sum feat  16     40.8      42.4     30.3
+//	AR u_mul_e.sum feat  32     61.9      66.0     49.1
+//	AR copy_u.sum  feat 128    227.4     256.8    198.1
+//	PU copy_u.sum  feat 256     17.9      19.4     16.5
+//	PR copy_e.sum  feat   8      2.4       2.7      1.4
+//	PR u_mul_e.sum feat  64      8.6       8.8      9.1
+//
+// Up to 32 columns blocked wins by 25-45 %. Past that the two forms stay
+// within a quarter of each other and which leads depends on the graph (hub
+// rows on AR and 256-wide rows on PU favour blocked by 15-23 %, PR's 4-edge
+// rows at 64 columns favour in-place by 3 %), so there is no switch-over
+// width: the in-place form serves the sub-block tail and the operator shapes
+// without a blocked kernel.
+const spanBlock = 8
+
+// spanOperand is one input tensor of a lowered operator: its storage, its
+// width (0 = absent, 1 = a scalar broadcast over the feature dimension,
+// otherwise the feature width) and the graph entity its rows belong to.
+type spanOperand struct {
+	data []float32
+	cols int
+	kind tensor.Kind
+}
+
+func newSpanOperand(t tensor.Typed) spanOperand {
+	if t.Kind == tensor.Null || t.T == nil {
+		return spanOperand{}
+	}
+	return spanOperand{data: t.T.Data, cols: t.T.Cols, kind: t.Kind}
+}
+
+// at resolves the operand for destination row v: element j of the operand
+// row of in-edge i is data[base+int(idx[i])*stride+j]. A Dst_V operand reads
+// row v for every edge, which stride 0 expresses without a branch per edge;
+// an absent operand resolves to the empty row at offset 0.
+func (o *spanOperand) at(srcs, eids []int32, v int32) (idx []int32, base, stride int) {
+	switch o.kind {
+	case tensor.SrcV:
+		return srcs, 0, o.cols
+	case tensor.EdgeK:
+		return eids, 0, o.cols
+	default:
+		return eids, int(v) * o.cols, 0
+	}
+}
+
+// window is the operand's column range matching output columns [j0, feat):
+// a full-width operand follows the output, a scalar or absent one does not.
+func (o *spanOperand) window(j0, feat int) (lo, hi int) {
+	if o.cols == feat {
+		return j0, feat
+	}
+	return 0, o.cols
+}
+
+// spanFn reduces the in-edge list (srcs, eids) of destination row v into
+// acc, overwriting it. The list is non-empty; the zero-degree convention and
+// the mean division belong to rowReducer.reduce.
+type spanFn func(r *rowReducer, acc []float32, srcs, eids []int32, v int32)
+
+// rowReducer is a reducing operator lowered for one operand binding.
+type rowReducer struct {
+	a, b spanOperand
+	// full and scalar are the operands the blocked kernels read: the copied
+	// or full-width operand, and the width-1 multiplier of spanSumMulScalar.
+	full, scalar spanOperand
+	// row folds one edge into an accumulator row (kernels_host.go): the
+	// in-place form of every operator, and the tail of the blocked ones.
+	row      fusedRow
+	span     spanFn
+	identity float32
+	mean     bool
+}
+
+// lowerRowReducer resolves the span kernel of a reducing operator writing
+// feat-wide rows. An op combination with no host kernel is a lowering error.
+func lowerRowReducer(op ops.OpInfo, o Operands, feat int) (rowReducer, error) {
+	row, err := lowerRowKernel(op.EdgeOp, op.GatherOp)
+	if err != nil {
+		return rowReducer{}, err
+	}
+	r := rowReducer{
+		a: newSpanOperand(o.A), b: newSpanOperand(o.B),
+		row: row, span: spanInPlace,
+		identity: op.GatherOp.Identity(),
+		mean:     op.GatherOp == ops.GatherMean,
+	}
+	if feat < spanBlock {
+		return r, nil
+	}
+	sum := op.GatherOp == ops.GatherSum || op.GatherOp == ops.GatherMean
+	switch op.EdgeOp {
+	case ops.CopyLHS, ops.CopyRHS, ops.EdgeNull:
+		r.full = r.b
+		if op.EdgeOp == ops.CopyLHS {
+			r.full = r.a
+		}
+		if r.full.cols != feat {
+			return r, nil
+		}
+		switch {
+		case sum:
+			r.span = spanSumCopy
+		case op.GatherOp == ops.GatherMax:
+			r.span = spanMaxCopy
+		case op.GatherOp == ops.GatherMin:
+			r.span = spanMinCopy
+		}
+	case ops.EdgeMul:
+		// a*w and w*a round identically, so either operand may be the scalar.
+		r.full, r.scalar = r.a, r.b
+		if r.a.cols == 1 {
+			r.full, r.scalar = r.b, r.a
+		}
+		if sum && r.full.cols == feat && r.scalar.cols == 1 {
+			r.span = spanSumMulScalar
+		}
+	}
+	return r, nil
+}
+
+// reduce computes output row v from its in-edge list: the reduction, the
+// mean division, and the zero-degree convention (DGL: an empty reduction is
+// 0, not the identity).
+func (r *rowReducer) reduce(row []float32, srcs, eids []int32, v int32) {
+	if len(eids) == 0 {
+		for j := range row {
+			row[j] = 0
+		}
+		return
+	}
+	r.span(r, row, srcs, eids, v)
+	if r.mean {
+		inv := 1 / float32(len(eids))
+		for j := range row {
+			row[j] *= inv
+		}
+	}
+}
+
+// reduceRows is the chunk body of the row walk: output rows [lo, hi) of out
+// from graph g's incoming CSR, one owner per row.
+func (r *rowReducer) reduceRows(out *tensor.Dense, g *graph.Graph, lo, hi int32) {
+	inPtr, inSrc, inEdge := g.InPtr(), g.InSrcs(), g.InEdgeIDs()
+	for v := lo; v < hi; v++ {
+		s, e := inPtr[v], inPtr[v+1]
+		r.reduce(out.Row(int(v)), inSrc[s:e], inEdge[s:e], v)
+	}
+}
+
+// spanInPlace is the in-place span kernel of every operator and width.
+func spanInPlace(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
+	r.inPlace(acc, srcs, eids, v, 0)
+}
+
+// inPlace reduces output columns [j0, len(acc)) with the per-edge row
+// kernel: acc = gather(acc, edge_op(a, b)) edge after edge, operand rows
+// indexed directly.
+func (r *rowReducer) inPlace(acc []float32, srcs, eids []int32, v int32, j0 int) {
+	feat := len(acc)
+	acc = acc[j0:]
+	for j := range acc {
+		acc[j] = r.identity
+	}
+	ia, baseA, strideA := r.a.at(srcs, eids, v)
+	ib, baseB, strideB := r.b.at(srcs, eids, v)
+	a0, a1 := r.a.window(j0, feat)
+	b0, b1 := r.b.window(j0, feat)
+	baseA, baseB = baseA+a0, baseB+b0
+	na, nb := a1-a0, b1-b0
+	adata, bdata, row := r.a.data, r.b.data, r.row
+	ib = ib[:len(ia)]
+	for i, x := range ia {
+		oa := baseA + int(x)*strideA
+		ob := baseB + int(ib[i])*strideB
+		row(acc, adata[oa:oa+na], bdata[ob:ob+nb])
+	}
+}
+
+// spanSumCopy is sum/mean of a copied full-width operand (copy_u.sum,
+// copy_e.sum): eight columns at a time in registers.
+func spanSumCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
+	idx, base, stride := r.full.at(srcs, eids, v)
+	data := r.full.data
+	j := 0
+	for ; j+spanBlock <= len(acc); j += spanBlock {
+		var c0, c1, c2, c3, c4, c5, c6, c7 float32
+		for _, x := range idx {
+			o := base + int(x)*stride + j
+			s := data[o : o+spanBlock : o+spanBlock]
+			c0 += s[0]
+			c1 += s[1]
+			c2 += s[2]
+			c3 += s[3]
+			c4 += s[4]
+			c5 += s[5]
+			c6 += s[6]
+			c7 += s[7]
+		}
+		d := acc[j : j+spanBlock : j+spanBlock]
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+		d[4], d[5], d[6], d[7] = c4, c5, c6, c7
+	}
+	if j < len(acc) {
+		r.inPlace(acc, srcs, eids, v, j)
+	}
+}
+
+// spanSumMulScalar is sum/mean of a full-width operand scaled by a width-1
+// one (u_mul_e.sum with scalar edge weights: GCN, GAT).
+func spanSumMulScalar(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
+	idx, base, stride := r.full.at(srcs, eids, v)
+	widx, wbase, wstride := r.scalar.at(srcs, eids, v)
+	data, wdata := r.full.data, r.scalar.data
+	widx = widx[:len(idx)]
+	j := 0
+	for ; j+spanBlock <= len(acc); j += spanBlock {
+		var c0, c1, c2, c3, c4, c5, c6, c7 float32
+		for i, x := range idx {
+			w := wdata[wbase+int(widx[i])*wstride]
+			o := base + int(x)*stride + j
+			s := data[o : o+spanBlock : o+spanBlock]
+			// The conversions keep the product rounded before the add where
+			// the compiler would otherwise fuse the two (sumMul does the same).
+			c0 += float32(s[0] * w)
+			c1 += float32(s[1] * w)
+			c2 += float32(s[2] * w)
+			c3 += float32(s[3] * w)
+			c4 += float32(s[4] * w)
+			c5 += float32(s[5] * w)
+			c6 += float32(s[6] * w)
+			c7 += float32(s[7] * w)
+		}
+		d := acc[j : j+spanBlock : j+spanBlock]
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+		d[4], d[5], d[6], d[7] = c4, c5, c6, c7
+	}
+	if j < len(acc) {
+		r.inPlace(acc, srcs, eids, v, j)
+	}
+}
+
+// spanMaxCopy is max of a copied full-width operand (copy_u.max).
+func spanMaxCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
+	idx, base, stride := r.full.at(srcs, eids, v)
+	data := r.full.data
+	j := 0
+	for ; j+spanBlock <= len(acc); j += spanBlock {
+		c0, c1, c2, c3 := r.identity, r.identity, r.identity, r.identity
+		c4, c5, c6, c7 := r.identity, r.identity, r.identity, r.identity
+		for _, x := range idx {
+			o := base + int(x)*stride + j
+			s := data[o : o+spanBlock : o+spanBlock]
+			if s[0] > c0 {
+				c0 = s[0]
+			}
+			if s[1] > c1 {
+				c1 = s[1]
+			}
+			if s[2] > c2 {
+				c2 = s[2]
+			}
+			if s[3] > c3 {
+				c3 = s[3]
+			}
+			if s[4] > c4 {
+				c4 = s[4]
+			}
+			if s[5] > c5 {
+				c5 = s[5]
+			}
+			if s[6] > c6 {
+				c6 = s[6]
+			}
+			if s[7] > c7 {
+				c7 = s[7]
+			}
+		}
+		d := acc[j : j+spanBlock : j+spanBlock]
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+		d[4], d[5], d[6], d[7] = c4, c5, c6, c7
+	}
+	if j < len(acc) {
+		r.inPlace(acc, srcs, eids, v, j)
+	}
+}
+
+// spanMinCopy is min of a copied full-width operand (copy_u.min).
+func spanMinCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
+	idx, base, stride := r.full.at(srcs, eids, v)
+	data := r.full.data
+	j := 0
+	for ; j+spanBlock <= len(acc); j += spanBlock {
+		c0, c1, c2, c3 := r.identity, r.identity, r.identity, r.identity
+		c4, c5, c6, c7 := r.identity, r.identity, r.identity, r.identity
+		for _, x := range idx {
+			o := base + int(x)*stride + j
+			s := data[o : o+spanBlock : o+spanBlock]
+			if s[0] < c0 {
+				c0 = s[0]
+			}
+			if s[1] < c1 {
+				c1 = s[1]
+			}
+			if s[2] < c2 {
+				c2 = s[2]
+			}
+			if s[3] < c3 {
+				c3 = s[3]
+			}
+			if s[4] < c4 {
+				c4 = s[4]
+			}
+			if s[5] < c5 {
+				c5 = s[5]
+			}
+			if s[6] < c6 {
+				c6 = s[6]
+			}
+			if s[7] < c7 {
+				c7 = s[7]
+			}
+		}
+		d := acc[j : j+spanBlock : j+spanBlock]
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+		d[4], d[5], d[6], d[7] = c4, c5, c6, c7
+	}
+	if j < len(acc) {
+		r.inPlace(acc, srcs, eids, v, j)
+	}
+}
+
+// edgeWriter is an edge-output (message-creation) operator lowered for one
+// operand binding: out row e = edge_op(a, b), operand rows indexed directly
+// through the edge-endpoint arrays.
+type edgeWriter struct {
+	a, b spanOperand
+	// idxA and idxB map an edge id to the operand's row: the edge's source
+	// or destination for a vertex operand, nil for an edge operand (row e).
+	idxA, idxB []int32
+	eop        ops.EdgeOp
+	// row stores one edge's value for the shapes writeEdges has no loop of
+	// its own for (copies and broadcasts).
+	row fusedRow
+}
+
+func lowerEdgeWriter(op ops.OpInfo, g *graph.Graph, o Operands) (edgeWriter, error) {
+	row, err := lowerRowKernel(op.EdgeOp, op.GatherOp)
+	if err != nil {
+		return edgeWriter{}, err
+	}
+	w := edgeWriter{a: newSpanOperand(o.A), b: newSpanOperand(o.B), eop: op.EdgeOp, row: row}
+	w.idxA, w.idxB = edgeIndex(w.a.kind, g), edgeIndex(w.b.kind, g)
+	return w, nil
+}
+
+// edgeIndex is the per-edge row index array of an operand kind.
+func edgeIndex(kind tensor.Kind, g *graph.Graph) []int32 {
+	switch kind {
+	case tensor.SrcV:
+		return g.EdgeSrcs()
+	case tensor.DstV:
+		return g.EdgeDsts()
+	}
+	return nil
+}
+
+// writeEdges computes output rows [lo, hi) of out.
+func (w *edgeWriter) writeEdges(out *tensor.Dense, lo, hi int) {
+	feat := out.Cols
+	adata, bdata, acols, bcols := w.a.data, w.b.data, w.a.cols, w.b.cols
+	idxA, idxB, eop, row := w.idxA, w.idxB, w.eop, w.row
+	direct := eop.IsBinary() && acols == feat && bcols == feat
+	for e := lo; e < hi; e++ {
+		ra, rb := e, e
+		if idxA != nil {
+			ra = int(idxA[e])
+		}
+		if idxB != nil {
+			rb = int(idxB[e])
+		}
+		o := out.Data[e*feat : e*feat+feat]
+		a := adata[ra*acols : ra*acols+acols]
+		b := bdata[rb*bcols : rb*bcols+bcols]
+		if !direct {
+			row(o, a, b)
+			continue
+		}
+		a, b = a[:len(o)], b[:len(o)]
+		switch eop {
+		case ops.EdgeAdd:
+			for j := range o {
+				o[j] = a[j] + b[j]
+			}
+		case ops.EdgeSub:
+			for j := range o {
+				o[j] = a[j] - b[j]
+			}
+		case ops.EdgeMul:
+			for j := range o {
+				o[j] = a[j] * b[j]
+			}
+		default: // ops.EdgeDiv, the last binary edge op
+			for j := range o {
+				o[j] = a[j] / b[j]
+			}
+		}
+	}
+}

@@ -1,0 +1,465 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/graph"
+	"repro/internal/ops"
+	"repro/internal/tensor"
+)
+
+// perEdgeOracle is the loop the span kernels replaced, kept as their oracle
+// and as the micro-benchmark's baseline: one selector closure per operand,
+// three indirect calls per edge (select A, select B, fold the row), the
+// output row read and written once per edge. Rows reduce in ascending
+// in-edge order, which is what makes "bit-identical" a meaningful demand.
+func perEdgeOracle(g *graph.Graph, op ops.OpInfo, o Operands) {
+	sel := func(t tensor.Typed) func(e, u, v int32) []float32 {
+		if t.Kind == tensor.Null {
+			return func(e, u, v int32) []float32 { return nil }
+		}
+		d, c := t.T.Data, t.T.Cols
+		switch t.Kind {
+		case tensor.SrcV:
+			return func(e, u, v int32) []float32 { return d[int(u)*c : int(u)*c+c] }
+		case tensor.DstV:
+			return func(e, u, v int32) []float32 { return d[int(v)*c : int(v)*c+c] }
+		default:
+			return func(e, u, v int32) []float32 { return d[int(e)*c : int(e)*c+c] }
+		}
+	}
+	pickA, pickB := sel(o.A), sel(o.B)
+	fold := rowKernelFor(op.EdgeOp, op.GatherOp)
+	out := o.C.T
+	identity := op.GatherOp.Identity()
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		row := out.Row(int(v))
+		srcs, eids := g.InEdges(v)
+		if len(eids) == 0 {
+			for j := range row {
+				row[j] = 0
+			}
+			continue
+		}
+		for j := range row {
+			row[j] = identity
+		}
+		for i, e := range eids {
+			fold(row, pickA(e, srcs[i], v), pickB(e, srcs[i], v))
+		}
+		if op.GatherOp == ops.GatherMean {
+			inv := 1 / float32(len(eids))
+			for j := range row {
+				row[j] *= inv
+			}
+		}
+	}
+}
+
+// skewedFixture has half its edges landing on eight hub vertices and the
+// last quarter of its vertices with no in-edges at all.
+func skewedFixture(t testing.TB) *graph.Graph {
+	t.Helper()
+	const n = 240
+	rng := rand.New(rand.NewSource(9))
+	b := graph.NewBuilder(n)
+	for i := 0; i < 1600; i++ {
+		dst := int32(rng.Intn(n * 3 / 4))
+		if i%2 == 0 {
+			dst = int32(rng.Intn(8))
+		}
+		b.AddEdge(int32(rng.Intn(n)), dst)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.InDegree(n-1) != 0 {
+		t.Fatal("fixture lost its zero-degree rows")
+	}
+	return g
+}
+
+// starFixture sends every edge to vertex 0: one row holds all the work, so
+// no split of the row range can balance it.
+func starFixture(t testing.TB) *graph.Graph {
+	t.Helper()
+	const n = 160
+	b := graph.NewBuilder(n)
+	for rep := 0; rep < 3; rep++ {
+		for u := int32(1); u < n; u++ {
+			b.AddEdge(u, 0)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// shapedOperands allocates op's inputs with the given widths (ignored for an
+// absent operand) bounded away from zero, and a feat-wide output.
+func shapedOperands(g *graph.Graph, op ops.OpInfo, feat, aCols, bCols int, seed int64) Operands {
+	rng := rand.New(rand.NewSource(seed))
+	alloc := func(kind tensor.Kind, cols int) tensor.Typed {
+		if kind == tensor.Null {
+			return tensor.NullTensor
+		}
+		rows := g.NumVertices()
+		if kind == tensor.EdgeK {
+			rows = g.NumEdges()
+		}
+		d := tensor.NewDense(rows, cols)
+		for i := range d.Data {
+			d.Data[i] = 0.5 + rng.Float32()
+			if rng.Intn(4) == 0 {
+				d.Data[i] = -d.Data[i]
+			}
+		}
+		return tensor.Typed{Kind: kind, T: d}
+	}
+	o := Operands{A: alloc(op.AKind, aCols), B: alloc(op.BKind, bCols)}
+	o.C = tensor.Typed{Kind: op.CKind, T: tensor.NewDense(g.NumVertices(), feat)}
+	return o
+}
+
+// reducingOps lists the registry's distinct reducing operators (DGL's dot
+// shares mul's descriptor).
+func reducingOps() []ops.OpInfo {
+	seen := map[ops.OpInfo]bool{}
+	var out []ops.OpInfo
+	for _, entry := range ops.Registry() {
+		op := entry.Info
+		op.Name = ""
+		if op.CKind != tensor.DstV || seen[op] {
+			continue
+		}
+		seen[op] = true
+		out = append(out, op)
+	}
+	return out
+}
+
+// sameFunc reports whether two span kernels are the same function.
+func sameFunc(a, b spanFn) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// runForced lowers op for o on a flat or sharded parallel backend, forces
+// the fan-out to workers (the fixtures sit below the small-work cutoff) and
+// runs it once.
+func runForced(t *testing.T, g *graph.Graph, op ops.OpInfo, strat Strategy, o Operands, workers, shards int) {
+	t.Helper()
+	p := MustCompile(op, Schedule{Strategy: strat, Group: 1, Tile: 1})
+	k, err := NewShardedParallelBackend(workers, shards).Lower(p, g, o)
+	if err != nil {
+		t.Fatalf("%s/%s: lower: %v", op, strat, err)
+	}
+	switch pk := k.(type) {
+	case *parallelKernel:
+		pk.fanout = workers
+	case *shardedKernel:
+		pk.fanout = min(workers, pk.sp.K)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("%s/%s: run: %v", op, strat, err)
+	}
+}
+
+// TestSpanKernelsBitIdentical: every reducing operator of the registry, at
+// widths below the block width (in-place only), at multiples of it and with a
+// sub-block tail, with each present operand broadcast or full, produces exactly
+// the per-edge loop's bits — on one worker or several, under every strategy
+// the plan may name, flat or sharded.
+func TestSpanKernelsBitIdentical(t *testing.T) {
+	fixtures := []struct {
+		name string
+		g    *graph.Graph
+	}{{"skewed", skewedFixture(t)}, {"star", starFixture(t)}}
+	widths := []int{1, 3, 8, 16, 20, 32, 64}
+	if raceBuild {
+		// A tail-only width, a blocked width with a tail, an in-place width:
+		// every code path, a third of the instrumented work.
+		widths = []int{3, 20, 40}
+	}
+	blocked := 0
+	for _, op := range reducingOps() {
+		for _, feat := range widths {
+			aShapes, bShapes := []int{feat}, []int{feat}
+			if feat > 1 {
+				aShapes, bShapes = []int{1, feat}, []int{1, feat}
+			}
+			if op.AKind == tensor.Null {
+				aShapes = []int{0}
+			}
+			if op.BKind == tensor.Null {
+				bShapes = []int{0}
+			}
+			for _, aCols := range aShapes {
+				for _, bCols := range bShapes {
+					for _, fx := range fixtures {
+						g := fx.g
+						name := fmt.Sprintf("%s feat=%d a=%d b=%d %s", op, feat, aCols, bCols, fx.name)
+						want := shapedOperands(g, op, feat, aCols, bCols, 3)
+						perEdgeOracle(g, op, want)
+						if r, err := lowerRowReducer(op, want, feat); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						} else if !sameFunc(r.span, spanInPlace) {
+							blocked++
+						}
+						check := func(strat Strategy, workers, shards int) {
+							got := want // the inputs are only read; the output is fresh
+							got.C.T = tensor.NewDense(g.NumVertices(), feat)
+							runForced(t, g, op, strat, got, workers, shards)
+							if !got.C.T.Equal(want.C.T) {
+								t.Fatalf("%s: %s workers=%d shards=%d differs from the per-edge loop (maxdiff %v)",
+									name, strat, workers, shards, got.C.T.MaxDiff(want.C.T))
+							}
+						}
+						// The flat kernel walks rows whatever the strategy, so the
+						// four strategies ride on the worker counts.
+						for i, workers := range []int{1, 2, 4, 2} {
+							check(Strategies[i], workers, 1)
+						}
+						check(ThreadVertex, 2, 3)
+						check(WarpEdge, 2, 3)
+					}
+				}
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no case took a blocked kernel")
+	}
+}
+
+// TestSpanConventions pins the two conventions every form must share: an
+// empty reduction yields 0 (not the gather identity), and mean divides the
+// sum by the in-degree.
+func TestSpanConventions(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 1)
+	b.AddEdge(3, 1)
+	b.AddEdge(1, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, feat := range []int{3, 8, 40} {
+		for _, gop := range []ops.GatherOp{ops.GatherSum, ops.GatherMean, ops.GatherMax, ops.GatherMin} {
+			op := ops.OpInfo{EdgeOp: ops.CopyLHS, GatherOp: gop, AKind: tensor.SrcV, CKind: tensor.DstV}
+			o := shapedOperands(g, op, feat, feat, 0, 1)
+			x := o.A.T
+			for i := range x.Data {
+				x.Data[i] = float32(i%7) - 2
+			}
+			o.C.T.Fill(99)
+			runForced(t, g, op, ThreadEdge, o, 2, 1)
+			for j := 0; j < feat; j++ {
+				if got := o.C.T.At(0, j); got != 0 {
+					t.Fatalf("%s feat=%d: zero-degree row holds %v, want 0", gop, feat, got)
+				}
+				a, b, c := x.At(0, j), x.At(2, j), x.At(3, j)
+				var want float32
+				switch gop {
+				case ops.GatherSum:
+					want = a + b + c
+				case ops.GatherMean:
+					want = (a + b + c) * (1 / float32(3))
+				case ops.GatherMax:
+					want = max(a, b, c)
+				case ops.GatherMin:
+					want = min(a, b, c)
+				}
+				if got := o.C.T.At(1, j); got != want {
+					t.Fatalf("%s feat=%d col %d: got %v, want %v", gop, feat, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEdgeWriterMatchesReference: every edge-output operator of the registry
+// at broadcast and full operand widths matches the reference interpreter
+// exactly (one rounding per element either way), on one worker or several.
+func TestEdgeWriterMatchesReference(t *testing.T) {
+	g := skewedFixture(t)
+	seen := map[ops.OpInfo]bool{}
+	for _, entry := range ops.Registry() {
+		op := entry.Info
+		op.Name = ""
+		if op.CKind != tensor.EdgeK || seen[op] {
+			continue
+		}
+		seen[op] = true
+		for _, feat := range []int{1, 8, 20} {
+			for _, bCols := range []int{1, feat} {
+				mk := func() Operands {
+					o := shapedOperands(g, op, feat, feat, bCols, 5)
+					o.C.T = tensor.NewDense(g.NumEdges(), feat)
+					return o
+				}
+				want := mk()
+				if err := Reference(g, op, want); err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 3} {
+					got := mk()
+					runForced(t, g, op, ThreadEdge, got, workers, 1)
+					if !got.C.T.Equal(want.C.T) {
+						t.Fatalf("%s feat=%d b=%d workers=%d differs from reference (maxdiff %v)",
+							op, feat, bCols, workers, got.C.T.MaxDiff(want.C.T))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEpilogueRunsInChunk: a bound epilogue sees every output row exactly
+// once, from the chunk (or shard) that produced it, on the flat row walk, the
+// flat edge walk and both sharded shapes.
+func TestEpilogueRunsInChunk(t *testing.T) {
+	g := testGraph(t, 700, 9000, 4)
+	const feat = 8
+	cases := []struct {
+		name   string
+		op     ops.OpInfo
+		strat  Strategy
+		shards int
+		walk   string
+	}{
+		{"rows", ops.AggrSum, ThreadEdge, 1, WalkRows},
+		{"edges", ops.UAddV, ThreadEdge, 1, WalkEdgeChunks},
+		{"vertex shards", ops.AggrSum, ThreadVertex, 5, WalkRows},
+		{"edge shards", ops.AggrSum, WarpEdge, 5, WalkRows},
+	}
+	for _, tc := range cases {
+		plain := makeOperands(g, tc.op, feat, false, 2)
+		bound := makeOperands(g, tc.op, feat, false, 2)
+		p := MustCompile(tc.op, Schedule{Strategy: tc.strat, Group: 1, Tile: 1})
+		be := NewShardedParallelBackend(4, tc.shards)
+		pk, err := be.Lower(p, g, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pk.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bk, err := be.Lower(p, g, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := bound.C.T
+		ok := bk.(EpilogueBinder).BindEpilogue(func(lo, hi int) {
+			r := out.RowRange(lo, hi)
+			for i := range r.Data {
+				r.Data[i] = 2*r.Data[i] + 1
+			}
+		})
+		if !ok {
+			t.Fatalf("%s: kernel refused the epilogue", tc.name)
+		}
+		for run := 0; run < 2; run++ { // twice: the output is rebuilt, not re-transformed
+			if err := bk.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, v := range plain.C.T.Data {
+			if want := 2*v + 1; out.Data[i] != want {
+				t.Fatalf("%s: element %d = %v, want %v (epilogue skipped or repeated)", tc.name, i, out.Data[i], want)
+			}
+		}
+		c := bk.Counters()
+		if c.Walk != tc.walk || c.Epilogue != EpilogueInChunk || c.Fanout < 2 {
+			t.Errorf("%s: counters say walk=%q epilogue=%q fanout=%d", tc.name, c.Walk, c.Epilogue, c.Fanout)
+		}
+	}
+}
+
+// spanBenchCase is one operator shape of BenchmarkSpanKernel.
+type spanBenchCase struct {
+	dataset string
+	op      ops.OpInfo
+	feat    int
+	scalarB bool
+}
+
+var spanBenchCases = []spanBenchCase{
+	{"AR", ops.WeightedAggrSum, 8, true},
+	{"AR", ops.WeightedAggrSum, 16, true},
+	{"AR", ops.WeightedAggrSum, 32, true},
+	{"PU", ops.AggrSum, 256, false},
+	{"PR", ops.CopyESum, 8, false},
+	{"PR", ops.WeightedAggrSum, 64, true},
+	{"AR", ops.AggrSum, 128, false},
+}
+
+// BenchmarkSpanKernel times the shapes the benchmark's models run — GCN's
+// u_mul_e.sum on AR, Sage's copy_u.sum on PU, GAT's copy_e.sum and 64-wide
+// u_mul_e.sum on PR — as the per-edge loop, as each span form on one worker
+// (in-place and blocked, whichever the lowering picks), and as lowered on one
+// and two workers. spanBlock and spanBlockedMax cite its rows
+// (`make bench-kernels`).
+func BenchmarkSpanKernel(b *testing.B) {
+	for _, bc := range spanBenchCases {
+		g, _, err := datasets.Load(bc.dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := makeOperands(g, bc.op, bc.feat, bc.scalarB, 1)
+		name := fmt.Sprintf("%s/%s/feat%d", bc.dataset, bc.op.GatherOp, bc.feat)
+		if bc.op.EdgeOp.IsBinary() {
+			name = fmt.Sprintf("%s/%s.%s/feat%d", bc.dataset, bc.op.EdgeOp, bc.op.GatherOp, bc.feat)
+		}
+		b.Run(name+"/per-edge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				perEdgeOracle(g, bc.op, o)
+			}
+		})
+		for _, form := range []string{"in-place", "blocked"} {
+			b.Run(name+"/"+form, func(b *testing.B) {
+				// The lowering picks one form per width; force each in turn.
+				r, err := lowerRowReducer(bc.op, o, bc.feat)
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch {
+				case form == "in-place":
+					r.span = spanInPlace
+				case bc.scalarB:
+					r.full, r.scalar, r.span = r.a, r.b, spanSumMulScalar
+				default:
+					r.full, r.span = r.a, spanSumCopy
+					if r.a.cols == 0 {
+						r.full = r.b
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.reduceRows(o.C.T, g, 0, int32(g.NumVertices()))
+				}
+			})
+		}
+		p := MustCompile(bc.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
+		for _, workers := range []int{1, 2} {
+			k, err := NewShardedParallelBackend(workers, 1).Lower(p, g, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/lowered-w%d", name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := k.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

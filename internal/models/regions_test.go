@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/program"
 	"repro/internal/tensor"
 )
 
@@ -114,6 +115,108 @@ func TestRegionFusionAcrossModels(t *testing.T) {
 			if !got.AllClose(want, 1e-4, 1e-4) {
 				t.Errorf("%s/%s: regions diverge from pair-only (maxdiff %v)",
 					m.Name(), b.Name(), got.MaxDiff(want))
+			}
+		}
+	}
+}
+
+// epilogueModes counts cp's graph steps by where their region epilogue runs.
+func epilogueModes(cp *program.CompiledProgram) (inChunk, after int) {
+	for _, sm := range cp.StepModes() {
+		switch sm.Epilogue {
+		case core.EpilogueInChunk:
+			inChunk++
+		case core.EpilogueAfter:
+			after++
+		}
+	}
+	return inChunk, after
+}
+
+// TestEpilogueInChunkMatchesAfter: a region's output epilogue applied by the
+// chunk that produced the rows gives exactly the bits of the same epilogue
+// run as a stage after the kernel — it is the same elementwise chain over the
+// same values, only sooner and on more goroutines. The after arm is the
+// resilient backend, whose ladder cannot take an epilogue into its rungs; its
+// stage runs through the dense splitter (GAT's exp chains are above the inline
+// threshold here, GCN's relu is below it).
+func TestEpilogueInChunkMatchesAfter(t *testing.T) {
+	g := denseGraph(t, 37)
+	const inFeat, classes = 64, 7
+	x := poolInput(g, inFeat)
+	for _, m := range []Model{NewGCN(), NewGAT()} {
+		compile := func(b core.ExecBackend) *program.CompiledProgram {
+			eng := poolEngine(2)
+			eng.AggrSchedule = core.Schedule{Strategy: core.ThreadEdge, Group: 1, Tile: 1}
+			eng.Compute = b
+			cp, err := CompileModel(m, g, inFeat, classes, eng)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name(), b.Name(), err)
+			}
+			return cp
+		}
+		in := compile(core.NewShardedParallelBackend(2, 1))
+		aft := compile(core.NewResilientBackend(core.NewShardedParallelBackend(2, 1), nil))
+		if n, a := epilogueModes(in); n == 0 || a != 0 {
+			t.Fatalf("%s on parallel: %d epilogues in-chunk, %d after; want all in-chunk", m.Name(), n, a)
+		}
+		if n, a := epilogueModes(aft); n != 0 || a == 0 {
+			t.Fatalf("%s on resilient: %d epilogues in-chunk, %d after; want all after", m.Name(), n, a)
+		}
+		want, err := aft.Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := in.Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: epilogue in-chunk differs from epilogue after (maxdiff %g)", m.Name(), got.MaxDiff(want))
+		}
+	}
+}
+
+// TestRowWalkBitIdenticalAcrossWorkers: every reduction walks destination
+// rows with one owner per row whatever strategy its plan names, so compiled
+// logits under edge-parallel schedules are the same bits at 1, 2 and 4
+// workers — which the per-worker partial buffers this replaced could not
+// give — and the same bits as under a vertex-parallel schedule.
+func TestRowWalkBitIdenticalAcrossWorkers(t *testing.T) {
+	g := denseGraph(t, 41)
+	const inFeat, classes = 64, 7
+	x := poolInput(g, inFeat)
+	for _, m := range All() {
+		base, err := CompileModel(m, g, inFeat, classes, poolEngine(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := base.Run(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := out.Clone()
+		for _, strat := range []core.Strategy{core.ThreadEdge, core.WarpEdge} {
+			for _, workers := range []int{1, 2, 4} {
+				eng := poolEngine(workers)
+				eng.AggrSchedule = core.Schedule{Strategy: strat, Group: 1, Tile: 1}
+				cp, err := CompileModel(m, g, inFeat, classes, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sm := range cp.StepModes() {
+					if sm.Op == "graph" && sm.Walk != core.WalkRows && sm.Walk != core.WalkEdgeChunks {
+						t.Fatalf("%s: graph step %s reports walk %q", m.Name(), sm.Name, sm.Walk)
+					}
+				}
+				got, err := cp.Run(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s %s workers=%d: logits differ from thread-vertex at workers=1 (maxdiff %g)",
+						m.Name(), strat, workers, got.MaxDiff(want))
+				}
 			}
 		}
 	}

@@ -135,25 +135,41 @@ func regionsEnabled(s Scheduler) bool {
 	return true
 }
 
-// regionCopyStage builds the prologue stage of a composed region: copy the
-// live operand into the compile-time staging buffer and apply the absorbed
-// chain. Runs on the zero-allocation path — the closure captures only
-// pre-sized tensors.
-func regionCopyStage(dst, src *tensor.Dense, chain []Unary) core.RegionStage {
-	return func() {
-		copy(dst.Data, src.Data)
+// chainRows is the row-range body of a region's elementwise work: rows
+// [lo, hi) of dst take src's rows (nil = dst is transformed in place), then
+// the absorbed chain. Zero-allocation — it captures only pre-sized tensors.
+func chainRows(dst, src *tensor.Dense, chain []Unary) func(lo, hi int) {
+	return func(lo, hi int) {
+		d := dst.RowRange(lo, hi)
+		if src != nil {
+			copy(d.Data, src.RowRange(lo, hi).Data)
+		}
 		for _, u := range chain {
-			u.Apply(dst)
+			u.Apply(&d)
 		}
 	}
 }
 
-// regionInPlaceStage builds the epilogue stage of a composed region: apply
-// the absorbed chain to the region output in place.
-func regionInPlaceStage(t *tensor.Dense, chain []Unary) core.RegionStage {
+// regionStage makes a region stage of a row-wise body over [0, rows): on the
+// worker pool in row ranges when the dense split rule says the stage is worth
+// it (denseInlineNs), on the caller otherwise — a stage that cannot ride in a
+// kernel's chunk bodies still never runs whole-tensor on one goroutine where a
+// standalone elementwise step of the same shape would have been split.
+func regionStage(rows int, costNs float64, workers int, body func(lo, hi int)) core.RegionStage {
+	sp := newDenseSplit(rows, costNs, workers, func(lo, hi int) {
+		denseChunkFaults()
+		body(lo, hi)
+	})
+	if sp == nil {
+		return func() { body(0, rows) }
+	}
 	return func() {
-		for _, u := range chain {
-			u.Apply(t)
+		// A RegionStage carries neither a context nor an error: the region
+		// kernel checks its context around the stages, and a chunk panic is
+		// re-raised here into the region kernel's recover, which types it.
+		if err := workpool.Run(context.TODO(), sp.job, rows, sp.chunk, sp.workers); err != nil {
+			//lint:allow panic-justification -- re-raises a recovered chunk panic; regionKernel.RunCtx turns it into a *KernelError
+			panic(err)
 		}
 	}
 }
@@ -324,25 +340,23 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 				return nil, fmt.Errorf("program: %s: %w", n.Name, err)
 			}
 			// Region composition: absorbed operand chains read through a
-			// compile-time staging buffer (pre stages fill it each Run), and
-			// the epilogue chain runs in place over the output — all inside
-			// one composed kernel, on every backend.
+			// compile-time staging buffer that a prologue stage fills each Run,
+			// and the output epilogue goes into the kernel's own chunk bodies
+			// where the backend can take it (core.EpilogueBinder), so the rows
+			// are transformed by the goroutine that produced them while they
+			// are in cache; elsewhere it is a stage after the kernel. Stages
+			// run through the dense splitter — all inside one composed kernel,
+			// on every backend.
 			ax, ay := st.x, st.y
-			var pre, post []core.RegionStage
-			if r := n.Region; r != nil && r.Absorbed > 0 {
-				if len(r.PreX) > 0 {
-					staging := tensor.NewDense(ax.Rows, ax.Cols)
-					pre = append(pre, regionCopyStage(staging, st.x, r.PreX))
-					ax = staging
-				}
-				if len(r.PreY) > 0 {
-					staging := tensor.NewDense(ay.Rows, ay.Cols)
-					pre = append(pre, regionCopyStage(staging, st.y, r.PreY))
-					ay = staging
-				}
-				if len(r.Post) > 0 {
-					post = append(post, regionInPlaceStage(st.out, r.Post))
-				}
+			var r RegionInfo // zero = nothing absorbed
+			if n.Region != nil {
+				r = *n.Region
+			}
+			if len(r.PreX) > 0 {
+				ax = tensor.NewDense(ax.Rows, ax.Cols)
+			}
+			if len(r.PreY) > 0 {
+				ay = tensor.NewDense(ay.Rows, ay.Cols)
 			}
 			operands := core.Operands{
 				A: tensor.Typed{Kind: op.AKind, T: ax},
@@ -353,8 +367,24 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			if err != nil {
 				return nil, fmt.Errorf("program: %s: %w", n.Name, err)
 			}
-			if len(pre) > 0 || len(post) > 0 {
-				kern = core.ComposeRegion(kern, pre, post, n.Region.Name, g)
+			// The lowered kernel reports the worker count too, which keeps it
+			// visible behind a backend decorator that hides Workers().
+			workers := max(core.Workers(backend), kern.Counters().Workers)
+			var pre, post []core.RegionStage
+			if len(r.PreX) > 0 {
+				pre = append(pre, regionStage(ax.Rows, chainCostNs(r.PreX, true, len(ax.Data)), workers, chainRows(ax, st.x, r.PreX)))
+			}
+			if len(r.PreY) > 0 {
+				pre = append(pre, regionStage(ay.Rows, chainCostNs(r.PreY, true, len(ay.Data)), workers, chainRows(ay, st.y, r.PreY)))
+			}
+			if len(r.Post) > 0 {
+				epilogue := chainRows(st.out, nil, r.Post)
+				if eb, ok := kern.(core.EpilogueBinder); !ok || !eb.BindEpilogue(epilogue) {
+					post = append(post, regionStage(st.out.Rows, chainCostNs(r.Post, false, len(st.out.Data)), workers, epilogue))
+				}
+			}
+			if r.Absorbed > 0 {
+				kern = core.ComposeRegion(kern, pre, post, r.Name, g)
 			}
 			st.kern = kern
 			cp.scheds = append(cp.scheds, ScheduledOp{Name: n.Name, Op: op, Schedule: sched})

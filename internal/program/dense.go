@@ -66,18 +66,7 @@ func denseCostNs(st *step) float64 {
 	case OpGEMM:
 		return gemmNsPerFlop * float64(tensor.GEMMFlops(st.x.Rows, st.x.Cols, st.out.Cols))
 	case OpUnary:
-		per := 0.0
-		if !st.inPlace {
-			per = copyNsPerElem
-		}
-		for _, u := range st.chain {
-			if u.Kind == UnaryExp {
-				per += expNsPerElem
-			} else {
-				per += reluNsPerElem
-			}
-		}
-		return per * out
+		return chainCostNs(st.chain, !st.inPlace, len(st.out.Data))
 	case OpAddScaled:
 		return addScaledNsPerElem * out
 	case OpConcat:
@@ -86,6 +75,23 @@ func denseCostNs(st *step) float64 {
 		return rowMeanNsPerElem * float64(len(st.x.Data))
 	}
 	return 0
+}
+
+// chainCostNs estimates applying chain to elems elements, after copying them
+// from another buffer when copied is set.
+func chainCostNs(chain []Unary, copied bool, elems int) float64 {
+	per := 0.0
+	if copied {
+		per = copyNsPerElem
+	}
+	for _, u := range chain {
+		if u.Kind == UnaryExp {
+			per += expNsPerElem
+		} else {
+			per += reluNsPerElem
+		}
+	}
+	return per * float64(elems)
 }
 
 // denseChunkFaults is the fault-injection site at the head of every split
@@ -99,11 +105,6 @@ func denseChunkFaults() {
 // and pool job. It captures the step's tensors by value: they are arena
 // views fixed for the life of the compiled program.
 func planDenseSplit(st *step, workers int) {
-	rows := st.out.Rows
-	cost := denseCostNs(st)
-	if workers <= 1 || rows < 2 || cost < denseInlineNs {
-		return
-	}
 	out, x, y := st.out, st.x, st.y
 	var body func(lo, hi int)
 	switch st.op {
@@ -150,11 +151,22 @@ func planDenseSplit(st *step, workers int) {
 	default:
 		return
 	}
-	chunk := int(float64(rows) * denseChunkNs / cost)
+	st.split = newDenseSplit(st.out.Rows, denseCostNs(st), workers, body)
+}
+
+// newDenseSplit applies the split rule to a row-wise body over [0, rows)
+// whose single-threaded cost is estimated at costNs: nil (run it on the
+// caller) below denseInlineNs or with one worker, else a pool job over
+// chunks of about denseChunkNs.
+func newDenseSplit(rows int, costNs float64, workers int, body func(lo, hi int)) *denseSplit {
+	if workers <= 1 || rows < 2 || costNs < denseInlineNs {
+		return nil
+	}
+	chunk := int(float64(rows) * denseChunkNs / costNs)
 	if chunk < 1 {
 		chunk = 1
 	}
-	st.split = &denseSplit{job: workpool.NewJob(body), chunk: chunk, workers: workers}
+	return &denseSplit{job: workpool.NewJob(body), chunk: chunk, workers: workers}
 }
 
 // runSplit executes a split dense step on the pool. A chunk panic, on the
@@ -180,6 +192,12 @@ type StepMode struct {
 	// Workers is how many goroutines the step's chunks are offered to: the
 	// caller plus Workers-1 pool helpers. 1 means the step runs inline.
 	Workers int
+	// Walk and Epilogue are a graph step's core.Counters fields of the same
+	// names: how the host kernel traverses the graph (core.WalkRows,
+	// core.WalkEdgeChunks), and whether a fused output epilogue runs inside
+	// the producing chunk or as a stage after the kernel. Empty for dense
+	// steps and sequential backends.
+	Walk, Epilogue string
 }
 
 // StepModes reports every step's execution mode, in execution order. Dense
@@ -194,9 +212,11 @@ func (cp *CompiledProgram) StepModes() []StepMode {
 		case st.split != nil:
 			m.Workers = st.split.workers
 		case st.kern != nil:
-			if f := st.kern.Counters().Fanout; f > 1 {
-				m.Workers = f
+			c := st.kern.Counters()
+			if c.Fanout > 1 {
+				m.Workers = c.Fanout
 			}
+			m.Walk, m.Epilogue = c.Walk, c.Epilogue
 		}
 		modes[i] = m
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/tensor"
 	"repro/internal/workpool"
 )
@@ -61,6 +63,66 @@ func TestDenseSplitDecision(t *testing.T) {
 	if !big.out.Equal(want) {
 		t.Errorf("split GEMM differs from the whole product (max diff %g), want bit-identical", big.out.MaxDiff(want))
 	}
+}
+
+// TestRegionStageFollowsSplitRule: a region stage that could not ride in a
+// kernel's chunk bodies goes through the same rule as a standalone dense
+// step — whole on the caller below denseInlineNs or with one worker, in
+// disjoint row ranges covering every row once above it — and gives the same
+// result either way; a chunk panic re-raises out of the stage (the region
+// kernel's recover types it).
+func TestRegionStageFollowsSplitRule(t *testing.T) {
+	const rows, cols = 12000, 8
+	chain := []Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}, {Kind: UnaryExp}}
+	src := tensor.NewDense(rows, cols)
+	src.FillRandom(rand.New(rand.NewSource(3)), 1)
+	want := src.Clone()
+	for _, u := range chain {
+		u.Apply(want)
+	}
+	cost := chainCostNs(chain, true, rows*cols)
+	if cost < denseInlineNs {
+		t.Fatalf("fixture estimated at %.0f ns, want above the inline threshold", cost)
+	}
+	for _, tc := range []struct {
+		name    string
+		cost    float64
+		workers int
+		split   bool
+	}{
+		{"above the threshold", cost, 2, true},
+		{"one worker", cost, 1, false},
+		{"below the threshold", denseInlineNs / 2, 2, false},
+	} {
+		dst := tensor.NewDense(rows, cols)
+		var mu sync.Mutex
+		covered, calls := 0, 0
+		body := chainRows(dst, src, chain)
+		stage := regionStage(rows, tc.cost, tc.workers, func(lo, hi int) {
+			mu.Lock()
+			covered += hi - lo
+			calls++
+			mu.Unlock()
+			body(lo, hi)
+		})
+		stage()
+		if covered != rows || (calls > 1) != tc.split {
+			t.Errorf("%s: %d calls covering %d of %d rows (split=%v wanted)", tc.name, calls, covered, rows, tc.split)
+		}
+		if !dst.Equal(want) {
+			t.Errorf("%s: staged chain differs from the whole-tensor chain (max diff %g)", tc.name, dst.MaxDiff(want))
+		}
+	}
+
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.DenseChunkPanic, faultinject.Spec{After: 2})
+	stage := regionStage(rows, cost, 2, func(lo, hi int) {})
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("a chunk panic inside a pooled stage did not re-raise")
+		}
+	}()
+	stage()
 }
 
 // BenchmarkDenseOpCost measures what the per-element constants of dense.go

@@ -117,8 +117,8 @@ func (r *Registry) WriteProfile(w io.Writer) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	if _, err := fmt.Fprintf(w, "%-28s %-12s %-10s %6s %5s %12s %12s\n",
-		"op", "schedule", "backend", "runs", "fail", "total", "mean"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-28s %-12s %-10s %-11s %6s %5s %12s %12s\n",
+		"op", "schedule", "backend", "walk", "runs", "fail", "total", "mean"); err != nil {
 		return err
 	}
 	for _, s := range rows {
@@ -127,8 +127,12 @@ func (r *Registry) WriteProfile(w io.Writer) error {
 		if s.Runs > 0 {
 			mean = total / time.Duration(s.Runs)
 		}
-		if _, err := fmt.Fprintf(w, "%-28s %-12s %-10s %6d %5d %12v %12v\n",
-			s.Op, s.Schedule, s.Backend, s.Runs, s.Failures,
+		walk := s.Walk
+		if walk == "" {
+			walk = "-"
+		}
+		if _, err := fmt.Fprintf(w, "%-28s %-12s %-10s %-11s %6d %5d %12v %12v\n",
+			s.Op, s.Schedule, s.Backend, walk, s.Runs, s.Failures,
 			total.Round(time.Microsecond), mean.Round(time.Microsecond)); err != nil {
 			return err
 		}

@@ -244,6 +244,11 @@ type KernelSite struct {
 	Backend  string
 	Vertices int64
 	Edges    int64
+	// Walk is how the host kernel traverses the graph ("row-walk",
+	// "edge-chunks"; "" for sequential backends) — set by the backend at
+	// Lower time, because the schedule column names the plan's GPU strategy,
+	// not the loop the host runs.
+	Walk string
 
 	track int
 	runs  *Counter
@@ -391,6 +396,7 @@ type SiteStats struct {
 	Strategy string
 	Schedule string
 	Backend  string
+	Walk     string
 	Runs     int64
 	Failures int64
 	TotalNs  int64
@@ -405,7 +411,7 @@ func (r *Registry) SiteStats() []SiteStats {
 	out := make([]SiteStats, 0, len(sites))
 	for _, s := range sites {
 		out = append(out, SiteStats{
-			Op: s.Op, Strategy: s.Strategy, Schedule: s.Schedule, Backend: s.Backend,
+			Op: s.Op, Strategy: s.Strategy, Schedule: s.Schedule, Backend: s.Backend, Walk: s.Walk,
 			Runs: s.nRuns.Value(), Failures: s.nFails.Value(), TotalNs: s.totalNs.Value(),
 		})
 	}
