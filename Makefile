@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
+.PHONY: build test portable-build check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# portable-build proves the tree builds and vets where there are no vector
+# kernels: internal/vec's assembly is amd64-only, and every other
+# architecture must get the Go loops through its stub file.
+portable-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # vet is go vet plus formatting: any file gofmt would rewrite fails the gate.
 vet:
@@ -24,13 +31,13 @@ lint:
 verify:
 	$(GO) run ./cmd/ugrapher-lint -ir
 
-# race runs the concurrency-sensitive packages (the worker pool, the
-# parallel host backend and its consumers, including the compiled-program
+# race runs the concurrency-sensitive packages (the worker pool, the vector
+# kernels' wrappers, the parallel host backend and its consumers, including the compiled-program
 # runtime, the hardening layer's fault-injection points, and the graph
 # loaders) under the race detector. CI runs it a second time with
 # GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are real.
 race:
-	$(GO) test -race ./internal/workpool/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
+	$(GO) test -race ./internal/workpool/... ./internal/vec/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").
@@ -105,10 +112,14 @@ bench-fusion:
 bench-waves:
 	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_waves.json ext-waves
 
-# bench-kernels is the measurement behind core/span.go's block width: the
-# operator shapes the benchmark's models run (GCN on AR, Sage on PU, GAT on
-# PR) as the per-edge loop the span kernels replaced, as each span form on
-# one worker (in-place, blocked), and as lowered on one and two workers.
-# EXPERIMENTS.md "Row-span kernels" records the table.
+# bench-kernels is the measurement behind core/span.go's block width and
+# program/dense.go's GEMM cost constants: the operator shapes the benchmark's
+# models run (GCN on AR, Sage on PU, GAT on PR) as the per-edge loop the span
+# kernels replaced, as each span form on one worker (in-place, blocked = the
+# Go loop, vector = the AVX2 kernel under it), and as lowered on one and two
+# workers; then the packed GEMM at the six models' shapes, dispatched and
+# with the Go loop forced. EXPERIMENTS.md "Row-span kernels" and "Vector
+# kernels" record the tables.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSpanKernel -benchtime 20x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkGemmPacked -benchtime 20x ./internal/tensor/

@@ -45,6 +45,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 func main() {
@@ -231,6 +232,9 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	fmt.Printf("compile: %v (record + fuse + schedule + buffer-plan, paid once)\n", compileTime.Round(time.Microsecond))
 	fmt.Printf("steady-state: %v/run over %d runs (zero allocations per run)\n", per.Round(time.Microsecond), runs)
 	if profile {
+		// Which inner loops produced the numbers above: the AVX2 kernels of
+		// internal/vec or the Go loops.
+		fmt.Printf("kernels: %s\n", vec.ISA())
 		// Whether parallelism engaged, step by step: a split step's chunks
 		// are dealt to the caller plus workers-1 pool helpers.
 		fmt.Println("steps:")

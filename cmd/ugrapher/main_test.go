@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
+	"repro/internal/vec"
 )
 
 // TestModelTimeoutCutsDenseStep drives the -model path the way main does
@@ -50,10 +51,18 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The input width that gives a pass ~100 dense chunks: chunks are cut by
+	// estimated duration, and the vector GEMM costs an eighth of the Go loop
+	// per flop.
+	feat := 64
+	if vec.Enabled() {
+		feat = 512
+	}
+
 	// Unslowed, the run fits any budget; this also measures how long the
 	// set-up (load, tune, compile) takes here, which the budget must cover.
 	start := time.Now()
-	if err := runModel(context.Background(), "", path, "SMean", 64, 8, "V100", 1, false, false, false); err != nil {
+	if err := runModel(context.Background(), "", path, "SMean", feat, 8, "V100", 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	budget := 2*time.Since(start) + 200*time.Millisecond
@@ -64,7 +73,7 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start = time.Now()
-	err = runModel(ctx, "", path, "SMean", 64, 8, "V100", 1, false, false, false)
+	err = runModel(ctx, "", path, "SMean", feat, 8, "V100", 1, false, false, false)
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -29,9 +29,12 @@ import (
 //     errors).
 //   - no-alloc-in-run: Run/RunCtx bodies of kernel types, and the per-row
 //     and per-edge inner loops they call (span* functions, methods of the
-//     span operand / row reducer / edge writer types), must not lexically
-//     allocate (make/new/append, non-deferred closures) — the
-//     zero-steady-state contract TestCompiledRunZeroAllocs asserts.
+//     span operand / row reducer / edge writer types), the packed GEMM
+//     (internal/tensor's [gG]emmPacked* functions) and every function of
+//     the vector-kernel package internal/vec — the Go wrappers around its
+//     assembly — must not lexically allocate (make/new/append, non-deferred
+//     closures) — the zero-steady-state contract TestCompiledRunZeroAllocs
+//     asserts.
 //   - trace-propagation: internal/core and internal/program adopt the
 //     request trace from ctx (StartSpanCtx, EndCtx) but never mint or
 //     attach one — NewTraceState/ContextWithTrace/MintTraceID belong to
@@ -135,6 +138,16 @@ var kernelReceiver = regexp.MustCompile(`(?i)kernel$`)
 var (
 	spanFunc     = regexp.MustCompile(`^span[A-Z]`)
 	spanReceiver = regexp.MustCompile(`^(span[A-Z]\w*|rowReducer|edgeWriter)$`)
+)
+
+// The dense step's inner loop and the vector kernels under it and under the
+// span kernels run on the same zero-alloc path: the packed-GEMM functions of
+// internal/tensor by name, and internal/vec — whose every function is a
+// wrapper around an assembly kernel, or called by one per row — wholesale.
+var (
+	gemmFunc       = regexp.MustCompile(`^[gG]emmPacked`)
+	gemmScopedDir  = "internal/tensor"
+	noAllocPkgDirs = []string{"internal/vec"}
 )
 
 // allowDirective parses `//lint:allow <rule> -- <reason>`.
@@ -293,8 +306,14 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 	// Uses is still populated for package names and builtins.
 	_, _ = conf.Check(dir, fset, files, info)
 
-	hookScoped, goScoped := false, false
+	hookScoped, goScoped, noAllocPkg := false, false, false
 	cleanDir := filepath.ToSlash(filepath.Clean(dir))
+	for _, suffix := range noAllocPkgDirs {
+		if strings.HasSuffix(cleanDir, suffix) {
+			noAllocPkg = true
+		}
+	}
+	gemmScoped := strings.HasSuffix(cleanDir, gemmScopedDir)
 	for _, suffix := range hookDisciplinedDirs {
 		if strings.HasSuffix(cleanDir, suffix) {
 			hookScoped = true
@@ -319,7 +338,8 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 
 	var findings []Finding
 	for _, f := range files {
-		lf := &fileLinter{fset: fset, file: f, info: info, hookScoped: hookScoped, goScoped: goScoped, pkgFuncs: pkgFuncs}
+		lf := &fileLinter{fset: fset, file: f, info: info, hookScoped: hookScoped, goScoped: goScoped,
+			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, pkgFuncs: pkgFuncs}
 		lf.collectComments()
 		lf.run()
 		findings = append(findings, lf.findings...)
@@ -334,6 +354,10 @@ type fileLinter struct {
 	info       *types.Info
 	hookScoped bool
 	goScoped   bool
+	// noAllocPkg marks a package whose every function is on the zero-alloc
+	// path (internal/vec); gemmScoped one whose gemmPacked* functions are.
+	noAllocPkg bool
+	gemmScoped bool
 	// pkgFuncs indexes the package's function/method declarations by name
 	// (all files), for resolving `go f()` spawn targets.
 	pkgFuncs map[string]*ast.FuncDecl
@@ -677,8 +701,12 @@ func (lf *fileLinter) checkRunBody(fd *ast.FuncDecl) {
 	}
 	recv := ""
 	switch {
+	case lf.noAllocPkg:
+		if fd.Recv != nil {
+			recv = receiverTypeName(fd.Recv) + "."
+		}
 	case fd.Recv == nil:
-		if !spanFunc.MatchString(fd.Name.Name) {
+		if !spanFunc.MatchString(fd.Name.Name) && !(lf.gemmScoped && gemmFunc.MatchString(fd.Name.Name)) {
 			return
 		}
 	default:

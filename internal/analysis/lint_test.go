@@ -253,6 +253,36 @@ func lowerRowReducer() *rowReducer { return new(rowReducer) }
 			t.Fatalf("want two no-alloc findings (span func + reducer method, not the lowering), got %d in %v", hits, fs)
 		}
 	})
+	t.Run("packed GEMM and the vector-kernel package are audited", func(t *testing.T) {
+		gemm := `package tensor
+
+func GemmPackedRowsInto(out []float32) { _ = make([]float32, len(out)) }
+
+func gemmPackedRowsGo(out []float32) { _ = append(out, 0) }
+
+func PackB(b []float32) []float32 { return make([]float32, len(b)) }
+`
+		if fs := lintOne(t, "internal/tensor", gemm); len(fs) != 2 {
+			t.Fatalf("want the two gemmPacked functions flagged and the packer not, got %v", fs)
+		}
+		if fs := lintOne(t, "internal/x", gemm); len(fs) != 0 {
+			t.Fatalf("gemmPacked functions outside internal/tensor flagged: %v", fs)
+		}
+		fs := lintOne(t, "internal/vec", `package vec
+
+func SumRows(acc []float32) int {
+	tmp := make([]float32, len(acc))
+	return len(tmp)
+}
+
+func each(f func(int)) { f(0) }
+
+func MaxRows(acc []float32) { each(func(j int) { acc[j] = 0 }) }
+`)
+		if len(fs) != 2 {
+			t.Fatalf("want every internal/vec function audited (make + closure), got %v", fs)
+		}
+	})
 	t.Run("non-kernel receivers not audited", func(t *testing.T) {
 		fs := lintOne(t, "internal/x", `package x
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Row-span kernels: the host lowering of a graph operator (DESIGN.md §5).
@@ -18,6 +19,14 @@ import (
 //
 // The flat and the sharded kernels both call these, so the host has one
 // inner loop per operator shape.
+//
+// On a CPU with AVX2 each blocked kernel first hands the row to its vector
+// form in internal/vec — lane = output column, 32, 16 or 8 columns per pass
+// over the in-edge list, the same ascending order and roundings per lane, so
+// the same bits — and its Go loop resumes at the column the vector form
+// stopped at: the sub-8 tail, everything on any other CPU, and the whole row
+// again when the vector form met an index outside the operand, so that the
+// bounds panic is Go's own (vecDone).
 
 // spanBlock is how many output columns a blocked span kernel keeps in scalar
 // register accumulators per pass over the in-edge list — the trick
@@ -25,41 +34,44 @@ import (
 // eight SSE registers for the loads, and the output row is written once per
 // block where the in-place form (acc[j] += ...) reads and writes it once per
 // edge. The blocked form re-walks the in-edge list feat/8 times, which is
-// cheap while a row's sources stay in cache. BenchmarkSpanKernel, one worker,
-// 2-CPU bench host, ms per kernel (`make bench-kernels`; EXPERIMENTS.md
-// "Row-span kernels" has every row):
+// cheap while a row's sources stay in cache. It is also the width of one
+// vector register, so the vector form takes one to four blocks per pass.
+// BenchmarkSpanKernel, one worker, 2-CPU bench host, ms per kernel (`make
+// bench-kernels`; EXPERIMENTS.md "Row-span kernels" and "Vector kernels" have
+// every row):
 //
-//	                        per-edge  in-place  blocked
-//	AR u_mul_e.sum feat   8     26.8      25.7     15.4
-//	AR u_mul_e.sum feat  16     40.8      42.4     30.3
-//	AR u_mul_e.sum feat  32     61.9      66.0     49.1
-//	AR copy_u.sum  feat 128    227.4     256.8    198.1
-//	PU copy_u.sum  feat 256     17.9      19.4     16.5
-//	PR copy_e.sum  feat   8      2.4       2.7      1.4
-//	PR u_mul_e.sum feat  64      8.6       8.8      9.1
+//	                        per-edge  in-place  blocked  vector
+//	AR u_mul_e.sum feat   8     27.8      27.2     17.4     6.5
+//	AR u_mul_e.sum feat  16     40.3      42.5     27.6     7.9
+//	AR u_mul_e.sum feat  32     65.9      70.5     50.2    13.7
+//	AR copy_u.sum  feat 128    239.5     250.2    127.0    41.8
+//	PU copy_u.sum  feat 256     23.3      23.8     13.1     6.1
+//	PR copy_e.sum  feat   8      2.5       2.8      1.3     1.3
+//	PR u_mul_e.sum feat  64     10.0      10.1      8.6     3.1
 //
-// Up to 32 columns blocked wins by 25-45 %. Past that the two forms stay
-// within a quarter of each other and which leads depends on the graph (hub
-// rows on AR and 256-wide rows on PU favour blocked by 15-23 %, PR's 4-edge
-// rows at 64 columns favour in-place by 3 %), so there is no switch-over
-// width: the in-place form serves the sub-block tail and the operator shapes
-// without a blocked kernel.
+// The Go blocked loop beats the in-place one at every width here (by 15 % on
+// PR's 4-edge rows at 64 columns, by 35-50 % elsewhere), so the in-place form
+// serves only the sub-block tail and the operator shapes without a blocked
+// kernel. The vector form under it is 2-3.5x faster again wherever a row has
+// more than a handful of in-edges; on PR's 4-edge, 8-column rows the call
+// costs what the lanes save.
 const spanBlock = 8
 
 // spanOperand is one input tensor of a lowered operator: its storage, its
 // width (0 = absent, 1 = a scalar broadcast over the feature dimension,
-// otherwise the feature width) and the graph entity its rows belong to.
+// otherwise the feature width), its row count (what a vector kernel checks
+// every edge's index against) and the graph entity its rows belong to.
 type spanOperand struct {
-	data []float32
-	cols int
-	kind tensor.Kind
+	data       []float32
+	cols, rows int
+	kind       tensor.Kind
 }
 
 func newSpanOperand(t tensor.Typed) spanOperand {
 	if t.Kind == tensor.Null || t.T == nil {
 		return spanOperand{}
 	}
-	return spanOperand{data: t.T.Data, cols: t.T.Cols, kind: t.Kind}
+	return spanOperand{data: t.T.Data, cols: t.T.Cols, rows: t.T.Rows, kind: t.Kind}
 }
 
 // at resolves the operand for destination row v: element j of the operand
@@ -210,12 +222,20 @@ func (r *rowReducer) inPlace(acc []float32, srcs, eids []int32, v int32, j0 int)
 	}
 }
 
+// vecDone turns a vector span kernel's report into the column the Go loop
+// resumes at: the columns the kernel finished — none on a CPU without the
+// kernels or for an operand it does not take (a Dst_V row has stride 0) — or,
+// when it met an edge index outside the operand (-1), column 0, so that the
+// Go loop walks the same edge and its slice check raises the panic the
+// kernel's recover turns into a KernelError.
+func vecDone(cols int) int { return max(cols, 0) }
+
 // spanSumCopy is sum/mean of a copied full-width operand (copy_u.sum,
 // copy_e.sum): eight columns at a time in registers.
 func spanSumCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
 	idx, base, stride := r.full.at(srcs, eids, v)
 	data := r.full.data
-	j := 0
+	j := vecDone(vec.SumRows(acc, data, stride, r.full.rows, idx))
 	for ; j+spanBlock <= len(acc); j += spanBlock {
 		var c0, c1, c2, c3, c4, c5, c6, c7 float32
 		for _, x := range idx {
@@ -247,6 +267,9 @@ func spanSumMulScalar(r *rowReducer, acc []float32, srcs, eids []int32, v int32)
 	data, wdata := r.full.data, r.scalar.data
 	widx = widx[:len(idx)]
 	j := 0
+	if wstride == 1 {
+		j = vecDone(vec.SumRowsScaled(acc, data, stride, r.full.rows, idx, wdata, widx))
+	}
 	for ; j+spanBlock <= len(acc); j += spanBlock {
 		var c0, c1, c2, c3, c4, c5, c6, c7 float32
 		for i, x := range idx {
@@ -277,7 +300,7 @@ func spanSumMulScalar(r *rowReducer, acc []float32, srcs, eids []int32, v int32)
 func spanMaxCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
 	idx, base, stride := r.full.at(srcs, eids, v)
 	data := r.full.data
-	j := 0
+	j := vecDone(vec.MaxRows(acc, data, stride, r.full.rows, idx, r.identity))
 	for ; j+spanBlock <= len(acc); j += spanBlock {
 		c0, c1, c2, c3 := r.identity, r.identity, r.identity, r.identity
 		c4, c5, c6, c7 := r.identity, r.identity, r.identity, r.identity
@@ -322,7 +345,7 @@ func spanMaxCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
 func spanMinCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
 	idx, base, stride := r.full.at(srcs, eids, v)
 	data := r.full.data
-	j := 0
+	j := vecDone(vec.MinRows(acc, data, stride, r.full.rows, idx, r.identity))
 	for ; j+spanBlock <= len(acc); j += spanBlock {
 		c0, c1, c2, c3 := r.identity, r.identity, r.identity, r.identity
 		c4, c5, c6, c7 := r.identity, r.identity, r.identity, r.identity

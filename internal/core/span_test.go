@@ -1,15 +1,20 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/tensor"
+	"repro/internal/vec"
+	"repro/internal/vec/vectest"
 )
 
 // perEdgeOracle is the loop the span kernels replaced, kept as their oracle
@@ -175,8 +180,13 @@ func runForced(t *testing.T, g *graph.Graph, op ops.OpInfo, strat Strategy, o Op
 // widths below the block width (in-place only), at multiples of it and with a
 // sub-block tail, with each present operand broadcast or full, produces exactly
 // the per-edge loop's bits — on one worker or several, under every strategy
-// the plan may name, flat or sharded.
+// the plan may name, flat or sharded — with the vector kernels under the
+// blocked forms and with the Go loops alone.
 func TestSpanKernelsBitIdentical(t *testing.T) {
+	vectest.EachKernelSet(t, testSpanKernelsBitIdentical)
+}
+
+func testSpanKernelsBitIdentical(t *testing.T) {
 	fixtures := []struct {
 		name string
 		g    *graph.Graph
@@ -206,12 +216,16 @@ func TestSpanKernelsBitIdentical(t *testing.T) {
 						g := fx.g
 						name := fmt.Sprintf("%s feat=%d a=%d b=%d %s", op, feat, aCols, bCols, fx.name)
 						want := shapedOperands(g, op, feat, aCols, bCols, 3)
-						perEdgeOracle(g, op, want)
 						if r, err := lowerRowReducer(op, want, feat); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						} else if !sameFunc(r.span, spanInPlace) {
 							blocked++
+						} else if vec.Enabled() {
+							// Only the blocked forms have vector kernels under them; the
+							// in-place cases are the generic pass's.
+							continue
 						}
+						perEdgeOracle(g, op, want)
 						check := func(strat Strategy, workers, shards int) {
 							got := want // the inputs are only read; the output is fresh
 							got.C.T = tensor.NewDense(g.NumVertices(), feat)
@@ -242,6 +256,10 @@ func TestSpanKernelsBitIdentical(t *testing.T) {
 // empty reduction yields 0 (not the gather identity), and mean divides the
 // sum by the in-degree.
 func TestSpanConventions(t *testing.T) {
+	vectest.EachKernelSet(t, testSpanConventions)
+}
+
+func testSpanConventions(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 1)
@@ -279,6 +297,140 @@ func TestSpanConventions(t *testing.T) {
 				}
 				if got := o.C.T.At(1, j); got != want {
 					t.Fatalf("%s feat=%d col %d: got %v, want %v", gop, feat, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// vectorOps are the operator shapes with a vector kernel under their blocked
+// form: copy_u / copy_e under sum, mean, max and min, and u_mul_e.sum with a
+// scalar edge weight (either operand may be the scalar).
+var vectorOps = []struct {
+	name    string
+	op      ops.OpInfo
+	scalarB bool
+}{
+	{"copy_u.sum", ops.AggrSum, false},
+	{"copy_u.mean", ops.AggrMean, false},
+	{"copy_u.max", ops.AggrMax, false},
+	{"copy_u.min", ops.OpInfo{EdgeOp: ops.CopyLHS, GatherOp: ops.GatherMin, AKind: tensor.SrcV, CKind: tensor.DstV}, false},
+	{"copy_e.sum", ops.CopyESum, false},
+	{"u_mul_e.sum", ops.WeightedAggrSum, true},
+}
+
+// TestSpanVectorEqualsGo: every operator shape with a vector kernel, at the
+// kernels' pass widths, chains of them and sub-8 tails, over zero-degree,
+// hub and star rows, with NaN, infinities, signed zeros and denormals laced
+// through the operands and operand storage at odd element offsets, gives
+// bit for bit what the per-edge loop gives — as dispatched and with the Go
+// loops forced — on one worker and on three.
+func TestSpanVectorEqualsGo(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{nan, inf, -inf, 0, negZero, math.SmallestNonzeroFloat32, -1e-40, math.MaxFloat32, -math.MaxFloat32}
+	widths := []int{8, 11, 16, 24, 32, 35, 40, 64, 256}
+	if raceBuild {
+		widths = []int{11, 16, 40}
+	}
+	fixtures := []struct {
+		name string
+		g    *graph.Graph
+	}{{"skewed", skewedFixture(t)}, {"star", starFixture(t)}}
+	for _, fx := range fixtures {
+		g := fx.g
+		for _, vo := range vectorOps {
+			for wi, feat := range widths {
+				rng := rand.New(rand.NewSource(int64(feat)))
+				bCols := feat
+				if vo.scalarB {
+					bCols = 1
+				}
+				want := shapedOperands(g, vo.op, feat, feat, bCols, 7)
+				for _, operand := range []*tensor.Typed{&want.A, &want.B} {
+					if operand.Kind == tensor.Null {
+						continue
+					}
+					// Move the storage 1 or 3 floats off its allocation's alignment
+					// and lace it with specials, about one element in six.
+					d := operand.T
+					off := 1 + 2*(wi%2)
+					moved := tensor.FromSlice(d.Rows, d.Cols, append(make([]float32, off), d.Data...)[off:])
+					for i := rng.Intn(6); i < len(moved.Data); i += 1 + rng.Intn(12) {
+						moved.Data[i] = specials[rng.Intn(len(specials))]
+					}
+					operand.T = moved
+				}
+				perEdgeOracle(g, vo.op, want)
+				vectest.EachKernelSet(t, func(t *testing.T) {
+					for _, workers := range []int{1, 3} {
+						got := want
+						got.C.T = tensor.NewDense(g.NumVertices(), feat)
+						got.C.T.Fill(-777)
+						runForced(t, g, vo.op, ThreadVertex, got, workers, 1)
+						if i := got.C.T.BitDiff(want.C.T); i >= 0 {
+							t.Fatalf("%s feat=%d %s workers=%d: row %d col %d = %v (%#x), per-edge loop %v (%#x)",
+								vo.name, feat, fx.name, workers, i/feat, i%feat,
+								got.C.T.Data[i], math.Float32bits(got.C.T.Data[i]),
+								want.C.T.Data[i], math.Float32bits(want.C.T.Data[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSpanCorruptIndexIsKernelError: an in-edge whose source or edge id
+// points outside the operand — past the end or negative, as a corrupted CSR
+// would — ends the run in a *KernelError carrying Go's own bounds panic,
+// word for word the same with the vector kernels (which check every index
+// before using it and hand the row back to the Go loop) as without, on the
+// caller and on a pool helper. The process never reads through the index.
+func TestSpanCorruptIndexIsKernelError(t *testing.T) {
+	for _, vo := range vectorOps {
+		for _, feat := range []int{8, 32, 43} {
+			for _, bad := range []int32{1 << 20, -1, math.MinInt32} {
+				for _, workers := range []int{1, 2} {
+					// A private graph per case: the corruption is in its CSR.
+					g := testGraph(t, 300, 2400, 11)
+					bCols := feat
+					if vo.scalarB {
+						bCols = 1
+					}
+					o := shapedOperands(g, vo.op, feat, feat, bCols, 3)
+					p := MustCompile(vo.op, Schedule{Strategy: ThreadVertex, Group: 1, Tile: 1})
+					k, err := NewShardedParallelBackend(workers, 1).Lower(p, g, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					k.(*parallelKernel).fanout = workers
+					// Corrupt one slot in the middle of a row's in-edge list: the
+					// index array the full-width operand is gathered through, or the
+					// scalar operand's for the weighted sum's second variant.
+					slot := int(g.InPtr()[40]) + 1
+					col := g.InSrcs()
+					if vo.op.AKind == tensor.Null || (vo.scalarB && bad == -1) {
+						col = g.InEdgeIDs()
+					}
+					col[slot] = bad
+					var msgs []string
+					vectest.EachKernelSet(t, func(t *testing.T) {
+						err := k.Run()
+						var ke *KernelError
+						if !errors.As(err, &ke) {
+							t.Fatalf("%s feat=%d index %d workers=%d: err = %v, want a *KernelError", vo.name, feat, bad, workers, err)
+						}
+						var re interface{ RuntimeError() }
+						if !errors.As(ke.Err, &re) || !strings.Contains(ke.Err.Error(), "out of range") {
+							t.Fatalf("%s feat=%d index %d: recovered %v, want Go's bounds panic", vo.name, feat, bad, ke.Err)
+						}
+						msgs = append(msgs, ke.Err.Error())
+					})
+					if vec.Enabled() && msgs[0] != msgs[1] {
+						t.Errorf("%s feat=%d index %d: vector path recovered %q, Go loops %q", vo.name, feat, bad, msgs[0], msgs[1])
+					}
 				}
 			}
 		}
@@ -404,10 +556,14 @@ var spanBenchCases = []spanBenchCase{
 // BenchmarkSpanKernel times the shapes the benchmark's models run — GCN's
 // u_mul_e.sum on AR, Sage's copy_u.sum on PU, GAT's copy_e.sum and 64-wide
 // u_mul_e.sum on PR — as the per-edge loop, as each span form on one worker
-// (in-place and blocked, whichever the lowering picks), and as lowered on one
-// and two workers. spanBlock and spanBlockedMax cite its rows
-// (`make bench-kernels`).
+// (in-place; blocked, the Go loop alone; vector, the blocked form with the
+// AVX2 kernel under it, where the CPU has one), and as lowered and dispatched
+// on one and two workers. spanBlock cites its rows (`make bench-kernels`).
 func BenchmarkSpanKernel(b *testing.B) {
+	forms := []string{"in-place", "blocked"}
+	if vec.Enabled() {
+		forms = append(forms, "vector")
+	}
 	for _, bc := range spanBenchCases {
 		g, _, err := datasets.Load(bc.dataset)
 		if err != nil {
@@ -423,7 +579,7 @@ func BenchmarkSpanKernel(b *testing.B) {
 				perEdgeOracle(g, bc.op, o)
 			}
 		})
-		for _, form := range []string{"in-place", "blocked"} {
+		for _, form := range forms {
 			b.Run(name+"/"+form, func(b *testing.B) {
 				// The lowering picks one form per width; force each in turn.
 				r, err := lowerRowReducer(bc.op, o, bc.feat)
@@ -440,6 +596,9 @@ func BenchmarkSpanKernel(b *testing.B) {
 					if r.a.cols == 0 {
 						r.full = r.b
 					}
+				}
+				if form == "blocked" {
+					vec.ForceGeneric(b)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

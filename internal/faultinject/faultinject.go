@@ -146,6 +146,12 @@ type Spec struct {
 	// fires the point stays armed but silent. Long-running scenarios use it
 	// to inject a bounded burst of faults and then let the system recover.
 	Limit int
+	// OnFire, when set, is called each time the point fires, on the
+	// goroutine that hit it and before the hook's own effect (the sleep, the
+	// panic, the error). A test uses it to act from inside the faulted site
+	// at a moment the fire schedule fixes — cancel a run from inside its
+	// third slowed chunk — where a timer would race the run.
+	OnFire func()
 }
 
 type pointState struct {
@@ -244,7 +250,17 @@ func Fire(p Point) bool {
 
 func (st *pointState) fire() (bool, int64) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	hit, call := st.count()
+	onFire := st.spec.OnFire
+	st.mu.Unlock()
+	if hit && onFire != nil {
+		onFire()
+	}
+	return hit, call
+}
+
+// count counts one call and decides whether it fires. The caller holds mu.
+func (st *pointState) count() (bool, int64) {
 	st.calls++
 	call := st.calls
 	if st.spec.Limit > 0 && st.fires >= int64(st.spec.Limit) {

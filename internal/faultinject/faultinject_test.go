@@ -186,6 +186,27 @@ func TestMaybeSleepDelays(t *testing.T) {
 	}
 }
 
+// OnFire runs on every fire and only then, before the hook's own effect, and
+// outside the point's lock (it may call back into the package).
+func TestOnFireRunsInsideTheFiringCall(t *testing.T) {
+	defer Reset()
+	var at []int64
+	Arm(DenseChunkPanic, Spec{After: 2, Every: 2, OnFire: func() { at = append(at, Calls(DenseChunkPanic)) }})
+	for i := 0; i < 5; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil && len(at) == 0 {
+					t.Error("the panic was raised before OnFire ran")
+				}
+			}()
+			MaybePanic(DenseChunkPanic)
+		}()
+	}
+	if len(at) != 2 || at[0] != 2 || at[1] != 4 {
+		t.Fatalf("OnFire ran at calls %v, want [2 4]", at)
+	}
+}
+
 func TestPointString(t *testing.T) {
 	if KernelPanic.String() != "kernel-panic" || LowerFail.String() != "lower-fail" {
 		t.Errorf("point names wrong: %s %s", KernelPanic, LowerFail)

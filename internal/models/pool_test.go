@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,12 +16,13 @@ import (
 	"repro/internal/graph"
 	"repro/internal/program"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // denseGraph is the test graph the worker-pool suites run on: 1400 vertices
-// and 11200 edges, so at feature width 64 every graph kernel is above
-// core's smallWork and the widest GEMM of every model (GCN's 64x16 included)
-// is above program's dense inline threshold.
+// and 11200 edges, so at feature width poolInFeat every graph kernel is above
+// core's smallWork and the widest GEMM of every model (GCN's inFeat x 16
+// included) is above program's dense inline threshold.
 func denseGraph(t testing.TB, seed int64) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -34,6 +36,18 @@ func denseGraph(t testing.TB, seed int64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// poolInFeat is the input width of the worker-pool suites. The inline
+// threshold is a duration, and the vector GEMM costs an eighth of the Go loop
+// per flop, so crossing it on 1400 rows takes eight times the width — at
+// which a pass takes the vector kernels about as long as the narrow one
+// takes the Go loop.
+func poolInFeat() int {
+	if vec.Enabled() {
+		return 512
+	}
+	return 64
 }
 
 // poolEngine fixes every schedule so compiles are cheap and deterministic.
@@ -78,7 +92,7 @@ func splitSteps(cp *program.CompiledProgram) (dense []string, kernels int) {
 // output exactly (Equal, not AllClose).
 func TestDenseSplitBitIdentical(t *testing.T) {
 	g := denseGraph(t, 31)
-	const inFeat, classes = 64, 7
+	inFeat, classes := poolInFeat(), 7
 	x := poolInput(g, inFeat)
 	defer program.SetParallelSteps(false)
 	for _, m := range All() {
@@ -128,7 +142,7 @@ type decoratedBackend struct{ core.ExecBackend }
 // through a decorator splits exactly like one compiled on the bare backend.
 func TestDenseSplitSeesThroughBackendDecorator(t *testing.T) {
 	g := denseGraph(t, 35)
-	const inFeat, classes = 64, 7
+	inFeat, classes := poolInFeat(), 7
 	bare := poolEngine(2)
 	wrapped := poolEngine(2)
 	wrapped.Compute = decoratedBackend{wrapped.Compute}
@@ -151,15 +165,47 @@ func TestDenseSplitSeesThroughBackendDecorator(t *testing.T) {
 	}
 }
 
-// TestDenseStepHonoursDeadlineAndCancel: a deadline or a cancel now cuts a
-// split dense step between chunks. Every chunk is slowed so the whole step
-// would take seconds; the run must come back with the context's error after
-// only a few chunks, and the program must produce the right answer on the
-// next run.
+// handCtx is a context the test ends itself, with the error a deadline would
+// carry, at a point of the run it picks rather than at a time.
+type handCtx struct {
+	context.Context
+	done chan struct{}
+	mu   sync.Mutex
+	err  error
+}
+
+func newHandCtx() *handCtx {
+	return &handCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *handCtx) Done() <-chan struct{} { return c.done }
+
+func (c *handCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *handCtx) end(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+		close(c.done)
+	}
+}
+
+// TestDenseStepHonoursDeadlineAndCancel: a deadline or a cancel cuts a split
+// dense step between chunks. Every dense chunk is slowed, and the context
+// ends from inside the third slowed chunk — not after a wall-clock interval,
+// which a fast GEMM or a throttled CPU would let fire before the first dense
+// chunk or after the last. The run must come back with the context's error
+// after only the chunks already claimed, and the program must produce the
+// right answer on the next run.
 func TestDenseStepHonoursDeadlineAndCancel(t *testing.T) {
 	defer faultinject.Reset()
 	g := denseGraph(t, 32)
-	const inFeat, classes = 64, 7
+	inFeat, classes := poolInFeat(), 7
 	x := poolInput(g, inFeat)
 	m := All()[5] // SageMean: GEMM-dominated
 	cp, err := CompileModel(m, g, inFeat, classes, poolEngine(2))
@@ -183,37 +229,45 @@ func TestDenseStepHonoursDeadlineAndCancel(t *testing.T) {
 		t.Fatalf("a full pass ran only %d dense chunks; the test needs a long split step", fullPass)
 	}
 
+	const endAt = 3 // the slowed chunk that ends the context
 	for _, tc := range []struct {
 		name string
-		ctx  func() (context.Context, context.CancelFunc)
+		ctx  func() (ctx context.Context, end func())
 		want error
 	}{
-		{"deadline", func() (context.Context, context.CancelFunc) {
-			return context.WithTimeout(context.Background(), 30*time.Millisecond)
+		{"deadline", func() (context.Context, func()) {
+			c := newHandCtx()
+			return c, func() { c.end(context.DeadlineExceeded) }
 		}, context.DeadlineExceeded},
-		{"cancel", func() (context.Context, context.CancelFunc) {
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(30*time.Millisecond, cancel)
-			return ctx, cancel
+		{"cancel", func() (context.Context, func()) {
+			return context.WithCancel(context.Background())
 		}, context.Canceled},
 	} {
-		// 10 ms per chunk: an uninterruptible pass would take fullPass*5 ms.
-		faultinject.Arm(faultinject.SlowDenseChunk, faultinject.Spec{After: 1, Every: 1, Delay: 10 * time.Millisecond})
-		ctx, cancel := tc.ctx()
+		ctx, end := tc.ctx()
+		var slowed atomic.Int64
+		// 5 ms per chunk: an uninterruptible pass would take fullPass*2.5 ms.
+		faultinject.Arm(faultinject.SlowDenseChunk, faultinject.Spec{After: 1, Every: 1, Delay: 5 * time.Millisecond,
+			OnFire: func() {
+				if slowed.Add(1) == endAt {
+					end()
+				}
+			}})
 		start := time.Now()
 		_, err := cp.RunCtx(ctx, x)
 		took := time.Since(start)
-		cancel()
+		end()
 		calls := faultinject.Calls(faultinject.SlowDenseChunk)
 		faultinject.Disarm(faultinject.SlowDenseChunk)
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		if calls == 0 || calls >= fullPass/2 {
-			t.Errorf("%s: %d of %d dense chunks ran; want the step cut after a few", tc.name, calls, fullPass)
+		// Both participants may have claimed one more chunk each before they
+		// saw the context end.
+		if calls < endAt || calls > endAt+2 {
+			t.Errorf("%s: %d of %d dense chunks ran; want the step cut right after chunk %d", tc.name, calls, fullPass, endAt)
 		}
 		if took > 2*time.Second {
-			t.Errorf("%s: run took %v to notice a 30ms context", tc.name, took)
+			t.Errorf("%s: run took %v to notice the context ending", tc.name, took)
 		}
 		got, err := cp.Run(x)
 		if err != nil {
@@ -233,7 +287,7 @@ func TestDenseChunkPanicIsStepNamed(t *testing.T) {
 	defer faultinject.Reset()
 	defer program.SetParallelSteps(false)
 	g := denseGraph(t, 33)
-	const inFeat, classes = 64, 7
+	inFeat, classes := poolInFeat(), 7
 	x := poolInput(g, inFeat)
 	for _, m := range []Model{All()[2], All()[5]} { // GAT (width-2 waves) and SageMean
 		cp, err := CompileModel(m, g, inFeat, classes, poolEngine(4))
@@ -281,7 +335,7 @@ func TestDenseChunkPanicIsStepNamed(t *testing.T) {
 // submitters than helpers must still finish, correctly. Run under -race.
 func TestConcurrentProgramsShareThePool(t *testing.T) {
 	g := denseGraph(t, 34)
-	const inFeat, classes = 64, 7
+	inFeat, classes := poolInFeat(), 7
 	x := poolInput(g, inFeat)
 	program.SetParallelSteps(true)
 	defer program.SetParallelSteps(false)

@@ -196,7 +196,7 @@ func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.Compi
 					// the multi-worker paths run race-enabled in pool_test.go.
 					continue
 				}
-				g, inFeat = denseGraph(t, 24), 64
+				g, inFeat = denseGraph(t, 24), poolInFeat()
 			}
 			x := tensor.NewDense(g.NumVertices(), inFeat)
 			x.FillRandom(rand.New(rand.NewSource(3)), 1)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/program"
 	"repro/internal/tensor"
+	"repro/internal/vec/vectest"
 )
 
 // regionEngine builds a fusing FixedEngine, pair-only or region-growing.
@@ -181,8 +182,20 @@ func TestEpilogueInChunkMatchesAfter(t *testing.T) {
 // rows with one owner per row whatever strategy its plan names, so compiled
 // logits under edge-parallel schedules are the same bits at 1, 2 and 4
 // workers — which the per-worker partial buffers this replaced could not
-// give — and the same bits as under a vertex-parallel schedule.
+// give — and the same bits as under a vertex-parallel schedule. That holds
+// with the vector kernels under the GEMM and the span kernels and with the Go
+// loops alone, and the two kernel sets agree with each other to the bit.
 func TestRowWalkBitIdenticalAcrossWorkers(t *testing.T) {
+	logits := map[string][]*tensor.Dense{} // per model, one per kernel set
+	vectest.EachKernelSet(t, func(t *testing.T) { testRowWalkBitIdenticalAcrossWorkers(t, logits) })
+	for name, l := range logits {
+		if len(l) == 2 && l[0].BitDiff(l[1]) >= 0 {
+			t.Errorf("%s: logits differ between the vector kernels and the Go loops (maxdiff %g)", name, l[0].MaxDiff(l[1]))
+		}
+	}
+}
+
+func testRowWalkBitIdenticalAcrossWorkers(t *testing.T, logits map[string][]*tensor.Dense) {
 	g := denseGraph(t, 41)
 	const inFeat, classes = 64, 7
 	x := poolInput(g, inFeat)
@@ -196,6 +209,7 @@ func TestRowWalkBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := out.Clone()
+		logits[m.Name()] = append(logits[m.Name()], want)
 		for _, strat := range []core.Strategy{core.ThreadEdge, core.WarpEdge} {
 			for _, workers := range []int{1, 2, 4} {
 				eng := poolEngine(workers)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 	"repro/internal/workpool"
 )
 
@@ -23,7 +24,15 @@ import (
 // step splitting"). They only rank steps against the two thresholds below;
 // a 2x error moves a step's chunk count, not its result.
 const (
-	gemmNsPerFlop      = 0.19 // packed kernel: ~5.3 flops/ns at every shape tried
+	// The packed GEMM, per kernel set (BenchmarkGemmPacked, `make
+	// bench-kernels`): the AVX2 kernels run 0.021-0.027 ns/flop over the
+	// models' seven shapes whatever share of A is zero; the Go loop 0.16-0.19
+	// on dense inputs (and 0.40-0.44 behind a ReLU, where its zero-skip
+	// branch mispredicts — the estimate keeps the dense figure, so such a
+	// step only splits sooner).
+	gemmVecNsPerFlop = 0.024
+	gemmGoNsPerFlop  = 0.19
+
 	copyNsPerElem      = 0.3
 	reluNsPerElem      = 0.5 // leaky-relu costs about the same
 	expNsPerElem       = 9.3
@@ -51,6 +60,15 @@ const (
 	denseChunkNs = 100e3
 )
 
+// gemmNsPerFlop is the packed GEMM's cost with the kernels this process
+// dispatches to.
+func gemmNsPerFlop() float64 {
+	if vec.Enabled() {
+		return gemmVecNsPerFlop
+	}
+	return gemmGoNsPerFlop
+}
+
 // denseSplit is one dense step's compile-time split plan.
 type denseSplit struct {
 	job     *workpool.Job
@@ -64,7 +82,7 @@ func denseCostNs(st *step) float64 {
 	out := float64(len(st.out.Data))
 	switch st.op {
 	case OpGEMM:
-		return gemmNsPerFlop * float64(tensor.GEMMFlops(st.x.Rows, st.x.Cols, st.out.Cols))
+		return gemmNsPerFlop() * float64(tensor.GEMMFlops(st.x.Rows, st.x.Cols, st.out.Cols))
 	case OpUnary:
 		return chainCostNs(st.chain, !st.inPlace, len(st.out.Data))
 	case OpAddScaled:

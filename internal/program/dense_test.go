@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/tensor"
+	"repro/internal/vec"
+	"repro/internal/vec/vectest"
 	"repro/internal/workpool"
 )
 
@@ -25,10 +27,17 @@ func gemmStep(rows, k, n int) step {
 // TestDenseSplitDecision pins the compile-time rule: a step splits exactly
 // when the backend has more than one worker and its estimated duration
 // reaches denseInlineNs, and a split step's chunks are about denseChunkNs
-// long. The small shape is the served CO graph's layer (2708 x 16 x 16,
-// ~0.26 ms), which must stay off the pool; the large one is sage-dense's
-// concat GEMM.
+// long — with the cost of the GEMM kernel that is actually dispatched. The
+// small shape is the served CO graph's layer (2708 x 16 x 16, ~0.26 ms as the
+// Go loop), which must stay off the pool; the large one is sage-dense's
+// concat GEMM (120 ms as the Go loop, 15 ms vectorised), which must split;
+// the middle one (1400 x 64 x 16) is 0.55 ms as the Go loop and 0.07 ms
+// vectorised, so it splits exactly when the Go loop runs it.
 func TestDenseSplitDecision(t *testing.T) {
+	vectest.EachKernelSet(t, testDenseSplitDecision)
+}
+
+func testDenseSplitDecision(t *testing.T) {
 	small := gemmStep(2708, 16, 16)
 	if c := denseCostNs(&small); c >= denseInlineNs {
 		t.Fatalf("CO-sized GEMM estimated at %.0f ns, want under the %.0f ns inline threshold", c, float64(denseInlineNs))
@@ -38,6 +47,12 @@ func TestDenseSplitDecision(t *testing.T) {
 		t.Error("CO-sized GEMM split; it must run inline")
 	}
 
+	mid := gemmStep(1400, 64, 16)
+	planDenseSplit(&mid, 2)
+	if split := mid.split != nil; split == vec.Enabled() {
+		t.Errorf("1400x64x16 GEMM estimated at %.0f ns on the %s kernels: split=%v", denseCostNs(&mid), vec.ISA(), split)
+	}
+
 	big := gemmStep(19717, 64, 256)
 	planDenseSplit(&big, 1)
 	if big.split != nil {
@@ -45,7 +60,7 @@ func TestDenseSplitDecision(t *testing.T) {
 	}
 	planDenseSplit(&big, 2)
 	if big.split == nil {
-		t.Fatal("a 120 ms GEMM did not split at workers=2")
+		t.Fatalf("a %.0f ms GEMM did not split at workers=2", denseCostNs(&big)/1e6)
 	}
 	if big.split.workers != 2 {
 		t.Errorf("split over %d workers, want 2", big.split.workers)
@@ -169,7 +184,7 @@ func BenchmarkDenseSplit(b *testing.B) {
 	const k, n = 64, 64
 	ctx := context.Background()
 	for _, us := range []int{100, 200, 400, 800, 1600, 3200, 6400} {
-		rows := int(float64(us) * 1e3 / (gemmNsPerFlop * float64(tensor.GEMMFlops(1, k, n))))
+		rows := int(float64(us) * 1e3 / (gemmNsPerFlop() * float64(tensor.GEMMFlops(1, k, n))))
 		st := gemmStep(rows, k, n)
 		b.Run(fmt.Sprintf("est=%dus/inline", us), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

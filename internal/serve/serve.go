@@ -47,6 +47,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Config is the daemon's startup configuration.
@@ -535,14 +536,17 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		Queue   int    `json:"queue"`
 	}
 	out := struct {
-		Dataset  string      `json:"dataset"`
-		Vertices int         `json:"vertices"`
-		Feat     int         `json:"feat"`
-		Classes  int         `json:"classes"`
-		Models   []modelInfo `json:"models"`
+		Dataset  string `json:"dataset"`
+		Vertices int    `json:"vertices"`
+		Feat     int    `json:"feat"`
+		Classes  int    `json:"classes"`
+		// Kernels names the inner loops every model here runs on: "avx2"
+		// (internal/vec) or "generic" (the Go loops).
+		Kernels string      `json:"kernels"`
+		Models  []modelInfo `json:"models"`
 	}{
 		Dataset: s.cfg.Dataset, Vertices: s.g.NumVertices(),
-		Feat: s.cfg.Feat, Classes: s.cfg.Classes,
+		Feat: s.cfg.Feat, Classes: s.cfg.Classes, Kernels: vec.ISA(),
 	}
 	for _, name := range s.order {
 		h := s.hosts[strings.ToLower(name)]

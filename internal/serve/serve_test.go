@@ -20,6 +20,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/program"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // newTestServer builds a server plus an httptest front end. Tests share the
@@ -523,10 +524,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ugrapher_serve_queue_depth{model="GCN"}`,
 		`ugrapher_serve_breaker_state{model="GCN"}`,
 		`ugrapher_fallbacks_total`,
+		`ugrapher_kernel_isa{isa="` + vec.ISA() + `"} 1`,
 	} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("metrics snapshot missing %s", series)
 		}
+	}
+	// The model listing names the same kernel set.
+	resp, err = http.Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing struct{ Kernels string }
+	err = json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if err != nil || listing.Kernels != vec.ISA() {
+		t.Errorf("/v1/models says kernels=%q (err %v), want %q", listing.Kernels, err, vec.ISA())
 	}
 	if want := fmt.Sprintf(`ugrapher_serve_fallback_window{model="GCN"} %d`, window); !bytes.Contains(body, []byte(want)) {
 		t.Errorf("metrics snapshot missing %q\n(snapshot contains: %.300s...)", want, text)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/vec"
 	"repro/internal/workpool"
 )
 
@@ -173,6 +174,38 @@ func TestPrometheusAlwaysCarriesWellKnownSeries(t *testing.T) {
 			t.Errorf("fresh snapshot missing %s:\n%s", name, sb.String())
 		}
 	}
+}
+
+// TestSnapshotsNameTheKernelSet: every gauge snapshot and every Prometheus
+// rendering carries exactly one ugrapher_kernel_isa series, value 1, labelled
+// with the kernels the process dispatches to, and follows the dispatch
+// decision.
+func TestSnapshotsNameTheKernelSet(t *testing.T) {
+	check := func(t *testing.T) {
+		r := NewRegistry()
+		series := Series1(MetricKernelISA, "isa", vec.ISA())
+		if v := r.GaugeValues()[series]; v != 1 {
+			t.Errorf("gauge snapshot has %s = %v, want 1", series, v)
+		}
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "# TYPE ugrapher_kernel_isa gauge\n"+series+" 1\n") {
+			t.Errorf("rendering lacks %s 1:\n%s", series, sb.String())
+		}
+		if n := strings.Count(sb.String(), MetricKernelISA+"{"); n != 1 {
+			t.Errorf("%d %s series, want exactly one", n, MetricKernelISA)
+		}
+	}
+	check(t)
+	t.Run("forced generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		if vec.ISA() != "generic" {
+			t.Fatal("ForceGeneric left the vector kernels on")
+		}
+		check(t)
+	})
 }
 
 // TestPrometheusCarriesPoolSeries: the worker pool's helper count, job count

@@ -65,7 +65,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 	addPoolCounters(counters)
-	addPoolGauges(gauges)
+	addProcessGauges(gauges)
 
 	// Counters and gauges, grouped by family with one TYPE line each.
 	emit := func(kind string, series []string, value func(string) string) error {

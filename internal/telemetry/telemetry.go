@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/vec"
 	"repro/internal/workpool"
 )
 
@@ -169,6 +170,11 @@ const (
 	MetricPoolWorkers = "ugrapher_pool_workers"
 	MetricPoolJobs    = "ugrapher_pool_jobs_total"
 	MetricPoolChunks  = "ugrapher_pool_chunks_total"
+	// MetricKernelISA is an info series — value 1, the fact in the label —
+	// naming the inner loops this process runs: isa="avx2" (internal/vec) or
+	// isa="generic" (the Go loops). Every snapshot carries it, so a recorded
+	// latency is attributable to the kernels that produced it.
+	MetricKernelISA = "ugrapher_kernel_isa"
 )
 
 // addPoolCounters folds the worker pool's counters into a snapshot: how
@@ -182,9 +188,11 @@ func addPoolCounters(counters map[string]int64) {
 	counters[Series1(MetricPoolChunks, "by", "helper")] = st.HelperChunks
 }
 
-// addPoolGauges folds the pool's helper-goroutine count into a snapshot.
-func addPoolGauges(gauges map[string]float64) {
+// addProcessGauges folds the process-wide facts into a snapshot: the pool's
+// helper-goroutine count and the kernel set dispatched to.
+func addProcessGauges(gauges map[string]float64) {
 	gauges[MetricPoolWorkers] = float64(workpool.Snapshot().Helpers)
+	gauges[Series1(MetricKernelISA, "isa", vec.ISA())] = 1
 }
 
 const (
@@ -334,7 +342,7 @@ func (r *Registry) GaugeValues() map[string]float64 {
 	for name, g := range r.gauges {
 		out[name] = g.Value()
 	}
-	addPoolGauges(out)
+	addProcessGauges(out)
 	return out
 }
 

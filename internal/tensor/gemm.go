@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/vec"
+)
 
 // Cache-blocked GEMM with a packed column-panel layout, the dense half of
 // the fusion-region work (ROADMAP "Raw speed"). The naive MatMulInto walk
@@ -25,6 +29,13 @@ import "fmt"
 // bit-identical results and the compiled program can switch between them
 // without perturbing the golden compiled≡interpreted comparisons.
 //
+// On a CPU with AVX2 the whole 8-column panels are computed by the vector
+// micro-kernels of internal/vec (lane = output column, the same rounded
+// product and ascending-k add per lane), and the loop below serves the tail
+// panel, every other architecture, and — as the oracle — the tests. The
+// vector kernels do not skip zeros, which is bit-identical exactly when B is
+// all finite (vec.GemmPanels); PackB records that.
+//
 // Shape-mismatch panics below are invariant panics (see dense_ops.go's file
 // header): shapes come from model code and the compile-time packer, never
 // from user input.
@@ -42,6 +53,10 @@ type PackedB struct {
 	K, N int
 	// panels holds ceil(N/gemmPanelN) panels of K*gemmPanelN floats each.
 	panels []float32
+	// finite records that B holds no NaN or infinity, which is what lets a
+	// kernel that multiplies by a zero a[i][k] instead of skipping it produce
+	// the same bits.
+	finite bool
 }
 
 // PackB repacks b (K×N, row-major) into column panels. Packing allocates;
@@ -49,7 +64,13 @@ type PackedB struct {
 func PackB(b *Dense) *PackedB {
 	k, n := b.Rows, b.Cols
 	numPanels := (n + gemmPanelN - 1) / gemmPanelN
-	pb := &PackedB{K: k, N: n, panels: make([]float32, numPanels*k*gemmPanelN)}
+	pb := &PackedB{K: k, N: n, panels: make([]float32, numPanels*k*gemmPanelN), finite: true}
+	for _, v := range b.Data {
+		if v-v != 0 { // NaN or ±Inf
+			pb.finite = false
+			break
+		}
+	}
 	for p := 0; p < numPanels; p++ {
 		base := p * k * gemmPanelN
 		j0 := p * gemmPanelN
@@ -95,12 +116,25 @@ func GemmPackedRowsInto(out, a *Dense, pb *PackedB, lo, hi int) {
 		// by the step splitter.
 		panic(fmt.Sprintf("tensor: packed matmul row range [%d,%d) outside %d rows", lo, hi, a.Rows))
 	}
+	first := 0
+	if pb.finite {
+		first = vec.GemmPanels(out.Data, a.Data, pb.panels, lo, hi, pb.K, pb.N)
+	}
+	gemmPackedRowsGo(out, a, pb, lo, hi, first)
+}
+
+// gemmPackedRowsGo is the portable kernel, and the oracle the vector kernels
+// are tested against: output rows [lo, hi), panels from first on.
+func gemmPackedRowsGo(out, a *Dense, pb *PackedB, lo, hi, first int) {
 	k, n := pb.K, pb.N
 	numPanels := (n + gemmPanelN - 1) / gemmPanelN
+	if first == numPanels {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
-		for p := 0; p < numPanels; p++ {
+		for p := first; p < numPanels; p++ {
 			panel := pb.panels[p*k*gemmPanelN : (p+1)*k*gemmPanelN]
 			var acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7 float32
 			for kk, av := range arow {

@@ -2,8 +2,12 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vec"
+	"repro/internal/vec/vectest"
 )
 
 // Property: the blocked path must agree with the naive loop — and since the
@@ -33,14 +37,16 @@ func TestGemmPackedMatchesNaive(t *testing.T) {
 			}
 			want := NewDense(m, n)
 			MatMulInto(want, a, b)
-			got := NewDense(m, n)
-			GemmPackedInto(got, a, PackB(b))
-			if !got.Equal(want) {
-				t.Fatalf("blocked GEMM diverges from naive: max diff %g (want bit-identical)", got.MaxDiff(want))
-			}
-			if !got.AllClose(want, 1e-4, 1e-4) {
-				t.Fatalf("blocked GEMM outside 1e-4 of naive: max diff %g", got.MaxDiff(want))
-			}
+			vectest.EachKernelSet(t, func(t *testing.T) {
+				got := NewDense(m, n)
+				GemmPackedInto(got, a, PackB(b))
+				if !got.Equal(want) {
+					t.Fatalf("blocked GEMM diverges from naive: max diff %g (want bit-identical)", got.MaxDiff(want))
+				}
+				if !got.AllClose(want, 1e-4, 1e-4) {
+					t.Fatalf("blocked GEMM outside 1e-4 of naive: max diff %g", got.MaxDiff(want))
+				}
+			})
 		})
 	}
 }
@@ -57,11 +63,13 @@ func TestGemmPackedFeatureWidths(t *testing.T) {
 		b.FillRandom(rng, 1)
 		want := NewDense(37, n)
 		MatMulInto(want, a, b)
-		got := NewDense(37, n)
-		GemmPackedInto(got, a, PackB(b))
-		if !got.Equal(want) {
-			t.Fatalf("width %d: blocked GEMM diverges, max diff %g", n, got.MaxDiff(want))
-		}
+		vectest.EachKernelSet(t, func(t *testing.T) {
+			got := NewDense(37, n)
+			GemmPackedInto(got, a, PackB(b))
+			if !got.Equal(want) {
+				t.Fatalf("width %d: blocked GEMM diverges, max diff %g", n, got.MaxDiff(want))
+			}
+		})
 	}
 }
 
@@ -69,6 +77,10 @@ func TestGemmPackedFeatureWidths(t *testing.T) {
 // bit for bit and write nothing outside their own rows; the RowRange views
 // the elementwise splitters use alias the same rows.
 func TestGemmPackedRowsMatchesWhole(t *testing.T) {
+	vectest.EachKernelSet(t, testGemmPackedRowsMatchesWhole)
+}
+
+func testGemmPackedRowsMatchesWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := NewDense(37, 19)
 	b := NewDense(19, 11)
@@ -178,6 +190,140 @@ func BenchmarkGemm(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				GemmPackedInto(out, a, pb)
 			}
+		})
+	}
+}
+
+// offsetDense is a rows x cols tensor whose storage starts off floats into
+// its allocation, so that it is 4-byte but not 32-byte aligned.
+func offsetDense(rows, cols, off int) *Dense {
+	return FromSlice(rows, cols, make([]float32, off+rows*cols)[off:])
+}
+
+// TestGemmVectorEqualsGo: over K from 0 to 512, widths with whole panels,
+// blocks of four, leftovers and a tail panel, row counts around the four-row
+// group and the row tile, inputs that are dense, half zeros, and laced with
+// NaN, infinities, signed zeros and denormals, finite and non-finite weights,
+// storage at odd element offsets and interior row ranges, the dispatched
+// kernel writes exactly the bits of the Go loop and nothing outside its rows.
+func TestGemmVectorEqualsGo(t *testing.T) {
+	if !vec.Enabled() {
+		t.Skip("no vector kernels on this CPU: GemmPackedRowsInto is the Go loop")
+	}
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{nan, inf, -inf, 0, negZero, math.SmallestNonzeroFloat32, -1e-40, math.MaxFloat32, -math.MaxFloat32}
+	rng := rand.New(rand.NewSource(17))
+	lace := func(d *Dense, every int) {
+		for i := rng.Intn(every); i < len(d.Data); i += 1 + rng.Intn(2*every) {
+			d.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	const sentinel = -54321
+	cases := 0
+	for _, k := range []int{0, 1, 7, 64, 512} {
+		for _, n := range []int{1, 5, 8, 12, 16, 24, 32, 37, 40, 64, 256, 259} {
+			for _, m := range []int{1, 3, 4, 6, 67} {
+				if k == 512 && n > 64 && m > 6 && testing.Short() {
+					continue
+				}
+				for _, fill := range []string{"dense", "half zeros", "special A", "non-finite B"} {
+					off := 1 + 2*(cases%2) // 1 or 3 floats: never 8-byte aligned
+					cases++
+					a := offsetDense(m, k, off)
+					b := NewDense(k, n)
+					a.FillRandom(rng, 1)
+					b.FillRandom(rng, 1)
+					switch fill {
+					case "half zeros":
+						for i := range a.Data {
+							if rng.Intn(2) == 0 {
+								a.Data[i] = 0
+							}
+						}
+					case "special A":
+						lace(a, 5)
+					case "non-finite B":
+						lace(a, 9) // zeros in A against NaN/Inf in B: the skip decides the result
+						lace(b, 7)
+						if k > 0 {
+							b.Data[rng.Intn(len(b.Data))] = specials[rng.Intn(3)]
+						}
+					}
+					pb := PackB(b)
+					if k > 0 && pb.finite != (fill != "non-finite B") {
+						t.Fatalf("k=%d n=%d %s: PackB recorded finite=%v", k, n, fill, pb.finite)
+					}
+					pb.panels = append(make([]float32, off), pb.panels...)[off:]
+					ranges := [][2]int{{0, m}}
+					if m >= 3 {
+						ranges = append(ranges, [2]int{1, m - 1})
+					}
+					for _, r := range ranges {
+						want, got := offsetDense(m, n, off), offsetDense(m, n, off)
+						want.Fill(sentinel)
+						got.Fill(sentinel)
+						gemmPackedRowsGo(want, a, pb, r[0], r[1], 0)
+						GemmPackedRowsInto(got, a, pb, r[0], r[1])
+						if i := got.BitDiff(want); i >= 0 {
+							t.Fatalf("m=%d k=%d n=%d %s rows [%d,%d): element %d = %v (%#x), Go loop %v (%#x)",
+								m, k, n, fill, r[0], r[1], i, got.Data[i], math.Float32bits(got.Data[i]),
+								want.Data[i], math.Float32bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGemmPacked times the packed GEMM at the shapes the six models run
+// on the benchmark's graphs at 32 input features and 8 classes (`make
+// bench-kernels`) — GCN's two layers on AR, GAT's projection and attention
+// GEMMs and GIN's hidden layer on PR, the three Sage variants' two layers on
+// PU — as dispatched and with the Go loop forced. Half of A is zero for the
+// layers that follow a ReLU, as in a real pass. program.gemmNsPerFlop's two
+// values are its ns/flop column.
+func BenchmarkGemmPacked(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+		relu    bool
+	}{
+		{"GCN-L1/AR", 50515, 32, 16, false},
+		{"GCN-L2/AR", 50515, 16, 8, true},
+		{"GAT-xw/PR", 43466, 32, 64, false},
+		{"GAT-attn/PR", 43466, 64, 8, false},
+		{"GIN-mlp/PR", 43466, 64, 64, true},
+		{"Sage-L1/PU", 19717, 64, 256, false},
+		{"Sage-L2/PU", 19717, 512, 8, true},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, s := range shapes {
+		a := NewDense(s.m, s.k)
+		w := NewDense(s.k, s.n)
+		a.FillRandom(rng, 1)
+		w.FillRandom(rng, 1)
+		if s.relu {
+			ReLU(a)
+		}
+		out := NewDense(s.m, s.n)
+		pb := PackB(w)
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GemmPackedInto(out, a, pb)
+			}
+			b.ReportMetric(float64(GEMMFlops(s.m, s.k, s.n))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(GEMMFlops(s.m, s.k, s.n)), "ns/flop")
+		}
+		name := fmt.Sprintf("%s/%dx%dx%d", s.name, s.m, s.k, s.n)
+		if vec.Enabled() {
+			b.Run(name+"/"+vec.ISA(), run)
+		}
+		b.Run(name+"/generic", func(b *testing.B) {
+			vec.ForceGeneric(b)
+			run(b)
 		})
 	}
 }

@@ -135,6 +135,24 @@ func (t *Dense) Equal(o *Dense) bool {
 	return true
 }
 
+// BitDiff returns the index of the first element whose bits differ between t
+// and o, or -1 when there is none. It is stricter than Equal — a zero's sign
+// and a denormal's last bit must match — except that any NaN matches any NaN:
+// which payload survives when two NaNs meet depends on operand order, and Go
+// leaves that to its register allocator. A shape mismatch differs at 0.
+func (t *Dense) BitDiff(o *Dense) int {
+	if t.Rows != o.Rows || t.Cols != o.Cols {
+		return 0
+	}
+	for i, v := range t.Data {
+		w := o.Data[i]
+		if math.Float32bits(v) != math.Float32bits(w) && !(isNaN32(v) && isNaN32(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
 // AllClose reports element-wise closeness within absolute tolerance atol and
 // relative tolerance rtol, the comparison used to check scheduled executions
 // against the reference loop (floating-point reduction order may differ).

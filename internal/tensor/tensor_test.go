@@ -229,3 +229,19 @@ func TestGEMMFlops(t *testing.T) {
 		t.Fatal("GEMMFlops wrong")
 	}
 }
+
+func TestBitDiff(t *testing.T) {
+	nan := float32(math.NaN())
+	a := FromSlice(1, 4, []float32{1, 0, nan, 1e-45})
+	same := FromSlice(1, 4, []float32{1, 0, -nan, 1e-45})
+	if i := a.BitDiff(same); i != -1 {
+		t.Fatalf("NaNs of different sign differ at %d; any NaN must match any NaN", i)
+	}
+	negZero := FromSlice(1, 4, []float32{1, float32(math.Copysign(0, -1)), nan, 1e-45})
+	if !a.Equal(negZero) || a.BitDiff(negZero) != 1 {
+		t.Fatalf("-0 against +0: Equal=%v BitDiff=%d, want true and 1", a.Equal(negZero), a.BitDiff(negZero))
+	}
+	if i := a.BitDiff(FromSlice(2, 2, a.Data)); i != 0 {
+		t.Fatalf("shape mismatch differs at %d, want 0", i)
+	}
+}

@@ -1,0 +1,25 @@
+//go:build !amd64
+
+package vec
+
+// No vector kernels on this architecture: every kernel reports that it did
+// nothing and the callers' Go loops do all the work.
+
+func detect() bool { return false }
+
+// GemmPanels computes nothing here; see the amd64 form.
+func GemmPanels(out, a, panels []float32, lo, hi, k, n int) int { return 0 }
+
+// SumRows computes nothing here; see the amd64 form.
+func SumRows(acc, data []float32, stride, rows int, idx []int32) int { return 0 }
+
+// SumRowsScaled computes nothing here; see the amd64 form.
+func SumRowsScaled(acc, data []float32, stride, rows int, idx []int32, w []float32, widx []int32) int {
+	return 0
+}
+
+// MaxRows computes nothing here; see the amd64 form.
+func MaxRows(acc, data []float32, stride, rows int, idx []int32, identity float32) int { return 0 }
+
+// MinRows computes nothing here; see the amd64 form.
+func MinRows(acc, data []float32, stride, rows int, idx []int32, identity float32) int { return 0 }
