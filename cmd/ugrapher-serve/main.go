@@ -1,7 +1,7 @@
 // Command ugrapher-serve is the inference daemon: it loads named models,
-// compiles each once per (model × graph × backend × shards), and serves
-// JSON inference over HTTP with admission control, request batching,
-// per-model circuit breaking and graceful drain (DESIGN.md §13).
+// compiles one program per model, and serves JSON inference over HTTP with
+// admission control, request batching, per-model circuit breaking and
+// graceful drain (DESIGN.md §13).
 //
 // Examples:
 //
@@ -30,6 +30,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 	dataset := flag.String("dataset", "CO", "dataset code from Table 3 the models serve")
 	feat := flag.Int("feat", 16, "input feature width")
 	classes := flag.Int("classes", 8, "output classes")
-	backend := flag.String("backend", "", "host compute backend: reference, parallel or sim (empty = parallel / $UGRAPHER_BACKEND)")
+	backend := flag.String("backend", "", "host compute backend: "+strings.Join(core.BackendNames, ", ")+" (empty = parallel)")
 	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
 	batch := flag.Int("batch", 8, "max requests coalesced into one forward pass")
@@ -86,6 +87,10 @@ func main() {
 	}
 	if err := core.ValidateEnvWorkers(); err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
+		os.Exit(2)
+	}
+	if *backend != "" && !slices.Contains(core.BackendNames, *backend) {
+		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -backend %q (valid: %s)\n", *backend, strings.Join(core.BackendNames, ", "))
 		os.Exit(2)
 	}
 	// serve.New silently substitutes defaults for non-positive queue/batch
@@ -164,7 +169,7 @@ func run(cfg serve.Config, addr, debugAddr, tracePath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("models compiled in %v\n", time.Since(compileStart).Round(time.Millisecond))
+	fmt.Printf("models compiled and warmed up in %v\n", time.Since(compileStart).Round(time.Millisecond))
 	// The "listening on" line is the readiness handshake scripts and the
 	// e2e suite key on (port 0 resolves here).
 	fmt.Printf("listening on %s\n", ln.Addr())

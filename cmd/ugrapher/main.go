@@ -53,7 +53,7 @@ func main() {
 	graphFile := flag.String("graph", "", "edge-list file (header 'V E', then 'src dst' lines)")
 	opName := flag.String("op", "u_mul_e.sum", "operator: a DGL-style name from the registry (copy_u, u_add_v, u_mul_e.sum, copy_e.max, ...)")
 	feat := flag.Int("feat", 32, "feature width of the operator")
-	gpuName := flag.String("gpu", "V100", "device: V100 or A100")
+	gpuName := flag.String("gpu", "V100", "device the operator mode simulates: V100 or A100 (unused with -model)")
 	schedText := flag.String("schedule", "", "schedule like WE_G8_T4 (empty = tune automatically)")
 	tune := flag.Bool("tune", false, "grid-search the schedule space and report the ranking")
 	top := flag.Int("top", 5, "with -tune: how many candidates to print")
@@ -111,7 +111,7 @@ func main() {
 	}
 	var err error
 	if *model != "" {
-		err = runModel(ctx, *dataset, *graphFile, *model, *feat, *classes, *gpuName, *runs, *noCompile, *verify, *profile)
+		err = runModel(ctx, *dataset, *graphFile, *model, *feat, *classes, *runs, *noCompile, *verify, *profile)
 	} else {
 		err = run(ctx, *dataset, *graphFile, *opName, *feat, *gpuName, *schedText, *tune, *top, *source, *verify)
 	}
@@ -142,7 +142,7 @@ func exitCode(err error) int {
 // -> buffer-plan once, then repeated zero-allocation runs) or interpreted
 // (the op-by-op path, rebuilt every run), printing the one-off compile cost
 // and the steady-state per-run wall clock on separate lines.
-func runModel(ctx context.Context, dataset, graphFile, name string, feat, classes int, gpuName string, runs int, noCompile, verify, profile bool) error {
+func runModel(ctx context.Context, dataset, graphFile, name string, feat, classes, runs int, noCompile, verify, profile bool) error {
 	g, err := loadGraph(dataset, graphFile)
 	if err != nil {
 		return err
@@ -151,14 +151,12 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	if err != nil {
 		return err
 	}
-	dev := gpu.V100()
-	if gpuName == "A100" {
-		dev = gpu.A100()
-	}
 	if runs < 1 {
 		runs = 1
 	}
-	eng := models.NewTunedEngine(dev)
+	// Host wall clock is what this mode reports, so schedules are the fixed
+	// host ones: a simulator search would only lengthen the compile line.
+	eng := models.NewHostEngine(nil)
 	st := g.ComputeStats()
 	fmt.Printf("graph: |V|=%d |E|=%d mean-degree=%.1f std=%.1f\n",
 		st.NumVertices, st.NumEdges, st.MeanInDegree, st.StdInDegree)
@@ -215,11 +213,12 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	s := cp.Stats()
 	fmt.Printf("model: %s feat=%d classes=%d path=compiled backend=%s\n",
 		m.Name(), feat, classes, core.DefaultBackend().Name())
-	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB\n",
-		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, float64(s.ArenaFloats)*4/(1<<20))
+	mib := func(floats int) float64 { return float64(floats) * 4 / (1 << 20) }
+	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB\n",
+		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats))
 	if s.Shards > 1 {
 		fmt.Printf("sharding: %d shards, edge-cut=%.3f, scratch=%.1f MiB\n",
-			s.Shards, s.ShardEdgeCut, float64(s.ShardScratchFloats)*4/(1<<20))
+			s.Shards, s.ShardEdgeCut, mib(s.ShardScratchFloats))
 	}
 	fmt.Printf("fusion: %d regions grown, %d kernel launches, %.1f KiB traffic saved, %d blocked GEMMs\n",
 		s.FusedRegions, s.Steps, float64(s.RegionSavedBytes)/(1<<10), s.GemmBlocked)

@@ -62,7 +62,7 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	// Unslowed, the run fits any budget; this also measures how long the
 	// set-up (load, tune, compile) takes here, which the budget must cover.
 	start := time.Now()
-	if err := runModel(context.Background(), "", path, "SMean", feat, 8, "V100", 1, false, false, false); err != nil {
+	if err := runModel(context.Background(), "", path, "SMean", feat, 8, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	budget := 2*time.Since(start) + 200*time.Millisecond
@@ -73,7 +73,7 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start = time.Now()
-	err = runModel(ctx, "", path, "SMean", feat, 8, "V100", 1, false, false, false)
+	err = runModel(ctx, "", path, "SMean", feat, 8, 1, false, false, false)
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

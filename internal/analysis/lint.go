@@ -48,6 +48,11 @@ import (
 //     an explicit allow directive. An unaccounted goroutine is a leak the
 //     drain/cancellation machinery cannot see; on the execution path the
 //     only justified spawn is the pool's spawn-once helper.
+//   - host-engine: the serving daemon (internal/serve, cmd/ugrapher-serve)
+//     compiles with fixed host schedules (models.NewHostEngine). It may not
+//     import the GPU simulator, the schedule tuner or the predictor, nor
+//     build a tuned or predicted engine: a grid search at daemon start buys
+//     nothing the host kernels read (DESIGN.md §5).
 //
 // Exemptions are explicit: `//lint:allow <rule> -- <reason>` on the
 // offending line or the line above. A directive without a reason is itself
@@ -60,11 +65,12 @@ const (
 	LintNoAllocInRun        = "no-alloc-in-run"
 	LintTracePropagation    = "trace-propagation"
 	LintGoroutineAccounting = "goroutine-accounting"
+	LintHostEngine          = "host-engine"
 	LintDirective           = "lint-directive"
 )
 
 // LintRules lists the linter's rules.
-var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintDirective}
+var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintDirective}
 
 // Finding is one linter hit.
 type Finding struct {
@@ -118,6 +124,15 @@ var hookDisciplinedDirs = []string{"internal/core", "internal/program"}
 // goroutineScopedDirs are the package directories (by path suffix) whose go
 // statements the goroutine-accounting rule audits.
 var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/core", "internal/tensor", "internal/workpool"}
+
+// The host-engine rule: the directories (by path suffix) that must stay off
+// the simulator, the imports that would put them on it, and the
+// repro/internal/models constructors that run it.
+var (
+	hostEngineDirs   = []string{"internal/serve", "cmd/ugrapher-serve"}
+	simulatorImports = map[string]bool{"repro/internal/gpu": true, "repro/internal/schedule": true, "repro/internal/predictor": true}
+	simulatorEngines = map[string]bool{"NewTunedEngine": true, "NewPredictedEngine": true}
+)
 
 // traceMintFuncs are the telemetry functions that create or attach a trace
 // context. Only the admission layer (internal/serve) may call them; the
@@ -306,24 +321,18 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 	// Uses is still populated for package names and builtins.
 	_, _ = conf.Check(dir, fset, files, info)
 
-	hookScoped, goScoped, noAllocPkg := false, false, false
 	cleanDir := filepath.ToSlash(filepath.Clean(dir))
-	for _, suffix := range noAllocPkgDirs {
-		if strings.HasSuffix(cleanDir, suffix) {
-			noAllocPkg = true
+	inDirs := func(suffixes []string) bool {
+		for _, suffix := range suffixes {
+			if strings.HasSuffix(cleanDir, suffix) {
+				return true
+			}
 		}
+		return false
 	}
+	hookScoped, goScoped := inDirs(hookDisciplinedDirs), inDirs(goroutineScopedDirs)
+	noAllocPkg, hostScoped := inDirs(noAllocPkgDirs), inDirs(hostEngineDirs)
 	gemmScoped := strings.HasSuffix(cleanDir, gemmScopedDir)
-	for _, suffix := range hookDisciplinedDirs {
-		if strings.HasSuffix(cleanDir, suffix) {
-			hookScoped = true
-		}
-	}
-	for _, suffix := range goroutineScopedDirs {
-		if strings.HasSuffix(cleanDir, suffix) {
-			goScoped = true
-		}
-	}
 
 	// Cross-file function index, so a `go f()` / `go h.run()` spawn can be
 	// checked against its target's body wherever in the package it lives.
@@ -339,8 +348,9 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 	var findings []Finding
 	for _, f := range files {
 		lf := &fileLinter{fset: fset, file: f, info: info, hookScoped: hookScoped, goScoped: goScoped,
-			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, pkgFuncs: pkgFuncs}
+			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, hostScoped: hostScoped, pkgFuncs: pkgFuncs}
 		lf.collectComments()
+		lf.checkSimulatorImports()
 		lf.run()
 		findings = append(findings, lf.findings...)
 	}
@@ -358,6 +368,8 @@ type fileLinter struct {
 	// path (internal/vec); gemmScoped one whose gemmPacked* functions are.
 	noAllocPkg bool
 	gemmScoped bool
+	// hostScoped marks the serving daemon's packages (host-engine rule).
+	hostScoped bool
 	// pkgFuncs indexes the package's function/method declarations by name
 	// (all files), for resolving `go f()` spawn targets.
 	pkgFuncs map[string]*ast.FuncDecl
@@ -435,6 +447,7 @@ func (lf *fileLinter) checkNode(n ast.Node, path []ast.Node) {
 	case *ast.CallExpr:
 		lf.checkHookCall(node, path)
 		lf.checkTraceMint(node)
+		lf.checkSimulatorEngine(node)
 		lf.checkPanic(node, path)
 	case *ast.FuncDecl:
 		lf.checkRunBody(node)
@@ -601,6 +614,37 @@ func (lf *fileLinter) checkTraceMint(call *ast.CallExpr) {
 	lf.report(call.Pos(), LintTracePropagation,
 		fmt.Sprintf("%s.%s mints/attaches a trace context inside a hook-disciplined layer; adopt the request trace from ctx (StartSpanCtx, EndCtx) — traces are minted at admission only",
 			qual.Name, sel.Sel.Name))
+}
+
+// checkSimulatorImports enforces host-engine on a file's import list.
+func (lf *fileLinter) checkSimulatorImports() {
+	if !lf.hostScoped {
+		return
+	}
+	for _, imp := range lf.file.Imports {
+		if p, err := strconv.Unquote(imp.Path.Value); err == nil && simulatorImports[p] {
+			lf.report(imp.Pos(), LintHostEngine,
+				fmt.Sprintf("the serving daemon imports %s; it compiles with models.NewHostEngine and stays off the GPU simulator", p))
+		}
+	}
+}
+
+// checkSimulatorEngine enforces host-engine on calls that build an engine
+// whose schedules come from the simulator.
+func (lf *fileLinter) checkSimulatorEngine(call *ast.CallExpr) {
+	if !lf.hostScoped {
+		return
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	qual, ok := sel.X.(*ast.Ident)
+	if !ok || !simulatorEngines[sel.Sel.Name] || lf.pkgPathOf(qual) != "repro/internal/models" {
+		return
+	}
+	lf.report(call.Pos(), LintHostEngine,
+		fmt.Sprintf("%s.%s runs a simulator schedule search in the serving daemon; use %s.NewHostEngine", qual.Name, sel.Sel.Name, qual.Name))
 }
 
 // isGuardCall reports whether e is a call to pkg.Enabled() or pkg.Armed(..)

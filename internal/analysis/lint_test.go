@@ -531,3 +531,51 @@ func f() {
 		}
 	})
 }
+
+func TestLintHostEngine(t *testing.T) {
+	t.Run("the daemon importing the simulator is flagged", func(t *testing.T) {
+		fs := lintOne(t, "internal/serve", `package serve
+import (
+	"repro/internal/gpu"
+	"repro/internal/models"
+)
+func f() { _ = models.NewHostEngine(nil); _ = gpu.V100() }
+`)
+		wantFinding(t, fs, LintHostEngine)
+	})
+	t.Run("a tuned or predicted engine in the daemon is flagged", func(t *testing.T) {
+		fs := lintOne(t, "cmd/ugrapher-serve", `package main
+import "repro/internal/models"
+func f() {
+	_ = models.NewTunedEngine(nil)
+	_ = models.NewPredictedEngine(nil, nil)
+}
+`)
+		var hits int
+		for _, f := range fs {
+			if f.Rule == LintHostEngine {
+				hits++
+			}
+		}
+		if hits != 2 {
+			t.Fatalf("want two host-engine findings, got %d in %v", hits, fs)
+		}
+	})
+	t.Run("the host engine is the sanctioned constructor", func(t *testing.T) {
+		fs := lintOne(t, "internal/serve", `package serve
+import "repro/internal/models"
+func f() { _ = models.NewHostEngine(nil) }
+`)
+		wantClean(t, fs)
+	})
+	t.Run("the simulator stays available everywhere else", func(t *testing.T) {
+		fs := lintOne(t, "cmd/ugrapher-bench", `package main
+import (
+	"repro/internal/gpu"
+	"repro/internal/models"
+)
+func f() { _ = models.NewTunedEngine(gpu.V100()) }
+`)
+		wantClean(t, fs)
+	})
+}

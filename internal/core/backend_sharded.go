@@ -96,6 +96,24 @@ type ShardedLowering interface {
 	BindShardScratch(buf []float32)
 }
 
+// AsShardedLowering finds the sharded lowering that k is or wraps. Kernels
+// that run another lowered kernel (a composed region, the resilient ladder)
+// expose it through an Unwrap method, so sharding stays visible behind any
+// stack of them without each re-exporting this interface.
+func AsShardedLowering(k CompiledKernel) (ShardedLowering, bool) {
+	for k != nil {
+		if sl, ok := k.(ShardedLowering); ok {
+			return sl, true
+		}
+		w, ok := k.(interface{ Unwrap() CompiledKernel })
+		if !ok {
+			break
+		}
+		k = w.Unwrap()
+	}
+	return nil, false
+}
+
 // lowerSharded builds the partition-aware kernel for an aggregation plan
 // already lowered to red. Only called with CKind == Dst_V and a plan of at
 // least 2 shards.

@@ -283,6 +283,81 @@ func TestResilientFallbackMatchesReference(t *testing.T) {
 	}
 }
 
+// TestResilientLadderGate: one lowered kernel is both the fast path and its
+// degraded form. Through the wrapper the primary still takes a region
+// epilogue into its chunks and a sharded lowering stays visible; with the
+// ladder on, a primary that fails after some chunks already ran the epilogue
+// is rerun on the reference interpreter and the epilogue lands exactly once
+// per row; with the ladder off the same fault surfaces as a *KernelError and
+// nothing is counted or rerun.
+func TestResilientLadderGate(t *testing.T) {
+	defer faultinject.Reset()
+	g := testGraph(t, 700, 9000, 29)
+	const feat = 8
+	ref := makeOperands(g, ops.AggrSum, feat, false, 5)
+	if err := Reference(g, ops.AggrSum, ref); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 5} {
+		rb := NewResilientBackend(NewShardedParallelBackend(4, shards), nil)
+		rb.SetLogger(nil)
+		o := makeOperands(g, ops.AggrSum, feat, false, 5)
+		p := MustCompile(ops.AggrSum, Schedule{Strategy: WarpEdge, Group: 1, Tile: 1})
+		k, err := rb.Lower(p, g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := o.C.T
+		if !k.(EpilogueBinder).BindEpilogue(func(lo, hi int) {
+			r := out.RowRange(lo, hi)
+			for i := range r.Data {
+				r.Data[i] = 2*r.Data[i] + 1
+			}
+		}) {
+			t.Fatalf("shards=%d: the ladder did not pass the epilogue to its primary", shards)
+		}
+		if c := k.Counters(); c.Epilogue != EpilogueInChunk {
+			t.Errorf("shards=%d: epilogue %q, want %q", shards, c.Epilogue, EpilogueInChunk)
+		}
+		if sl, ok := AsShardedLowering(k); ok != (shards > 1) || ok && (sl.ShardCount() != shards || sl.ShardScratchFloats() == 0) {
+			t.Errorf("shards=%d: sharded lowering behind the ladder: found=%v", shards, ok)
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, v := range ref.C.T.Data {
+				if d := out.Data[i] - (2*v + 1); d > 1e-4 || d < -1e-4 {
+					t.Fatalf("shards=%d %s: element %d = %v, want %v (epilogue skipped or repeated)", shards, when, i, out.Data[i], 2*v+1)
+				}
+			}
+		}
+
+		// The third chunk (or shard) panics, after two ran their epilogue.
+		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 3})
+		if err := k.Run(); err != nil {
+			t.Fatalf("shards=%d: ladder on: %v", shards, err)
+		}
+		if got := rb.Fallbacks(); got != 1 {
+			t.Errorf("shards=%d: Fallbacks() = %d, want 1", shards, got)
+		}
+		check("after a rerun")
+
+		rb.SetLadder(false)
+		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 3})
+		var ke *KernelError
+		if err := k.Run(); !errors.As(err, &ke) {
+			t.Fatalf("shards=%d: ladder off: Run = %v, want *KernelError", shards, err)
+		}
+		if got := rb.Fallbacks(); got != 1 {
+			t.Errorf("shards=%d: ladder off counted a fallback: %d, want still 1", shards, got)
+		}
+		faultinject.Reset()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		check("on the primary")
+	}
+}
+
 // TestResilientLowerFallback: the ladder also covers lowering failures — if
 // the primary cannot lower the plan, the kernel is lowered on the secondary.
 func TestResilientLowerFallback(t *testing.T) {

@@ -59,10 +59,9 @@ func (k *resilientKernel) silenceTelemetry() {
 
 // ComposeRegion wraps an already-lowered kernel with the region's pre and
 // post stages and returns the composed kernel. label names the region in
-// telemetry (the compiler passes the bounded region name). When the inner
-// kernel is a sharded lowering the composition preserves that: the returned
-// kernel re-exports ShardedLowering so the compiler's scratch folding still
-// sees it.
+// telemetry (the compiler passes the bounded region name). A sharded inner
+// lowering stays reachable through Unwrap, so the compiler's scratch folding
+// still sees it.
 func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, g *graph.Graph) CompiledKernel {
 	if s, ok := inner.(telemetrySilencer); ok {
 		s.silenceTelemetry()
@@ -73,11 +72,7 @@ func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, 
 		label, p.Schedule.Strategy.Code(), p.Schedule.String(), "region",
 		int64(g.NumVertices()), int64(g.NumEdges()))
 	site.Walk = inner.Counters().Walk
-	rk := regionKernel{inner: inner, pre: pre, post: post, site: site}
-	if sl, ok := inner.(ShardedLowering); ok {
-		return &shardedRegionKernel{regionKernel: rk, sl: sl}
-	}
-	return &rk
+	return &regionKernel{inner: inner, pre: pre, post: post, site: site}
 }
 
 type regionKernel struct {
@@ -89,6 +84,9 @@ type regionKernel struct {
 
 // Plan implements CompiledKernel.
 func (k *regionKernel) Plan() *Plan { return k.inner.Plan() }
+
+// Unwrap returns the kernel the region was composed around.
+func (k *regionKernel) Unwrap() CompiledKernel { return k.inner }
 
 // Counters implements CompiledKernel: the inner kernel's counters (its runs
 // equal the region's), with a post stage reported as an epilogue that runs
@@ -147,23 +145,3 @@ func (k *regionKernel) RunCtx(ctx context.Context) (err error) {
 	k.runs++
 	return nil
 }
-
-// shardedRegionKernel is a regionKernel over a sharded inner lowering; it
-// re-exports the ShardedLowering surface so program-level scratch folding
-// and stats see through the composition.
-type shardedRegionKernel struct {
-	regionKernel
-	sl ShardedLowering
-}
-
-// ShardCount implements ShardedLowering.
-func (k *shardedRegionKernel) ShardCount() int { return k.sl.ShardCount() }
-
-// ShardEdgeCut implements ShardedLowering.
-func (k *shardedRegionKernel) ShardEdgeCut() float64 { return k.sl.ShardEdgeCut() }
-
-// ShardScratchFloats implements ShardedLowering.
-func (k *shardedRegionKernel) ShardScratchFloats() int { return k.sl.ShardScratchFloats() }
-
-// BindShardScratch implements ShardedLowering.
-func (k *shardedRegionKernel) BindShardScratch(buf []float32) { k.sl.BindShardScratch(buf) }

@@ -22,6 +22,13 @@ import (
 // *KernelError triggers the ladder: validation errors, *NumericError and
 // context cancellation would fail identically on any backend and pass
 // through untouched.
+//
+// The ladder has a gate (SetLadder). With it off a *KernelError surfaces to
+// the caller like any other error, so one set of lowered kernels serves both
+// as the plain fast path and as its own degraded form: the serving layer's
+// circuit breaker keeps the gate off while it is counting failures and turns
+// it on while it is open. On the success path the wrapper costs one
+// interface call per kernel; the gate is read only after a kernel failed.
 
 // ResilientBackend wraps a primary ExecBackend with a per-kernel fallback
 // onto a secondary (reference by default).
@@ -34,6 +41,9 @@ type ResilientBackend struct {
 	// monotonic for the process lifetime; window supports per-interval rates
 	// (a metrics scraper calls Reset each window and reports the delta).
 	window atomic.Int64
+	// ladder gates the per-Run fallback (SetLadder); read on a kernel's
+	// error path only.
+	ladder atomic.Bool
 }
 
 // NewResilientBackend wraps primary (nil = the parallel host backend) with
@@ -46,7 +56,9 @@ func NewResilientBackend(primary, secondary ExecBackend) *ResilientBackend {
 	if secondary == nil {
 		secondary = ReferenceBackend()
 	}
-	return &ResilientBackend{primary: primary, secondary: secondary, logw: os.Stderr}
+	b := &ResilientBackend{primary: primary, secondary: secondary, logw: os.Stderr}
+	b.ladder.Store(true)
+	return b
 }
 
 // Name implements ExecBackend.
@@ -59,6 +71,12 @@ func (b *ResilientBackend) SetLogger(w io.Writer) {
 	}
 	b.logw = w
 }
+
+// SetLadder turns the per-Run fallback on (the default) or off. Off, a
+// kernel's *KernelError is returned to the caller and nothing is counted or
+// rerun; kernels whose primary could not lower at all keep running on the
+// secondary either way. Safe to call between runs from any goroutine.
+func (b *ResilientBackend) SetLadder(on bool) { b.ladder.Store(on) }
 
 // Fallbacks reports how many times the ladder fell back to the secondary
 // backend (lowering failures and run failures both count). The counter is
@@ -129,6 +147,26 @@ type resilientKernel struct {
 	primaryIsFallback bool
 	// fallback is the lazily lowered secondary kernel, cached across runs.
 	fallback CompiledKernel
+	// epilogue is the region epilogue bound into the primary's chunk bodies
+	// (BindEpilogue); a rerun on the secondary, which has no chunks to carry
+	// it, is followed by one application over the whole output.
+	epilogue RowEpilogue
+}
+
+// Unwrap returns the primary kernel, so a sharded lowering stays visible
+// behind the ladder (AsShardedLowering).
+func (k *resilientKernel) Unwrap() CompiledKernel { return k.primary }
+
+// BindEpilogue implements EpilogueBinder by passing f through to the primary
+// kernel; it reports false, and the compiler composes f as a stage, when the
+// primary cannot carry it.
+func (k *resilientKernel) BindEpilogue(f RowEpilogue) bool {
+	eb, ok := k.primary.(EpilogueBinder)
+	if !ok || !eb.BindEpilogue(f) {
+		return false
+	}
+	k.epilogue = f
+	return true
 }
 
 // Plan implements CompiledKernel.
@@ -142,15 +180,25 @@ func (k *resilientKernel) Counters() Counters { return k.primary.Counters() }
 // Run implements CompiledKernel.
 func (k *resilientKernel) Run() error { return k.RunCtx(context.Background()) }
 
-// RunCtx implements CompiledKernel: run the primary; on a *KernelError
-// (and only then — see the package comment for why other errors pass
-// through), log, count, and rerun the same plan/operands on the secondary.
-// The primary kernel is kept: a panic is assumed transient until proven
-// otherwise, so the next Run tries the fast path again.
+// RunCtx implements CompiledKernel: run the primary and, when it fails,
+// consider the ladder. Everything that can allocate is in rerun, so a
+// successful run allocates nothing.
 func (k *resilientKernel) RunCtx(ctx context.Context) error {
 	err := k.primary.RunCtx(ctx)
+	if err == nil || k.primaryIsFallback {
+		return err
+	}
+	return k.rerun(ctx, err)
+}
+
+// rerun is the ladder: on a *KernelError (and only then — see the package
+// comment for why other errors pass through) with the ladder on, log, count,
+// and run the same plan/operands on the secondary. The primary kernel is
+// kept: a panic is assumed transient until proven otherwise, so the next Run
+// tries the fast path again.
+func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	var ke *KernelError
-	if err == nil || k.primaryIsFallback || !errors.As(err, &ke) {
+	if !errors.As(err, &ke) || !k.b.ladder.Load() {
 		return err
 	}
 	k.b.countFallback(ke.Op)
@@ -163,5 +211,13 @@ func (k *resilientKernel) RunCtx(ctx context.Context) error {
 		}
 		k.fallback = fk
 	}
-	return k.fallback.RunCtx(ctx)
+	if err := k.fallback.RunCtx(ctx); err != nil {
+		return err
+	}
+	// The rerun rewrote every output row, including the ones the failed
+	// primary had already run the epilogue over: exactly once per row.
+	if k.epilogue != nil {
+		k.epilogue(0, k.o.C.T.Rows)
+	}
+	return nil
 }

@@ -119,6 +119,28 @@ type FixedEngine struct {
 	Compute core.ExecBackend
 }
 
+// NewHostEngine is the engine for programs whose wall clock matters: the
+// serving daemon and `ugrapher -model`. The host lowering reads nothing of a
+// GPU schedule except, when sharded, whether it is vertex-parallel (DESIGN.md
+// §5), so a simulator grid search per operator buys a host program nothing;
+// this engine fixes the schedules to the ones that name what the host runs —
+// TV_G1_T1, the owner-per-row walk, for vertex-output operators and TE_G1_T1,
+// one edge per output row, for edge-output ones — with fusion and regions on.
+// compute is the backend the kernels lower onto (nil = core.DefaultBackend()).
+// The device only prices the op-by-op interpreter's cost report. Choosing
+// host schedules by timing host kernels is ROADMAP item 4(b).
+func NewHostEngine(compute core.ExecBackend) *FixedEngine {
+	return &FixedEngine{
+		EngineName:         "uGrapher-host",
+		Dev:                gpu.V100(),
+		AggrSchedule:       core.Schedule{Strategy: core.ThreadVertex, Group: 1, Tile: 1},
+		MsgCSchedule:       core.Schedule{Strategy: core.ThreadEdge, Group: 1, Tile: 1},
+		Fuses:              true,
+		HostOverheadCycles: 8000,
+		Compute:            compute,
+	}
+}
+
 // ComputeBackend implements BackendProvider.
 func (e *FixedEngine) ComputeBackend() core.ExecBackend { return e.Compute }
 

@@ -177,11 +177,12 @@ func TestGCNFusionReducesGraphOps(t *testing.T) {
 
 // zeroAllocConfigs walks the matrix the zero-alloc contract is claimed over:
 // workers {1, 2, 4} x shards {1, 4} x parallel-steps {off, on} x all six
-// models. The multi-worker configurations compile on a graph large enough
-// that the graph kernels leave the calling goroutine (edges x features >=
-// smallWork) and the widest GEMM of every model crosses the dense inline
-// threshold; workers=1 never leaves the caller on any graph, so it keeps
-// the small one. For each compiled program it checks that the parallel
+// models, plus the unsharded backend behind a resilient ladder — the program
+// the serving daemon runs. The multi-worker configurations compile on a graph
+// large enough that the graph kernels leave the calling goroutine (edges x
+// features >= smallWork) and the widest GEMM of every model crosses the dense
+// inline threshold; workers=1 never leaves the caller on any graph, so it
+// keeps the small one. For each compiled program it checks that the parallel
 // machinery engaged exactly when it should before handing it to measure.
 func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.CompiledProgram, x *tensor.Dense)) {
 	const classes = 7
@@ -200,21 +201,29 @@ func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.Compi
 			}
 			x := tensor.NewDense(g.NumVertices(), inFeat)
 			x.FillRandom(rand.New(rand.NewSource(3)), 1)
-			for _, shards := range []int{1, 4} {
+			for _, cell := range []struct {
+				shards int
+				ladder bool
+			}{{1, false}, {4, false}, {1, true}} {
+				shards := cell.shards
+				var compute core.ExecBackend = core.NewShardedParallelBackend(workers, shards)
+				if cell.ladder {
+					compute = core.NewResilientBackend(compute, nil)
+				}
 				eng := &FixedEngine{
 					EngineName:   "fixed-test",
 					Dev:          gpu.V100(),
 					AggrSchedule: core.DefaultSchedule,
 					MsgCSchedule: core.DefaultSchedule,
 					Fuses:        true,
-					Compute:      core.NewShardedParallelBackend(workers, shards),
+					Compute:      compute,
 				}
 				for _, m := range All() {
 					cp, err := CompileModel(m, g, inFeat, classes, eng)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%s workers=%d shards=%d parallel=%v", m.Name(), workers, shards, parallel)
+					label := fmt.Sprintf("%s workers=%d shards=%d ladder=%v parallel=%v", m.Name(), workers, shards, cell.ladder, parallel)
 					if shards > 1 && cp.Stats().Shards < 2 {
 						t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
 					}

@@ -78,6 +78,12 @@ type Stats struct {
 	PeakLive    int
 	// ArenaFloats is the shared intermediate storage in float32 elements.
 	ArenaFloats int
+	// PackedFloats is the column-panel copies of the GEMM weights
+	// (tensor.PackB), held beside the recorded constants they were packed from.
+	PackedFloats int
+	// StagingFloats is the compile-time staging buffers fusion regions read
+	// absorbed operand chains through.
+	StagingFloats int
 	// Shards is the shard count the backend lowered graph kernels over
 	// (1 when sharding is off or the backend has no sharded path).
 	Shards int
@@ -319,6 +325,7 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			// kernel is bit-identical to the naive loop (tensor/gemm.go).
 			st.pb = tensor.PackB(views[n.Y])
 			cp.stats.GemmBlocked++
+			cp.stats.PackedFloats += st.pb.PackedFloats()
 		case OpGraph:
 			// The task carries the nameless op so schedule lookups hit the
 			// same tuner cache entries the interpreter populates.
@@ -354,9 +361,11 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			}
 			if len(r.PreX) > 0 {
 				ax = tensor.NewDense(ax.Rows, ax.Cols)
+				cp.stats.StagingFloats += len(ax.Data)
 			}
 			if len(r.PreY) > 0 {
 				ay = tensor.NewDense(ay.Rows, ay.Cols)
+				cp.stats.StagingFloats += len(ay.Data)
 			}
 			operands := core.Operands{
 				A: tensor.Typed{Kind: op.AKind, T: ax},
@@ -417,7 +426,7 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	cp.stats.Shards = 1
 	scratchFloats := 0
 	for i := range cp.steps {
-		sl, ok := cp.steps[i].kern.(core.ShardedLowering)
+		sl, ok := core.AsShardedLowering(cp.steps[i].kern)
 		if !ok {
 			continue
 		}

@@ -182,7 +182,7 @@ func (cp *CompiledProgram) assignShardScratch(scratchFloats int) {
 	perWave := make(map[int]int)
 	blocks := 0
 	for i := range cp.steps {
-		sl, ok := cp.steps[i].kern.(core.ShardedLowering)
+		sl, ok := core.AsShardedLowering(cp.steps[i].kern)
 		if !ok || sl.ShardScratchFloats() == 0 {
 			continue
 		}
@@ -206,7 +206,8 @@ func (cp *CompiledProgram) assignShardScratch(scratchFloats int) {
 		if cp.steps[i].scratch < 0 {
 			continue
 		}
-		cp.steps[i].kern.(core.ShardedLowering).BindShardScratch(scratch[cp.steps[i].scratch])
+		sl, _ := core.AsShardedLowering(cp.steps[i].kern)
+		sl.BindShardScratch(scratch[cp.steps[i].scratch])
 	}
 }
 

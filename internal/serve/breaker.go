@@ -9,14 +9,14 @@ import (
 )
 
 // The per-model circuit breaker (DESIGN.md §13). Kernel panics surface as
-// *core.KernelError; a run of them in a row means the primary compiled
-// program is reliably failing, and retrying it on every request would burn
-// a worker on panic-recover cycles. The breaker counts consecutive kernel
-// failures and, at the threshold, routes the model's traffic to the
-// degraded program (compiled on core.ResilientBackend, whose per-kernel
-// ladder lands on the reference interpreter) until a cooldown passes. Then
-// one probe batch tries the primary again: success closes the breaker,
-// another kernel failure re-opens it.
+// *core.KernelError; a run of them in a row means the model's kernels are
+// reliably failing, and failing every request on them would burn a worker on
+// panic-recover cycles. The breaker counts consecutive kernel failures and,
+// at the threshold, turns on the fallback ladder of the backend the model's
+// program was compiled on (core.ResilientBackend: a failing kernel reruns on
+// the reference interpreter) until a cooldown passes. Then one probe batch
+// runs with the ladder off again: success closes the breaker, another kernel
+// failure re-opens it.
 //
 // All mutation happens on the model host's single worker goroutine, so the
 // counters and timestamps are plain fields; only the state cell is atomic,
@@ -80,26 +80,27 @@ func (b *breaker) transition(next breakerState, reason string) {
 	})
 }
 
-// route decides which program the next batch runs on: primary (true) or
-// degraded (false). When the cooldown has passed it flips open → half-open
-// and lets exactly one probe batch through to the primary (single worker:
-// no second probe can race in). Worker goroutine only.
-func (b *breaker) route(now time.Time) (usePrimary, probe bool) {
+// route decides how the next batch runs: degraded (fallback ladder on) while
+// open, otherwise with the ladder off so kernel failures surface and count.
+// When the cooldown has passed it flips open → half-open and lets exactly
+// one probe batch through with the ladder off (single worker: no second
+// probe can race in). Worker goroutine only.
+func (b *breaker) route(now time.Time) (degraded, probe bool) {
 	switch b.current() {
 	case breakerClosed:
-		return true, false
+		return false, false
 	case breakerOpen:
 		if now.Sub(b.openedAt) >= b.cooldown {
 			b.transition(breakerHalfOpen, "cooldown elapsed, probing primary")
-			return true, true
+			return false, true
 		}
-		return false, false
+		return true, false
 	default: // half-open: the in-flight probe's batch
-		return true, true
+		return false, true
 	}
 }
 
-// onSuccess records a primary-program success. Worker goroutine only.
+// onSuccess records a ladder-off success. Worker goroutine only.
 func (b *breaker) onSuccess(probe bool) {
 	b.consecutive = 0
 	if probe {
@@ -107,7 +108,7 @@ func (b *breaker) onSuccess(probe bool) {
 	}
 }
 
-// onFailure records a primary-program kernel failure; returns true when
+// onFailure records a ladder-off kernel failure; returns true when
 // this failure tripped the breaker. Worker goroutine only.
 func (b *breaker) onFailure(probe bool, now time.Time) bool {
 	if probe {
@@ -127,7 +128,7 @@ func (b *breaker) onFailure(probe bool, now time.Time) bool {
 }
 
 // onInconclusive records a probe whose batch failed for reasons unrelated
-// to the primary program (e.g. the batch deadline expired mid-run): the
+// to the kernels (e.g. the batch deadline expired mid-run): the
 // probe proved nothing, so the breaker re-opens and waits out another
 // cooldown. Worker goroutine only.
 func (b *breaker) onInconclusive(now time.Time) {

@@ -13,15 +13,30 @@ import (
 	"repro/internal/tensor"
 )
 
-// The model host: one goroutine per model owns that model's two compiled
-// programs (primary and degraded) and is the only goroutine that ever runs
-// them. A CompiledProgram shares one arena across runs and is not safe for
-// concurrent use (program.ErrConcurrentRun makes that loud); serializing
-// through a single worker is what makes the rest of the layer — batching,
-// breaker bookkeeping, fault handling — free of locks on the execution
-// path. Throughput under concurrency comes from batching: requests that
-// arrive while a batch is running coalesce into the next one, so N queued
-// requests cost one forward pass, not N.
+// The model host: one goroutine per model owns that model's compiled program
+// and is the only goroutine that ever runs it. The program is compiled on a
+// core.ResilientBackend whose fallback ladder the breaker switches per batch,
+// so the same kernels are the fast path (ladder off) and the degraded path
+// (ladder on). A CompiledProgram shares one arena across runs and is not
+// safe for concurrent use (program.ErrConcurrentRun makes that loud);
+// serializing through a single worker is what makes the rest of the layer —
+// batching, breaker bookkeeping, fault handling — free of locks on the
+// execution path. Throughput under concurrency comes from batching: requests
+// that arrive while a batch is running coalesce into the next one, so N
+// queued requests cost one forward pass, not N.
+
+// warmupFor is how long a model's worker runs its program on the stored
+// features before the daemon reports ready. The passes leave the arena
+// resident and the pool's helpers spawned, but the length is set by the
+// machine, not the model: a process whose threads have not yet been busy on
+// every CPU for about a second is, on the two-vCPU hosts this was measured on,
+// liable to have all of them — and its clients' — scheduled on one CPU while
+// the others idle, which adds more than half to a lightly loaded daemon's p90
+// (EXPERIMENTS.md "One program per served model" has the duration sweep:
+// 0.4 s was not enough). The simulator grid search this start-up no longer
+// runs used to do the job by accident. A variable only so the in-process
+// tests, which measure no latency, can shorten it.
+var warmupFor = time.Second
 
 // request is one admitted inference request, queued for the host worker.
 type request struct {
@@ -44,7 +59,7 @@ type request struct {
 type response struct {
 	logits   [][]float32
 	batched  int  // members in the batch that served this request
-	degraded bool // served by the degraded (resilient) program
+	degraded bool // served with the fallback ladder on (breaker open)
 	err      error
 	// Forward-pass stamps (span-clock ns) for stage attribution; zero when
 	// untraced.
@@ -52,15 +67,15 @@ type response struct {
 	runEnd   int64
 }
 
-// modelHost owns one model's queue, programs and breaker.
+// modelHost owns one model's queue, program and breaker.
 type modelHost struct {
 	name    string
 	queue   chan *request
 	pending *request // feature-bearing request deferred by collect; worker-only
 
-	primary   *program.CompiledProgram
-	fallback  *program.CompiledProgram
-	resilient *core.ResilientBackend // the fallback program's backend, for window rates
+	prog        *program.CompiledProgram
+	resilient   *core.ResilientBackend // prog's backend: the ladder gate and the fallback counts
+	compileTime time.Duration
 
 	features *tensor.Dense // stored feature matrix (seed 42, as cmd/ugrapher)
 	classes  int
@@ -68,13 +83,21 @@ type modelHost struct {
 
 	br   *breaker
 	m    hostMetrics
+	warm chan struct{} // closed when the worker has warmed the program up
 	done chan struct{} // closed when the worker exits
 }
 
-// run is the worker loop: take one request, coalesce what else is queued,
-// execute the batch, deliver. Exits when the queue is closed and drained.
+// run is the worker: warm the program up, then loop — take one request,
+// coalesce what else is queued, execute the batch, deliver. Exits when the
+// queue is closed and drained.
 func (h *modelHost) run() {
 	defer close(h.done)
+	for start := time.Now(); time.Since(start) < warmupFor; {
+		// A failing pass (an armed fault) is the breaker's to count once
+		// requests arrive; warming up only needs the passes to run.
+		_, _ = h.prog.Run(h.features)
+	}
+	close(h.warm)
 	for {
 		first := h.pending
 		h.pending = nil
@@ -150,10 +173,14 @@ func (h *modelHost) runBatch(batch []*request) {
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 
-	usePrimary, probe := h.br.route(now)
-	cp, label := h.primary, "primary"
-	if !usePrimary {
-		cp, label = h.fallback, "degraded"
+	// The breaker's decision is the ladder's gate: off, a kernel failure
+	// fails the batch and counts toward the threshold; on (breaker open), the
+	// failing kernel reruns on the reference interpreter inside the same run.
+	degraded, probe := h.br.route(now)
+	h.resilient.SetLadder(degraded)
+	label := "primary"
+	if degraded {
+		label = "degraded"
 		h.m.degraded.Inc()
 	}
 	x := h.features
@@ -187,7 +214,7 @@ func (h *modelHost) runBatch(batch []*request) {
 					telemetry.FlowPoint{Track: "serve", Ts: sp.Start(), Trace: lead.TraceID(), Span: sp.SpanID()})
 			}
 		}
-		if !usePrimary {
+		if degraded {
 			// The breaker's routing decision as a zero-length span on the
 			// tree: *why* this batch ran degraded.
 			telemetry.RecordSpan(lead, "serve", "breaker", "degraded-route", sp.Start(), sp.Start(), sp.SpanID())
@@ -195,7 +222,7 @@ func (h *modelHost) runBatch(batch []*request) {
 		ctx = telemetry.ContextWithTrace(ctx, lead)
 		runStart = telemetry.Now()
 	}
-	out, err := cp.RunCtx(ctx, x)
+	out, err := h.prog.RunCtx(ctx, x)
 	if lead != nil {
 		runEnd = telemetry.Now()
 	}
@@ -206,7 +233,7 @@ func (h *modelHost) runBatch(batch []*request) {
 		sp.End()
 	}
 
-	if usePrimary {
+	if !degraded {
 		var ke *core.KernelError
 		switch {
 		case err == nil:
@@ -214,12 +241,11 @@ func (h *modelHost) runBatch(batch []*request) {
 		case errors.As(err, &ke):
 			h.br.onFailure(probe, time.Now())
 		default:
-			// Deadline/cancellation: says nothing about the primary's health.
+			// Deadline/cancellation: says nothing about the kernels' health.
 			h.br.onInconclusive(time.Now())
 		}
 	}
 
-	degraded := !usePrimary
 	for _, r := range batch {
 		if r.ts != nil {
 			// Per-member stage attribution: each member's own tree carries

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 
+	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -23,8 +24,8 @@ const (
 	// metricBatches counts executed batches, per model; requests_total /
 	// batches_total is the realized coalescing factor.
 	metricBatches = "ugrapher_serve_batches_total"
-	// metricDegraded counts batches served by the degraded (resilient)
-	// program while the breaker was open, per model.
+	// metricDegraded counts batches served with the fallback ladder on
+	// while the breaker was open, per model.
 	metricDegraded = "ugrapher_serve_degraded_total"
 	// metricBreakerTransitions counts breaker state transitions, labelled
 	// by model and target state.
@@ -41,9 +42,15 @@ const (
 	// metricRequestSeconds is the admitted-request latency histogram
 	// (admission to response delivery), per model.
 	metricRequestSeconds = "ugrapher_serve_request_seconds"
-	// metricCompiles counts compile-cache misses (programs actually
-	// compiled); hits are requests_total-free cache lookups.
+	// metricCompiles counts programs compiled: one per distinct model.
 	metricCompiles = "ugrapher_serve_compiles_total"
+	// The resident size of a model's compiled program by part — arena, packed
+	// GEMM weights, region staging buffers, shard scratch; gauges per model,
+	// set once at compile.
+	metricProgramArenaBytes        = "ugrapher_program_arena_bytes"
+	metricProgramPackedBytes       = "ugrapher_program_packed_bytes"
+	metricProgramStagingBytes      = "ugrapher_program_staging_bytes"
+	metricProgramShardScratchBytes = "ugrapher_program_shard_scratch_bytes"
 	// metricStageSeconds is the per-stage latency attribution histogram,
 	// labelled by model and stage (admission, queue_wait, batch_wait,
 	// compile, kernel, respond) — the aggregate view of the per-request
@@ -100,6 +107,18 @@ func newHostMetrics(model string) hostMetrics {
 		stageRespond:   stage("respond"),
 		stageCompile:   stage("compile"),
 	}
+}
+
+// publishProgramBytes sets one model's program-size gauges from its compile
+// stats.
+func publishProgramBytes(model string, st program.Stats) {
+	set := func(metric string, floats int) {
+		telemetry.Default().Gauge(telemetry.Series1(metric, "model", model)).Set(float64(floats) * 4)
+	}
+	set(metricProgramArenaBytes, st.ArenaFloats)
+	set(metricProgramPackedBytes, st.PackedFloats)
+	set(metricProgramStagingBytes, st.StagingFloats)
+	set(metricProgramShardScratchBytes, st.ShardScratchFloats)
 }
 
 // handleMetrics refreshes the scrape-time gauges and writes the Prometheus

@@ -12,11 +12,12 @@
 //     member deadline, and every member's handler enforces its own earlier
 //     deadline independently, so one slow batch cannot wedge a worker or
 //     starve a fast client.
-//   - graceful degradation: a per-model circuit breaker counts consecutive
-//     *core.KernelError failures and, once open, routes traffic through a
-//     program compiled on core.ResilientBackend — the per-kernel fallback
-//     ladder onto the reference interpreter — until a half-open probe
-//     proves the primary healthy again.
+//   - graceful degradation: each model's one program is compiled on a
+//     core.ResilientBackend; a per-model circuit breaker counts consecutive
+//     *core.KernelError failures with that backend's per-kernel fallback
+//     ladder (onto the reference interpreter) off and, once open, serves
+//     with the ladder on until a half-open probe proves the kernels healthy
+//     again.
 //   - graceful drain: Drain stops admission (readyz flips unready first),
 //     lets in-flight batches finish under a deadline, and shuts the
 //     workers down.
@@ -41,10 +42,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/faultinject"
-	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/models"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/vec"
@@ -59,8 +58,9 @@ type Config struct {
 	// Feat and Classes shape the compiled forward pass.
 	Feat    int
 	Classes int
-	// Backend selects the host compute backend ("" = parallel). The
-	// degraded path always wraps the same backend in a resilient ladder.
+	// Backend selects the host compute backend ("" = parallel). Every model
+	// runs it under a resilient ladder the breaker gates, so "resilient"
+	// names the same thing as "parallel" here.
 	Backend string
 	// Shards is the graph shard count (-1 = core.DefaultShards()).
 	Shards int
@@ -148,7 +148,6 @@ type Server struct {
 	g     *graph.Graph
 	hosts map[string]*modelHost // key: lower-cased model name
 	order []string              // canonical names, load order
-	cache *programCache
 	mux   *http.ServeMux
 	// exemplars is the tail-sampled request store behind /debug/requests.
 	exemplars *telemetry.ExemplarStore
@@ -162,8 +161,8 @@ type Server struct {
 	inflight sync.WaitGroup
 }
 
-// New loads the dataset, compiles every model's primary and degraded
-// programs through the cache, and returns a ready server.
+// New loads the dataset, compiles one program per distinct model, starts
+// the workers, waits for their warm-up, and returns a ready server.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	g, _, err := datasets.Load(cfg.Dataset)
@@ -180,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		g:         g,
 		hosts:     make(map[string]*modelHost),
-		cache:     newProgramCache(),
 		exemplars: telemetry.NewExemplarStore(cfg.ExemplarSlow, cfg.ExemplarErrors),
 	}
 	for _, name := range cfg.Models {
@@ -198,72 +196,70 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.hosts[key] = h
 		s.order = append(s.order, m.Name())
+	}
+	// Every model is compiled before any worker starts, so the workers warm
+	// up side by side (host.go, warmupFor); ready means each has run its
+	// program.
+	for _, h := range s.hosts {
 		go h.run()
+	}
+	for _, h := range s.hosts {
+		<-h.warm
 	}
 	s.buildMux()
 	s.ready.Store(true)
 	return s, nil
 }
 
-// backend builds the configured primary compute backend.
+// backend builds the configured compute backend, the primary rung of a
+// model's ladder. "resilient" names what every model gets here anyway.
 func (s *Server) backend() (core.ExecBackend, error) {
 	switch s.cfg.Backend {
-	case "", "parallel":
+	case "", "parallel", "resilient":
 		return core.NewShardedParallelBackend(s.cfg.Workers, s.cfg.Shards), nil
 	default:
 		return core.Backend(s.cfg.Backend)
 	}
 }
 
-// newHost compiles m's primary and degraded programs and assembles the
-// host around them.
+// newHost compiles m's program and assembles the host around it. The host
+// engine fixes the schedules (models.NewHostEngine): nothing the host
+// lowering runs depends on a simulator search, so none is paid here.
 func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	b, err := s.backend()
 	if err != nil {
 		return nil, err
 	}
-	dev := gpu.V100()
-	// Compile time is a stage like any other: cache misses below record into
-	// the per-model stage histogram so a cold start is attributable.
-	compileStart := time.Now()
-	primary, err := s.cache.Get(
-		cacheKey{Model: m.Name(), Dataset: s.cfg.Dataset, Backend: b.Name(), Shards: s.cfg.Shards},
-		func() (*program.CompiledProgram, error) {
-			eng := models.NewTunedEngine(dev)
-			eng.Compute = b
-			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, eng)
-		})
-	if err != nil {
-		return nil, err
-	}
-	// The degraded program wraps the same backend in the resilient ladder:
-	// kernels that keep failing on the primary backend rerun on the
-	// reference interpreter, per kernel, inside one compiled program.
+	// One program, compiled on the ladder the breaker gates: a kernel that
+	// fails on b reruns on the reference interpreter while the gate is on.
+	// It rests where a closed breaker leaves it: off.
 	rb := core.NewResilientBackend(b, nil)
-	fallback, err := s.cache.Get(
-		cacheKey{Model: m.Name(), Dataset: s.cfg.Dataset, Backend: rb.Name(), Shards: s.cfg.Shards},
-		func() (*program.CompiledProgram, error) {
-			eng := models.NewTunedEngine(dev)
-			eng.Compute = rb
-			return models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, eng)
-		})
+	rb.SetLadder(false)
+	// Compile time is a stage like any other: it records into the per-model
+	// stage histogram so a cold start is attributable.
+	compileStart := time.Now()
+	telemetry.Default().Counter(metricCompiles).Inc()
+	prog, err := models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, models.NewHostEngine(rb))
 	if err != nil {
 		return nil, err
 	}
+	compileTime := time.Since(compileStart)
 	hm := newHostMetrics(m.Name())
-	hm.stageCompile.Observe(int64(time.Since(compileStart)))
+	hm.stageCompile.Observe(int64(compileTime))
+	publishProgramBytes(m.Name(), prog.Stats())
 	return &modelHost{
-		name:      m.Name(),
-		queue:     make(chan *request, s.cfg.QueueDepth),
-		primary:   primary,
-		fallback:  fallback,
-		resilient: rb,
-		features:  x,
-		classes:   s.cfg.Classes,
-		maxBatch:  s.cfg.MaxBatch,
-		br:        newBreaker(m.Name(), s.cfg.BreakerThreshold, s.cfg.BreakerCooldown),
-		m:         hm,
-		done:      make(chan struct{}),
+		name:        m.Name(),
+		queue:       make(chan *request, s.cfg.QueueDepth),
+		prog:        prog,
+		resilient:   rb,
+		compileTime: compileTime,
+		features:    x,
+		classes:     s.cfg.Classes,
+		maxBatch:    s.cfg.MaxBatch,
+		br:          newBreaker(m.Name(), s.cfg.BreakerThreshold, s.cfg.BreakerCooldown),
+		m:           hm,
+		warm:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}, nil
 }
 
@@ -534,6 +530,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		Name    string `json:"name"`
 		Breaker string `json:"breaker"`
 		Queue   int    `json:"queue"`
+		// CompileMS is what building the model's one program cost at start-up.
+		CompileMS float64 `json:"compile_ms"`
 	}
 	out := struct {
 		Dataset  string `json:"dataset"`
@@ -552,6 +550,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		h := s.hosts[strings.ToLower(name)]
 		out.Models = append(out.Models, modelInfo{
 			Name: h.name, Breaker: h.br.current().String(), Queue: len(h.queue),
+			CompileMS: float64(h.compileTime) / float64(time.Millisecond),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

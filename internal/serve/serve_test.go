@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,12 +17,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/faultinject"
-	"repro/internal/gpu"
 	"repro/internal/models"
-	"repro/internal/program"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/vec"
 )
+
+// The in-process suite starts some twenty servers and times none of them, so
+// it keeps the start-up warm-up (warmupFor) to a few passes; the e2e suite
+// runs the real binary with the real one.
+func TestMain(m *testing.M) {
+	warmupFor = 10 * time.Millisecond
+	os.Exit(m.Run())
+}
 
 // newTestServer builds a server plus an httptest front end. Tests share the
 // process-global faultinject and telemetry state, so the suite runs
@@ -91,9 +99,7 @@ func referenceLogits(t *testing.T, model, dataset string, feat, classes int) *te
 	}
 	x := tensor.NewDense(g.NumVertices(), feat)
 	x.FillRandom(rand.New(rand.NewSource(42)), 1)
-	eng := models.NewTunedEngine(gpu.V100())
-	eng.Compute = core.ReferenceBackend()
-	want, err := m.Forward(g, x, classes, eng)
+	want, err := m.Forward(g, x, classes, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +375,12 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	// Cooldown elapsed, faults still armed: the probe fails on the
 	// primary, the batch is re-served... no — the probe batch itself
 	// errors; the breaker re-opens and the member gets the error.
+	fallbacks := h.resilient.Fallbacks()
 	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusInternalServerError {
 		t.Fatalf("failed probe: status %d, want 500", code)
+	}
+	if got := h.resilient.Fallbacks(); got != fallbacks {
+		t.Errorf("probe batch ran the fallback ladder: %d fallbacks, want %d", got, fallbacks)
 	}
 	if got := h.br.current(); got != breakerOpen {
 		t.Errorf("breaker %v after failed probe, want open", got)
@@ -446,44 +456,25 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestProgramCacheSingleflight: concurrent Gets for one key build once;
-// distinct keys build separately.
-func TestProgramCacheSingleflight(t *testing.T) {
-	c := newProgramCache()
-	var builds int32
-	var mu sync.Mutex
-	build := func() (*program.CompiledProgram, error) {
-		mu.Lock()
-		builds++
-		mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
-		return nil, fmt.Errorf("sentinel")
+// TestOneCompilePerModel: New compiles exactly one program per distinct
+// model, however the names are spelled or repeated, and returns only once
+// every worker has warmed up.
+func TestOneCompilePerModel(t *testing.T) {
+	compiles := telemetry.Default().Counter(metricCompiles)
+	before := compiles.Value()
+	s, _ := newTestServer(t, Config{Models: []string{"GCN", "gcn", "GAT", "GCN"}})
+	if got := compiles.Value() - before; got != 2 {
+		t.Errorf("%d compiles for models %v, want 2", got, s.order)
 	}
-	key := cacheKey{Model: "GCN", Dataset: "CO", Backend: "parallel", Shards: 1}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Get(key, build); err == nil {
-				t.Error("sentinel error lost")
-			}
-		}()
+	if len(s.hosts) != 2 {
+		t.Errorf("%d hosts, want 2", len(s.hosts))
 	}
-	wg.Wait()
-	if builds != 1 {
-		t.Errorf("%d builds for one key, want 1 (singleflight)", builds)
-	}
-	other := key
-	other.Shards = 4
-	if _, err := c.Get(other, build); err == nil {
-		t.Error("sentinel error lost")
-	}
-	if builds != 2 {
-		t.Errorf("%d builds after a second key, want 2", builds)
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache len %d, want 2", c.Len())
+	for _, h := range s.hosts {
+		select {
+		case <-h.warm:
+		default:
+			t.Errorf("New returned before %s's worker had warmed up", h.name)
+		}
 	}
 }
 
@@ -525,21 +516,34 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ugrapher_serve_breaker_state{model="GCN"}`,
 		`ugrapher_fallbacks_total`,
 		`ugrapher_kernel_isa{isa="` + vec.ISA() + `"} 1`,
+		fmt.Sprintf(`ugrapher_program_arena_bytes{model="GCN"} %d`, h.prog.Stats().ArenaFloats*4),
+		fmt.Sprintf(`ugrapher_program_packed_bytes{model="GCN"} %d`, h.prog.Stats().PackedFloats*4),
+		`ugrapher_program_staging_bytes{model="GCN"} 0`,
+		`ugrapher_program_shard_scratch_bytes{model="GCN"} 0`,
 	} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("metrics snapshot missing %s", series)
 		}
 	}
-	// The model listing names the same kernel set.
+	// The model listing names the same kernel set, and what the model's one
+	// program cost to build.
 	resp, err = http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var listing struct{ Kernels string }
+	var listing struct {
+		Kernels string
+		Models  []struct {
+			CompileMS float64 `json:"compile_ms"`
+		}
+	}
 	err = json.NewDecoder(resp.Body).Decode(&listing)
 	resp.Body.Close()
 	if err != nil || listing.Kernels != vec.ISA() {
 		t.Errorf("/v1/models says kernels=%q (err %v), want %q", listing.Kernels, err, vec.ISA())
+	}
+	if len(listing.Models) != 1 || listing.Models[0].CompileMS <= 0 {
+		t.Errorf("/v1/models compile_ms missing: %+v", listing.Models)
 	}
 	if want := fmt.Sprintf(`ugrapher_serve_fallback_window{model="GCN"} %d`, window); !bytes.Contains(body, []byte(want)) {
 		t.Errorf("metrics snapshot missing %q\n(snapshot contains: %.300s...)", want, text)
@@ -567,9 +571,7 @@ func TestCustomFeaturesRunSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := models.NewTunedEngine(gpu.V100())
-	eng.Compute = core.ReferenceBackend()
-	want, err := m.Forward(g, x, 8, eng)
+	want, err := m.Forward(g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
