@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build test portable-build check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
+.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-generic runs the packages that sit on the vector kernels — the dense
+# operators, the compiled-program runtime and the whole-model suites — a
+# second time with the kernels off (a flag of those test binaries,
+# internal/vec/vectest), so every test there also answers for the Go loops a
+# CPU without AVX2 runs.
+test-generic:
+	$(GO) test ./internal/tensor/... ./internal/program/... ./internal/models/... -args -vec.generic
 
 # portable-build proves the tree builds and vets where there are no vector
 # kernels: internal/vec's assembly is amd64-only, and every other
@@ -113,13 +121,15 @@ bench-waves:
 	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_waves.json ext-waves
 
 # bench-kernels is the measurement behind core/span.go's block width and
-# program/dense.go's GEMM cost constants: the operator shapes the benchmark's
+# program/dense.go's cost constants: the operator shapes the benchmark's
 # models run (GCN on AR, Sage on PU, GAT on PR) as the per-edge loop the span
 # kernels replaced, as each span form on one worker (in-place, blocked = the
 # Go loop, vector = the AVX2 kernel under it), and as lowered on one and two
-# workers; then the packed GEMM at the six models' shapes, dispatched and
-# with the Go loop forced. EXPERIMENTS.md "Row-span kernels" and "Vector
-# kernels" record the tables.
+# workers; then the packed GEMM at the six models' shapes and the elementwise
+# operators over Sage's hidden activations (sign-random, positive and
+# rectified inputs), each dispatched and with the Go loop forced.
+# EXPERIMENTS.md "Row-span kernels", "Vector kernels" and "Dense rewrites"
+# record the tables.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSpanKernel -benchtime 20x ./internal/core/
-	$(GO) test -run '^$$' -bench BenchmarkGemmPacked -benchtime 20x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkGemmPacked|BenchmarkElementwise' -benchtime 20x ./internal/tensor/

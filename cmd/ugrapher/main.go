@@ -196,6 +196,11 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	if verify {
 		rep := cp.Verify()
 		printReport(rep)
+		// What the dense-rewrite stage did and declined to do, each line
+		// naming the rule that guards it or the reason it was left alone.
+		for _, n := range cp.Rewrites() {
+			fmt.Printf("  rewrite %s\n", n)
+		}
 		if !rep.OK() {
 			return fmt.Errorf("verification failed: %d violations", len(rep.Diags))
 		}
@@ -222,6 +227,8 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	}
 	fmt.Printf("fusion: %d regions grown, %d kernel launches, %.1f KiB traffic saved, %d blocked GEMMs\n",
 		s.FusedRegions, s.Steps, float64(s.RegionSavedBytes)/(1<<10), s.GemmBlocked)
+	fmt.Printf("dense rewrites: %d GEMM epilogues, %d split-weight GEMMs, %d commuted aggregates\n",
+		s.DenseEpilogues, s.SplitGemms, s.CommutedAggregates)
 	mode := "sequential"
 	if program.ParallelSteps() && s.MaxWaveWidth > 1 {
 		mode = "parallel"
@@ -235,9 +242,16 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 		// internal/vec or the Go loops.
 		fmt.Printf("kernels: %s\n", vec.ISA())
 		// Whether parallelism engaged, step by step: a split step's chunks
-		// are dealt to the caller plus workers-1 pool helpers.
-		fmt.Println("steps:")
-		for i, sm := range cp.StepModes() {
+		// are dealt to the caller plus workers-1 pool helpers. The times are
+		// each step's median over the runs above (-profile arms telemetry),
+		// dense steps included, and its share of their sum.
+		modes := cp.StepModes()
+		var total time.Duration
+		for _, sm := range modes {
+			total += sm.P50
+		}
+		fmt.Println("steps:                                          p50 ms  share")
+		for i, sm := range modes {
 			mode := "inline"
 			if sm.Workers > 1 {
 				mode = fmt.Sprintf("split over %d workers", sm.Workers)
@@ -250,7 +264,8 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 			if sm.Epilogue != "" {
 				mode += ", epilogue " + sm.Epilogue
 			}
-			fmt.Printf("  %2d %-10s %-28s %s\n", i, sm.Op, sm.Name, mode)
+			fmt.Printf("  %2d %-10s %-28s %8.3f  %4.0f%%  %s\n", i, sm.Op, sm.Name,
+				float64(sm.P50)/1e6, 100*float64(sm.P50)/float64(max(total, 1)), mode)
 		}
 	}
 	return nil

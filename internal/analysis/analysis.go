@@ -60,6 +60,26 @@ const (
 	// negative or exceed the independently recomputed upper bound for the
 	// nodes it absorbed — the cost model's accounting is corrupt.
 	RuleFusionRegionCost = "fusion-region-cost"
+	// RuleDenseEpilogue: a GEMM or add-scaled node carries an absorbed
+	// elementwise chain that does not peel back through recorded unary nodes
+	// to the recorded node's value, or an erased interior value had another
+	// reader. A legal absorption is bit-identical to the recorded program.
+	RuleDenseEpilogue = "dense-epilogue"
+	// RuleSplitGemm: a GEMM with a second (operand, weight) pair is not the
+	// recorded gemm(concat(x, y), W) — the operands are not the concat's, the
+	// concat had another reader, or the weights are not rows [0, Fx) and
+	// [Fx, Fx+Fy) of W. A legal split continues each element's ascending-k
+	// add chain across the halves, so it is bit-identical to the recorded
+	// GEMM.
+	RuleSplitGemm = "split-gemm"
+	// RuleAggregateCommute: a gather moved behind the projection of its
+	// input is not the recorded aggr feeding gemm(concat(x, aggr(h)), W) as
+	// aggr(h·W[Fx:]) — the gather is not an unweighted sum or mean of a
+	// full-width source operand, an elementwise chain sits between it and the
+	// GEMM, the recorded aggregate has another reader, or the weight does not
+	// narrow it. A legal commutation reassociates the sum: it is equivalent
+	// to the recorded program within 1e-4, not bit-identical.
+	RuleAggregateCommute = "aggregate-commute"
 	// RuleBufferAlias: two values with overlapping live intervals share an
 	// arena slot (read-while-write hazard), or a live value has no slot.
 	RuleBufferAlias = "buffer-alias"
@@ -100,7 +120,8 @@ const (
 var ProgramRules = []string{
 	RuleSSAForm, RuleOperandType,
 	RuleFusionPair, RuleFusionSingleConsumer,
-	RuleFusionRegion, RuleFusionRegionCost, RuleDCESoundness,
+	RuleFusionRegion, RuleFusionRegionCost,
+	RuleDenseEpilogue, RuleSplitGemm, RuleAggregateCommute, RuleDCESoundness,
 	RuleBufferAlias, RuleBufferCapacity, RuleInPlace,
 }
 

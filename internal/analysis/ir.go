@@ -32,7 +32,7 @@ func (r Rows) String() string {
 type NodeKind uint8
 
 const (
-	// KindOther is any dense/structural node (GEMM, concat, head-merge, ...).
+	// KindOther is any dense/structural node no rule singles out (head-merge).
 	KindOther NodeKind = iota
 	// KindInput is the program input node.
 	KindInput
@@ -44,9 +44,13 @@ const (
 	KindAddScaled
 	// KindGraph is a uGrapher graph operator.
 	KindGraph
+	// KindGEMM is out = X @ W with W a constant.
+	KindGEMM
+	// KindConcat is the column-wise concatenation [X | Y].
+	KindConcat
 )
 
-var nodeKindNames = [...]string{"other", "input", "const", "unary", "add_scaled", "graph"}
+var nodeKindNames = [...]string{"other", "input", "const", "unary", "add_scaled", "graph", "gemm", "concat"}
 
 // String names the kind.
 func (k NodeKind) String() string {
@@ -102,6 +106,41 @@ type IRNode struct {
 	HasRegion        bool
 	PreX, PreY, Post []Elem
 	RegionSavedBytes int64
+	// Scale is the Y coefficient of KindAddScaled nodes.
+	Scale float32
+	// Dense carries what the dense-rewrite stage recorded on the node
+	// (verify_dense.go); nil for nodes it left alone.
+	Dense *IRDense
+}
+
+// IRDense mirrors program.DenseInfo. Absent value references are NoValue, so
+// build one with NewIRDense.
+type IRDense struct {
+	// Post is the elementwise chain a GEMM or add-scaled node absorbed.
+	Post []Elem
+	// X2 and W2 are a split-weight GEMM's second (operand, weight) pair.
+	X2, W2 int
+	// ViewOf is the recorded constant whose rows [ViewLo, ViewHi) a const
+	// node created by the stage views.
+	ViewOf, ViewLo, ViewHi int
+	// CommutedFrom is the recorded aggregate value a graph node moved behind
+	// its projection stands in for.
+	CommutedFrom int
+}
+
+// NewIRDense returns an annotation with every value reference absent.
+func NewIRDense() *IRDense {
+	return &IRDense{X2: NoValue, W2: NoValue, ViewOf: NoValue, CommutedFrom: NoValue}
+}
+
+// operands lists the values n reads, NoValue for absent ones: X, Y and a
+// split-weight GEMM's second pair.
+func (n *IRNode) operands() [4]int {
+	vs := [4]int{n.X, n.Y, NoValue, NoValue}
+	if d := n.Dense; d != nil {
+		vs[2], vs[3] = d.X2, d.W2
+	}
+	return vs
 }
 
 // ProgramIR is the verifier's view of one program: nodes in topological

@@ -29,12 +29,13 @@ import (
 //     errors).
 //   - no-alloc-in-run: Run/RunCtx bodies of kernel types, and the per-row
 //     and per-edge inner loops they call (span* functions, methods of the
-//     span operand / row reducer / edge writer types), the packed GEMM
-//     (internal/tensor's [gG]emmPacked* functions) and every function of
-//     the vector-kernel package internal/vec — the Go wrappers around its
-//     assembly — must not lexically allocate (make/new/append, non-deferred
-//     closures) — the zero-steady-state contract TestCompiledRunZeroAllocs
-//     asserts.
+//     span operand / row reducer / edge writer types), the packed GEMM, plain
+//     and accumulating (internal/tensor's [gG]emmPacked* functions), the
+//     elementwise operators a dense chunk runs (tensor.ReLU, LeakyReLU,
+//     AddScaledInto) and every function of the vector-kernel package
+//     internal/vec — the Go wrappers around its assembly — must not
+//     lexically allocate (make/new/append, non-deferred closures) — the
+//     zero-steady-state contract TestCompiledRunZeroAllocs asserts.
 //   - trace-propagation: internal/core and internal/program adopt the
 //     request trace from ctx (StartSpanCtx, EndCtx) but never mint or
 //     attach one — NewTraceState/ContextWithTrace/MintTraceID belong to
@@ -155,12 +156,13 @@ var (
 	spanReceiver = regexp.MustCompile(`^(span[A-Z]\w*|rowReducer|edgeWriter)$`)
 )
 
-// The dense step's inner loop and the vector kernels under it and under the
-// span kernels run on the same zero-alloc path: the packed-GEMM functions of
-// internal/tensor by name, and internal/vec — whose every function is a
-// wrapper around an assembly kernel, or called by one per row — wholesale.
+// The dense step's inner loops and the vector kernels under them and under
+// the span kernels run on the same zero-alloc path: the packed-GEMM functions
+// and the elementwise dispatchers of internal/tensor by name, and
+// internal/vec — whose every function is a wrapper around an assembly
+// kernel, or called by one per row — wholesale.
 var (
-	gemmFunc       = regexp.MustCompile(`^[gG]emmPacked`)
+	gemmFunc       = regexp.MustCompile(`^([gG]emmPacked|(ReLU|LeakyReLU|AddScaledInto|negMask)$)`)
 	gemmScopedDir  = "internal/tensor"
 	noAllocPkgDirs = []string{"internal/vec"}
 )

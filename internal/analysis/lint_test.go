@@ -260,10 +260,18 @@ func GemmPackedRowsInto(out []float32) { _ = make([]float32, len(out)) }
 
 func gemmPackedRowsGo(out []float32) { _ = append(out, 0) }
 
+func GemmPackedRowsAccInto(out []float32) { _ = new(int) }
+
+func ReLU(d []float32) { _ = make([]float32, len(d)) }
+
+func AddScaledInto(out []float32) { _ = append(out, 0) }
+
 func PackB(b []float32) []float32 { return make([]float32, len(b)) }
+
+func ReLUGrad(d []float32) []float32 { return make([]float32, len(d)) }
 `
-		if fs := lintOne(t, "internal/tensor", gemm); len(fs) != 2 {
-			t.Fatalf("want the two gemmPacked functions flagged and the packer not, got %v", fs)
+		if fs := lintOne(t, "internal/tensor", gemm); len(fs) != 5 {
+			t.Fatalf("want the three gemmPacked functions and the two elementwise dispatchers flagged, the packer and ReLUGrad not, got %v", fs)
 		}
 		if fs := lintOne(t, "internal/x", gemm); len(fs) != 0 {
 			t.Fatalf("gemmPacked functions outside internal/tensor flagged: %v", fs)

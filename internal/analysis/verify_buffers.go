@@ -41,7 +41,7 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 		if n.Kind != KindConst && n.Out >= 0 && n.Out < len(p.Values) {
 			ivs[n.Out].def = i
 		}
-		for _, v := range [2]int{n.X, n.Y} {
+		for _, v := range n.operands() {
 			if v != NoValue && v >= 0 && v < len(p.Values) && !p.Values[v].Const {
 				ivs[v].last = i
 			}

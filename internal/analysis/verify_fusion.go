@@ -53,8 +53,6 @@ func elemsEqual(a, b []Elem) bool {
 // base, unfused nodes must match their recorded originals, and every live
 // recorded node must be accounted for.
 func checkFusion(pre, post *ProgramIR, numV, numE int) []Diagnostic {
-	var diags []Diagnostic
-
 	// Index the pre program: defining node per value, consumer counts, and
 	// liveness (backwards from the output; the input node is always kept).
 	preDef := make(map[int]int, len(pre.Nodes))
@@ -86,40 +84,14 @@ func checkFusion(pre, post *ProgramIR, numV, numE int) []Diagnostic {
 		}
 	}
 
+	// Nodes the dense-rewrite stage annotated answer to its own rules
+	// (verify_dense.go); every other compiled node to the fusion rules.
 	accounted := make([]bool, len(pre.Nodes))
+	dense, diags := checkDense(pre, post, preDef, uses, accounted, numV, numE)
 	for pi := range post.Nodes {
-		n := &post.Nodes[pi]
-		if n.HasRegion {
-			diags = append(diags, checkRegion(pre, n, preDef, uses, accounted, numV, numE)...)
-			continue
+		if !dense[pi] {
+			diags = append(diags, checkNode(pre, &post.Nodes[pi], preDef, uses, accounted, numV, numE)...)
 		}
-		if n.Fused {
-			diags = append(diags, checkFusedPair(pre, n, preDef, uses, accounted)...)
-			continue
-		}
-		// Unfused nodes must be byte-identical to the recorded node defining
-		// the same value; anything else is a rewrite the fusion pass does not
-		// perform (or a fused node that lost its marker).
-		i, ok := preDef[n.Out]
-		if !ok {
-			diags = append(diags, Diagnostic{
-				Rule: RuleDCESoundness, Node: n.Name, Values: []int{n.Out},
-				Msg:  fmt.Sprintf("compiled node defines value %d that no recorded node defines", n.Out),
-				Hint: "compilation must not invent values",
-			})
-			continue
-		}
-		o := &pre.Nodes[i]
-		if o.Kind != n.Kind || o.X != n.X || o.Y != n.Y ||
-			(n.Kind == KindGraph && o.Op != n.Op) ||
-			(n.Kind == KindUnary && !elemsEqual(o.Chain, n.Chain)) {
-			diags = append(diags, Diagnostic{
-				Rule: RuleFusionPair, Node: n.Name, Values: []int{n.Out},
-				Msg:  fmt.Sprintf("compiled node (%s %s) differs from recorded node (%s %s) without a fusion marker", n.Kind, n.Op, o.Kind, o.Op),
-				Hint: "only marked materialise+scatter merges may rewrite a node",
-			})
-		}
-		accounted[i] = true
 	}
 
 	// DCE soundness: every node live in the recorded program must survive,
@@ -135,6 +107,40 @@ func checkFusion(pre, post *ProgramIR, numV, numE int) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// checkNode verifies one compiled node the dense-rewrite stage left alone
+// against the recorded program, marking the recorded nodes it stands for.
+func checkNode(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int, accounted []bool, numV, numE int) []Diagnostic {
+	if n.HasRegion {
+		return checkRegion(pre, n, preDef, uses, accounted, numV, numE)
+	}
+	if n.Fused {
+		return checkFusedPair(pre, n, preDef, uses, accounted)
+	}
+	// Unfused nodes must be byte-identical to the recorded node defining
+	// the same value; anything else is a rewrite no pass performs (or a
+	// rewritten node that lost its marker).
+	i, ok := preDef[n.Out]
+	if !ok {
+		return []Diagnostic{{
+			Rule: RuleDCESoundness, Node: n.Name, Values: []int{n.Out},
+			Msg:  fmt.Sprintf("compiled node defines value %d that no recorded node defines", n.Out),
+			Hint: "compilation must not invent values",
+		}}
+	}
+	accounted[i] = true
+	o := &pre.Nodes[i]
+	if o.Kind != n.Kind || o.X != n.X || o.Y != n.Y || o.Scale != n.Scale ||
+		(n.Kind == KindGraph && o.Op != n.Op) ||
+		(n.Kind == KindUnary && !elemsEqual(o.Chain, n.Chain)) {
+		return []Diagnostic{{
+			Rule: RuleFusionPair, Node: n.Name, Values: []int{n.Out},
+			Msg:  fmt.Sprintf("compiled node (%s %s) differs from recorded node (%s %s) without a fusion marker", n.Kind, n.Op, o.Kind, o.Op),
+			Hint: "only marked materialise+scatter merges may rewrite a node",
+		}}
+	}
+	return nil
 }
 
 // checkFusedPair verifies one fused node against the recorded pair it

@@ -23,7 +23,7 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 	inRange := func(v int) bool { return v >= 0 && v < len(p.Values) }
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		for _, v := range [2]int{n.X, n.Y} {
+		for _, v := range n.operands() {
 			if v == NoValue {
 				continue
 			}

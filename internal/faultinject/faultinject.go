@@ -105,6 +105,13 @@ const (
 	// SlowDenseChunk delays a split dense step's chunk by the armed Spec's
 	// Delay, so a deadline can be shown to cut the step between chunks.
 	SlowDenseChunk
+	// CorruptDenseRewrite corrupts what the dense-rewrite stage recorded in
+	// the verified IR, proving its three rules fire. Seed selects the variant:
+	// 0 gives the value under an absorbed GEMM epilogue a second recorded
+	// reader (dense-epilogue), 1 shifts the row range of a split GEMM's weight
+	// view (split-gemm), 2 gives the recorded aggregate behind a commuted
+	// gather a second reader (aggregate-commute).
+	CorruptDenseRewrite
 
 	numPoints
 )
@@ -116,6 +123,7 @@ var pointNames = [numPoints]string{
 	"slow-handler", "queue-stall", "kernel-panic-load",
 	"corrupt-wave-schedule",
 	"dense-chunk-panic", "slow-dense-chunk",
+	"corrupt-dense-rewrite",
 }
 
 // String names the point.

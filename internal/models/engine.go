@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/predictor"
+	"repro/internal/program"
 	"repro/internal/schedule"
 )
 
@@ -105,8 +106,9 @@ type FixedEngine struct {
 	// aggregation (PyG does not).
 	Fuses bool
 	// PairFusionOnly restricts a fusing engine to the classic
-	// materialise+scatter pair rewrite, disabling cost-modeled fusion
-	// regions. Real baselines that fuse (DGL) still only fuse the pair, so
+	// materialise+scatter pair rewrite: its programs compile under
+	// program.PairOnlyCostModel, which accepts no region growth and no dense
+	// rewrite. Real baselines that fuse (DGL) still only fuse the pair, so
 	// experiments compare pair-only against region fusion with this switch.
 	PairFusionOnly bool
 	// HostOverheadCycles is the per-graph-operator dispatch cost of the
@@ -153,9 +155,15 @@ func (e *FixedEngine) Device() *gpu.Device { return e.Dev }
 // Fused implements Engine.
 func (e *FixedEngine) Fused() bool { return e.Fuses }
 
-// FusionRegions implements program.RegionPolicy: region growth is on unless
-// the engine is pinned to pair-only fusion.
-func (e *FixedEngine) FusionRegions() bool { return !e.PairFusionOnly }
+// FusionCostModel implements program.RegionPolicy: the default model, or,
+// for an engine pinned to pair-only fusion, the one that rejects every
+// absorption and every dense rewrite.
+func (e *FixedEngine) FusionCostModel() program.CostModel {
+	if e.PairFusionOnly {
+		return program.PairOnlyCostModel()
+	}
+	return program.DefaultCostModel()
+}
 
 // GraphOpOverheadCycles implements Engine.
 func (e *FixedEngine) GraphOpOverheadCycles() float64 { return e.HostOverheadCycles }

@@ -3,10 +3,12 @@ package models
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/ops"
 	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -197,4 +199,52 @@ func TestTracedRunZeroAllocs(t *testing.T) {
 			t.Errorf("%s: traced RunCtx allocates %.1f objects/run, want 0", label, allocs)
 		}
 	})
+}
+
+// TestStepWallTimesCoverDenseSteps: with telemetry on, every compiled step —
+// GEMMs and the add among them, not only the graph kernels the kernel
+// histogram sees — records one ugrapher_step_wall_seconds{model,step}
+// observation per run and reports a median through StepModes; the exporter
+// carries the series. (TestTracedRunZeroAllocs holds the enabled path to zero
+// allocations.)
+func TestStepWallTimesCoverDenseSteps(t *testing.T) {
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
+	telemetry.SetEnabled(true)
+
+	g := denseGraph(t, 59)
+	const inFeat, classes, runs = 64, 7, 3
+	x := poolInput(g, inFeat)
+	cp, err := CompileModel(NewSage(ops.GatherMean), g, inFeat, classes, NewHostEngine(core.NewShardedParallelBackend(2, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < runs; i++ {
+		if _, err := cp.Run(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dense := 0
+	for _, sm := range cp.StepModes() {
+		if sm.Op != "graph" {
+			dense++
+		}
+		series := telemetry.Series2(telemetry.MetricStepWall, "model", "SMean", "step", sm.Name)
+		if n := telemetry.Default().Histogram(series, telemetry.DefaultLatencyBuckets).Count(); n != runs {
+			t.Errorf("%s holds %d observations after %d runs", series, n, runs)
+		}
+		if sm.P50 <= 0 {
+			t.Errorf("step %s %s reports no median wall time", sm.Op, sm.Name)
+		}
+	}
+	if dense == 0 {
+		t.Fatal("no dense step in the compiled program")
+	}
+	var buf strings.Builder
+	if err := telemetry.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `ugrapher_step_wall_seconds_count{model="SMean",step="SageL1_w_concat"} 3`; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics snapshot lacks %q", want)
+	}
 }

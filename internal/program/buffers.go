@@ -1,6 +1,9 @@
 package program
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Buffer planning: a liveness analysis over the (post-fusion) DAG that maps
 // every intermediate value onto a small pool of reusable arena slots, so a
@@ -80,11 +83,10 @@ func PlanBuffers(p *Program, numVertices, numEdges int) (*BufferPlan, error) {
 			}
 			plan.Def[n.Out] = i
 		}
-		if n.X != NoValue && !p.Values[n.X].Const {
-			plan.LastUse[n.X] = i
-		}
-		if n.Y != NoValue && !p.Values[n.Y].Const {
-			plan.LastUse[n.Y] = i
+		for _, v := range n.operands() {
+			if v != NoValue && !p.Values[v].Const {
+				plan.LastUse[v] = i
+			}
 		}
 	}
 	if plan.Def[p.Output] < 0 {
@@ -121,14 +123,11 @@ func PlanBuffers(p *Program, numVertices, numEdges int) (*BufferPlan, error) {
 			continue
 		}
 		// Dying operands: values whose last read is this node. Deduplicated in
-		// case X == Y.
-		var dying [2]ValueID
+		// case one value is bound to several operands.
+		var dying [4]ValueID
 		nd := 0
-		for _, v := range [2]ValueID{n.X, n.Y} {
-			if v != NoValue && plan.Assign[v] != NoSlot && plan.LastUse[v] == i {
-				if nd == 1 && dying[0] == v {
-					continue
-				}
+		for _, v := range n.operands() {
+			if v != NoValue && plan.Assign[v] != NoSlot && plan.LastUse[v] == i && !slices.Contains(dying[:nd], v) {
 				dying[nd] = v
 				nd++
 			}

@@ -22,8 +22,10 @@ import (
 // backend) triple. Three passes run once, here, instead of on every forward
 // call:
 //
-//  1. fusion (fuse.go) — if the scheduler fuses, materialise+scatter pairs
-//     merge into fused-aggregation operators;
+//  1. fusion and rewriting — if the scheduler fuses, materialise+scatter
+//     pairs merge into fused-aggregation operators and grow into regions
+//     (regions.go), then the dense side loses the intermediates it need not
+//     write (rewrite.go);
 //  2. schedule assignment — every graph operator's schedule is resolved
 //     through the engine (tuner / predictor / fixed baseline) and lowered
 //     once to a backend CompiledKernel bound to its arena operands;
@@ -103,6 +105,13 @@ type Stats struct {
 	// wave execution would add nothing, and RunCtx keeps the sequential
 	// loop even with -parallel-steps on.
 	MaxWaveWidth int
+	// DenseEpilogues, SplitGemms and CommutedAggregates count what the
+	// dense-rewrite stage (rewrite.go) did: elementwise nodes absorbed into
+	// the GEMM or add-scaled step before them, concat+GEMM pairs turned into
+	// one split-weight GEMM, and aggregates moved behind their projection.
+	DenseEpilogues     int
+	SplitGemms         int
+	CommutedAggregates int
 }
 
 // step is one executable operation of the compiled program, with all tensors
@@ -117,42 +126,39 @@ type step struct {
 	scale   float32
 	inPlace bool
 	kern    core.CompiledKernel
-	// pb is the packed weight panel of blocked GEMM steps (nil = naive loop).
-	pb *tensor.PackedB
-	// vx, vy, vout are the operand/output value ids, kept so the wave
+	// pb is the packed weight panel of a GEMM step; x2 and pb2 are the second
+	// (operand, weight) pair of a split-weight one (rewrite.go).
+	pb, pb2 *tensor.PackedB
+	x2      *tensor.Dense
+	// post is the elementwise chain a GEMM or add-scaled step applies to each
+	// row range right after computing it (rewrite.go).
+	post []Unary
+	// vx, vy, vx2, vout are the operand/output value ids, kept so the wave
 	// analyzer (waves.go) can resolve the step's arena effect intervals.
-	vx, vy, vout ValueID
+	vx, vy, vx2, vout ValueID
 	// scratch is the shared sharded-scratch block this step's kernel is
 	// bound to (-1 = none); same-block steps are serialized by the wave
 	// schedule's scratch-conflict edges.
 	scratch int32
-	// split is the row-range split plan of a dense step large enough to run
-	// on the worker pool (dense.go); nil = the step runs on the caller.
+	// body is a dense step's work on output rows [lo, hi) (dense.go); split is
+	// its row-range plan when it is large enough to run on the worker pool,
+	// nil when body runs over all rows on the caller.
+	body  func(lo, hi int)
 	split *denseSplit
+	// site times the step, dense or graph, while telemetry is enabled.
+	site *telemetry.StepSite
 }
 
-// regionsEnabled reports whether s opts into cost-modeled fusion regions:
-// schedulers implementing RegionPolicy decide; everyone else gets regions
-// whenever they fuse at all.
-func regionsEnabled(s Scheduler) bool {
-	if rp, ok := s.(RegionPolicy); ok {
-		return rp.FusionRegions()
-	}
-	return true
-}
-
-// chainRows is the row-range body of a region's elementwise work: rows
-// [lo, hi) of dst take src's rows (nil = dst is transformed in place), then
-// the absorbed chain. Zero-allocation — it captures only pre-sized tensors.
+// chainRows is the row-range body of elementwise work — a unary step, a
+// region's staged prologue or its epilogue: rows [lo, hi) of dst take src's
+// rows (nil = dst is transformed in place), then the chain. Zero-allocation —
+// it captures only pre-sized tensors.
 func chainRows(dst, src *tensor.Dense, chain []Unary) func(lo, hi int) {
 	return func(lo, hi int) {
-		d := dst.RowRange(lo, hi)
 		if src != nil {
-			copy(d.Data, src.RowRange(lo, hi).Data)
+			copy(dst.RowRange(lo, hi).Data, src.RowRange(lo, hi).Data)
 		}
-		for _, u := range chain {
-			u.Apply(&d)
-		}
+		applyChain(chain, dst, lo, hi)
 	}
 }
 
@@ -162,10 +168,7 @@ func chainRows(dst, src *tensor.Dense, chain []Unary) func(lo, hi int) {
 // kernel's chunk bodies still never runs whole-tensor on one goroutine where a
 // standalone elementwise step of the same shape would have been split.
 func regionStage(rows int, costNs float64, workers int, body func(lo, hi int)) core.RegionStage {
-	sp := newDenseSplit(rows, costNs, workers, func(lo, hi int) {
-		denseChunkFaults()
-		body(lo, hi)
-	})
+	sp := newDenseSplit(rows, costNs, workers, body)
 	if sp == nil {
 		return func() { body(0, rows) }
 	}
@@ -203,6 +206,8 @@ type CompiledProgram struct {
 	steps  []step
 	stats  Stats
 	scheds []ScheduledOp
+	// rewrites is every decision the dense-rewrite stage took (rewrite.go).
+	rewrites []RewriteNote
 	// slotOffsets is each arena slot's float offset, kept so the wave
 	// analyzer can turn slot assignments into effect intervals.
 	slotOffsets []int
@@ -229,31 +234,33 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		backend = core.DefaultBackend()
 	}
 	csp := telemetry.StartSpan("program", "compile", "compile")
+	var notes []RewriteNote
 	defer func() {
 		if err != nil {
 			csp.EndErr(err.Error())
 		} else {
-			csp.End()
+			csp.EndArgs(rewriteArgs(notes))
 		}
 	}()
 	var stats Stats
 	numV, numE := g.NumVertices(), g.NumEdges()
 
-	// Pass 1: fusion (engines that fuse) + dead-code elimination. Fusing
-	// schedulers get cost-modeled region growth unless they implement
-	// RegionPolicy and turn it off; regions subsume pair fusion (the pair is
-	// the degenerate region), so exactly one of the two passes runs.
+	// Pass 1: fusion and dense rewrites (engines that fuse) + dead-code
+	// elimination, all under one cost model — the scheduler's, when it is a
+	// RegionPolicy. A PairOnly model leaves the pair rewrite alone.
 	work := p
 	if s.Fused() {
-		if regionsEnabled(s) {
-			var rstats RegionStats
-			work, rstats = FuseRegions(work, numV, numE, DefaultCostModel())
-			stats.FusedPairs = rstats.Pairs
-			stats.FusedRegions = rstats.Regions
-			stats.RegionSavedBytes = rstats.SavedBytes
-		} else {
-			work, stats.FusedPairs = Fuse(work)
+		cm := DefaultCostModel()
+		if rp, ok := s.(RegionPolicy); ok {
+			cm = rp.FusionCostModel()
 		}
+		var rstats RegionStats
+		work, rstats = FuseRegions(work, numV, numE, cm)
+		stats.FusedPairs = rstats.Pairs
+		stats.FusedRegions = rstats.Regions
+		stats.RegionSavedBytes = rstats.SavedBytes
+		work, notes = RewriteDense(work, numV, numE, cm)
+		stats.countRewrites(notes)
 	}
 	work, stats.RemovedNodes = EliminateDead(work)
 	stats.GraphKernels = work.GraphOpCount()
@@ -301,6 +308,7 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		output:      views[work.Output],
 		steps:       make([]step, 0, len(work.Nodes)),
 		stats:       stats,
+		rewrites:    notes,
 		slotOffsets: offsets,
 	}
 
@@ -309,12 +317,15 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	for i := range work.Nodes {
 		n := &work.Nodes[i]
 		st := step{op: n.Op, name: n.Name, label: stepLabel(n.Op, n.Name), out: views[n.Out], scale: n.Scale, chain: n.Chain, inPlace: plan.InPlace[i],
-			vx: n.X, vy: n.Y, vout: n.Out, scratch: -1}
+			vx: n.X, vy: n.Y, vx2: NoValue, vout: n.Out, scratch: -1}
 		if n.X != NoValue {
 			st.x = views[n.X]
 		}
 		if n.Y != NoValue {
 			st.y = views[n.Y]
+		}
+		if d := n.Dense; d != nil {
+			st.post = d.Post
 		}
 		switch n.Op {
 		case OpInput, OpConst:
@@ -326,6 +337,11 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			st.pb = tensor.PackB(views[n.Y])
 			cp.stats.GemmBlocked++
 			cp.stats.PackedFloats += st.pb.PackedFloats()
+			if d := n.Dense; d != nil && d.X2 != NoValue {
+				st.vx2, st.x2 = d.X2, views[d.X2]
+				st.pb2 = tensor.PackB(views[d.W2])
+				cp.stats.PackedFloats += st.pb2.PackedFloats()
+			}
 		case OpGraph:
 			// The task carries the nameless op so schedule lookups hit the
 			// same tuner cache entries the interpreter populates.
@@ -398,13 +414,16 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 			st.kern = kern
 			cp.scheds = append(cp.scheds, ScheduledOp{Name: n.Name, Op: op, Schedule: sched})
 		}
+		//lint:allow hook-discipline -- site registration happens once at compile time, off the Run hot path
+		st.site = telemetry.NewStepSite(work.Model, n.Name)
 		cp.steps = append(cp.steps, st)
 	}
 
-	// Dense steps large enough to pay for it are bound to a row-range split
-	// over the backend's worker count (dense.go). The lowered kernels report
-	// that count too, which keeps it visible when the caller handed in a
-	// decorator around the backend that does not forward Workers().
+	// Dense steps get their row-range bodies, and those large enough to pay
+	// for it a split over the backend's worker count (dense.go). The lowered
+	// kernels report that count too, which keeps it visible when the caller
+	// handed in a decorator around the backend that does not forward
+	// Workers().
 	workers := core.Workers(backend)
 	for i := range cp.steps {
 		if k := cp.steps[i].kern; k != nil {
@@ -412,7 +431,7 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		}
 	}
 	for i := range cp.steps {
-		planDenseSplit(&cp.steps[i], workers)
+		bindDense(&cp.steps[i], workers)
 	}
 
 	// Sharded kernels: fold the partition shape into the stats and rebind
@@ -523,7 +542,7 @@ func (cp *CompiledProgram) Run(x *tensor.Dense) (*tensor.Dense, error) {
 func (cp *CompiledProgram) revalidate() error {
 	for i := range cp.steps {
 		st := &cp.steps[i]
-		for _, d := range [...]*tensor.Dense{st.x, st.y, st.out} {
+		for _, d := range [...]*tensor.Dense{st.x, st.y, st.x2, st.out} {
 			if d == nil {
 				continue
 			}
@@ -609,38 +628,24 @@ func (cp *CompiledProgram) runSequential(ctx context.Context) error {
 	return nil
 }
 
-// runStep executes one compiled step against its prebound tensors.
+// runStep executes one compiled step against its prebound tensors — a graph
+// kernel, a dense step's chunks on the pool, or its body over all rows here —
+// and, while telemetry is on, times it.
 func (cp *CompiledProgram) runStep(ctx context.Context, st *step) error {
-	if st.split != nil {
-		return st.runSplit(ctx)
-	}
-	switch st.op {
-	case OpGEMM:
-		if st.pb != nil {
-			tensor.GemmPackedInto(st.out, st.x, st.pb)
-		} else {
-			tensor.MatMulInto(st.out, st.x, st.y)
+	start := st.site.Begin()
+	switch {
+	case st.split != nil:
+		if err := st.runSplit(ctx); err != nil {
+			return err
 		}
-	case OpUnary:
-		if !st.inPlace {
-			copy(st.out.Data, st.x.Data)
-		}
-		for _, u := range st.chain {
-			u.Apply(st.out)
-		}
-	case OpAddScaled:
-		tensor.AddScaledInto(st.out, st.x, st.y, st.scale)
-	case OpHeadMerge:
-		tensor.RowMeanInto(st.out, st.x)
-	case OpConcat:
-		tensor.ConcatInto(st.out, st.x, st.y)
-	case OpGraph:
+	case st.kern != nil:
 		if err := st.kern.RunCtx(ctx); err != nil {
 			return fmt.Errorf("program: %s: %w", st.name, err)
 		}
 	default:
-		return fmt.Errorf("program: unexpected step op %s", st.op)
+		st.body(0, st.out.Rows)
 	}
+	st.site.End(start)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package program
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/tensor"
@@ -19,27 +20,42 @@ import (
 // and the backend's worker count; the chunk body and the pool job are bound
 // then too, so a split step allocates nothing per Run.
 
-// Per-element cost estimates of the dense operators, in nanoseconds,
-// measured single-threaded on the 2-CPU bench host (EXPERIMENTS.md "Dense
-// step splitting"). They only rank steps against the two thresholds below;
-// a 2x error moves a step's chunk count, not its result.
+// Cost estimates of the dense operators, in nanoseconds, measured
+// single-threaded on the 2-CPU bench host with the kernels that run them
+// (`make bench-kernels`: BenchmarkGemmPacked and BenchmarkElementwise over
+// sign-random, all-positive and rectified inputs; EXPERIMENTS.md "Dense
+// rewrites"). They only rank steps against the two thresholds below; a 2x
+// error moves a step's chunk count, not its result.
 const (
-	// The packed GEMM, per kernel set (BenchmarkGemmPacked, `make
-	// bench-kernels`): the AVX2 kernels run 0.021-0.027 ns/flop over the
-	// models' seven shapes whatever share of A is zero; the Go loop 0.16-0.19
-	// on dense inputs (and 0.40-0.44 behind a ReLU, where its zero-skip
-	// branch mispredicts — the estimate keeps the dense figure, so such a
-	// step only splits sooner).
-	gemmVecNsPerFlop = 0.024
-	gemmGoNsPerFlop  = 0.19
-
-	copyNsPerElem      = 0.3
-	reluNsPerElem      = 0.5 // leaky-relu costs about the same
-	expNsPerElem       = 9.3
-	addScaledNsPerElem = 1.5
-	concatNsPerElem    = 0.5 // per output element
-	rowMeanNsPerElem   = 1.0 // per input element
+	copyNsPerElem    = 0.3
+	expNsPerElem     = 9.3
+	concatNsPerElem  = 0.55 // per output element
+	rowMeanNsPerElem = 1.0  // per input element
 )
+
+// perKernelSet picks a cost by the kernels this process dispatches to.
+func perKernelSet(vecNs, goNs float64) float64 {
+	if vec.Enabled() {
+		return vecNs
+	}
+	return goNs
+}
+
+// gemmNsPerFlop is the packed GEMM: the AVX2 kernels run 0.021-0.027 ns/flop
+// over the models' seven shapes whatever share of A is zero; the Go loop
+// 0.16-0.19 on dense inputs (and 0.40-0.44 behind a ReLU, where its zero-skip
+// branch mispredicts — the estimate keeps the dense figure, so such a step
+// only splits sooner).
+func gemmNsPerFlop() float64 { return perKernelSet(0.024, 0.19) }
+
+// reluNsPerElem is ReLU or leaky ReLU in place: 0.16-0.18 vectorised, 1.0-1.4
+// as the branch-free Go loops, on every input. (The branchy loops they
+// replaced cost 5.3 behind a GEMM and 0.5 on positive data, which the old
+// single figure of 0.5 was measured on.)
+func reluNsPerElem() float64 { return perKernelSet(0.2, 1.2) }
+
+// addScaledNsPerElem is out = a + s*b.
+func addScaledNsPerElem() float64 { return perKernelSet(0.6, 0.85) }
 
 const (
 	// denseInlineNs is the estimated single-threaded duration below which a
@@ -60,15 +76,6 @@ const (
 	denseChunkNs = 100e3
 )
 
-// gemmNsPerFlop is the packed GEMM's cost with the kernels this process
-// dispatches to.
-func gemmNsPerFlop() float64 {
-	if vec.Enabled() {
-		return gemmVecNsPerFlop
-	}
-	return gemmGoNsPerFlop
-}
-
 // denseSplit is one dense step's compile-time split plan.
 type denseSplit struct {
 	job     *workpool.Job
@@ -77,16 +84,22 @@ type denseSplit struct {
 }
 
 // denseCostNs estimates a dense step's single-threaded duration from its
-// shape.
+// shape, the chain it absorbed included: the split/inline decision is about
+// what the step's chunks really do.
 func denseCostNs(st *step) float64 {
 	out := float64(len(st.out.Data))
+	post := chainCostNs(st.post, false, len(st.out.Data))
 	switch st.op {
 	case OpGEMM:
-		return gemmNsPerFlop() * float64(tensor.GEMMFlops(st.x.Rows, st.x.Cols, st.out.Cols))
+		k := st.x.Cols
+		if st.x2 != nil {
+			k += st.x2.Cols
+		}
+		return gemmNsPerFlop()*float64(tensor.GEMMFlops(st.x.Rows, k, st.out.Cols)) + post
 	case OpUnary:
 		return chainCostNs(st.chain, !st.inPlace, len(st.out.Data))
 	case OpAddScaled:
-		return addScaledNsPerElem * out
+		return addScaledNsPerElem()*out + post
 	case OpConcat:
 		return concatNsPerElem * out
 	case OpHeadMerge:
@@ -106,7 +119,7 @@ func chainCostNs(chain []Unary, copied bool, elems int) float64 {
 		if u.Kind == UnaryExp {
 			per += expNsPerElem
 		} else {
-			per += reluNsPerElem
+			per += reluNsPerElem()
 		}
 	}
 	return per * float64(elems)
@@ -119,72 +132,75 @@ func denseChunkFaults() {
 	faultinject.MaybePanic(faultinject.DenseChunkPanic)
 }
 
-// planDenseSplit decides whether st splits and, if so, binds its chunk body
-// and pool job. It captures the step's tensors by value: they are arena
-// views fixed for the life of the compiled program.
-func planDenseSplit(st *step, workers int) {
-	out, x, y := st.out, st.x, st.y
-	var body func(lo, hi int)
+// applyChain runs an absorbed elementwise chain over rows [lo, hi) of out, in
+// place: the rows the calling chunk has just computed.
+func applyChain(chain []Unary, out *tensor.Dense, lo, hi int) {
+	o := out.RowRange(lo, hi)
+	for _, u := range chain {
+		u.Apply(&o)
+	}
+}
+
+// bindDense binds a dense step's row-range body — what it does to output rows
+// [lo, hi), everything the rewrite stage folded into it included — and
+// decides whether the step splits over the pool. The body captures the step's
+// tensors by pointer: they are arena views fixed for the life of the compiled
+// program. An inline step is the body over all rows.
+func bindDense(st *step, workers int) {
+	out, x, y, post := st.out, st.x, st.y, st.post
 	switch st.op {
 	case OpGEMM:
-		pb := st.pb
-		if pb == nil {
-			return // the naive loop has no row-range form
-		}
-		body = func(lo, hi int) {
-			denseChunkFaults()
+		pb, x2, pb2 := st.pb, st.x2, st.pb2
+		st.body = func(lo, hi int) {
 			tensor.GemmPackedRowsInto(out, x, pb, lo, hi)
+			if pb2 != nil {
+				tensor.GemmPackedRowsAccInto(out, x2, pb2, lo, hi)
+			}
+			applyChain(post, out, lo, hi)
 		}
 	case OpUnary:
-		chain, inPlace := st.chain, st.inPlace
-		body = func(lo, hi int) {
-			denseChunkFaults()
-			o := out.RowRange(lo, hi)
-			if !inPlace {
-				copy(o.Data, x.RowRange(lo, hi).Data)
-			}
-			for _, u := range chain {
-				u.Apply(&o)
-			}
+		src := x
+		if st.inPlace {
+			src = nil
 		}
+		st.body = chainRows(out, src, st.chain)
 	case OpAddScaled:
 		scale := st.scale
-		body = func(lo, hi int) {
-			denseChunkFaults()
+		st.body = func(lo, hi int) {
 			o, a, b := out.RowRange(lo, hi), x.RowRange(lo, hi), y.RowRange(lo, hi)
 			tensor.AddScaledInto(&o, &a, &b, scale)
+			applyChain(post, out, lo, hi)
 		}
 	case OpHeadMerge:
-		body = func(lo, hi int) {
-			denseChunkFaults()
+		st.body = func(lo, hi int) {
 			o, a := out.RowRange(lo, hi), x.RowRange(lo, hi)
 			tensor.RowMeanInto(&o, &a)
 		}
 	case OpConcat:
-		body = func(lo, hi int) {
-			denseChunkFaults()
+		st.body = func(lo, hi int) {
 			o, a, b := out.RowRange(lo, hi), x.RowRange(lo, hi), y.RowRange(lo, hi)
 			tensor.ConcatInto(&o, &a, &b)
 		}
 	default:
 		return
 	}
-	st.split = newDenseSplit(st.out.Rows, denseCostNs(st), workers, body)
+	st.split = newDenseSplit(st.out.Rows, denseCostNs(st), workers, st.body)
 }
 
 // newDenseSplit applies the split rule to a row-wise body over [0, rows)
 // whose single-threaded cost is estimated at costNs: nil (run it on the
 // caller) below denseInlineNs or with one worker, else a pool job over
-// chunks of about denseChunkNs.
+// chunks of about denseChunkNs, each passing the fault-injection site first.
 func newDenseSplit(rows int, costNs float64, workers int, body func(lo, hi int)) *denseSplit {
 	if workers <= 1 || rows < 2 || costNs < denseInlineNs {
 		return nil
 	}
-	chunk := int(float64(rows) * denseChunkNs / costNs)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &denseSplit{job: workpool.NewJob(body), chunk: chunk, workers: workers}
+	chunk := max(1, int(float64(rows)*denseChunkNs/costNs))
+	job := workpool.NewJob(func(lo, hi int) {
+		denseChunkFaults()
+		body(lo, hi)
+	})
+	return &denseSplit{job: job, chunk: chunk, workers: workers}
 }
 
 // runSplit executes a split dense step on the pool. A chunk panic, on the
@@ -216,16 +232,20 @@ type StepMode struct {
 	// the producing chunk or as a stage after the kernel. Empty for dense
 	// steps and sequential backends.
 	Walk, Epilogue string
+	// P50 is the median wall time of the step's recent runs (up to the last
+	// 64) made while telemetry was enabled; zero when there were none.
+	P50 time.Duration
 }
 
 // StepModes reports every step's execution mode, in execution order. Dense
 // steps decide at compile time; graph kernels report the fan-out their
-// backend lowered them with.
+// backend lowered them with. Call it between runs, not during one.
 func (cp *CompiledProgram) StepModes() []StepMode {
 	modes := make([]StepMode, len(cp.steps))
 	for i := range cp.steps {
 		st := &cp.steps[i]
 		m := StepMode{Op: st.op.String(), Name: st.name, Workers: 1}
+		m.P50 = st.site.P50()
 		switch {
 		case st.split != nil:
 			m.Workers = st.split.workers

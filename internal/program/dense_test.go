@@ -42,23 +42,23 @@ func testDenseSplitDecision(t *testing.T) {
 	if c := denseCostNs(&small); c >= denseInlineNs {
 		t.Fatalf("CO-sized GEMM estimated at %.0f ns, want under the %.0f ns inline threshold", c, float64(denseInlineNs))
 	}
-	planDenseSplit(&small, 4)
+	bindDense(&small, 4)
 	if small.split != nil {
 		t.Error("CO-sized GEMM split; it must run inline")
 	}
 
 	mid := gemmStep(1400, 64, 16)
-	planDenseSplit(&mid, 2)
+	bindDense(&mid, 2)
 	if split := mid.split != nil; split == vec.Enabled() {
 		t.Errorf("1400x64x16 GEMM estimated at %.0f ns on the %s kernels: split=%v", denseCostNs(&mid), vec.ISA(), split)
 	}
 
 	big := gemmStep(19717, 64, 256)
-	planDenseSplit(&big, 1)
+	bindDense(&big, 1)
 	if big.split != nil {
 		t.Error("workers=1 bound a split plan; the single-worker path must never touch the pool")
 	}
-	planDenseSplit(&big, 2)
+	bindDense(&big, 2)
 	if big.split == nil {
 		t.Fatalf("a %.0f ms GEMM did not split at workers=2", denseCostNs(&big)/1e6)
 	}
@@ -77,6 +77,38 @@ func testDenseSplitDecision(t *testing.T) {
 	}
 	if !big.out.Equal(want) {
 		t.Errorf("split GEMM differs from the whole product (max diff %g), want bit-identical", big.out.MaxDiff(want))
+	}
+
+	// The elementwise constants are per kernel set too: a relu over a million
+	// elements is 0.2 ms vectorised and 1.2 ms as the Go loop, so it splits
+	// exactly when the Go loop runs it.
+	act := tensor.NewDense(4096, 256)
+	relu := step{op: OpUnary, name: "relu", out: act, x: act, chain: []Unary{{Kind: UnaryReLU}}, inPlace: true}
+	bindDense(&relu, 2)
+	if split := relu.split != nil; split == vec.Enabled() {
+		t.Errorf("relu over %d elements estimated at %.0f ns on the %s kernels: split=%v", len(act.Data), denseCostNs(&relu), vec.ISA(), split)
+	}
+
+	// What a step absorbed is part of its cost: a CO-sized GEMM (2708 x 16 x
+	// 24) stays inline on its own and with a relu, and splits once its chunks
+	// also run an exp over every output element (9.3 ns each).
+	for _, tc := range []struct {
+		post  []Unary
+		split bool
+	}{
+		{[]Unary{{Kind: UnaryReLU}}, false},
+		{[]Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}, {Kind: UnaryExp}}, true},
+	} {
+		st := gemmStep(2708, 16, 24)
+		bare := denseCostNs(&st)
+		st.post = tc.post
+		if got, want := denseCostNs(&st), bare+chainCostNs(tc.post, false, len(st.out.Data)); got != want {
+			t.Errorf("GEMM with a %d-op epilogue estimated at %.0f ns, want its %.0f plus the chain's = %.0f", len(tc.post), got, bare, want)
+		}
+		bindDense(&st, 2)
+		if (st.split != nil) != tc.split {
+			t.Errorf("GEMM with a %d-op epilogue, estimated at %.0f ns: split=%v, want %v", len(tc.post), denseCostNs(&st), st.split != nil, tc.split)
+		}
 	}
 }
 
@@ -140,10 +172,11 @@ func TestRegionStageFollowsSplitRule(t *testing.T) {
 	stage()
 }
 
-// BenchmarkDenseOpCost measures what the per-element constants of dense.go
-// estimate: each elementwise operator single-threaded over a 19717 x 256
-// activation (sage-dense's hidden layer), reported as ns per element of the
-// tensor the constant is defined over.
+// BenchmarkDenseOpCost measures the per-element constants of dense.go that
+// are the same under both kernel sets: each operator single-threaded over a
+// 19717 x 256 activation (sage-dense's hidden layer), reported as ns per
+// element of the tensor the constant is defined over. The per-kernel-set
+// ones (relu, add-scaled) come from tensor's BenchmarkElementwise.
 func BenchmarkDenseOpCost(b *testing.B) {
 	const rows, cols = 19717, 256
 	rng := rand.New(rand.NewSource(9))
@@ -160,9 +193,7 @@ func BenchmarkDenseOpCost(b *testing.B) {
 		run   func()
 	}{
 		{"copy", rows * cols, func() { copy(out.Data, x.Data) }},
-		{"relu", rows * cols, func() { Unary{Kind: UnaryReLU}.Apply(out) }},
 		{"copy+exp", rows * cols, func() { copy(out.Data, x.Data); Unary{Kind: UnaryExp}.Apply(out) }},
-		{"add-scaled", rows * cols, func() { tensor.AddScaledInto(out, x, y, 0.5) }},
 		{"concat", rows * 2 * cols, func() { tensor.ConcatInto(wide, x, y) }},
 		{"row-mean", rows * cols, func() { tensor.RowMeanInto(narrow, x) }},
 	} {

@@ -59,6 +59,15 @@ type Value struct {
 	Const bool
 }
 
+// bytes is the value's storage on a graph of the given size.
+func (v Value) bytes(numV, numE int) int64 {
+	rows := numV
+	if v.Rows == EdgeRows {
+		rows = numE
+	}
+	return 4 * int64(rows) * int64(v.Cols)
+}
+
 // NodeOp enumerates the node kinds of the program IR.
 type NodeOp uint8
 
@@ -153,6 +162,9 @@ type Node struct {
 	// the absorbed prologue/epilogue chains and the cost model's claimed
 	// saving. Nil for nodes outside any region.
 	Region *RegionInfo
+	// Dense annotates nodes the dense-rewrite stage changed or created
+	// (rewrite.go). Nil everywhere else.
+	Dense *DenseInfo
 }
 
 // Program is a recorded model forward pass: nodes in topological (recording)

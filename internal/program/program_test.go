@@ -36,6 +36,13 @@ func (s stubScheduler) Device() *gpu.Device                       { return gpu.V
 func (s stubScheduler) ScheduleFor(t schedule.Task) core.Schedule { return s.sched }
 func (s stubScheduler) Fused() bool                               { return s.fuse }
 
+// fusePairsOnly is the pair rewrite alone: FuseRegions under the cost model
+// that accepts nothing beyond it. The graph sizes only price savings.
+func fusePairsOnly(p *Program) (*Program, int) {
+	fp, stats := FuseRegions(p, 0, 0, PairOnlyCostModel())
+	return fp, stats.Pairs
+}
+
 // toyProgram records input -> GEMM -> materialise -> scatter -> relu, the
 // minimal shape exercising constants, a fusable pair and an activation.
 // Returns the program plus the raw weight/edge-scalar tensors for oracles.
@@ -152,7 +159,7 @@ func TestFuseMergesPairs(t *testing.T) {
 	if got := p.GraphOpCount(); got != 2 {
 		t.Fatalf("recorded graph ops = %d, want 2", got)
 	}
-	fp, pairs := Fuse(p)
+	fp, pairs := fusePairsOnly(p)
 	if pairs != 1 {
 		t.Fatalf("fused pairs = %d, want 1", pairs)
 	}
@@ -207,7 +214,7 @@ func TestFuseSkipsMultiConsumerIntermediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, pairs := Fuse(p)
+	fp, pairs := fusePairsOnly(p)
 	if pairs != 0 {
 		t.Fatalf("fused %d pairs across a shared intermediate, want 0", pairs)
 	}
@@ -291,7 +298,7 @@ func TestPlanBuffersToy(t *testing.T) {
 	for _, fuse := range []bool{false, true} {
 		work := p
 		if fuse {
-			work, _ = Fuse(p)
+			work, _ = fusePairsOnly(p)
 		}
 		plan, err := PlanBuffers(work, g.NumVertices(), g.NumEdges())
 		if err != nil {

@@ -2,16 +2,29 @@ package program
 
 import (
 	"fmt"
+	"strings"
+
+	"repro/internal/ops"
+	"repro/internal/tensor"
 )
 
-// Fusion regions generalise the pair rewrite of fuse.go: instead of only
-// merging materialise+scatter pairs, the compiler grows each graph operator
-// into a maximal legal *region* — the operator plus the single-consumer
-// elementwise chains feeding its operands (prologues, staged at launch) and
-// the single-consumer elementwise chain consuming its output (the epilogue,
-// applied in place after the reduction) — and lowers the whole region as one
-// composed kernel (core.ComposeRegion). The pair rewrite falls out as the
-// degenerate region with no absorbed chains.
+// The fusion pass (paper §5.2): recorded programs always spell aggregations
+// as the decomposed two-kernel form — an explicit message-creation operator
+// that materialises |E| x F edge messages, followed by a pure scatter that
+// reduces them — because that form is the common denominator every engine
+// can run (PyG never fuses). Engines that do fuse get the single-kernel form
+// back here, at compile time: materialise+scatter pairs merge into one
+// fused-aggregation operator that reads the original vertex/edge operands
+// directly during the reduction, so the |E| x F intermediate never exists —
+// the "redundant accesses" of §2.
+//
+// The same pass then grows each graph operator into a maximal legal *region*
+// — the operator plus the single-consumer elementwise chains feeding its
+// operands (prologues, staged at launch) and the single-consumer elementwise
+// chain consuming its output (the epilogue, applied in place after the
+// reduction) — and the whole region lowers as one composed kernel
+// (core.ComposeRegion). The bare pair is the degenerate region with no
+// absorbed chains, which is all a PairOnly cost model leaves.
 //
 // Growth is cost-modeled, not unconditional. Absorbing an epilogue always
 // wins (the interior tensor's write+read round trip disappears and a kernel
@@ -32,6 +45,10 @@ type CostModel struct {
 	// over a value of b bytes costs StagingPenalty*b against the saved
 	// launch.
 	StagingPenalty float64
+	// PairOnly prices every absorption and every dense rewrite (rewrite.go)
+	// as a loss: only the materialise+scatter pair rewrite runs, which is what
+	// the baseline frameworks that fuse at all do (DGL).
+	PairOnly bool
 }
 
 // DefaultCostModel is the model Compile uses: a launch is worth 16 KiB of
@@ -78,12 +95,96 @@ type RegionStats struct {
 	SavedBytes int64
 }
 
-// RegionPolicy is an optional Scheduler extension: schedulers that implement
-// it control whether Compile grows fusion regions beyond pair fusion.
-// Schedulers without it get regions whenever they fuse at all.
+// PairOnlyCostModel is the model of an engine that fuses pairs and nothing
+// else.
+func PairOnlyCostModel() CostModel { return CostModel{PairOnly: true} }
+
+// RegionPolicy is an optional Scheduler extension: a fusing scheduler that
+// implements it chooses the cost model Compile grows fusion regions and
+// rewrites dense steps under. Schedulers without it get DefaultCostModel.
 type RegionPolicy interface {
-	// FusionRegions reports whether cost-modeled region growth is enabled.
-	FusionRegions() bool
+	FusionCostModel() CostModel
+}
+
+// fuseCandidate reports whether node n materialises edge messages in the
+// canonical decomposed shape: a non-reducing gather writing an edge tensor.
+func fuseCandidate(n *Node) bool {
+	return n.Op == OpGraph &&
+		n.GOp.CKind == tensor.EdgeK &&
+		n.GOp.GatherOp == ops.GatherCopyRHS
+}
+
+// fuseScatter reports whether node n is the canonical pure scatter: copy the
+// edge tensor through and reduce per destination.
+func fuseScatter(n *Node) bool {
+	return n.Op == OpGraph &&
+		n.GOp.EdgeOp == ops.CopyRHS &&
+		n.GOp.GatherOp.IsReduction() &&
+		n.GOp.AKind == tensor.Null &&
+		n.GOp.BKind == tensor.EdgeK &&
+		n.GOp.CKind == tensor.DstV
+}
+
+// mergedName strips the decomposition suffixes so the fused operator carries
+// the stage name the interpreter would use ("GCN_L1_Aggr_materialize" +
+// "GCN_L1_Aggr_scatter" -> "GCN_L1_Aggr"). Pairs outside the canonical
+// naming convention get a bounded fallback — the materialise name truncated
+// plus a "_fused" marker — so merged labels stay stable and short instead of
+// concatenating two arbitrary stage names.
+func mergedName(mat, scat string) string {
+	if base := strings.TrimSuffix(mat, "_materialize"); base != mat && base == strings.TrimSuffix(scat, "_scatter") {
+		return base
+	}
+	const maxBase = 24
+	if len(mat) > maxBase {
+		mat = mat[:maxBase]
+	}
+	return mat + "_fused"
+}
+
+// fusePairs merges, in place over nodes, every materialise+scatter pair whose
+// intermediate edge tensor has exactly one consumer and is not the program
+// output: the materialise becomes the fused-aggregation operator defining the
+// scatter's value, the scatter is marked removed. Returns the pair count.
+func fusePairs(nodes []Node, removed []bool, uses []int, output ValueID) int {
+	fused := 0
+	for i := range nodes {
+		mat := &nodes[i]
+		if !fuseCandidate(mat) || uses[mat.Out] != 1 || mat.Out == output {
+			continue
+		}
+		// Find the single consumer; it must be a canonical scatter reading the
+		// messages as operand B.
+		for j := i + 1; j < len(nodes); j++ {
+			scat := &nodes[j]
+			if !readsValue(scat, mat.Out) {
+				continue
+			}
+			merged := Node{
+				Op:    OpGraph,
+				Name:  mergedName(mat.Name, scat.Name),
+				X:     mat.X,
+				Y:     mat.Y,
+				Out:   scat.Out,
+				Fused: true,
+				GOp: ops.OpInfo{
+					EdgeOp:   mat.GOp.EdgeOp,
+					GatherOp: scat.GOp.GatherOp,
+					AKind:    mat.GOp.AKind,
+					BKind:    mat.GOp.BKind,
+					CKind:    tensor.DstV,
+				},
+			}
+			// Anything else is not a legal fused form; keep the pair.
+			if fuseScatter(scat) && scat.Y == mat.Out && merged.GOp.Validate() == nil {
+				nodes[i] = merged
+				removed[j] = true
+				fused++
+			}
+			break
+		}
+	}
+	return fused
 }
 
 // regionName builds the bounded region label: the head node's name truncated
@@ -102,32 +203,21 @@ func regionName(base string, seq int) string {
 // the operand reads when the cost model accepts the trade. Every fused pair
 // is annotated with a RegionInfo (the degenerate region) so the verifier's
 // region rules cover the whole fusion surface. Returns the rewritten
-// program (value table shared, like Fuse) and the region statistics.
+// program (sharing the value table — ValueIDs stay stable) and the region
+// statistics.
 func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStats) {
 	var stats RegionStats
-	work, pairs := Fuse(p)
-	stats.Pairs = pairs
-
-	bytesOf := func(v ValueID) int64 {
-		val := work.Values[v]
-		rows := int64(numV)
-		if val.Rows == EdgeRows {
-			rows = int64(numE)
-		}
-		return 4 * rows * int64(val.Cols)
-	}
+	work := p
+	bytesOf := func(v ValueID) int64 { return work.Values[v].bytes(numV, numE) }
 
 	nodes := append([]Node(nil), work.Nodes...)
 	removed := make([]bool, len(nodes))
+	uses := useCounts(work)
+	stats.Pairs = fusePairs(nodes, removed, uses, work.Output)
 	defIdx := make(map[ValueID]int, len(nodes))
-	uses := make([]int, len(work.Values))
 	for i := range nodes {
-		defIdx[nodes[i].Out] = i
-		if x := nodes[i].X; x != NoValue {
-			uses[x]++
-		}
-		if y := nodes[i].Y; y != NoValue {
-			uses[y]++
+		if !removed[i] {
+			defIdx[nodes[i].Out] = i
 		}
 	}
 	// consumerOf finds the unique node reading v (valid only when uses[v]==1).
@@ -157,6 +247,10 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 			// The degenerate region: the pair rewrite already erased the
 			// |E| x F intermediate, whose width equals the fused output's.
 			ensure().SavedBytes += 2 * 4 * int64(numE) * int64(work.Values[n.Out].Cols)
+		}
+
+		if cm.PairOnly {
+			continue
 		}
 
 		// Epilogue absorption: while the region output has exactly one
@@ -243,4 +337,65 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 		out.Nodes = append(out.Nodes, nodes[i])
 	}
 	return out, stats
+}
+
+// EliminateDead removes nodes whose result is transitively unused (the
+// orphaned constants and stages fusion can leave behind). The input node is
+// always kept — Run binds caller data to it. Returns the pruned program and
+// the number of nodes removed.
+func EliminateDead(p *Program) (*Program, int) {
+	live := make([]bool, len(p.Values))
+	live[p.Output] = true
+	live[p.Input] = true
+	// Nodes are in topological order, so one reverse sweep settles liveness.
+	keep := make([]bool, len(p.Nodes))
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		n := &p.Nodes[i]
+		if !live[n.Out] && n.Op != OpInput {
+			continue
+		}
+		keep[i] = true
+		for _, v := range n.operands() {
+			if v != NoValue {
+				live[v] = true
+			}
+		}
+	}
+	removed := 0
+	out := &Program{
+		Model: p.Model, InCols: p.InCols, Classes: p.Classes,
+		Values: p.Values, Input: p.Input, Output: p.Output,
+	}
+	out.Nodes = make([]Node, 0, len(p.Nodes))
+	for i := range p.Nodes {
+		if !keep[i] {
+			removed++
+			continue
+		}
+		out.Nodes = append(out.Nodes, p.Nodes[i])
+	}
+	return out, removed
+}
+
+// useCounts tallies how many node operands read each value.
+func useCounts(p *Program) []int {
+	uses := make([]int, len(p.Values))
+	for i := range p.Nodes {
+		for _, v := range p.Nodes[i].operands() {
+			if v != NoValue {
+				uses[v]++
+			}
+		}
+	}
+	return uses
+}
+
+// readsValue reports whether node n reads v.
+func readsValue(n *Node, v ValueID) bool {
+	for _, o := range n.operands() {
+		if o == v {
+			return true
+		}
+	}
+	return false
 }

@@ -88,13 +88,14 @@ func TestFuseRegionsAbsorbsEpilogue(t *testing.T) {
 	}
 }
 
-// TestFuseRegionsDegeneratePair: with nothing to absorb, FuseRegions is
-// exactly Fuse plus a degenerate RegionInfo claiming only the pair's saving.
+// TestFuseRegionsDegeneratePair: with nothing to absorb, FuseRegions under
+// the default model is what it is under the pair-only one: the pair rewrite
+// plus a degenerate RegionInfo claiming only the pair's saving.
 func TestFuseRegionsDegeneratePair(t *testing.T) {
 	const numV, numE, cols = 40, 200, 4
 	p := pairProgram(t, numE, cols, false)
 	rp, stats := FuseRegions(p, numV, numE, DefaultCostModel())
-	fp, pairs := Fuse(p)
+	fp, pairs := fusePairsOnly(p)
 	if stats.Pairs != pairs || pairs != 1 {
 		t.Fatalf("pairs = %d/%d, want 1", stats.Pairs, pairs)
 	}
@@ -102,7 +103,7 @@ func TestFuseRegionsDegeneratePair(t *testing.T) {
 		t.Fatalf("degenerate pair grew: regions=%d absorbed=%d", stats.Regions, stats.Absorbed)
 	}
 	if len(rp.Nodes) != len(fp.Nodes) {
-		t.Fatalf("node count %d differs from Fuse's %d", len(rp.Nodes), len(fp.Nodes))
+		t.Fatalf("node count %d differs from the pair-only pass's %d", len(rp.Nodes), len(fp.Nodes))
 	}
 	n := regionOf(t, rp)
 	r := n.Region
@@ -112,12 +113,12 @@ func TestFuseRegionsDegeneratePair(t *testing.T) {
 	if want := int64(2 * 4 * numE * cols); r.SavedBytes != want {
 		t.Errorf("saved bytes = %d, want pair-only %d", r.SavedBytes, want)
 	}
-	// Region annotation aside, the rewrite matches Fuse node for node.
+	// Savings aside (the pair-only call priced none), the two agree node for node.
 	for i := range rp.Nodes {
 		a, b := rp.Nodes[i], fp.Nodes[i]
 		a.Region = nil
 		if a.Name != b.Name || a.Op != b.Op || a.X != b.X || a.Y != b.Y || a.Out != b.Out {
-			t.Errorf("node %d diverges from Fuse: %+v vs %+v", i, a, b)
+			t.Errorf("node %d diverges from the pair-only pass: %+v vs %+v", i, a, b)
 		}
 	}
 }

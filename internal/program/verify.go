@@ -17,22 +17,19 @@ import (
 // artifacts — so the fault-injection suite can prove every rule fires while
 // a corrupted compilation still fails safely.
 
-// kindOf maps a NodeOp to the verifier's coarser node classification.
+// irKinds maps a NodeOp to the verifier's coarser node classification; a
+// kind outside the table (hand-built IR) is KindOther.
+var irKinds = [...]analysis.NodeKind{
+	OpInput: analysis.KindInput, OpConst: analysis.KindConst, OpGEMM: analysis.KindGEMM,
+	OpUnary: analysis.KindUnary, OpAddScaled: analysis.KindAddScaled, OpHeadMerge: analysis.KindOther,
+	OpConcat: analysis.KindConcat, OpGraph: analysis.KindGraph,
+}
+
 func kindOf(op NodeOp) analysis.NodeKind {
-	switch op {
-	case OpInput:
-		return analysis.KindInput
-	case OpConst:
-		return analysis.KindConst
-	case OpUnary:
-		return analysis.KindUnary
-	case OpAddScaled:
-		return analysis.KindAddScaled
-	case OpGraph:
-		return analysis.KindGraph
-	default:
-		return analysis.KindOther
+	if int(op) < len(irKinds) {
+		return irKinds[op]
 	}
+	return analysis.KindOther
 }
 
 // irOf converts a Program into the verifier's exchange form. The slices are
@@ -57,7 +54,7 @@ func irOf(p *Program) *analysis.ProgramIR {
 			Name: n.Name, Kind: kindOf(n.Op),
 			X: int(n.X), Y: int(n.Y), Out: int(n.Out),
 			Op: n.GOp, Fused: n.Fused,
-			Chain: elemsOf(n.Chain),
+			Chain: elemsOf(n.Chain), Scale: n.Scale, Dense: n.Dense.ir(),
 		}
 		if r := n.Region; r != nil {
 			in.HasRegion = true
@@ -205,6 +202,20 @@ func corruptCheck(c *analysis.ProgramCheck) {
 	if faultinject.Fire(faultinject.CorruptBufferPlan) {
 		corruptBuffers(c, faultinject.SpecOf(faultinject.CorruptBufferPlan).Seed)
 	}
+	if faultinject.Fire(faultinject.CorruptDenseRewrite) {
+		corruptDense(c, faultinject.SpecOf(faultinject.CorruptDenseRewrite).Seed)
+	}
+}
+
+// phantomReader appends to the recorded view a dead unary node reading v: a
+// second consumer no rewrite that erased v could have honoured.
+func phantomReader(c *analysis.ProgramCheck, v int) {
+	c.Pre.Values = append(c.Pre.Values, c.Pre.Values[v])
+	c.Pre.Nodes = append(c.Pre.Nodes, analysis.IRNode{
+		Name: "phantom", Kind: analysis.KindUnary,
+		X: v, Y: analysis.NoValue, Out: len(c.Pre.Values) - 1,
+		Chain: []analysis.Elem{{}},
+	})
 }
 
 // firstGraphNode returns the index of the first graph node in ir, or -1.
@@ -331,12 +342,7 @@ func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
 			if d.Out != n.Out || d.Kind != analysis.KindUnary {
 				continue
 			}
-			c.Pre.Values = append(c.Pre.Values, c.Pre.Values[d.X])
-			c.Pre.Nodes = append(c.Pre.Nodes, analysis.IRNode{
-				Name: "phantom", Kind: analysis.KindUnary,
-				X: d.X, Y: analysis.NoValue, Out: len(c.Pre.Values) - 1,
-				Chain: append([]analysis.Elem(nil), d.Chain...),
-			})
+			phantomReader(c, d.X)
 			return
 		}
 	default:

@@ -116,7 +116,7 @@ func readAfterScatterProgram(t *testing.T, numEdges int) *Program {
 func TestFuseSkipsReadAfterScatter(t *testing.T) {
 	g := testGraph(t, 13, 40, 200)
 	p := readAfterScatterProgram(t, g.NumEdges())
-	fp, pairs := Fuse(p)
+	fp, pairs := fusePairsOnly(p)
 	if pairs != 1 {
 		t.Fatalf("fused pairs = %d, want 1 (only the tail pair is single-consumer)", pairs)
 	}
@@ -144,7 +144,7 @@ func TestFuseSkipsReadAfterScatter(t *testing.T) {
 }
 
 // TestVerifierRejectsIllegalHandFusion merges the read-after-scatter pair by
-// hand — the rewrite Fuse correctly refuses — and proves the verifier
+// hand — the rewrite the fusion pass correctly refuses — and proves the verifier
 // rejects it.
 func TestVerifierRejectsIllegalHandFusion(t *testing.T) {
 	g := testGraph(t, 14, 40, 200)

@@ -83,6 +83,9 @@ func (cp *CompiledProgram) stepEffects() []analysis.StepEffects {
 		if iv, ok := cp.valueInterval(st.vy); ok {
 			e.Reads = append(e.Reads, iv)
 		}
+		if iv, ok := cp.valueInterval(st.vx2); ok {
+			e.Reads = append(e.Reads, iv)
+		}
 		if iv, ok := cp.valueInterval(st.vout); ok {
 			e.Writes = append(e.Writes, iv)
 		}
@@ -257,13 +260,23 @@ func (cp *CompiledProgram) execStep(idx int) {
 			cp.failWave(stepPanicError(st, r))
 		}
 	}()
-	sp := telemetry.StartSpanCtx(cp.wctx, "program", "step", st.label)
-	if err := cp.runStep(cp.wctx, st); err != nil {
+	if err := cp.runStepSpan(cp.wctx, st); err != nil {
 		cp.failWave(err)
-		sp.EndErr(err.Error())
-		return
 	}
-	sp.End()
+}
+
+// runStepSpan runs st under a step span parented to the run span (the
+// trace's current parent is left alone: concurrent steps cannot take turns
+// mutating it).
+func (cp *CompiledProgram) runStepSpan(ctx context.Context, st *step) error {
+	sp := telemetry.StartSpanCtx(ctx, "program", "step", st.label)
+	err := cp.runStep(ctx, st)
+	if err != nil {
+		sp.EndErr(err.Error())
+	} else {
+		sp.End()
+	}
+	return err
 }
 
 // failWave records the wave's first error.
@@ -299,13 +312,9 @@ func (cp *CompiledProgram) runWaves(ctx context.Context) error {
 			}
 		}
 		if len(wave) == 1 {
-			st := &cp.steps[wave[0]]
-			sp := telemetry.StartSpanCtx(ctx, "program", "step", st.label)
-			if err := cp.runStep(ctx, st); err != nil {
-				sp.EndErr(err.Error())
+			if err := cp.runStepSpan(ctx, &cp.steps[wave[0]]); err != nil {
 				return err
 			}
-			sp.End()
 			continue
 		}
 		cp.wave = wave

@@ -293,12 +293,12 @@ func TestWaveParallelPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage one of the same-wave GEMM steps: a nil operand passes
-	// revalidate (nil tensors are skipped) but panics inside the kernel.
+	// Sabotage one of the same-wave GEMM steps: revalidate looks at tensors,
+	// so a step without a body passes it and panics when it runs.
 	broke := false
 	for i := range cp.steps {
 		if cp.steps[i].op == OpGEMM {
-			cp.steps[i].x = nil
+			cp.steps[i].body = nil
 			broke = true
 			break
 		}

@@ -532,6 +532,11 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		Queue   int    `json:"queue"`
 		// CompileMS is what building the model's one program cost at start-up.
 		CompileMS float64 `json:"compile_ms"`
+		// Rewrites is what the compiler's dense-rewrite stage decided for the
+		// program, one line per decision: the pass, the node, accepted (and
+		// under which verifier rule) or rejected (and why), and the bytes the
+		// recorded and the rewritten order stream.
+		Rewrites []string `json:"rewrites"`
 	}
 	out := struct {
 		Dataset  string `json:"dataset"`
@@ -548,10 +553,14 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range s.order {
 		h := s.hosts[strings.ToLower(name)]
-		out.Models = append(out.Models, modelInfo{
+		info := modelInfo{
 			Name: h.name, Breaker: h.br.current().String(), Queue: len(h.queue),
 			CompileMS: float64(h.compileTime) / float64(time.Millisecond),
-		})
+		}
+		for _, n := range h.prog.Rewrites() {
+			info.Rewrites = append(info.Rewrites, n.String())
+		}
+		out.Models = append(out.Models, info)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -554,6 +555,39 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if h.resilient.Fallbacks() != window {
 		t.Errorf("lifetime fallbacks %d changed by scrape, want %d", h.resilient.Fallbacks(), window)
+	}
+}
+
+// TestModelsEndpointListsRewrites: the model listing carries the compiler's
+// dense-rewrite decisions for each program, accepted and rejected, so which
+// rewrites a served model runs under is answerable from the daemon.
+func TestModelsEndpointListsRewrites(t *testing.T) {
+	_, ts := newTestServer(t, Config{Models: []string{"SMean"}})
+	resp, err := http.Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing struct {
+		Models []struct {
+			Name     string
+			Rewrites []string
+		}
+	}
+	err = json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if err != nil || len(listing.Models) != 1 {
+		t.Fatalf("/v1/models: %v, %+v", err, listing)
+	}
+	all := strings.Join(listing.Models[0].Rewrites, "\n")
+	for _, want := range []string{
+		"split-weight SageL1_w_concat: accepted under rule split-gemm",
+		"commute-aggregate SageL1_Aggr: rejected: the weight does not narrow the aggregate",
+		"commute-aggregate SageL2_Aggr: accepted under rule aggregate-commute",
+		"gemm-epilogue SageL2_relu: accepted under rule dense-epilogue",
+	} {
+		if !strings.Contains(all, want) {
+			t.Errorf("rewrites of %s lack %q:\n%s", listing.Models[0].Name, want, all)
+		}
 	}
 }
 

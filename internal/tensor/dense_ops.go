@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/vec"
 )
 
 // This file implements the dense neural-network operators GNN models need
@@ -77,8 +79,9 @@ func AddScaledInto(out, a, b *Dense, s float32) {
 	if a.Rows != b.Rows || a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != a.Cols {
 		panic("tensor: add-scaled shape mismatch")
 	}
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + s*b.Data[i]
+	o, x, y := out.Data, a.Data, b.Data
+	for i := vec.AddScaled(o, x, y, s); i < len(o); i++ {
+		o[i] = x[i] + s*y[i]
 	}
 }
 
@@ -127,21 +130,37 @@ func AddBias(t *Dense, bias []float32) {
 	}
 }
 
-// ReLU applies max(0, x) in place.
+// The activations below are `if v < 0 { ... }` per element, written without
+// the branch: behind a GEMM the sign is a coin flip and the branch costs about
+// 5 ns an element in mispredictions. negMask is the test on the bits.
+
+// negMask returns all ones when the float32 with bits b is below zero and
+// zero otherwise: the negative non-NaN values other than -0 are exactly the
+// bit patterns 0x80000001 (the smallest denormal) to 0xFF800000 (-Inf), a
+// range test that is one subtraction and the borrow of a second.
+func negMask(b uint32) uint32 {
+	return uint32((uint64(b-0x80000001) - 0x7F800000) >> 32)
+}
+
+// ReLU applies max(0, x) in place: `if v < 0 { v = 0 }`, so a NaN and -0 are
+// left as they are. The leading elements go through the vector kernel
+// (internal/vec), which yields the same bits.
 func ReLU(t *Dense) {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
+	d := t.Data
+	for i := vec.ReLU(d); i < len(d); i++ {
+		b := math.Float32bits(d[i])
+		d[i] = math.Float32frombits(b &^ negMask(b))
 	}
 }
 
-// LeakyReLU applies x>=0 ? x : alpha*x in place (GAT's attention activation).
+// LeakyReLU applies x>=0 ? x : alpha*x in place (GAT's attention activation):
+// `if v < 0 { v = alpha * v }`, by the same two routes as ReLU.
 func LeakyReLU(t *Dense, alpha float32) {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = alpha * v
-		}
+	d := t.Data
+	for i := vec.LeakyReLU(d, alpha); i < len(d); i++ {
+		b := math.Float32bits(d[i])
+		m := negMask(b)
+		d[i] = math.Float32frombits(b&^m | math.Float32bits(alpha*d[i])&m)
 	}
 }
 

@@ -101,6 +101,20 @@ func GemmPackedInto(out, a *Dense, pb *PackedB) {
 // into row panels leaves every element's accumulation order — hence every
 // bit of the result — unchanged.
 func GemmPackedRowsInto(out, a *Dense, pb *PackedB, lo, hi int) {
+	gemmPackedRows(out, a, pb, lo, hi, false)
+}
+
+// GemmPackedRowsAccInto adds a @ B to output rows [lo, hi): each element's
+// accumulator starts from what out holds and carries on in ascending k. Run
+// after GemmPackedRowsInto(out, x, W[:Kx]) with a = y and B = W[Kx:] it
+// leaves, per element, the add chain of [x | y] @ W — the same bits, without
+// the concatenation (the rows of a row-major W are contiguous, so each half
+// packs from a RowRange view).
+func GemmPackedRowsAccInto(out, a *Dense, pb *PackedB, lo, hi int) {
+	gemmPackedRows(out, a, pb, lo, hi, true)
+}
+
+func gemmPackedRows(out, a *Dense, pb *PackedB, lo, hi int, acc bool) {
 	if a.Cols != pb.K {
 		// invariant: shapes come from model code and the compile-time packer,
 		// never from user input; a mismatch is a compiler bug.
@@ -118,14 +132,20 @@ func GemmPackedRowsInto(out, a *Dense, pb *PackedB, lo, hi int) {
 	}
 	first := 0
 	if pb.finite {
-		first = vec.GemmPanels(out.Data, a.Data, pb.panels, lo, hi, pb.K, pb.N)
+		if acc {
+			first = vec.GemmPanelsAcc(out.Data, a.Data, pb.panels, lo, hi, pb.K, pb.N)
+		} else {
+			first = vec.GemmPanels(out.Data, a.Data, pb.panels, lo, hi, pb.K, pb.N)
+		}
 	}
-	gemmPackedRowsGo(out, a, pb, lo, hi, first)
+	gemmPackedRowsGo(out, a, pb, lo, hi, first, acc)
 }
 
 // gemmPackedRowsGo is the portable kernel, and the oracle the vector kernels
-// are tested against: output rows [lo, hi), panels from first on.
-func gemmPackedRowsGo(out, a *Dense, pb *PackedB, lo, hi, first int) {
+// are tested against: output rows [lo, hi), panels from first on, the
+// accumulators starting from out's elements when acc is set and from +0
+// otherwise.
+func gemmPackedRowsGo(out, a *Dense, pb *PackedB, lo, hi, first int, acc bool) {
 	k, n := pb.K, pb.N
 	numPanels := (n + gemmPanelN - 1) / gemmPanelN
 	if first == numPanels {
@@ -136,7 +156,16 @@ func gemmPackedRowsGo(out, a *Dense, pb *PackedB, lo, hi, first int) {
 		orow := out.Row(i)
 		for p := first; p < numPanels; p++ {
 			panel := pb.panels[p*k*gemmPanelN : (p+1)*k*gemmPanelN]
-			var acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7 float32
+			j0 := p * gemmPanelN
+			width := min(n-j0, gemmPanelN)
+			// Padded lanes of the tail panel hold zeros: their accumulators
+			// are computed and discarded.
+			var accs [gemmPanelN]float32
+			if acc {
+				copy(accs[:width], orow[j0:j0+width])
+			}
+			acc0, acc1, acc2, acc3 := accs[0], accs[1], accs[2], accs[3]
+			acc4, acc5, acc6, acc7 := accs[4], accs[5], accs[6], accs[7]
 			for kk, av := range arow {
 				if av == 0 {
 					continue
@@ -151,17 +180,7 @@ func gemmPackedRowsGo(out, a *Dense, pb *PackedB, lo, hi, first int) {
 				acc6 += av * row[6]
 				acc7 += av * row[7]
 			}
-			j0 := p * gemmPanelN
-			width := n - j0
-			if width >= gemmPanelN {
-				dst := orow[j0 : j0+gemmPanelN : j0+gemmPanelN]
-				dst[0], dst[1], dst[2], dst[3] = acc0, acc1, acc2, acc3
-				dst[4], dst[5], dst[6], dst[7] = acc4, acc5, acc6, acc7
-				continue
-			}
-			// Tail panel: store only the real columns; padded lanes held zeros,
-			// so their accumulators are discarded.
-			accs := [gemmPanelN]float32{acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7}
+			accs = [gemmPanelN]float32{acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7}
 			copy(orow[j0:j0+width], accs[:width])
 		}
 	}

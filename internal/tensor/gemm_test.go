@@ -264,7 +264,7 @@ func TestGemmVectorEqualsGo(t *testing.T) {
 						want, got := offsetDense(m, n, off), offsetDense(m, n, off)
 						want.Fill(sentinel)
 						got.Fill(sentinel)
-						gemmPackedRowsGo(want, a, pb, r[0], r[1], 0)
+						gemmPackedRowsGo(want, a, pb, r[0], r[1], 0, false)
 						GemmPackedRowsInto(got, a, pb, r[0], r[1])
 						if i := got.BitDiff(want); i >= 0 {
 							t.Fatalf("m=%d k=%d n=%d %s rows [%d,%d): element %d = %v (%#x), Go loop %v (%#x)",
@@ -273,6 +273,64 @@ func TestGemmVectorEqualsGo(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGemmAccumulateEqualsConcat: x @ W[:Fx] followed by the accumulating
+// y @ W[Fx:] leaves, in every element, the bits of [x | y] @ W — one add
+// chain in ascending k either way — at the models' layer shapes and at widths
+// that are not whole panels, on dense and rectified inputs, in row ranges,
+// with each kernel set, and when a weight half holds a NaN or an infinity and
+// so runs the zero-skipping Go loop while the other half may not.
+func TestGemmAccumulateEqualsConcat(t *testing.T) {
+	vectest.EachKernelSet(t, testGemmAccumulateEqualsConcat)
+}
+
+func testGemmAccumulateEqualsConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	shapes := []struct{ m, fx, fy, n int }{
+		{67, 32, 32, 256}, // Sage layer 1 at 32 input features
+		{67, 256, 256, 8}, // Sage layer 2, 8 classes
+		{33, 12, 12, 5},   // the test models' widths: less than a panel
+		{9, 7, 3, 13},     // unequal halves, a panel and a tail
+		{5, 1, 40, 37},
+		{3, 16, 16, 64}, // fewer rows than a four-row group
+	}
+	for _, s := range shapes {
+		for _, fill := range []string{"dense", "rectified", "non-finite top", "non-finite bottom"} {
+			x, y, w := NewDense(s.m, s.fx), NewDense(s.m, s.fy), NewDense(s.fx+s.fy, s.n)
+			x.FillRandom(rng, 1)
+			y.FillRandom(rng, 1)
+			w.FillRandom(rng, 1)
+			switch fill {
+			case "rectified":
+				ReLU(x)
+				ReLU(y)
+			case "non-finite top":
+				ReLU(x) // zeros against the NaN: the skip decides the result
+				w.Data[rng.Intn(s.fx*s.n)] = float32(math.NaN())
+			case "non-finite bottom":
+				ReLU(y)
+				w.Data[s.fx*s.n+rng.Intn(s.fy*s.n)] = float32(math.Inf(-1))
+			}
+			cat := NewDense(s.m, s.fx+s.fy)
+			ConcatInto(cat, x, y)
+			want := NewDense(s.m, s.n)
+			GemmPackedInto(want, cat, PackB(w))
+
+			top, bottom := w.RowRange(0, s.fx), w.RowRange(s.fx, s.fx+s.fy)
+			pbTop, pbBottom := PackB(&top), PackB(&bottom)
+			got := NewDense(s.m, s.n)
+			for _, r := range [][2]int{{s.m / 2, s.m}, {0, s.m / 2}} {
+				GemmPackedRowsInto(got, x, pbTop, r[0], r[1])
+				GemmPackedRowsAccInto(got, y, pbBottom, r[0], r[1])
+			}
+			if i := got.BitDiff(want); i >= 0 {
+				t.Fatalf("%dx(%d+%d)x%d %s: element %d = %v (%#x), the concatenated GEMM gives %v (%#x)",
+					s.m, s.fx, s.fy, s.n, fill, i, got.Data[i], math.Float32bits(got.Data[i]),
+					want.Data[i], math.Float32bits(want.Data[i]))
 			}
 		}
 	}

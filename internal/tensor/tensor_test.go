@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vec"
+	"repro/internal/vec/vectest"
 )
 
 func TestKindString(t *testing.T) {
@@ -152,6 +155,10 @@ func TestMatMulShapePanic(t *testing.T) {
 }
 
 func TestActivationsAndBias(t *testing.T) {
+	vectest.EachKernelSet(t, testActivationsAndBias)
+}
+
+func testActivationsAndBias(t *testing.T) {
 	d := FromSlice(1, 4, []float32{-2, -0.5, 0, 3})
 	LeakyReLU(d, 0.1)
 	want := []float32{-0.2, -0.05, 0, 3}
@@ -243,5 +250,127 @@ func TestBitDiff(t *testing.T) {
 	}
 	if i := a.BitDiff(FromSlice(2, 2, a.Data)); i != 0 {
 		t.Fatalf("shape mismatch differs at %d, want 0", i)
+	}
+}
+
+// TestElementwiseEqualsBranchyLoops: ReLU, LeakyReLU and AddScaledInto — the
+// vector kernel plus the Go loop that finishes the tail, and the Go loop alone
+// — give the bits of the loops they are specified as, `if v < 0 { ... }` and
+// `a + s*b`, over lengths around the vector width and inputs laced with signed
+// zeros, infinities, NaNs of both kinds and signs, and denormals. A NaN keeps
+// its payload through the activations.
+func TestElementwiseEqualsBranchyLoops(t *testing.T) {
+	vectest.EachKernelSet(t, testElementwiseEqualsBranchyLoops)
+}
+
+func testElementwiseEqualsBranchyLoops(t *testing.T) {
+	specials := []uint32{0, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00001, 0xFFC00001, 0x7FA00000, 0xFFA00000,
+		1, 0x80000001, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF}
+	rng := rand.New(rand.NewSource(29))
+	fill := func(d *Dense) {
+		d.FillRandom(rng, 2)
+		for i := range d.Data {
+			if rng.Intn(3) == 0 {
+				d.Data[i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+			}
+		}
+	}
+	exact := func(what string, got, want *Dense) {
+		t.Helper()
+		for i := range want.Data {
+			if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]); g != w {
+				t.Fatalf("%s (%d elements): element %d is %08x, the branchy loop gives %08x", what, len(want.Data), i, g, w)
+			}
+		}
+	}
+	const alpha, scale = -0.3, 1.3
+	for n := 0; n <= 40; n++ {
+		x, y := NewDense(1, n), NewDense(1, n)
+		fill(x)
+		fill(y)
+
+		want, got := x.Clone(), x.Clone()
+		for i, v := range want.Data {
+			if v < 0 {
+				want.Data[i] = 0
+			}
+		}
+		ReLU(got)
+		exact("ReLU", got, want)
+
+		want, got = x.Clone(), x.Clone()
+		for i, v := range want.Data {
+			if v < 0 {
+				want.Data[i] = alpha * v
+			}
+		}
+		LeakyReLU(got, alpha)
+		exact("LeakyReLU", got, want)
+
+		want, got = NewDense(1, n), x.Clone()
+		for i := range want.Data {
+			want.Data[i] = x.Data[i] + float32(scale*y.Data[i])
+		}
+		AddScaledInto(got, got, y, scale) // in place, as the buffer planner aliases it
+		if i := got.BitDiff(want); i >= 0 {
+			t.Fatalf("AddScaledInto (%d elements): element %d = %v, the scalar loop gives %v", n, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// BenchmarkElementwise is the measurement behind program/dense.go's
+// per-element cost constants (`make bench-kernels`): the three elementwise
+// operators over Sage's hidden activations on PU (19717 x 256), dispatched
+// and with the Go loops forced, on the inputs that decide a branch's cost —
+// sign-random (behind a GEMM), all positive, and already rectified.
+func BenchmarkElementwise(b *testing.B) {
+	const rows, cols = 19717, 256
+	rng := rand.New(rand.NewSource(5))
+	inputs := []struct {
+		name string
+		prep func(d *Dense)
+	}{
+		{"sign-random", func(d *Dense) { d.FillRandom(rng, 1) }},
+		{"positive", func(d *Dense) {
+			for i := range d.Data {
+				d.Data[i] = 0.5 + rng.Float32()
+			}
+		}},
+		{"post-relu", func(d *Dense) { d.FillRandom(rng, 1); ReLU(d) }},
+	}
+	src, x, y := NewDense(rows, cols), NewDense(rows, cols), NewDense(rows, cols)
+	wide := NewDense(rows, 2*cols)
+	y.FillRandom(rng, 1)
+	ops := []struct {
+		name string
+		run  func()
+	}{
+		// The activations run in place, so each iteration first restores the
+		// input (the copy is timed with it: the "copy" rows give what to take off).
+		{"copy", func() { copy(x.Data, src.Data) }},
+		{"relu", func() { copy(x.Data, src.Data); ReLU(x) }},
+		{"leaky-relu", func() { copy(x.Data, src.Data); LeakyReLU(x, 0.2) }},
+		{"add-scaled", func() { AddScaledInto(x, src, y, 1.5) }},
+		// Per element of the two inputs; it has no vector form of its own
+		// (copy is already one), so both kernel sets read the same.
+		{"concat", func() { ConcatInto(wide, src, y) }},
+	}
+	for _, in := range inputs {
+		in.prep(src)
+		for _, op := range ops {
+			run := func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(rows*cols), "ns/elem")
+			}
+			if vec.Enabled() {
+				b.Run(in.name+"/"+op.name+"/"+vec.ISA(), run)
+			}
+			b.Run(in.name+"/"+op.name+"/generic", func(b *testing.B) {
+				vec.ForceGeneric(b)
+				run(b)
+			})
+		}
 	}
 }

@@ -1,0 +1,273 @@
+package vec
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Randomized differential tests: every kernel against the scalar loop it
+// stands for, written out here as the specification, over lengths 0-67,
+// every start offset 0-7 before the end of a buffer whose last element sits
+// against an inaccessible page, and inputs salted with the values a lane
+// could get wrong — signed zeros, infinities, quiet and signalling NaNs of
+// both signs, denormals.
+
+var specials = []uint32{
+	0x00000000, 0x80000000, // +0, -0
+	0x7F800000, 0xFF800000, // +Inf, -Inf
+	0x7FC00001, 0xFFC00001, // quiet NaN, both signs, with a payload
+	0x7FA00000, 0xFFA00000, // signalling NaN, both signs
+	0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, // denormals
+	0x7F7FFFFF, 0xFF7FFFFF, // +-MaxFloat32
+	0x3F800000, 0xBF800000, // +-1
+}
+
+// salted fills x with uniform values in [-2, 2), about a third of them
+// replaced by specials (finite ones only when finite is set).
+func salted(rng *rand.Rand, x []float32, finite bool) {
+	for i := range x {
+		x[i] = rng.Float32()*4 - 2
+		if rng.Intn(3) == 0 {
+			v := math.Float32frombits(specials[rng.Intn(len(specials))])
+			if !finite || v-v == 0 {
+				x[i] = v
+			}
+		}
+	}
+}
+
+// sameBits reports the first index where got and want differ in their bits,
+// or -1. With anyNaN, two NaNs match whatever their payloads: which payload
+// survives when two NaNs meet depends on operand order, which Go leaves to
+// its register allocator.
+func sameBits(got, want []float32, anyNaN bool) int {
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(anyNaN && g != g && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// eachWindow calls f with every (length, offset) window of a guarded buffer:
+// length 0-67, ending 0-7 elements before the inaccessible page.
+func eachWindow(t *testing.T, f func(n, off int)) {
+	t.Helper()
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			f(n, off)
+		}
+	}
+}
+
+const windowCap = 67 + 8 + 8 // the longest window, its offset, and eight elements of margin before it
+
+// window cuts the (n, off) window out of buf and returns it with the
+// elements around it, which a kernel must leave alone.
+func window(buf []float32, n, off int) (x, before, after []float32) {
+	end := len(buf) - off
+	return buf[end-n : end], buf[:end-n], buf[end:]
+}
+
+func TestElementwiseEqualsGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(61))
+	const alpha, scale = -0.3, -1.75 // a negative slope tells x < 0 from x <= 0 at -0
+	kernels := []struct {
+		name   string
+		run    func(x, a, b []float32) int
+		spec   func(x, a, b []float32)
+		anyNaN bool
+	}{
+		{"relu", func(x, _, _ []float32) int { return ReLU(x) }, func(x, _, _ []float32) {
+			for i, v := range x {
+				if v < 0 {
+					x[i] = 0
+				}
+			}
+		}, false},
+		{"leaky-relu", func(x, _, _ []float32) int { return LeakyReLU(x, alpha) }, func(x, _, _ []float32) {
+			for i, v := range x {
+				if v < 0 {
+					x[i] = alpha * v
+				}
+			}
+		}, false},
+		{"add-scaled", func(x, a, b []float32) int { return AddScaled(x, a, b, scale) }, func(x, a, b []float32) {
+			for i := range x {
+				x[i] = a[i] + float32(scale*b[i])
+			}
+		}, true},
+		{"add-scaled in place", func(x, _, b []float32) int { return AddScaled(x, x, b, scale) }, func(x, _, b []float32) {
+			for i := range x {
+				x[i] = x[i] + float32(scale*b[i])
+			}
+		}, true},
+	}
+	bufX, bufA, bufB := guarded(t, windowCap), guarded(t, windowCap), guarded(t, windowCap)
+	for _, k := range kernels {
+		eachWindow(t, func(n, off int) {
+			salted(rng, bufX, false)
+			salted(rng, bufA, false)
+			salted(rng, bufB, false)
+			x, before, after := window(bufX, n, off)
+			a, _, _ := window(bufA, n, off)
+			b, _, _ := window(bufB, n, off)
+			want := append([]float32(nil), x...)
+			k.spec(want, a, b)
+			keepBefore, keepAfter := append([]float32(nil), before...), append([]float32(nil), after...)
+			orig := append([]float32(nil), x...)
+
+			done := k.run(x, a, b)
+			if done != n&^7 {
+				t.Fatalf("%s n=%d off=%d: finished %d elements, want %d", k.name, n, off, done, n&^7)
+			}
+			if i := sameBits(x[:done], want[:done], k.anyNaN); i >= 0 {
+				t.Fatalf("%s n=%d off=%d: element %d is %08x, the Go loop gives %08x (input %08x)",
+					k.name, n, off, i, math.Float32bits(x[i]), math.Float32bits(want[i]), math.Float32bits(orig[i]))
+			}
+			if sameBits(x[done:], orig[done:], false) >= 0 || sameBits(before, keepBefore, false) >= 0 || sameBits(after, keepAfter, false) >= 0 {
+				t.Fatalf("%s n=%d off=%d: wrote outside the %d elements it reported", k.name, n, off, done)
+			}
+		})
+	}
+
+	// An operand overlapping the output at an offset is the Go loop's alone.
+	buf := make([]float32, 40)
+	if n := AddScaled(buf[1:33], buf[:32], buf[:32], 1); n != 0 {
+		t.Errorf("add-scaled with a shifted alias of out as a finished %d elements, want 0", n)
+	}
+	if n := AddScaled(buf[:32], buf[8:40], buf[4:36], 1); n != 0 {
+		t.Errorf("add-scaled with a shifted alias of out as b finished %d elements, want 0", n)
+	}
+}
+
+// gemmSpec is the packed GEMM's scalar form: ascending k per element, the
+// product rounded, a zero a[i][k] skipped, from +0 or from out's element.
+func gemmSpec(out, a, panels []float32, lo, hi, k, n, upTo int, acc bool) {
+	for i := lo; i < hi; i++ {
+		for j := 0; j < upTo*lanes; j++ {
+			var s float32
+			if acc {
+				s = out[i*n+j]
+			}
+			for kk := 0; kk < k; kk++ {
+				if av := a[i*k+kk]; av != 0 {
+					s += float32(av * panels[(j/lanes)*k*lanes+kk*lanes+j%lanes])
+				}
+			}
+			out[i*n+j] = s
+		}
+	}
+}
+
+func TestGemmPanelsEqualsGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(67))
+	for iter := 0; iter < 400; iter++ {
+		m, k := 1+rng.Intn(13), 1+rng.Intn(40)
+		n := lanes*(1+rng.Intn(9)) + rng.Intn(lanes) // whole panels plus a tail the kernel must not touch
+		lo := rng.Intn(m)
+		hi := lo + 1 + rng.Intn(m-lo)
+		a, out := guarded(t, m*k), guarded(t, m*n)
+		panels := guarded(t, (n/lanes)*k*lanes)
+		salted(rng, a, false)
+		salted(rng, panels, true)
+		for _, acc := range []bool{false, true} {
+			for i := range out {
+				out[i] = float32(i) // what rows outside [lo, hi) and the tail columns must still hold
+			}
+			run := GemmPanels
+			if acc {
+				// What an accumulating call continues: a first pass's sums.
+				first := make([]float32, len(a))
+				salted(rng, first, false)
+				gemmSpec(out, first, panels, lo, hi, k, n, n/lanes, false)
+				run = GemmPanelsAcc
+			}
+			want := append([]float32(nil), out...)
+			done := run(out, a, panels, lo, hi, k, n)
+			if wantDone := n / lanes; done != wantDone && !(done == wantDone/4*4 && hi-lo < 4 && !acc) {
+				t.Fatalf("acc=%v %dx%dx%d rows [%d,%d): finished %d panels of %d", acc, m, k, n, lo, hi, done, wantDone)
+			}
+			gemmSpec(want, a, panels, lo, hi, k, n, done, acc)
+			if i := sameBits(out, want, true); i >= 0 {
+				t.Fatalf("acc=%v %dx%dx%d rows [%d,%d): element (%d,%d) is %08x, the Go loop gives %08x",
+					acc, m, k, n, lo, hi, i/n, i%n, math.Float32bits(out[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+func TestSpanKernelsEqualGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(71))
+	for iter := 0; iter < 400; iter++ {
+		rows, edges := 1+rng.Intn(9), 1+rng.Intn(12)
+		width := 1 + rng.Intn(72)
+		stride := width + rng.Intn(3)
+		data, acc := guarded(t, rows*stride), guarded(t, width)
+		w := guarded(t, edges)
+		salted(rng, data, false)
+		salted(rng, w, false)
+		idx, widx := make([]int32, edges), make([]int32, edges)
+		for i := range idx {
+			idx[i], widx[i] = int32(rng.Intn(rows)), int32(rng.Intn(edges))
+		}
+		reduce := func(start float32, step func(c, s float32, i int) float32) []float32 {
+			want := make([]float32, width)
+			for j := range want {
+				c := start
+				for i, x := range idx {
+					c = step(c, data[int(x)*stride+j], i)
+				}
+				want[j] = c
+			}
+			return want
+		}
+		kernels := []struct {
+			name string
+			run  func() int
+			want []float32
+		}{
+			{"sum", func() int { return SumRows(acc, data, stride, rows, idx) },
+				reduce(0, func(c, s float32, _ int) float32 { return c + s })},
+			{"scaled", func() int { return SumRowsScaled(acc, data, stride, rows, idx, w, widx) },
+				reduce(0, func(c, s float32, i int) float32 { return c + float32(s*w[widx[i]]) })},
+			{"max", func() int { return MaxRows(acc, data, stride, rows, idx, -math.MaxFloat32) },
+				reduce(-math.MaxFloat32, func(c, s float32, _ int) float32 {
+					if s > c {
+						return s
+					}
+					return c
+				})},
+			{"min", func() int { return MinRows(acc, data, stride, rows, idx, math.MaxFloat32) },
+				reduce(math.MaxFloat32, func(c, s float32, _ int) float32 {
+					if s < c {
+						return s
+					}
+					return c
+				})},
+		}
+		for _, k := range kernels {
+			for j := range acc {
+				acc[j] = -7
+			}
+			done := k.run()
+			if done != width&^7 {
+				t.Fatalf("%s width %d: finished %d columns, want %d", k.name, width, done, width&^7)
+			}
+			if i := sameBits(acc[:done], k.want[:done], true); i >= 0 {
+				t.Fatalf("%s width %d stride %d, %d edges: column %d is %08x, the Go loop gives %08x",
+					k.name, width, stride, edges, i, math.Float32bits(acc[i]), math.Float32bits(k.want[i]))
+			}
+			for _, v := range acc[done:] {
+				if v != -7 {
+					t.Fatalf("%s width %d: wrote past the %d columns it reported", k.name, width, done)
+				}
+			}
+		}
+	}
+}

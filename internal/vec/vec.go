@@ -1,14 +1,15 @@
-// Package vec holds the vector micro-kernels under the host lowering's two
-// hot loops — the packed-GEMM panel loop (internal/tensor) and the blocked
-// row-span kernels (internal/core) — and the one decision of whether this
-// process runs them (DESIGN.md §14).
+// Package vec holds the vector micro-kernels under the host lowering's hot
+// loops — the packed-GEMM panel loop and the elementwise operators
+// (internal/tensor) and the blocked row-span kernels (internal/core) — and
+// the one decision of whether this process runs them (DESIGN.md §14).
 //
-// The rule every kernel follows is lane = output column: eight adjacent
-// output columns share one 256-bit register, each lane multiplies then adds
-// (two roundings, never a fused multiply-add) in the same ascending-k or
-// ascending-in-edge order as the scalar Go loop it replaces, so a vector
-// result equals the Go result bit for bit and the Go loops stay the only
-// portable implementation and the oracle. Every exported kernel reports how
+// The rule every kernel follows is lane = output column (lane = element for
+// the elementwise ones): eight adjacent output columns share one 256-bit
+// register, each lane multiplies then adds (two roundings, never a fused
+// multiply-add) in the same ascending-k or ascending-in-edge order as the
+// scalar Go loop it replaces, so a vector result equals the Go result bit
+// for bit and the Go loops stay the only portable implementation and the
+// oracle. Every exported kernel reports how
 // much of the job it did — zero when the vector path is off, on another
 // architecture, or when the arguments fall outside what it can prove
 // in-bounds — and the caller finishes the rest with its Go form, so a call
@@ -18,6 +19,10 @@
 // an operating system that saves the YMM state. There is no flag,
 // environment variable or build tag; this package owns every assembly file.
 package vec
+
+// lanes is the vector width in float32 elements: what the kernels take at a
+// time, and so what the counts they report are multiples of.
+const lanes = 8
 
 // enabled is the dispatch decision. Only ForceGeneric writes it after
 // initialisation.

@@ -1,5 +1,7 @@
 package vec
 
+import "unsafe"
+
 // cpuid and xgetbv are the two instructions the dispatch decision reads.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -25,10 +27,22 @@ func detect() bool {
 }
 
 //go:noescape
-func gemmRowPanels4(out, a, panel *float32, rows, k, ostride, pstride int)
+func gemmRowPanels4(out, a, panel *float32, rows, k, ostride, pstride, acc int)
 
 //go:noescape
-func gemmRows4Panel(out, a, panel *float32, groups, k, ostride int)
+func gemmRows4Panel(out, a, panel *float32, groups, k, ostride, acc int)
+
+//go:noescape
+func gemmRow1Panel(out, a, panel *float32, rows, k, ostride, acc int)
+
+//go:noescape
+func relu(x *float32, n int)
+
+//go:noescape
+func leakyRelu(x *float32, n int, alpha float32)
+
+//go:noescape
+func addScaled(out, a, b *float32, n int, s float32)
 
 //go:noescape
 func spanSum(acc *float32, nvec int, data *float32, stride int, idx *int32, n int, rows int) bool
@@ -46,9 +60,6 @@ func spanMin(acc *float32, nvec int, data *float32, stride int, idx *int32, n in
 // the in-edge loop four independent accumulator chains, 16 and 8 serve what
 // is left of a row.
 var spanPasses = [...]int{4, 2, 1}
-
-// lanes is the vector width in float32 columns.
-const lanes = 8
 
 // gatherOK reports whether every index in [0, rows) addresses width columns
 // inside data at the given row stride — the precondition under which a span
@@ -71,6 +82,20 @@ const gemmTileFloats = 4096
 // either sign to a sum that started at +0 never changes it), which the
 // caller must have established.
 func GemmPanels(out, a, panels []float32, lo, hi, k, n int) int {
+	return gemmPanels(out, a, panels, lo, hi, k, n, 0)
+}
+
+// GemmPanelsAcc is GemmPanels with every accumulator starting from the
+// element out already holds: out += a @ B, each element's add chain carried
+// on in ascending k. It equals the zero-skipping Go loop under GemmPanels'
+// condition when, besides, no element of out is -0 — true of anything a
+// GemmPanels call or a Go GEMM loop left there, which is the one use (the
+// second half of a split-weight GEMM).
+func GemmPanelsAcc(out, a, panels []float32, lo, hi, k, n int) int {
+	return gemmPanels(out, a, panels, lo, hi, k, n, 1)
+}
+
+func gemmPanels(out, a, panels []float32, lo, hi, k, n, acc int) int {
 	full := n / lanes
 	rows := hi - lo
 	if !enabled || full == 0 || k <= 0 || lo < 0 || rows <= 0 ||
@@ -79,10 +104,12 @@ func GemmPanels(out, a, panels []float32, lo, hi, k, n int) int {
 	}
 	// Whole blocks of four panels go one row at a time: four accumulator
 	// chains per row. What is left of the panels has fewer chains per row,
-	// so it goes four rows at a time, which takes four rows.
+	// so it goes four rows at a time; the rows past the last whole group are
+	// recomputed together with the three before them, or, when accumulating
+	// (a recomputed row would be added twice), one at a time.
 	blocks := full / 4
 	done := full
-	if rows < 4 {
+	if rows < 4 && acc == 0 {
 		done = blocks * 4
 	}
 	// Row tiles keep a tile's A rows in cache across the panels they are
@@ -91,21 +118,67 @@ func GemmPanels(out, a, panels []float32, lo, hi, k, n int) int {
 	for r := lo; r < hi; r += tile {
 		t := min(tile, hi-r)
 		for b := 0; b < blocks; b++ {
-			gemmRowPanels4(&out[r*n+b*4*lanes], &a[r*k], &panels[b*4*k*lanes], t, k, n*4, k*lanes*4)
+			gemmRowPanels4(&out[r*n+b*4*lanes], &a[r*k], &panels[b*4*k*lanes], t, k, n*4, k*lanes*4, acc)
 		}
 		for p := blocks * 4; p < done; p++ {
 			panel := &panels[p*k*lanes]
 			if t >= 4 {
-				gemmRows4Panel(&out[r*n+p*lanes], &a[r*k], panel, t/4, k, n*4)
+				gemmRows4Panel(&out[r*n+p*lanes], &a[r*k], panel, t/4, k, n*4, acc)
 			}
-			if t%4 != 0 {
-				// The last group re-computes up to three rows of the one
-				// before it rather than leave them to the scalar loop.
-				gemmRows4Panel(&out[(hi-4)*n+p*lanes], &a[(hi-4)*k], panel, 1, k, n*4)
+			if rest := t % 4; rest != 0 {
+				if acc != 0 {
+					gemmRow1Panel(&out[(hi-rest)*n+p*lanes], &a[(hi-rest)*k], panel, rest, k, n*4, acc)
+				} else {
+					gemmRows4Panel(&out[(hi-4)*n+p*lanes], &a[(hi-4)*k], panel, 1, k, n*4, acc)
+				}
 			}
 		}
 	}
 	return done
+}
+
+// ReLU applies `if v < 0 { v = 0 }` to the leading elements of x it can take
+// eight at a time and returns how many it finished; NaNs and -0 are left as
+// they are, bit for bit.
+func ReLU(x []float32) int {
+	n := len(x) &^ (lanes - 1)
+	if !enabled || n == 0 {
+		return 0
+	}
+	relu(&x[0], n/lanes)
+	return n
+}
+
+// LeakyReLU applies `if v < 0 { v = alpha * v }` the way ReLU applies its
+// loop.
+func LeakyReLU(x []float32, alpha float32) int {
+	n := len(x) &^ (lanes - 1)
+	if !enabled || n == 0 {
+		return 0
+	}
+	leakyRelu(&x[0], n/lanes, alpha)
+	return n
+}
+
+// AddScaled sets out[i] = a[i] + s*b[i] — the product rounded, then the sum —
+// for the leading elements it can take eight at a time and returns how many
+// it finished. out may be a or b exactly; an operand that overlaps out at an
+// offset makes later elements depend on earlier stores, which only the
+// element-at-a-time Go loop honours, so that call does nothing.
+func AddScaled(out, a, b []float32, s float32) int {
+	n := len(out) &^ (lanes - 1)
+	if !enabled || n == 0 || len(a) < n || len(b) < n || shifted(out, a, n) || shifted(out, b, n) {
+		return 0
+	}
+	addScaled(&out[0], &a[0], &b[0], n/lanes, s)
+	return n
+}
+
+// shifted reports whether the first n elements of x and y overlap without
+// starting at the same element.
+func shifted(x, y []float32, n int) bool {
+	px, py := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return px != py && px < py+uintptr(4*n) && py < px+uintptr(4*n)
 }
 
 // SumRows sets acc[j] to the sum over i of data[int(idx[i])*stride+j] for

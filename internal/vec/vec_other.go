@@ -10,6 +10,18 @@ func detect() bool { return false }
 // GemmPanels computes nothing here; see the amd64 form.
 func GemmPanels(out, a, panels []float32, lo, hi, k, n int) int { return 0 }
 
+// GemmPanelsAcc computes nothing here; see the amd64 form.
+func GemmPanelsAcc(out, a, panels []float32, lo, hi, k, n int) int { return 0 }
+
+// ReLU computes nothing here; see the amd64 form.
+func ReLU(x []float32) int { return 0 }
+
+// LeakyReLU computes nothing here; see the amd64 form.
+func LeakyReLU(x []float32, alpha float32) int { return 0 }
+
+// AddScaled computes nothing here; see the amd64 form.
+func AddScaled(out, a, b []float32, s float32) int { return 0 }
+
 // SumRows computes nothing here; see the amd64 form.
 func SumRows(acc, data []float32, stride, rows int, idx []int32) int { return 0 }
 
