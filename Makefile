@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-shard bench-fusion bench-waves bench-kernels race vet faults obs lint verify serve e2e
+.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-kernels race vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
@@ -98,27 +98,6 @@ bench:
 # 0 allocs/op.
 bench-models:
 	$(GO) test -run '^$$' -bench BenchmarkForwardCompiled -benchmem .
-
-# bench-shard sweeps the shard count (1 = flat baseline, 4, 16) for the
-# compiled model path on AR and PR; EXPERIMENTS.md records the table and
-# BENCH_shard.json the machine-readable summary.
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkForwardSharded -benchmem .
-
-# bench-fusion compares cost-modeled fusion regions against classic pair
-# fusion on all six models over AR and PR (kernel launches before/after,
-# steady-state wall clock), writing BENCH_fusion.json as the committed
-# machine-readable summary.
-bench-fusion:
-	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_fusion.json ext-fusion
-
-# bench-waves compares wave-parallel step execution (provably independent
-# compiled steps dispatched concurrently under the verified wave schedule)
-# against the sequential step loop on all six models over AR and PR, writing
-# BENCH_waves.json as the committed machine-readable summary. Width-1
-# schedules are the control: they take the sequential path in both arms.
-bench-waves:
-	$(GO) run ./cmd/ugrapher-bench -quick -datasets AR,PR -json BENCH_waves.json ext-waves
 
 # bench-kernels is the measurement behind core/span.go's block width and
 # program/dense.go's cost constants: the operator shapes the benchmark's

@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -262,57 +261,6 @@ func BenchmarkForwardCompiled(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkForwardSharded sweeps the shard count for the compiled model
-// path on a skewed (AR) and a regular (PR) dataset: shards=1 is the flat
-// parallel lowering (the BenchmarkForwardCompiled baseline), higher counts
-// exercise the partition-aware per-shard kernels with halo exchange. This is
-// the sharded-execution acceptance benchmark; EXPERIMENTS.md records the
-// measured table and BENCH_shard.json the machine-readable summary.
-func BenchmarkForwardSharded(b *testing.B) {
-	ar, pr := loadBackendBenchGraphs(b)
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{{"AR-skewed", ar}, {"PR-regular", pr}}
-	const feat, classes = 32, 16
-	for _, gr := range graphs {
-		for _, mn := range []string{"GCN", "GAT"} {
-			m, err := models.ByName(mn)
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := tensor.NewDense(gr.g.NumVertices(), feat)
-			x.FillRandom(rand.New(rand.NewSource(7)), 1)
-			for _, shards := range []int{1, 4, 16} {
-				shards := shards
-				eng := &models.FixedEngine{
-					EngineName:   "bench",
-					Dev:          gpu.V100(),
-					AggrSchedule: core.DefaultSchedule,
-					MsgCSchedule: core.DefaultSchedule,
-					Fuses:        true,
-					Compute:      core.NewShardedParallelBackend(0, shards),
-				}
-				b.Run(fmt.Sprintf("%s/%s/shards=%d", gr.name, mn, shards), func(b *testing.B) {
-					cp, err := models.CompileModel(m, gr.g, feat, classes, eng)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := cp.Run(x); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := cp.Run(x); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
 		}
 	}
 }

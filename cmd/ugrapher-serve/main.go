@@ -30,7 +30,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -60,7 +59,6 @@ func main() {
 	dataset := flag.String("dataset", "CO", "dataset code from Table 3 the models serve")
 	feat := flag.Int("feat", 16, "input feature width")
 	classes := flag.Int("classes", 8, "output classes")
-	backend := flag.String("backend", "", "host compute backend: "+strings.Join(core.BackendNames, ", ")+" (empty = parallel)")
 	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
 	batch := flag.Int("batch", 8, "max requests coalesced into one forward pass")
@@ -89,10 +87,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
 		os.Exit(2)
 	}
-	if *backend != "" && !slices.Contains(core.BackendNames, *backend) {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -backend %q (valid: %s)\n", *backend, strings.Join(core.BackendNames, ", "))
-		os.Exit(2)
-	}
 	// serve.New silently substitutes defaults for non-positive queue/batch
 	// values; the CLI rejects them instead so a typo'd unit file fails loud
 	// at startup rather than running with a surprise configuration.
@@ -114,14 +108,13 @@ func main() {
 	// A daemon always collects: breaker transitions, batch spans and the
 	// serving counters are the operator's only window into it.
 	telemetry.SetEnabled(true)
-	telemetry.Default().SetBuildInfo(version, serveBackendLabel(*backend))
+	telemetry.Default().SetBuildInfo(version, "parallel")
 
 	cfg := serve.Config{
 		Dataset:          *dataset,
 		Models:           strings.Split(*modelsFlag, ","),
 		Feat:             *feat,
 		Classes:          *classes,
-		Backend:          *backend,
 		Shards:           *shards,
 		QueueDepth:       *queue,
 		MaxBatch:         *batch,
@@ -135,15 +128,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// serveBackendLabel is the build_info backend label: the effective backend
-// name for the default empty flag.
-func serveBackendLabel(backend string) string {
-	if backend == "" {
-		return "parallel"
-	}
-	return backend
 }
 
 // debugMux builds the operator-only pprof mux. The handlers are registered

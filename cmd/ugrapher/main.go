@@ -222,8 +222,7 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB\n",
 		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats))
 	if s.Shards > 1 {
-		fmt.Printf("sharding: %d shards, edge-cut=%.3f, scratch=%.1f MiB\n",
-			s.Shards, s.ShardEdgeCut, mib(s.ShardScratchFloats))
+		fmt.Printf("sharding: %d shards, edge-cut=%.3f\n", s.Shards, s.ShardEdgeCut)
 	}
 	fmt.Printf("fusion: %d regions grown, %d kernel launches, %.1f KiB traffic saved, %d blocked GEMMs\n",
 		s.FusedRegions, s.Steps, float64(s.RegionSavedBytes)/(1<<10), s.GemmBlocked)

@@ -88,31 +88,18 @@ const (
 	// RuleInPlace: a node writes into its operand's slot without being
 	// elementwise, or while the operand is still live elsewhere.
 	RuleInPlace = "inplace-elementwise"
-	// RuleShardEdgeCover: a shard plan does not cover every edge exactly
-	// once, files an edge under a shard that does not own its destination,
-	// or mis-maps an edge's local source/destination ids.
-	RuleShardEdgeCover = "shard-edge-cover"
-	// RuleShardHaloCover: a shard's halo does not cover its cross-shard
-	// reads — the local id map is inconsistent with Owned ++ Halo, a halo
-	// vertex is owned by the shard itself, or a referenced local source id
-	// falls outside the map.
-	RuleShardHaloCover = "shard-halo-cover"
 	// RuleShardNoAlias: two shards both own a vertex (their output regions
 	// would alias one row), or a vertex is owned by no shard.
 	RuleShardNoAlias = "shard-no-alias"
-	// RuleShardMergeOrder: the plan's cross-shard merge order is not the
-	// canonical ascending shard order, so the merge would not be
-	// deterministic across runs.
-	RuleShardMergeOrder = "shard-merge-order"
 	// RuleStepDeps: a hazard between two compiled steps — a true, anti or
-	// output dependence re-derived from their arena effect intervals, or a
-	// shared scratch block — has no matching edge in the step-dependence
-	// DAG, or the DAG carries a malformed (backward or out-of-range) edge.
+	// output dependence re-derived from their arena effect intervals — has
+	// no matching edge in the step-dependence DAG, or the DAG carries a
+	// malformed (backward or out-of-range) edge.
 	RuleStepDeps = "step-deps-sound"
 	// RuleWaveLegal: the wave schedule is not a topologically ordered
 	// partition of the steps, or two steps placed in the same wave share a
-	// write-write hazard, a read-write alias, or a scratch block — running
-	// them concurrently would race.
+	// write-write hazard or a read-write alias — running them concurrently
+	// would race.
 	RuleWaveLegal = "wave-legal"
 )
 
@@ -127,11 +114,6 @@ var ProgramRules = []string{
 
 // PlanRules lists the rules VerifyPlan / VerifyLowering check.
 var PlanRules = []string{RuleOperandType, RuleWriteConflict}
-
-// ShardRules lists the rules VerifyShardPlan checks, in report order.
-var ShardRules = []string{
-	RuleShardNoAlias, RuleShardEdgeCover, RuleShardHaloCover, RuleShardMergeOrder,
-}
 
 // WaveRules lists the rules VerifyWaves checks, in report order.
 var WaveRules = []string{RuleStepDeps, RuleWaveLegal}

@@ -54,6 +54,13 @@ import (
 //     import the GPU simulator, the schedule tuner or the predictor, nor
 //     build a tuned or predicted engine: a grid search at daemon start buys
 //     nothing the host kernels read (DESIGN.md §5).
+//   - host-schedule-free: the host lowering files of internal/core
+//     (backend_parallel.go, backend_sharded.go, span.go, kernels_host.go)
+//     read no bit of a plan's GPU schedule: a .Schedule or .Strategy
+//     selector there is a finding unless it labels telemetry (an argument
+//     of telemetry.NewKernelSite or kernelSite). Every reduction walks
+//     destination rows with one owner per row whatever strategy the plan
+//     names; a schedule read would be a second code path nobody measured.
 //
 // Exemptions are explicit: `//lint:allow <rule> -- <reason>` on the
 // offending line or the line above. A directive without a reason is itself
@@ -67,11 +74,12 @@ const (
 	LintTracePropagation    = "trace-propagation"
 	LintGoroutineAccounting = "goroutine-accounting"
 	LintHostEngine          = "host-engine"
+	LintHostScheduleFree    = "host-schedule-free"
 	LintDirective           = "lint-directive"
 )
 
 // LintRules lists the linter's rules.
-var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintDirective}
+var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintHostScheduleFree, LintDirective}
 
 // Finding is one linter hit.
 type Finding struct {
@@ -133,6 +141,16 @@ var (
 	hostEngineDirs   = []string{"internal/serve", "cmd/ugrapher-serve"}
 	simulatorImports = map[string]bool{"repro/internal/gpu": true, "repro/internal/schedule": true, "repro/internal/predictor": true}
 	simulatorEngines = map[string]bool{"NewTunedEngine": true, "NewPredictedEngine": true}
+)
+
+// The host-schedule-free rule: the package directory (by path suffix) and
+// the files in it that lower plans for the host, the selector names that read
+// a plan's GPU schedule, and the calls whose arguments may (telemetry labels).
+var (
+	hostLoweringDir   = "internal/core"
+	hostLoweringFiles = map[string]bool{"backend_parallel.go": true, "backend_sharded.go": true, "span.go": true, "kernels_host.go": true}
+	scheduleSelectors = map[string]bool{"Schedule": true, "Strategy": true}
+	scheduleLabelers  = map[string]bool{"NewKernelSite": true, "kernelSite": true}
 )
 
 // traceMintFuncs are the telemetry functions that create or attach a trace
@@ -335,6 +353,7 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 	hookScoped, goScoped := inDirs(hookDisciplinedDirs), inDirs(goroutineScopedDirs)
 	noAllocPkg, hostScoped := inDirs(noAllocPkgDirs), inDirs(hostEngineDirs)
 	gemmScoped := strings.HasSuffix(cleanDir, gemmScopedDir)
+	hostLowering := strings.HasSuffix(cleanDir, hostLoweringDir)
 
 	// Cross-file function index, so a `go f()` / `go h.run()` spawn can be
 	// checked against its target's body wherever in the package it lives.
@@ -350,7 +369,8 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 	var findings []Finding
 	for _, f := range files {
 		lf := &fileLinter{fset: fset, file: f, info: info, hookScoped: hookScoped, goScoped: goScoped,
-			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, hostScoped: hostScoped, pkgFuncs: pkgFuncs}
+			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, hostScoped: hostScoped, pkgFuncs: pkgFuncs,
+			scheduleFree: hostLowering && hostLoweringFiles[filepath.Base(fset.Position(f.Pos()).Filename)]}
 		lf.collectComments()
 		lf.checkSimulatorImports()
 		lf.run()
@@ -372,6 +392,8 @@ type fileLinter struct {
 	gemmScoped bool
 	// hostScoped marks the serving daemon's packages (host-engine rule).
 	hostScoped bool
+	// scheduleFree marks a host lowering file (host-schedule-free rule).
+	scheduleFree bool
 	// pkgFuncs indexes the package's function/method declarations by name
 	// (all files), for resolving `go f()` spawn targets.
 	pkgFuncs map[string]*ast.FuncDecl
@@ -451,6 +473,8 @@ func (lf *fileLinter) checkNode(n ast.Node, path []ast.Node) {
 		lf.checkTraceMint(node)
 		lf.checkSimulatorEngine(node)
 		lf.checkPanic(node, path)
+	case *ast.SelectorExpr:
+		lf.checkScheduleRead(node, path)
 	case *ast.FuncDecl:
 		lf.checkRunBody(node)
 	case *ast.GoStmt:
@@ -647,6 +671,37 @@ func (lf *fileLinter) checkSimulatorEngine(call *ast.CallExpr) {
 	}
 	lf.report(call.Pos(), LintHostEngine,
 		fmt.Sprintf("%s.%s runs a simulator schedule search in the serving daemon; use %s.NewHostEngine", qual.Name, sel.Sel.Name, qual.Name))
+}
+
+// checkScheduleRead enforces host-schedule-free: in a host lowering file a
+// .Schedule/.Strategy selector (the outermost of a chain, so p.Schedule.Strategy
+// is one finding) must sit inside a telemetry-labelling call.
+func (lf *fileLinter) checkScheduleRead(sel *ast.SelectorExpr, path []ast.Node) {
+	if !lf.scheduleFree || !scheduleSelectors[sel.Sel.Name] {
+		return
+	}
+	if parent, ok := path[len(path)-2].(*ast.SelectorExpr); ok && scheduleSelectors[parent.Sel.Name] {
+		return // reported at the chain's outermost selector
+	}
+	for _, anc := range path {
+		call, ok := anc.(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			ok = scheduleLabelers[fun.Name]
+		case *ast.SelectorExpr:
+			ok = scheduleLabelers[fun.Sel.Name]
+		default:
+			ok = false
+		}
+		if ok {
+			return
+		}
+	}
+	lf.report(sel.Pos(), LintHostScheduleFree,
+		fmt.Sprintf("the host lowering reads a plan's .%s; every host kernel runs the same walk whatever GPU schedule the plan names — only telemetry labels may read it", sel.Sel.Name))
 }
 
 // isGuardCall reports whether e is a call to pkg.Enabled() or pkg.Armed(..)

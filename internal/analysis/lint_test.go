@@ -587,3 +587,42 @@ func f() { _ = models.NewTunedEngine(gpu.V100()) }
 		wantClean(t, fs)
 	})
 }
+
+func TestLintHostScheduleFree(t *testing.T) {
+	lintFile := func(t *testing.T, file, dir, src string) []Finding {
+		t.Helper()
+		fs, err := LintSource(file, src, dir)
+		if err != nil {
+			t.Fatalf("lint: %v", err)
+		}
+		return fs
+	}
+	const read = `package core
+func (k *parallelKernel) pick() bool { return k.p.Schedule.Strategy.VertexParallel() }
+`
+	t.Run("a schedule read in a host lowering file is flagged once", func(t *testing.T) {
+		wantFinding(t, lintFile(t, "backend_sharded.go", "internal/core", read), LintHostScheduleFree)
+	})
+	t.Run("telemetry labels may read the schedule", func(t *testing.T) {
+		wantClean(t, lintFile(t, "backend_parallel.go", "internal/core", `package core
+import "repro/internal/telemetry"
+func site(p *Plan) {
+	//lint:allow hook-discipline -- test fixture
+	_ = telemetry.NewKernelSite(opLabel(p), p.Schedule.Strategy.Code(), p.Schedule.String(), "parallel", 0, 0)
+	_ = kernelSite(p.Schedule, "parallel", nil)
+}
+`))
+	})
+	t.Run("the sim plan builders and other packages are out of scope", func(t *testing.T) {
+		wantClean(t, lintFile(t, "kernel_thread.go", "internal/core", read))
+		wantClean(t, lintFile(t, "backend_parallel.go", "internal/program", read))
+	})
+	t.Run("allow directive suppresses with a reason", func(t *testing.T) {
+		wantClean(t, lintFile(t, "span.go", "internal/core", `package core
+func f(p *Plan) bool {
+	//lint:allow host-schedule-free -- test fixture
+	return p.Schedule.Strategy.VertexParallel()
+}
+`))
+	})
+}

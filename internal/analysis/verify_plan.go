@@ -36,9 +36,6 @@ const (
 	// ConflictOwnerPerRow: each output row has exactly one owning worker,
 	// which reduces the row's whole in-edge list.
 	ConflictOwnerPerRow = "owner-per-row"
-	// ConflictPrivatePartials: workers reduce into private buffers merged
-	// deterministically afterwards.
-	ConflictPrivatePartials = "private-partials"
 	// ConflictAtomic: racing writers serialise via atomic read-modify-write.
 	ConflictAtomic = "atomic"
 )
@@ -83,7 +80,7 @@ func VerifyLowering(f PlanFacts, handling string) error {
 		safe = true // one writer can never race
 	case ConflictPerEdgeRows:
 		safe = f.Op.CKind == tensor.EdgeK
-	case ConflictOwnerPerRow, ConflictPrivatePartials, ConflictAtomic:
+	case ConflictOwnerPerRow, ConflictAtomic:
 		// One owner per row cannot race whichever strategy the plan names:
 		// the host lowering walks destination rows for edge-parallel plans
 		// too, so the discipline is judged on what runs, not on the GPU

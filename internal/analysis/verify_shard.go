@@ -1,72 +1,39 @@
 package analysis
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Shard-plan rules: partition-granularity checks that run inside
-// shard.Partition for every plan before any kernel is lowered onto it. Like
-// the plan and program verifiers, the checks here re-derive the partition
-// invariants from the raw COO edge list instead of trusting the partitioner's
-// own bookkeeping — a bug in the shard builder cannot also hide in this file.
+// The shard-plan rule: a partition-granularity check that runs inside
+// shard.Partition for every plan before any kernel is lowered onto it. A
+// shard is a list of owned rows, and a sharded kernel reduces each owned row
+// over the global CSR — so the one thing a plan can get wrong is which shard
+// produces which row. The check re-derives that from the owned lists alone
+// instead of trusting the partitioner's owner map.
 
 // ShardFacts is the verifier's view of one shard plan, carried in primitives
 // so analysis needs no graph or shard types. Slices may alias the plan's
 // storage; the verifier only reads them.
 type ShardFacts struct {
-	// NumVertices / NumEdges describe the partitioned graph.
+	// NumVertices is the vertex count of the partitioned graph.
 	NumVertices int
-	NumEdges    int
-	// EdgeSrc / EdgeDst are the graph's COO endpoint arrays (indexed by
-	// global edge id) — the ground truth shards are checked against.
-	EdgeSrc []int32
-	EdgeDst []int32
 	// Owner maps each global vertex id to its owning shard.
 	Owner []int32
 	// Shards are the per-shard views, indexed by shard id.
 	Shards []ShardView
-	// MergeOrder is the order shard partials fold into the output.
-	MergeOrder []int32
 }
 
-// ShardView is the verifier's view of one shard's sub-CSR.
+// ShardView is the verifier's view of one shard.
 type ShardView struct {
 	// Owned lists the global vertex ids this shard owns, ascending.
 	Owned []int32
-	// Halo lists the global vertex ids this shard reads but does not own,
-	// ascending and disjoint from Owned.
-	Halo []int32
-	// Ptr is the local incoming-CSR row pointer over Owned (len(Owned)+1).
-	Ptr []int32
-	// Src holds local source ids (indexes into the Owned ++ Halo map),
-	// aligned with Edge.
-	Src []int32
-	// Edge holds global edge ids.
-	Edge []int32
-	// L2G is the local->global id map: Owned followed by Halo.
-	L2G []int32
 }
 
-// VerifyShardPlan checks one shard plan against the ShardRules: single
-// ownership of every vertex (no output aliasing), exact single coverage of
-// every edge under its destination's owner, halo coverage of every
-// cross-shard read, and canonical merge order. Returns a *VerifyError or
-// nil.
+// VerifyShardPlan checks one shard plan against RuleShardNoAlias: the Owned
+// lists partition the vertex set — every vertex in exactly one shard,
+// consistent with Owner. Two shards owning one vertex would write the same
+// output row; a vertex owned by nobody would leave its row stale. Returns a
+// *VerifyError or nil.
 func VerifyShardPlan(f ShardFacts) error {
 	shardsVerified.Add(1)
-	var diags []Diagnostic
-	diags = append(diags, checkShardOwnership(f)...)
-	diags = append(diags, checkShardEdges(f)...)
-	diags = append(diags, checkShardHalos(f)...)
-	diags = append(diags, checkShardMergeOrder(f)...)
-	return finish(diags)
-}
-
-// checkShardOwnership enforces RuleShardNoAlias: the Owned lists partition
-// the vertex set — every vertex in exactly one shard, consistent with Owner.
-// Two shards owning one vertex would write the same output row.
-func checkShardOwnership(f ShardFacts) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(node, msg string) {
 		diags = append(diags, Diagnostic{
@@ -76,7 +43,7 @@ func checkShardOwnership(f ShardFacts) []Diagnostic {
 	}
 	if len(f.Owner) != f.NumVertices {
 		bad("plan", fmt.Sprintf("owner map covers %d of %d vertices", len(f.Owner), f.NumVertices))
-		return diags
+		return finish(diags)
 	}
 	seen := make([]int32, f.NumVertices) // owning shard + 1, 0 = unowned
 	for s := range f.Shards {
@@ -101,156 +68,5 @@ func checkShardOwnership(f ShardFacts) []Diagnostic {
 			bad("plan", fmt.Sprintf("vertex %d owned by no shard", v))
 		}
 	}
-	return diags
-}
-
-// checkShardEdges enforces RuleShardEdgeCover: every global edge id appears
-// in exactly one shard's edge list, filed under the shard that owns the
-// edge's destination, in the local CSR bucket of that destination, with the
-// local source resolving to the edge's global source.
-func checkShardEdges(f ShardFacts) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(node, msg string) {
-		diags = append(diags, Diagnostic{
-			Rule: RuleShardEdgeCover, Node: node, Msg: msg,
-			Hint: "each edge belongs to exactly one shard: the owner of its destination",
-		})
-	}
-	if len(f.EdgeSrc) != f.NumEdges || len(f.EdgeDst) != f.NumEdges {
-		bad("plan", "COO arrays do not match the edge count")
-		return diags
-	}
-	covered := make([]bool, f.NumEdges)
-	for s := range f.Shards {
-		sh := &f.Shards[s]
-		node := fmt.Sprintf("shard %d", s)
-		if len(sh.Ptr) != len(sh.Owned)+1 || len(sh.Src) != len(sh.Edge) {
-			bad(node, fmt.Sprintf("sub-CSR shape inconsistent: %d ptr entries for %d owned, %d srcs for %d edges",
-				len(sh.Ptr), len(sh.Owned), len(sh.Src), len(sh.Edge)))
-			continue
-		}
-		if len(sh.Ptr) > 0 && (sh.Ptr[0] != 0 || int(sh.Ptr[len(sh.Ptr)-1]) != len(sh.Edge)) {
-			bad(node, "sub-CSR pointer does not cover the shard's edge list")
-			continue
-		}
-		for i := range sh.Owned {
-			v := sh.Owned[i]
-			lo, hi := sh.Ptr[i], sh.Ptr[i+1]
-			if lo > hi {
-				bad(node, fmt.Sprintf("sub-CSR pointer decreases at local vertex %d", i))
-				break
-			}
-			for j := lo; j < hi; j++ {
-				e := sh.Edge[j]
-				if e < 0 || int(e) >= f.NumEdges {
-					bad(node, fmt.Sprintf("edge id %d out of range", e))
-					continue
-				}
-				if covered[e] {
-					bad(node, fmt.Sprintf("edge %d covered twice", e))
-					continue
-				}
-				covered[e] = true
-				if f.EdgeDst[e] != v {
-					bad(node, fmt.Sprintf("edge %d filed under vertex %d but its destination is %d", e, v, f.EdgeDst[e]))
-				}
-				if src := sh.Src[j]; src < 0 || int(src) >= len(sh.L2G) {
-					// Range violations are the halo checker's finding.
-					continue
-				} else if sh.L2G[src] != f.EdgeSrc[e] {
-					bad(node, fmt.Sprintf("edge %d local source resolves to vertex %d, COO says %d", e, sh.L2G[src], f.EdgeSrc[e]))
-				}
-			}
-		}
-	}
-	for e, ok := range covered {
-		if !ok {
-			bad("plan", fmt.Sprintf("edge %d covered by no shard", e))
-		}
-	}
-	return diags
-}
-
-// checkShardHalos enforces RuleShardHaloCover: each shard's local id map is
-// exactly Owned followed by Halo, halo vertices are genuinely foreign
-// (owned by another shard), and every local source id a shard's edges
-// reference falls inside the map — so every cross-shard read has a halo
-// entry backing it.
-func checkShardHalos(f ShardFacts) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(node, msg string) {
-		diags = append(diags, Diagnostic{
-			Rule: RuleShardHaloCover, Node: node, Msg: msg,
-			Hint: "halo = sorted foreign vertices; L2G = Owned ++ Halo",
-		})
-	}
-	for s := range f.Shards {
-		sh := &f.Shards[s]
-		node := fmt.Sprintf("shard %d", s)
-		if len(sh.L2G) != len(sh.Owned)+len(sh.Halo) {
-			bad(node, fmt.Sprintf("id map holds %d entries for %d owned + %d halo",
-				len(sh.L2G), len(sh.Owned), len(sh.Halo)))
-			continue
-		}
-		for i, v := range sh.Owned {
-			if sh.L2G[i] != v {
-				bad(node, fmt.Sprintf("id map slot %d is %d, owned list says %d", i, sh.L2G[i], v))
-			}
-		}
-		for i, h := range sh.Halo {
-			if sh.L2G[len(sh.Owned)+i] != h {
-				bad(node, fmt.Sprintf("id map slot %d is %d, halo list says %d",
-					len(sh.Owned)+i, sh.L2G[len(sh.Owned)+i], h))
-			}
-			if i > 0 && sh.Halo[i-1] >= h {
-				bad(node, fmt.Sprintf("halo not strictly ascending at index %d", i))
-			}
-			if h < 0 || int(h) >= len(f.Owner) {
-				bad(node, fmt.Sprintf("halo vertex %d out of range", h))
-				continue
-			}
-			if f.Owner[h] == int32(s) {
-				bad(node, fmt.Sprintf("halo vertex %d is owned by this shard", h))
-			}
-		}
-		for j, src := range sh.Src {
-			if src < 0 || int(src) >= len(sh.L2G) {
-				bad(node, fmt.Sprintf("edge slot %d references local source %d outside the %d-entry id map",
-					j, src, len(sh.L2G)))
-			}
-		}
-	}
-	return diags
-}
-
-// checkShardMergeOrder enforces RuleShardMergeOrder: the merge order is the
-// canonical ascending shard sequence 0..K-1, so per-run partial folding is
-// reproducible by construction.
-func checkShardMergeOrder(f ShardFacts) []Diagnostic {
-	k := len(f.Shards)
-	if len(f.MergeOrder) != k || !sort.SliceIsSorted(f.MergeOrder, func(a, b int) bool {
-		return f.MergeOrder[a] < f.MergeOrder[b]
-	}) || (k > 0 && (f.MergeOrder[0] != 0 || int(f.MergeOrder[k-1]) != k-1)) || !isPermutation(f.MergeOrder, k) {
-		return []Diagnostic{{
-			Rule: RuleShardMergeOrder, Node: "plan",
-			Msg:  fmt.Sprintf("merge order %v is not the ascending shard sequence over %d shards", f.MergeOrder, k),
-			Hint: "fold partials in shard-id order so merges replay identically",
-		}}
-	}
-	return nil
-}
-
-// isPermutation reports whether xs is a permutation of 0..k-1.
-func isPermutation(xs []int32, k int) bool {
-	if len(xs) != k {
-		return false
-	}
-	seen := make([]bool, k)
-	for _, x := range xs {
-		if x < 0 || int(x) >= k || seen[x] {
-			return false
-		}
-		seen[x] = true
-	}
-	return true
+	return finish(diags)
 }

@@ -517,7 +517,6 @@ func TestVerifyLowering(t *testing.T) {
 		{"owner-per-row under vertex-parallel", aggrSum, true, ConflictOwnerPerRow, true},
 		{"owner-per-row under an edge-parallel plan", aggrSum, false, ConflictOwnerPerRow, true},
 		{"owner-per-row for edge output rejected", ops.CopyU, false, ConflictOwnerPerRow, false},
-		{"private partials for aggregation", aggrSum, false, ConflictPrivatePartials, true},
 		{"atomic for aggregation", aggrSum, false, ConflictAtomic, true},
 		{"unknown discipline rejected", aggrSum, false, "wishful-thinking", false},
 	}

@@ -23,17 +23,13 @@ func (iv Interval) intersects(o Interval) bool {
 }
 
 // StepEffects is the verifier's view of one compiled step's memory effects:
-// which arena ranges it reads and writes, and which shared scratch block
-// (if any) its kernel accumulates partials in. In-place steps carry the
-// same interval in both Reads and Writes.
+// which arena ranges it reads and writes. In-place steps carry the same
+// interval in both Reads and Writes.
 type StepEffects struct {
 	// Name labels the step for diagnostics.
 	Name string
 	// Reads and Writes are the step's arena effect intervals.
 	Reads, Writes []Interval
-	// ScratchID is the shared sharded-scratch block the step's kernel is
-	// bound to (-1 when the step uses no shared scratch).
-	ScratchID int
 }
 
 // DepKind classifies one step-dependence edge.
@@ -46,11 +42,9 @@ const (
 	DepAnti
 	// DepOutput is a write-after-write dependence (same storage reused).
 	DepOutput
-	// DepScratch serializes two steps bound to the same scratch block.
-	DepScratch
 )
 
-var depKindNames = [...]string{"true", "anti", "output", "scratch"}
+var depKindNames = [...]string{"true", "anti", "output"}
 
 // String names the dependence kind.
 func (k DepKind) String() string {
@@ -129,15 +123,12 @@ func deriveHazards(a, b *StepEffects) []DepKind {
 	if anyIntersect(a.Writes, b.Writes) {
 		kinds = append(kinds, DepOutput)
 	}
-	if a.ScratchID >= 0 && a.ScratchID == b.ScratchID {
-		kinds = append(kinds, DepScratch)
-	}
 	return kinds
 }
 
 // checkStepDeps verifies step-deps-sound: the DAG is well-formed (forward,
 // in-range edges) and contains every hazard independently re-derived from
-// the slot intervals and scratch bindings.
+// the slot intervals.
 func checkStepDeps(f *WaveFacts) []Diagnostic {
 	var diags []Diagnostic
 	n := len(f.Steps)
@@ -172,8 +163,7 @@ func checkStepDeps(f *WaveFacts) []Diagnostic {
 
 // checkWaveLegal verifies wave-legal: the waves partition the steps, every
 // DAG edge crosses from an earlier wave to a later one, and no two steps
-// sharing a wave carry a write-write hazard, a read-write alias, or the
-// same scratch block.
+// sharing a wave carry a write-write hazard or a read-write alias.
 func checkWaveLegal(f *WaveFacts) []Diagnostic {
 	var diags []Diagnostic
 	n := len(f.Steps)
@@ -243,12 +233,6 @@ func checkWaveLegal(f *WaveFacts) []Diagnostic {
 						Rule: RuleWaveLegal, Node: eb.Name,
 						Msg:  fmt.Sprintf("steps %s and %s share wave %d with a read-write alias", stepName(f, a), stepName(f, b), w),
 						Hint: "a reader and a writer of one arena range must be in different waves",
-					})
-				case ea.ScratchID >= 0 && ea.ScratchID == eb.ScratchID:
-					diags = append(diags, Diagnostic{
-						Rule: RuleWaveLegal, Node: eb.Name,
-						Msg:  fmt.Sprintf("steps %s and %s share wave %d and scratch block %d", stepName(f, a), stepName(f, b), w, ea.ScratchID),
-						Hint: "same-wave sharded kernels need distinct scratch blocks",
 					})
 				}
 			}

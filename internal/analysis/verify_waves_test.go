@@ -8,8 +8,8 @@ func chainFacts() WaveFacts {
 	return WaveFacts{
 		Subject: "chain",
 		Steps: []StepEffects{
-			{Name: "s0", Writes: []Interval{{Off: 0, Len: 4}}, ScratchID: -1},
-			{Name: "s1", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 4, Len: 4}}, ScratchID: -1},
+			{Name: "s0", Writes: []Interval{{Off: 0, Len: 4}}},
+			{Name: "s1", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 4, Len: 4}}},
 		},
 		Edges: []DepEdge{{From: 0, To: 1, Kind: DepTrue}},
 		Waves: [][]int{{0}, {1}},
@@ -23,8 +23,8 @@ func TestVerifyWavesClean(t *testing.T) {
 	// Independent steps legally share a wave.
 	f := WaveFacts{
 		Steps: []StepEffects{
-			{Name: "a", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 4, Len: 4}}, ScratchID: -1},
-			{Name: "b", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 8, Len: 4}}, ScratchID: 1},
+			{Name: "a", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 4, Len: 4}}},
+			{Name: "b", Reads: []Interval{{Off: 0, Len: 4}}, Writes: []Interval{{Off: 8, Len: 4}}},
 		},
 		Waves: [][]int{{0, 1}},
 	}
@@ -45,13 +45,6 @@ func TestVerifyWavesMalformedEdge(t *testing.T) {
 	wantRule(t, VerifyWaves(f), RuleStepDeps)
 }
 
-func TestVerifyWavesMissingScratchEdge(t *testing.T) {
-	f := chainFacts()
-	f.Steps[0].ScratchID = 3
-	f.Steps[1].ScratchID = 3
-	wantRule(t, VerifyWaves(f), RuleStepDeps)
-}
-
 func TestVerifyWavesTopoViolation(t *testing.T) {
 	f := chainFacts()
 	f.Waves = [][]int{{1}, {0}}
@@ -67,21 +60,10 @@ func TestVerifyWavesSameWaveHazards(t *testing.T) {
 	// Write-write hazard in one wave.
 	f = WaveFacts{
 		Steps: []StepEffects{
-			{Name: "a", Writes: []Interval{{Off: 0, Len: 4}}, ScratchID: -1},
-			{Name: "b", Writes: []Interval{{Off: 2, Len: 4}}, ScratchID: -1},
+			{Name: "a", Writes: []Interval{{Off: 0, Len: 4}}},
+			{Name: "b", Writes: []Interval{{Off: 2, Len: 4}}},
 		},
 		Edges: []DepEdge{{From: 0, To: 1, Kind: DepOutput}},
-		Waves: [][]int{{0, 1}},
-	}
-	wantRule(t, VerifyWaves(f), RuleWaveLegal)
-
-	// Shared scratch block in one wave.
-	f = WaveFacts{
-		Steps: []StepEffects{
-			{Name: "a", Writes: []Interval{{Off: 0, Len: 4}}, ScratchID: 2},
-			{Name: "b", Writes: []Interval{{Off: 8, Len: 4}}, ScratchID: 2},
-		},
-		Edges: []DepEdge{{From: 0, To: 1, Kind: DepScratch}},
 		Waves: [][]int{{0, 1}},
 	}
 	wantRule(t, VerifyWaves(f), RuleWaveLegal)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/ops"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -98,7 +97,7 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 		if k.msg, err = lowerEdgeWriter(p.Op, g, o); err != nil {
 			return nil, err
 		}
-		k.main = workpool.NewJob(k.edgeChunk)
+		k.setJob(k.edgeChunk, g.NumEdges(), chunkSize(g.NumEdges(), k.fanout))
 		return k, nil
 	}
 	if k.red, err = lowerRowReducer(p.Op, o, o.C.T.Cols); err != nil {
@@ -113,10 +112,11 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 			return nil, err
 		}
 		if sp.K > 1 {
-			return b.lowerSharded(p, g, o, sp, k.red, k.site), nil
+			k.bindShards(sp)
+			return k, nil
 		}
 	}
-	k.main = workpool.NewJob(k.rowChunk)
+	k.setJob(k.rowChunk, g.NumVertices(), chunkSize(g.NumVertices(), k.fanout))
 	return k, nil
 }
 
@@ -129,11 +129,17 @@ type parallelKernel struct {
 	// writer of an Edge-output kernel; exactly one is set.
 	red rowReducer
 	msg edgeWriter
+	// sp is the shard plan of a sharded Dst_V kernel (backend_sharded.go),
+	// nil on the flat path; labels are its per-shard span names.
+	sp     *shard.Plan
+	labels []string
 	// fanout is the goroutine count chunks are dealt to (1 = inline).
 	fanout int
-	// main is the kernel's one pool job: rowChunk over destination rows or
-	// edgeChunk over edges, bound at lowering time.
-	main *workpool.Job
+	// main is the kernel's one pool job — rowChunk over destination rows,
+	// edgeChunk over edges or shardChunk over shards — bound at lowering time
+	// with the item count and chunk size it is dealt in.
+	main         *workpool.Job
+	items, chunk int
 	// epilogue, when bound, is applied to every chunk's output rows by the
 	// chunk that produced them (BindEpilogue).
 	epilogue RowEpilogue
@@ -162,6 +168,12 @@ func kernelErr(p *Plan, backend string, err error) error {
 	return err
 }
 
+// setJob binds the kernel's chunk body and how its items are dealt.
+func (k *parallelKernel) setJob(body func(lo, hi int), items, chunk int) {
+	k.main = workpool.NewJob(body)
+	k.items, k.chunk = items, chunk
+}
+
 // Plan implements CompiledKernel.
 func (k *parallelKernel) Plan() *Plan { return k.p }
 
@@ -186,8 +198,8 @@ func (k *parallelKernel) walk() string {
 	return WalkRows
 }
 
-// BindEpilogue implements EpilogueBinder: both chunk bodies own the rows they
-// write, so the epilogue runs at the end of each chunk.
+// BindEpilogue implements EpilogueBinder: every chunk body owns the rows it
+// writes, so the epilogue runs at the end of each chunk.
 func (k *parallelKernel) BindEpilogue(f RowEpilogue) bool {
 	k.epilogue = f
 	return true
@@ -230,12 +242,9 @@ func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 		return err
 	}
 	// Each output row — an edge's or a destination vertex's — is written by
-	// exactly one chunk, so rows split freely.
-	items := k.g.NumVertices()
-	if k.p.Op.CKind == tensor.EdgeK {
-		items = k.g.NumEdges()
-	}
-	err = workpool.Run(ctx, k.main, items, chunkSize(items, k.fanout), k.fanout)
+	// exactly one chunk, so rows split freely; cancellation is checked at
+	// chunk claims.
+	err = workpool.Run(ctx, k.main, k.items, k.chunk, k.fanout)
 	k.shards += k.main.Chunks()
 	if err != nil {
 		return kernelErr(k.p, k.b.Name(), err)
@@ -279,27 +288,5 @@ func (k *parallelKernel) edgeChunk(lo, hi int) {
 	k.msg.writeEdges(k.o.C.T, lo, hi)
 	if k.epilogue != nil {
 		k.epilogue(lo, hi)
-	}
-}
-
-// mergeRow folds one shard's partial row into the output row with the
-// gather op's combiner (the sharded two-level reduction's second level).
-func mergeRow(gop ops.GatherOp, dst, src []float32) {
-	switch gop {
-	case ops.GatherSum, ops.GatherMean:
-		src = src[:len(dst)]
-		for j := range dst {
-			dst[j] += src[j]
-		}
-	case ops.GatherMax:
-		maxCopy(dst, src)
-	case ops.GatherMin:
-		minCopy(dst, src)
-	default:
-		// Invariant, not input-reachable: only reducing kernels lower onto the
-		// sharded path (message creation stays flat and plans are validated at
-		// Compile), so a non-reducing gather here is a programming error in
-		// the backend itself.
-		panic("core: merge of non-reducing gather")
 	}
 }

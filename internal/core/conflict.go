@@ -21,25 +21,14 @@ func (k *refKernel) ConflictHandling() string { return analysis.ConflictSequenti
 
 // ConflictHandling implements ConflictReporter, naming the walk that
 // actually runs rather than the plan's GPU strategy: message creation writes
-// per-edge rows, and every aggregation — vertex- or edge-parallel on the GPU
-// — walks destination rows with one owning worker per row.
+// per-edge rows, and every aggregation — vertex- or edge-parallel on the GPU,
+// flat or sharded — walks destination rows with one owning worker per row
+// (a shard's owner is the participant that claimed the shard).
 func (k *parallelKernel) ConflictHandling() string {
 	if k.p.Op.CKind == tensor.EdgeK {
 		return analysis.ConflictPerEdgeRows
 	}
 	return analysis.ConflictOwnerPerRow
-}
-
-// ConflictHandling implements ConflictReporter: destination ownership gives
-// every output row exactly one producing shard, and a worker runs a whole
-// shard — so vertex-parallel shards write owner-per-row, and the
-// edge-parallel two-level reduction lands in shard-private partials merged
-// deterministically in canonical shard order.
-func (k *shardedKernel) ConflictHandling() string {
-	if k.vertexPar {
-		return analysis.ConflictOwnerPerRow
-	}
-	return analysis.ConflictPrivatePartials
 }
 
 // ConflictHandling implements ConflictReporter: the functional output comes

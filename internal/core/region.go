@@ -41,9 +41,6 @@ func (k *refKernel) silenceTelemetry() { k.site = nil }
 func (k *parallelKernel) silenceTelemetry() { k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer.
-func (k *shardedKernel) silenceTelemetry() { k.site = nil }
-
-// silenceTelemetry implements telemetrySilencer.
 func (k *simKernel) silenceTelemetry() { k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer: the ladder's record comes
@@ -60,8 +57,8 @@ func (k *resilientKernel) silenceTelemetry() {
 // ComposeRegion wraps an already-lowered kernel with the region's pre and
 // post stages and returns the composed kernel. label names the region in
 // telemetry (the compiler passes the bounded region name). A sharded inner
-// lowering stays reachable through Unwrap, so the compiler's scratch folding
-// still sees it.
+// lowering stays reachable through Unwrap, so the compiler's stats still see
+// it.
 func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, g *graph.Graph) CompiledKernel {
 	if s, ok := inner.(telemetrySilencer); ok {
 		s.silenceTelemetry()

@@ -165,12 +165,7 @@ func runForced(t *testing.T, g *graph.Graph, op ops.OpInfo, strat Strategy, o Op
 	if err != nil {
 		t.Fatalf("%s/%s: lower: %v", op, strat, err)
 	}
-	switch pk := k.(type) {
-	case *parallelKernel:
-		pk.fanout = workers
-	case *shardedKernel:
-		pk.fanout = min(workers, pk.sp.K)
-	}
+	k.(*parallelKernel).fanout = workers
 	if err := k.Run(); err != nil {
 		t.Fatalf("%s/%s: run: %v", op, strat, err)
 	}

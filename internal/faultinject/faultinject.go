@@ -68,11 +68,8 @@ const (
 	// (fusion-region).
 	CorruptFusionRegion
 	// CorruptShardPlan corrupts the verified view of a shard plan, proving
-	// the shard rules fire. Seed selects the variant: 0 duplicates an edge in
-	// one shard's edge list (shard-edge-cover), 1 points a halo entry at a
-	// vertex the shard itself owns (shard-halo-cover), 2 makes two shards own
-	// one vertex (shard-no-alias), 3 scrambles the cross-shard merge order
-	// (shard-merge-order).
+	// shard-no-alias fires. Seed selects which half of the rule: 0 makes two
+	// shards own one vertex, 1 leaves a vertex owned by no shard.
 	CorruptShardPlan
 	// SlowHandler delays the serving layer's HTTP handler before admission
 	// by the armed Spec's Delay, simulating a slow ingress path so drain and
@@ -93,9 +90,7 @@ const (
 	// CorruptWaveSchedule corrupts the verified view of the step-dependence
 	// DAG and wave schedule, proving the wave rules fire. Seed selects the
 	// variant: 0 drops a hazard edge from the DAG view (step-deps-sound), 1
-	// hoists a dependent step into its producer's wave (wave-legal), 2 makes
-	// two same-wave steps share a scratch block in the view (wave-legal, and
-	// step-deps-sound for the now-missing scratch edge).
+	// hoists a dependent step into its producer's wave (wave-legal).
 	CorruptWaveSchedule
 	// DenseChunkPanic makes one row-range chunk of a split dense step (GEMM
 	// row panel, elementwise row range) panic, on whichever pool participant

@@ -119,44 +119,59 @@ func TestHostProgramLadder(t *testing.T) {
 	}
 }
 
-// TestHostProgramShardedBehindLadder: the compiler still finds the sharded
-// lowerings behind the ladder and a composed region — the partition shape
-// reaches Stats and all kernels share program-owned scratch blocks.
+// TestHostProgramShardedBehindLadder: a program compiled at shards=4 is the
+// shards=1 program to the bit — under the host engine's own schedules and
+// with each of the four strategies as the aggregation schedule, sequential
+// and wave-parallel — and the compiler still finds the sharded lowerings
+// behind the ladder and a composed region: the partition shape reaches Stats.
 func TestHostProgramShardedBehindLadder(t *testing.T) {
+	defer program.SetParallelSteps(false)
 	g := smallGraph(t, 53)
 	const inFeat, classes = 16, 5
 	x := tensor.NewDense(g.NumVertices(), inFeat)
 	x.FillRandom(rand.New(rand.NewSource(13)), 1)
 	for _, m := range All() {
-		// An edge-parallel aggregation schedule is what makes a sharded
-		// lowering need scratch (the host engine's TV_G1_T1 needs none).
-		compile := func(b core.ExecBackend) *program.CompiledProgram {
-			eng := NewHostEngine(b)
-			eng.AggrSchedule = core.Schedule{Strategy: core.WarpEdge, Group: 1, Tile: 1}
-			cp, err := CompileModel(m, g, inFeat, classes, eng)
+		for si := -1; si < len(core.Strategies); si++ {
+			label := m.Name() + "/host"
+			compile := func(b core.ExecBackend) *program.CompiledProgram {
+				eng := NewHostEngine(b)
+				if si >= 0 {
+					eng.AggrSchedule = core.Schedule{Strategy: core.Strategies[si], Group: 1, Tile: 1}
+					label = m.Name() + "/" + eng.AggrSchedule.String()
+				}
+				cp, err := CompileModel(m, g, inFeat, classes, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cp
+			}
+			rb := quietLadder(2, 4)
+			rb.SetLadder(false)
+			flat, served, plain := compile(core.NewShardedParallelBackend(2, 1)), compile(rb), compile(core.NewShardedParallelBackend(2, 4))
+			st, pst, fst := served.Stats(), plain.Stats(), flat.Stats()
+			if st.Shards != 4 || pst.Shards != 4 || fst.Shards != 1 || st.ShardEdgeCut <= 0 || st.ShardEdgeCut != pst.ShardEdgeCut {
+				t.Errorf("%s: behind the ladder shards=%d cut=%g; plain sharded program: shards=%d cut=%g",
+					label, st.Shards, st.ShardEdgeCut, pst.Shards, pst.ShardEdgeCut)
+			}
+			out, err := flat.Run(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return cp
-		}
-		rb := quietLadder(2, 4)
-		rb.SetLadder(false)
-		served, plain := compile(rb), compile(core.NewShardedParallelBackend(2, 4))
-		st, pst := served.Stats(), plain.Stats()
-		if st.Shards != 4 || st.ShardScratchFloats == 0 || st.ShardScratchFloats != pst.ShardScratchFloats || st.ShardEdgeCut != pst.ShardEdgeCut {
-			t.Errorf("%s: behind the ladder shards=%d scratch=%d cut=%g; plain sharded program: shards=%d scratch=%d cut=%g",
-				m.Name(), st.Shards, st.ShardScratchFloats, st.ShardEdgeCut, pst.Shards, pst.ShardScratchFloats, pst.ShardEdgeCut)
-		}
-		want, err := plain.Run(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := served.Run(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%s: sharded program behind the ladder differs from the plain sharded one (maxdiff %g)", m.Name(), got.MaxDiff(want))
+			want := out.Clone()
+			for _, parallel := range []bool{false, true} {
+				program.SetParallelSteps(parallel)
+				for name, cp := range map[string]*program.CompiledProgram{"plain": plain, "behind the ladder": served} {
+					got, err := cp.Run(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i := got.BitDiff(want); i >= 0 {
+						t.Errorf("%s parallel-steps=%v: sharded program (%s) differs from shards=1 at element %d: %v vs %v",
+							label, parallel, name, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			program.SetParallelSteps(false)
 		}
 	}
 }

@@ -241,8 +241,7 @@ func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.Compi
 
 // TestCompiledRunZeroAllocs pins the steady-state guarantee: after compile,
 // Run allocates nothing — intermediates live in the arena, kernels reuse
-// their scratch, sharded lowerings run from the scratch block the program
-// bound at compile time, and every fan-out (kernel chunks, shards, waves,
+// their scratch, and every fan-out (kernel chunks, shards, waves,
 // dense row ranges) is a pre-bound job on the process-wide worker pool.
 // AllocsPerRun counts process-wide mallocs, so allocations on pool helpers
 // would show up too.

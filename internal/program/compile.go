@@ -92,11 +92,6 @@ type Stats struct {
 	// ShardEdgeCut is the cross-shard edge fraction of the partition behind
 	// the sharded kernels (0 when unsharded).
 	ShardEdgeCut float64
-	// ShardScratchFloats is the program-wide shard-partial scratch in
-	// float32 elements: blocks sized for the largest kernel, duplicated per
-	// the wave analyzer's verdict (waves.go) so same-wave sharded kernels
-	// never share one. Total across all blocks.
-	ShardScratchFloats int
 	// Waves is the number of topological levels in the verified wave
 	// schedule (waves.go); every step in one wave is provably independent
 	// of its wave-mates.
@@ -136,10 +131,6 @@ type step struct {
 	// vx, vy, vx2, vout are the operand/output value ids, kept so the wave
 	// analyzer (waves.go) can resolve the step's arena effect intervals.
 	vx, vy, vx2, vout ValueID
-	// scratch is the shared sharded-scratch block this step's kernel is
-	// bound to (-1 = none); same-block steps are serialized by the wave
-	// schedule's scratch-conflict edges.
-	scratch int32
 	// body is a dense step's work on output rows [lo, hi) (dense.go); split is
 	// its row-range plan when it is large enough to run on the worker pool,
 	// nil when body runs over all rows on the caller.
@@ -317,7 +308,7 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	for i := range work.Nodes {
 		n := &work.Nodes[i]
 		st := step{op: n.Op, name: n.Name, label: stepLabel(n.Op, n.Name), out: views[n.Out], scale: n.Scale, chain: n.Chain, inPlace: plan.InPlace[i],
-			vx: n.X, vy: n.Y, vx2: NoValue, vout: n.Out, scratch: -1}
+			vx: n.X, vy: n.Y, vx2: NoValue, vout: n.Out}
 		if n.X != NoValue {
 			st.x = views[n.X]
 		}
@@ -434,33 +425,13 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		bindDense(&cp.steps[i], workers)
 	}
 
-	// Sharded kernels: fold the partition shape into the stats and rebind
-	// per-shard partials onto program-owned blocks sized for the largest
-	// kernel. Which kernels may share a block is the wave analyzer's call
-	// (assignShardScratch, waves.go): same-wave users get distinct blocks
-	// so they can overlap, everyone else shares, and the program's shard
-	// scratch stops scaling with kernel count either way. The kernels
-	// re-initialise the scratch each Run, so the zero-alloc steady state is
-	// untouched.
+	// Sharded kernels: fold the partition shape into the stats.
 	cp.stats.Shards = 1
-	scratchFloats := 0
 	for i := range cp.steps {
-		sl, ok := core.AsShardedLowering(cp.steps[i].kern)
-		if !ok {
-			continue
+		if sl, ok := core.AsShardedLowering(cp.steps[i].kern); ok {
+			cp.stats.Shards = max(cp.stats.Shards, sl.ShardCount())
+			cp.stats.ShardEdgeCut = max(cp.stats.ShardEdgeCut, sl.ShardEdgeCut())
 		}
-		if n := sl.ShardCount(); n > cp.stats.Shards {
-			cp.stats.Shards = n
-		}
-		if cut := sl.ShardEdgeCut(); cut > cp.stats.ShardEdgeCut {
-			cp.stats.ShardEdgeCut = cut
-		}
-		if f := sl.ShardScratchFloats(); f > scratchFloats {
-			scratchFloats = f
-		}
-	}
-	if scratchFloats > 0 {
-		cp.assignShardScratch(scratchFloats)
 	}
 
 	// Cross-check what the backend actually lowered: each kernel's declared
@@ -471,9 +442,9 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	}
 
 	// Step-effect dependence analysis (waves.go): derive the dependence DAG
-	// and wave schedule from the final effect sets (scratch blocks
-	// included), then prove them with the mandatory wave rules — a schedule
-	// that would race is unrepresentable as a successful compile.
+	// and wave schedule from the effect sets, then prove them with the
+	// mandatory wave rules — a schedule that would race is unrepresentable
+	// as a successful compile.
 	cp.buildWaveSchedule()
 	if err := cp.verifyWaveSchedule(); err != nil {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, err)

@@ -352,9 +352,7 @@ func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
 
 // corruptWaves corrupts the wave verifier's view. Seed 0 drops the last
 // hazard edge from the DAG (step-deps-sound); seed 1 hoists a dependent
-// step into its producer's wave (wave-legal); seed 2 makes the first two
-// steps share a phantom scratch block and a wave (wave-legal, plus
-// step-deps-sound for the now-missing scratch edge).
+// step into its producer's wave (wave-legal).
 func corruptWaves(f *analysis.WaveFacts, seed uint64) {
 	switch seed {
 	case 1:
@@ -375,29 +373,6 @@ func corruptWaves(f *analysis.WaveFacts, seed uint64) {
 				if s == e.To && w != wFrom {
 					f.Waves[w] = append(wave[:k:k], wave[k+1:]...)
 					f.Waves[wFrom] = append(f.Waves[wFrom], e.To)
-					return
-				}
-			}
-		}
-	case 2:
-		if len(f.Steps) < 2 {
-			return
-		}
-		f.Steps[0].ScratchID = 7777
-		f.Steps[1].ScratchID = 7777
-		var w0 int
-		for w, wave := range f.Waves {
-			for _, s := range wave {
-				if s == 0 {
-					w0 = w
-				}
-			}
-		}
-		for w, wave := range f.Waves {
-			for k, s := range wave {
-				if s == 1 && w != w0 {
-					f.Waves[w] = append(wave[:k:k], wave[k+1:]...)
-					f.Waves[w0] = append(f.Waves[w0], 1)
 					return
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/workpool"
 )
@@ -14,8 +13,7 @@ import (
 // resolve to arena intervals at compile time (the buffer plan fixed the slot
 // of every value, and the arena fixed the offset of every slot), so the
 // compiler can build the step-dependence DAG — true, anti and output deps
-// from interval overlap, plus scratch-conflict edges between kernels bound
-// to the same sharded-scratch block — and schedule the steps into waves:
+// from interval overlap — and schedule the steps into waves:
 // topological levels whose members are provably independent and may execute
 // concurrently. The schedule is verified mandatorily (analysis.VerifyWaves,
 // rules step-deps-sound and wave-legal) before Compile returns, extending
@@ -27,12 +25,6 @@ import (
 // process-wide worker pool (internal/workpool) and barriers between waves.
 // Programs whose every wave has width 1 (a pure chain) keep the sequential
 // loop — the schedule proves there is nothing to overlap.
-
-// maxShardScratchBlocks caps how many copies of the shared sharded-scratch
-// block a program allocates to let same-wave sharded kernels run
-// concurrently. Scratch users beyond the cap in one wave share a block and
-// are serialized by scratch-conflict edges instead.
-const maxShardScratchBlocks = 4
 
 // maxWaveWorkers bounds how many goroutines one wave's steps are dealt to.
 const maxWaveWorkers = 8
@@ -69,14 +61,14 @@ func (cp *CompiledProgram) valueInterval(v ValueID) (analysis.Interval, bool) {
 	return analysis.Interval{Off: cp.slotOffsets[s], Len: rows * val.Cols}, true
 }
 
-// stepEffects derives every step's read/write/scratch effect sets. The
+// stepEffects derives every step's read/write effect sets. The
 // slices are fresh on every call, so the verification bridge can hand them
 // to corruption points without exposing the compiled artifacts.
 func (cp *CompiledProgram) stepEffects() []analysis.StepEffects {
 	effs := make([]analysis.StepEffects, len(cp.steps))
 	for i := range cp.steps {
 		st := &cp.steps[i]
-		e := analysis.StepEffects{Name: st.name, ScratchID: int(st.scratch)}
+		e := analysis.StepEffects{Name: st.name}
 		if iv, ok := cp.valueInterval(st.vx); ok {
 			e.Reads = append(e.Reads, iv)
 		}
@@ -108,9 +100,8 @@ func intervalsOverlap(a, b []analysis.Interval) bool {
 
 // buildStepDeps constructs the step-dependence DAG over the effect sets:
 // for every ordered pair, a true dep where j reads what i wrote, an anti
-// dep where j overwrites what i reads, an output dep where both write the
-// same storage, and a scratch edge where both kernels share a scratch
-// block. All hazard edges are kept (no transitive reduction) so the
+// dep where j overwrites what i reads, and an output dep where both write the
+// same storage. All hazard edges are kept (no transitive reduction) so the
 // verifier's edge-presence rule is exact.
 func buildStepDeps(effs []analysis.StepEffects) []analysis.DepEdge {
 	var edges []analysis.DepEdge
@@ -125,9 +116,6 @@ func buildStepDeps(effs []analysis.StepEffects) []analysis.DepEdge {
 			}
 			if intervalsOverlap(a.Writes, b.Writes) {
 				edges = append(edges, analysis.DepEdge{From: i, To: j, Kind: analysis.DepOutput})
-			}
-			if a.ScratchID >= 0 && a.ScratchID == b.ScratchID {
-				edges = append(edges, analysis.DepEdge{From: i, To: j, Kind: analysis.DepScratch})
 			}
 		}
 	}
@@ -165,58 +153,8 @@ func computeWaves(n int, edges []analysis.DepEdge) [][]int {
 	return waves
 }
 
-// assignShardScratch replaces the former single shared sharded-scratch
-// block with the analyzer's verdict: scratch-using kernels scheduled into
-// the same data-dependence wave get distinct scratch blocks (duplicated, up
-// to maxShardScratchBlocks copies) so they may run concurrently; users
-// sharing a block — different waves, or same-wave overflow past the cap —
-// are serialized by the scratch-conflict edges buildStepDeps derives from
-// the block ids. Sequential execution is unaffected either way: distinct
-// blocks are always safe, and the kernels re-initialise their scratch each
-// Run, so the zero-alloc steady state is untouched.
-func (cp *CompiledProgram) assignShardScratch(scratchFloats int) {
-	dataWaves := computeWaves(len(cp.steps), buildStepDeps(cp.stepEffects()))
-	waveOf := make([]int, len(cp.steps))
-	for w, wave := range dataWaves {
-		for _, s := range wave {
-			waveOf[s] = w
-		}
-	}
-	perWave := make(map[int]int)
-	blocks := 0
-	for i := range cp.steps {
-		sl, ok := core.AsShardedLowering(cp.steps[i].kern)
-		if !ok || sl.ShardScratchFloats() == 0 {
-			continue
-		}
-		c := perWave[waveOf[i]]
-		perWave[waveOf[i]] = c + 1
-		b := c % maxShardScratchBlocks
-		cp.steps[i].scratch = int32(b)
-		if b+1 > blocks {
-			blocks = b + 1
-		}
-	}
-	if blocks == 0 {
-		return
-	}
-	cp.stats.ShardScratchFloats = scratchFloats * blocks
-	scratch := make([][]float32, blocks)
-	for i := range scratch {
-		scratch[i] = make([]float32, scratchFloats)
-	}
-	for i := range cp.steps {
-		if cp.steps[i].scratch < 0 {
-			continue
-		}
-		sl, _ := core.AsShardedLowering(cp.steps[i].kern)
-		sl.BindShardScratch(scratch[cp.steps[i].scratch])
-	}
-}
-
-// buildWaveSchedule computes the authoritative dependence DAG and wave
-// schedule from the final effect sets (scratch blocks included) and folds
-// the shape into the stats.
+// buildWaveSchedule computes the dependence DAG and wave schedule from the
+// effect sets and folds the shape into the stats.
 func (cp *CompiledProgram) buildWaveSchedule() {
 	cp.depEdges = buildStepDeps(cp.stepEffects())
 	cp.waves = computeWaves(len(cp.steps), cp.depEdges)

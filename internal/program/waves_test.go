@@ -236,7 +236,6 @@ func TestWaveCorruptionFiresEachRule(t *testing.T) {
 	}{
 		{0, analysis.RuleStepDeps},
 		{1, analysis.RuleWaveLegal},
-		{2, analysis.RuleWaveLegal},
 	}
 	for _, tc := range cases {
 		t.Run(tc.rule, func(t *testing.T) {

@@ -128,7 +128,7 @@ func TestE2ESlowHandlerAttributedToAdmission(t *testing.T) {
 // serving series this PR added — the six stage histograms, the batch-size
 // distribution, build info and the trace-drop counter.
 func TestE2EMetricsCarryTracingSeries(t *testing.T) {
-	d := startDaemon(t, "-models", "GCN", "-backend", "parallel")
+	d := startDaemon(t, "-models", "GCN")
 	if code, _, _ := infer(t, d, e2eInferRequest{Model: "GCN", Vertices: []int{0, 1, 2}}); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}

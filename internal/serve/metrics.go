@@ -45,12 +45,11 @@ const (
 	// metricCompiles counts programs compiled: one per distinct model.
 	metricCompiles = "ugrapher_serve_compiles_total"
 	// The resident size of a model's compiled program by part — arena, packed
-	// GEMM weights, region staging buffers, shard scratch; gauges per model,
-	// set once at compile.
-	metricProgramArenaBytes        = "ugrapher_program_arena_bytes"
-	metricProgramPackedBytes       = "ugrapher_program_packed_bytes"
-	metricProgramStagingBytes      = "ugrapher_program_staging_bytes"
-	metricProgramShardScratchBytes = "ugrapher_program_shard_scratch_bytes"
+	// GEMM weights, region staging buffers; gauges per model, set once at
+	// compile.
+	metricProgramArenaBytes   = "ugrapher_program_arena_bytes"
+	metricProgramPackedBytes  = "ugrapher_program_packed_bytes"
+	metricProgramStagingBytes = "ugrapher_program_staging_bytes"
 	// metricStageSeconds is the per-stage latency attribution histogram,
 	// labelled by model and stage (admission, queue_wait, batch_wait,
 	// compile, kernel, respond) — the aggregate view of the per-request
@@ -118,7 +117,6 @@ func publishProgramBytes(model string, st program.Stats) {
 	set(metricProgramArenaBytes, st.ArenaFloats)
 	set(metricProgramPackedBytes, st.PackedFloats)
 	set(metricProgramStagingBytes, st.StagingFloats)
-	set(metricProgramShardScratchBytes, st.ShardScratchFloats)
 }
 
 // handleMetrics refreshes the scrape-time gauges and writes the Prometheus

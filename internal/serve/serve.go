@@ -58,10 +58,6 @@ type Config struct {
 	// Feat and Classes shape the compiled forward pass.
 	Feat    int
 	Classes int
-	// Backend selects the host compute backend ("" = parallel). Every model
-	// runs it under a resilient ladder the breaker gates, so "resilient"
-	// names the same thing as "parallel" here.
-	Backend string
 	// Shards is the graph shard count (-1 = core.DefaultShards()).
 	Shards int
 	// Workers sizes the parallel backend's pool (0 = $UGRAPHER_WORKERS /
@@ -211,29 +207,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// backend builds the configured compute backend, the primary rung of a
-// model's ladder. "resilient" names what every model gets here anyway.
-func (s *Server) backend() (core.ExecBackend, error) {
-	switch s.cfg.Backend {
-	case "", "parallel", "resilient":
-		return core.NewShardedParallelBackend(s.cfg.Workers, s.cfg.Shards), nil
-	default:
-		return core.Backend(s.cfg.Backend)
-	}
-}
-
 // newHost compiles m's program and assembles the host around it. The host
 // engine fixes the schedules (models.NewHostEngine): nothing the host
 // lowering runs depends on a simulator search, so none is paid here.
 func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
-	b, err := s.backend()
-	if err != nil {
-		return nil, err
-	}
 	// One program, compiled on the ladder the breaker gates: a kernel that
-	// fails on b reruns on the reference interpreter while the gate is on.
-	// It rests where a closed breaker leaves it: off.
-	rb := core.NewResilientBackend(b, nil)
+	// fails on the parallel backend reruns on the reference interpreter
+	// while the gate is on. It rests where a closed breaker leaves it: off.
+	rb := core.NewResilientBackend(core.NewShardedParallelBackend(s.cfg.Workers, s.cfg.Shards), nil)
 	rb.SetLadder(false)
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.

@@ -520,7 +520,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf(`ugrapher_program_arena_bytes{model="GCN"} %d`, h.prog.Stats().ArenaFloats*4),
 		fmt.Sprintf(`ugrapher_program_packed_bytes{model="GCN"} %d`, h.prog.Stats().PackedFloats*4),
 		`ugrapher_program_staging_bytes{model="GCN"} 0`,
-		`ugrapher_program_shard_scratch_bytes{model="GCN"} 0`,
 	} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("metrics snapshot missing %s", series)

@@ -1,17 +1,8 @@
-// Package shard partitions a graph into K cache-sized shards for
-// partition-aware kernel execution: each shard is a self-contained sub-CSR
-// over the vertices it owns, with an explicit halo set (boundary vertices
-// owned by other shards whose features the shard reads) and stable
-// global<->local id maps.
-//
-// Edges are assigned by destination ownership: the shard that owns a
-// vertex owns all of its incoming edges. Every output row therefore has
-// exactly one producing shard, which is what makes the backend's two-level
-// reduction deterministic — intra-shard reductions land in disjoint
-// shard-local partials, and the cross-shard merge folds them in canonical
-// shard order with no write conflicts possible. Cross-shard *reads* (a local
-// edge whose source lives elsewhere) are exactly the halo set; the verifier
-// proves the halo covers all of them.
+// Package shard partitions a graph's vertices into K cache-sized shards for
+// partition-aware kernel execution. A shard is a list of owned rows: the
+// shard that owns a vertex produces that vertex's output row, reducing the
+// row's in-edge list over the graph's own CSR, so every output row has
+// exactly one producer and sharded kernels are conflict-free by construction.
 //
 // The partitioner is locality-aware, not just size-aware: it scores block
 // partitions of three candidate orderings — the graph's own id order,
@@ -20,13 +11,12 @@
 // communication volume. Every plan is verified by analysis.VerifyShardPlan
 // before it is returned; a wrong plan is unrepresentable as a successful
 // Partition. The paired faultinject.CorruptShardPlan point corrupts only
-// the verified view (never the plan itself) to prove each rule fires.
+// the verified view (never the plan itself) to prove the rule fires.
 package shard
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -42,78 +32,27 @@ const MaxShards = 4096
 
 // Auto-sizing targets for Partition(g, 0): a shard's owned working set is
 // capped at ~8Ki vertices (one float32 feature row of width 64 per vertex is
-// then ~2 MiB — an L2-slice-sized partial buffer) and ~128Ki edges so
+// then ~2 MiB of output rows — an L2-slice-sized block) and ~128Ki edges so
 // skewed graphs still split by traffic, not just by vertex count.
 const (
 	autoShardVertices = 1 << 13
 	autoShardEdges    = 1 << 17
 )
 
-// Shard is one partition element: the sub-CSR over its owned vertices plus
-// the id maps kernels use to resolve global feature rows.
+// Shard is one partition element: the output rows it produces.
 type Shard struct {
-	// ID is the shard's index in its plan.
-	ID int
 	// Owned lists the global vertex ids this shard owns, ascending. The
 	// shard produces exactly the output rows of these vertices.
 	Owned []int32
-	// Halo lists the global vertex ids this shard reads but does not own
-	// (sources of its edges living in other shards), ascending and disjoint
-	// from Owned.
-	Halo []int32
-	// Ptr is the local incoming-CSR row pointer: the edges of Owned[i] are
-	// slots Ptr[i]..Ptr[i+1].
-	Ptr []int32
-	// Src holds the local source id of each edge slot: an index into L2G.
-	Src []int32
-	// Edge holds the global edge id of each slot, so edge-feature tensors
-	// stay addressable from inside a shard.
-	Edge []int32
-	// L2G is the local->global vertex id map: Owned followed by Halo.
-	L2G []int32
 }
 
 // NumOwned reports how many vertices the shard owns.
 func (s *Shard) NumOwned() int { return len(s.Owned) }
 
-// NumHalo reports the halo size.
-func (s *Shard) NumHalo() int { return len(s.Halo) }
-
-// NumEdges reports how many edges the shard covers.
-func (s *Shard) NumEdges() int { return len(s.Edge) }
-
-// GlobalOf maps a local vertex id back to its global id.
-func (s *Shard) GlobalOf(local int32) int32 { return s.L2G[local] }
-
-// LocalOf maps a global vertex id to the shard's local id space: owned
-// vertices map to [0, NumOwned), halo vertices to [NumOwned, NumOwned+
-// NumHalo). The second result is false when the vertex is neither owned nor
-// in the halo.
-func (s *Shard) LocalOf(global int32) (int32, bool) {
-	if i, ok := searchInt32(s.Owned, global); ok {
-		return int32(i), true
-	}
-	if i, ok := searchInt32(s.Halo, global); ok {
-		return int32(len(s.Owned) + i), true
-	}
-	return 0, false
-}
-
-// OwnsLocal reports whether a local id refers to an owned vertex (as
-// opposed to a halo entry).
-func (s *Shard) OwnsLocal(local int32) bool { return int(local) < len(s.Owned) }
-
-// searchInt32 binary-searches an ascending slice for v.
-func searchInt32(xs []int32, v int32) (int, bool) {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
-	return i, i < len(xs) && xs[i] == v
-}
-
 // Plan is a verified partition of one graph into K shards.
 type Plan struct {
-	// NumVertices / NumEdges describe the partitioned graph.
+	// NumVertices is the vertex count of the partitioned graph.
 	NumVertices int
-	NumEdges    int
 	// K is the shard count (== len(Shards); trailing shards may be empty
 	// when K exceeds the vertex count).
 	K int
@@ -121,15 +60,9 @@ type Plan struct {
 	Shards []Shard
 	// Owner maps each global vertex id to its owning shard.
 	Owner []int32
-	// MergeOrder is the canonical order shard partials fold into the
-	// output: ascending shard id, pinned by the shard-merge-order rule.
-	MergeOrder []int32
 	// EdgeCut is the fraction of edges whose endpoints live in different
 	// shards (reorder.EdgeCut of the chosen partition).
 	EdgeCut float64
-	// HaloTotal is the summed halo size across shards — the replicated
-	// read volume the partition costs.
-	HaloTotal int
 	// Seed names the ordering that won the partition-seed selection
 	// ("identity", "bfs" or "degree").
 	Seed string
@@ -172,7 +105,7 @@ func AutoShards(g *graph.Graph) int {
 // Partition splits g into k shards. k == 0 auto-sizes from the cache
 // budget (AutoShards); k == 1 yields the trivial single-shard plan; k may
 // exceed the vertex count, leaving trailing shards empty. The returned plan
-// has passed analysis.VerifyShardPlan — a plan violating the shard rules is
+// has passed analysis.VerifyShardPlan — a plan violating shard-no-alias is
 // returned as an error, never as a value.
 func Partition(g *graph.Graph, k int) (*Plan, error) {
 	if k < 0 || k > MaxShards {
@@ -186,121 +119,43 @@ func Partition(g *graph.Graph, k int) (*Plan, error) {
 	// Seed selection: block-partition each candidate ordering and keep the
 	// one that cuts the fewest edges. Ties keep the earlier (cheaper)
 	// candidate; a single shard cuts nothing by construction.
-	var owner []int32
-	seed := seedCandidates[0].name
+	p := &Plan{NumVertices: numV, K: k, Shards: make([]Shard, k), Seed: seedCandidates[0].name}
 	if k == 1 || numV == 0 {
-		owner = make([]int32, numV)
+		p.Owner = make([]int32, numV)
 	} else {
 		bestCut := math.Inf(1)
 		for _, cand := range seedCandidates {
 			o := reorder.BlockOwners(cand.perm(g), k)
 			if cut := reorder.EdgeCut(g, o); cut < bestCut {
-				bestCut, owner, seed = cut, o, cand.name
+				bestCut, p.Owner, p.Seed = cut, o, cand.name
 			}
 		}
+		p.EdgeCut = bestCut
 	}
-
-	p := buildPlan(g, k, owner, seed)
-	if err := verifyPlan(p, g); err != nil {
+	// Owned lists, ascending by construction of the walk.
+	for v, s := range p.Owner {
+		p.Shards[s].Owned = append(p.Shards[s].Owned, int32(v))
+	}
+	if err := verifyPlan(p); err != nil {
 		return nil, err
 	}
 	recordStats(p)
 	return p, nil
 }
 
-// buildPlan assembles the per-shard sub-CSRs from a vertex->shard owner map.
-func buildPlan(g *graph.Graph, k int, owner []int32, seed string) *Plan {
-	numV, numE := g.NumVertices(), g.NumEdges()
-	p := &Plan{
-		NumVertices: numV, NumEdges: numE, K: k,
-		Shards: make([]Shard, k),
-		Owner:  owner,
-		Seed:   seed,
-	}
-	p.MergeOrder = make([]int32, k)
-	for s := range p.MergeOrder {
-		p.MergeOrder[s] = int32(s)
-	}
-
-	// Owned lists, ascending by construction of the walk.
-	for v := int32(0); v < int32(numV); v++ {
-		s := &p.Shards[owner[v]]
-		s.Owned = append(s.Owned, v)
-	}
-
-	cutEdges := 0
-	for si := range p.Shards {
-		s := &p.Shards[si]
-		s.ID = si
-
-		// Halo: foreign sources of the shard's edges, sorted + deduplicated.
-		for _, v := range s.Owned {
-			srcs, _ := g.InEdges(v)
-			for _, u := range srcs {
-				if owner[u] != int32(si) {
-					s.Halo = append(s.Halo, u)
-					cutEdges++
-				}
-			}
-		}
-		sort.Slice(s.Halo, func(a, b int) bool { return s.Halo[a] < s.Halo[b] })
-		s.Halo = dedupSorted(s.Halo)
-
-		s.L2G = make([]int32, 0, len(s.Owned)+len(s.Halo))
-		s.L2G = append(s.L2G, s.Owned...)
-		s.L2G = append(s.L2G, s.Halo...)
-
-		// Local incoming CSR over the owned vertices, preserving the global
-		// CSR's slot order inside each row.
-		s.Ptr = make([]int32, len(s.Owned)+1)
-		for i, v := range s.Owned {
-			s.Ptr[i+1] = s.Ptr[i] + g.InDegree(v)
-		}
-		n := int(s.Ptr[len(s.Owned)])
-		s.Src = make([]int32, n)
-		s.Edge = make([]int32, n)
-		for i, v := range s.Owned {
-			srcs, eids := g.InEdges(v)
-			base := int(s.Ptr[i])
-			for j, u := range srcs {
-				local, ok := s.LocalOf(u)
-				if !ok {
-					// Invariant, not input-reachable: u is owned here or was
-					// just added to the halo, so the id map must resolve it.
-					panic("shard: source vertex missing from the shard id map")
-				}
-				s.Src[base+j] = local
-				s.Edge[base+j] = eids[j]
-			}
-		}
-		p.HaloTotal += len(s.Halo)
-	}
-	if numE > 0 {
-		p.EdgeCut = float64(cutEdges) / float64(numE)
-	}
-	return p
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(xs []int32) []int32 {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // verifyPlan runs the mandatory shard-plan verification. The facts are a
 // view of the plan; the CorruptShardPlan fault mutates only that view (fresh
-// slices replace the corrupted parts), so an armed corruption proves a rule
+// slices replace the corrupted parts), so an armed corruption proves the rule
 // fires without ever producing a broken plan object.
-func verifyPlan(p *Plan, g *graph.Graph) error {
-	facts := factsOf(p, g)
+func verifyPlan(p *Plan) error {
+	facts := analysis.ShardFacts{
+		NumVertices: p.NumVertices,
+		Owner:       p.Owner,
+		Shards:      make([]analysis.ShardView, len(p.Shards)),
+	}
+	for i := range p.Shards {
+		facts.Shards[i].Owned = p.Shards[i].Owned
+	}
 	if faultinject.Fire(faultinject.CorruptShardPlan) {
 		corruptFacts(&facts, faultinject.SpecOf(faultinject.CorruptShardPlan).Seed)
 	}
@@ -310,108 +165,53 @@ func verifyPlan(p *Plan, g *graph.Graph) error {
 	return nil
 }
 
-// factsOf builds the verifier's view of a plan. Slices alias the plan
-// except MergeOrder, which corruption variant 3 mutates in place.
-func factsOf(p *Plan, g *graph.Graph) analysis.ShardFacts {
-	f := analysis.ShardFacts{
-		NumVertices: p.NumVertices,
-		NumEdges:    p.NumEdges,
-		EdgeSrc:     g.EdgeSrcs(),
-		EdgeDst:     g.EdgeDsts(),
-		Owner:       p.Owner,
-		Shards:      make([]analysis.ShardView, len(p.Shards)),
-		MergeOrder:  append([]int32(nil), p.MergeOrder...),
-	}
-	for i := range p.Shards {
-		s := &p.Shards[i]
-		f.Shards[i] = analysis.ShardView{
-			Owned: s.Owned, Halo: s.Halo, Ptr: s.Ptr,
-			Src: s.Src, Edge: s.Edge, L2G: s.L2G,
-		}
-	}
-	return f
-}
-
-// corruptFacts applies one deliberate inconsistency to the verified view.
-// Every mutation builds a fresh slice first — the plan the facts alias is
-// never touched.
+// corruptFacts applies one deliberate inconsistency to the verified view:
+// seed 0 makes a second shard own a vertex the first already owns, any other
+// seed drops a vertex from its owner's list so nobody owns it. Every
+// mutation builds a fresh slice — the plan the facts alias is never touched.
 func corruptFacts(f *analysis.ShardFacts, seed uint64) {
-	switch seed {
-	case 0: // duplicate an edge: breaks exactly-once coverage
-		for i := range f.Shards {
-			if e := f.Shards[i].Edge; len(e) >= 2 {
-				bad := append([]int32(nil), e...)
-				bad[0] = bad[len(bad)-1]
-				f.Shards[i].Edge = bad
-				return
-			}
+	first := -1
+	for i := range f.Shards {
+		owned := f.Shards[i].Owned
+		if len(owned) == 0 {
+			continue
 		}
-		for i := range f.Shards {
-			if e := f.Shards[i].Edge; len(e) == 1 {
-				f.Shards[i].Edge = []int32{int32(f.NumEdges)}
-				return
-			}
-		}
-	case 1: // point a halo entry at a self-owned vertex
-		for i := range f.Shards {
-			if len(f.Shards[i].Halo) >= 1 && len(f.Shards[i].Owned) >= 1 {
-				bad := append([]int32(nil), f.Shards[i].Halo...)
-				bad[0] = f.Shards[i].Owned[0]
-				f.Shards[i].Halo = bad
-				return
-			}
-		}
-	case 2: // double-own a vertex across two shards
-		first := -1
-		for i := range f.Shards {
-			if len(f.Shards[i].Owned) == 0 {
-				continue
-			}
-			if first < 0 {
-				first = i
-				continue
-			}
-			v := f.Shards[first].Owned[0]
-			bad := append([]int32{v}, f.Shards[i].Owned...)
-			sort.Slice(bad, func(a, b int) bool { return bad[a] < bad[b] })
-			f.Shards[i].Owned = bad
+		if seed != 0 {
+			f.Shards[i].Owned = append([]int32(nil), owned[1:]...)
 			return
 		}
-	default: // scramble the merge order
-		if len(f.MergeOrder) >= 2 {
-			f.MergeOrder[0], f.MergeOrder[1] = f.MergeOrder[1], f.MergeOrder[0]
-		} else if len(f.MergeOrder) == 1 {
-			f.MergeOrder[0] = 1
+		if first < 0 {
+			first = i
+			continue
 		}
+		f.Shards[i].Owned = append([]int32{f.Shards[first].Owned[0]}, owned...)
+		return
 	}
 }
 
 // Partition-quality counters, surfaced so tooling (ugrapher-bench -json)
 // can report the partition behind a result without replaying it.
 var (
-	partitions    atomic.Int64
-	lastShards    atomic.Int64
-	lastEdgeCut   atomic.Uint64 // float64 bits
-	lastHaloTotal atomic.Int64
+	partitions  atomic.Int64
+	lastShards  atomic.Int64
+	lastEdgeCut atomic.Uint64 // float64 bits
 )
 
 // PartitionStats snapshots the package counters.
 type PartitionStats struct {
 	// Partitions is how many plans Partition built (and verified).
 	Partitions int64
-	// LastShards / LastEdgeCut / LastHaloTotal describe the most recent plan.
-	LastShards    int
-	LastEdgeCut   float64
-	LastHaloTotal int
+	// LastShards / LastEdgeCut describe the most recent plan.
+	LastShards  int
+	LastEdgeCut float64
 }
 
 // Stats reads the partition counters.
 func Stats() PartitionStats {
 	return PartitionStats{
-		Partitions:    partitions.Load(),
-		LastShards:    int(lastShards.Load()),
-		LastEdgeCut:   math.Float64frombits(lastEdgeCut.Load()),
-		LastHaloTotal: int(lastHaloTotal.Load()),
+		Partitions:  partitions.Load(),
+		LastShards:  int(lastShards.Load()),
+		LastEdgeCut: math.Float64frombits(lastEdgeCut.Load()),
 	}
 }
 
@@ -419,7 +219,6 @@ func Stats() PartitionStats {
 const (
 	GaugeShardCount = "ugrapher_shard_count"
 	GaugeEdgeCut    = "ugrapher_shard_edgecut_fraction"
-	GaugeHaloTotal  = "ugrapher_shard_halo_total"
 )
 
 // recordStats publishes a verified plan's shape to the package counters and,
@@ -428,11 +227,9 @@ func recordStats(p *Plan) {
 	partitions.Add(1)
 	lastShards.Store(int64(p.K))
 	lastEdgeCut.Store(math.Float64bits(p.EdgeCut))
-	lastHaloTotal.Store(int64(p.HaloTotal))
 	if telemetry.Enabled() {
 		r := telemetry.Default()
 		r.Gauge(GaugeShardCount).Set(float64(p.K))
 		r.Gauge(GaugeEdgeCut).Set(p.EdgeCut)
-		r.Gauge(GaugeHaloTotal).Set(float64(p.HaloTotal))
 	}
 }

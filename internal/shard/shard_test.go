@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -44,92 +45,56 @@ func mustPartition(t *testing.T, g *graph.Graph, k int) *Plan {
 	return p
 }
 
-// checkRoundTrips exercises the id maps both ways on every shard: local ->
-// global -> local is the identity, owned locals report OwnsLocal, halo
-// locals do not, and ownership agrees with the plan's owner map.
-func checkRoundTrips(t *testing.T, p *Plan) {
+// checkOwnership asserts the owned lists partition the vertex set: every
+// vertex in exactly one shard's ascending list, agreeing with the owner map.
+func checkOwnership(t *testing.T, p *Plan) {
 	t.Helper()
-	for si := range p.Shards {
-		s := &p.Shards[si]
-		if s.ID != si {
-			t.Fatalf("shard %d carries id %d", si, s.ID)
-		}
-		for l := int32(0); int(l) < s.NumOwned()+s.NumHalo(); l++ {
-			g := s.GlobalOf(l)
-			back, ok := s.LocalOf(g)
-			if !ok || back != l {
-				t.Fatalf("shard %d: local %d -> global %d -> local %d (ok=%v)", si, l, g, back, ok)
-			}
-			owns := s.OwnsLocal(l)
-			if owns != (p.OwnerOf(g) == int32(si)) {
-				t.Fatalf("shard %d: vertex %d ownership disagrees with owner map", si, g)
-			}
-		}
-		for _, h := range s.Halo {
-			if p.OwnerOf(h) == int32(si) {
-				t.Fatalf("shard %d: halo vertex %d is self-owned", si, h)
-			}
-		}
-		if _, ok := s.LocalOf(int32(p.NumVertices) + 5); ok {
-			t.Fatalf("shard %d resolved a vertex outside the graph", si)
-		}
+	if p.K != len(p.Shards) || len(p.Owner) != p.NumVertices {
+		t.Fatalf("plan shape: K=%d with %d shards, owner map %d of %d vertices", p.K, len(p.Shards), len(p.Owner), p.NumVertices)
 	}
-}
-
-// checkEdgeCover asserts every global edge id appears in exactly one shard,
-// under its destination's owner, with the local source resolving to the
-// edge's true global source.
-func checkEdgeCover(t *testing.T, g *graph.Graph, p *Plan) {
-	t.Helper()
-	seen := make([]bool, g.NumEdges())
+	seen := make([]bool, p.NumVertices)
 	for si := range p.Shards {
-		s := &p.Shards[si]
-		for i := range s.Owned {
-			for x := s.Ptr[i]; x < s.Ptr[i+1]; x++ {
-				e := s.Edge[x]
-				if seen[e] {
-					t.Fatalf("edge %d covered twice", e)
-				}
-				seen[e] = true
-				src, dst := g.EdgeEndpoints(e)
-				if dst != s.Owned[i] {
-					t.Fatalf("edge %d filed under %d, dst is %d", e, s.Owned[i], dst)
-				}
-				if got := s.L2G[s.Src[x]]; got != src {
-					t.Fatalf("edge %d local src resolves to %d, want %d", e, got, src)
-				}
+		owned := p.Shards[si].Owned
+		for i, v := range owned {
+			if i > 0 && owned[i-1] >= v {
+				t.Fatalf("shard %d: owned list not strictly ascending at %d", si, i)
+			}
+			if seen[v] {
+				t.Fatalf("vertex %d owned twice", v)
+			}
+			seen[v] = true
+			if p.OwnerOf(v) != int32(si) {
+				t.Fatalf("shard %d lists vertex %d, owner map says %d", si, v, p.OwnerOf(v))
 			}
 		}
 	}
-	for e, ok := range seen {
+	for v, ok := range seen {
 		if !ok {
-			t.Fatalf("edge %d covered by no shard", e)
+			t.Fatalf("vertex %d owned by no shard", v)
 		}
 	}
 }
 
-func TestPartitionRoundTrips(t *testing.T) {
+func TestPartitionOwnership(t *testing.T) {
 	g := clustered(t, 400, 40, 4)
 	for _, k := range []int{2, 3, 7} {
 		p := mustPartition(t, g, k)
-		if p.K != k || len(p.Shards) != k {
+		if p.K != k {
 			t.Fatalf("k=%d: plan has %d shards", k, p.K)
 		}
-		checkRoundTrips(t, p)
-		checkEdgeCover(t, g, p)
+		checkOwnership(t, p)
 	}
 }
 
 func TestPartitionIsolatedVertices(t *testing.T) {
 	// Vertices 3..9 are isolated; they must still each have exactly one
-	// owner and zero local edges.
+	// owner.
 	g, err := graph.FromCOO(10, []int32{0, 1, 2}, []int32{1, 2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := mustPartition(t, g, 4)
-	checkRoundTrips(t, p)
-	checkEdgeCover(t, g, p)
+	checkOwnership(t, p)
 	owned := 0
 	for i := range p.Shards {
 		owned += p.Shards[i].NumOwned()
@@ -152,16 +117,12 @@ func TestPartitionMoreShardsThanVertices(t *testing.T) {
 	for i := range p.Shards {
 		if p.Shards[i].NumOwned() == 0 {
 			empty++
-			if p.Shards[i].NumEdges() != 0 || p.Shards[i].NumHalo() != 0 {
-				t.Fatalf("empty shard %d carries edges or halo", i)
-			}
 		}
 	}
 	if empty != 4 {
 		t.Fatalf("%d empty shards, want 4", empty)
 	}
-	checkRoundTrips(t, p)
-	checkEdgeCover(t, g, p)
+	checkOwnership(t, p)
 }
 
 func TestPartitionEmptyGraph(t *testing.T) {
@@ -170,18 +131,19 @@ func TestPartitionEmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := mustPartition(t, g, 3)
-	if p.K != 3 || p.HaloTotal != 0 || p.EdgeCut != 0 {
-		t.Fatalf("empty graph plan: K=%d halo=%d cut=%v", p.K, p.HaloTotal, p.EdgeCut)
+	if p.K != 3 || p.EdgeCut != 0 {
+		t.Fatalf("empty graph plan: K=%d cut=%v", p.K, p.EdgeCut)
 	}
+	checkOwnership(t, p)
 }
 
 func TestPartitionSingleShardTrivial(t *testing.T) {
 	g := clustered(t, 100, 20, 3)
 	p := mustPartition(t, g, 1)
-	if p.K != 1 || p.EdgeCut != 0 || p.HaloTotal != 0 {
-		t.Fatalf("single shard must cut nothing: K=%d cut=%v halo=%d", p.K, p.EdgeCut, p.HaloTotal)
+	if p.K != 1 || p.EdgeCut != 0 {
+		t.Fatalf("single shard must cut nothing: K=%d cut=%v", p.K, p.EdgeCut)
 	}
-	if p.Shards[0].NumOwned() != 100 || p.Shards[0].NumEdges() != g.NumEdges() {
+	if p.Shards[0].NumOwned() != 100 {
 		t.Fatal("single shard must own everything")
 	}
 }
@@ -233,12 +195,12 @@ func TestPartitionDeterministic(t *testing.T) {
 	g := clustered(t, 600, 30, 3)
 	a := mustPartition(t, g, 5)
 	b := mustPartition(t, g, 5)
-	if a.Seed != b.Seed || a.EdgeCut != b.EdgeCut || a.HaloTotal != b.HaloTotal {
+	if a.Seed != b.Seed || a.EdgeCut != b.EdgeCut {
 		t.Fatal("partition must be deterministic")
 	}
 	for si := range a.Shards {
 		sa, sb := &a.Shards[si], &b.Shards[si]
-		if sa.NumOwned() != sb.NumOwned() || sa.NumEdges() != sb.NumEdges() {
+		if sa.NumOwned() != sb.NumOwned() {
 			t.Fatalf("shard %d differs between runs", si)
 		}
 		for i := range sa.Owned {
@@ -260,8 +222,8 @@ func TestPartitionStatsAndGauges(t *testing.T) {
 	if st.Partitions != before+1 {
 		t.Errorf("partitions counter %d, want %d", st.Partitions, before+1)
 	}
-	if st.LastShards != 5 || st.LastEdgeCut != p.EdgeCut || st.LastHaloTotal != p.HaloTotal {
-		t.Errorf("stats %+v disagree with plan (cut %v, halo %d)", st, p.EdgeCut, p.HaloTotal)
+	if st.LastShards != 5 || st.LastEdgeCut != p.EdgeCut {
+		t.Errorf("stats %+v disagree with plan (cut %v)", st, p.EdgeCut)
 	}
 	gauges := telemetry.Default().GaugeValues()
 	if gauges[GaugeShardCount] != 5 {
@@ -270,26 +232,22 @@ func TestPartitionStatsAndGauges(t *testing.T) {
 	if gauges[GaugeEdgeCut] != p.EdgeCut {
 		t.Errorf("edge-cut gauge = %v, want %v", gauges[GaugeEdgeCut], p.EdgeCut)
 	}
-	if gauges[GaugeHaloTotal] != float64(p.HaloTotal) {
-		t.Errorf("halo gauge = %v, want %d", gauges[GaugeHaloTotal], p.HaloTotal)
-	}
 }
 
 // TestCorruptShardPlanFiresEachRule is the paired fault-injection proof:
-// each corruption variant makes Partition reject the (corrupted view of
-// the) plan with its matching rule, and a clean re-partition of the same
-// graph succeeds — the corruption lived only in the verified view.
+// each corruption variant — a vertex owned twice, a vertex owned by nobody —
+// makes Partition reject the (corrupted view of the) plan with exactly
+// shard-no-alias, and a clean re-partition of the same graph succeeds — the
+// corruption lived only in the verified view.
 func TestCorruptShardPlanFiresEachRule(t *testing.T) {
 	defer faultinject.Reset()
 	g := clustered(t, 300, 30, 3)
 	variants := []struct {
 		seed uint64
-		rule string
+		msg  string
 	}{
-		{0, analysis.RuleShardEdgeCover},
-		{1, analysis.RuleShardHaloCover},
-		{2, analysis.RuleShardNoAlias},
-		{3, analysis.RuleShardMergeOrder},
+		{0, "owned by shard"},
+		{1, "owned by no shard"},
 	}
 	for _, v := range variants {
 		faultinject.Reset()
@@ -305,8 +263,9 @@ func TestCorruptShardPlanFiresEachRule(t *testing.T) {
 			t.Fatalf("seed %d: corruption point never fired", v.seed)
 		}
 		var ve *analysis.VerifyError
-		if !errors.As(err, &ve) || !ve.HasRule(v.rule) {
-			t.Fatalf("seed %d: want rule %s, got %v", v.seed, v.rule, err)
+		if !errors.As(err, &ve) || len(ve.Diags) != 1 || ve.Diags[0].Rule != analysis.RuleShardNoAlias ||
+			!strings.Contains(ve.Diags[0].Msg, v.msg) {
+			t.Fatalf("seed %d: want exactly one %s diagnostic saying %q, got %v", v.seed, analysis.RuleShardNoAlias, v.msg, err)
 		}
 		faultinject.Reset()
 		if _, err := Partition(g, 4); err != nil {

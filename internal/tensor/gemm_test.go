@@ -165,7 +165,7 @@ func TestGemmPackedShapePanics(t *testing.T) {
 
 // BenchmarkGemm compares the naive row loop against the packed-panel kernel
 // on the GEMM shapes the models actually run: Sage's wide hidden transform
-// and GCN's narrower layers. Run via `make bench-fusion`.
+// and GCN's narrower layers.
 func BenchmarkGemm(b *testing.B) {
 	shapes := [][3]int{
 		{4096, 256, 256}, // Sage hidden x hidden
