@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-kernels race vet faults obs lint verify serve e2e
+.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-kernels race race-pinned vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,15 @@ verify:
 # GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are real.
 race:
 	$(GO) test -race ./internal/workpool/... ./internal/vec/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
+
+# race-pinned runs the timing-sensitive tests — the deadline and cancellation
+# suites of the kernels, the compiled program and the models — twelve times
+# under the race detector on one CPU, where a pool helper and the caller share
+# a core and a context that fires early or late shows (the
+# TestDenseStepHonoursDeadlineAndCancel flake of PRs 13-14 only reproduced
+# this way). CI runs it as its own job.
+race-pinned:
+	taskset -c 0 $(GO) test -race -count=12 -run 'Cancel|Deadline' ./internal/workpool/... ./internal/core/... ./internal/program/... ./internal/models/...
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").
@@ -104,11 +113,15 @@ bench-models:
 # models run (GCN on AR, Sage on PU, GAT on PR) as the per-edge loop the span
 # kernels replaced, as each span form on one worker (in-place, blocked = the
 # Go loop, vector = the AVX2 kernel under it), and as lowered on one and two
-# workers; then the packed GEMM at the six models' shapes and the elementwise
-# operators over Sage's hidden activations (sign-random, positive and
-# rectified inputs), each dispatched and with the Go loop forced.
-# EXPERIMENTS.md "Row-span kernels", "Vector kernels" and "Dense rewrites"
-# record the tables.
+# workers; GAT's two edge-output shapes (u_add_v, e_div_v at eight heads on PR
+# and AR) as the Go loop and the vector kernel; then the packed GEMM at the six
+# models' shapes, the elementwise operators over Sage's hidden activations
+# (sign-random, positive and rectified inputs) and the float32 exponential over
+# GAT's logits, each dispatched and with the Go loop forced; last a lowered GAT
+# layer, step by step and as one row-resident region, on one and two workers.
+# EXPERIMENTS.md "Row-span kernels", "Vector kernels", "Dense rewrites" and
+# "GAT's message path" record the tables.
 bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkSpanKernel -benchtime 20x ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkGemmPacked|BenchmarkElementwise' -benchtime 20x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkSpanKernel|BenchmarkEdgeWriter' -benchtime 20x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkGemmPacked|BenchmarkElementwise|BenchmarkExp' -benchtime 20x ./internal/tensor/
+	$(GO) test -run '^$$' -bench BenchmarkGATLayer -benchtime 20x ./internal/models/

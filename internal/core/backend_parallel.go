@@ -285,7 +285,7 @@ func (k *parallelKernel) rowChunk(lo, hi int) {
 // edgeChunk is the chunk body of an edge-output kernel: edges [lo, hi).
 func (k *parallelKernel) edgeChunk(lo, hi int) {
 	chunkFaults()
-	k.msg.writeEdges(k.o.C.T, lo, hi)
+	k.msg.writeEdges(k.o.C.T.Data, k.o.C.T.Cols, 0, lo, hi)
 	if k.epilogue != nil {
 		k.epilogue(lo, hi)
 	}

@@ -388,11 +388,12 @@ func spanMinCopy(r *rowReducer, acc []float32, srcs, eids []int32, v int32) {
 
 // edgeWriter is an edge-output (message-creation) operator lowered for one
 // operand binding: out row e = edge_op(a, b), operand rows indexed directly
-// through the edge-endpoint arrays.
+// through per-edge index arrays.
 type edgeWriter struct {
 	a, b spanOperand
-	// idxA and idxB map an edge id to the operand's row: the edge's source
-	// or destination for a vertex operand, nil for an edge operand (row e).
+	// idxA and idxB map an output row to the operand's row: the edge's source
+	// or destination for a vertex operand, nil for an operand whose rows are
+	// the output's own (an edge tensor under edge-id order).
 	idxA, idxB []int32
 	eop        ops.EdgeOp
 	// row stores one edge's value for the shapes writeEdges has no loop of
@@ -401,13 +402,20 @@ type edgeWriter struct {
 }
 
 func lowerEdgeWriter(op ops.OpInfo, g *graph.Graph, o Operands) (edgeWriter, error) {
+	a, b := newSpanOperand(o.A), newSpanOperand(o.B)
+	return newEdgeWriter(op, a, b, edgeIndex(a.kind, g), edgeIndex(b.kind, g))
+}
+
+// newEdgeWriter binds the operator to operands whose row index arrays the
+// caller chose: the edge-endpoint arrays under edge-id order
+// (lowerEdgeWriter), the incoming CSR's columns under in-edge order (a
+// row-resident region's stages, region_rows.go).
+func newEdgeWriter(op ops.OpInfo, a, b spanOperand, idxA, idxB []int32) (edgeWriter, error) {
 	row, err := lowerRowKernel(op.EdgeOp, op.GatherOp)
 	if err != nil {
 		return edgeWriter{}, err
 	}
-	w := edgeWriter{a: newSpanOperand(o.A), b: newSpanOperand(o.B), eop: op.EdgeOp, row: row}
-	w.idxA, w.idxB = edgeIndex(w.a.kind, g), edgeIndex(w.b.kind, g)
-	return w, nil
+	return edgeWriter{a: a, b: b, idxA: idxA, idxB: idxB, eop: op.EdgeOp, row: row}, nil
 }
 
 // edgeIndex is the per-edge row index array of an operand kind.
@@ -421,21 +429,44 @@ func edgeIndex(kind tensor.Kind, g *graph.Graph) []int32 {
 	return nil
 }
 
-// writeEdges computes output rows [lo, hi) of out.
-func (w *edgeWriter) writeEdges(out *tensor.Dense, lo, hi int) {
-	feat := out.Cols
+// vecEdgeOps maps the binary edge operators onto the vector kernel's.
+var vecEdgeOps = [...]vec.EdgeOp{
+	ops.EdgeAdd: vec.EdgeAdd, ops.EdgeSub: vec.EdgeSub, ops.EdgeMul: vec.EdgeMul, ops.EdgeDiv: vec.EdgeDiv,
+}
+
+// vecOperand describes an operand's rows [lo, hi) to the vector kernel; a
+// row without an index array is the output's own row, base rows into data.
+func (o *spanOperand) vecOperand(idx []int32, base, lo, hi int) vec.EdgeOperand {
+	if idx == nil {
+		return vec.EdgeOperand{Data: o.data[min((lo-base)*o.cols, len(o.data)):]}
+	}
+	return vec.EdgeOperand{Data: o.data, Idx: idx[lo:hi], Rows: o.rows}
+}
+
+// writeEdges computes output rows [lo, hi) into out, whose first row is
+// output row base (0 for an edge tensor; a region's slab holds the rows of one
+// chunk). The full-width binary shapes go through the vector kernel first,
+// lane = output column, and the Go loop resumes at the row it stopped at:
+// every row without the kernels or at a width that is not a multiple of
+// eight, and the row whose operand index is out of range, so that the bounds
+// panic is Go's own.
+func (w *edgeWriter) writeEdges(out []float32, feat, base, lo, hi int) {
 	adata, bdata, acols, bcols := w.a.data, w.b.data, w.a.cols, w.b.cols
 	idxA, idxB, eop, row := w.idxA, w.idxB, w.eop, w.row
 	direct := eop.IsBinary() && acols == feat && bcols == feat
+	if direct {
+		lo += vec.EdgeBinary(vecEdgeOps[eop], out[(lo-base)*feat:], feat, hi-lo,
+			w.a.vecOperand(idxA, base, lo, hi), w.b.vecOperand(idxB, base, lo, hi))
+	}
 	for e := lo; e < hi; e++ {
-		ra, rb := e, e
+		ra, rb := e-base, e-base
 		if idxA != nil {
 			ra = int(idxA[e])
 		}
 		if idxB != nil {
 			rb = int(idxB[e])
 		}
-		o := out.Data[e*feat : e*feat+feat]
+		o := out[(e-base)*feat : (e-base)*feat+feat]
 		a := adata[ra*acols : ra*acols+acols]
 		b := bdata[rb*bcols : rb*bcols+bcols]
 		if !direct {

@@ -469,6 +469,111 @@ func TestEdgeWriterMatchesReference(t *testing.T) {
 	}
 }
 
+// binaryEdgeOps is every full-width binary edge-output operator shape: the
+// four arithmetic operators over every pair of operand kinds.
+func binaryEdgeOps() []ops.OpInfo {
+	var out []ops.OpInfo
+	kinds := []tensor.Kind{tensor.SrcV, tensor.DstV, tensor.EdgeK}
+	for _, eop := range []ops.EdgeOp{ops.EdgeAdd, ops.EdgeSub, ops.EdgeMul, ops.EdgeDiv} {
+		for _, a := range kinds {
+			for _, b := range kinds {
+				out = append(out, ops.OpInfo{EdgeOp: eop, GatherOp: ops.GatherCopyRHS, AKind: a, BKind: b, CKind: tensor.EdgeK})
+			}
+		}
+	}
+	return out
+}
+
+// TestEdgeWriterVectorEqualsGo: every operand-kind x operator x width cell of
+// the edge writer's vector form — and the widths it leaves to the Go loop —
+// gives the reference interpreter's bits on operands laced with signed zeros,
+// infinities, NaNs and denormals, with the kernels and without, on one worker
+// or several.
+func TestEdgeWriterVectorEqualsGo(t *testing.T) {
+	g := skewedFixture(t)
+	rng := rand.New(rand.NewSource(17))
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32}
+	for _, op := range binaryEdgeOps() {
+		for _, feat := range []int{8, 16, 20, 64} {
+			mk := func() Operands {
+				o := shapedOperands(g, op, feat, feat, feat, 5)
+				o.C.T = tensor.NewDense(g.NumEdges(), feat)
+				return o
+			}
+			want := mk()
+			for _, d := range []*tensor.Dense{want.A.T, want.B.T} {
+				for i := rng.Intn(6); i < len(d.Data); i += 1 + rng.Intn(12) {
+					d.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			if err := Reference(g, op, want); err != nil {
+				t.Fatal(err)
+			}
+			vectest.EachKernelSet(t, func(t *testing.T) {
+				for _, workers := range []int{1, 3} {
+					got := want
+					got.C.T = tensor.NewDense(g.NumEdges(), feat)
+					got.C.T.Fill(-777)
+					runForced(t, g, op, ThreadEdge, got, workers, 1)
+					if i := got.C.T.BitDiff(want.C.T); i >= 0 {
+						t.Fatalf("%s feat=%d workers=%d: edge %d col %d = %v (%#x), reference %v (%#x)",
+							op, feat, workers, i/feat, i%feat,
+							got.C.T.Data[i], math.Float32bits(got.C.T.Data[i]),
+							want.C.T.Data[i], math.Float32bits(want.C.T.Data[i]))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEdgeWriterCorruptIndexIsKernelError: an edge whose endpoint points
+// outside a vertex operand ends the run in a *KernelError carrying Go's own
+// bounds panic, word for word the same with the vector kernel (which checks
+// the index, stops, and hands that edge to the Go loop) as without.
+func TestEdgeWriterCorruptIndexIsKernelError(t *testing.T) {
+	op := ops.OpInfo{EdgeOp: ops.EdgeAdd, GatherOp: ops.GatherCopyRHS, AKind: tensor.SrcV, BKind: tensor.DstV, CKind: tensor.EdgeK}
+	for _, feat := range []int{8, 64} {
+		for _, bad := range []int32{1 << 20, -1, math.MinInt32} {
+			for _, workers := range []int{1, 2} {
+				for _, dstSide := range []bool{false, true} {
+					// A private graph per case: the corruption is in its COO arrays.
+					g := testGraph(t, 300, 2400, 11)
+					o := shapedOperands(g, op, feat, feat, feat, 3)
+					o.C.T = tensor.NewDense(g.NumEdges(), feat)
+					k, err := NewShardedParallelBackend(workers, 1).Lower(MustCompile(op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					k.(*parallelKernel).fanout = workers
+					col := g.EdgeSrcs()
+					if dstSide {
+						col = g.EdgeDsts()
+					}
+					col[1201] = bad
+					var msgs []string
+					vectest.EachKernelSet(t, func(t *testing.T) {
+						err := k.Run()
+						var ke *KernelError
+						if !errors.As(err, &ke) {
+							t.Fatalf("feat=%d index %d workers=%d: err = %v, want a *KernelError", feat, bad, workers, err)
+						}
+						var re interface{ RuntimeError() }
+						if !errors.As(ke.Err, &re) || !strings.Contains(ke.Err.Error(), "out of range") {
+							t.Fatalf("feat=%d index %d: recovered %v, want Go's bounds panic", feat, bad, ke.Err)
+						}
+						msgs = append(msgs, ke.Err.Error())
+					})
+					if vec.Enabled() && msgs[0] != msgs[1] {
+						t.Errorf("feat=%d index %d: vector path recovered %q, Go loops %q", feat, bad, msgs[0], msgs[1])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEpilogueRunsInChunk: a bound epilogue sees every output row exactly
 // once, from the chunk (or shard) that produced it, on the flat row walk, the
 // flat edge walk and both sharded shapes.
@@ -608,6 +713,60 @@ func BenchmarkSpanKernel(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/lowered-w%d", name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := k.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkEdgeWriter times GAT's two edge-output shapes at its eight heads —
+// u_add_v (the attention logits) and e_div_v (the softmax division) — on PR
+// and AR: the Go loop alone, the vector kernel under it where the CPU has
+// one, both on one worker, and as lowered and dispatched on two
+// (`make bench-kernels`; EXPERIMENTS.md "GAT's message path").
+func BenchmarkEdgeWriter(b *testing.B) {
+	const feat = 8
+	shapes := []struct {
+		name string
+		op   ops.OpInfo
+	}{
+		{"u_add_v", ops.OpInfo{EdgeOp: ops.EdgeAdd, GatherOp: ops.GatherCopyRHS, AKind: tensor.SrcV, BKind: tensor.DstV, CKind: tensor.EdgeK}},
+		{"e_div_v", ops.OpInfo{EdgeOp: ops.EdgeDiv, GatherOp: ops.GatherCopyRHS, AKind: tensor.EdgeK, BKind: tensor.DstV, CKind: tensor.EdgeK}},
+	}
+	for _, ds := range []string{"PR", "AR"} {
+		g, _, err := datasets.Load(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sh := range shapes {
+			o := makeOperands(g, sh.op, feat, false, 1)
+			o.C.T = tensor.NewDense(g.NumEdges(), feat)
+			w, err := lowerEdgeWriter(sh.op, g, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%s/feat%d", ds, sh.name, feat)
+			run := func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.writeEdges(o.C.T.Data, feat, 0, 0, g.NumEdges())
+				}
+			}
+			b.Run(name+"/go", func(b *testing.B) {
+				vec.ForceGeneric(b)
+				run(b)
+			})
+			if vec.Enabled() {
+				b.Run(name+"/vector", run)
+			}
+			k, err := NewShardedParallelBackend(2, 1).Lower(MustCompile(sh.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/lowered-w2", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if err := k.Run(); err != nil {
 						b.Fatal(err)

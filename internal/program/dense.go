@@ -22,13 +22,12 @@ import (
 
 // Cost estimates of the dense operators, in nanoseconds, measured
 // single-threaded on the 2-CPU bench host with the kernels that run them
-// (`make bench-kernels`: BenchmarkGemmPacked and BenchmarkElementwise over
-// sign-random, all-positive and rectified inputs; EXPERIMENTS.md "Dense
-// rewrites"). They only rank steps against the two thresholds below; a 2x
+// (`make bench-kernels`: BenchmarkGemmPacked, BenchmarkExp and
+// BenchmarkElementwise over sign-random, all-positive and rectified inputs;
+// EXPERIMENTS.md "Dense rewrites" and "GAT's message path"). They only rank steps against the two thresholds below; a 2x
 // error moves a step's chunk count, not its result.
 const (
 	copyNsPerElem    = 0.3
-	expNsPerElem     = 9.3
 	concatNsPerElem  = 0.55 // per output element
 	rowMeanNsPerElem = 1.0  // per input element
 )
@@ -53,6 +52,10 @@ func gemmNsPerFlop() float64 { return perKernelSet(0.024, 0.19) }
 // replaced cost 5.3 behind a GEMM and 0.5 on positive data, which the old
 // single figure of 0.5 was measured on.)
 func reluNsPerElem() float64 { return perKernelSet(0.2, 1.2) }
+
+// expNsPerElem is the float32 exponential in place (tensor.Exp): 1.2 as the
+// eight-lane kernel, 5.9 as the Go definition it is the twin of.
+func expNsPerElem() float64 { return perKernelSet(1.2, 5.9) }
 
 // addScaledNsPerElem is out = a + s*b.
 func addScaledNsPerElem() float64 { return perKernelSet(0.6, 0.85) }
@@ -117,7 +120,7 @@ func chainCostNs(chain []Unary, copied bool, elems int) float64 {
 	}
 	for _, u := range chain {
 		if u.Kind == UnaryExp {
-			per += expNsPerElem
+			per += expNsPerElem()
 		} else {
 			per += reluNsPerElem()
 		}

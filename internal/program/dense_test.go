@@ -89,15 +89,27 @@ func testDenseSplitDecision(t *testing.T) {
 		t.Errorf("relu over %d elements estimated at %.0f ns on the %s kernels: split=%v", len(act.Data), denseCostNs(&relu), vec.ISA(), split)
 	}
 
+	// So is the exponential: GAT's leaky-relu + exp chain over 16384 edges x 8
+	// heads is 0.18 ms through the two vector kernels and 0.93 ms as the Go
+	// loops, so it too splits exactly when the Go loops run it.
+	logits := tensor.NewDense(16384, 8)
+	leakyExp := []Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}, {Kind: UnaryExp}}
+	lexp := step{op: OpUnary, name: "leaky_exp", out: logits, x: logits, chain: leakyExp, inPlace: true}
+	bindDense(&lexp, 2)
+	if split := lexp.split != nil; split == vec.Enabled() {
+		t.Errorf("leaky_exp over %d elements estimated at %.0f ns on the %s kernels: split=%v", len(logits.Data), denseCostNs(&lexp), vec.ISA(), split)
+	}
+
 	// What a step absorbed is part of its cost: a CO-sized GEMM (2708 x 16 x
-	// 24) stays inline on its own and with a relu, and splits once its chunks
-	// also run an exp over every output element (9.3 ns each).
+	// 24) stays inline on its own and with a relu; with an exp over every
+	// output element as well (5.9 ns each as the Go loop, 1.2 vectorised) it
+	// splits where the Go loops run.
 	for _, tc := range []struct {
 		post  []Unary
 		split bool
 	}{
 		{[]Unary{{Kind: UnaryReLU}}, false},
-		{[]Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}, {Kind: UnaryExp}}, true},
+		{leakyExp, !vec.Enabled()},
 	} {
 		st := gemmStep(2708, 16, 24)
 		bare := denseCostNs(&st)
@@ -119,7 +131,7 @@ func testDenseSplitDecision(t *testing.T) {
 // result either way; a chunk panic re-raises out of the stage (the region
 // kernel's recover types it).
 func TestRegionStageFollowsSplitRule(t *testing.T) {
-	const rows, cols = 12000, 8
+	const rows, cols = 48000, 8 // 0.65 ms through the vector kernels, more as Go loops
 	chain := []Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}, {Kind: UnaryExp}}
 	src := tensor.NewDense(rows, cols)
 	src.FillRandom(rand.New(rand.NewSource(3)), 1)
@@ -176,7 +188,8 @@ func TestRegionStageFollowsSplitRule(t *testing.T) {
 // are the same under both kernel sets: each operator single-threaded over a
 // 19717 x 256 activation (sage-dense's hidden layer), reported as ns per
 // element of the tensor the constant is defined over. The per-kernel-set
-// ones (relu, add-scaled) come from tensor's BenchmarkElementwise.
+// ones (relu, add-scaled, exp) come from tensor's BenchmarkElementwise and
+// BenchmarkExp.
 func BenchmarkDenseOpCost(b *testing.B) {
 	const rows, cols = 19717, 256
 	rng := rand.New(rand.NewSource(9))
@@ -193,7 +206,6 @@ func BenchmarkDenseOpCost(b *testing.B) {
 		run   func()
 	}{
 		{"copy", rows * cols, func() { copy(out.Data, x.Data) }},
-		{"copy+exp", rows * cols, func() { copy(out.Data, x.Data); Unary{Kind: UnaryExp}.Apply(out) }},
 		{"concat", rows * 2 * cols, func() { tensor.ConcatInto(wide, x, y) }},
 		{"row-mean", rows * cols, func() { tensor.RowMeanInto(narrow, x) }},
 	} {

@@ -164,13 +164,6 @@ func LeakyReLU(t *Dense, alpha float32) {
 	}
 }
 
-// Exp applies e^x element-wise in place.
-func Exp(t *Dense) {
-	for i, v := range t.Data {
-		t.Data[i] = float32(math.Exp(float64(v)))
-	}
-}
-
 // Add returns a + b element-wise. Shape mismatch is an invariant panic (see
 // the file header).
 func Add(a, b *Dense) *Dense {

@@ -374,3 +374,36 @@ func BenchmarkElementwise(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExp is the measurement behind program/dense.go's expNsPerElem
+// (`make bench-kernels`): Exp in place over GAT's attention logits on PR
+// (162088 edges x 8 heads), inputs spread over the range a leaky-relu leaves
+// them in, dispatched and with the Go definition forced. Each iteration first
+// restores the input; the "copy" row is what to take off.
+func BenchmarkExp(b *testing.B) {
+	const rows, cols = 162088, 8
+	rng := rand.New(rand.NewSource(5))
+	src, x := NewDense(rows, cols), NewDense(rows, cols)
+	src.FillRandom(rng, 4)
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"copy", func() { copy(x.Data, src.Data) }},
+		{"exp", func() { copy(x.Data, src.Data); Exp(x) }},
+	} {
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op.run()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(rows*cols), "ns/elem")
+		}
+		if vec.Enabled() {
+			b.Run(op.name+"/"+vec.ISA(), run)
+		}
+		b.Run(op.name+"/generic", func(b *testing.B) {
+			vec.ForceGeneric(b)
+			run(b)
+		})
+	}
+}

@@ -144,6 +144,169 @@ func TestElementwiseEqualsGo(t *testing.T) {
 	}
 }
 
+// testExp is a float32 exponential's constants; expSpec is the scheme
+// ExpTable documents, step for step, as the scalar loop.
+var testExp = ExpTable{
+	Log2e: 1.44269504088896341, Magic: 12582912, Ln2Hi: 0.693359375, Ln2Lo: -2.12194440e-4,
+	C:  [6]float32{1.9875691500e-4, 1.3981999507e-3, 8.3334519073e-3, 4.1665795894e-2, 1.6666665459e-1, 5.0000001201e-1},
+	Hi: 88.72283, Lo: -103.97208,
+}
+
+func expSpec(x float32, t *ExpTable) float32 {
+	switch {
+	case x != x:
+		return x
+	case x > t.Hi:
+		return float32(math.Inf(1))
+	case x < t.Lo:
+		return 0
+	}
+	v := float32(x*t.Log2e) + t.Magic
+	n := int32(math.Float32bits(v)) - int32(math.Float32bits(t.Magic))
+	kf := v - t.Magic
+	r := x - float32(kf*t.Ln2Hi)
+	r -= float32(kf * t.Ln2Lo)
+	p := t.C[0]
+	for _, c := range t.C[1:] {
+		p = float32(p*r) + c
+	}
+	y := float32(p*float32(r*r)) + r
+	y++
+	s1 := math.Float32frombits(uint32(n>>1)<<23 + 0x3F800000)
+	s2 := math.Float32frombits(uint32(n-n>>1)<<23 + 0x3F800000)
+	return float32(y*s1) * s2
+}
+
+func TestExpEqualsGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(73))
+	buf := guarded(t, windowCap)
+	for round := 0; round < 6; round++ {
+		eachWindow(t, func(n, off int) {
+			salted(rng, buf, false)
+			for i := range buf {
+				// Spread the finite values over the whole range, both
+				// thresholds and the denormal results included.
+				if v := buf[i]; v-v == 0 && rng.Intn(2) == 0 {
+					buf[i] = v * 55
+				}
+			}
+			x, before, after := window(buf, n, off)
+			orig := append([]float32(nil), x...)
+			keepBefore, keepAfter := append([]float32(nil), before...), append([]float32(nil), after...)
+			done := Exp(x, &testExp)
+			if done != n&^7 {
+				t.Fatalf("n=%d off=%d: finished %d elements, want %d", n, off, done, n&^7)
+			}
+			for i := 0; i < done; i++ {
+				if want := expSpec(orig[i], &testExp); math.Float32bits(x[i]) != math.Float32bits(want) {
+					t.Fatalf("n=%d off=%d: exp(%v [%08x]) is %08x, the Go loop gives %08x",
+						n, off, orig[i], math.Float32bits(orig[i]), math.Float32bits(x[i]), math.Float32bits(want))
+				}
+			}
+			if sameBits(x[done:], orig[done:], false) >= 0 || sameBits(before, keepBefore, false) >= 0 || sameBits(after, keepAfter, false) >= 0 {
+				t.Fatalf("n=%d off=%d: wrote outside the %d elements it reported", n, off, done)
+			}
+		})
+	}
+}
+
+// TestEdgeBinaryEqualsGo: every operator x operand addressing (indexed or the
+// output's own row, per operand) x width in {8, 16, 64}, over 0-67 rows ending
+// against the guard page, equals the scalar loop; a row whose index is out of
+// range stops the kernel there with the rows before it written and nothing
+// after.
+func TestEdgeBinaryEqualsGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(79))
+	ops := []struct {
+		op   EdgeOp
+		name string
+		f    func(a, b float32) float32
+	}{
+		{EdgeAdd, "add", func(a, b float32) float32 { return a + b }},
+		{EdgeSub, "sub", func(a, b float32) float32 { return a - b }},
+		{EdgeMul, "mul", func(a, b float32) float32 { return a * b }},
+		{EdgeDiv, "div", func(a, b float32) float32 { return a / b }},
+	}
+	const maxRows, tableRows = 67, 9
+	for _, cols := range []int{8, 16, 64} {
+		out := guarded(t, maxRows*cols)
+		seqA, seqB := guarded(t, maxRows*cols), guarded(t, maxRows*cols)
+		tabA, tabB := guarded(t, tableRows*cols), guarded(t, tableRows*cols)
+		for _, o := range ops {
+			for mode := 0; mode < 4; mode++ {
+				for n := 0; n <= maxRows; n++ {
+					for _, buf := range [][]float32{seqA, seqB, tabA, tabB} {
+						salted(rng, buf, false)
+					}
+					// Windows end at the guard page: the last row's last lane
+					// is the last accessible float.
+					dst := out[(maxRows-n)*cols:]
+					for i := range out {
+						out[i] = -7
+					}
+					operand := func(seq, tab []float32, indexed bool) (EdgeOperand, func(i, j int) float32) {
+						if !indexed {
+							d := seq[(maxRows-n)*cols:]
+							return EdgeOperand{Data: d}, func(i, j int) float32 { return d[i*cols+j] }
+						}
+						idx := make([]int32, n)
+						for i := range idx {
+							idx[i] = int32(rng.Intn(tableRows))
+						}
+						return EdgeOperand{Data: tab, Idx: idx, Rows: tableRows}, func(i, j int) float32 { return tab[int(idx[i])*cols+j] }
+					}
+					a, atA := operand(seqA, tabA, mode&1 != 0)
+					b, atB := operand(seqB, tabB, mode&2 != 0)
+					// Now and then one index is out of range, past the end or negative.
+					bad := -1
+					if n > 0 && mode != 0 && rng.Intn(4) == 0 {
+						bad = rng.Intn(n)
+						idx := a.Idx
+						if idx == nil || (b.Idx != nil && rng.Intn(2) == 0) {
+							idx = b.Idx
+						}
+						idx[bad] = []int32{tableRows, -1, math.MaxInt32}[rng.Intn(3)]
+					}
+					done := EdgeBinary(o.op, dst, cols, n, a, b)
+					if want := map[bool]int{true: n, false: bad}[bad < 0]; done != want {
+						t.Fatalf("%s cols=%d mode=%d n=%d bad=%d: finished %d rows, want %d", o.name, cols, mode, n, bad, done, want)
+					}
+					for i := 0; i < done; i++ {
+						for j := 0; j < cols; j++ {
+							got, want := dst[i*cols+j], o.f(atA(i, j), atB(i, j))
+							if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+								t.Fatalf("%s cols=%d mode=%d n=%d: row %d column %d is %08x, the Go loop gives %08x",
+									o.name, cols, mode, n, i, j, math.Float32bits(got), math.Float32bits(want))
+							}
+						}
+					}
+					for i, v := range out {
+						if (i < (maxRows-n)*cols || i >= (maxRows-n+done)*cols) && v != -7 {
+							t.Fatalf("%s cols=%d mode=%d n=%d: wrote outside the %d rows it reported", o.name, cols, mode, n, done)
+						}
+					}
+				}
+			}
+		}
+	}
+	// What the wrapper cannot prove in-bounds it leaves to the Go loop.
+	x := make([]float32, 64)
+	for name, done := range map[string]int{
+		"width not a multiple of eight": EdgeBinary(EdgeAdd, x, 4, 2, EdgeOperand{Data: x}, EdgeOperand{Data: x}),
+		"output too short":              EdgeBinary(EdgeAdd, x[:8], 8, 2, EdgeOperand{Data: x}, EdgeOperand{Data: x}),
+		"sequential operand too short":  EdgeBinary(EdgeAdd, x, 8, 2, EdgeOperand{Data: x[:8]}, EdgeOperand{Data: x}),
+		"index array too short":         EdgeBinary(EdgeAdd, x, 8, 2, EdgeOperand{Data: x, Idx: []int32{0}, Rows: 8}, EdgeOperand{Data: x}),
+		"rows beyond the data":          EdgeBinary(EdgeAdd, x, 8, 2, EdgeOperand{Data: x, Idx: []int32{0, 1}, Rows: 9}, EdgeOperand{Data: x}),
+		"unknown operator":              EdgeBinary(EdgeOp(7), x, 8, 2, EdgeOperand{Data: x}, EdgeOperand{Data: x}),
+	} {
+		if done != 0 {
+			t.Errorf("%s: finished %d rows, want 0", name, done)
+		}
+	}
+}
+
 // gemmSpec is the packed GEMM's scalar form: ascending k per element, the
 // product rounded, a zero a[i][k] skipped, from +0 or from out's element.
 func gemmSpec(out, a, panels []float32, lo, hi, k, n, upTo int, acc bool) {

@@ -54,3 +54,42 @@ func ForceGeneric(tb TB) {
 	//lint:allow no-alloc-in-run -- test seam, never on a Run path
 	tb.Cleanup(func() { enabled = was })
 }
+
+// ExpTable is the constants of a float32 exponential of this scheme, which
+// Exp evaluates eight lanes at a time with one rounded operation per step:
+//
+//	t = x*Log2e + Magic         Magic = 1.5 * 2^23, so n = round(x*Log2e) sits
+//	n = t - Magic               in t's low mantissa bits
+//	r = (x - n*Ln2Hi) - n*Ln2Lo
+//	p = C[0]; p = p*r + C[i]    for i = 1..5
+//	y = (p*(r*r) + r) + 1
+//	e = (y * 2^(n>>1)) * 2^(n-(n>>1))
+//
+// and x itself for a NaN, +Inf for x > Hi, 0 for x < Lo. The caller owns the
+// definition (internal/tensor's exp32 is the scalar form and the oracle);
+// the layout is the kernel's.
+type ExpTable struct {
+	Log2e, Magic, Ln2Hi, Ln2Lo float32
+	C                          [6]float32
+	Hi, Lo                     float32
+}
+
+// EdgeOp selects the arithmetic of EdgeBinary.
+type EdgeOp int
+
+// The four binary edge operators, out = a op b.
+const (
+	EdgeAdd EdgeOp = iota
+	EdgeSub
+	EdgeMul
+	EdgeDiv
+)
+
+// EdgeOperand is one input of EdgeBinary: row i of the operand is row Idx[i]
+// of Data (Rows rows of the output's width), or, with a nil Idx, row i of
+// Data itself.
+type EdgeOperand struct {
+	Data []float32
+	Idx  []int32
+	Rows int
+}

@@ -45,6 +45,26 @@ func leakyRelu(x *float32, n int, alpha float32)
 func addScaled(out, a, b *float32, n int, s float32)
 
 //go:noescape
+func expVec(x *float32, n int, t *ExpTable)
+
+//go:noescape
+func edgeAdd(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
+
+//go:noescape
+func edgeSub(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
+
+//go:noescape
+func edgeMul(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
+
+//go:noescape
+func edgeDiv(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
+
+// edgeKernels is indexed by EdgeOp.
+var edgeKernels = [...]func(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int{
+	EdgeAdd: edgeAdd, EdgeSub: edgeSub, EdgeMul: edgeMul, EdgeDiv: edgeDiv,
+}
+
+//go:noescape
 func spanSum(acc *float32, nvec int, data *float32, stride int, idx *int32, n int, rows int) bool
 
 //go:noescape
@@ -172,6 +192,48 @@ func AddScaled(out, a, b []float32, s float32) int {
 	}
 	addScaled(&out[0], &a[0], &b[0], n/lanes, s)
 	return n
+}
+
+// Exp applies the float32 exponential t describes to the leading elements of
+// x it can take eight at a time, in place, and returns how many it finished.
+func Exp(x []float32, t *ExpTable) int {
+	n := len(x) &^ (lanes - 1)
+	if !enabled || n == 0 {
+		return 0
+	}
+	expVec(&x[0], n/lanes, t)
+	return n
+}
+
+// EdgeBinary sets row i of out (cols columns, a multiple of eight) to a's row
+// i op b's row i, lane by lane, for i = 0, 1, ... and returns how many rows it
+// finished: n, or fewer when row i of an operand is an index outside
+// [0, Rows) — nothing was read through it, and the caller's Go loop, resuming
+// at that row, raises the bounds panic — or none when the vector path is off
+// or the slices do not cover what the kernel would touch. Division and the
+// rest round once, as the Go operators do.
+func EdgeBinary(op EdgeOp, out []float32, cols, n int, a, b EdgeOperand) int {
+	if !enabled || op < 0 || int(op) >= len(edgeKernels) || n <= 0 || cols <= 0 || cols%lanes != 0 ||
+		len(out)/cols < n || !a.covers(cols, n) || !b.covers(cols, n) {
+		return 0
+	}
+	return edgeKernels[op](&out[0], cols/lanes, n, &a.Data[0], a.idx0(), a.Rows, &b.Data[0], b.idx0(), b.Rows)
+}
+
+// covers reports whether n rows of cols columns read through o stay inside
+// o.Data once every index has been checked against o.Rows.
+func (o *EdgeOperand) covers(cols, n int) bool {
+	if o.Idx == nil {
+		return len(o.Data)/cols >= n
+	}
+	return len(o.Idx) >= n && o.Rows > 0 && o.Rows <= 1<<31-1 && len(o.Data)/cols >= o.Rows
+}
+
+func (o *EdgeOperand) idx0() *int32 {
+	if o.Idx == nil {
+		return nil
+	}
+	return &o.Idx[0]
 }
 
 // shifted reports whether the first n elements of x and y overlap without

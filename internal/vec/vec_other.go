@@ -22,6 +22,12 @@ func LeakyReLU(x []float32, alpha float32) int { return 0 }
 // AddScaled computes nothing here; see the amd64 form.
 func AddScaled(out, a, b []float32, s float32) int { return 0 }
 
+// Exp computes nothing here; see the amd64 form.
+func Exp(x []float32, t *ExpTable) int { return 0 }
+
+// EdgeBinary computes nothing here; see the amd64 form.
+func EdgeBinary(op EdgeOp, out []float32, cols, n int, a, b EdgeOperand) int { return 0 }
+
 // SumRows computes nothing here; see the amd64 form.
 func SumRows(acc, data []float32, stride, rows int, idx []int32) int { return 0 }
 
