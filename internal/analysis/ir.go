@@ -1,6 +1,10 @@
 package analysis
 
-import "repro/internal/ops"
+import (
+	"slices"
+
+	"repro/internal/ops"
+)
 
 // The verifier's view of a program: a minimal mirror of the internal/program
 // IR carried in primitive types, so analysis can sit below program in the
@@ -106,6 +110,11 @@ type IRNode struct {
 	HasRegion        bool
 	PreX, PreY, Post []Elem
 	RegionSavedBytes int64
+	// Interior, on the head of a row-resident region, lists the compiled nodes
+	// that run inside the head's row chunks, producer first. Their values have
+	// no storage; the fusion-region rule re-derives from operand kinds alone
+	// that none needs any.
+	Interior []IRNode
 	// Scale is the Y coefficient of KindAddScaled nodes.
 	Scale float32
 	// Dense carries what the dense-rewrite stage recorded on the node
@@ -133,14 +142,40 @@ func NewIRDense() *IRDense {
 	return &IRDense{X2: NoValue, W2: NoValue, ViewOf: NoValue, CommutedFrom: NoValue}
 }
 
-// operands lists the values n reads, NoValue for absent ones: X, Y and a
-// split-weight GEMM's second pair.
-func (n *IRNode) operands() [4]int {
+// binds lists the values bound to n's own operand slots, NoValue for absent
+// ones: X, Y and a split-weight GEMM's second pair.
+func (n *IRNode) binds() [4]int {
 	vs := [4]int{n.X, n.Y, NoValue, NoValue}
 	if d := n.Dense; d != nil {
 		vs[2], vs[3] = d.X2, d.W2
 	}
 	return vs
+}
+
+// interior reports whether v is defined by one of n's interior nodes.
+func (n *IRNode) interior(v int) bool {
+	for i := range n.Interior {
+		if n.Interior[i].Out == v {
+			return v != NoValue
+		}
+	}
+	return false
+}
+
+// operands lists the values n reads from storage: what it binds, plus, for
+// the head of a row-resident region, what its interior nodes bind, less the
+// interior values themselves.
+func (n *IRNode) operands() []int {
+	b := n.binds()
+	vs := b[:]
+	for i := range n.Interior {
+		b := n.Interior[i].binds()
+		vs = append(vs, b[:]...)
+	}
+	if len(n.Interior) == 0 {
+		return vs
+	}
+	return slices.DeleteFunc(vs, n.interior)
 }
 
 // ProgramIR is the verifier's view of one program: nodes in topological

@@ -112,8 +112,11 @@ func checkFusion(pre, post *ProgramIR, numV, numE int) []Diagnostic {
 // checkNode verifies one compiled node the dense-rewrite stage left alone
 // against the recorded program, marking the recorded nodes it stands for.
 func checkNode(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int, accounted []bool, numV, numE int) []Diagnostic {
+	if len(n.Interior) > 0 {
+		return checkRowRegion(pre, n, preDef, uses, accounted, numV, numE)
+	}
 	if n.HasRegion {
-		return checkRegion(pre, n, preDef, uses, accounted, numV, numE)
+		return checkRegion(pre, n, preDef, uses, accounted, numV, numE, 0)
 	}
 	if n.Fused {
 		return checkFusedPair(pre, n, preDef, uses, accounted)
@@ -225,7 +228,10 @@ const regionOverheadBytes = 1 << 14
 // graph node or a legal fused pair, and the claimed byte savings must stay
 // within an independently recomputed bound. All absorbed recorded nodes are
 // marked accounted so DCE soundness sees them as surviving.
-func checkRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int, accounted []bool, numV, numE int) []Diagnostic {
+//
+// interiorSaved is what the caller has already established the region's
+// row-resident interior may claim (checkRowRegion); it joins the bound.
+func checkRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int, accounted []bool, numV, numE int, interiorSaved int64) []Diagnostic {
 	var diags []Diagnostic
 	region := func(msg, hint string, vals ...int) {
 		diags = append(diags, Diagnostic{Rule: RuleFusionRegion, Node: n.Name, Values: vals, Msg: msg, Hint: hint})
@@ -241,7 +247,7 @@ func checkRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int
 		}
 		return 4 * rows * int64(v.Cols)
 	}
-	var maxSaved int64
+	maxSaved := interiorSaved
 
 	// interior checks that an erased in-region value was consumed exactly
 	// once and is not the program output: anything else still needs the
@@ -410,6 +416,123 @@ func checkRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int
 			Msg:  fmt.Sprintf("region claims %d saved bytes, recomputed bound is %d", n.RegionSavedBytes, maxSaved),
 			Hint: "claimed savings must not exceed the absorbed nodes' traffic plus launch overhead",
 		})
+	}
+	return diags
+}
+
+// checkRowRegion verifies the head of a row-resident region: a region like any
+// other around its own base operator (checkRegion), whose Edge operand is
+// computed inside its row chunks by the interior nodes. Each interior node is
+// first verified as the compiled node it is (a recorded node kept verbatim, or
+// an edge-output operator with the epilogue it absorbed), which also tells
+// which recorded nodes the region stands for. Then the closure is re-derived
+// from operand kinds alone: every interior node is destination-local — an
+// edge-output operator, the pure scatter of an interior Edge value, an
+// elementwise chain or a head merge over one — a scatter's Dst_V result is
+// only ever read back through a Dst_V operand (read as Src_V it would be
+// another row's, which the chunk has not computed), no interior value is read
+// by a recorded node outside the region or is the program's output, and the
+// head binds exactly one interior value, as its only Edge operand.
+func checkRowRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int, accounted []bool, numV, numE int) []Diagnostic {
+	var diags []Diagnostic
+	region := func(msg, hint string, vals ...int) {
+		diags = append(diags, Diagnostic{Rule: RuleFusionRegion, Node: n.Name, Values: vals, Msg: msg, Hint: hint})
+	}
+	bytesOf := func(val int) int64 {
+		if val < 0 || val >= len(pre.Values) {
+			return 0
+		}
+		rows := int64(numV)
+		if pre.Values[val].Rows == EdgeRows {
+			rows = int64(numE)
+		}
+		return 4 * rows * int64(pre.Values[val].Cols)
+	}
+	edgeRows := func(val int) bool {
+		return val >= 0 && val < len(pre.Values) && pre.Values[val].Rows == EdgeRows
+	}
+
+	// The recorded nodes this region stands for: its interior nodes' and its
+	// own base's.
+	mine := make([]bool, len(accounted))
+	var interiorSaved int64
+	for i := range n.Interior {
+		d := &n.Interior[i]
+		diags = append(diags, checkNode(pre, d, preDef, uses, mine, numV, numE)...)
+		interiorSaved += d.RegionSavedBytes + 2*bytesOf(d.Out) + regionOverheadBytes
+	}
+	diags = append(diags, checkRegion(pre, n, preDef, uses, mine, numV, numE, interiorSaved)...)
+	for i, m := range mine {
+		accounted[i] = accounted[i] || m
+	}
+
+	// Destination-local node kinds, decided from operand kinds.
+	scatterOut := map[int]bool{}
+	for i := range n.Interior {
+		d := &n.Interior[i]
+		switch {
+		case len(d.Interior) > 0 || len(d.PreX)+len(d.PreY) > 0:
+			region(fmt.Sprintf("interior node %q carries a staged prologue or an interior of its own", d.Name),
+				"an interior node may only carry an absorbed epilogue", d.Out)
+		case d.Kind == KindGraph && d.Op.CKind == tensor.EdgeK && !d.Op.GatherOp.IsReduction():
+			// An edge-output operator: any operand kinds.
+		case d.Kind == KindGraph && isScatter(d) && !d.Fused && !d.HasRegion:
+			if !n.interior(d.Y) {
+				region(fmt.Sprintf("interior scatter %q reduces value %d, which is not interior", d.Name, d.Y),
+					"only the scatter of an interior Edge value is destination-local", d.Y)
+			}
+			scatterOut[d.Out] = true
+		case (d.Kind == KindUnary || d.Kind == KindOther) && n.interior(d.X) && edgeRows(d.X):
+			// An elementwise chain or head merge over an interior Edge value.
+		default:
+			region(fmt.Sprintf("interior node %q (%s %s) is not destination-local", d.Name, d.Kind, d.Op),
+				"interior nodes are edge-output operators, pure scatters of interior Edge values, and elementwise chains or head merges over interior Edge values", d.Out)
+		}
+	}
+
+	// Every recorded reader of an interior value is part of the region and,
+	// of a scatter's result, reads it back as Dst_V.
+	for j := range pre.Nodes {
+		r := &pre.Nodes[j]
+		for slot, v := range [2]int{r.X, r.Y} {
+			if !n.interior(v) {
+				continue
+			}
+			if !mine[j] {
+				region(fmt.Sprintf("interior value %d is read by recorded node %q outside the region", v, r.Name),
+					"an interior value has no storage: every reader must run inside the region's row chunks", v)
+				continue
+			}
+			kind := r.Op.AKind
+			if slot == 1 {
+				kind = r.Op.BKind
+			}
+			if scatterOut[v] && (r.Kind != KindGraph || kind != tensor.DstV) {
+				region(fmt.Sprintf("interior Dst_V value %d is read by %q as %s", v, r.Name, kind),
+					"a scatter's result is resident for its own destination row only: it must be read back as Dst_V", v)
+			}
+		}
+	}
+	for i := range n.Interior {
+		if v := n.Interior[i].Out; v == pre.Output {
+			region(fmt.Sprintf("interior value %d is the program output", v),
+				"the program's result needs storage", v)
+		}
+	}
+
+	// The head: reducing into Dst_V, exactly one interior operand, bound as
+	// its only Edge operand.
+	ix, iy := n.interior(n.X), n.interior(n.Y)
+	switch {
+	case n.Kind != KindGraph || n.Op.CKind != tensor.DstV || !n.Op.GatherOp.IsReduction():
+		region("the head of a row-resident region must reduce into a Dst_V value",
+			"only an owner-per-row reduction consumes its operand row by row", n.Out)
+	case ix == iy:
+		region(fmt.Sprintf("head binds %d interior operands, want exactly one", map[bool]int{true: 2, false: 0}[ix]),
+			"the head reads one interior Edge value and one ordinary vertex value", n.X, n.Y)
+	case (ix && (n.Op.AKind != tensor.EdgeK || n.Op.BKind == tensor.EdgeK)) || (iy && (n.Op.BKind != tensor.EdgeK || n.Op.AKind == tensor.EdgeK)):
+		region(fmt.Sprintf("head %s must bind its interior value as its only Edge operand", n.Op),
+			"the row reducer resolves one index array per operand kind", n.X, n.Y)
 	}
 	return diags
 }

@@ -21,9 +21,14 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 		def[i] = -1
 	}
 	inRange := func(v int) bool { return v >= 0 && v < len(p.Values) }
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		for _, v := range n.operands() {
+	// A row-resident region's interior nodes define their values just before
+	// the head that reads them.
+	var visit func(n *IRNode, i int)
+	visit = func(n *IRNode, i int) {
+		for j := range n.Interior {
+			visit(&n.Interior[j], i)
+		}
+		for _, v := range n.binds() {
 			if v == NoValue {
 				continue
 			}
@@ -49,7 +54,7 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 				Msg:  fmt.Sprintf("node defines value %d outside the value table (len %d)", n.Out, len(p.Values)),
 				Hint: "node outputs must name recorded values",
 			})
-			continue
+			return
 		}
 		if def[n.Out] >= 0 {
 			diags = append(diags, Diagnostic{
@@ -57,9 +62,12 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 				Msg:  fmt.Sprintf("value %d defined twice (nodes %d and %d)", n.Out, def[n.Out], i),
 				Hint: "SSA values have exactly one definition",
 			})
-			continue
+			return
 		}
 		def[n.Out] = i
+	}
+	for i := range p.Nodes {
+		visit(&p.Nodes[i], i)
 	}
 	for _, b := range [2]struct {
 		what string
@@ -89,12 +97,17 @@ func rowsForKind(k tensor.Kind) Rows {
 // and checks each bound operand against its declared addressing kind.
 func checkOperandTypes(p *ProgramIR) []Diagnostic {
 	var diags []Diagnostic
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		if n.Kind != KindGraph {
-			continue
+	var visit func(n *IRNode)
+	visit = func(n *IRNode) {
+		for j := range n.Interior {
+			visit(&n.Interior[j])
 		}
-		diags = append(diags, checkGraphOp(p, n)...)
+		if n.Kind == KindGraph {
+			diags = append(diags, checkGraphOp(p, n)...)
+		}
+	}
+	for i := range p.Nodes {
+		visit(&p.Nodes[i])
 	}
 	return diags
 }

@@ -71,6 +71,11 @@ type Counters struct {
 	// Epilogue says where a fused region's output epilogue runs:
 	// EpilogueInChunk, EpilogueAfter, or "" when the kernel has none.
 	Epilogue string
+	// InteriorStages and SlabFloats describe a row-resident region's head: how
+	// many stages run inside its row chunks, and the float32 elements of slab
+	// storage, all participants together, that hold their values. Zero for
+	// every other kernel.
+	InteriorStages, SlabFloats int
 }
 
 // The values of Counters.Walk and Counters.Epilogue.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 
 	"repro/internal/faultinject"
@@ -83,6 +84,9 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 	if err := faultinject.ErrIf(faultinject.LowerFail); err != nil {
 		return nil, err
 	}
+	if o.Interior != nil {
+		return b.lowerRegion(p, g, o)
+	}
 	if err := p.validateOperands(g.NumVertices(), g.NumEdges(), o); err != nil {
 		return nil, err
 	}
@@ -120,6 +124,33 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 	return k, nil
 }
 
+// lowerRegion lowers the head of a row-resident region with its interior
+// stages as one row-chunk job (region_rows.go). Only the flat path has that
+// form: under a shard plan a chunk is a shard's scattered rows, not a run of
+// the incoming CSR, and the steps compile as recorded.
+func (b *ParallelBackend) lowerRegion(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
+	if b.shards != 1 {
+		sp, err := shardPlanFor(g, b.shards)
+		if err != nil {
+			return nil, err
+		}
+		if sp.K > 1 {
+			return nil, ErrNoRowRegion
+		}
+	}
+	if o.C.T == nil {
+		return nil, fmt.Errorf("core: output tensor C is required")
+	}
+	k := &parallelKernel{b: b, p: p, g: g, o: o, fanout: b.fanout(g, o.C.T.Cols), site: kernelSite(p, b.Name(), g)}
+	k.site.Walk = k.walk()
+	var err error
+	if k.region, err = lowerRowRegion(k, o.Interior); err != nil {
+		return nil, err
+	}
+	k.setJob(k.regionChunk, len(k.region.cuts)-1, 1)
+	return k, nil
+}
+
 type parallelKernel struct {
 	b *ParallelBackend
 	p *Plan
@@ -129,6 +160,9 @@ type parallelKernel struct {
 	// writer of an Edge-output kernel; exactly one is set.
 	red rowReducer
 	msg edgeWriter
+	// region is the row-resident form of a Dst_V kernel whose Edge operand is
+	// computed in the chunk (region_rows.go), nil otherwise.
+	region *rowRegion
 	// sp is the shard plan of a sharded Dst_V kernel (backend_sharded.go),
 	// nil on the flat path; labels are its per-shard span names.
 	sp     *shard.Plan
@@ -179,7 +213,7 @@ func (k *parallelKernel) Plan() *Plan { return k.p }
 
 // Counters implements CompiledKernel.
 func (k *parallelKernel) Counters() Counters {
-	return Counters{
+	c := Counters{
 		Runs:     k.runs,
 		Edges:    k.runs * int64(k.g.NumEdges()),
 		Shards:   k.shards,
@@ -188,6 +222,10 @@ func (k *parallelKernel) Counters() Counters {
 		Walk:     k.walk(),
 		Epilogue: epilogueMode(k.epilogue),
 	}
+	if k.region != nil {
+		c.InteriorStages, c.SlabFloats = k.region.stages, k.region.slabFloats
+	}
+	return c
 }
 
 // walk names the traversal the kernel runs (Counters.Walk).

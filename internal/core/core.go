@@ -118,6 +118,11 @@ func MustCompile(op ops.OpInfo, sched Schedule) *Plan {
 // abstraction (paper Fig. 5). C is the output; its tensor is written by Run.
 type Operands struct {
 	A, B, C tensor.Typed
+	// Interior, when set, makes the operator the head of a row-resident
+	// region (region_rows.go): one of A and B is then an Edge operand without
+	// a tensor, computed chunk by chunk by the stages listed here. Backends
+	// without that lowering refuse such operands with ErrNoRowRegion.
+	Interior *Interior
 }
 
 // featureWidth returns the operator's feature dimension F (the output width)
@@ -142,6 +147,9 @@ func (o Operands) featureWidth() (int, error) {
 
 // validateOperands checks kinds and shapes against the op and graph sizes.
 func (p *Plan) validateOperands(numVertices, numEdges int, o Operands) error {
+	if o.Interior != nil {
+		return ErrNoRowRegion
+	}
 	if o.A.Kind != p.Op.AKind {
 		return fmt.Errorf("core: operand A kind %s != op's %s", o.A.Kind, p.Op.AKind)
 	}

@@ -122,17 +122,32 @@ func (b *ResilientBackend) countFallback(op string) {
 // down per Run on *KernelError.
 func (b *ResilientBackend) Lower(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
 	pk, err := b.primary.Lower(p, g, o)
+	if errors.Is(err, ErrNoRowRegion) {
+		// Not a failure of the primary: it has no row-resident form for these
+		// operands, and the caller compiles the recorded steps instead.
+		return nil, err
+	}
 	if err != nil {
 		b.countFallback(opLabel(p))
 		b.logf("%s backend failed to lower %s: %v; lowering on %s",
 			b.primary.Name(), opLabel(p), err, b.secondary.Name())
-		sk, serr := b.secondary.Lower(p, g, o)
+		sk, serr := b.lowerSecondary(p, g, o)
 		if serr != nil {
 			return nil, serr
 		}
 		return &resilientKernel{b: b, p: p, g: g, o: o, primary: sk, primaryIsFallback: true}, nil
 	}
 	return &resilientKernel{b: b, p: p, g: g, o: o, primary: pk}, nil
+}
+
+// lowerSecondary lowers on the fallback rung. The head of a row-resident
+// region is lowered there as the steps it stands for, on whole tensors: the
+// secondary is the oracle, and the oracle runs the recorded program.
+func (b *ResilientBackend) lowerSecondary(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
+	if o.Interior != nil {
+		return lowerUnfused(b.secondary, p, g, o)
+	}
+	return b.secondary.Lower(p, g, o)
 }
 
 type resilientKernel struct {
@@ -205,7 +220,7 @@ func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	k.b.logf("kernel %s [%s] failed on %s: %v; retrying on %s",
 		ke.Op, ke.Strategy, ke.Backend, ke.Err, k.b.secondary.Name())
 	if k.fallback == nil {
-		fk, lerr := k.b.secondary.Lower(k.p, k.g, k.o)
+		fk, lerr := k.b.lowerSecondary(k.p, k.g, k.o)
 		if lerr != nil {
 			return fmt.Errorf("resilient fallback lowering failed: %w (after %w)", lerr, err)
 		}

@@ -115,6 +115,10 @@ type rowReducer struct {
 	span     spanFn
 	identity float32
 	mean     bool
+	// plainSum marks the sum of a copied full-width operand (spanSumCopy
+	// without the mean division): over a slab, whose rows are the in-edge
+	// positions themselves, reduceSlab sums whole runs of rows per call.
+	plainSum bool
 }
 
 // lowerRowReducer resolves the span kernel of a reducing operator writing
@@ -146,6 +150,7 @@ func lowerRowReducer(op ops.OpInfo, o Operands, feat int) (rowReducer, error) {
 		switch {
 		case sum:
 			r.span = spanSumCopy
+			r.plainSum = !r.mean
 		case op.GatherOp == ops.GatherMax:
 			r.span = spanMaxCopy
 		case op.GatherOp == ops.GatherMin:
@@ -190,6 +195,24 @@ func (r *rowReducer) reduceRows(out *tensor.Dense, g *graph.Graph, lo, hi int32)
 	for v := lo; v < hi; v++ {
 		s, e := inPtr[v], inPtr[v+1]
 		r.reduce(out.Row(int(v)), inSrc[s:e], inEdge[s:e], v)
+	}
+}
+
+// reduceSlab is reduceRows inside a row-resident region (region_rows.go): the
+// reducer's Edge operand is a slab whose row i holds in-edge position base+i,
+// and pos is 0, 1, 2, ..., what stands in for edge ids there. The plain sum
+// first hands the whole row range to the vector kernel — a destination's
+// in-edges are consecutive slab rows, so there is nothing to gather and no
+// call per row, which is most of the cost on rows of a few edges — and the
+// per-row loop resumes at the row it stopped at.
+func (r *rowReducer) reduceSlab(out *tensor.Dense, g *graph.Graph, lo, hi int32, base int, pos []int32) {
+	inPtr, inSrc := g.InPtr(), g.InSrcs()
+	if r.plainSum {
+		lo += int32(vec.SegmentSum(out.Data[int(lo)*out.Cols:], out.Cols, r.full.data, inPtr[lo:hi+1], base))
+	}
+	for v := lo; v < hi; v++ {
+		a, b := int(inPtr[v]), int(inPtr[v+1])
+		r.reduce(out.Row(int(v)), inSrc[a:b], pos[a-base:b-base], v)
 	}
 }
 

@@ -65,7 +65,10 @@ const (
 	// (fusion-region-cost), 1 rewrites the absorbed post-epilogue chain so it
 	// no longer matches the recorded unary node (fusion-region), 2 appends a
 	// phantom consumer of an erased interior value to the pre-fusion view
-	// (fusion-region).
+	// (fusion-region); on a row-resident region, 3 has a scatter's Dst_V
+	// result read back through a Src_V operand and 4 gives an interior value
+	// a recorded reader outside the region (fusion-region, one diagnostic
+	// each).
 	CorruptFusionRegion
 	// CorruptShardPlan corrupts the verified view of a shard plan, proving
 	// shard-no-alias fires. Seed selects which half of the rule: 0 makes two

@@ -124,14 +124,13 @@ func PlanBuffers(p *Program, numVertices, numEdges int) (*BufferPlan, error) {
 		}
 		// Dying operands: values whose last read is this node. Deduplicated in
 		// case one value is bound to several operands.
-		var dying [4]ValueID
-		nd := 0
+		var dying []ValueID
 		for _, v := range n.operands() {
-			if v != NoValue && plan.Assign[v] != NoSlot && plan.LastUse[v] == i && !slices.Contains(dying[:nd], v) {
-				dying[nd] = v
-				nd++
+			if v != NoValue && plan.Assign[v] != NoSlot && plan.LastUse[v] == i && !slices.Contains(dying, v) {
+				dying = append(dying, v)
 			}
 		}
+		nd := len(dying)
 
 		// In-place aliasing: reuse the dying X slot directly.
 		if aliasable(n) && n.X != NoValue && plan.Assign[n.X] != NoSlot && plan.LastUse[n.X] == i {

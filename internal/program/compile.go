@@ -107,6 +107,13 @@ type Stats struct {
 	DenseEpilogues     int
 	SplitGemms         int
 	CommutedAggregates int
+	// RowRegions is how many graph kernels run as row-resident regions
+	// (regions.go), InteriorStages the recorded steps that run inside their row
+	// chunks instead of as steps, and SlabFloats the chunk-sized storage, all
+	// pool participants together, their values live in.
+	RowRegions     int
+	InteriorStages int
+	SlabFloats     int
 }
 
 // step is one executable operation of the compiled program, with all tensors
@@ -128,9 +135,11 @@ type step struct {
 	// post is the elementwise chain a GEMM or add-scaled step applies to each
 	// row range right after computing it (rewrite.go).
 	post []Unary
-	// vx, vy, vx2, vout are the operand/output value ids, kept so the wave
-	// analyzer (waves.go) can resolve the step's arena effect intervals.
-	vx, vy, vx2, vout ValueID
+	// reads and vout are the values the step reads from storage (its node's
+	// operands) and the one it writes, kept so the wave analyzer (waves.go) can
+	// resolve the step's arena effect intervals; vx2 is the one bound to x2.
+	reads     []ValueID
+	vx2, vout ValueID
 	// body is a dense step's work on output rows [lo, hi) (dense.go); split is
 	// its row-range plan when it is large enough to run on the worker pool,
 	// nil when body runs over all rows on the caller.
@@ -225,14 +234,43 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		backend = core.DefaultBackend()
 	}
 	csp := telemetry.StartSpan("program", "compile", "compile")
-	var notes []RewriteNote
 	defer func() {
 		if err != nil {
 			csp.EndErr(err.Error())
 		} else {
-			csp.EndArgs(rewriteArgs(notes))
+			csp.EndArgs(rewriteArgs(cp.rewrites))
 		}
 	}()
+	cm := DefaultCostModel()
+	if rp, ok := s.(RegionPolicy); ok {
+		cm = rp.FusionCostModel()
+	}
+	cp, err = compile(p, g, s, backend, cm)
+	// Whether a backend can run a region's interior inside its head's row
+	// chunks is learnt by lowering the head (the lowered kernel is the one
+	// thing a decorator around the backend cannot hide). A backend that
+	// cannot gets the recorded steps: compile again with that growth off.
+	var declined *noRowRegionError
+	if errors.As(err, &declined) {
+		cm.stepsOnly = true
+		if cp, err = compile(p, g, s, backend, cm); err == nil {
+			cp.rewrites = append(cp.rewrites, RewriteNote{Pass: PassRowResident, Node: declined.head, Rule: rejectBackend})
+		}
+	}
+	return cp, err
+}
+
+// noRowRegionError is compile's report that the backend lowered the head of a
+// row-resident region with core.ErrNoRowRegion.
+type noRowRegionError struct{ head string }
+
+func (e *noRowRegionError) Error() string {
+	return fmt.Sprintf("program: %s: %v", e.head, core.ErrNoRowRegion)
+}
+
+// compile is one compilation under cost model cm.
+func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, cm CostModel) (cp *CompiledProgram, err error) {
+	var notes []RewriteNote
 	var stats Stats
 	numV, numE := g.NumVertices(), g.NumEdges()
 
@@ -241,10 +279,6 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	// RegionPolicy. A PairOnly model leaves the pair rewrite alone.
 	work := p
 	if s.Fused() {
-		cm := DefaultCostModel()
-		if rp, ok := s.(RegionPolicy); ok {
-			cm = rp.FusionCostModel()
-		}
 		var rstats RegionStats
 		work, rstats = FuseRegions(work, numV, numE, cm)
 		stats.FusedPairs = rstats.Pairs
@@ -308,7 +342,9 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	for i := range work.Nodes {
 		n := &work.Nodes[i]
 		st := step{op: n.Op, name: n.Name, label: stepLabel(n.Op, n.Name), out: views[n.Out], scale: n.Scale, chain: n.Chain, inPlace: plan.InPlace[i],
-			vx: n.X, vy: n.Y, vx2: NoValue, vout: n.Out}
+			reads: n.operands(), vx2: NoValue, vout: n.Out}
+		// An operand that is a row-resident region's interior value has no view:
+		// the head's kernel computes it chunk by chunk.
 		if n.X != NoValue {
 			st.x = views[n.X]
 		}
@@ -379,9 +415,25 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 				B: tensor.Typed{Kind: op.BKind, T: ay},
 				C: tensor.Typed{Kind: op.CKind, T: st.out},
 			}
+			// A row-resident region's head lowers with its interior: the operand
+			// the stages compute has no view, and a backend without that form
+			// says so here.
+			if len(r.Interior) > 0 {
+				operands.Interior = interiorOf(work, n, views)
+			}
 			kern, err := backend.Lower(plan2, g, operands)
+			if errors.Is(err, core.ErrNoRowRegion) {
+				return nil, &noRowRegionError{head: n.Name}
+			}
 			if err != nil {
 				return nil, fmt.Errorf("program: %s: %w", n.Name, err)
+			}
+			if len(r.Interior) > 0 {
+				c := kern.Counters()
+				cp.stats.RowRegions++
+				cp.stats.InteriorStages += c.InteriorStages
+				cp.stats.SlabFloats += c.SlabFloats
+				cp.rewrites = append(cp.rewrites, rowRegionNote(work, n, numV, numE, c.SlabFloats))
 			}
 			// The lowered kernel reports the worker count too, which keeps it
 			// visible behind a backend decorator that hides Workers().

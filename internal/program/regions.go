@@ -2,8 +2,11 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -49,6 +52,10 @@ type CostModel struct {
 	// as a loss: only the materialise+scatter pair rewrite runs, which is what
 	// the baseline frameworks that fuse at all do (DGL).
 	PairOnly bool
+	// stepsOnly keeps every recorded edge-side step a step of its own: Compile
+	// sets it when the backend turned down a row-resident region
+	// (core.ErrNoRowRegion) and compiles again.
+	stepsOnly bool
 }
 
 // DefaultCostModel is the model Compile uses: a launch is worth 16 KiB of
@@ -80,6 +87,23 @@ type RegionInfo struct {
 	// SavedBytes is the cost model's claimed traffic saving for the whole
 	// region (pair intermediate plus absorbed chains).
 	SavedBytes int64
+	// Interior makes the region row-resident: the recorded nodes, producer
+	// first and each in its compiled form (an edge-output operator keeps the
+	// epilogue it had absorbed), that compute the head's Edge operand inside
+	// the head's row chunks. Their values have no storage outside a chunk: no
+	// surviving node but the head reads them, and the buffer planner never
+	// sees them.
+	Interior []Node
+}
+
+// interior reports whether v is defined by one of the region's interior nodes.
+func (r *RegionInfo) interior(v ValueID) bool {
+	for i := range r.Interior {
+		if r.Interior[i].Out == v {
+			return v != NoValue
+		}
+	}
+	return false
 }
 
 // RegionStats summarises what FuseRegions did.
@@ -281,6 +305,25 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 			defIdx[n.Out] = i
 		}
 
+		// Growth through the Edge operand: a reducing head takes in the
+		// destination-local nodes that compute it (growInterior). Whatever it
+		// absorbs saves its launch and its value's write and read back.
+		if !cm.stepsOnly {
+			for _, di := range growInterior(nodes, removed, i, defIdx, work.Output) {
+				d := nodes[di]
+				info := ensure()
+				info.Interior = append(info.Interior, d)
+				info.Absorbed++
+				info.SavedBytes += 2*bytesOf(d.Out) + cm.LaunchOverheadBytes
+				if d.Region != nil {
+					info.Absorbed += d.Region.Absorbed
+					info.SavedBytes += d.Region.SavedBytes
+				}
+				removed[di] = true
+				delete(defIdx, d.Out)
+			}
+		}
+
 		// Prologue absorption: fold single-consumer elementwise chains
 		// feeding an operand into a staged read, when the saved launch
 		// outweighs the staging copy. Chains are prepended so the slice
@@ -288,7 +331,7 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 		absorbOperand := func(opnd *ValueID, dst func(*RegionInfo) *[]Unary) {
 			for {
 				v := *opnd
-				if v == NoValue || v == work.Output || uses[v] != 1 {
+				if v == NoValue || v == work.Output || uses[v] != 1 || (n.Region != nil && n.Region.interior(v)) {
 					return
 				}
 				di, ok := defIdx[v]
@@ -337,6 +380,225 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 		out.Nodes = append(out.Nodes, nodes[i])
 	}
 	return out, stats
+}
+
+// edgeOutput reports whether n is an edge-output graph operator the
+// row-resident form can run as a stage: it may carry an absorbed epilogue, not
+// a staged prologue.
+func edgeOutput(n *Node) bool {
+	return n.Op == OpGraph && n.GOp.CKind == tensor.EdgeK && !n.GOp.GatherOp.IsReduction() &&
+		(n.Region == nil || len(n.Region.PreX)+len(n.Region.PreY)+len(n.Region.Interior) == 0)
+}
+
+// pureScatter reports whether n only reduces an edge value per destination:
+// the recorded scatter, nothing merged into it and nothing absorbed.
+func pureScatter(n *Node) bool { return fuseScatter(n) && !n.Fused && n.Region == nil }
+
+// growInterior finds the interior of the row-resident region headed by the
+// reducing Dst_V operator nodes[hi]: the largest set of surviving nodes that
+// compute its Edge operand and are destination-local —
+//
+//   - an edge-output operator, whatever it reads (external Src_V, Dst_V or
+//     Edge values, or interior ones);
+//   - the pure scatter of an interior Edge value, when its Dst_V result is
+//     only ever read back through a Dst_V operand: row v's edges then read
+//     what row v's chunk wrote;
+//   - an elementwise chain or the head merge over an interior Edge value —
+//
+// such that every interior value is read inside the region only and none is
+// the program's output. The head's other operand must be an ordinary vertex
+// value. It returns the interior's node indices in program order, nil when
+// the operand's own producer cannot be absorbed. Legality is all there is to
+// decide: an absorbed node always saves its launch and its value's round trip.
+func growInterior(nodes []Node, removed []bool, hi int, defIdx map[ValueID]int, output ValueID) []int {
+	h := &nodes[hi]
+	if h.Op != OpGraph || h.GOp.CKind != tensor.DstV || !h.GOp.GatherOp.IsReduction() {
+		return nil
+	}
+	var edge ValueID
+	switch {
+	case h.GOp.BKind == tensor.EdgeK && h.GOp.AKind != tensor.EdgeK:
+		edge = h.Y
+	case h.GOp.AKind == tensor.EdgeK && h.GOp.BKind != tensor.EdgeK:
+		edge = h.X
+	default:
+		return nil
+	}
+
+	// pinned nodes stay steps of their own. Each round computes the closure
+	// from the Edge operand around them, then pins the producer of any value
+	// the closure would erase while something outside still reads it.
+	pinned := map[int]bool{}
+	for {
+		in := map[int]bool{}
+		var absorb func(v ValueID) bool
+		absorb = func(v ValueID) bool {
+			di, ok := defIdx[v]
+			if !ok || removed[di] || pinned[di] || v == output {
+				return false
+			}
+			if in[di] {
+				return true
+			}
+			d := &nodes[di]
+			switch {
+			case edgeOutput(d):
+				in[di] = true
+				for _, u := range d.operands() {
+					if u != NoValue {
+						absorb(u) // an operand that stays outside is read from storage
+					}
+				}
+			case pureScatter(d):
+				in[di] = absorb(d.Y)
+			case d.Op == OpUnary || d.Op == OpHeadMerge:
+				in[di] = absorb(d.X)
+			}
+			if !in[di] {
+				delete(in, di)
+			}
+			return in[di]
+		}
+		if !absorb(edge) {
+			return nil
+		}
+		// pin keeps the producer of v a step of its own.
+		stable := true
+		pin := func(v ValueID) {
+			pinned[defIdx[v]], stable = true, false
+		}
+		for j := range nodes {
+			if removed[j] {
+				continue
+			}
+			r := &nodes[j]
+			for _, v := range r.operands() {
+				di, ok := defIdx[v]
+				switch {
+				case !ok || !in[di]:
+				case !in[j]:
+					// Read from outside: only the head may, and only as its Edge operand.
+					if j != hi || v != edge {
+						pin(v)
+					}
+				case pureScatter(&nodes[di]):
+					// A scatter's result must come back through a Dst_V operand,
+					// or it leaves the row that wrote it.
+					if r.Op != OpGraph || (r.X == v && r.GOp.AKind != tensor.DstV) || (r.Y == v && r.GOp.BKind != tensor.DstV) {
+						pin(v)
+					}
+				}
+			}
+		}
+		if stable {
+			order := make([]int, 0, len(in))
+			for di := range in {
+				order = append(order, di)
+			}
+			slices.Sort(order)
+			return order
+		}
+	}
+}
+
+// interiorOf describes the interior of the row-resident region headed by n to
+// the backend (core.Interior): one stage per interior node, two for an
+// edge-output operator that had absorbed an epilogue, operands resolved to
+// their views or to the interior value an earlier stage produced. An
+// elementwise chain runs in place on its input's slab when nothing else in the
+// region reads that input afterwards.
+func interiorOf(p *Program, n *Node, views []*tensor.Dense) *core.Interior {
+	r := n.Region
+	in := &core.Interior{A: -1, B: -1}
+	index := map[ValueID]int{}
+	define := func(v ValueID, kind tensor.Kind) int {
+		in.Values = append(in.Values, core.InteriorValue{Kind: kind, Cols: p.Values[v].Cols})
+		index[v] = len(in.Values) - 1
+		return index[v]
+	}
+	operand := func(v ValueID, kind tensor.Kind) core.InteriorOperand {
+		if i, ok := index[v]; ok && kind != tensor.Null {
+			return core.InteriorOperand{In: i}
+		}
+		t := tensor.Typed{Kind: kind}
+		if kind != tensor.Null {
+			t.T = views[v]
+		}
+		return core.External(t)
+	}
+	apply := func(chain []Unary) func(*tensor.Dense) {
+		return func(d *tensor.Dense) {
+			for _, u := range chain {
+				u.Apply(d)
+			}
+		}
+	}
+	for i := range r.Interior {
+		d := &r.Interior[i]
+		switch d.Op {
+		case OpGraph:
+			op := d.GOp
+			op.Name = d.Name
+			st := core.InteriorStage{Name: d.Name, Op: op, A: operand(d.X, op.AKind), B: operand(d.Y, op.BKind)}
+			st.Out = define(d.Out, op.CKind)
+			in.Stages = append(in.Stages, st)
+			if d.Region != nil && len(d.Region.Post) > 0 {
+				in.Stages = append(in.Stages, core.InteriorStage{
+					Name: d.Region.Name, Chain: apply(d.Region.Post), A: core.InteriorOperand{In: st.Out}, Out: st.Out,
+				})
+			}
+		case OpUnary:
+			src := index[d.X]
+			readLater := n.X == d.X || n.Y == d.X // the head binds it directly
+			for j := i + 1; j < len(r.Interior); j++ {
+				readLater = readLater || readsValue(&r.Interior[j], d.X)
+			}
+			out := src
+			if readLater {
+				out = define(d.Out, tensor.EdgeK)
+			}
+			index[d.Out] = out
+			in.Stages = append(in.Stages, core.InteriorStage{Name: d.Name, Chain: apply(d.Chain), A: core.InteriorOperand{In: src}, Out: out})
+		case OpHeadMerge:
+			src := index[d.X]
+			in.Stages = append(in.Stages, core.InteriorStage{Name: d.Name, RowMean: true, A: core.InteriorOperand{In: src}, Out: define(d.Out, tensor.EdgeK)})
+		}
+	}
+	if i, ok := index[n.X]; ok {
+		in.A = i
+	}
+	if i, ok := index[n.Y]; ok {
+		in.B = i
+	}
+	return in
+}
+
+// rowRegionNote is the provenance line of a lowered row-resident region: what
+// the interior values would have streamed as tensors — each written once and
+// read once per reader — the stages that now run in the chunk, and the slabs.
+func rowRegionNote(p *Program, n *Node, numV, numE int, slabFloats int) RewriteNote {
+	r := n.Region
+	var bytes int64
+	names := make([]string, len(r.Interior))
+	for i := range r.Interior {
+		d := &r.Interior[i]
+		names[i] = d.Name
+		readers := int64(0)
+		if n.X == d.Out || n.Y == d.Out {
+			readers++
+		}
+		for j := range r.Interior {
+			if readsValue(&r.Interior[j], d.Out) {
+				readers++
+			}
+		}
+		bytes += (1 + readers) * p.Values[d.Out].bytes(numV, numE)
+	}
+	return RewriteNote{
+		Pass: PassRowResident, Node: n.Name, Accepted: true, Rule: analysis.RuleFusionRegion, BytesBefore: bytes,
+		Detail: fmt.Sprintf("%d interior stages in the row chunks (%s), slabs %.1f KiB",
+			len(r.Interior), strings.Join(names, ", "), float64(slabFloats)*4/1024),
+	}
 }
 
 // EliminateDead removes nodes whose result is transitively unused (the

@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/ops"
@@ -61,14 +62,24 @@ func newDenseInfo() *DenseInfo {
 	return &DenseInfo{X2: NoValue, W2: NoValue, ViewOf: NoValue, CommutedFrom: NoValue}
 }
 
-// operands lists the values n reads: X, Y and, on a split-weight GEMM, the
-// second (operand, weight) pair. Absent ones are NoValue.
-func (n *Node) operands() [4]ValueID {
-	vs := [4]ValueID{n.X, n.Y, NoValue, NoValue}
+// operands lists the values n reads from storage: X, Y and, on a split-weight
+// GEMM, the second (operand, weight) pair; for the head of a row-resident
+// region, also what its interior nodes read from outside the region, and not
+// the interior value bound to its own operand, which no storage holds.
+// Absent ones are NoValue.
+func (n *Node) operands() []ValueID {
+	vs := []ValueID{n.X, n.Y}
 	if d := n.Dense; d != nil {
-		vs[2], vs[3] = d.X2, d.W2
+		vs = append(vs, d.X2, d.W2)
 	}
-	return vs
+	r := n.Region
+	if r == nil || len(r.Interior) == 0 {
+		return vs
+	}
+	for i := range r.Interior {
+		vs = append(vs, r.Interior[i].operands()...)
+	}
+	return slices.DeleteFunc(vs, r.interior)
 }
 
 // ir mirrors the annotation for the verifier (nil for a nil annotation).
@@ -83,11 +94,14 @@ func (d *DenseInfo) ir() *analysis.IRDense {
 	}
 }
 
-// Rewrite pass names, as they appear in notes and provenance.
+// Rewrite pass names, as they appear in notes and provenance. The last is
+// not a dense rewrite but shares the provenance channel: a fusion region that
+// runs its interior inside the head's row chunks (regions.go).
 const (
 	PassSplitWeight      = "split-weight"
 	PassCommuteAggregate = "commute-aggregate"
 	PassGemmEpilogue     = "gemm-epilogue"
+	PassRowResident      = "row-resident"
 )
 
 // RewriteNote is one decision of the dense-rewrite stage.
@@ -102,6 +116,9 @@ type RewriteNote struct {
 	// memory per run in the recorded order and in the rewritten one (zero when
 	// the pass was rejected before costing it).
 	BytesBefore, BytesAfter int64
+	// Detail is what else the line should say (a row-resident region's
+	// interior stages and slab size).
+	Detail string
 }
 
 // String renders the note as one provenance line.
@@ -110,11 +127,14 @@ func (n RewriteNote) String() string {
 	if n.Accepted {
 		verdict = "accepted under rule " + n.Rule
 	}
-	if n.BytesBefore == 0 && n.BytesAfter == 0 {
-		return fmt.Sprintf("%s %s: %s", n.Pass, n.Node, verdict)
+	line := fmt.Sprintf("%s %s: %s", n.Pass, n.Node, verdict)
+	if n.BytesBefore != 0 || n.BytesAfter != 0 {
+		line += fmt.Sprintf(" (streams %.1f KiB, recorded order %.1f KiB)", float64(n.BytesAfter)/1024, float64(n.BytesBefore)/1024)
 	}
-	return fmt.Sprintf("%s %s: %s (streams %.1f KiB, recorded order %.1f KiB)",
-		n.Pass, n.Node, verdict, float64(n.BytesAfter)/1024, float64(n.BytesBefore)/1024)
+	if n.Detail != "" {
+		line += "; " + n.Detail
+	}
+	return line
 }
 
 // countRewrites folds the accepted notes into the three dense counters.
@@ -159,6 +179,7 @@ const (
 	rejectWeighted      = "aggregate is not an unweighted source gather"
 	rejectChainBetween  = "an elementwise chain sits between aggregate and GEMM"
 	rejectNotNarrowing  = "the weight does not narrow the aggregate"
+	rejectBackend       = "the backend has no row-resident lowering; the recorded steps compile"
 )
 
 // rewriter is the working state of one RewriteDense call: the node list with

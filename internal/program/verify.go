@@ -49,23 +49,30 @@ func irOf(p *Program) *analysis.ProgramIR {
 		ir.Values[i] = analysis.IRValue{Rows: rows, Cols: v.Cols, Const: v.Const}
 	}
 	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		in := analysis.IRNode{
-			Name: n.Name, Kind: kindOf(n.Op),
-			X: int(n.X), Y: int(n.Y), Out: int(n.Out),
-			Op: n.GOp, Fused: n.Fused,
-			Chain: elemsOf(n.Chain), Scale: n.Scale, Dense: n.Dense.ir(),
-		}
-		if r := n.Region; r != nil {
-			in.HasRegion = true
-			in.PreX = elemsOf(r.PreX)
-			in.PreY = elemsOf(r.PreY)
-			in.Post = elemsOf(r.Post)
-			in.RegionSavedBytes = r.SavedBytes
-		}
-		ir.Nodes[i] = in
+		ir.Nodes[i] = irNodeOf(&p.Nodes[i])
 	}
 	return ir
+}
+
+// irNodeOf converts one node, a row-resident region's interior nodes included.
+func irNodeOf(n *Node) analysis.IRNode {
+	in := analysis.IRNode{
+		Name: n.Name, Kind: kindOf(n.Op),
+		X: int(n.X), Y: int(n.Y), Out: int(n.Out),
+		Op: n.GOp, Fused: n.Fused,
+		Chain: elemsOf(n.Chain), Scale: n.Scale, Dense: n.Dense.ir(),
+	}
+	if r := n.Region; r != nil {
+		in.HasRegion = true
+		in.PreX = elemsOf(r.PreX)
+		in.PreY = elemsOf(r.PreY)
+		in.Post = elemsOf(r.Post)
+		in.RegionSavedBytes = r.SavedBytes
+		for i := range r.Interior {
+			in.Interior = append(in.Interior, irNodeOf(&r.Interior[i]))
+		}
+	}
+	return in
 }
 
 // elemsOf converts a unary chain into the verifier's primitive mirror. The
@@ -313,8 +320,13 @@ func corruptFusion(c *analysis.ProgramCheck, seed uint64) {
 // inflates the claimed saved bytes past any recomputable bound; seed 1
 // rewrites the absorbed epilogue chain so it no longer matches the recorded
 // unary node; seed 2 appends a phantom consumer of the region's erased
-// interior value to the pre-fusion view.
+// interior value to the pre-fusion view. Seeds 3 and 4 corrupt a row-resident
+// region (corruptRowRegion).
 func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
+	if seed >= 3 {
+		corruptRowRegion(c, seed)
+		return
+	}
 	ri := -1
 	for i := range c.Post.Nodes {
 		n := &c.Post.Nodes[i]
@@ -347,6 +359,46 @@ func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
 		}
 	default:
 		n.RegionSavedBytes = 1 << 50
+	}
+}
+
+// corruptRowRegion corrupts the first row-resident region of the view. Seed 3
+// makes an interior reader take a scatter's Dst_V result through a Src_V
+// operand, in the recorded program and the compiled one alike, so that only
+// the closure rule can object; seed 4 (any other) gives an interior value a
+// recorded reader outside the region.
+func corruptRowRegion(c *analysis.ProgramCheck, seed uint64) {
+	if c.Pre == nil {
+		return
+	}
+	for i := range c.Post.Nodes {
+		n := &c.Post.Nodes[i]
+		if len(n.Interior) == 0 {
+			continue
+		}
+		if seed != 3 {
+			phantomReader(c, n.Interior[0].Out)
+			return
+		}
+		for j := range n.Interior {
+			r := &n.Interior[j]
+			if r.Kind != analysis.KindGraph || r.Op.BKind != tensor.DstV {
+				continue
+			}
+			for k := range n.Interior {
+				if n.Interior[k].Out != r.Y || n.Interior[k].Op.CKind != tensor.DstV {
+					continue
+				}
+				r.Op.BKind = tensor.SrcV
+				for m := range c.Pre.Nodes {
+					if c.Pre.Nodes[m].Out == r.Out {
+						c.Pre.Nodes[m].Op.BKind = tensor.SrcV
+					}
+				}
+				return
+			}
+		}
+		return
 	}
 }
 

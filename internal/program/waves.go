@@ -69,14 +69,10 @@ func (cp *CompiledProgram) stepEffects() []analysis.StepEffects {
 	for i := range cp.steps {
 		st := &cp.steps[i]
 		e := analysis.StepEffects{Name: st.name}
-		if iv, ok := cp.valueInterval(st.vx); ok {
-			e.Reads = append(e.Reads, iv)
-		}
-		if iv, ok := cp.valueInterval(st.vy); ok {
-			e.Reads = append(e.Reads, iv)
-		}
-		if iv, ok := cp.valueInterval(st.vx2); ok {
-			e.Reads = append(e.Reads, iv)
+		for _, v := range st.reads {
+			if iv, ok := cp.valueInterval(v); ok {
+				e.Reads = append(e.Reads, iv)
+			}
 		}
 		if iv, ok := cp.valueInterval(st.vout); ok {
 			e.Writes = append(e.Writes, iv)

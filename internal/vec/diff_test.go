@@ -307,6 +307,76 @@ func TestEdgeBinaryEqualsGo(t *testing.T) {
 	}
 }
 
+// TestSegmentSumEqualsGo: runs of consecutive rows summed per output row,
+// at widths 8, 16 and 64 with empty, single-row and long segments, equal the
+// scalar loop (ascending order from +0, an empty segment a row of zeros); a
+// segment out of order or outside the data stops the kernel at its row.
+func TestSegmentSumEqualsGo(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(83))
+	for iter := 0; iter < 300; iter++ {
+		cols := []int{8, 16, 64}[rng.Intn(3)]
+		rows, base := rng.Intn(12), rng.Intn(1000)
+		ptr := make([]int32, rows+1)
+		ptr[0] = int32(base)
+		for r := 1; r <= rows; r++ {
+			ptr[r] = ptr[r-1] + int32([]int{0, 0, 1, 1, 2, 5, 40}[rng.Intn(7)])
+		}
+		edges := int(ptr[rows]) - base
+		data, out := guarded(t, edges*cols), guarded(t, rows*cols)
+		salted(rng, data, false)
+		bad := -1
+		if rows > 0 && rng.Intn(4) == 0 {
+			// One boundary steps back before its segment's start or past the data.
+			bad = rng.Intn(rows)
+			ptr[bad+1] = []int32{ptr[bad] - 1, int32(base + edges + 1), int32(base) - 1}[rng.Intn(3)]
+		}
+		for i := range out {
+			out[i] = -7
+		}
+		done := SegmentSum(out, cols, data, ptr, base)
+		want := rows
+		if bad >= 0 {
+			// The corrupted boundary ends row bad and starts row bad+1; whichever
+			// of the two is out of order or out of range first stops the kernel.
+			lo, hi := int(ptr[bad])-base, int(ptr[bad+1])-base
+			want = bad + 1
+			if lo > hi || hi > edges || hi < 0 {
+				want = bad
+			}
+		}
+		if edges == 0 || rows == 0 {
+			want = 0 // nothing to point the kernel at: the Go loop's
+		}
+		if done != want {
+			t.Fatalf("cols=%d ptr=%v base=%d bad=%d: finished %d rows, want %d", cols, ptr, base, bad, done, want)
+		}
+		for r := 0; r < done; r++ {
+			for j := 0; j < cols; j++ {
+				var sum float32
+				for i := int(ptr[r]) - base; i < int(ptr[r+1])-base; i++ {
+					sum += data[i*cols+j]
+				}
+				if got := out[r*cols+j]; math.Float32bits(got) != math.Float32bits(sum) && !(got != got && sum != sum) {
+					t.Fatalf("cols=%d ptr=%v: row %d column %d is %08x, the Go loop gives %08x", cols, ptr, r, j, math.Float32bits(got), math.Float32bits(sum))
+				}
+			}
+		}
+		for _, v := range out[done*cols:] {
+			if v != -7 {
+				t.Fatalf("cols=%d ptr=%v: wrote past the %d rows it reported", cols, ptr, done)
+			}
+		}
+	}
+	x := make([]float32, 64)
+	if n := SegmentSum(x, 4, x, []int32{0, 2}, 0); n != 0 {
+		t.Errorf("width not a multiple of eight: finished %d rows, want 0", n)
+	}
+	if n := SegmentSum(x[:8], 8, x, []int32{0, 1, 2}, 0); n != 0 {
+		t.Errorf("output too short: finished %d rows, want 0", n)
+	}
+}
+
 // gemmSpec is the packed GEMM's scalar form: ascending k per element, the
 // product rounded, a zero a[i][k] skipped, from +0 or from out's element.
 func gemmSpec(out, a, panels []float32, lo, hi, k, n, upTo int, acc bool) {

@@ -77,3 +77,70 @@ TEXT ·edgeMul(SB), NOSPLIT, $0-80
 // func edgeDiv(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
 TEXT ·edgeDiv(SB), NOSPLIT, $0-80
 	EDGEKERNEL(VDIVPS)
+
+// func segmentSum(out *float32, nvec int, data *float32, ptr *int32, rows, base, limit int) int
+//
+// out row r = the sum, in ascending order from +0, of data rows
+// [ptr[r]-base, ptr[r+1]-base), for r = 0, 1, ..., rows-1; rows are nvec
+// eight-column vectors wide. A segment that starts below zero, ends before it
+// starts or ends past limit stops the kernel with nothing read through it; the
+// return value is how many rows were finished.
+TEXT ·segmentSum(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ nvec+8(FP), R14
+	MOVQ data+16(FP), SI
+	MOVQ ptr+24(FP), DX
+	MOVQ rows+32(FP), CX
+	MOVQ base+40(FP), R12
+	MOVQ limit+48(FP), R13
+	MOVQ R14, R15
+	SHLQ $5, R15            // row bytes
+
+segrow:
+	MOVLQSX (DX), R8        // lo = ptr[r] - base
+	MOVLQSX 4(DX), R9       // hi = ptr[r+1] - base
+	SUBQ    R12, R8
+	SUBQ    R12, R9
+	CMPQ    R8, R9          // 0 <= lo <= hi <= limit, or stop
+	JGT     segdone
+	TESTQ   R8, R8
+	JLT     segdone
+	CMPQ    R9, R13
+	JGT     segdone
+	MOVQ    R9, R10
+	SUBQ    R8, R10         // edges in the segment
+	IMULQ   R15, R8
+	LEAQ    (SI)(R8*1), R8  // first data row
+	MOVQ    R14, BX         // column vectors left
+	MOVQ    DI, R11
+
+segcol:
+	VXORPS Y0, Y0, Y0
+	MOVQ   R8, AX
+	MOVQ   R10, R9
+	TESTQ  R9, R9
+	JZ     segstore
+
+segedge:
+	VADDPS (AX), Y0, Y0
+	ADDQ   R15, AX
+	DECQ   R9
+	JNZ    segedge
+
+segstore:
+	VMOVUPS Y0, (R11)
+	ADDQ    $32, R11
+	ADDQ    $32, R8
+	DECQ    BX
+	JNZ     segcol
+	ADDQ    R15, DI
+	ADDQ    $4, DX
+	DECQ    CX
+	JNZ     segrow
+
+segdone:
+	MOVQ rows+32(FP), AX
+	SUBQ CX, AX
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET

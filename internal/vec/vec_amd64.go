@@ -59,6 +59,9 @@ func edgeMul(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *f
 //go:noescape
 func edgeDiv(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int
 
+//go:noescape
+func segmentSum(out *float32, nvec int, data *float32, ptr *int32, rows, base, limit int) int
+
 // edgeKernels is indexed by EdgeOp.
 var edgeKernels = [...]func(out *float32, nvec, n int, a *float32, idxA *int32, rowsA int, b *float32, idxB *int32, rowsB int) int{
 	EdgeAdd: edgeAdd, EdgeSub: edgeSub, EdgeMul: edgeMul, EdgeDiv: edgeDiv,
@@ -218,6 +221,20 @@ func EdgeBinary(op EdgeOp, out []float32, cols, n int, a, b EdgeOperand) int {
 		return 0
 	}
 	return edgeKernels[op](&out[0], cols/lanes, n, &a.Data[0], a.idx0(), a.Rows, &b.Data[0], b.idx0(), b.Rows)
+}
+
+// SegmentSum sets row r of out (cols columns, a multiple of eight) to the sum
+// of data's rows [ptr[r]-base, ptr[r+1]-base), added in ascending order from
+// +0 — an empty segment is a row of zeros — for r = 0, 1, ... and returns how
+// many rows it finished: len(ptr)-1, or fewer when a segment does not lie in
+// order inside data (the caller's Go loop, resuming at that row, raises the
+// bounds panic), or none when the vector path is off or out is too short.
+func SegmentSum(out []float32, cols int, data []float32, ptr []int32, base int) int {
+	rows := len(ptr) - 1
+	if !enabled || rows <= 0 || cols <= 0 || cols%lanes != 0 || len(out)/cols < rows || len(data) == 0 {
+		return 0
+	}
+	return segmentSum(&out[0], cols/lanes, &data[0], &ptr[0], rows, base, len(data)/cols)
 }
 
 // covers reports whether n rows of cols columns read through o stay inside

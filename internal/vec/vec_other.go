@@ -28,6 +28,9 @@ func Exp(x []float32, t *ExpTable) int { return 0 }
 // EdgeBinary computes nothing here; see the amd64 form.
 func EdgeBinary(op EdgeOp, out []float32, cols, n int, a, b EdgeOperand) int { return 0 }
 
+// SegmentSum computes nothing here; see the amd64 form.
+func SegmentSum(out []float32, cols int, data []float32, ptr []int32, base int) int { return 0 }
+
 // SumRows computes nothing here; see the amd64 form.
 func SumRows(acc, data []float32, stride, rows int, idx []int32) int { return 0 }
 
