@@ -219,8 +219,8 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	fmt.Printf("model: %s feat=%d classes=%d path=compiled backend=%s\n",
 		m.Name(), feat, classes, core.DefaultBackend().Name())
 	mib := func(floats int) float64 { return float64(floats) * 4 / (1 << 20) }
-	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB\n",
-		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats))
+	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB slabs=%.1f MiB\n",
+		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats), mib(s.SlabFloats))
 	if s.Shards > 1 {
 		fmt.Printf("sharding: %d shards, edge-cut=%.3f\n", s.Shards, s.ShardEdgeCut)
 	}
@@ -262,6 +262,9 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 			}
 			if sm.Epilogue != "" {
 				mode += ", epilogue " + sm.Epilogue
+			}
+			if sm.InteriorStages > 0 {
+				mode += fmt.Sprintf(", row-resident, %d interior stages", sm.InteriorStages)
 			}
 			fmt.Printf("  %2d %-10s %-28s %8.3f  %4.0f%%  %s\n", i, sm.Op, sm.Name,
 				float64(sm.P50)/1e6, 100*float64(sm.P50)/float64(max(total, 1)), mode)

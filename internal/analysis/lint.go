@@ -148,7 +148,7 @@ var (
 // a plan's GPU schedule, and the calls whose arguments may (telemetry labels).
 var (
 	hostLoweringDir   = "internal/core"
-	hostLoweringFiles = map[string]bool{"backend_parallel.go": true, "backend_sharded.go": true, "span.go": true, "kernels_host.go": true}
+	hostLoweringFiles = map[string]bool{"backend_parallel.go": true, "backend_sharded.go": true, "span.go": true, "kernels_host.go": true, "region_rows.go": true}
 	scheduleSelectors = map[string]bool{"Schedule": true, "Strategy": true}
 	scheduleLabelers  = map[string]bool{"NewKernelSite": true, "kernelSite": true}
 )

@@ -457,7 +457,8 @@ func lowerUnfused(b ExecBackend, p *Plan, g *graph.Graph, o Operands) (CompiledK
 		out := store[st.Out]
 		switch {
 		case st.isGraph():
-			sp, err := Compile(st.Op, p.Schedule)
+			// The stages were never scheduled: any schedule computes the same values.
+			sp, err := Compile(st.Op, DefaultSchedule)
 			if err != nil {
 				return nil, err
 			}

@@ -706,6 +706,30 @@ func BenchmarkSpanKernel(b *testing.B) {
 				}
 			})
 		}
+		if vec.Enabled() && bc.op == ops.CopyESum {
+			// ROADMAP 4(d): on PR's 4-edge rows the 8-column pass costs a call
+			// per row, not an add chain. This is the same sum with the edge
+			// rows laid out in in-edge order — what a row-resident region's
+			// slab is — and one kernel call for all rows (reduceSlab).
+			b.Run(name+"/rows-per-call", func(b *testing.B) {
+				slab := tensor.NewDense(g.NumEdges(), bc.feat)
+				for p, e := range g.InEdgeIDs() {
+					copy(slab.Row(p), o.B.T.Row(int(e)))
+				}
+				r, err := lowerRowReducer(bc.op, Operands{A: o.A, B: tensor.Edge(slab), C: o.C}, bc.feat)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pos := make([]int32, g.NumEdges())
+				for i := range pos {
+					pos[i] = int32(i)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.reduceSlab(o.C.T, g, 0, int32(g.NumVertices()), 0, pos)
+				}
+			})
+		}
 		p := MustCompile(bc.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
 		for _, workers := range []int{1, 2} {
 			k, err := NewShardedParallelBackend(workers, 1).Lower(p, g, o)

@@ -235,6 +235,10 @@ type StepMode struct {
 	// the producing chunk or as a stage after the kernel. Empty for dense
 	// steps and sequential backends.
 	Walk, Epilogue string
+	// InteriorStages is, for the head of a row-resident region, how many
+	// recorded steps run inside its row chunks (core.Counters.InteriorStages);
+	// zero for every other step.
+	InteriorStages int
 	// P50 is the median wall time of the step's recent runs (up to the last
 	// 64) made while telemetry was enabled; zero when there were none.
 	P50 time.Duration
@@ -257,7 +261,7 @@ func (cp *CompiledProgram) StepModes() []StepMode {
 			if c.Fanout > 1 {
 				m.Workers = c.Fanout
 			}
-			m.Walk, m.Epilogue = c.Walk, c.Epilogue
+			m.Walk, m.Epilogue, m.InteriorStages = c.Walk, c.Epilogue, c.InteriorStages
 		}
 		modes[i] = m
 	}

@@ -43,7 +43,9 @@ const fuzzMaxBound = 64
 // fuzzProgram records the program data spells: byte 0 picks the input width,
 // then three bytes per instruction — kind, and two operand/width selectors —
 // up to 16 instructions; the last byte picks the output. maxDeg is the
-// graph's largest in-degree, which bounds a sum gather.
+// graph's largest in-degree, which bounds a sum gather. A kind byte of 225 or
+// more (what the nine kinds leave of a byte) spells an attention chain
+// (fuzzAttention).
 func fuzzProgram(data []byte, maxDeg int) (*Program, int, error) {
 	if len(data) < 4 {
 		return nil, 0, errors.New("too short")
@@ -61,6 +63,10 @@ func fuzzProgram(data []byte, maxDeg int) (*Program, int, error) {
 		kind, a, c := body[i]%9, body[i+1], body[i+2]
 		name := fmt.Sprintf("n%d", i/3)
 		x := pick(a)
+		if body[i] >= 225 {
+			vs = fuzzAttention(b, name, vs, x, pick(a+1), c, maxDeg)
+			continue
+		}
 		switch kind {
 		case 0: // gemm to a drawn width, widening or narrowing
 			n := fuzzWidths[int(c)%len(fuzzWidths)]
@@ -109,6 +115,63 @@ func fuzzProgram(data []byte, maxDeg int) (*Program, int, error) {
 	return p, inCols, err
 }
 
+// fuzzAttention records an edge-side chain under a weighted aggregation — the
+// shape a row-resident region grows over — and the ways one must not grow:
+// per-edge scores u_add_v(x, x), a leaky-relu (and exp, when small enough)
+// over them, then by sel either nothing, an edge softmax (sum per destination,
+// e_div_v), the same sum read back through a Src_V operand (another row's: not
+// destination-local), or a softmax whose denominators are also a vertex value
+// later instructions, or the program's output, may read (an outside reader);
+// a head merge when sel says so or the widths demand it; and z aggregated
+// under the result, recorded decomposed as the models do. It returns vs with
+// the values it made readable.
+func fuzzAttention(b *Builder, name string, vs []fuzzValue, x, z fuzzValue, sel byte, maxDeg int) []fuzzValue {
+	bound := 2 * x.bound
+	chain := []Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}}
+	positive := sel&1 == 1 && bound <= 3
+	if positive {
+		chain, bound = append(chain, Unary{Kind: UnaryExp}), math.Exp(bound)
+	}
+	variant := (sel >> 1) & 3
+	if !positive && variant != 1 {
+		variant = 1 // a softmax divides by a sum of positive terms only
+	}
+	switch variant {
+	case 0, 3:
+		bound = 1
+	case 2:
+		bound *= bound * float64(maxDeg)
+	}
+	if z.bound*bound*float64(maxDeg) > fuzzMaxBound {
+		return vs
+	}
+	edge := func(eop ops.EdgeOp, a, bk tensor.Kind) ops.OpInfo {
+		return ops.OpInfo{EdgeOp: eop, GatherOp: ops.GatherCopyRHS, AKind: a, BKind: bk, CKind: tensor.EdgeK}
+	}
+	sum := ops.OpInfo{EdgeOp: ops.CopyRHS, GatherOp: ops.GatherSum, AKind: tensor.Null, BKind: tensor.EdgeK, CKind: tensor.DstV}
+	cols := x.cols
+	scores := b.GraphOp(name+"_scores", edge(ops.EdgeAdd, tensor.SrcV, tensor.DstV), x.id, x.id, cols)
+	scores = b.Unary(name+"_act", scores, chain)
+	if variant != 1 {
+		denom := b.GraphOp(name+"_denom", sum, NoValue, scores, cols)
+		switch variant {
+		case 2:
+			scores = b.GraphOp(name+"_times_u", edge(ops.EdgeMul, tensor.EdgeK, tensor.SrcV), scores, denom, cols)
+		default:
+			scores = b.GraphOp(name+"_div", edge(ops.EdgeDiv, tensor.EdgeK, tensor.DstV), scores, denom, cols)
+			if variant == 3 {
+				vs = append(vs, fuzzValue{denom, cols, math.Exp(2*x.bound) * float64(maxDeg)})
+			}
+		}
+	}
+	if sel&8 != 0 || (cols != 1 && cols != z.cols) {
+		scores, cols = b.HeadMerge(name+"_merge", scores), 1
+	}
+	mat := b.GraphOp(name+"_materialize", edge(ops.EdgeMul, tensor.SrcV, tensor.EdgeK), z.id, scores, z.cols)
+	out := b.GraphOp(name+"_scatter", sum, NoValue, mat, z.cols)
+	return append(vs, fuzzValue{out, z.cols, z.bound * bound * float64(maxDeg)})
+}
+
 // fuzzSeeds spell the shapes the rewrites are about, by hand.
 var fuzzSeeds = [][]byte{
 	// Sage layer, narrowing, the relu's value the output: mean(v0); concat(v0,
@@ -129,6 +192,14 @@ var fuzzSeeds = [][]byte{
 	// GEMM -> relu -> relu -> add_scaled of two GEMMs: epilogue chains on both
 	// producer kinds.
 	{2, 0, 0, 2, 2, 1, 0, 2, 2, 0, 0, 0, 2, 4, 3, 4, 2, 5, 0, 6},
+	// GAT's layer: two GEMMs to 8 off the input, the attention chain with exp,
+	// softmax and head merge over the second under the first, a leaky-relu.
+	{4, 0, 0, 2, 0, 0, 2, 225, 2, 9, 3, 3, 0, 4},
+	// The same chain three more times, each standing in a region's way: no
+	// softmax, the sum read back as Src_V, the denominators the output.
+	{4, 0, 0, 2, 0, 0, 2, 225, 2, 11, 3, 3, 0, 4},
+	{1, 0, 0, 2, 0, 0, 2, 240, 2, 5, 3, 3, 0, 4},
+	{4, 0, 0, 2, 0, 0, 2, 255, 2, 7, 3},
 }
 
 func FuzzCompileEquivalence(f *testing.F) {

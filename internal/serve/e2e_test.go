@@ -266,39 +266,44 @@ func TestE2EQueueFullFastReject(t *testing.T) {
 
 // TestE2EBreakerDegradesToReference: acceptance (b) — sustained injected
 // kernel panics trip the breaker; subsequent requests succeed via the
-// resilient fallback with outputs matching the reference oracle to 1e-4.
+// resilient fallback with outputs matching the reference oracle to 1e-4. GAT
+// is served beside GCN because its graph kernels are row-resident regions:
+// their fallback reruns the recorded edge-softmax steps on the reference
+// interpreter, and that too must be the oracle's answer.
 func TestE2EBreakerDegradesToReference(t *testing.T) {
-	d := startDaemon(t, "-models", "GCN", "-breaker-threshold", "2",
+	d := startDaemon(t, "-models", "GCN,GAT", "-breaker-threshold", "2",
 		"-breaker-cooldown", "5m", "-faults", "kernel-panic-load:every=1")
-	want := oracleLogits(t, "GCN")
+	for _, model := range []string{"GCN", "GAT"} {
+		want := oracleLogits(t, model)
 
-	// Below the threshold the breaker is closed and failures surface.
-	for i := 0; i < 2; i++ {
-		code, _, _ := infer(t, d, e2eInferRequest{Model: "GCN", Vertices: []int{3}})
-		if code != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d, want 500 while breaker closed", i, code)
-		}
-	}
-	// Tripped: service continues, degraded, and numerically correct.
-	vertices := []int{3, 42, 2707}
-	for i := 0; i < 3; i++ {
-		code, resp, _ := infer(t, d, e2eInferRequest{Model: "GCN", Vertices: vertices})
-		if code != http.StatusOK {
-			t.Fatalf("degraded request %d: status %d, want 200 (output:\n%s)", i, code, d.output())
-		}
-		if !resp.Degraded {
-			t.Error("open breaker served degraded=false")
-		}
-		for j, v := range vertices {
-			row := want.Data[v*want.Cols : (v+1)*want.Cols]
-			diff := 0.0
-			for k := range row {
-				if dv := math.Abs(float64(resp.Logits[j][k]) - float64(row[k])); dv > diff {
-					diff = dv
-				}
+		// Below the threshold the breaker is closed and failures surface.
+		for i := 0; i < 2; i++ {
+			code, _, _ := infer(t, d, e2eInferRequest{Model: model, Vertices: []int{3}})
+			if code != http.StatusInternalServerError {
+				t.Fatalf("%s request %d: status %d, want 500 while breaker closed", model, i, code)
 			}
-			if diff > 1e-4 {
-				t.Errorf("degraded vertex %d: maxdiff %g vs reference", v, diff)
+		}
+		// Tripped: service continues, degraded, and numerically correct.
+		vertices := []int{3, 42, 2707}
+		for i := 0; i < 3; i++ {
+			code, resp, _ := infer(t, d, e2eInferRequest{Model: model, Vertices: vertices})
+			if code != http.StatusOK {
+				t.Fatalf("%s degraded request %d: status %d, want 200 (output:\n%s)", model, i, code, d.output())
+			}
+			if !resp.Degraded {
+				t.Errorf("%s: open breaker served degraded=false", model)
+			}
+			for j, v := range vertices {
+				row := want.Data[v*want.Cols : (v+1)*want.Cols]
+				diff := 0.0
+				for k := range row {
+					if dv := math.Abs(float64(resp.Logits[j][k]) - float64(row[k])); dv > diff {
+						diff = dv
+					}
+				}
+				if diff > 1e-4 {
+					t.Errorf("%s degraded vertex %d: maxdiff %g vs reference", model, v, diff)
+				}
 			}
 		}
 	}
@@ -312,6 +317,9 @@ func TestE2EBreakerDegradesToReference(t *testing.T) {
 	for _, series := range []string{
 		`ugrapher_serve_breaker_transitions_total{model="GCN",to="open"} 1`,
 		`ugrapher_serve_degraded_total{model="GCN"} 3`,
+		`ugrapher_serve_breaker_transitions_total{model="GAT",to="open"} 1`,
+		`ugrapher_serve_degraded_total{model="GAT"} 3`,
+		`ugrapher_program_slab_bytes{model="GCN"} 0`,
 	} {
 		if !bytes.Contains(metrics, []byte(series)) {
 			t.Errorf("metrics missing %q", series)
@@ -319,6 +327,9 @@ func TestE2EBreakerDegradesToReference(t *testing.T) {
 	}
 	if !bytes.Contains(metrics, []byte(`ugrapher_fallbacks_total`)) {
 		t.Error("metrics missing ugrapher_fallbacks_total")
+	}
+	if bytes.Contains(metrics, []byte(`ugrapher_program_slab_bytes{model="GAT"} 0`)) || !bytes.Contains(metrics, []byte(`ugrapher_program_slab_bytes{model="GAT"}`)) {
+		t.Error("GAT's row-resident regions report no slab bytes")
 	}
 }
 

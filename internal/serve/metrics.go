@@ -45,11 +45,12 @@ const (
 	// metricCompiles counts programs compiled: one per distinct model.
 	metricCompiles = "ugrapher_serve_compiles_total"
 	// The resident size of a model's compiled program by part — arena, packed
-	// GEMM weights, region staging buffers; gauges per model, set once at
-	// compile.
+	// GEMM weights, region staging buffers, row-resident regions' slabs;
+	// gauges per model, set once at compile.
 	metricProgramArenaBytes   = "ugrapher_program_arena_bytes"
 	metricProgramPackedBytes  = "ugrapher_program_packed_bytes"
 	metricProgramStagingBytes = "ugrapher_program_staging_bytes"
+	metricProgramSlabBytes    = "ugrapher_program_slab_bytes"
 	// metricStageSeconds is the per-stage latency attribution histogram,
 	// labelled by model and stage (admission, queue_wait, batch_wait,
 	// compile, kernel, respond) — the aggregate view of the per-request
@@ -117,6 +118,7 @@ func publishProgramBytes(model string, st program.Stats) {
 	set(metricProgramArenaBytes, st.ArenaFloats)
 	set(metricProgramPackedBytes, st.PackedFloats)
 	set(metricProgramStagingBytes, st.StagingFloats)
+	set(metricProgramSlabBytes, st.SlabFloats)
 }
 
 // handleMetrics refreshes the scrape-time gauges and writes the Prometheus

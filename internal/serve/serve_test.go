@@ -520,6 +520,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf(`ugrapher_program_arena_bytes{model="GCN"} %d`, h.prog.Stats().ArenaFloats*4),
 		fmt.Sprintf(`ugrapher_program_packed_bytes{model="GCN"} %d`, h.prog.Stats().PackedFloats*4),
 		`ugrapher_program_staging_bytes{model="GCN"} 0`,
+		`ugrapher_program_slab_bytes{model="GCN"} 0`,
 	} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("metrics snapshot missing %s", series)
@@ -586,6 +587,26 @@ func TestModelsEndpointListsRewrites(t *testing.T) {
 	} {
 		if !strings.Contains(all, want) {
 			t.Errorf("rewrites of %s lack %q:\n%s", listing.Models[0].Name, want, all)
+		}
+	}
+
+	// A row-resident region is one line of the same array: the head, the
+	// rule, the stages that run in its chunks and the slabs they run on.
+	_, ts = newTestServer(t, Config{Models: []string{"GAT"}})
+	resp, err = http.Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if err != nil || len(listing.Models) != 1 || len(listing.Models[0].Rewrites) != 2 {
+		t.Fatalf("/v1/models: %v, %+v; want GAT's two regions", err, listing)
+	}
+	for i, line := range listing.Models[0].Rewrites {
+		head := fmt.Sprintf("row-resident GAT_L%d_Aggr: accepted under rule fusion-region", i+1)
+		stages := fmt.Sprintf("4 interior stages in the row chunks (GAT_L%[1]d_MsgC, GAT_L%[1]d_softmax_sum, GAT_L%[1]d_softmax_div, GAT_L%[1]d_head_merge), slabs ", i+1)
+		if !strings.HasPrefix(line, head) || !strings.Contains(line, stages) || !strings.HasSuffix(line, " KiB") {
+			t.Errorf("rewrite line %d is %q", i, line)
 		}
 	}
 }
