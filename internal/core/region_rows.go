@@ -84,9 +84,10 @@ func (s *InteriorStage) isGraph() bool { return s.Chain == nil && !s.RowMean }
 // covers before the next row starts a new chunk (a row with more is a chunk
 // alone): at GAT's eight heads an Edge slab of that many rows is 64 KB, so the
 // three a layer needs stay in L2 beside the source rows, and PR's 162 k edges
-// still make 80 chunks for two workers to balance. 1024 to 8192 measured
-// within 3 % of each other (BenchmarkGATLayer). It does not depend on the
-// worker count, so neither do the chunk boundaries nor any result.
+// still make 80 chunks for two workers to balance. It is not a tuned value:
+// 512 to 32768 measured within the bench host's run-to-run noise (+-8 %) of
+// each other on GAT/PR (BenchmarkGATLayer). It does not depend on the worker
+// count, so neither do the chunk boundaries nor any result.
 const regionEdgeBudget = 2048
 
 // validate checks the chain's shape against the head and the graph: value
@@ -111,7 +112,7 @@ func (in *Interior) validate(p *Plan, g *graph.Graph, o Operands) error {
 			if op.In >= len(in.Values) || !defined[op.In] {
 				return fmt.Errorf("reads interior value %d before any stage defines it", op.In)
 			}
-			if v := in.Values[op.In]; v.Kind != kind || kind == tensor.SrcV {
+			if v := in.Values[op.In]; v.Kind != kind {
 				return fmt.Errorf("reads interior %s value %d as %s", v.Kind, op.In, kind)
 			}
 			cols = in.Values[op.In].Cols

@@ -433,7 +433,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 				cp.stats.RowRegions++
 				cp.stats.InteriorStages += c.InteriorStages
 				cp.stats.SlabFloats += c.SlabFloats
-				cp.rewrites = append(cp.rewrites, rowRegionNote(work, n, numV, numE, c.SlabFloats))
+				cp.rewrites = append(cp.rewrites, rowRegionNote(work, n, operands.Interior, numV, numE, c.SlabFloats))
 			}
 			// The lowered kernel reports the worker count too, which keeps it
 			// visible behind a backend decorator that hides Workers().

@@ -544,7 +544,7 @@ func interiorOf(p *Program, n *Node, views []*tensor.Dense) *core.Interior {
 			in.Stages = append(in.Stages, st)
 			if d.Region != nil && len(d.Region.Post) > 0 {
 				in.Stages = append(in.Stages, core.InteriorStage{
-					Name: d.Region.Name, Chain: apply(d.Region.Post), A: core.InteriorOperand{In: st.Out}, Out: st.Out,
+					Name: d.Name + " epilogue", Chain: apply(d.Region.Post), A: core.InteriorOperand{In: st.Out}, Out: st.Out,
 				})
 			}
 		case OpUnary:
@@ -576,13 +576,11 @@ func interiorOf(p *Program, n *Node, views []*tensor.Dense) *core.Interior {
 // rowRegionNote is the provenance line of a lowered row-resident region: what
 // the interior values would have streamed as tensors — each written once and
 // read once per reader — the stages that now run in the chunk, and the slabs.
-func rowRegionNote(p *Program, n *Node, numV, numE int, slabFloats int) RewriteNote {
+func rowRegionNote(p *Program, n *Node, in *core.Interior, numV, numE, slabFloats int) RewriteNote {
 	r := n.Region
 	var bytes int64
-	names := make([]string, len(r.Interior))
 	for i := range r.Interior {
 		d := &r.Interior[i]
-		names[i] = d.Name
 		readers := int64(0)
 		if n.X == d.Out || n.Y == d.Out {
 			readers++
@@ -594,10 +592,14 @@ func rowRegionNote(p *Program, n *Node, numV, numE int, slabFloats int) RewriteN
 		}
 		bytes += (1 + readers) * p.Values[d.Out].bytes(numV, numE)
 	}
+	names := make([]string, len(in.Stages))
+	for i := range in.Stages {
+		names[i] = in.Stages[i].Name
+	}
 	return RewriteNote{
 		Pass: PassRowResident, Node: n.Name, Accepted: true, Rule: analysis.RuleFusionRegion, BytesBefore: bytes,
 		Detail: fmt.Sprintf("%d interior stages in the row chunks (%s), slabs %.1f KiB",
-			len(r.Interior), strings.Join(names, ", "), float64(slabFloats)*4/1024),
+			len(names), strings.Join(names, ", "), float64(slabFloats)*4/1024),
 	}
 }
 

@@ -604,7 +604,7 @@ func TestModelsEndpointListsRewrites(t *testing.T) {
 	}
 	for i, line := range listing.Models[0].Rewrites {
 		head := fmt.Sprintf("row-resident GAT_L%d_Aggr: accepted under rule fusion-region", i+1)
-		stages := fmt.Sprintf("4 interior stages in the row chunks (GAT_L%[1]d_MsgC, GAT_L%[1]d_softmax_sum, GAT_L%[1]d_softmax_div, GAT_L%[1]d_head_merge), slabs ", i+1)
+		stages := fmt.Sprintf("5 interior stages in the row chunks (GAT_L%[1]d_MsgC, GAT_L%[1]d_MsgC epilogue, GAT_L%[1]d_softmax_sum, GAT_L%[1]d_softmax_div, GAT_L%[1]d_head_merge), slabs ", i+1)
 		if !strings.HasPrefix(line, head) || !strings.Contains(line, stages) || !strings.HasSuffix(line, " KiB") {
 			t.Errorf("rewrite line %d is %q", i, line)
 		}
