@@ -166,14 +166,14 @@ func (n *IRNode) interior(v int) bool {
 // the head of a row-resident region, what its interior nodes bind, less the
 // interior values themselves.
 func (n *IRNode) operands() []int {
-	b := n.binds()
-	vs := b[:]
-	for i := range n.Interior {
-		b := n.Interior[i].binds()
-		vs = append(vs, b[:]...)
-	}
+	own := n.binds()
+	vs := own[:]
 	if len(n.Interior) == 0 {
 		return vs
+	}
+	for i := range n.Interior {
+		theirs := n.Interior[i].binds()
+		vs = append(vs, theirs[:]...)
 	}
 	return slices.DeleteFunc(vs, n.interior)
 }

@@ -213,6 +213,20 @@ func checkFusedPair(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]
 	return diags
 }
 
+// valueBytes is the storage of recorded value val on a graph of the given
+// size, 0 for a reference outside the value table.
+func valueBytes(pre *ProgramIR, val, numV, numE int) int64 {
+	if val < 0 || val >= len(pre.Values) {
+		return 0
+	}
+	v := pre.Values[val]
+	rows := int64(numV)
+	if v.Rows == EdgeRows {
+		rows = int64(numE)
+	}
+	return 4 * rows * int64(v.Cols)
+}
+
 // regionOverheadBytes is the verifier's own per-absorbed-kernel launch
 // allowance for the region cost bound. It is declared here, independent of
 // program.DefaultCostModel, on purpose: the bound must not inherit a bug in
@@ -236,17 +250,7 @@ func checkRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]int
 	region := func(msg, hint string, vals ...int) {
 		diags = append(diags, Diagnostic{Rule: RuleFusionRegion, Node: n.Name, Values: vals, Msg: msg, Hint: hint})
 	}
-	bytesOf := func(val int) int64 {
-		if val < 0 || val >= len(pre.Values) {
-			return 0
-		}
-		v := pre.Values[val]
-		rows := int64(numV)
-		if v.Rows == EdgeRows {
-			rows = int64(numE)
-		}
-		return 4 * rows * int64(v.Cols)
-	}
+	bytesOf := func(val int) int64 { return valueBytes(pre, val, numV, numE) }
 	maxSaved := interiorSaved
 
 	// interior checks that an erased in-region value was consumed exactly
@@ -438,16 +442,7 @@ func checkRowRegion(pre *ProgramIR, n *IRNode, preDef map[int]int, uses map[int]
 	region := func(msg, hint string, vals ...int) {
 		diags = append(diags, Diagnostic{Rule: RuleFusionRegion, Node: n.Name, Values: vals, Msg: msg, Hint: hint})
 	}
-	bytesOf := func(val int) int64 {
-		if val < 0 || val >= len(pre.Values) {
-			return 0
-		}
-		rows := int64(numV)
-		if pre.Values[val].Rows == EdgeRows {
-			rows = int64(numE)
-		}
-		return 4 * rows * int64(pre.Values[val].Cols)
-	}
+	bytesOf := func(val int) int64 { return valueBytes(pre, val, numV, numE) }
 	edgeRows := func(val int) bool {
 		return val >= 0 && val < len(pre.Values) && pre.Values[val].Rows == EdgeRows
 	}

@@ -90,8 +90,7 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 	if err := p.validateOperands(g.NumVertices(), g.NumEdges(), o); err != nil {
 		return nil, err
 	}
-	k := &parallelKernel{b: b, p: p, g: g, o: o, fanout: b.fanout(g, o.C.T.Cols), site: kernelSite(p, b.Name(), g)}
-	k.site.Walk = k.walk()
+	k := b.newKernel(p, g, o)
 	// The chunk body and its pool job are bound once: a closure or method
 	// value taken per Run would allocate each call and break the
 	// zero-steady-state contract.
@@ -141,14 +140,21 @@ func (b *ParallelBackend) lowerRegion(p *Plan, g *graph.Graph, o Operands) (Comp
 	if o.C.T == nil {
 		return nil, fmt.Errorf("core: output tensor C is required")
 	}
-	k := &parallelKernel{b: b, p: p, g: g, o: o, fanout: b.fanout(g, o.C.T.Cols), site: kernelSite(p, b.Name(), g)}
-	k.site.Walk = k.walk()
+	k := b.newKernel(p, g, o)
 	var err error
 	if k.region, err = lowerRowRegion(k, o.Interior); err != nil {
 		return nil, err
 	}
 	k.setJob(k.regionChunk, len(k.region.cuts)-1, 1)
 	return k, nil
+}
+
+// newKernel is the kernel of p over operands whose output tensor is known to
+// be there, before its chunk body is bound.
+func (b *ParallelBackend) newKernel(p *Plan, g *graph.Graph, o Operands) *parallelKernel {
+	k := &parallelKernel{b: b, p: p, g: g, o: o, fanout: b.fanout(g, o.C.T.Cols), site: kernelSite(p, b.Name(), g)}
+	k.site.Walk = k.walk()
+	return k
 }
 
 type parallelKernel struct {

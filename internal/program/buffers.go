@@ -130,16 +130,15 @@ func PlanBuffers(p *Program, numVertices, numEdges int) (*BufferPlan, error) {
 				dying = append(dying, v)
 			}
 		}
-		nd := len(dying)
 
 		// In-place aliasing: reuse the dying X slot directly.
 		if aliasable(n) && n.X != NoValue && plan.Assign[n.X] != NoSlot && plan.LastUse[n.X] == i {
 			plan.Assign[n.Out] = plan.Assign[n.X]
 			plan.InPlace[i] = true
 			// X's slot transfers to Out; free any *other* dying operand.
-			for k := 0; k < nd; k++ {
-				if dying[k] != n.X {
-					free(plan.Assign[dying[k]])
+			for _, v := range dying {
+				if v != n.X {
+					free(plan.Assign[v])
 				}
 			}
 			if held > plan.PeakLive {
@@ -154,8 +153,8 @@ func PlanBuffers(p *Program, numVertices, numEdges int) (*BufferPlan, error) {
 		if held > plan.PeakLive {
 			plan.PeakLive = held
 		}
-		for k := 0; k < nd; k++ {
-			free(plan.Assign[dying[k]])
+		for _, v := range dying {
+			free(plan.Assign[v])
 		}
 		// A value nothing reads (only possible without dead-code elimination)
 		// releases its slot immediately: later definitions may overwrite it.

@@ -24,8 +24,9 @@ import (
 // single-threaded on the 2-CPU bench host with the kernels that run them
 // (`make bench-kernels`: BenchmarkGemmPacked, BenchmarkExp and
 // BenchmarkElementwise over sign-random, all-positive and rectified inputs;
-// EXPERIMENTS.md "Dense rewrites" and "GAT's message path"). They only rank steps against the two thresholds below; a 2x
-// error moves a step's chunk count, not its result.
+// EXPERIMENTS.md "Dense rewrites" and "GAT's message path"). They only rank
+// steps against the two thresholds below; a 2x error moves a step's chunk
+// count, not its result.
 const (
 	copyNsPerElem    = 0.3
 	concatNsPerElem  = 0.55 // per output element

@@ -440,24 +440,22 @@ func growInterior(nodes []Node, removed []bool, hi int, defIdx map[ValueID]int, 
 			if in[di] {
 				return true
 			}
-			d := &nodes[di]
+			d, ok := &nodes[di], false
 			switch {
 			case edgeOutput(d):
-				in[di] = true
+				ok = true
 				for _, u := range d.operands() {
-					if u != NoValue {
-						absorb(u) // an operand that stays outside is read from storage
-					}
+					absorb(u) // an operand that stays outside is read from storage
 				}
 			case pureScatter(d):
-				in[di] = absorb(d.Y)
+				ok = absorb(d.Y)
 			case d.Op == OpUnary || d.Op == OpHeadMerge:
-				in[di] = absorb(d.X)
+				ok = absorb(d.X)
 			}
-			if !in[di] {
-				delete(in, di)
+			if ok {
+				in[di] = true
 			}
-			return in[di]
+			return ok
 		}
 		if !absorb(edge) {
 			return nil
