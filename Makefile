@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-generic portable-build check bench bench-models bench-obs bench-kernels race race-pinned vet faults obs lint verify serve e2e
+.PHONY: build test test-generic portable-build check bench-obs bench-kernels race race-pinned vet faults obs lint verify serve e2e
 
 build:
 	$(GO) build ./...
@@ -96,17 +96,6 @@ obs:
 # compiled GCN forward (disabled / enabled / traced); the budget is <5%.
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead|BenchmarkTraceOverhead' .
-
-# bench regenerates the reference-vs-parallel backend comparison on the
-# skewed (AR) and regular (PR) datasets.
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkBackendCompare -benchmem .
-
-# bench-models regenerates the compiled-vs-interpreted whole-model
-# comparison (GCN and GAT on AR and PR); compiled rows must report
-# 0 allocs/op.
-bench-models:
-	$(GO) test -run '^$$' -bench BenchmarkForwardCompiled -benchmem .
 
 # bench-kernels is the measurement behind core/span.go's block width and
 # program/dense.go's cost constants: the operator shapes the benchmark's

@@ -1,20 +1,17 @@
-// Package main's bench_test provides one testing.B benchmark per paper
-// table/figure, plus micro-benchmarks of the core kernels. The experiment
-// benchmarks run the same code as `ugrapher-bench <id>` in quick mode and
-// report the experiment's wall time per iteration; run the CLI for the full
-// tables. Regenerate everything with:
-//
-//	go test -bench=. -benchmem ./...
+// Package main's bench_test holds the benchmarks nothing else measures: the
+// simulator's own unit costs (one Simulate call, a grid search, the cache
+// model's hot loop) and the overhead of the telemetry and tracing hooks
+// (`make bench-obs`). The paper's tables are `ugrapher-bench <id>` (simulated
+// cycles), end-to-end host wall clock is `benchmark/`, and kernel
+// micro-benchmarks are `make bench-kernels`.
 package main
 
 import (
 	"context"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/gpu"
@@ -26,47 +23,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// benchExperiment runs a registered experiment in quick mode.
-func benchExperiment(b *testing.B, id string) {
-	e, err := bench.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := bench.Options{Quick: true}
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig1Heatmap(b *testing.B)            { benchExperiment(b, "fig1") }
-func BenchmarkTable2OperatorCensus(b *testing.B)   { benchExperiment(b, "table2") }
-func BenchmarkTable3Datasets(b *testing.B)         { benchExperiment(b, "table3") }
-func BenchmarkFig3DGLLimitations(b *testing.B)     { benchExperiment(b, "fig3") }
-func BenchmarkTable4Representation(b *testing.B)   { benchExperiment(b, "table4") }
-func BenchmarkTable6Tradeoffs(b *testing.B)        { benchExperiment(b, "table6") }
-func BenchmarkFig7OptimalVaries(b *testing.B)      { benchExperiment(b, "fig7") }
-func BenchmarkFig12Predictor(b *testing.B)         { benchExperiment(b, "fig12") }
-func BenchmarkFig13EndToEnd(b *testing.B)          { benchExperiment(b, "fig13") }
-func BenchmarkFig14PerModelSpeedup(b *testing.B)   { benchExperiment(b, "fig14") }
-func BenchmarkFig15PerDatasetSpeedup(b *testing.B) { benchExperiment(b, "fig15") }
-func BenchmarkFig16Metrics(b *testing.B)           { benchExperiment(b, "fig16") }
-func BenchmarkFig17BasicVsTuned(b *testing.B)      { benchExperiment(b, "fig17") }
-func BenchmarkFig18GroupTileSweep(b *testing.B)    { benchExperiment(b, "fig18") }
-func BenchmarkTable9OptimalSchedules(b *testing.B) { benchExperiment(b, "table9") }
-func BenchmarkFig19Reordering(b *testing.B)        { benchExperiment(b, "fig19") }
-func BenchmarkFig2Imbalance(b *testing.B)          { benchExperiment(b, "fig2") }
-func BenchmarkTable8Setup(b *testing.B)            { benchExperiment(b, "table8") }
-func BenchmarkAblationSpace(b *testing.B)          { benchExperiment(b, "ablation-space") }
-func BenchmarkAblationSim(b *testing.B)            { benchExperiment(b, "ablation-sim") }
-func BenchmarkAblationPredictor(b *testing.B)      { benchExperiment(b, "ablation-predictor") }
-
-// --- micro-benchmarks of the library itself ---
+// --- micro-benchmarks of the simulator ---
 
 func benchGraph(b *testing.B, n, m int) *graph.Graph {
 	b.Helper()
@@ -80,28 +37,6 @@ func benchGraph(b *testing.B, n, m int) *graph.Graph {
 		b.Fatal(err)
 	}
 	return g
-}
-
-// BenchmarkFunctionalExecute measures the functional executor across the
-// four strategies (the kernel the examples and tests run).
-func BenchmarkFunctionalExecute(b *testing.B) {
-	g := benchGraph(b, 5000, 50000)
-	x := tensor.NewDense(5000, 64)
-	x.FillRandom(rand.New(rand.NewSource(2)), 1)
-	out := tensor.NewDense(5000, 64)
-	o := core.Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Dst(out)}
-	for _, s := range core.Strategies {
-		s := s
-		b.Run(s.Code(), func(b *testing.B) {
-			p := core.MustCompile(ops.AggrSum, core.Schedule{Strategy: s, Group: 1, Tile: 1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Execute(g, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSimulate measures one simulator invocation per strategy — the
@@ -135,134 +70,38 @@ func BenchmarkGridSearch(b *testing.B) {
 	}
 }
 
-// --- backend comparison: reference interpreter vs parallel host backend ---
+// BenchmarkCacheAccess isolates the cache model's hot loop.
+func BenchmarkCacheAccess(b *testing.B) {
+	c := gpu.NewCache(6<<20, 128, 16)
+	rng := rand.New(rand.NewSource(3))
+	lines := make([]int64, 1<<16)
+	for i := range lines {
+		lines[i] = int64(rng.Intn(1 << 18))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(lines[i&(1<<16-1)])
+	}
+}
 
-// backendBenchGraphs lazily generates the two comparison datasets once: AR
-// (artist, 1.6M edges, heavily skewed degrees) and PR (PROTEINS_full, 162k
-// edges, regular degrees) from the paper's Table 3.
-var backendBenchGraphs = struct {
+// --- telemetry and tracing overhead (make bench-obs) ---
+
+// obsBenchGraphs lazily generates the two datasets once: AR (artist, 1.6M
+// edges, heavily skewed degrees) and PR (PROTEINS_full, 162k edges, regular
+// degrees) from the paper's Table 3.
+var obsBenchGraphs = struct {
 	once sync.Once
 	ar   *graph.Graph
 	pr   *graph.Graph
 }{}
 
-func loadBackendBenchGraphs(b *testing.B) (skewed, regular *graph.Graph) {
+func loadObsBenchGraphs(b *testing.B) (skewed, regular *graph.Graph) {
 	b.Helper()
-	backendBenchGraphs.once.Do(func() {
-		backendBenchGraphs.ar, _ = datasets.MustLoad("AR")
-		backendBenchGraphs.pr, _ = datasets.MustLoad("PR")
+	obsBenchGraphs.once.Do(func() {
+		obsBenchGraphs.ar, _ = datasets.MustLoad("AR")
+		obsBenchGraphs.pr, _ = datasets.MustLoad("PR")
 	})
-	return backendBenchGraphs.ar, backendBenchGraphs.pr
-}
-
-// BenchmarkBackendCompare pits the sequential reference interpreter
-// against the parallel host backend on a skewed (AR) and a regular (PR)
-// dataset, for one vertex-parallel and one edge-parallel strategy. This is
-// the ISSUE-1 acceptance benchmark; CHANGES.md records measured speedups.
-func BenchmarkBackendCompare(b *testing.B) {
-	ar, pr := loadBackendBenchGraphs(b)
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{{"AR-skewed", ar}, {"PR-regular", pr}}
-	backends := []struct {
-		name string
-		b    core.ExecBackend
-	}{
-		{"reference", core.ReferenceBackend()},
-		{"parallel", core.NewParallelBackend(0)},
-	}
-	const feat = 32
-	for _, gr := range graphs {
-		for _, strat := range []core.Strategy{core.ThreadVertex, core.ThreadEdge} {
-			x := tensor.NewDense(gr.g.NumVertices(), feat)
-			x.FillRandom(rand.New(rand.NewSource(7)), 1)
-			out := tensor.NewDense(gr.g.NumVertices(), feat)
-			o := core.Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Dst(out)}
-			p := core.MustCompile(ops.AggrSum, core.Schedule{Strategy: strat, Group: 1, Tile: 1})
-			for _, bk := range backends {
-				bk := bk
-				b.Run(gr.name+"/"+strat.Code()+"/"+bk.name, func(b *testing.B) {
-					k, err := bk.b.Lower(p, gr.g, o)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.SetBytes(int64(gr.g.NumEdges()) * feat * 4)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := k.Run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// --- compiled model programs: compile-once steady state vs interpreter ---
-
-// BenchmarkForwardCompiled compares the compiled model path (record ->
-// fuse -> schedule -> buffer-plan once, then reuse kernels and arena)
-// against the op-by-op interpreter for GCN and GAT on a skewed (AR) and a
-// regular (PR) dataset. Run with -benchmem: the compiled steady state
-// reports 0 allocs/op for intermediates; the interpreter re-lowers kernels
-// and allocates per-stage tensors every iteration. This is the ISSUE-2
-// acceptance benchmark; EXPERIMENTS.md records the measured numbers.
-func BenchmarkForwardCompiled(b *testing.B) {
-	ar, pr := loadBackendBenchGraphs(b)
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{{"AR-skewed", ar}, {"PR-regular", pr}}
-	const feat, classes = 32, 16
-	for _, gr := range graphs {
-		for _, mn := range []string{"GCN", "GAT"} {
-			m, err := models.ByName(mn)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// A fixed engine keeps schedule choice out of the timing: both
-			// paths run identical kernels, so the delta is host overhead.
-			eng := &models.FixedEngine{
-				EngineName:   "bench",
-				Dev:          gpu.V100(),
-				AggrSchedule: core.DefaultSchedule,
-				MsgCSchedule: core.DefaultSchedule,
-				Fuses:        true,
-				Compute:      core.NewParallelBackend(0),
-			}
-			x := tensor.NewDense(gr.g.NumVertices(), feat)
-			x.FillRandom(rand.New(rand.NewSource(7)), 1)
-
-			b.Run(gr.name+"/"+mn+"/interpreted", func(b *testing.B) {
-				if _, err := m.Forward(gr.g, x, classes, eng); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := m.Forward(gr.g, x, classes, eng); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(gr.name+"/"+mn+"/compiled", func(b *testing.B) {
-				cp, err := models.CompileModel(m, gr.g, feat, classes, eng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cp.Run(x); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := cp.Run(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
+	return obsBenchGraphs.ar, obsBenchGraphs.pr
 }
 
 // BenchmarkTelemetryOverhead measures the cost of the telemetry hooks around
@@ -271,7 +110,7 @@ func BenchmarkForwardCompiled(b *testing.B) {
 // the observability-issue acceptance benchmark; EXPERIMENTS.md records the
 // measured overhead (budget: <5% enabled).
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	ar, pr := loadBackendBenchGraphs(b)
+	ar, pr := loadObsBenchGraphs(b)
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -319,7 +158,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // acceptance benchmark; EXPERIMENTS.md records the measured overhead
 // (budget: <5% traced vs disabled).
 func BenchmarkTraceOverhead(b *testing.B) {
-	ar, pr := loadBackendBenchGraphs(b)
+	ar, pr := loadObsBenchGraphs(b)
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -365,19 +204,5 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCacheAccess isolates the cache model's hot loop.
-func BenchmarkCacheAccess(b *testing.B) {
-	c := gpu.NewCache(6<<20, 128, 16)
-	rng := rand.New(rand.NewSource(3))
-	lines := make([]int64, 1<<16)
-	for i := range lines {
-		lines[i] = int64(rng.Intn(1 << 18))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(lines[i&(1<<16-1)])
 	}
 }

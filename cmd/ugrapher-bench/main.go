@@ -11,7 +11,8 @@
 //
 // Output is aligned text, one table per experiment; EXPERIMENTS.md discusses
 // the expected shapes. -json additionally writes one machine-readable summary
-// record per experiment (id, datasets, backend, workers, wall time).
+// record per experiment (id, datasets, rows, verifier verdict, and how long the
+// table took to produce).
 package main
 
 import (
@@ -26,9 +27,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/program"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -38,13 +36,10 @@ func main() {
 	sample := flag.Int("sample", 0, "simulator sampled blocks per kernel (0 = default)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.String("json", "", "write per-experiment JSON summary records to this file")
-	backend := flag.String("backend", "", "host compute backend for functional passes: reference, parallel, resilient or sim (empty = parallel / $UGRAPHER_BACKEND)")
-	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget, checked between experiments (0 = none); exceeding it exits with code 3")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
 	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit")
-	parallelSteps := flag.Bool("parallel-steps", false, "execute provably independent compiled steps concurrently (verified wave schedule)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ugrapher-bench [flags] <experiment|all|list>\n\nflags:\n")
 		flag.PrintDefaults()
@@ -56,26 +51,8 @@ func main() {
 	}
 	cmd := flag.Arg(0)
 
-	// Exit codes: 1 = experiment error, 2 = usage (bad flags/environment),
-	// 3 = -timeout exceeded.
-	if err := core.ValidateEnvBackend(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvShards(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvWorkers(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if *shards >= 0 {
-		if err := core.SetDefaultShards(*shards); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	// Exit codes: 1 = experiment error, 2 = usage (bad flags or experiment
+	// id), 3 = -timeout exceeded.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -83,20 +60,7 @@ func main() {
 		defer cancel()
 	}
 
-	opts := bench.Options{Quick: *quick, SampleBlocks: *sample, Backend: *backend}
-	if _, err := opts.ComputeBackend(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if *backend != "" {
-		// Functional passes outside enginesFor (examples, helpers) follow
-		// the same selection.
-		if err := core.SetDefaultBackend(*backend); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher-bench: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	program.SetParallelSteps(*parallelSteps)
+	opts := bench.Options{Quick: *quick, SampleBlocks: *sample}
 	if *datasets != "" {
 		opts.Datasets = strings.Split(*datasets, ",")
 	}
@@ -179,26 +143,11 @@ type experimentSummary struct {
 	Experiment string   `json:"experiment"`
 	Title      string   `json:"title"`
 	Datasets   []string `json:"datasets,omitempty"`
-	Backend    string   `json:"backend"`
-	Workers    int      `json:"workers"`
-	// Shards is the configured shard count for the parallel backend (1 =
-	// unsharded); EdgeCut is the cross-shard edge fraction of the most recent
-	// partition built during the experiment (0 when nothing was partitioned).
-	Shards  int     `json:"shards"`
-	EdgeCut float64 `json:"edgecut"`
-	Quick   bool    `json:"quick"`
-	WallMs  float64 `json:"wall_ms"`
-	Rows    int     `json:"rows"`
-	// FusedRegions and GemmBlocked count fusion regions grown and GEMM steps
-	// lowered through the packed blocked path while the experiment ran
-	// (process-wide compile counters diffed around the run).
-	FusedRegions int64 `json:"fused_regions"`
-	GemmBlocked  int64 `json:"gemm_blocked"`
-	// Waves counts the verified wave-schedule levels compiled while the
-	// experiment ran (process-wide counter diffed around the run), and
-	// WavesVerified the wave-schedule verification passes behind them.
-	Waves         int64 `json:"waves"`
-	WavesVerified int64 `json:"waves_verified"`
+	Quick      bool     `json:"quick"`
+	// WallMs is how long the table took to produce: tool feedback, not a
+	// measurement of the system (host wall clock is benchmark/'s job).
+	WallMs float64 `json:"wall_ms"`
+	Rows   int     `json:"rows"`
 	// Verified reports whether the static analysis ran over the experiment's
 	// compiled artifacts and found no violations. False means no plan or
 	// program was compiled during the run (nothing was verified) — a clean
@@ -224,19 +173,11 @@ func writeSummaries(path string, summaries []experimentSummary) error {
 func runOne(e bench.Experiment, opts bench.Options, csvOut bool, summaries *[]experimentSummary) error {
 	start := time.Now()
 	vsBefore := analysis.Stats()
-	spBefore := shard.Stats()
-	gcBefore := program.GlobalStats()
 	tab, err := e.Run(opts)
 	if err != nil {
 		return err
 	}
 	vsAfter := analysis.Stats()
-	spAfter := shard.Stats()
-	gcAfter := program.GlobalStats()
-	var edgeCut float64
-	if spAfter.Partitions > spBefore.Partitions {
-		edgeCut = spAfter.LastEdgeCut
-	}
 	wall := time.Since(start)
 	render := tab.Render
 	if csvOut {
@@ -245,27 +186,16 @@ func runOne(e bench.Experiment, opts bench.Options, csvOut bool, summaries *[]ex
 	if err := render(os.Stdout); err != nil {
 		return err
 	}
-	// Two explicitly separate numbers: table cells are *simulated GPU
-	// cycles* (the schedule-cost model); the line below is *measured host
-	// wall-clock* of producing the experiment on the selected backend.
-	b, _ := opts.ComputeBackend()
-	fmt.Printf("(%s: simulated cycles in table; host wall-clock %v, backend=%s)\n\n",
-		e.ID, wall.Round(time.Millisecond), b.Name())
+	// Table cells are simulated GPU cycles; the time below is only how long
+	// the table took to produce.
+	fmt.Printf("(%s: simulated cycles in table; produced in %v)\n\n", e.ID, wall.Round(time.Millisecond))
 	*summaries = append(*summaries, experimentSummary{
-		Experiment:    e.ID,
-		Title:         e.Title,
-		Datasets:      opts.Datasets,
-		Backend:       b.Name(),
-		Workers:       core.Workers(b),
-		Shards:        core.DefaultShards(),
-		EdgeCut:       edgeCut,
-		Quick:         opts.Quick,
-		WallMs:        float64(wall.Microseconds()) / 1e3,
-		Rows:          len(tab.Rows),
-		FusedRegions:  gcAfter.FusedRegions - gcBefore.FusedRegions,
-		GemmBlocked:   gcAfter.GemmBlocked - gcBefore.GemmBlocked,
-		Waves:         gcAfter.WavesScheduled - gcBefore.WavesScheduled,
-		WavesVerified: vsAfter.Waves - vsBefore.Waves,
+		Experiment: e.ID,
+		Title:      e.Title,
+		Datasets:   opts.Datasets,
+		Quick:      opts.Quick,
+		WallMs:     float64(wall.Microseconds()) / 1e3,
+		Rows:       len(tab.Rows),
 		Verified: (vsAfter.Plans > vsBefore.Plans || vsAfter.Programs > vsBefore.Programs) &&
 			vsAfter.Violations == vsBefore.Violations,
 	})

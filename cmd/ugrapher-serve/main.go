@@ -75,10 +75,6 @@ func main() {
 
 	// Exit codes: 1 = startup/serve error, 2 = usage (bad flags or
 	// environment). A drained SIGTERM exit is 0.
-	if err := core.ValidateEnvBackend(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
-		os.Exit(2)
-	}
 	if err := core.ValidateEnvShards(); err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
 		os.Exit(2)

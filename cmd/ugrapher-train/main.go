@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/gpu"
 	"repro/internal/ops"
@@ -35,33 +34,15 @@ func main() {
 	load := flag.String("load", "", "skip training; load a model from this file")
 	validate := flag.String("validate", "CO,PR,AR,DD", "datasets for the Fig. 12-style validation")
 	gpuName := flag.String("gpu", "V100", "device: V100 or A100")
-	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget, checked at phase boundaries (0 = none); exceeding it exits with code 3")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
 	profile := flag.Bool("profile", false, "print a per-kernel profile table at exit")
 	flag.Parse()
 
-	// Exit codes: 1 = execution error, 2 = usage (bad environment), 3 =
-	// -timeout exceeded.
-	if err := core.ValidateEnvBackend(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-train: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvShards(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-train: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvWorkers(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-train: %v\n", err)
-		os.Exit(2)
-	}
-	if *shards >= 0 {
-		if err := core.SetDefaultShards(*shards); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher-train: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
+	// exceeded. Training only ever calls the simulator, so no host backend,
+	// shard or worker setting is read here.
 	obs := telemetry.CLIOptions{TracePath: *tracePath, MetricsPath: *metricsPath, Profile: *profile}
 	obs.Begin()
 	ctx := context.Background()

@@ -198,7 +198,6 @@ var (
 	programsVerified atomic.Int64
 	plansVerified    atomic.Int64
 	shardsVerified   atomic.Int64
-	wavesVerified    atomic.Int64
 	violationsFound  atomic.Int64
 )
 
@@ -210,8 +209,6 @@ type VerifyStats struct {
 	Plans int64
 	// ShardPlans is how many shard-plan verifications ran.
 	ShardPlans int64
-	// Waves is how many wave-schedule verifications ran.
-	Waves int64
 	// Violations is how many diagnostics all verifications produced.
 	Violations int64
 }
@@ -222,7 +219,6 @@ func Stats() VerifyStats {
 		Programs:   programsVerified.Load(),
 		Plans:      plansVerified.Load(),
 		ShardPlans: shardsVerified.Load(),
-		Waves:      wavesVerified.Load(),
 		Violations: violationsFound.Load(),
 	}
 }

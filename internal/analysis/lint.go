@@ -16,7 +16,7 @@ import (
 )
 
 // The source linter: a stdlib go/ast + go/types checker that mechanically
-// enforces the repo invariants DESIGN.md states in prose. Three rules:
+// enforces the repo invariants DESIGN.md states in prose. The rules:
 //
 //   - hook-discipline: internal/core and internal/program may call into
 //     telemetry/faultinject only through functions that are themselves a
@@ -54,6 +54,11 @@ import (
 //     import the GPU simulator, the schedule tuner or the predictor, nor
 //     build a tuned or predicted engine: a grid search at daemon start buys
 //     nothing the host kernels read (DESIGN.md §5).
+//   - simulated-only: the paper side (internal/bench, cmd/ugrapher-bench)
+//     reports simulated cycles and nothing else. It may not import the
+//     compiled-program runtime, the shard layer or the worker pool: an
+//     experiment that executes a model on the host is a wall-clock
+//     measurement, and those belong to benchmark/ alone.
 //   - host-schedule-free: the host lowering files of internal/core
 //     (backend_parallel.go, backend_sharded.go, span.go, kernels_host.go)
 //     read no bit of a plan's GPU schedule: a .Schedule or .Strategy
@@ -74,12 +79,13 @@ const (
 	LintTracePropagation    = "trace-propagation"
 	LintGoroutineAccounting = "goroutine-accounting"
 	LintHostEngine          = "host-engine"
+	LintSimulatedOnly       = "simulated-only"
 	LintHostScheduleFree    = "host-schedule-free"
 	LintDirective           = "lint-directive"
 )
 
 // LintRules lists the linter's rules.
-var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintHostScheduleFree, LintDirective}
+var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintSimulatedOnly, LintHostScheduleFree, LintDirective}
 
 // Finding is one linter hit.
 type Finding struct {
@@ -135,13 +141,30 @@ var hookDisciplinedDirs = []string{"internal/core", "internal/program"}
 var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/core", "internal/tensor", "internal/workpool"}
 
 // The host-engine rule: the directories (by path suffix) that must stay off
-// the simulator, the imports that would put them on it, and the
-// repro/internal/models constructors that run it.
+// the simulator and the repro/internal/models constructors that run it.
 var (
 	hostEngineDirs   = []string{"internal/serve", "cmd/ugrapher-serve"}
-	simulatorImports = map[string]bool{"repro/internal/gpu": true, "repro/internal/schedule": true, "repro/internal/predictor": true}
 	simulatorEngines = map[string]bool{"NewTunedEngine": true, "NewPredictedEngine": true}
 )
+
+// importBoundaries are the two halves of the tree that must not link each
+// other: per rule, the directories (by path suffix) it scopes, the imports
+// they may not have, and the finding's text (%s = the import path). "time" is
+// not fenced on the paper side: fig12's prediction-latency note and the CLI's
+// -timeout are legitimate uses.
+var importBoundaries = []struct {
+	rule    string
+	dirs    []string
+	imports map[string]bool
+	msg     string
+}{
+	{LintHostEngine, hostEngineDirs,
+		map[string]bool{"repro/internal/gpu": true, "repro/internal/schedule": true, "repro/internal/predictor": true},
+		"the serving daemon imports %s; it compiles with models.NewHostEngine and stays off the GPU simulator"},
+	{LintSimulatedOnly, []string{"internal/bench", "cmd/ugrapher-bench"},
+		map[string]bool{"repro/internal/program": true, "repro/internal/shard": true, "repro/internal/workpool": true},
+		"the paper side imports %s; its tables are simulated cycles only — host wall clock is measured by benchmark/"},
+}
 
 // The host-schedule-free rule: the package directory (by path suffix) and
 // the files in it that lower plans for the host, the selector names that read
@@ -372,7 +395,7 @@ func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
 			noAllocPkg: noAllocPkg, gemmScoped: gemmScoped, hostScoped: hostScoped, pkgFuncs: pkgFuncs,
 			scheduleFree: hostLowering && hostLoweringFiles[filepath.Base(fset.Position(f.Pos()).Filename)]}
 		lf.collectComments()
-		lf.checkSimulatorImports()
+		lf.checkImportBoundaries(inDirs)
 		lf.run()
 		findings = append(findings, lf.findings...)
 	}
@@ -642,15 +665,18 @@ func (lf *fileLinter) checkTraceMint(call *ast.CallExpr) {
 			qual.Name, sel.Sel.Name))
 }
 
-// checkSimulatorImports enforces host-engine on a file's import list.
-func (lf *fileLinter) checkSimulatorImports() {
-	if !lf.hostScoped {
-		return
-	}
-	for _, imp := range lf.file.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && simulatorImports[p] {
-			lf.report(imp.Pos(), LintHostEngine,
-				fmt.Sprintf("the serving daemon imports %s; it compiles with models.NewHostEngine and stays off the GPU simulator", p))
+// checkImportBoundaries enforces host-engine and simulated-only on a file's
+// import list; inDirs reports whether the package directory ends in one of
+// the given suffixes.
+func (lf *fileLinter) checkImportBoundaries(inDirs func(suffixes []string) bool) {
+	for _, b := range importBoundaries {
+		if !inDirs(b.dirs) {
+			continue
+		}
+		for _, imp := range lf.file.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && b.imports[p] {
+				lf.report(imp.Pos(), b.rule, fmt.Sprintf(b.msg, p))
+			}
 		}
 	}
 }

@@ -588,6 +588,33 @@ func f() { _ = models.NewTunedEngine(gpu.V100()) }
 	})
 }
 
+func TestLintSimulatedOnly(t *testing.T) {
+	const src = `package p
+import (
+	"time"
+	"repro/internal/gpu"
+	"repro/internal/program"
+	"repro/internal/shard"
+	"repro/internal/workpool"
+)
+var _ = time.Now
+`
+	for _, dir := range []string{"internal/bench", "cmd/ugrapher-bench"} {
+		var hits int
+		for _, f := range lintOne(t, dir, src) {
+			if f.Rule == LintSimulatedOnly {
+				hits++
+			}
+		}
+		if hits != 3 {
+			t.Errorf("%s: want three simulated-only findings (program, shard, workpool), got %d", dir, hits)
+		}
+	}
+	t.Run("the host runtime stays available everywhere else", func(t *testing.T) {
+		wantClean(t, lintOne(t, "cmd/ugrapher", src))
+	})
+}
+
 func TestLintHostScheduleFree(t *testing.T) {
 	lintFile := func(t *testing.T, file, dir, src string) []Finding {
 		t.Helper()

@@ -77,7 +77,6 @@ type WaveFacts struct {
 // VerifyWaves runs the wave rules over f and returns a *VerifyError
 // listing all violations, or nil when the schedule verifies.
 func VerifyWaves(f WaveFacts) error {
-	wavesVerified.Add(1)
 	var diags []Diagnostic
 	diags = append(diags, checkStepDeps(&f)...)
 	diags = append(diags, checkWaveLegal(&f)...)

@@ -32,9 +32,9 @@ func NewDGL(dev *gpu.Device) models.Engine {
 		// dispatch: ~45 us per graph operator at V100 clocks.
 		HostOverheadCycles: 62000,
 		// Baselines differ from uGrapher in schedule choice, never in
-		// functional semantics, so they compute on the shared default host
-		// backend (overridable per engine for A/B runs).
-		Compute: core.DefaultBackend(),
+		// functional semantics: Compute stays nil — the shared default host
+		// backend, resolved when a functional pass starts (overridable per
+		// engine for A/B runs) — so costing a baseline builds no backend.
 	}
 }
 
@@ -51,7 +51,6 @@ func NewPyG(dev *gpu.Device) models.Engine {
 		// PyG's gather/scatter path allocates and dispatches per edge-op in
 		// Python: ~55 us per graph operator.
 		HostOverheadCycles: 76000,
-		Compute:            core.DefaultBackend(),
 	}
 }
 
@@ -69,7 +68,6 @@ func NewGNNAdvisor(dev *gpu.Device) models.Engine {
 		Fuses:        true,
 		// GNNAdvisor's thin C++ runtime: ~10 us per operator.
 		HostOverheadCycles: 14000,
-		Compute:            core.DefaultBackend(),
 	}
 }
 

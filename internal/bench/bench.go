@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -32,17 +31,6 @@ type Options struct {
 	Quick bool
 	// SampleBlocks overrides simulator trace fidelity (0 = default).
 	SampleBlocks int
-	// Backend names the host compute backend functional execution uses
-	// ("reference", "parallel", "sim"; empty = process default). Tables
-	// report *simulated cycles* either way — the backend only changes how
-	// fast the host produces the functional tensors.
-	Backend string
-}
-
-// ComputeBackend resolves the options' backend name, falling back to the
-// process default on empty.
-func (o Options) ComputeBackend() (core.ExecBackend, error) {
-	return core.Backend(o.Backend)
 }
 
 // simOpts converts options to simulator options.
@@ -216,26 +204,11 @@ func device(name string) *gpu.Device {
 // enginesFor returns the four compared systems for a device: the three
 // fixed baselines plus tuned uGrapher, in the paper's plotting order.
 // A fresh uGrapher engine per call keeps its tuning cache device-scoped.
-// The options' compute backend is installed on every engine so functional
-// passes (and only those — tables stay simulated-cycles) run on it.
-func enginesFor(dev *gpu.Device, o Options) []models.Engine {
-	compute, err := o.ComputeBackend()
-	if err != nil {
-		// Options are validated by the CLI before experiments run; fall
-		// back to the process default rather than plumbing errors through
-		// every experiment.
-		compute = core.DefaultBackend()
-	}
-	tuned := models.NewTunedEngine(dev)
-	tuned.Compute = compute
-	engines := []models.Engine{
+func enginesFor(dev *gpu.Device) []models.Engine {
+	return []models.Engine{
 		baselines.NewDGL(dev), baselines.NewPyG(dev), baselines.NewGNNAdvisor(dev),
-		tuned,
+		models.NewTunedEngine(dev),
 	}
-	for _, eng := range engines[:3] {
-		eng.(*models.FixedEngine).Compute = compute
-	}
-	return engines
 }
 
 // trainedPredictor lazily trains the strategy predictor once per process

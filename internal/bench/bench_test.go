@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 func quickOpts() Options {
@@ -12,8 +13,12 @@ func quickOpts() Options {
 }
 
 // runQuick executes an experiment in quick mode and sanity-checks the table.
+// It marks the calling test parallel: experiments only read the simulator and
+// the mutex/Once-guarded dataset, sweep and predictor caches, and nearly all
+// of the package's time is spent inside them.
 func runQuick(t *testing.T, id string) *Table {
 	t.Helper()
+	t.Parallel()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +32,11 @@ func runQuick(t *testing.T, id string) *Table {
 	}
 	if len(tab.Rows) == 0 {
 		t.Fatalf("%s: empty table", id)
+	}
+	for _, cell := range tab.Header {
+		if reportsHostTime(cell) {
+			t.Errorf("%s: header cell %q reports host time; tables are simulated cycles only", id, cell)
+		}
 	}
 	for i, row := range tab.Rows {
 		if len(row) != len(tab.Header) && len(row) > len(tab.Header) {
@@ -49,7 +59,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig16", "fig17", "fig18", "fig19", "fig2", "table8",
 		"table2", "table3", "table4", "table6", "table9",
 		"ablation-space", "ablation-sim", "ablation-predictor", "ext-training",
-		"ext-compile", "ext-fusion", "ext-waves",
 	}
 	have := map[string]bool{}
 	for _, e := range All() {
@@ -65,6 +74,36 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown id should fail")
+	}
+}
+
+// reportsHostTime says whether a header cell names a host wall-clock column
+// (a word "ms", or anything "wall…"): the package's one job is simulated
+// cycles and the ratios and counts derived from them; host time is measured
+// by benchmark/ alone. runQuick holds every experiment's header to it.
+func reportsHostTime(cell string) bool {
+	for _, word := range strings.FieldsFunc(strings.ToLower(cell), func(r rune) bool { return !unicode.IsLetter(r) }) {
+		if word == "ms" || strings.HasPrefix(word, "wall") {
+			return true
+		}
+	}
+	return false
+}
+
+func TestReportsHostTime(t *testing.T) {
+	for cell, want := range map[string]bool{
+		"compile ms":      true,
+		"interp ms/run":   true,
+		"host wall-clock": true,
+		"Wall":            true,
+		"cycles":          false,
+		"systems":         false,
+		"DGL L2 hit":      false,
+		"pred/grid":       false,
+	} {
+		if got := reportsHostTime(cell); got != want {
+			t.Errorf("reportsHostTime(%q) = %v, want %v", cell, got, want)
+		}
 	}
 }
 

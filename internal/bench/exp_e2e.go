@@ -64,10 +64,11 @@ func e2eDevices(o Options) []string {
 func runE2E(o Options) ([]e2eCell, []string, error) {
 	codes := o.pick(allDatasetCodes(), []string{"CO", "PR", "AR"})
 	key := e2eKey(o, codes)
+	// Held across the sweep: concurrent callers (the package's tests run in
+	// parallel) wait for the one run instead of each repeating it.
 	e2eMu.Lock()
-	cached, ok := e2eCache[key]
-	e2eMu.Unlock()
-	if ok {
+	defer e2eMu.Unlock()
+	if cached, ok := e2eCache[key]; ok {
 		return cached, codes, nil
 	}
 
@@ -78,7 +79,7 @@ func runE2E(o Options) ([]e2eCell, []string, error) {
 	var cells []e2eCell
 	for _, devName := range e2eDevices(o) {
 		dev := device(devName)
-		engines := enginesFor(dev, o)
+		engines := enginesFor(dev)
 		for _, code := range codes {
 			h := graphs[code]
 			for _, mname := range e2eModelNames(o) {
@@ -102,9 +103,7 @@ func runE2E(o Options) ([]e2eCell, []string, error) {
 			}
 		}
 	}
-	e2eMu.Lock()
 	e2eCache[key] = cells
-	e2eMu.Unlock()
 	return cells, codes, nil
 }
 
@@ -316,7 +315,7 @@ func runFig19(o Options) (*Table, error) {
 		vals := map[string]float64{}
 		best := 0.0
 		for _, layout := range layouts {
-			for _, eng := range []models.Engine{enginesFor(dev, o)[0], models.NewTunedEngine(dev)} {
+			for _, eng := range []models.Engine{enginesFor(dev)[0], models.NewTunedEngine(dev)} {
 				rep, err := m.InferenceCost(layout.g, h.spec.Feat, h.spec.Class, eng)
 				if err != nil {
 					return nil, err

@@ -33,7 +33,7 @@ func runFig1(o Options) (*Table, error) {
 		return nil, err
 	}
 	dev := device("V100")
-	engines := enginesFor(dev, o)
+	engines := enginesFor(dev)
 
 	t := &Table{
 		ID:     "fig1",

@@ -23,7 +23,7 @@ func runExtTraining(o Options) (*Table, error) {
 		return nil, err
 	}
 	dev := device("V100")
-	engines := enginesFor(dev, o)
+	engines := enginesFor(dev)
 	dgl, ug := engines[0], engines[3]
 	modelNames := []string{"GCN", "GIN"}
 	if o.Quick {

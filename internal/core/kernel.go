@@ -22,7 +22,7 @@ const (
 	segC
 	segInPtr
 	segInSrc
-	segInEdges
+	_ // unused slot, kept: renumbering the segments below moves their cache sets and every simulated table
 	segEdgeSrc
 	segEdgeDst
 )

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -231,13 +230,4 @@ func RandomSpec(rng *rand.Rand, idx int) Spec {
 		Window:   1 << (3 + rng.Intn(6)),
 		seed:     int64(idx)*7919 + 13,
 	}
-}
-
-// SortedByVertices returns Table 3 specs ordered by vertex count, used by
-// experiments that contrast small and large graphs.
-func SortedByVertices() []Spec {
-	out := make([]Spec, len(Table3))
-	copy(out, Table3)
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-	return out
 }

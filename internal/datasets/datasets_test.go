@@ -181,15 +181,3 @@ func TestRandomSpecRanges(t *testing.T) {
 		t.Errorf("generated %d/%d", g.NumVertices(), g.NumEdges())
 	}
 }
-
-func TestSortedByVertices(t *testing.T) {
-	specs := SortedByVertices()
-	for i := 1; i < len(specs); i++ {
-		if specs[i-1].V > specs[i].V {
-			t.Fatal("not sorted")
-		}
-	}
-	if specs[0].Abbr != "CO" {
-		t.Errorf("smallest should be CO, got %s", specs[0].Abbr)
-	}
-}

@@ -104,6 +104,14 @@ func parseSpec(kvs string) (Spec, error) {
 		default:
 			return spec, fmt.Errorf("unknown option %q (valid: after, every, limit, rate, seed, delay)", key)
 		}
+		// Fire gives no meaning to a count or delay below zero or to a
+		// probability outside [0,1]; the negated form also rejects NaN.
+		if err == nil && (spec.After < 0 || spec.Every < 0 || spec.Limit < 0 || spec.Delay < 0) {
+			err = fmt.Errorf("%s is negative", val)
+		}
+		if err == nil && !(spec.Rate >= 0 && spec.Rate <= 1) {
+			err = fmt.Errorf("%s is not a probability in [0,1]", val)
+		}
 		if err != nil {
 			return spec, fmt.Errorf("option %s: %v", key, err)
 		}

@@ -115,13 +115,19 @@ type exec struct {
 }
 
 func newExec(g *graph.Graph, eng Engine, functional bool, model string) *exec {
-	return &exec{
-		g: g, eng: eng, dev: eng.Device(), backend: computeBackend(eng),
+	e := &exec{
+		g: g, eng: eng, dev: eng.Device(),
 		ctx:        context.Background(),
 		functional: functional,
 		rng:        rand.New(rand.NewSource(1234)),
 		report:     CostReport{Model: model, Engine: eng.Name()},
 	}
+	// A cost-only pass lowers nothing, so it resolves no host backend (and
+	// reads none of the environment that configures one).
+	if functional {
+		e.backend = computeBackend(eng)
+	}
+	return e
 }
 
 // stage is the model-building vocabulary: every model's run method drives a

@@ -503,41 +503,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	}
 
 	cp.stats.Steps = len(cp.steps)
-	fusedRegionsTotal.Add(int64(cp.stats.FusedRegions))
-	gemmBlockedTotal.Add(int64(cp.stats.GemmBlocked))
-	wavesScheduledTotal.Add(int64(cp.stats.Waves))
 	return cp, nil
-}
-
-// Process-wide compile counters, surfaced so tooling (ugrapher-bench -json)
-// can report fusion-region and blocked-GEMM activity without threading every
-// CompiledProgram through.
-var (
-	fusedRegionsTotal   atomic.Int64
-	gemmBlockedTotal    atomic.Int64
-	wavesScheduledTotal atomic.Int64
-)
-
-// GlobalCounters is a snapshot of the process-wide compile counters.
-type GlobalCounters struct {
-	// FusedRegions is the total count of compiled fusion regions that
-	// absorbed nodes beyond pair fusion.
-	FusedRegions int64
-	// GemmBlocked is the total count of GEMM steps compiled onto the packed
-	// column-panel kernel.
-	GemmBlocked int64
-	// WavesScheduled is the total count of verified wave levels across all
-	// compiled programs.
-	WavesScheduled int64
-}
-
-// GlobalStats snapshots the process-wide compile counters.
-func GlobalStats() GlobalCounters {
-	return GlobalCounters{
-		FusedRegions:   fusedRegionsTotal.Load(),
-		GemmBlocked:    gemmBlockedTotal.Load(),
-		WavesScheduled: wavesScheduledTotal.Load(),
-	}
 }
 
 // stepLabel names a step for its trace span, computed once at compile time

@@ -10,7 +10,9 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -337,6 +339,10 @@ func TestE2EBreakerDegradesToReference(t *testing.T) {
 // while the listener still answers, refuses new work, completes the
 // in-flight batch, and exits 0.
 func TestE2EDrainOnSIGTERM(t *testing.T) {
+	// The daemon has no backend selection (every model runs the parallel
+	// backend under the resilient ladder), so UGRAPHER_BACKEND — even a value
+	// no CLI would accept — is not its business and must not stop it.
+	t.Setenv("UGRAPHER_BACKEND", "cuda")
 	d := startDaemon(t, "-models", "GCN", "-drain-timeout", "10s",
 		"-faults", "queue-stall:after=1,limit=1,delay=1500ms")
 
@@ -398,5 +404,24 @@ func TestE2EDrainOnSIGTERM(t *testing.T) {
 	}
 	if out := d.output(); !strings.Contains(out, "drained; exiting") {
 		t.Errorf("daemon output missing drain confirmation:\n%s", out)
+	}
+}
+
+// TestE2EBadEnvironmentExits2: the environment variables the daemon does read
+// are validated at start-up — a bad value is exit code 2 naming the variable,
+// not a daemon running on a silently substituted default.
+func TestE2EBadEnvironmentExits2(t *testing.T) {
+	for _, env := range []string{"UGRAPHER_SHARDS=banana", "UGRAPHER_WORKERS=-4"} {
+		// Bounded: a daemon that accepted the value would listen forever.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0")
+		cmd.Env = append(os.Environ(), env)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		name, _, _ := strings.Cut(env, "=")
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte(name)) {
+			t.Errorf("%s: err %v, output %q; want exit code 2 naming %s", env, err, out, name)
+		}
 	}
 }

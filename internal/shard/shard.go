@@ -189,30 +189,19 @@ func corruptFacts(f *analysis.ShardFacts, seed uint64) {
 	}
 }
 
-// Partition-quality counters, surfaced so tooling (ugrapher-bench -json)
-// can report the partition behind a result without replaying it.
-var (
-	partitions  atomic.Int64
-	lastShards  atomic.Int64
-	lastEdgeCut atomic.Uint64 // float64 bits
-)
+// partitions counts the plans Partition built, so a caller can prove a graph
+// was partitioned once and not per operator.
+var partitions atomic.Int64
 
-// PartitionStats snapshots the package counters.
+// PartitionStats snapshots the package counter.
 type PartitionStats struct {
 	// Partitions is how many plans Partition built (and verified).
 	Partitions int64
-	// LastShards / LastEdgeCut describe the most recent plan.
-	LastShards  int
-	LastEdgeCut float64
 }
 
-// Stats reads the partition counters.
+// Stats reads the partition counter.
 func Stats() PartitionStats {
-	return PartitionStats{
-		Partitions:  partitions.Load(),
-		LastShards:  int(lastShards.Load()),
-		LastEdgeCut: math.Float64frombits(lastEdgeCut.Load()),
-	}
+	return PartitionStats{Partitions: partitions.Load()}
 }
 
 // Telemetry gauge names for the most recent partition.
@@ -221,12 +210,10 @@ const (
 	GaugeEdgeCut    = "ugrapher_shard_edgecut_fraction"
 )
 
-// recordStats publishes a verified plan's shape to the package counters and,
-// when telemetry is armed, the shard gauges.
+// recordStats counts a verified plan and, when telemetry is armed, publishes
+// its shape to the shard gauges.
 func recordStats(p *Plan) {
 	partitions.Add(1)
-	lastShards.Store(int64(p.K))
-	lastEdgeCut.Store(math.Float64bits(p.EdgeCut))
 	if telemetry.Enabled() {
 		r := telemetry.Default()
 		r.Gauge(GaugeShardCount).Set(float64(p.K))

@@ -116,20 +116,6 @@ func RowMeanInto(out, t *Dense) {
 	}
 }
 
-// AddBias adds the length-Cols bias vector to every row of t in place. A
-// wrong bias length is an invariant panic (see the file header).
-func AddBias(t *Dense, bias []float32) {
-	if len(bias) != t.Cols {
-		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), t.Cols))
-	}
-	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
-}
-
 // The activations below are `if v < 0 { ... }` per element, written without
 // the branch: behind a GEMM the sign is a coin flip and the branch costs about
 // 5 ns an element in mispredictions. negMask is the test on the bits.
@@ -196,43 +182,6 @@ func Concat(a, b *Dense) *Dense {
 		copy(out.Row(r)[a.Cols:], b.Row(r))
 	}
 	return out
-}
-
-// RowSum returns the per-row sum as an n×1 tensor.
-func RowSum(t *Dense) *Dense {
-	out := NewDense(t.Rows, 1)
-	for r := 0; r < t.Rows; r++ {
-		var s float32
-		for _, v := range t.Row(r) {
-			s += v
-		}
-		out.Data[r] = s
-	}
-	return out
-}
-
-// DivRows divides each row of t in place by the corresponding scalar in
-// denom (an n×1 tensor); rows whose denominator is 0 are left as zeros,
-// matching mean-aggregation over vertices with no incoming edges. A wrong
-// denominator shape is an invariant panic (see the file header).
-func DivRows(t *Dense, denom *Dense) {
-	if denom.Rows != t.Rows || denom.Cols != 1 {
-		panic("tensor: DivRows denominator must be Rows x 1")
-	}
-	for r := 0; r < t.Rows; r++ {
-		d := denom.Data[r]
-		row := t.Row(r)
-		if d == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
-		}
-		inv := 1 / d
-		for j := range row {
-			row[j] *= inv
-		}
-	}
 }
 
 // GEMMFlops returns the floating-point operation count of MatMul(a, b),
