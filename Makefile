@@ -42,8 +42,10 @@ verify:
 # race runs the concurrency-sensitive packages (the worker pool, the vector
 # kernels' wrappers, the parallel host backend and its consumers, including the compiled-program
 # runtime, the hardening layer's fault-injection points, and the graph
-# loaders) under the race detector. CI runs it a second time with
-# GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are real.
+# loaders) under the race detector — the row-subset runs' BitDiff matrix on CO
+# and PR and the daemon's overlapping-batch tests included. CI runs it a second
+# time with GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are
+# real.
 race:
 	$(GO) test -race ./internal/workpool/... ./internal/vec/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
 
@@ -52,9 +54,14 @@ race:
 # under the race detector on one CPU, where a pool helper and the caller share
 # a core and a context that fires early or late shows (the
 # TestDenseStepHonoursDeadlineAndCancel flake of PRs 13-14 only reproduced
-# this way). CI runs it as its own job.
+# this way) — the row-subset runs' among them (TestRunRowsCancelPanicAndNumerics,
+# TestRunRowsHonoursCancelAndDeadline). Then the daemon's row-path ownership
+# tests three times the same way: overlapping batches on one CPU, where the
+# worker and the handlers that read its rows take turns. CI runs it as its own
+# job.
 race-pinned:
 	taskset -c 0 $(GO) test -race -count=12 -run 'Cancel|Deadline' ./internal/workpool/... ./internal/core/... ./internal/program/... ./internal/models/...
+	taskset -c 0 $(GO) test -race -count=3 -run 'ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure' ./internal/serve/
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").
@@ -107,10 +114,14 @@ bench-obs:
 # models' shapes, the elementwise operators over Sage's hidden activations
 # (sign-random, positive and rectified inputs) and the float32 exponential over
 # GAT's logits, each dispatched and with the Go loop forced; last a lowered GAT
-# layer, step by step and as one row-resident region, on one and two workers.
-# EXPERIMENTS.md "Row-span kernels", "Vector kernels", "Dense rewrites" and
-# "GAT's message path" record the tables.
+# layer, step by step and as one row-resident region, on one and two workers;
+# and the row-subset runs: GCN, GAT and GIN on PR and AR answering 4 to 16384
+# rows as served, with the row mode forced, and by the full pass — the sweep
+# program.rowFullShare is read from.
+# EXPERIMENTS.md "Row-span kernels", "Vector kernels", "Dense rewrites",
+# "GAT's message path" and "Row-subset runs" record the tables.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpanKernel|BenchmarkEdgeWriter' -benchtime 20x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkGemmPacked|BenchmarkElementwise|BenchmarkExp' -benchtime 20x ./internal/tensor/
 	$(GO) test -run '^$$' -bench BenchmarkGATLayer -benchtime 20x ./internal/models/
+	$(GO) test -run '^$$' -bench BenchmarkRunRows -benchtime 20x ./internal/program/

@@ -7,6 +7,7 @@
 //	ugrapher-lint ./internal/core      # lint specific package dirs
 //	ugrapher-lint -ir                  # verify compiled plans for every
 //	                                   # model x strategy x backend
+//	ugrapher-lint -rules               # list the rule ids
 //
 // The default source target set includes cmd/ugrapher-lint itself, so every
 // run lints the linter as a self-test.
@@ -30,11 +31,16 @@ import (
 
 func main() {
 	irMode := flag.Bool("ir", false, "verify compiled model programs (IR/plan rules) instead of linting source")
+	rules := flag.Bool("rules", false, "list every rule id, verifier and source linter, by the check that runs it, and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ugrapher-lint [flags] [package-dirs...]\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if *rules {
+		listRules(os.Stdout)
+		return
+	}
 
 	var (
 		clean bool
@@ -55,6 +61,27 @@ func main() {
 	}
 	if !clean {
 		os.Exit(1)
+	}
+}
+
+// listRules prints every rule id from the lists the checks themselves iterate,
+// so the output cannot drift from what runs.
+func listRules(w *os.File) {
+	for _, group := range []struct {
+		what  string
+		rules []string
+	}{
+		{"program (every program.Compile; -ir)", analysis.ProgramRules},
+		{"plan and lowering (every core.Compile; -ir)", analysis.PlanRules},
+		{"wave schedule (every program.Compile; -ir)", analysis.WaveRules},
+		{"row-subset runs (every program.Compile; -ir)", analysis.RowRules},
+		{"shard plan (every shard.Partition)", []string{analysis.RuleShardNoAlias}},
+		{"source (default mode)", analysis.LintRules},
+	} {
+		fmt.Fprintf(w, "%s:\n", group.what)
+		for _, r := range group.rules {
+			fmt.Fprintf(w, "  %s\n", r)
+		}
 	}
 }
 

@@ -104,6 +104,12 @@ func main() {
 	// A daemon always collects: breaker transitions, batch spans and the
 	// serving counters are the operator's only window into it.
 	telemetry.SetEnabled(true)
+	// The global event buffer exists to be written out by -trace. Without a
+	// path nothing ever reads it, and at a few spans per request it is the
+	// daemon's largest allocation within minutes (2^19 events of ~112 bytes):
+	// keep it only when it has a destination. Request trees, exemplars,
+	// histograms and counters do not go through it.
+	telemetry.Default().SetEventRetention(*tracePath != "")
 	telemetry.Default().SetBuildInfo(version, "parallel")
 
 	cfg := serve.Config{

@@ -201,6 +201,13 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 		for _, n := range cp.Rewrites() {
 			fmt.Printf("  rewrite %s\n", n)
 		}
+		// Whether RunRows can answer a request from the closure of its rows,
+		// and if not, which step stands in the way.
+		if ok, declined := cp.RowsCapable(); ok {
+			fmt.Println("  row-subset runs: every step has a row form (RunRows runs a request's in-closure)")
+		} else {
+			fmt.Printf("  row-subset runs: declined, RunRows takes the full pass: %s\n", declined)
+		}
 		if !rep.OK() {
 			return fmt.Errorf("verification failed: %d violations", len(rep.Diags))
 		}

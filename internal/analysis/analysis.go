@@ -101,6 +101,13 @@ const (
 	// write-write hazard or a read-write alias — running them concurrently
 	// would race.
 	RuleWaveLegal = "wave-legal"
+	// RuleRowClosure: a compiled step's recorded row transfer — which rows of
+	// each operand it reads to write a given set of its output rows — is not
+	// the one its operand kinds demand (a Src_V operand carried instead of
+	// expanded through the in-edges, a region interior's external operand
+	// missing), or a step with no vertex-row transfer is recorded as running
+	// row sets. A row-subset run would read rows no step wrote.
+	RuleRowClosure = "row-closure"
 )
 
 // ProgramRules lists the rules VerifyProgram checks, in report order.

@@ -27,7 +27,7 @@ import (
 //     adjacent comment containing the word "invariant" explaining why the
 //     condition is a bug, not an input (reachable conditions must be
 //     errors).
-//   - no-alloc-in-run: Run/RunCtx bodies of kernel types, and the per-row
+//   - no-alloc-in-run: Run/RunCtx/RunRows bodies of kernel types, and the per-row
 //     and per-edge inner loops they call (span* functions, methods of the
 //     span operand / row reducer / edge writer types), the packed GEMM, plain
 //     and accumulating (internal/tensor's [gG]emmPacked* functions), the
@@ -171,7 +171,7 @@ var importBoundaries = []struct {
 // a plan's GPU schedule, and the calls whose arguments may (telemetry labels).
 var (
 	hostLoweringDir   = "internal/core"
-	hostLoweringFiles = map[string]bool{"backend_parallel.go": true, "backend_sharded.go": true, "span.go": true, "kernels_host.go": true, "region_rows.go": true}
+	hostLoweringFiles = map[string]bool{"backend_parallel.go": true, "backend_sharded.go": true, "span.go": true, "kernels_host.go": true, "region_rows.go": true, "rows.go": true}
 	scheduleSelectors = map[string]bool{"Schedule": true, "Strategy": true}
 	scheduleLabelers  = map[string]bool{"NewKernelSite": true, "kernelSite": true}
 )
@@ -185,8 +185,8 @@ var traceMintFuncs = map[string]bool{
 	"MintTraceID":      true,
 }
 
-// kernelReceiver matches the receiver type names whose Run/RunCtx methods
-// the no-alloc rule audits.
+// kernelReceiver matches the receiver type names whose Run/RunCtx/RunRows
+// methods the no-alloc rule audits.
 var kernelReceiver = regexp.MustCompile(`(?i)kernel$`)
 
 // spanFunc and spanReceiver match the host lowering's inner loops
@@ -818,8 +818,8 @@ func (lf *fileLinter) checkPanic(call *ast.CallExpr, path []ast.Node) {
 		"panic without an adjacent `// invariant:` comment; justify why this is unreachable from input, or return an error")
 }
 
-// checkRunBody enforces no-alloc-in-run over Run/RunCtx methods of kernel
-// types and over the span inner loops: no make/new/append and no closures
+// checkRunBody enforces no-alloc-in-run over Run/RunCtx/RunRows methods of
+// kernel types and over the span inner loops: no make/new/append and no closures
 // outside direct defer/go statements, lexically, in the body (other callees
 // are covered by the runtime zero-alloc test).
 func (lf *fileLinter) checkRunBody(fd *ast.FuncDecl) {
@@ -838,7 +838,7 @@ func (lf *fileLinter) checkRunBody(fd *ast.FuncDecl) {
 		}
 	default:
 		recv = receiverTypeName(fd.Recv)
-		run := fd.Name.Name == "Run" || fd.Name.Name == "RunCtx"
+		run := fd.Name.Name == "Run" || fd.Name.Name == "RunCtx" || fd.Name.Name == "RunRows"
 		if !(run && kernelReceiver.MatchString(recv)) && !spanReceiver.MatchString(recv) {
 			return
 		}

@@ -205,6 +205,17 @@ func (k *fastKernel) RunCtx() {
 `)
 		wantFinding(t, fs, LintNoAllocInRun)
 	})
+	t.Run("append in RunRows flagged", func(t *testing.T) {
+		fs := lintOne(t, "internal/x", `package x
+
+type fastKernel struct{ runs [][2]int32 }
+
+func (k *fastKernel) RunRows(rows []int32) {
+	k.runs = append(k.runs, [2]int32{rows[0], rows[0] + 1})
+}
+`)
+		wantFinding(t, fs, LintNoAllocInRun)
+	})
 	t.Run("closure in Run flagged", func(t *testing.T) {
 		fs := lintOne(t, "internal/x", `package x
 
@@ -629,6 +640,7 @@ func (k *parallelKernel) pick() bool { return k.p.Schedule.Strategy.VertexParall
 `
 	t.Run("a schedule read in a host lowering file is flagged once", func(t *testing.T) {
 		wantFinding(t, lintFile(t, "backend_sharded.go", "internal/core", read), LintHostScheduleFree)
+		wantFinding(t, lintFile(t, "rows.go", "internal/core", read), LintHostScheduleFree)
 	})
 	t.Run("telemetry labels may read the schedule", func(t *testing.T) {
 		wantClean(t, lintFile(t, "backend_parallel.go", "internal/core", `package core

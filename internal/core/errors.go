@@ -119,10 +119,14 @@ func SetCheckNumerics(on bool) { checkNumericsOn.Store(on) }
 func CheckNumerics() bool { return checkNumericsOn.Load() }
 
 // scanNumerics returns a *NumericError for the first NaN/Inf in out, or nil.
-func scanNumerics(op string, out *tensor.Dense) error {
-	for i, v := range out.Data {
+func scanNumerics(op string, out *tensor.Dense) error { return scanNumericsAt(op, out.Data, 0) }
+
+// scanNumericsAt scans data, which starts at flat element index base of the
+// operator's output.
+func scanNumericsAt(op string, data []float32, base int) error {
+	for i, v := range data {
 		if v != v || math.IsInf(float64(v), 0) {
-			return &NumericError{Op: op, Index: i, Value: v}
+			return &NumericError{Op: op, Index: base + i, Value: v}
 		}
 	}
 	return nil

@@ -396,36 +396,45 @@ func (k *parallelKernel) regionChunk(lo, hi int) {
 	rr := k.region
 	ss := rr.claim()
 	defer ss.busy.Store(false)
-	inPtr := k.g.InPtr()
-	out := k.o.C.T
 	for c := lo; c < hi; c++ {
 		chunkFaults()
 		rlo, rhi := rr.cuts[c], rr.cuts[c+1]
-		s, e := int(inPtr[rlo]), int(inPtr[rhi])
-		for i := range ss.stages {
-			st := &ss.stages[i]
-			switch st.kind {
-			case stageEdge:
-				st.w.writeEdges(st.out.Data, st.out.Cols, s, s, e)
-			case stageScatter:
-				st.red.reduceSlab(st.out, k.g, rlo, rhi, s, rr.pos)
-			case stageChain:
-				st.outView.Rows, st.outView.Data = e-s, st.out.Data[:(e-s)*st.out.Cols]
-				if st.in != st.out {
-					copy(st.outView.Data, st.in.Data)
-				}
-				st.chain(&st.outView)
-			case stageRowMean:
-				st.inView.Rows, st.inView.Data = e-s, st.in.Data[:(e-s)*st.in.Cols]
-				st.outView.Rows, st.outView.Data = e-s, st.out.Data[:e-s]
-				tensor.RowMeanInto(&st.outView, &st.inView)
-			}
-		}
-		ss.head.reduceSlab(out, k.g, rlo, rhi, s, rr.pos)
+		k.regionRows(ss, rlo, rhi)
 		if k.epilogue != nil {
 			k.epilogue(int(rlo), int(rhi))
 		}
 	}
+}
+
+// regionRows runs the region's stages and then its head over destination rows
+// [rlo, rhi), whose in-edges fit the slabs of ss. Nothing is carried from one
+// call to the next — a scatter stage's Dst_V rows are read back by the same
+// rows' edges in the same call — so any row range gives its rows the bits any
+// other range containing them would (rows.go runs arbitrary ones).
+func (k *parallelKernel) regionRows(ss *slabSet, rlo, rhi int32) {
+	rr := k.region
+	inPtr := k.g.InPtr()
+	s, e := int(inPtr[rlo]), int(inPtr[rhi])
+	for i := range ss.stages {
+		st := &ss.stages[i]
+		switch st.kind {
+		case stageEdge:
+			st.w.writeEdges(st.out.Data, st.out.Cols, s, s, e)
+		case stageScatter:
+			st.red.reduceSlab(st.out, k.g, rlo, rhi, s, rr.pos)
+		case stageChain:
+			st.outView.Rows, st.outView.Data = e-s, st.out.Data[:(e-s)*st.out.Cols]
+			if st.in != st.out {
+				copy(st.outView.Data, st.in.Data)
+			}
+			st.chain(&st.outView)
+		case stageRowMean:
+			st.inView.Rows, st.inView.Data = e-s, st.in.Data[:(e-s)*st.in.Cols]
+			st.outView.Rows, st.outView.Data = e-s, st.out.Data[:e-s]
+			tensor.RowMeanInto(&st.outView, &st.inView)
+		}
+	}
+	ss.head.reduceSlab(k.o.C.T, k.g, rlo, rhi, s, rr.pos)
 }
 
 // lowerUnfused lowers a plan whose operands carry an Interior on backend b as

@@ -110,6 +110,12 @@ const (
 	// view (split-gemm), 2 gives the recorded aggregate behind a commuted
 	// gather a second reader (aggregate-commute).
 	CorruptDenseRewrite
+	// CorruptRowClosure corrupts the verified view of the row transfers a
+	// compiled program's row-subset runs walk by, proving row-closure fires.
+	// Seed selects the variant: 0 records a Src_V operand as carried instead
+	// of expanded through the in-edges, 1 drops an external operand of a
+	// row-resident region's interior.
+	CorruptRowClosure
 
 	numPoints
 )
@@ -122,6 +128,7 @@ var pointNames = [numPoints]string{
 	"corrupt-wave-schedule",
 	"dense-chunk-panic", "slow-dense-chunk",
 	"corrupt-dense-rewrite",
+	"corrupt-row-closure",
 }
 
 // String names the point.

@@ -64,6 +64,8 @@ func TestCorruptionCaughtOnRealModels(t *testing.T) {
 		{faultinject.CorruptFusion, 0, analysis.RuleFusionPair},
 		{faultinject.CorruptBufferPlan, 0, analysis.RuleBufferAlias},
 		{faultinject.CorruptAtomicFlag, 0, analysis.RuleWriteConflict},
+		{faultinject.CorruptRowClosure, 0, analysis.RuleRowClosure},
+		{faultinject.CorruptRowClosure, 1, analysis.RuleRowClosure},
 	}
 	mdl, err := ByName("GAT")
 	if err != nil {

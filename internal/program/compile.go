@@ -147,6 +147,12 @@ type step struct {
 	split *denseSplit
 	// site times the step, dense or graph, while telemetry is enabled.
 	site *telemetry.StepSite
+	// rowReads is what a row-subset run's backward walk knows about the step
+	// (rows.go), rowKern a graph step's row-set entry point, and rowDeclined
+	// why the step has no row form ("" when it has one).
+	rowReads    []rowRead
+	rowKern     core.RowRunner
+	rowDeclined string
 }
 
 // chainRows is the row-range body of elementwise work — a unary step, a
@@ -217,6 +223,17 @@ type CompiledProgram struct {
 	waves    [][]int
 	// running guards against concurrent Run calls (0 = idle, 1 = running).
 	running atomic.Int32
+	// Row-subset runs (rows.go). rowsDeclined names the first step without a
+	// row form ("" = RunRows runs row sets); rowFullWork is the rows plus
+	// in-edges the graph steps of a full pass process and workers the count
+	// that pass is split over, which together price the row-or-full choice;
+	// rowSets (by value, allocated on the first RunRows) and rowEpoch are the
+	// reused needed-row scratch.
+	rowsDeclined string
+	rowFullWork  int64
+	workers      int
+	rowSets      []*rowSet
+	rowEpoch     uint32
 	// Wave-run state (waves.go): the pool job that runs one wave's steps,
 	// the active run's context and current wave, and the mutex-guarded first
 	// step error.
@@ -459,6 +476,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 		}
 		//lint:allow hook-discipline -- site registration happens once at compile time, off the Run hot path
 		st.site = telemetry.NewStepSite(work.Model, n.Name)
+		cp.bindRows(&st, n)
 		cp.steps = append(cp.steps, st)
 	}
 
@@ -476,6 +494,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	for i := range cp.steps {
 		bindDense(&cp.steps[i], workers)
 	}
+	cp.workers = workers
 
 	// Sharded kernels: fold the partition shape into the stats.
 	cp.stats.Shards = 1
@@ -499,6 +518,12 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	// as a successful compile.
 	cp.buildWaveSchedule()
 	if err := cp.verifyWaveSchedule(); err != nil {
+		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
+	}
+
+	// The row reads a row-subset run walks by (rows.go) are proven the same
+	// way: the row-closure rule re-derives them from operand kinds.
+	if err := cp.verifyRowClosure(); err != nil {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
 	}
 
@@ -553,13 +578,28 @@ func (cp *CompiledProgram) RunCtx(ctx context.Context, x *tensor.Dense) (*tensor
 		return nil, ErrConcurrentRun
 	}
 	defer cp.running.Store(0)
+	if err := cp.checkInput(x); err != nil {
+		return nil, err
+	}
+	return cp.forward(ctx, x)
+}
+
+// checkInput rejects an input that is not the |V| x InCols matrix the program
+// was compiled for.
+func (cp *CompiledProgram) checkInput(x *tensor.Dense) error {
 	if x == nil || x.Rows != cp.input.Rows || x.Cols != cp.input.Cols {
 		got := "nil"
 		if x != nil {
 			got = fmt.Sprintf("%dx%d", x.Rows, x.Cols)
 		}
-		return nil, fmt.Errorf("program: input must be %dx%d, got %s", cp.input.Rows, cp.input.Cols, got)
+		return fmt.Errorf("program: input must be %dx%d, got %s", cp.input.Rows, cp.input.Cols, got)
 	}
+	return nil
+}
+
+// forward is the full pass on a checked input, for a caller that holds the
+// running guard: RunCtx, and RunRows when the full pass is the answer.
+func (cp *CompiledProgram) forward(ctx context.Context, x *tensor.Dense) (*tensor.Dense, error) {
 	if err := cp.revalidate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -19,8 +20,9 @@ import (
 // The rewrite stage meets programs nobody wrote: a byte string drives a small
 // random-IR generator over Builder, and every program it records must
 // compile with the verifier silent, compute what the recorded program
-// computes, and — with the dense-rewrite corruption point armed — fail with
-// a typed verifier error or not at all, never a panic.
+// computes — every row in a full pass, and a few picked rows bit-identically
+// in a row-subset run — and, with the dense-rewrite corruption point armed,
+// fail with a typed verifier error or not at all, never a panic.
 
 // fuzzWidths are the feature widths the generator draws from: a scalar, less
 // than a vector, whole vectors, a vector and a tail.
@@ -255,5 +257,31 @@ func fuzzCheck(t *testing.T, p *Program, g *graph.Graph, x, want *tensor.Dense, 
 	}
 	if !got.AllClose(want, 1e-4, 1e-4) {
 		t.Fatalf("%s: compiled differs from the recorded program by %g\nrewrites: %v", backend.Name(), got.MaxDiff(want), cp.Rewrites())
+	}
+
+	// The row-set arm: a handful of rows the hash picks, through the rule and
+	// with the crossover off, over a poisoned arena — the requested rows are
+	// the full pass's bits whether the program runs row sets or declines.
+	full := got.Clone()
+	rng := rand.New(rand.NewSource(int64(x.Cols)*7919 + int64(len(p.Nodes))))
+	rows := make([]int32, 1+rng.Intn(6))
+	for i := range rows {
+		rows[i] = int32(rng.Intn(g.NumVertices()))
+	}
+	for _, share := range []float64{rowFullShare, math.Inf(1)} {
+		cp.PoisonArena()
+		got, info, err := cp.runRows(context.Background(), x, rows, share)
+		if err != nil {
+			t.Fatalf("%s: RunRows(%v): %v", backend.Name(), rows, err)
+		}
+		if ok, _ := cp.RowsCapable(); ok != info.Rows && math.IsInf(share, 1) {
+			t.Fatalf("%s: rows-capable=%v but the forced run answered %+v", backend.Name(), ok, info)
+		}
+		for _, r := range rows {
+			a, b := got.RowRange(int(r), int(r)+1), full.RowRange(int(r), int(r)+1)
+			if d := a.BitDiff(&b); d >= 0 {
+				t.Fatalf("%s: RunRows(%v) %s: row %d differs from the full pass at column %d\nrewrites: %v", backend.Name(), rows, info.Mode(), r, d, cp.Rewrites())
+			}
+		}
 	}
 }

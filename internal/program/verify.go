@@ -2,6 +2,7 @@ package program
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -171,15 +172,14 @@ func (cp *CompiledProgram) verifyWaveSchedule() error {
 }
 
 // Verify re-runs the full static analysis over the compiled program — the
-// program-level rules, the per-kernel lowering cross-check, and the wave
-// rules — and returns a structured report. Compilation already ran the same
+// program-level rules, the per-kernel lowering cross-check, the wave rules
+// and the row-closure rule — and returns a structured report. Compilation already ran the same
 // checks and failed on violations, so a clean compile reports clean here
 // unless a corruption point is armed.
 func (cp *CompiledProgram) Verify() analysis.Report {
 	rep := analysis.Report{
-		Subject: cp.prog.Model,
-		RulesChecked: append(append(append([]string(nil), analysis.ProgramRules...),
-			analysis.RuleWriteConflict), analysis.WaveRules...),
+		Subject:      cp.prog.Model,
+		RulesChecked: slices.Concat(analysis.ProgramRules, []string{analysis.RuleWriteConflict}, analysis.WaveRules, analysis.RowRules),
 	}
 	err := verifyCompilation(cp.pre, cp.prog, cp.plan, cp.g.NumVertices(), cp.g.NumEdges())
 	var ve *analysis.VerifyError
@@ -188,6 +188,9 @@ func (cp *CompiledProgram) Verify() analysis.Report {
 	}
 	rep.Diags = append(rep.Diags, verifyStepLowerings(cp)...)
 	if errors.As(cp.verifyWaveSchedule(), &ve) {
+		rep.Diags = append(rep.Diags, ve.Diags...)
+	}
+	if errors.As(cp.verifyRowClosure(), &ve) {
 		rep.Diags = append(rep.Diags, ve.Diags...)
 	}
 	return rep

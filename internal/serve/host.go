@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -80,6 +81,7 @@ type modelHost struct {
 	features *tensor.Dense // stored feature matrix (seed 42, as cmd/ugrapher)
 	classes  int
 	maxBatch int
+	rows     []int32 // the batch members' vertices, concatenated; worker-only scratch
 
 	br   *breaker
 	m    hostMetrics
@@ -156,6 +158,18 @@ func stampDequeue(r *request) {
 
 // runBatch executes one coalesced forward pass and distributes the rows.
 //
+// The pass computes what the batch asked for: the program runs the union of
+// the members' vertices as a row set (program.RunRows, DESIGN.md §15) — the
+// exact in-closure of those rows, on stored and caller-supplied features
+// alike — or the whole graph when the program itself finds the closure past
+// the crossover; the rows delivered are bit-identical either way. This worker
+// owns the contract that makes that safe: only the requested rows of the
+// arena-resident output are valid, and only until the next run, and
+// extractRows copies exactly those rows before the next batch starts. While
+// the breaker is open the batch takes the full pass, as it always has: the
+// ladder's lower rung is a whole-tensor kernel, and the degraded ≡ reference
+// proof is about that path.
+//
 // Deadline propagation: the batch context carries the latest member
 // deadline, so the kernels themselves are cut off once nobody is left
 // waiting; members with earlier deadlines are answered 504 by their own
@@ -222,7 +236,22 @@ func (h *modelHost) runBatch(batch []*request) {
 		ctx = telemetry.ContextWithTrace(ctx, lead)
 		runStart = telemetry.Now()
 	}
-	out, err := h.prog.RunCtx(ctx, x)
+	var (
+		out *tensor.Dense
+		err error
+		fwd = program.RowRun{RowsIn: x.Rows}
+	)
+	if degraded {
+		out, err = h.prog.RunCtx(ctx, x)
+	} else {
+		h.rows = h.rows[:0]
+		for _, r := range batch {
+			for _, v := range r.vertices {
+				h.rows = append(h.rows, int32(v))
+			}
+		}
+		out, fwd, err = h.prog.RunRows(ctx, x, h.rows)
+	}
 	if lead != nil {
 		runEnd = telemetry.Now()
 	}
@@ -230,7 +259,16 @@ func (h *modelHost) runBatch(batch []*request) {
 	if err != nil {
 		sp.EndErr(err.Error())
 	} else {
-		sp.End()
+		sp.EndArgs(map[string]string{
+			"mode": fwd.Mode(), "rows_out": strconv.Itoa(fwd.RowsOut),
+			"rows_in": strconv.Itoa(fwd.RowsIn), "edges": strconv.Itoa(fwd.Edges),
+		})
+		if fwd.Rows {
+			h.m.forwardRows.Inc()
+		} else {
+			h.m.forwardFull.Inc()
+		}
+		h.m.closureRows.ObserveValue(float64(fwd.RowsIn))
 	}
 
 	if !degraded {

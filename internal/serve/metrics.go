@@ -60,7 +60,22 @@ const (
 	// requests_total/batches_total only yields the mean, and the shape is
 	// what says whether -batch is sized right.
 	metricBatchSize = "ugrapher_serve_batch_size"
+	// metricForwardMode counts successful forward passes by how the program
+	// answered them, per model: mode="rows" for a row-subset run of the
+	// batch's closure, mode="full" for the whole graph (the closure was past
+	// the crossover, the program has a step without a row form, or the
+	// breaker was open). The two sum to the successful batches.
+	metricForwardMode = "ugrapher_serve_forward_mode_total"
+	// metricClosureRows is the distribution of |R_0| per forward pass: the
+	// input rows the answer was computed from — the batch's exact L-hop
+	// in-closure for a row run, |V| for a full pass. It is the cost of a
+	// request (2408.01902), and the gap to |V| is what a row run saves.
+	metricClosureRows = "ugrapher_serve_closure_rows"
 )
+
+// closureRowsBuckets are the bounds of metricClosureRows, in rows: powers of
+// four from a request's own vertices to a million-vertex graph.
+var closureRowsBuckets = []float64{4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
 // hostMetrics resolves one model's counter/histogram series once, so the
 // request path never takes the registry map lock.
@@ -72,6 +87,10 @@ type hostMetrics struct {
 	degraded  *telemetry.Counter
 	latency   *telemetry.Histogram
 	batchSize *telemetry.Histogram
+
+	forwardRows *telemetry.Counter
+	forwardFull *telemetry.Counter
+	closureRows *telemetry.Histogram
 
 	// Stage-attribution histograms (one per stage; observed in ns like
 	// every latency series). Registered eagerly so /metrics carries every
@@ -100,6 +119,9 @@ func newHostMetrics(model string) hostMetrics {
 			telemetry.DefaultLatencyBuckets),
 		batchSize: r.Histogram(telemetry.Series1(metricBatchSize, "model", model),
 			telemetry.BatchSizeBuckets),
+		forwardRows:    r.Counter(telemetry.Series2(metricForwardMode, "model", model, "mode", "rows")),
+		forwardFull:    r.Counter(telemetry.Series2(metricForwardMode, "model", model, "mode", "full")),
+		closureRows:    r.Histogram(telemetry.Series1(metricClosureRows, "model", model), closureRowsBuckets),
 		stageAdmission: stage("admission"),
 		stageQueueWait: stage("queue_wait"),
 		stageBatchWait: stage("batch_wait"),

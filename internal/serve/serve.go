@@ -518,6 +518,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		// under which verifier rule) or rejected (and why), and the bytes the
 		// recorded and the rewritten order stream.
 		Rewrites []string `json:"rewrites"`
+		// RowsCapable says whether a batch's forward pass can run just the
+		// closure of the requested rows (program.RunRows); when it cannot,
+		// RowsDeclined names the step without a row form and every pass is
+		// the whole graph.
+		RowsCapable  bool   `json:"rows_capable"`
+		RowsDeclined string `json:"rows_declined,omitempty"`
 	}
 	out := struct {
 		Dataset  string `json:"dataset"`
@@ -541,6 +547,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		for _, n := range h.prog.Rewrites() {
 			info.Rewrites = append(info.Rewrites, n.String())
 		}
+		info.RowsCapable, info.RowsDeclined = h.prog.RowsCapable()
 		out.Models = append(out.Models, info)
 	}
 	writeJSON(w, http.StatusOK, out)

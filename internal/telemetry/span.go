@@ -65,8 +65,12 @@ func (r *Registry) TrackNames() []string {
 }
 
 // addEvent appends ev, dropping (and counting) when the buffer is full so a
-// long-running process cannot grow without bound.
+// long-running process cannot grow without bound; with retention off
+// (SetEventRetention) it keeps and counts nothing.
 func (r *Registry) addEvent(ev TraceEvent) {
+	if r.noEvents.Load() {
+		return
+	}
 	r.mu.Lock()
 	if len(r.events) >= r.maxEvents {
 		r.mu.Unlock()
@@ -341,16 +345,51 @@ func (s *KernelSite) endTrace(ts *TraceState, start int64, outcome Outcome, errT
 		Vertices: s.Vertices, Edges: s.Edges,
 		WallNs: dur, Outcome: outcome, Err: errText,
 	}
-	// Steady state (ok, no sim) reuses the precomputed args map; failures
-	// and sim runs are cold and may allocate a fresh one.
-	args := s.okArgs
-	if outcome != OutcomeOK || sim != nil {
-		args = map[string]string{
-			"op":       s.Op,
-			"strategy": s.Strategy,
-			"schedule": s.Schedule,
-			"outcome":  string(outcome),
-		}
+	args := s.outcomeArgs(outcome, errText, sim != nil)
+	if sim != nil {
+		rec.HasSim = true
+		rec.SimCycles, rec.L1HitRate, rec.L2HitRate = sim.Cycles, sim.L1HitRate, sim.L2HitRate
+		s.reg.Gauge("ugrapher_sim_l1_hit_rate").Set(sim.L1HitRate)
+		s.reg.Gauge("ugrapher_sim_l2_hit_rate").Set(sim.L2HitRate)
+		s.reg.Gauge("ugrapher_sim_cycles_last").Set(sim.Cycles)
+		s.reg.Counter("ugrapher_sim_runs_total").Inc()
+		args["sim_cycles"] = formatFloat(sim.Cycles)
+	}
+	s.reg.addRecord(rec)
+	s.span(ts, start, dur, args, errText)
+}
+
+// EndRowsCtx closes a row-subset run of the kernel (core.RowRunner) begun at
+// start: the kernel span joins the request's tree like a full run's, so the
+// tree still says where the time went, and a failure is counted — but the
+// site's run, edge and wall-time series and the kernel record stream are left
+// alone: they describe full runs over the site's whole graph, and a run over
+// a few dozen rows is not a sample of that. Inert while disabled or on a nil
+// site; the OK path allocates nothing.
+func (s *KernelSite) EndRowsCtx(ctx context.Context, start int64, outcome Outcome, errText string) {
+	if s == nil || !Enabled() {
+		return
+	}
+	end := now()
+	if start == 0 {
+		start = end
+	}
+	s.span(TraceOf(ctx), start, end-start, s.outcomeArgs(outcome, errText, false), errText)
+}
+
+// outcomeArgs counts a failed run and returns the span args of a run that
+// ended in outcome. Steady state (ok, nothing to add) is the precomputed map;
+// failures, and runs whose caller will add to the args (fresh), are cold and
+// get a map of their own.
+func (s *KernelSite) outcomeArgs(outcome Outcome, errText string, fresh bool) map[string]string {
+	if outcome == OutcomeOK && !fresh {
+		return s.okArgs
+	}
+	args := map[string]string{
+		"op":       s.Op,
+		"strategy": s.Strategy,
+		"schedule": s.Schedule,
+		"outcome":  string(outcome),
 	}
 	if outcome != OutcomeOK {
 		s.nFails.Inc()
@@ -362,16 +401,12 @@ func (s *KernelSite) endTrace(ts *TraceState, start int64, outcome Outcome, errT
 			args["error"] = errText
 		}
 	}
-	if sim != nil {
-		rec.HasSim = true
-		rec.SimCycles, rec.L1HitRate, rec.L2HitRate = sim.Cycles, sim.L1HitRate, sim.L2HitRate
-		s.reg.Gauge("ugrapher_sim_l1_hit_rate").Set(sim.L1HitRate)
-		s.reg.Gauge("ugrapher_sim_l2_hit_rate").Set(sim.L2HitRate)
-		s.reg.Gauge("ugrapher_sim_cycles_last").Set(sim.Cycles)
-		s.reg.Counter("ugrapher_sim_runs_total").Inc()
-		args["sim_cycles"] = formatFloat(sim.Cycles)
-	}
-	s.reg.addRecord(rec)
+	return args
+}
+
+// span appends the kernel span to the global event buffer and, under a
+// trace, to the request's own tree.
+func (s *KernelSite) span(ts *TraceState, start, dur int64, args map[string]string, errText string) {
 	ev := TraceEvent{
 		Name: s.Op, Cat: "kernel", Track: s.track,
 		Start: start, Dur: dur, Args: args,

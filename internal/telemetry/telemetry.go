@@ -142,6 +142,8 @@ type Registry struct {
 	trackNames []string
 	events     []TraceEvent
 	maxEvents  int
+	// noEvents turns the global event buffer off (SetEventRetention).
+	noEvents atomic.Bool
 
 	sites   []*KernelSite
 	records []KernelRecord // ring buffer, maxRecords capacity
@@ -217,6 +219,7 @@ func (r *Registry) init() {
 	r.trackNames = nil
 	r.events = nil
 	r.maxEvents = defaultMaxEvents
+	r.noEvents.Store(false)
 	r.sites = nil
 	r.records = make([]KernelRecord, 0, defaultMaxRecords)
 	r.recPos = 0
@@ -245,6 +248,15 @@ func (r *Registry) SetMaxEvents(n int) {
 		r.events = grown
 	}
 }
+
+// SetEventRetention says whether completed spans and instant events are kept
+// in the registry's global event buffer (on by default, bounded by
+// SetMaxEvents). A process that will never export the buffer — the daemon
+// started without -trace — turns it off: nothing is appended, nothing is
+// counted as dropped (an event nobody asked for is not a loss), and
+// everything else a span feeds is unchanged — request trees, exemplars,
+// histograms, counters, kernel records.
+func (r *Registry) SetEventRetention(on bool) { r.noEvents.Store(!on) }
 
 // SetBuildInfo publishes the conventional ugrapher_build_info gauge (value
 // fixed at 1; the interesting data is in the labels). The Go toolchain

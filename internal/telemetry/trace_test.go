@@ -449,3 +449,43 @@ func TestEventBufferDropCounting(t *testing.T) {
 		t.Fatalf("dropped counter %d, want 3", got)
 	}
 }
+
+// TestEventRetentionOff: with the global buffer off, spans and instants leave
+// nothing in it and count nothing as dropped, while a request's own tree still
+// receives its spans; turning retention back on (and Reset) restores the
+// buffer.
+func TestEventRetentionOff(t *testing.T) {
+	Reset()
+	t.Cleanup(Reset)
+	SetEnabled(true)
+
+	r := Default()
+	r.SetEventRetention(false)
+	ts := NewTraceState(0, 0, 8)
+	sp := StartTraceSpan(ts, "serve", "request", "infer")
+	RecordSpan(ts, "serve", "stage", "admission", sp.Start(), sp.Start()+10, sp.SpanID())
+	sp.End()
+	r.Instant("serve", "x", "e", nil)
+	if n := len(r.Events()); n != 0 {
+		t.Errorf("buffer holds %d events with retention off", n)
+	}
+	if got := r.Counter(MetricDroppedEvents).Value(); got != 0 {
+		t.Errorf("dropped counter %d with retention off, want 0", got)
+	}
+	if spans, _ := ts.Snapshot(); len(spans) != 2 {
+		t.Errorf("the request's own tree holds %d spans, want 2", len(spans))
+	}
+
+	r.SetEventRetention(true)
+	r.Instant("serve", "x", "e", nil)
+	if n := len(r.Events()); n != 1 {
+		t.Errorf("buffer holds %d events after retention came back, want 1", n)
+	}
+	r.SetEventRetention(false)
+	Reset()
+	SetEnabled(true)
+	r.Instant("serve", "x", "e", nil)
+	if n := len(r.Events()); n != 1 {
+		t.Errorf("buffer holds %d events after Reset, want retention back on", n)
+	}
+}

@@ -128,13 +128,12 @@ func gemmPanels(out, a, panels []float32, lo, hi, k, n, acc int) int {
 	// Whole blocks of four panels go one row at a time: four accumulator
 	// chains per row. What is left of the panels has fewer chains per row,
 	// so it goes four rows at a time; the rows past the last whole group are
-	// recomputed together with the three before them, or, when accumulating
-	// (a recomputed row would be added twice), one at a time.
+	// recomputed together with the three before them, or one at a time when
+	// that cannot be: when accumulating (a recomputed row would be added
+	// twice) and when the range has no three rows before them (a row-subset
+	// run's ranges are mostly single rows, program/rows.go).
 	blocks := full / 4
 	done := full
-	if rows < 4 && acc == 0 {
-		done = blocks * 4
-	}
 	// Row tiles keep a tile's A rows in cache across the panels they are
 	// multiplied with (1k to 64k floats measured within 3 % of each other).
 	tile := max(4, (gemmTileFloats/k)&^3)
@@ -149,7 +148,7 @@ func gemmPanels(out, a, panels []float32, lo, hi, k, n, acc int) int {
 				gemmRows4Panel(&out[r*n+p*lanes], &a[r*k], panel, t/4, k, n*4, acc)
 			}
 			if rest := t % 4; rest != 0 {
-				if acc != 0 {
+				if acc != 0 || rows < 4 {
 					gemmRow1Panel(&out[(hi-rest)*n+p*lanes], &a[(hi-rest)*k], panel, rest, k, n*4, acc)
 				} else {
 					gemmRows4Panel(&out[(hi-4)*n+p*lanes], &a[(hi-4)*k], panel, 1, k, n*4, acc)

@@ -120,7 +120,8 @@ func TestSpanKernelsRefuseWhatTheyCannotBound(t *testing.T) {
 }
 
 // TestGemmPanelsRefusesWhatItCannotBound: slices shorter than the row range
-// and shape claim do nothing; the four-row form needs four rows.
+// and shape claim do nothing; a range too short for the four-row form still
+// finishes every panel, one row at a time.
 func TestGemmPanelsRefusesWhatItCannotBound(t *testing.T) {
 	needKernels(t)
 	const m, k, n = 6, 3, 40 // five whole panels: one block of four and one left
@@ -130,8 +131,8 @@ func TestGemmPanelsRefusesWhatItCannotBound(t *testing.T) {
 	if got := GemmPanels(out, a, panels, 0, m, k, n); got != 5 {
 		t.Fatalf("finished %d panels of 5 on a well-formed call", got)
 	}
-	if got := GemmPanels(out, a, panels, 2, 5, k, n); got != 4 {
-		t.Errorf("three rows: finished %d panels, want the block of 4 only", got)
+	if got := GemmPanels(out, a, panels, 2, 5, k, n); got != 5 {
+		t.Errorf("three rows: finished %d panels of 5; the panel past the block of 4 goes one row at a time", got)
 	}
 	for what, got := range map[string]int{
 		"short a":      GemmPanels(out, a[:m*k-1], panels, 0, m, k, n),
