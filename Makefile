@@ -43,11 +43,15 @@ verify:
 # kernels' wrappers, the parallel host backend and its consumers, including the compiled-program
 # runtime, the hardening layer's fault-injection points, and the graph
 # loaders) under the race detector — the row-subset runs' BitDiff matrix on CO
-# and PR and the daemon's overlapping-batch tests included. CI runs it a second
-# time with GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the interleavings are
-# real.
+# and PR and the daemon's overlapping-batch tests included. Then the simulator
+# and the grid-search tuner, whose candidates run concurrently over pooled
+# simulator workspaces: -short keeps the serial-equivalence test to the pruned
+# spaces, and eight concurrent searches check against the serial result. CI
+# runs it a second time with GOMAXPROCS=4 (job race-e2e-gomaxprocs4) so the
+# interleavings are real.
 race:
 	$(GO) test -race ./internal/workpool/... ./internal/vec/... ./internal/core/... ./internal/models/... ./internal/program/... ./internal/faultinject/... ./internal/graph/... ./internal/telemetry/... ./internal/shard/... ./internal/reorder/... ./internal/tensor/... ./internal/analysis/... ./internal/serve/...
+	$(GO) test -race -short ./internal/gpu/... ./internal/schedule/...
 
 # race-pinned runs the timing-sensitive tests — the deadline and cancellation
 # suites of the kernels, the compiled program and the models — twelve times

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
+	"repro/internal/schedule"
 	"repro/internal/telemetry"
 )
 
@@ -173,11 +174,13 @@ func writeSummaries(path string, summaries []experimentSummary) error {
 func runOne(e bench.Experiment, opts bench.Options, csvOut bool, summaries *[]experimentSummary) error {
 	start := time.Now()
 	vsBefore := analysis.Stats()
+	callsBefore, hitsBefore := schedule.MemoStats()
 	tab, err := e.Run(opts)
 	if err != nil {
 		return err
 	}
 	vsAfter := analysis.Stats()
+	calls, hits := schedule.MemoStats()
 	wall := time.Since(start)
 	render := tab.Render
 	if csvOut {
@@ -187,8 +190,10 @@ func runOne(e bench.Experiment, opts bench.Options, csvOut bool, summaries *[]ex
 		return err
 	}
 	// Table cells are simulated GPU cycles; the time below is only how long
-	// the table took to produce.
-	fmt.Printf("(%s: simulated cycles in table; produced in %v)\n\n", e.ID, wall.Round(time.Millisecond))
+	// the table took to produce, and the counts how many candidate
+	// evaluations it asked for and how many the simulation memo answered.
+	fmt.Printf("(%s: simulated cycles in table; produced in %v; %d evaluations, %d from the memo)\n\n",
+		e.ID, wall.Round(time.Millisecond), calls-callsBefore, hits-hitsBefore)
 	*summaries = append(*summaries, experimentSummary{
 		Experiment: e.ID,
 		Title:      e.Title,

@@ -41,14 +41,16 @@ import (
 //     attach one — NewTraceState/ContextWithTrace/MintTraceID belong to
 //     the admission layer (DESIGN.md §8); a layer that mints breaks the
 //     one-tree-per-request invariant and allocates on the hot path.
-//   - goroutine-accounting: every `go` statement in internal/serve and on
+//   - goroutine-accounting: every `go` statement in internal/serve, on
 //     the execution path (internal/program, internal/core, internal/tensor
-//     and the worker pool itself, internal/workpool) must be visibly
-//     tracked — a WaitGroup Add before the spawn, a body that signals
-//     completion via a deferred Done() or by closing a channel — or carry
-//     an explicit allow directive. An unaccounted goroutine is a leak the
-//     drain/cancellation machinery cannot see; on the execution path the
-//     only justified spawn is the pool's spawn-once helper.
+//     and the worker pool itself, internal/workpool) and in the simulator
+//     and its tuner (internal/gpu, internal/schedule, whose grid search
+//     fans candidates out) must be visibly tracked — a WaitGroup Add before
+//     the spawn, a body that signals completion via a deferred Done() or by
+//     closing a channel — or carry an explicit allow directive. An
+//     unaccounted goroutine is a leak the drain/cancellation machinery
+//     cannot see; on the execution path the only justified spawn is the
+//     pool's spawn-once helper.
 //   - host-engine: the serving daemon (internal/serve, cmd/ugrapher-serve)
 //     compiles with fixed host schedules (models.NewHostEngine). It may not
 //     import the GPU simulator, the schedule tuner or the predictor, nor
@@ -58,7 +60,10 @@ import (
 //     reports simulated cycles and nothing else. It may not import the
 //     compiled-program runtime, the shard layer or the worker pool: an
 //     experiment that executes a model on the host is a wall-clock
-//     measurement, and those belong to benchmark/ alone.
+//     measurement, and those belong to benchmark/ alone. The simulator and
+//     its tuner (internal/gpu, internal/schedule) are held to the same
+//     fence: the grid search fans its candidates out on goroutines of its
+//     own, never on the host runtime's pool.
 //   - host-schedule-free: the host lowering files of internal/core
 //     (backend_parallel.go, backend_sharded.go, span.go, kernels_host.go)
 //     read no bit of a plan's GPU schedule: a .Schedule or .Strategy
@@ -138,7 +143,7 @@ var hookDisciplinedDirs = []string{"internal/core", "internal/program"}
 
 // goroutineScopedDirs are the package directories (by path suffix) whose go
 // statements the goroutine-accounting rule audits.
-var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/core", "internal/tensor", "internal/workpool"}
+var goroutineScopedDirs = []string{"internal/serve", "internal/program", "internal/core", "internal/tensor", "internal/workpool", "internal/gpu", "internal/schedule"}
 
 // The host-engine rule: the directories (by path suffix) that must stay off
 // the simulator and the repro/internal/models constructors that run it.
@@ -161,7 +166,7 @@ var importBoundaries = []struct {
 	{LintHostEngine, hostEngineDirs,
 		map[string]bool{"repro/internal/gpu": true, "repro/internal/schedule": true, "repro/internal/predictor": true},
 		"the serving daemon imports %s; it compiles with models.NewHostEngine and stays off the GPU simulator"},
-	{LintSimulatedOnly, []string{"internal/bench", "cmd/ugrapher-bench"},
+	{LintSimulatedOnly, []string{"internal/bench", "cmd/ugrapher-bench", "internal/schedule", "internal/gpu"},
 		map[string]bool{"repro/internal/program": true, "repro/internal/shard": true, "repro/internal/workpool": true},
 		"the paper side imports %s; its tables are simulated cycles only — host wall clock is measured by benchmark/"},
 }

@@ -537,7 +537,7 @@ func f() {
 		wantClean(t, fs)
 	})
 	t.Run("execution-path packages are audited", func(t *testing.T) {
-		for _, dir := range []string{"internal/core", "internal/tensor", "internal/workpool"} {
+		for _, dir := range []string{"internal/core", "internal/tensor", "internal/workpool", "internal/gpu", "internal/schedule"} {
 			fs := lintOne(t, dir, `package p
 func f() {
 	go func() {
@@ -610,7 +610,7 @@ import (
 )
 var _ = time.Now
 `
-	for _, dir := range []string{"internal/bench", "cmd/ugrapher-bench"} {
+	for _, dir := range []string{"internal/bench", "cmd/ugrapher-bench", "internal/schedule", "internal/gpu"} {
 		var hits int
 		for _, f := range lintOne(t, dir, src) {
 			if f.Rule == LintSimulatedOnly {

@@ -2,8 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"unicode"
 )
@@ -12,7 +20,114 @@ func quickOpts() Options {
 	return Options{Quick: true}
 }
 
-// runQuick executes an experiment in quick mode and sanity-checks the table.
+// goldenPath holds one sha256 of the rendered CSV per experiment id under
+// quickOpts(), in sha256sum's "<hex>  <id>" format. The simulator's output is
+// deterministic, so a change that is not meant to move a simulated number
+// leaves every digest as it is. `go test ./internal/bench -update` rewrites
+// the entries of the tables the run produced.
+const goldenPath = "testdata/quick_tables.sha256"
+
+var updateGolden = flag.Bool("update", false, "rewrite "+goldenPath+" from the tables this run produces")
+
+var golden struct {
+	once sync.Once
+	want map[string]string
+	err  error
+
+	mu  sync.Mutex
+	got map[string]string // filled under -update
+}
+
+func readGolden(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]string{}
+	for i, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		sum, id, ok := strings.Cut(line, "  ")
+		if !ok || len(sum) != 2*sha256.Size {
+			return nil, fmt.Errorf("%s:%d: want \"<sha256>  <id>\", got %q", path, i+1, line)
+		}
+		out[id] = sum
+	}
+	return out, nil
+}
+
+// checkGolden compares the digest of tab's CSV with the committed one (or
+// records it under -update).
+func checkGolden(t *testing.T, tab *Table) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tab.RenderCSV(&buf); err != nil {
+		t.Fatalf("%s csv: %v", tab.ID, err)
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	if *updateGolden {
+		golden.mu.Lock()
+		if golden.got == nil {
+			golden.got = map[string]string{}
+		}
+		golden.got[tab.ID] = sum
+		golden.mu.Unlock()
+		return
+	}
+	golden.once.Do(func() { golden.want, golden.err = readGolden(goldenPath) })
+	if golden.err != nil {
+		t.Fatal(golden.err)
+	}
+	want, ok := golden.want[tab.ID]
+	if !ok {
+		t.Fatalf("%s: no digest in %s (run with -update)", tab.ID, goldenPath)
+	}
+	if sum != want {
+		t.Errorf("%s: CSV sha256 %s, %s has %s: a simulated number moved\n%s", tab.ID, sum, goldenPath, want, buf.String())
+	}
+}
+
+// writeGolden merges the digests recorded under -update into goldenPath.
+func writeGolden() error {
+	if len(golden.got) == 0 {
+		return nil
+	}
+	all, err := readGolden(goldenPath)
+	if errors.Is(err, os.ErrNotExist) {
+		all, err = map[string]string{}, nil
+	}
+	if err != nil {
+		return err
+	}
+	for id, sum := range golden.got {
+		all[id] = sum
+	}
+	ids := make([]string, 0, len(all))
+	for id := range all {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var buf bytes.Buffer
+	for _, id := range ids {
+		fmt.Fprintf(&buf, "%s  %s\n", all[id], id)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(goldenPath, buf.Bytes(), 0o644)
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if *updateGolden {
+		if err := writeGolden(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// runQuick executes an experiment in quick mode, sanity-checks the table and
+// compares its CSV with the committed digest (checkGolden).
 // It marks the calling test parallel: experiments only read the simulator and
 // the mutex/Once-guarded dataset, sweep and predictor caches, and nearly all
 // of the package's time is spent inside them.
@@ -50,6 +165,7 @@ func runQuick(t *testing.T, id string) *Table {
 	if !strings.Contains(buf.String(), id) {
 		t.Errorf("%s render missing id", id)
 	}
+	checkGolden(t, tab)
 	return tab
 }
 

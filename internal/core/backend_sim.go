@@ -48,9 +48,7 @@ func (b *SimBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck CompiledKern
 	// The wrapped compute kernel records through the sim kernel's site, not
 	// its own: one logical run must produce one kernel record, and it should
 	// carry the simulator metrics.
-	if rk, ok := ref.(*refKernel); ok {
-		rk.site = nil
-	}
+	ReleaseTelemetry(ref)
 	gk, err := p.KernelFor(g, o, b.dev)
 	if err != nil {
 		return nil, err

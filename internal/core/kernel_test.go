@@ -252,6 +252,33 @@ func TestTraceDeterministicAndNonEmpty(t *testing.T) {
 	}
 }
 
+// TestTraceLineIDBound pins the bound gpu.Simulate's uint32 trace relies on:
+// the segment layout's largest address, the last byte of the last segment,
+// is a line id below 2^26, far under gpu.MaxTraceLine; and every line a
+// kernel of each strategy traces, over an edge-valued op that reaches the
+// edge segments, stays inside its layout.
+func TestTraceLineIDBound(t *testing.T) {
+	last := (segEdgeDst*segmentBytes + segmentBytes - 1) >> 7
+	if last >= 1<<26 || last > gpu.MaxTraceLine {
+		t.Fatalf("largest line id %d: want below 2^26 and gpu.MaxTraceLine", last)
+	}
+	g := testGraph(t, 300, 3000, 31)
+	dev := gpu.V100()
+	for _, strat := range Strategies {
+		p := MustCompile(ops.WeightedAggrSum, Schedule{strat, 2, 2})
+		k := p.Kernel(g, 48, 48, 1, dev)
+		for b := 0; b < k.NumBlocks(); b++ {
+			k.TraceBlock(b, func(a gpu.WarpAccess) {
+				for _, l := range a.Lines {
+					if l < 0 || l > last {
+						t.Fatalf("%s: block %d traced line %d outside [0, %d]", strat, b, l, last)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestTraceVolumeTracksWork(t *testing.T) {
 	// The sampled trace's transaction count should be within a reasonable
 	// factor of the analytic BlockWork transactions for the same blocks.

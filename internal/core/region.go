@@ -33,15 +33,43 @@ type RegionStage func()
 // run (the sim backend nulls the reference kernel's site the same way).
 type telemetrySilencer interface{ silenceTelemetry() }
 
-// silenceTelemetry implements telemetrySilencer. A nil site is inert: Begin
-// returns 0 and End does nothing, so the silenced kernel runs untouched.
-func (k *refKernel) silenceTelemetry() { k.site = nil }
+// silenceTelemetry implements telemetrySilencer: the site is released from
+// the registry, so the profile does not list a kernel whose runs another
+// site records, and nilled. A nil site is inert: Begin returns 0 and End
+// does nothing, so the silenced kernel runs untouched.
+func (k *refKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer.
-func (k *parallelKernel) silenceTelemetry() { k.site = nil }
+func (k *parallelKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer.
-func (k *simKernel) silenceTelemetry() { k.site = nil }
+func (k *simKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
+
+// silenceTelemetry implements telemetrySilencer: the region's own site and
+// the inner kernel's.
+func (k *regionKernel) silenceTelemetry() {
+	k.site.Release()
+	k.site = nil
+	ReleaseTelemetry(k.inner)
+}
+
+// silenceTelemetry implements telemetrySilencer: every kernel the unfused
+// steps lowered, the head included.
+func (k *unfusedKernel) silenceTelemetry() {
+	for _, sk := range k.kernels {
+		ReleaseTelemetry(sk)
+	}
+}
+
+// ReleaseTelemetry unregisters every telemetry site of a lowered kernel that
+// will never run — one lowered by a compile attempt that was then abandoned —
+// so the profile and its metrics list only the kernels of the program that
+// runs. The kernel stays runnable, unrecorded.
+func ReleaseTelemetry(k CompiledKernel) {
+	if s, ok := k.(telemetrySilencer); ok {
+		s.silenceTelemetry()
+	}
+}
 
 // silenceTelemetry implements telemetrySilencer: the ladder's record comes
 // from whichever rung actually ran, so both rungs are silenced.
@@ -60,9 +88,7 @@ func (k *resilientKernel) silenceTelemetry() {
 // lowering stays reachable through Unwrap, so the compiler's stats still see
 // it.
 func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, g *graph.Graph) CompiledKernel {
-	if s, ok := inner.(telemetrySilencer); ok {
-		s.silenceTelemetry()
-	}
+	ReleaseTelemetry(inner)
 	p := inner.Plan()
 	//lint:allow hook-discipline -- site registration happens once at compose time, off the Run hot path
 	site := telemetry.NewKernelSite(

@@ -480,6 +480,7 @@ func lowerUnfused(b ExecBackend, p *Plan, g *graph.Graph, o Operands) (CompiledK
 				return nil, err
 			}
 			uk.steps = append(uk.steps, sk.RunCtx)
+			uk.kernels = append(uk.kernels, sk)
 		case st.RowMean:
 			src := store[st.A.In]
 			uk.steps = append(uk.steps, func(context.Context) error { tensor.RowMeanInto(out, src); return nil })
@@ -507,6 +508,7 @@ func lowerUnfused(b ExecBackend, p *Plan, g *graph.Graph, o Operands) (CompiledK
 	}
 	uk.head = head
 	uk.steps = append(uk.steps, head.RunCtx)
+	uk.kernels = append(uk.kernels, head)
 	return uk, nil
 }
 
@@ -515,6 +517,9 @@ type unfusedKernel struct {
 	p     *Plan
 	steps []func(context.Context) error
 	head  CompiledKernel
+	// kernels are the graph stages' kernels and the head, whose telemetry
+	// silenceTelemetry releases.
+	kernels []CompiledKernel
 }
 
 // Plan implements CompiledKernel.

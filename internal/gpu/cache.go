@@ -1,13 +1,25 @@
 package gpu
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Cache is a set-associative LRU cache over line addresses. It tracks only
-// presence (no data), which is all the performance model needs.
+// presence (no data), which is all the performance model needs. Line
+// addresses are trace line ids, in [0, MaxTraceLine].
 type Cache struct {
 	sets int
 	ways int
-	// tags[set*ways+way] holds the line address or -1 if invalid.
-	tags []int64
-	// stamps[set*ways+way] is the last-access tick for LRU replacement.
+	// setMul is Lemire's reciprocal of sets: a line's set is computed with two
+	// multiplies instead of a division (set), exact for 32-bit line ids.
+	setMul uint64
+	// tags[set*ways+way] holds the line id plus one, or 0 if invalid: a set's
+	// tags are contiguous and four bytes each, so the scan a hit needs reads
+	// one host cache line for up to sixteen ways.
+	tags []uint32
+	// stamps[set*ways+way] is the last-access tick for LRU replacement (0 =
+	// never used, which only an invalid way is).
 	stamps []int64
 	tick   int64
 
@@ -20,6 +32,15 @@ type Cache struct {
 // capacity smaller than one way per set still yields a functional (tiny)
 // cache.
 func NewCache(capacityBytes, lineBytes, ways int) *Cache {
+	c := &Cache{}
+	c.init(capacityBytes, lineBytes, ways)
+	return c
+}
+
+// init shapes c as NewCache(capacityBytes, lineBytes, ways) would, empty,
+// reusing its arrays when they are large enough: the simulator's workspace
+// keeps one L2 and a pool of L1s across calls.
+func (c *Cache) init(capacityBytes, lineBytes, ways int) {
 	lines := capacityBytes / lineBytes
 	if lines < 1 {
 		lines = 1
@@ -34,41 +55,58 @@ func NewCache(capacityBytes, lineBytes, ways int) *Cache {
 			ways = lines
 		}
 	}
-	c := &Cache{
-		sets:   sets,
-		ways:   ways,
-		tags:   make([]int64, sets*ways),
-		stamps: make([]int64, sets*ways),
+	n := sets * ways
+	if cap(c.tags) < n {
+		c.tags = make([]uint32, n)
+		c.stamps = make([]int64, n)
 	}
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	return c
+	*c = Cache{sets: sets, ways: ways, setMul: ^uint64(0)/uint64(sets) + 1, tags: c.tags[:n], stamps: c.stamps[:n]}
+	c.Reset()
+}
+
+// set returns line mod sets (Lemire, Kaser and Kurz, "Faster remainder by
+// direct computation", 2019: exact for a 32-bit dividend and divisor).
+func (c *Cache) set(line uint32) int {
+	hi, _ := bits.Mul64(c.setMul*uint64(line), uint64(c.sets))
+	return int(hi)
 }
 
 // Access touches a line address and reports whether it hit. A miss installs
-// the line, evicting the set's LRU way.
+// the line, evicting the set's LRU way: the first way holding the minimum
+// stamp. The tags are scanned first and the stamps only on a miss — a hit,
+// the common case, touches one array.
 func (c *Cache) Access(line int64) bool {
+	if uint64(line) > MaxTraceLine {
+		// invariant: lines are trace line ids, which Simulate bounds before
+		// any reaches a cache; a caller passing another number is a bug.
+		panic(fmt.Sprintf("gpu: cache line %d outside [0, %d]", line, uint64(MaxTraceLine)))
+	}
+	return c.access(uint32(line))
+}
+
+// access is Access for a line id Simulate's recording already bounded.
+func (c *Cache) access(line uint32) bool {
 	c.tick++
 	c.accesses++
-	set := int(uint64(line) % uint64(c.sets))
-	base := set * c.ways
-	var lruIdx int
-	lruStamp := int64(1) << 62
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tags[i] == line {
-			c.stamps[i] = c.tick
+	base := c.set(line) * c.ways
+	tag := line + 1
+	tags := c.tags[base : base+c.ways]
+	for w, t := range tags {
+		if t == tag {
+			c.stamps[base+w] = c.tick
 			c.hits++
 			return true
 		}
-		if c.stamps[i] < lruStamp {
-			lruStamp = c.stamps[i]
-			lruIdx = i
+	}
+	stamps := c.stamps[base : base+c.ways]
+	victim, oldest := 0, stamps[0]
+	for w := 1; w < len(stamps) && oldest > 0; w++ {
+		if s := stamps[w]; s < oldest {
+			victim, oldest = w, s
 		}
 	}
-	c.tags[lruIdx] = line
-	c.stamps[lruIdx] = c.tick
+	tags[victim] = tag
+	stamps[victim] = c.tick
 	return false
 }
 
@@ -85,9 +123,7 @@ func (c *Cache) HitRate() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = -1
-		c.stamps[i] = 0
-	}
+	clear(c.tags)
+	clear(c.stamps)
 	c.tick, c.accesses, c.hits = 0, 0, 0
 }

@@ -1,60 +1,60 @@
 package gpu
 
-// lineSet is a grow-on-demand open-addressing hash set of int64 line
-// addresses. The simulator inserts every sampled trace line once per run to
-// measure the sample's working set; Go's built-in map costs ~3x more per
-// operation for this access pattern.
+// lineSet is the set of distinct trace line ids one simulation saw: a bitmap
+// over line ids, allocated in 8 KiB pages of 65536 ids as the ids arrive.
+// The simulator inserts every sampled trace line to measure the sample's
+// working set. Trace lines cluster (a row's feature lines are consecutive, a
+// segment's rows are near each other), so a handful of pages holds a whole
+// trace and an insert touches memory its neighbours just touched — unlike a
+// hash table, which scatters them. The zero value is an empty set.
 type lineSet struct {
-	slots []int64
-	used  int
+	pages   [][]uint64 // by id >> pageShift; nil = no id in that range yet
+	touched []int      // pages holding ids, for reset
+	spare   [][]uint64 // cleared pages from earlier uses
+	used    int
 }
 
-const lineSetEmpty = int64(-1)
+const (
+	pageShift = 16
+	pageWords = 1 << pageShift / 64
+)
 
-func newLineSet(capacityHint int) *lineSet {
-	size := 1 << 10
-	for size < capacityHint*2 {
-		size <<= 1
+// Add inserts v and reports whether it was new.
+func (s *lineSet) Add(v uint32) bool {
+	p := int(v >> pageShift)
+	if p >= len(s.pages) {
+		s.pages = append(s.pages, make([][]uint64, p+1-len(s.pages))...)
 	}
-	s := &lineSet{slots: make([]int64, size)}
-	for i := range s.slots {
-		s.slots[i] = lineSetEmpty
-	}
-	return s
-}
-
-// Add inserts v (must be >= 0) and reports whether it was new.
-func (s *lineSet) Add(v int64) bool {
-	if s.used*2 >= len(s.slots) {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	h := uint64(v) * 0x9e3779b97f4a7c15
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case v:
-			return false
-		case lineSetEmpty:
-			s.slots[i] = v
-			s.used++
-			return true
+	page := s.pages[p]
+	if page == nil {
+		if n := len(s.spare); n > 0 {
+			page, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			page = make([]uint64, pageWords)
 		}
+		s.pages[p] = page
+		s.touched = append(s.touched, p)
 	}
+	w, bit := v/64%pageWords, uint64(1)<<(v%64)
+	if page[w]&bit != 0 {
+		return false
+	}
+	page[w] |= bit
+	s.used++
+	return true
 }
 
 // Len returns the number of distinct values inserted.
 func (s *lineSet) Len() int { return s.used }
 
-func (s *lineSet) grow() {
-	old := s.slots
-	s.slots = make([]int64, len(old)*2)
-	for i := range s.slots {
-		s.slots[i] = lineSetEmpty
+// reset empties the set for its next use: only the pages the last use
+// touched are cleared, and they are kept for the next.
+func (s *lineSet) reset() {
+	for _, p := range s.touched {
+		clear(s.pages[p])
+		s.spare = append(s.spare, s.pages[p])
+		s.pages[p] = nil
 	}
+	s.touched = s.touched[:0]
 	s.used = 0
-	for _, v := range old {
-		if v != lineSetEmpty {
-			s.Add(v)
-		}
-	}
 }

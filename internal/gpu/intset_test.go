@@ -6,7 +6,7 @@ import (
 )
 
 func TestLineSetBasics(t *testing.T) {
-	s := newLineSet(4)
+	s := &lineSet{}
 	if !s.Add(10) {
 		t.Fatal("first insert should be new")
 	}
@@ -25,9 +25,9 @@ func TestLineSetBasics(t *testing.T) {
 }
 
 func TestLineSetGrowth(t *testing.T) {
-	s := newLineSet(1)
+	s := &lineSet{}
 	const n = 10000
-	for i := int64(0); i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		if !s.Add(i * 131) {
 			t.Fatalf("value %d reported duplicate", i)
 		}
@@ -36,7 +36,7 @@ func TestLineSetGrowth(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
 	// All values still present after growth.
-	for i := int64(0); i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		if s.Add(i * 131) {
 			t.Fatalf("value %d lost during growth", i)
 		}
@@ -45,10 +45,13 @@ func TestLineSetGrowth(t *testing.T) {
 
 func TestLineSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := newLineSet(16)
-	ref := map[int64]bool{}
+	s := &lineSet{}
+	ref := map[uint32]bool{}
 	for i := 0; i < 20000; i++ {
-		v := int64(rng.Intn(5000))
+		v := uint32(rng.Intn(5000))
+		if i%2 == 0 {
+			v = rng.Uint32() % (MaxTraceLine + 1) // across pages
+		}
 		wantNew := !ref[v]
 		ref[v] = true
 		if got := s.Add(v); got != wantNew {
@@ -57,6 +60,37 @@ func TestLineSetMatchesMap(t *testing.T) {
 	}
 	if s.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(ref))
+	}
+}
+
+// TestLineSetReset: a reset set is empty whatever it held, holds ids from
+// across the id range, and reuses the pages it cleared instead of
+// allocating.
+func TestLineSetReset(t *testing.T) {
+	s := &lineSet{}
+	for i := uint32(0); i < 300000; i += 3 {
+		s.Add(i)
+	}
+	pages := len(s.touched)
+	s.reset()
+	if s.Len() != 0 || len(s.touched) != 0 || len(s.spare) != pages {
+		t.Fatalf("after reset: Len %d, %d touched pages, %d spare (want 0, 0, %d)", s.Len(), len(s.touched), len(s.spare), pages)
+	}
+	for _, v := range []uint32{0, 3, 7, MaxTraceLine, 1 << 31} {
+		if !s.Add(v) {
+			t.Fatalf("Add(%d) after reset reported a duplicate", v)
+		}
+	}
+	if s.Add(MaxTraceLine) || s.Add(3) || s.Len() != 5 {
+		t.Fatalf("Len %d after re-adding, want 5", s.Len())
+	}
+	if len(s.spare) != pages-3 { // ids in pages 0, 1<<15 and 1<<16-1
+		t.Errorf("three pages in use took %d spares, want 3", pages-len(s.spare))
+	}
+	s.reset()
+	s.reset() // empty: nothing to clear
+	if s.Len() != 0 || !s.Add(5) {
+		t.Error("set unusable after an empty reset")
 	}
 }
 

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 )
 
@@ -73,6 +74,21 @@ func WithMaxWorkBlocks(n int) Option {
 	}
 }
 
+// resolve applies opts to the default fidelity.
+func resolve(opts []Option) simConfig {
+	cfg := simConfig{maxSampledBlocks: 192, maxWorkBlocks: 16384, maxTraceLines: 1 << 20, l1Ways: 4, l2Ways: 16}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// OptionsKey is a comparable value standing for the fidelity opts resolve
+// to: equal for option lists that simulate alike (none and the defaults
+// spelled out, say). A caller memoising simulations keys by it beside the
+// kernel's identity and the device.
+func OptionsKey(opts ...Option) any { return resolve(opts) }
+
 // Simulate runs kernel k on device d and returns its metrics.
 //
 // The model (DESIGN.md §4):
@@ -86,10 +102,7 @@ func WithMaxWorkBlocks(n int) Option {
 //  3. Kernel time is the makespan, floored by device-wide L2, DRAM and
 //     atomic bandwidth demands.
 func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
-	cfg := simConfig{maxSampledBlocks: 192, maxWorkBlocks: 16384, maxTraceLines: 1 << 20, l1Ways: 4, l2Ways: 16}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 
 	numBlocks := k.NumBlocks()
 	warpsPerBlock := k.WarpsPerBlock()
@@ -116,36 +129,45 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	// pass needed.
 	// The trace is generated once and recorded, because generating it is
 	// the expensive part: the first walk measures the working set (to size
-	// the L2), the replay feeds the caches. Each access is one traceBounds
-	// entry holding its line count, negated for atomics; blockEnds marks
-	// access boundaries between blocks so the replay keeps each block on
-	// one L1.
-	distinct := newLineSet(1 << 12)
-	var traceLines []int64
-	var traceBounds []int32
-	blockEnds := make([]int, 0, sampled)
-	for i := 0; i < sampled && len(traceLines) < cfg.maxTraceLines; i++ {
-		k.TraceBlock(i*stride, func(a WarpAccess) {
-			for _, line := range a.Lines {
-				distinct.Add(line)
+	// the L2), the replay feeds the caches. Each access is one bounds entry
+	// holding its line count, negated for atomics; blockEnds marks access
+	// boundaries between blocks so the replay keeps each block on one L1.
+	// The recording, the distinct-line set, the caches and the block work
+	// live in a workspace reused across calls (workspace.go).
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	record := func(a WarpAccess) {
+		ws.lines = reserve(ws.lines, len(a.Lines), cfg.maxTraceLines)
+		ws.bounds = reserve(ws.bounds, 1, cfg.maxTraceLines)
+		for _, line := range a.Lines {
+			if uint64(line) > MaxTraceLine {
+				// invariant: core's segment layout keeps line ids below 2^26
+				// (eight 1 GiB segments of 128 B lines); an id past
+				// MaxTraceLine is a Kernel bug, not an input.
+				panic(fmt.Sprintf("gpu: trace line %d outside [0, %d]", line, uint64(MaxTraceLine)))
 			}
-			traceLines = append(traceLines, a.Lines...)
-			n := int32(len(a.Lines))
-			if a.Atomic {
-				n = -n
-			}
-			traceBounds = append(traceBounds, n)
-		})
-		blockEnds = append(blockEnds, len(traceBounds))
+			ws.distinct.Add(uint32(line))
+			ws.lines = append(ws.lines, uint32(line))
+		}
+		n := int32(len(a.Lines))
+		if a.Atomic {
+			n = -n
+		}
+		ws.bounds = append(ws.bounds, n)
 	}
-	sampled = len(blockEnds) // blocks actually traced within the line budget
-	sampleWS := float64(distinct.Len()) * float64(d.LineBytes)
+	for i := 0; i < sampled && len(ws.lines) < cfg.maxTraceLines; i++ {
+		k.TraceBlock(i*stride, record)
+		ws.blockEnds = append(ws.blockEnds, len(ws.bounds))
+	}
+	sampled = len(ws.blockEnds) // blocks actually traced within the line budget
+	sampleWS := float64(ws.distinct.Len()) * float64(d.LineBytes)
 	footprint := float64(k.Footprint())
 	share := 1.0
 	if footprint > 0 && sampleWS < footprint {
 		share = sampleWS / footprint
 	}
-	l2 := NewCache(int(float64(d.L2Bytes)*share), d.LineBytes, cfg.l2Ways)
+	l2 := &ws.l2
+	l2.init(int(float64(d.L2Bytes)*share), d.LineBytes, cfg.l2Ways)
 	// Sampled blocks round-robin over a pool of simulated SM L1s. The pool is
 	// sized to the lesser of the SM count and the sample so each simulated L1
 	// sees a realistic (not over-diluted) share of blocks.
@@ -153,39 +175,36 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	if l1Pool > sampled {
 		l1Pool = sampled
 	}
-	l1s := make([]*Cache, l1Pool)
-	for i := range l1s {
-		l1s[i] = NewCache(d.L1Bytes, d.LineBytes, cfg.l1Ways)
-	}
+	l1s := ws.l1Caches(l1Pool, d.L1Bytes, d.LineBytes, cfg.l1Ways)
 	// Replay the recorded trace block by block, each block pinned to one
 	// simulated L1.
 	var l1Acc, l1Hit, l2Acc, l2Hit int64
 	pos := 0
 	access := 0
-	for i := 0; i < len(blockEnds); i++ {
-		l1 := l1s[i%l1Pool]
-		for ; access < blockEnds[i]; access++ {
-			n := traceBounds[access]
+	for i, end := range ws.blockEnds {
+		l1 := &l1s[i%l1Pool]
+		for ; access < end; access++ {
+			n := ws.bounds[access]
 			atomic := n < 0
 			if atomic {
 				n = -n
 			}
-			for _, line := range traceLines[pos : pos+int(n)] {
+			for _, line := range ws.lines[pos : pos+int(n)] {
 				l1Acc++
 				if atomic {
 					// Atomics bypass L1 and resolve at L2.
 					l2Acc++
-					if l2.Access(line) {
+					if l2.access(line) {
 						l2Hit++
 					}
 					continue
 				}
-				if l1.Access(line) {
+				if l1.access(line) {
 					l1Hit++
 					continue
 				}
 				l2Acc++
-				if l2.Access(line) {
+				if l2.access(line) {
 					l2Hit++
 				}
 			}
@@ -217,7 +236,7 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	}
 	workScale := float64(numBlocks) / float64(workBlocks)
 
-	works := make([]BlockWork, workBlocks)
+	works := ws.blockWork(workBlocks)
 	activeBlocks := 0
 	var total BlockWork
 	for i := 0; i < workBlocks; i++ {

@@ -49,6 +49,10 @@ type Graph struct {
 	// edgeSrc/edgeDst are indexed by edge id (COO view).
 	edgeSrc []int32
 	edgeDst []int32
+
+	// fingerprint hashes the vertex count and the COO arrays, which
+	// determine every other field (Fingerprint).
+	fingerprint uint64
 }
 
 // ErrVertexOutOfRange reports an edge endpoint outside [0, NumVertices).
@@ -95,6 +99,7 @@ func FromCOO(numVertices int, src, dst []int32) (*Graph, error) {
 func (g *Graph) buildIndexes() {
 	n := g.numVertices
 	m := g.numEdges
+	g.fingerprint = fingerprintOf(n, g.edgeSrc, g.edgeDst)
 
 	g.inPtr = make([]int32, n+1)
 	g.outPtr = make([]int32, n+1)
@@ -126,6 +131,30 @@ func (g *Graph) buildIndexes() {
 		outCursor[s]++
 	}
 }
+
+// fingerprintOf hashes a graph's defining content: its vertex count and
+// edge list in id order. A multiply-xorshift step per word, so a graph of
+// millions of edges hashes in milliseconds at construction.
+func fingerprintOf(n int32, src, dst []int32) uint64 {
+	h := uint64(0x243f6a8885a308d3) ^ uint64(uint32(n))
+	mix := func(v int32) {
+		h ^= uint64(uint32(v))
+		h *= 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	for i := range src {
+		mix(src[i])
+		mix(dst[i])
+	}
+	mix(int32(len(src)))
+	return h
+}
+
+// Fingerprint identifies the graph by content: two graphs with the same
+// vertex count and the same edge list in id order have the same
+// fingerprint, and different graphs almost surely differ. Callers that
+// memoise per graph key by it instead of by *Graph, so they retain no graph.
+func (g *Graph) Fingerprint() uint64 { return g.fingerprint }
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return int(g.numVertices) }

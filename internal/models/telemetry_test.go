@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/gpu"
 	"repro/internal/ops"
 	"repro/internal/program"
@@ -246,5 +247,67 @@ func TestStepWallTimesCoverDenseSteps(t *testing.T) {
 	}
 	if want := `ugrapher_step_wall_seconds_count{model="SMean",step="SageL1_w_concat"} 3`; !strings.Contains(buf.String(), want) {
 		t.Errorf("metrics snapshot lacks %q", want)
+	}
+}
+
+// TestDecliningBackendRegistersOnlyTheRunningKernels: on a backend without a
+// row-resident lowering — the reference interpreter, the parallel backend at
+// four shards — GAT compiles twice, the first attempt stopping at the region
+// head. Neither that attempt's lowered kernels nor the inner kernels a region
+// wraps may stay registered: after one Run, the kernel sites -profile and
+// /metrics read are exactly the graph kernels of the program that runs, each
+// with its one run.
+func TestDecliningBackendRegistersOnlyTheRunningKernels(t *testing.T) {
+	for _, be := range []core.ExecBackend{core.ReferenceBackend(), core.NewShardedParallelBackend(2, 4)} {
+		t.Run(be.Name(), func(t *testing.T) {
+			telemetry.Reset()
+			t.Cleanup(telemetry.Reset)
+			telemetry.SetEnabled(true)
+			g := smallGraph(t, 23)
+			const inFeat, classes = 12, 5
+			cp, err := CompileModel(NewGAT(), g, inFeat, classes, NewHostEngine(be))
+			if err != nil {
+				t.Fatal(err)
+			}
+			declined := false
+			for _, n := range cp.Rewrites() {
+				declined = declined || (n.Pass == program.PassRowResident && !n.Accepted)
+			}
+			if !declined {
+				t.Fatalf("%s: no declined row-resident region; the recompile path was not taken: %v", be.Name(), cp.Rewrites())
+			}
+			x := tensor.NewDense(g.NumVertices(), inFeat)
+			x.FillRandom(rand.New(rand.NewSource(5)), 1)
+			if _, err := cp.Run(x); err != nil {
+				t.Fatal(err)
+			}
+			sites := telemetry.Default().SiteStats()
+			if want := cp.Stats().GraphKernels; len(sites) != want {
+				t.Errorf("%d kernel sites registered, want the program's %d graph kernels", len(sites), want)
+			}
+			for _, s := range sites {
+				if s.Runs != 1 {
+					t.Errorf("site %s (%s, %s) has %d runs, want 1", s.Op, s.Schedule, s.Backend, s.Runs)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedCompileReleasesItsKernelSites: a compile that fails after it
+// lowered every kernel — the row-closure rule rejecting a corrupted row walk,
+// the last check Compile runs — leaves no kernel site registered.
+func TestFailedCompileReleasesItsKernelSites(t *testing.T) {
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
+	t.Cleanup(faultinject.Reset)
+	telemetry.SetEnabled(true)
+	faultinject.Arm(faultinject.CorruptRowClosure, faultinject.Spec{Every: 1})
+	g := smallGraph(t, 24)
+	if _, err := CompileModel(NewGAT(), g, 12, 5, NewHostEngine(core.NewParallelBackend(2))); err == nil {
+		t.Fatal("compile with a corrupted row walk succeeded")
+	}
+	if sites := telemetry.Default().SiteStats(); len(sites) != 0 {
+		t.Errorf("a failed compile left %d kernel sites registered: %+v", len(sites), sites)
 	}
 }

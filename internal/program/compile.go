@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -214,6 +216,8 @@ type CompiledProgram struct {
 	scheds []ScheduledOp
 	// rewrites is every decision the dense-rewrite stage took (rewrite.go).
 	rewrites []RewriteNote
+	// times is where Compile's time went, pass by pass.
+	times CompileTimes
 	// slotOffsets is each arena slot's float offset, kept so the wave
 	// analyzer can turn slot assignments into effect intervals.
 	slotOffsets []int
@@ -255,14 +259,15 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 		if err != nil {
 			csp.EndErr(err.Error())
 		} else {
-			csp.EndArgs(rewriteArgs(cp.rewrites))
+			csp.EndArgs(compileArgs(cp))
 		}
 	}()
 	cm := DefaultCostModel()
 	if rp, ok := s.(RegionPolicy); ok {
 		cm = rp.FusionCostModel()
 	}
-	cp, err = compile(p, g, s, backend, cm)
+	var times CompileTimes
+	cp, err = compile(p, g, s, backend, cm, &times)
 	// Whether a backend can run a region's interior inside its head's row
 	// chunks is learnt by lowering the head (the lowered kernel is the one
 	// thing a decorator around the backend cannot hide). A backend that
@@ -270,11 +275,90 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	var declined *noRowRegionError
 	if errors.As(err, &declined) {
 		cm.stepsOnly = true
-		if cp, err = compile(p, g, s, backend, cm); err == nil {
+		if cp, err = compile(p, g, s, backend, cm, &times); err == nil {
 			cp.rewrites = append(cp.rewrites, RewriteNote{Pass: PassRowResident, Node: declined.head, Rule: rejectBackend})
 		}
 	}
+	if err == nil {
+		cp.times = times
+	}
 	return cp, err
+}
+
+// CompileTimes is where Compile's wall time went, pass by pass, summed over
+// its attempts (a backend that declines row-resident regions compiles
+// twice). Schedule is the scheduler's ScheduleFor calls: with a tuned engine,
+// the simulator grid search, which is most of a tuned compile.
+type CompileTimes struct {
+	Fuse     time.Duration // region growth and dead-code elimination
+	Rewrite  time.Duration // dense rewrites
+	Buffers  time.Duration // buffer plan and the arena's views
+	Schedule time.Duration // schedule assignment
+	Lower    time.Duration // plan compile, backend lowering, regions, weight packing, dense bodies
+	Rows     time.Duration // row reads of row-subset runs
+	Waves    time.Duration // step-dependence DAG and wave schedule
+	Verify   time.Duration // the mandatory verifier rules
+}
+
+// passTime is one pass's name and time.
+type passTime struct {
+	name string
+	d    time.Duration
+}
+
+// passes lists the passes in the order compile runs them, with their names.
+func (t CompileTimes) passes() []passTime {
+	return []passTime{
+		{"fuse", t.Fuse}, {"rewrite", t.Rewrite}, {"buffers", t.Buffers}, {"schedule", t.Schedule},
+		{"lower", t.Lower}, {"rows", t.Rows}, {"waves", t.Waves}, {"verify", t.Verify},
+	}
+}
+
+// String renders "fuse 1.2ms, rewrite 0.3ms, …" in pass order.
+func (t CompileTimes) String() string {
+	var b strings.Builder
+	for i, p := range t.passes() {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %v", p.name, p.d.Round(time.Microsecond))
+	}
+	return b.String()
+}
+
+// Total is the passes' sum.
+func (t CompileTimes) Total() time.Duration {
+	var sum time.Duration
+	for _, p := range t.passes() {
+		sum += p.d
+	}
+	return sum
+}
+
+// CompileTimes reports where Compile's time went, pass by pass.
+func (cp *CompiledProgram) CompileTimes() CompileTimes { return cp.times }
+
+// compileArgs are the compile span's arguments: every dense-rewrite decision
+// and each pass's time in milliseconds ("schedule_ms", …).
+func compileArgs(cp *CompiledProgram) map[string]string {
+	args := rewriteArgs(cp.rewrites)
+	if args == nil {
+		args = map[string]string{}
+	}
+	for _, p := range cp.times.passes() {
+		args[p.name+"_ms"] = fmt.Sprintf("%.3f", float64(p.d)/1e6)
+	}
+	return args
+}
+
+// passClock splits one compile attempt's wall time between passes: lap
+// charges the time since the previous lap to a pass.
+type passClock struct{ last time.Time }
+
+func (c *passClock) lap(d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(c.last)
+	c.last = now
 }
 
 // noRowRegionError is compile's report that the backend lowered the head of a
@@ -285,11 +369,22 @@ func (e *noRowRegionError) Error() string {
 	return fmt.Sprintf("program: %s: %v", e.head, core.ErrNoRowRegion)
 }
 
-// compile is one compilation under cost model cm.
-func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, cm CostModel) (cp *CompiledProgram, err error) {
+// compile is one compilation under cost model cm, its passes' time added to
+// times. An attempt that fails releases the telemetry of every kernel it
+// lowered: they never run, and Compile's next attempt lowers its own.
+func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, cm CostModel, times *CompileTimes) (cp *CompiledProgram, err error) {
 	var notes []RewriteNote
 	var stats Stats
 	numV, numE := g.NumVertices(), g.NumEdges()
+	clk := passClock{last: time.Now()}
+	var lowered []core.CompiledKernel
+	defer func() {
+		if err != nil {
+			for _, k := range lowered {
+				core.ReleaseTelemetry(k)
+			}
+		}
+	}()
 
 	// Pass 1: fusion and dense rewrites (engines that fuse) + dead-code
 	// elimination, all under one cost model — the scheduler's, when it is a
@@ -301,11 +396,14 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 		stats.FusedPairs = rstats.Pairs
 		stats.FusedRegions = rstats.Regions
 		stats.RegionSavedBytes = rstats.SavedBytes
+		clk.lap(&times.Fuse)
 		work, notes = RewriteDense(work, numV, numE, cm)
 		stats.countRewrites(notes)
+		clk.lap(&times.Rewrite)
 	}
 	work, stats.RemovedNodes = EliminateDead(work)
 	stats.GraphKernels = work.GraphOpCount()
+	clk.lap(&times.Fuse)
 
 	// Pass 3 runs before 2 in code: kernels lower against planned storage.
 	plan, err := PlanBuffers(work, numV, numE)
@@ -315,6 +413,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	stats.BufferSlots = len(plan.SlotFloats)
 	stats.PeakLive = plan.PeakLive
 	stats.ArenaFloats = plan.TotalFloats
+	clk.lap(&times.Buffers)
 
 	// Mandatory static verification (internal/analysis): SSA form, Table-4
 	// operand typing, fusion legality against the recorded program, and
@@ -323,6 +422,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	if err := verifyCompilation(p, work, plan, numV, numE); err != nil {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
 	}
+	clk.lap(&times.Verify)
 
 	// Carve one arena view per planned value; constants keep their own
 	// recorded storage.
@@ -343,6 +443,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 		v := work.Values[n.Out]
 		views[n.Out] = arena.View(offsets[plan.Assign[n.Out]], work.RowsOf(n.Out, numV, numE), v.Cols)
 	}
+	clk.lap(&times.Buffers)
 
 	cp = &CompiledProgram{
 		pre: p, prog: work, g: g, plan: plan, arena: arena,
@@ -396,7 +497,9 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 			if n.GOp.BKind != tensor.Null {
 				task.BCols = work.Values[n.Y].Cols
 			}
+			clk.lap(&times.Lower)
 			sched := s.ScheduleFor(task)
+			clk.lap(&times.Schedule)
 			if telemetry.Enabled() { // guard keeps sched.String() off the disabled path
 				telemetry.RecordScheduleChoice(n.Name, sched.Strategy.Code(), sched.String())
 			}
@@ -472,11 +575,14 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 				kern = core.ComposeRegion(kern, pre, post, r.Name, g)
 			}
 			st.kern = kern
+			lowered = append(lowered, kern)
 			cp.scheds = append(cp.scheds, ScheduledOp{Name: n.Name, Op: op, Schedule: sched})
 		}
 		//lint:allow hook-discipline -- site registration happens once at compile time, off the Run hot path
 		st.site = telemetry.NewStepSite(work.Model, n.Name)
+		clk.lap(&times.Lower)
 		cp.bindRows(&st, n)
+		clk.lap(&times.Rows)
 		cp.steps = append(cp.steps, st)
 	}
 
@@ -505,18 +611,22 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 		}
 	}
 
+	clk.lap(&times.Lower)
+
 	// Cross-check what the backend actually lowered: each kernel's declared
 	// write-conflict discipline must satisfy the re-derived atomic-need
 	// analysis for its (operator, strategy) pair.
 	if diags := verifyStepLowerings(cp); len(diags) > 0 {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, &analysis.VerifyError{Diags: diags})
 	}
+	clk.lap(&times.Verify)
 
 	// Step-effect dependence analysis (waves.go): derive the dependence DAG
 	// and wave schedule from the effect sets, then prove them with the
 	// mandatory wave rules — a schedule that would race is unrepresentable
 	// as a successful compile.
 	cp.buildWaveSchedule()
+	clk.lap(&times.Waves)
 	if err := cp.verifyWaveSchedule(); err != nil {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
 	}
@@ -526,6 +636,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	if err := cp.verifyRowClosure(); err != nil {
 		return nil, fmt.Errorf("program: %s: %w", work.Model, err)
 	}
+	clk.lap(&times.Verify)
 
 	cp.stats.Steps = len(cp.steps)
 	return cp, nil

@@ -7,8 +7,10 @@ package schedule
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -70,11 +72,24 @@ type Candidate struct {
 	Metrics  gpu.Metrics
 }
 
-// Evaluate simulates a single schedule for the task.
+// Evaluate simulates a single schedule for the task. The plan is compiled
+// (and statically verified) on every call; the simulation is looked up in the
+// process's memo first (memo.go), since an experiment sweep or a tuner asks
+// for the same (graph, op, widths, schedule, device, fidelity) many times.
 func Evaluate(t Task, s core.Schedule, opts ...gpu.Option) (Candidate, error) {
-	m, err := core.Estimate(t.Graph, t.Op, t.Feat, t.ACols, t.BCols, s, t.Device, opts...)
+	p, err := core.Compile(t.Op, s)
 	if err != nil {
 		return Candidate{}, err
+	}
+	key := evalKey{
+		graph: t.Graph.Fingerprint(), vertices: t.Graph.NumVertices(), edges: t.Graph.NumEdges(),
+		op: t.Op, feat: t.Feat, aCols: t.ACols, bCols: t.BCols, sched: s,
+		dev: *t.Device, sim: gpu.OptionsKey(opts...),
+	}
+	m, ok := evalMemo.get(key)
+	if !ok {
+		m = gpu.Simulate(t.Device, p.Kernel(t.Graph, t.Feat, t.ACols, t.BCols, t.Device), opts...)
+		evalMemo.put(key, m)
 	}
 	return Candidate{Schedule: s, Metrics: m}, nil
 }
@@ -82,17 +97,40 @@ func Evaluate(t Task, s core.Schedule, opts ...gpu.Option) (Candidate, error) {
 // GridSearch evaluates every schedule in space (default: Space()) and
 // returns the candidates sorted by ascending cycles. Schedules that fail to
 // compile for the operator are skipped.
+//
+// The candidates are independent pure simulations, evaluated on
+// runtime.GOMAXPROCS(0) goroutines that claim space indices from a shared
+// cursor. Each result lands in its candidate's slot and the failures are
+// dropped in space order, so the list sorted here is the one a serial loop
+// builds and the result is identical field for field at any GOMAXPROCS.
 func GridSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate {
 	if space == nil {
 		space = Space()
 	}
-	out := make([]Candidate, 0, len(space))
-	for _, s := range space {
-		c, err := Evaluate(t, s, opts...)
-		if err != nil {
-			continue
+	slots := make([]Candidate, len(space))
+	ok := make([]bool, len(space))
+	var next atomic.Int64
+	evaluate := func() {
+		for i := int(next.Add(1) - 1); i < len(space); i = int(next.Add(1) - 1) {
+			c, err := Evaluate(t, space[i], opts...)
+			slots[i], ok[i] = c, err == nil
 		}
-		out = append(out, c)
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(space)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evaluate()
+		}()
+	}
+	evaluate()
+	wg.Wait()
+	out := slots[:0]
+	for i, c := range slots {
+		if ok[i] {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
 	return out

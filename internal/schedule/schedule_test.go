@@ -1,7 +1,12 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -200,5 +205,135 @@ func TestGridSearchNilSpaceUsesFull(t *testing.T) {
 	cands := GridSearch(task, nil, gpu.WithMaxSampledBlocks(8))
 	if len(cands) != len(Space()) {
 		t.Errorf("nil space should use the full space: %d vs %d", len(cands), len(Space()))
+	}
+}
+
+// serialSearch is GridSearch as a plain loop: every schedule evaluated in
+// space order on the caller, failures skipped, the survivors sorted the same
+// way. It simulates through core.Estimate, Evaluate's body without the memo,
+// so the result it is compared with never came from the memo it filled.
+func serialSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate {
+	var out []Candidate
+	for _, s := range space {
+		m, err := core.Estimate(t.Graph, t.Op, t.Feat, t.ACols, t.BCols, s, t.Device, opts...)
+		if err == nil {
+			out = append(out, Candidate{Schedule: s, Metrics: m})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
+	return out
+}
+
+// sameCandidates reports the first difference between two candidate lists,
+// field for field, or "" when they are identical.
+func sameCandidates(got, want []Candidate) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d candidates, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Sprintf("rank %d: %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// gridTask is one search of the equivalence tests.
+type gridTask struct {
+	name  string
+	task  Task
+	space []core.Schedule
+}
+
+// gridTasks are the tasks the equivalence tests search: GCN's weighted
+// gather on CO and the unweighted one on PR, each over the pruned space and
+// the full one (which adds over-grouped and over-tiled schedules of all four
+// strategies; -short, which make race runs under, keeps the pruned one). An
+// invalid schedule rides along in every space so the dropped-failure order is
+// covered too.
+func gridTasks(t *testing.T) []gridTask {
+	t.Helper()
+	var out []gridTask
+	for abbr, op := range map[string]ops.OpInfo{"CO": ops.WeightedAggrSum, "PR": ops.AggrSum} {
+		g, _, err := datasets.Load(abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := Task{Graph: g, Op: op, Feat: 64, Device: gpu.V100()}.Widths(true)
+		invalid := core.Schedule{Strategy: core.Strategy(9), Group: 1, Tile: 1}
+		spaces := map[string][]core.Schedule{"pruned": PrunedSpace(task), "full": Space()}
+		if testing.Short() {
+			delete(spaces, "full")
+		}
+		for name, space := range spaces {
+			space = append([]core.Schedule{invalid}, space...)
+			out = append(out, gridTask{abbr + "/" + op.Name + "/" + name, task, space})
+		}
+	}
+	return out
+}
+
+// gridOpts keeps the equivalence tests' simulations cheap: the property is
+// the same at any trace sample size.
+var gridOpts = []gpu.Option{gpu.WithMaxSampledBlocks(8)}
+
+// TestGridSearchMatchesSerial: the concurrent search returns exactly the
+// serial loop's list — same candidates, same order, every Metrics field
+// equal — with one goroutine and with four.
+func TestGridSearchMatchesSerial(t *testing.T) {
+	for _, tc := range gridTasks(t) {
+		want := serialSearch(tc.task, tc.space, gridOpts...)
+		strategies := map[core.Strategy]bool{}
+		for _, c := range want {
+			strategies[c.Schedule.Strategy] = true
+		}
+		if len(strategies) != len(core.Strategies) {
+			t.Fatalf("%s: the space covers %d strategies, want all %d", tc.name, len(strategies), len(core.Strategies))
+		}
+		for _, procs := range []int{1, 4} {
+			resetMemo()
+			prev := runtime.GOMAXPROCS(procs)
+			got := GridSearch(tc.task, tc.space, gridOpts...)
+			runtime.GOMAXPROCS(prev)
+			if d := sameCandidates(got, want); d != "" {
+				t.Errorf("%s at GOMAXPROCS=%d: %s", tc.name, procs, d)
+			}
+		}
+	}
+}
+
+// TestGridSearchConcurrentCallers: eight callers searching at once — the way
+// internal/bench's parallel experiments and concurrent tuned compiles use
+// it — each get the serial result. Run under -race by make race.
+func TestGridSearchConcurrentCallers(t *testing.T) {
+	g, _, err := datasets.Load("CO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := []Task{
+		Task{Graph: g, Op: ops.WeightedAggrSum, Feat: 32, Device: gpu.V100()}.Widths(true),
+		Task{Graph: g, Op: ops.AggrSum, Feat: 16, Device: gpu.A100()}.Widths(false),
+	}
+	want := make([][]Candidate, len(tasks))
+	for i, task := range tasks {
+		want[i] = serialSearch(task, PrunedSpace(task), gridOpts...)
+	}
+	resetMemo()
+	const callers = 8
+	got := make([][]Candidate, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := tasks[c%len(tasks)]
+			got[c] = GridSearch(task, PrunedSpace(task), gridOpts...)
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		if d := sameCandidates(got[c], want[c%len(tasks)]); d != "" {
+			t.Errorf("caller %d: %s", c, d)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package telemetry
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // Spans, trace events, kernel sites and the kernel-run record stream.
 //
@@ -294,6 +297,23 @@ func (r *Registry) NewKernelSite(op, strategy, schedule, backend string, vertice
 	r.sites = append(r.sites, s)
 	r.mu.Unlock()
 	return s
+}
+
+// Release unregisters the site: it leaves the registry's site list, so the
+// profile no longer reads it, while counters already recorded stay. A kernel
+// whose runs another site records (a wrapped kernel) or that will never run
+// (one lowered by an abandoned compile attempt) releases its site. Nil-safe;
+// releasing twice is a no-op.
+func (s *KernelSite) Release() {
+	if s == nil {
+		return
+	}
+	r := s.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := slices.Index(r.sites, s); i >= 0 {
+		r.sites = slices.Delete(r.sites, i, i+1)
+	}
 }
 
 // Begin opens a kernel run. Returns 0 (and does nothing else) while
