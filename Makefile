@@ -61,11 +61,12 @@ race:
 # this way) — the row-subset runs' among them (TestRunRowsCancelPanicAndNumerics,
 # TestRunRowsHonoursCancelAndDeadline). Then the daemon's row-path ownership
 # tests three times the same way: overlapping batches on one CPU, where the
-# worker and the handlers that read its rows take turns. CI runs it as its own
+# worker and the handlers that read its rows take turns, and a sharded daemon's
+# row runs, whose kernels deal whole shards to the pool. CI runs it as its own
 # job.
 race-pinned:
 	taskset -c 0 $(GO) test -race -count=12 -run 'Cancel|Deadline' ./internal/workpool/... ./internal/core/... ./internal/program/... ./internal/models/...
-	taskset -c 0 $(GO) test -race -count=3 -run 'ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure' ./internal/serve/
+	taskset -c 0 $(GO) test -race -count=3 -run 'ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure|ShardedDaemonRunsRows' ./internal/serve/
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").

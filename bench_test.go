@@ -106,7 +106,7 @@ func loadObsBenchGraphs(b *testing.B) (skewed, regular *graph.Graph) {
 
 // BenchmarkTelemetryOverhead measures the cost of the telemetry hooks around
 // a copy_u.sum kernel on AR and PR: "disabled" is the default one-atomic-load
-// path, "enabled" records spans, counters and kernel records per run. This is
+// path, "enabled" records spans and counters per run. This is
 // the observability-issue acceptance benchmark; EXPERIMENTS.md records the
 // measured overhead (budget: <5% enabled).
 func BenchmarkTelemetryOverhead(b *testing.B) {

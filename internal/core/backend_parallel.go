@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"repro/internal/faultinject"
@@ -85,9 +84,11 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 		return nil, err
 	}
 	if o.Interior != nil {
-		return b.lowerRegion(p, g, o)
+		err = o.Interior.validate(p, g, o)
+	} else {
+		err = p.validateOperands(g.NumVertices(), g.NumEdges(), o)
 	}
-	if err := p.validateOperands(g.NumVertices(), g.NumEdges(), o); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	k := b.newKernel(p, g, o)
@@ -103,50 +104,40 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 		k.setJob(k.edgeChunk, g.NumEdges(), chunkSize(g.NumEdges(), k.fanout))
 		return k, nil
 	}
-	if k.red, err = lowerRowReducer(p.Op, o, o.C.T.Cols); err != nil {
+	if err := k.lowerRows(); err != nil {
 		return nil, err
 	}
-	// Partition-aware path: aggregation kernels execute over a verified shard
-	// plan when sharding is on. A plan that resolves to a single shard (auto
-	// on a small graph) falls through to the flat path.
-	if b.shards != 1 {
-		sp, err := shardPlanFor(g, b.shards)
-		if err != nil {
-			return nil, err
-		}
-		if sp.K > 1 {
-			k.bindShards(sp)
-			return k, nil
-		}
-	}
-	k.setJob(k.rowChunk, g.NumVertices(), chunkSize(g.NumVertices(), k.fanout))
 	return k, nil
 }
 
-// lowerRegion lowers the head of a row-resident region with its interior
-// stages as one row-chunk job (region_rows.go). Only the flat path has that
-// form: under a shard plan a chunk is a shard's scattered rows, not a run of
-// the incoming CSR, and the steps compile as recorded.
-func (b *ParallelBackend) lowerRegion(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
-	if b.shards != 1 {
-		sp, err := shardPlanFor(g, b.shards)
+// lowerRows binds a reducing kernel's row body — its reducer, or the slab
+// sets of the row-resident region its operands carry — and the job that deals
+// the rows: whole shards under a shard plan of more than one shard (a plan
+// that resolves to a single shard, auto on a small graph, stays flat),
+// chunkSize row ranges otherwise.
+func (k *parallelKernel) lowerRows() (err error) {
+	if k.b.shards != 1 {
+		plan, err := shardPlanFor(k.g, k.b.shards)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if sp.K > 1 {
-			return nil, ErrNoRowRegion
+		if plan.K > 1 {
+			k.bindShards(plan)
 		}
 	}
-	if o.C.T == nil {
-		return nil, fmt.Errorf("core: output tensor C is required")
+	if k.o.Interior != nil {
+		k.region, err = lowerRowRegion(k, k.o.Interior)
+	} else {
+		k.red, err = lowerRowReducer(k.p.Op, k.o, k.o.C.T.Cols)
 	}
-	k := b.newKernel(p, g, o)
-	var err error
-	if k.region, err = lowerRowRegion(k, o.Interior); err != nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
-	k.setJob(k.regionChunk, len(k.region.cuts)-1, 1)
-	return k, nil
+	if k.sp == nil {
+		numV := k.g.NumVertices()
+		k.setJob(k.rowChunk, numV, chunkSize(numV, k.fanout))
+	}
+	return nil
 }
 
 // newKernel is the kernel of p over operands whose output tensor is known to
@@ -243,7 +234,8 @@ func (k *parallelKernel) walk() string {
 }
 
 // BindEpilogue implements EpilogueBinder: every chunk body owns the rows it
-// writes, so the epilogue runs at the end of each chunk.
+// writes, so the epilogue runs at the end of each chunk — for a reducing
+// kernel, of each call of the row body.
 func (k *parallelKernel) BindEpilogue(f RowEpilogue) bool {
 	k.epilogue = f
 	return true
@@ -314,15 +306,47 @@ func chunkSize(items, workers int) int {
 	return c
 }
 
-// rowChunk is the chunk body of a reducing kernel: destination rows
-// [lo, hi), one owner per row, register-style accumulation, no
+// rowChunk is the chunk body of a reducing kernel's full pass: destination
+// rows [lo, hi), one owner per row, register-style accumulation, no
 // synchronization on the output — the host form of the thread-vertex /
 // warp-vertex kernels, and what the edge-parallel strategies run as too.
 func (k *parallelKernel) rowChunk(lo, hi int) {
 	chunkFaults()
-	k.red.reduceRows(k.o.C.T, k.g, int32(lo), int32(hi))
-	if k.epilogue != nil {
-		k.epilogue(lo, hi)
+	ss := k.claim()
+	defer ss.release()
+	k.rows(ss, int32(lo), int32(hi))
+}
+
+// rows is the one row body of every reducing kernel — the full pass's chunks,
+// a shard's runs of owned rows and a row run's runs all come here: rows
+// [lo, hi) reduced by the reducer or, in a row-resident region, by the stages
+// and head sub-run by sub-run, each part finished by the bound epilogue while
+// its rows are in cache. No state passes from one row to the next, so a row
+// holds the same bits whichever range it is computed in.
+func (k *parallelKernel) rows(ss *slabSet, lo, hi int32) {
+	for s := lo; s < hi; {
+		e := hi
+		if ss == nil {
+			k.red.reduceRows(k.o.C.T, k.g, s, e)
+		} else {
+			// A sub-run [s, e) ends at the last row whose in-edges still fit
+			// the slab, found by bisection (a row-by-row walk was ~1 % of a GAT
+			// pass on PR); a row alone always fits: the slab is at least the
+			// largest in-degree.
+			inPtr, slab, last := k.g.InPtr(), int32(len(k.region.pos)), hi
+			for e = s + 1; e < last; {
+				if m := e + (last-e+1)/2; inPtr[m]-inPtr[s] <= slab {
+					e = m
+				} else {
+					last = m - 1
+				}
+			}
+			k.regionRows(ss, s, e)
+		}
+		if k.epilogue != nil {
+			k.epilogue(int(s), int(e))
+		}
+		s = e
 	}
 }
 

@@ -11,19 +11,19 @@ import (
 
 // The partition-aware lowering path of the parallel backend. A graph's
 // vertices are split once (per graph, cached) into K cache-sized shards by
-// shard.Partition, and a sharded aggregation is the flat kernel with a third
-// chunk body: the items are the K shards, dealt one per claim, so the pool's
+// shard.Partition, and a sharded reduction is the flat kernel dealt another
+// way: the items are the K shards, dealt one per claim, so the pool's
 // participants take whole shards off the job's cursor and a shard's owned
 // rows stay with one goroutine (worker-to-shard affinity).
 //
-// A shard is a list of owned rows. shardChunk reduces each with the flat
-// kernel's span kernel (span.go) over the row's in-edge list in the global
-// CSR and writes the global output row directly — the owner-per-row walk of
-// rowChunk in the partition's order instead of id order. The verified plan
-// (shard-no-alias) gives every row exactly one owning shard, so no two
-// chunks write one row, there is nothing to merge, and the result is the flat
-// kernel's to the bit, independent of shard count, worker count or claim
-// order.
+// A shard is a list of owned rows. shardChunk runs the kernel's one row body
+// (parallelKernel.rows) over each run of consecutive owned ids, writing the
+// global output rows directly — the flat kernel's walk in the partition's
+// order instead of id order, a row-resident region's stages included. The
+// verified plan (shard-no-alias) gives every row exactly one owning shard, so
+// no two chunks write one row, there is nothing to merge, and the result is
+// the flat kernel's to the bit, independent of shard count, worker count or
+// claim order. A row run needs no plan at all: it is the flat kernel's.
 
 // shardPlanCache memoises verified shard plans per (graph, requested count):
 // a compiled model program lowers several kernels against the same graph,
@@ -93,7 +93,7 @@ func AsShardedLowering(k CompiledKernel) (ShardedLowering, bool) {
 
 // bindShards turns a reducing kernel into its sharded form: shardChunk over
 // the plan's shards, one shard per claim. Only called with a plan of at least
-// 2 shards.
+// 2 shards, before the region's slab sets are sized by the fan-out.
 func (k *parallelKernel) bindShards(sp *shard.Plan) {
 	k.sp = sp
 	k.fanout = min(k.fanout, sp.K)
@@ -124,36 +124,25 @@ func (k *parallelKernel) ShardEdgeCut() float64 {
 
 // shardChunk is the chunk body of a sharded reducing kernel: shards [lo, hi).
 func (k *parallelKernel) shardChunk(lo, hi int) {
+	ss := k.claim()
+	defer ss.release()
 	for s := lo; s < hi; s++ {
 		chunkFaults()
-		k.execShard(s)
+		k.execShard(ss, s)
 	}
 }
 
-// execShard runs shard s end to end, under a per-shard span when telemetry is
-// armed: every owned row is reduced straight into its global output row, then
-// the bound epilogue runs over the shard's rows, one call per run of
-// consecutive vertex ids.
-func (k *parallelKernel) execShard(s int) {
+// execShard runs the row body over each run of shard s's owned rows, under a
+// per-shard span when telemetry is armed.
+func (k *parallelKernel) execShard(ss *slabSet, s int) {
 	if telemetry.Enabled() {
 		sp := telemetry.StartSpan(k.b.Name(), "shard", k.labels[s])
 		defer sp.End()
 	}
-	out := k.o.C.T
 	owned := k.sp.Shards[s].Owned
-	for _, v := range owned {
-		srcs, eids := k.g.InEdges(v)
-		k.red.reduce(out.Row(int(v)), srcs, eids, v)
-	}
-	if k.epilogue == nil {
-		return
-	}
 	for i := 0; i < len(owned); {
-		j := i + 1
-		for j < len(owned) && owned[j] == owned[j-1]+1 {
-			j++
-		}
-		k.epilogue(int(owned[i]), int(owned[j-1])+1)
-		i = j
+		lo, hi, next := NextRun(owned, i)
+		k.rows(ss, lo, hi)
+		i = next
 	}
 }

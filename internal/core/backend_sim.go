@@ -46,8 +46,8 @@ func (b *SimBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck CompiledKern
 		return nil, err
 	}
 	// The wrapped compute kernel records through the sim kernel's site, not
-	// its own: one logical run must produce one kernel record, and it should
-	// carry the simulator metrics.
+	// its own: one logical run must count once, and it should carry the
+	// simulator metrics.
 	ReleaseTelemetry(ref)
 	gk, err := p.KernelFor(g, o, b.dev)
 	if err != nil {

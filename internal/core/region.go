@@ -18,9 +18,9 @@ import (
 // where the inner kernel cannot take it into its chunk bodies
 // (EpilogueBinder); the compiler tries that first.
 //
-// Telemetry follows the sim backend's precedent: one logical run must
-// produce one kernel record, so the inner kernel's site is silenced and the
-// region registers its own site under the "region" backend label.
+// Telemetry follows the sim backend's precedent: one logical run must count
+// once, so the inner kernel's site is silenced and the region registers its
+// own site under the "region" backend label.
 
 // RegionStage is one pre-built elementwise stage of a composed region: a
 // staging copy that applies an absorbed operand chain, or an in-place

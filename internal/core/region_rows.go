@@ -21,10 +21,11 @@ import (
 // the caller's elementwise closures), so each requested row holds the bits
 // the step-by-step program would have written.
 //
-// Only the flat parallel kernel lowers one. Every other lowering answers
-// ErrNoRowRegion, and the program compiler then compiles the steps it
-// recorded; the resilient ladder's lower rung runs those same steps on whole
-// tensors (lowerUnfused).
+// The parallel kernel lowers one, flat or sharded: its row body (rows in
+// backend_parallel.go) runs the stages over any row range. Every other
+// lowering answers ErrNoRowRegion, and the program compiler then compiles the
+// steps it recorded; the resilient ladder's lower rung runs those same steps
+// on whole tensors (lowerUnfused).
 
 // ErrNoRowRegion is returned by Lower for operands that carry an Interior
 // when the backend has no row-resident lowering for them.
@@ -80,14 +81,13 @@ type InteriorStage struct {
 // isGraph reports whether the stage is a graph operator.
 func (s *InteriorStage) isGraph() bool { return s.Chain == nil && !s.RowMean }
 
-// regionEdgeBudget is how many in-edges one chunk of a row-resident region
-// covers before the next row starts a new chunk (a row with more is a chunk
-// alone): at GAT's eight heads an Edge slab of that many rows is 64 KB, so the
-// three a layer needs stay in L2 beside the source rows, and PR's 162 k edges
-// still make 80 chunks for two workers to balance. It is not a tuned value:
-// 512 to 32768 measured within the bench host's run-to-run noise (+-8 %) of
-// each other on GAT/PR (BenchmarkGATLayer). It does not depend on the worker
-// count, so neither do the chunk boundaries nor any result.
+// regionEdgeBudget is the slab size of a row-resident region, in in-edges,
+// unless a row has more (the slab is then the largest in-degree): the row body
+// runs the stages over sub-runs of its rows whose in-edges fit. At GAT's eight
+// heads an Edge slab of 2048 rows is 64 KB, so the three a layer needs stay in
+// L2 beside the source rows. It is not a tuned value: 512 to 32768 measured
+// within the bench host's run-to-run noise (+-8 %) of each other on GAT/PR
+// (BenchmarkGATLayer).
 const regionEdgeBudget = 2048
 
 // validate checks the chain's shape against the head and the graph: value
@@ -214,14 +214,11 @@ func (in *Interior) validate(p *Plan, g *graph.Graph, o Operands) error {
 	return head("B", in.B, p.Op.BKind, o.B)
 }
 
-// rowRegion is an Interior lowered onto the flat parallel kernel.
+// rowRegion is an Interior lowered onto the parallel kernel.
 type rowRegion struct {
-	// cuts are the chunk boundaries, fixed at Lower by a prefix walk over the
-	// incoming CSR: chunk c covers destination rows [cuts[c], cuts[c+1]).
-	cuts []int32
-	// pos is 0, 1, 2, ...: the row of a slab that holds a chunk's i-th
+	// pos is 0, 1, 2, ...: the row of a slab that holds a sub-run's i-th
 	// in-edge, which is what the row reducers index an interior Edge operand
-	// by in place of an edge id.
+	// by in place of an edge id. Its length is the slab size.
 	pos []int32
 	// sets holds one slab set per participant of the kernel's pool job.
 	sets       []*slabSet
@@ -260,22 +257,16 @@ const (
 )
 
 // lowerRowRegion builds the region form of kernel k, whose head reduces into
-// k.o.C: chunk boundaries, slabs and every stage's loops, once.
+// k.o.C and whose Interior has been validated: slabs and every stage's loops,
+// once.
 func lowerRowRegion(k *parallelKernel, in *Interior) (*rowRegion, error) {
 	g, o := k.g, k.o
-	if err := in.validate(k.p, g, o); err != nil {
-		return nil, err
-	}
 	inPtr := g.InPtr()
 	numV := g.NumVertices()
-	rr := &rowRegion{cuts: []int32{0}, stages: len(in.Stages)}
-	slabRows, start := 1, 0
-	for v := 1; v <= numV; v++ {
-		if v == numV || int(inPtr[v+1]-inPtr[start]) > regionEdgeBudget || v-start >= regionEdgeBudget {
-			slabRows = max(slabRows, int(inPtr[v]-inPtr[start]))
-			rr.cuts = append(rr.cuts, int32(v))
-			start = v
-		}
+	rr := &rowRegion{stages: len(in.Stages)}
+	slabRows := int32(regionEdgeBudget)
+	for v := 0; v < numV; v++ {
+		slabRows = max(slabRows, inPtr[v+1]-inPtr[v])
 	}
 	rr.pos = make([]int32, slabRows)
 	for i := range rr.pos {
@@ -310,7 +301,7 @@ func lowerRowRegion(k *parallelKernel, in *Interior) (*rowRegion, error) {
 		store := append([]*tensor.Dense(nil), shared...)
 		for i, v := range in.Values {
 			if v.Kind == tensor.EdgeK {
-				store[i] = tensor.NewDense(slabRows, v.Cols)
+				store[i] = tensor.NewDense(int(slabRows), v.Cols)
 				rr.slabFloats += len(store[i].Data)
 			}
 		}
@@ -375,10 +366,14 @@ func lowerRowRegion(k *parallelKernel, in *Interior) (*rowRegion, error) {
 	return rr, nil
 }
 
-// claim takes a free slab set: the job deals chunks to at most len(sets)
-// participants, so one is always free.
-func (rr *rowRegion) claim() *slabSet {
-	for _, ss := range rr.sets {
+// claim takes a free slab set for a participant of the kernel's row body, nil
+// when the kernel is no row-resident region: a job deals chunks to at most
+// len(sets) participants and RunRows runs alone, so one is always free.
+func (k *parallelKernel) claim() *slabSet {
+	if k.region == nil {
+		return nil
+	}
+	for _, ss := range k.region.sets {
 		if ss.busy.CompareAndSwap(false, true) {
 			return ss
 		}
@@ -388,21 +383,10 @@ func (rr *rowRegion) claim() *slabSet {
 	panic("core: row-resident region has more participants than slab sets")
 }
 
-// regionChunk is the chunk body of a row-resident region: chunks [lo, hi) of
-// the precomputed row cuts, each run stage by stage over its in-edge
-// positions, then reduced by the head into its output rows and finished by the
-// bound epilogue while those rows are in cache.
-func (k *parallelKernel) regionChunk(lo, hi int) {
-	rr := k.region
-	ss := rr.claim()
-	defer ss.busy.Store(false)
-	for c := lo; c < hi; c++ {
-		chunkFaults()
-		rlo, rhi := rr.cuts[c], rr.cuts[c+1]
-		k.regionRows(ss, rlo, rhi)
-		if k.epilogue != nil {
-			k.epilogue(int(rlo), int(rhi))
-		}
+// release gives a claimed slab set back. Nil-safe.
+func (ss *slabSet) release() {
+	if ss != nil {
+		ss.busy.Store(false)
 	}
 }
 
@@ -410,7 +394,7 @@ func (k *parallelKernel) regionChunk(lo, hi int) {
 // [rlo, rhi), whose in-edges fit the slabs of ss. Nothing is carried from one
 // call to the next — a scatter stage's Dst_V rows are read back by the same
 // rows' edges in the same call — so any row range gives its rows the bits any
-// other range containing them would (rows.go runs arbitrary ones).
+// other range containing them would.
 func (k *parallelKernel) regionRows(ss *slabSet, rlo, rhi int32) {
 	rr := k.region
 	inPtr := k.g.InPtr()

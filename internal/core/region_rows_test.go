@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -16,9 +18,9 @@ import (
 	"repro/internal/vec/vectest"
 )
 
-// hubFixture is a graph whose vertex 3 has more in-edges than a region chunk's
-// edge budget (so it is a chunk alone, on a slab sized by it), between runs of
-// ordinary rows and a tail of vertices with no in-edges.
+// hubFixture is a graph whose vertex 3 has more in-edges than a region's edge
+// budget (so the slab is sized by it and it is a sub-run alone), between runs
+// of ordinary rows and a tail of vertices with no in-edges.
 func hubFixture(t testing.TB) *graph.Graph {
 	t.Helper()
 	const n = 400
@@ -37,8 +39,8 @@ func hubFixture(t testing.TB) *graph.Graph {
 	return g
 }
 
-// manyRowsFixture has more rows than a chunk's row budget and few edges, so
-// chunks are cut by rows, with stretches of zero in-degree.
+// manyRowsFixture has many rows and few edges, so a chunk's rows all fit one
+// slab, with stretches of zero in-degree.
 func manyRowsFixture(t testing.TB) *graph.Graph {
 	t.Helper()
 	const n = 3*regionEdgeBudget + 17
@@ -141,18 +143,17 @@ func softmaxRegions(g *graph.Graph, heads, feat int, seed int64) []regionCase {
 
 var tvSchedule = Schedule{Strategy: ThreadVertex, Group: 1, Tile: 1}
 
-// lowerRegion lowers rc on a flat parallel backend with the fan-out forced.
-func lowerRegion(t testing.TB, g *graph.Graph, rc regionCase, workers int) *parallelKernel {
+// lowerRegion lowers rc on a parallel backend of the given shard count with
+// the fan-out forced.
+func lowerRegion(t testing.TB, g *graph.Graph, rc regionCase, workers, shards int) *parallelKernel {
 	t.Helper()
-	b := NewShardedParallelBackend(workers, 1)
+	b := NewShardedParallelBackend(workers, shards)
 	// The fan-out decides how many slab sets a region allocates, so it is
 	// forced before lowering, not after.
 	k := &parallelKernel{b: b, p: MustCompile(rc.op, tvSchedule), g: g, o: rc.o, fanout: workers, site: nil}
-	var err error
-	if k.region, err = lowerRowRegion(k, rc.o.Interior); err != nil {
+	if err := k.lowerRows(); err != nil {
 		t.Fatalf("%s: %v", rc.name, err)
 	}
-	k.setJob(k.regionChunk, len(k.region.cuts)-1, 1)
 	return k
 }
 
@@ -173,9 +174,9 @@ func unfusedOutput(t testing.TB, b ExecBackend, g *graph.Graph, rc regionCase) *
 
 // TestRowRegionMatchesSteps: a row-resident region writes, bit for bit, what
 // its stages and head write when they run one after the other on whole
-// tensors — on every fixture (a hub row over the edge budget, chunks cut by the
-// row budget, zero in-degree stretches, a star), at every worker count, with
-// the vector kernels and with the Go loops — and the reference interpreter's
+// tensors — on every fixture (a hub row over the edge budget, many light rows,
+// zero in-degree stretches, a star), at every worker and shard count, with the
+// vector kernels and with the Go loops — and the reference interpreter's
 // values; a bound epilogue sees every output row exactly once.
 func TestRowRegionMatchesSteps(t *testing.T) {
 	fixtures := []struct {
@@ -195,26 +196,28 @@ func TestRowRegionMatchesSteps(t *testing.T) {
 						t.Fatalf("%s/%s: parallel steps differ from the reference interpreter (max diff %g)", fx.name, rc.name, want.MaxDiff(ref))
 					}
 					for _, workers := range []int{1, 2, 4} {
-						k := lowerRegion(t, fx.g, rc, workers)
-						seen := make([]int, fx.g.NumVertices())
-						k.BindEpilogue(func(lo, hi int) {
-							for v := lo; v < hi; v++ {
-								seen[v]++ // rows are owned: no two chunks share one
+						for _, shards := range []int{1, 4} {
+							k := lowerRegion(t, fx.g, rc, workers, shards)
+							seen := make([]int, fx.g.NumVertices())
+							k.BindEpilogue(func(lo, hi int) {
+								for v := lo; v < hi; v++ {
+									seen[v]++ // rows are owned: no two chunks share one
+								}
+							})
+							rc.o.C.T.Fill(-777)
+							if err := k.Run(); err != nil {
+								t.Fatalf("%s/%s workers=%d shards=%d: %v", fx.name, rc.name, workers, shards, err)
 							}
-						})
-						rc.o.C.T.Fill(-777)
-						if err := k.Run(); err != nil {
-							t.Fatalf("%s/%s workers=%d: %v", fx.name, rc.name, workers, err)
-						}
-						if i := rc.o.C.T.BitDiff(want); i >= 0 {
-							c := rc.o.C.T.Cols
-							t.Fatalf("%s/%s heads=%d feat=%d workers=%d: row %d col %d = %v (%#x), the steps give %v (%#x)",
-								fx.name, rc.name, shape[0], shape[1], workers, i/c, i%c,
-								rc.o.C.T.Data[i], math.Float32bits(rc.o.C.T.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
-						}
-						for v, n := range seen {
-							if n != 1 {
-								t.Fatalf("%s/%s workers=%d: epilogue saw row %d %d times", fx.name, rc.name, workers, v, n)
+							if i := rc.o.C.T.BitDiff(want); i >= 0 {
+								c := rc.o.C.T.Cols
+								t.Fatalf("%s/%s heads=%d feat=%d workers=%d shards=%d: row %d col %d = %v (%#x), the steps give %v (%#x)",
+									fx.name, rc.name, shape[0], shape[1], workers, shards, i/c, i%c,
+									rc.o.C.T.Data[i], math.Float32bits(rc.o.C.T.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+							}
+							for v, n := range seen {
+								if n != 1 {
+									t.Fatalf("%s/%s workers=%d shards=%d: epilogue saw row %d %d times", fx.name, rc.name, workers, shards, v, n)
+								}
 							}
 						}
 					}
@@ -224,10 +227,10 @@ func TestRowRegionMatchesSteps(t *testing.T) {
 	}
 }
 
-// TestRowRegionCapability: only the flat parallel lowering takes an Interior.
-// The reference interpreter, the simulator, a sharded lowering and the ladder
-// over one answer ErrNoRowRegion — and the ladder counts no fallback for it;
-// the ladder over a flat backend lowers the region on its primary.
+// TestRowRegionCapability: every parallel lowering takes an Interior, flat or
+// sharded, and so does the ladder over one, on its primary. The reference
+// interpreter, the simulator and the ladder over the reference answer
+// ErrNoRowRegion — and the ladder counts no fallback for it.
 func TestRowRegionCapability(t *testing.T) {
 	g := skewedFixture(t)
 	rc := softmaxRegions(g, 8, 16, 5)[0]
@@ -237,21 +240,21 @@ func TestRowRegionCapability(t *testing.T) {
 		rb.SetLogger(nil)
 		return rb
 	}
-	shardedLadder := quiet(NewShardedParallelBackend(2, 4))
+	referenceLadder := quiet(ReferenceBackend())
 	for name, b := range map[string]ExecBackend{
-		"reference": ReferenceBackend(), "sim": NewSimBackend(nil),
-		"shards=4": NewShardedParallelBackend(2, 4), "resilient over shards=4": shardedLadder,
+		"reference": ReferenceBackend(), "sim": NewSimBackend(nil), "resilient over reference": referenceLadder,
 	} {
 		if _, err := b.Lower(p, g, rc.o); !errors.Is(err, ErrNoRowRegion) {
 			t.Errorf("%s: Lower of a region head returned %v, want ErrNoRowRegion", name, err)
 		}
 	}
-	if n := shardedLadder.Fallbacks(); n != 0 {
+	if n := referenceLadder.Fallbacks(); n != 0 {
 		t.Errorf("the ladder counted %d fallbacks for a lowering its primary does not have", n)
 	}
 	for name, b := range map[string]ExecBackend{
 		"parallel": NewShardedParallelBackend(2, 1), "shards=0 resolving to one": NewShardedParallelBackend(2, 0),
-		"resilient": quiet(NewShardedParallelBackend(2, 1)),
+		"shards=4": NewShardedParallelBackend(2, 4), "resilient": quiet(NewShardedParallelBackend(2, 1)),
+		"resilient over shards=4": quiet(NewShardedParallelBackend(2, 4)),
 	} {
 		k, err := b.Lower(p, g, rc.o)
 		if err != nil {
@@ -309,15 +312,19 @@ func TestRowRegionBehindLadder(t *testing.T) {
 // TestRowRegionCancelAndPanic: a context that ends while chunks are being
 // dealt stops the region between chunks, a chunk panic — on the caller or a
 // helper — is a *KernelError naming the head, and the kernel runs correctly
-// afterwards: every chunk gives its slab set back.
+// afterwards: every chunk gives its slab set back. The runs watch a context
+// that can end, so that one worker is dealt chunks too: with nothing to watch
+// a pass on one worker is a single inline chunk.
 func TestRowRegionCancelAndPanic(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	g := manyRowsFixture(t)
 	rc := softmaxRegions(g, 8, 16, 13)[0]
 	want := unfusedOutput(t, ReferenceBackend(), g, rc)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	for _, workers := range []int{1, 2} {
-		k := lowerRegion(t, g, rc, workers)
-		chunks := len(k.region.cuts) - 1
+		k := lowerRegion(t, g, rc, workers, 1)
+		chunks := (k.items + k.chunk - 1) / k.chunk
 		if chunks < 4 {
 			t.Fatalf("fixture makes %d chunks, want several", chunks)
 		}
@@ -334,14 +341,19 @@ func TestRowRegionCancelAndPanic(t *testing.T) {
 		}
 
 		faultinject.Arm(faultinject.KernelPanic, faultinject.Spec{After: 2})
-		err = k.Run()
+		err = k.RunCtx(live)
 		faultinject.Reset()
 		var ke *KernelError
 		if !errors.As(err, &ke) || ke.Op != "head" || !strings.Contains(ke.Error(), "injected") {
 			t.Fatalf("workers=%d: chunk panic returned %v, want a *KernelError naming the head", workers, err)
 		}
+		for i, ss := range k.region.sets {
+			if ss.busy.Load() {
+				t.Fatalf("workers=%d: slab set %d is still claimed after the panic", workers, i)
+			}
+		}
 
-		if err := k.Run(); err != nil {
+		if err := k.RunCtx(live); err != nil {
 			t.Fatalf("workers=%d: run after the faults: %v", workers, err)
 		}
 		if !rc.o.C.T.Equal(want) {
@@ -398,24 +410,67 @@ func TestRowRegionRejectsMalformedInterior(t *testing.T) {
 	}
 }
 
-// TestRowRegionChunkCuts pins the chunk boundaries: consecutive, covering
-// every row once, each within the edge and row budgets unless it is a single
-// row, and the same whatever the worker count.
-func TestRowRegionChunkCuts(t *testing.T) {
-	for _, g := range []*graph.Graph{hubFixture(t), manyRowsFixture(t), starFixture(t)} {
+// TestRowRegionSlab pins the slab: max(regionEdgeBudget, the largest
+// in-degree), whatever the worker or shard count. On the hub fixture the hub,
+// above the budget, runs as a sub-run of its own — the stages see its in-edges
+// and no other row's — and the full pass at workers 1/2/4 and shards 1/4, and
+// a row run that contains the hub, write the steps' bits.
+func TestRowRegionSlab(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"hub", hubFixture(t)}, {"star", starFixture(t)}} {
+		g := fx.g
+		hub := int32(0)
+		for v := int32(1); v < int32(g.NumVertices()); v++ {
+			if g.InDegree(v) > g.InDegree(hub) {
+				hub = v
+			}
+		}
+		deg := int(g.InDegree(hub))
+		if fx.name == "hub" && deg <= regionEdgeBudget {
+			t.Fatalf("the hub has %d in-edges, not more than the budget", deg)
+		}
 		rc := softmaxRegions(g, 8, 8, 1)[0]
-		cuts := lowerRegion(t, g, rc, 1).region.cuts
-		if fmt.Sprint(cuts) != fmt.Sprint(lowerRegion(t, g, rc, 4).region.cuts) {
-			t.Fatal("chunk boundaries depend on the worker count")
+		want := unfusedOutput(t, ReferenceBackend(), g, rc)
+		// The in-place chain stage sees every sub-run's in-edges as its rows.
+		var mu sync.Mutex
+		var subRuns []int
+		chain := rc.o.Interior.Stages[1].Chain
+		rc.o.Interior.Stages[1].Chain = func(d *tensor.Dense) {
+			mu.Lock()
+			subRuns = append(subRuns, d.Rows)
+			mu.Unlock()
+			chain(d)
 		}
-		if cuts[0] != 0 || int(cuts[len(cuts)-1]) != g.NumVertices() {
-			t.Fatalf("cuts %v do not cover [0, %d)", cuts, g.NumVertices())
-		}
-		inPtr := g.InPtr()
-		for c := 0; c+1 < len(cuts); c++ {
-			rows, edges := cuts[c+1]-cuts[c], inPtr[cuts[c+1]]-inPtr[cuts[c]]
-			if rows <= 0 || (rows > 1 && (edges > regionEdgeBudget || rows > regionEdgeBudget)) {
-				t.Fatalf("chunk %d: rows [%d, %d) with %d edges", c, cuts[c], cuts[c+1], edges)
+		out := rc.o.C.T
+		for _, workers := range []int{1, 2, 4} {
+			for _, shards := range []int{1, 4} {
+				label := fmt.Sprintf("%s workers=%d shards=%d", fx.name, workers, shards)
+				k := lowerRegion(t, g, rc, workers, shards)
+				if slab := len(k.region.pos); slab != max(regionEdgeBudget, deg) {
+					t.Fatalf("%s: slab of %d in-edges, want max(%d, %d)", label, slab, regionEdgeBudget, deg)
+				}
+				subRuns = subRuns[:0]
+				poison(out)
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if i := out.BitDiff(want); i >= 0 {
+					t.Fatalf("%s: element %d differs from the steps", label, i)
+				}
+				if slices.Max(subRuns) > len(k.region.pos) || (fx.name == "hub" && !slices.Contains(subRuns, deg)) {
+					t.Fatalf("%s: sub-runs of %v in-edges; want none over the slab and the hub's %d alone", label, subRuns, deg)
+				}
+				rows := []int32{}
+				for r := int32(0); r <= hub+2; r++ {
+					rows = append(rows, r)
+				}
+				poison(out)
+				if err := k.RunRows(context.Background(), rows); err != nil {
+					t.Fatal(err)
+				}
+				checkRows(t, label+" row run", out, want, rows)
 			}
 		}
 	}

@@ -8,15 +8,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Row-subset runs (DESIGN.md §15): every reducing host kernel is an
-// owner-per-destination-row walk with no state between rows, so the rows a
-// caller wants are the same loops over fewer rows — same in-edge order, same
-// mean divisor, same softmax row sum, hence the same bits a full Run writes
-// there. A lowering says it can through RowRunner, in the style of
-// EpilogueBinder; the flat row walk and the row-resident region do, the
-// region and resilient wrappers pass the question on, and every other
-// lowering (reference, sim, sharded, unfused, edge-output) does not, which
-// makes the program that holds it answer a row run with a full pass.
+// Row-subset runs (DESIGN.md §15): every reducing parallel kernel has one row
+// body (parallelKernel.rows) over a range of destination rows with no state
+// between rows. A full pass deals it chunkSize ranges, a sharded one each
+// shard's runs of owned rows, and a row run the runs of the caller's rows:
+// the same loops, same in-edge order, same mean divisor, same softmax row
+// sum, hence the same bits a full Run writes there. A lowering says it can
+// through RowRunner, in the style of EpilogueBinder; every reducing parallel
+// kernel does, flat or sharded, plain or row-resident, the region and
+// resilient wrappers pass the question on, and every other lowering
+// (reference, sim, unfused, edge-output) does not, which makes the program
+// that holds it answer a row run with a full pass.
 
 // RowRunner is implemented by lowered kernels that can produce a chosen set of
 // their output rows.
@@ -56,17 +58,14 @@ func NextRun(rows []int32, i int) (lo, hi int32, next int) {
 	return rows[i], rows[next-1] + 1, next
 }
 
-// RunsRows implements RowRunner: the flat row walk and the row-resident
-// region do, an edge-output kernel (its rows are edges) and a sharded one (its
-// chunks are a shard's scattered rows under the shard's own reducer) do not.
+// RunsRows implements RowRunner: every reducing kernel does, an edge-output
+// kernel (its rows are edges) does not.
 func (k *parallelKernel) RunsRows() bool {
-	return k.p.Op.CKind != tensor.EdgeK && k.sp == nil
+	return k.p.Op.CKind != tensor.EdgeK
 }
 
-// RunRows implements RowRunner with the chunk bodies of a full Run over the
-// runs of rows: rowChunk's reducer, or regionChunk's stages and head a
-// slab's worth of in-edges at a time, then the bound epilogue. A panic comes
-// back as a *KernelError.
+// RunRows implements RowRunner with the row body of a full Run over each run
+// of rows. A panic comes back as a *KernelError.
 func (k *parallelKernel) RunRows(ctx context.Context, rows []int32) (err error) {
 	tstart := k.site.Begin()
 	// Registered before the recover defer so it runs after it (LIFO) and
@@ -84,41 +83,14 @@ func (k *parallelKernel) RunRows(ctx context.Context, rows []int32) (err error) 
 		return err
 	}
 	chunkFaults()
-	var ss *slabSet
-	if k.region != nil {
-		ss = k.region.claim()
-		defer ss.busy.Store(false)
-	}
-	out := k.o.C.T
+	ss := k.claim()
+	defer ss.release()
 	for i := 0; i < len(rows); {
 		lo, hi, next := NextRun(rows, i)
-		if ss != nil {
-			k.regionRun(ss, lo, hi)
-		} else {
-			k.red.reduceRows(out, k.g, lo, hi)
-		}
-		if k.epilogue != nil {
-			k.epilogue(int(lo), int(hi))
-		}
+		k.rows(ss, lo, hi)
 		i = next
 	}
-	return finishRows(k.p, out, rows)
-}
-
-// regionRun runs a row-resident region over destination rows [lo, hi), cut
-// wherever the next row's in-edges would no longer fit the slabs. A row alone
-// always fits: the slabs hold the largest chunk of the full run's cuts, and
-// every row is inside one.
-func (k *parallelKernel) regionRun(ss *slabSet, lo, hi int32) {
-	inPtr, slab := k.g.InPtr(), int32(len(k.region.pos))
-	for lo < hi {
-		end := lo + 1
-		for end < hi && inPtr[end+1]-inPtr[lo] <= slab {
-			end++
-		}
-		k.regionRows(ss, lo, end)
-		lo = end
-	}
+	return finishRows(k.p, k.o.C.T, rows)
 }
 
 // finishRows is finishRun for a row run: the NaN poke lands in the first row

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,7 +18,7 @@ import (
 
 // rowSets are sorted, distinct row lists over numV vertices that exercise the
 // run splitting: single rows, a long run, everything, the first and last row,
-// and — on the hub fixture — the row that is a region chunk alone.
+// and — on the hub fixture — the row that is a region's sub-run alone.
 func rowSets(numV int) [][]int32 {
 	rng := rand.New(rand.NewSource(5))
 	scattered := make([]int32, 0, 40)
@@ -67,10 +68,11 @@ func checkRows(t *testing.T, label string, out, want *tensor.Dense, rows []int32
 	}
 }
 
-// TestKernelRunRowsMatchesRun: the flat row walk's RunRows writes, in exactly
-// the rows asked for, the bits Run writes there — sum, mean, max, the scaled
-// sum, a Dst_V operand — with a bound epilogue applied to those rows once, at
-// every worker count the kernel was lowered for, on both kernel sets.
+// TestKernelRunRowsMatchesRun: the row walk's RunRows writes, in exactly the
+// rows asked for, the bits the flat Run writes there — sum, mean, max, the
+// scaled sum, a Dst_V operand — with a bound epilogue applied to those rows
+// once, at every worker and shard count the kernel was lowered for, on both
+// kernel sets; a sharded Run writes the flat Run's bits.
 func TestKernelRunRowsMatchesRun(t *testing.T) {
 	g := hubFixture(t)
 	numV, numE := g.NumVertices(), g.NumEdges()
@@ -89,33 +91,41 @@ func TestKernelRunRowsMatchesRun(t *testing.T) {
 		{"u_add_v.sum", ops.OpInfo{EdgeOp: ops.EdgeAdd, GatherOp: ops.GatherSum, AKind: tensor.SrcV, BKind: tensor.DstV, CKind: tensor.DstV}, tensor.Src(x), tensor.Dst(y)},
 	} {
 		vectest.EachKernelSet(t, func(t *testing.T) {
+			var want *tensor.Dense
 			for _, workers := range []int{1, 2, 4} {
-				out := tensor.NewDense(numV, 24)
-				k, err := NewShardedParallelBackend(workers, 1).Lower(MustCompile(tc.op, tvSchedule), g, Operands{A: tc.a, B: tc.b, C: tensor.Dst(out)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				relu := func(lo, hi int) { r := out.RowRange(lo, hi); tensor.ReLU(&r) }
-				if !k.(EpilogueBinder).BindEpilogue(relu) {
-					t.Fatal("the flat kernel refused an epilogue")
-				}
-				rr, ok := AsRowRunner(k)
-				if !ok {
-					t.Fatalf("%s: the flat row walk has no row-set form", tc.name)
-				}
-				if err := k.Run(); err != nil {
-					t.Fatal(err)
-				}
-				want := out.Clone()
-				for _, rows := range rowSets(numV) {
-					poison(out)
-					if err := rr.RunRows(context.Background(), rows); err != nil {
+				for _, shards := range []int{1, 4} {
+					label := fmt.Sprintf("%s workers=%d shards=%d", tc.name, workers, shards)
+					out := tensor.NewDense(numV, 24)
+					k, err := NewShardedParallelBackend(workers, shards).Lower(MustCompile(tc.op, tvSchedule), g, Operands{A: tc.a, B: tc.b, C: tensor.Dst(out)})
+					if err != nil {
 						t.Fatal(err)
 					}
-					checkRows(t, tc.name, out, want, rows)
-				}
-				if c := k.Counters(); c.Runs != 1 {
-					t.Errorf("%s: Counters.Runs = %d after one Run and six RunRows, want 1", tc.name, c.Runs)
+					relu := func(lo, hi int) { r := out.RowRange(lo, hi); tensor.ReLU(&r) }
+					if !k.(EpilogueBinder).BindEpilogue(relu) {
+						t.Fatal("the kernel refused an epilogue")
+					}
+					rr, ok := AsRowRunner(k)
+					if !ok {
+						t.Fatalf("%s: the row walk has no row-set form", label)
+					}
+					if err := k.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = out.Clone() // workers=1, shards=1: the flat pass
+					} else if d := out.BitDiff(want); d >= 0 {
+						t.Fatalf("%s: Run differs from the flat one at element %d", label, d)
+					}
+					for _, rows := range rowSets(numV) {
+						poison(out)
+						if err := rr.RunRows(context.Background(), rows); err != nil {
+							t.Fatal(err)
+						}
+						checkRows(t, label, out, want, rows)
+					}
+					if c := k.Counters(); c.Runs != 1 {
+						t.Errorf("%s: Counters.Runs = %d after one Run and six RunRows, want 1", label, c.Runs)
+					}
 				}
 			}
 		})
@@ -123,9 +133,9 @@ func TestKernelRunRowsMatchesRun(t *testing.T) {
 }
 
 // TestRegionRunRowsMatchesRun: the row-resident region's RunRows, whose runs
-// are cut by the slab capacity rather than at the full run's chunk cuts —
-// through the hub row that is a chunk alone, across zero-degree stretches,
-// inside chunks cut by the row budget — writes the full run's bits.
+// are cut into sub-runs by the slab capacity wherever they fall — through the
+// hub row that is a sub-run alone, across zero-degree stretches, over many
+// light rows — writes the flat full run's bits, flat or sharded.
 func TestRegionRunRowsMatchesRun(t *testing.T) {
 	for _, fx := range []struct {
 		name string
@@ -133,23 +143,31 @@ func TestRegionRunRowsMatchesRun(t *testing.T) {
 	}{{"hub", hubFixture(t)}, {"many-rows", manyRowsFixture(t)}} {
 		for _, rc := range softmaxRegions(fx.g, 8, 16, 31) {
 			vectest.EachKernelSet(t, func(t *testing.T) {
+				var want *tensor.Dense
 				for _, workers := range []int{1, 2} {
-					k := lowerRegion(t, fx.g, rc, workers)
-					out := rc.o.C.T
-					k.BindEpilogue(func(lo, hi int) { r := out.RowRange(lo, hi); tensor.LeakyReLU(&r, 0.1) })
-					if !k.RunsRows() {
-						t.Fatal("the row-resident region has no row-set form")
-					}
-					if err := k.Run(); err != nil {
-						t.Fatal(err)
-					}
-					want := out.Clone()
-					for _, rows := range rowSets(fx.g.NumVertices()) {
-						poison(out)
-						if err := k.RunRows(context.Background(), rows); err != nil {
+					for _, shards := range []int{1, 4} {
+						label := fmt.Sprintf("%s/%s workers=%d shards=%d", fx.name, rc.name, workers, shards)
+						k := lowerRegion(t, fx.g, rc, workers, shards)
+						out := rc.o.C.T
+						k.BindEpilogue(func(lo, hi int) { r := out.RowRange(lo, hi); tensor.LeakyReLU(&r, 0.1) })
+						if !k.RunsRows() {
+							t.Fatal("the row-resident region has no row-set form")
+						}
+						if err := k.Run(); err != nil {
 							t.Fatal(err)
 						}
-						checkRows(t, fx.name+"/"+rc.name, out, want, rows)
+						if want == nil {
+							want = out.Clone() // workers=1, shards=1: the flat pass
+						} else if d := out.BitDiff(want); d >= 0 {
+							t.Fatalf("%s: Run differs from the flat one at element %d", label, d)
+						}
+						for _, rows := range rowSets(fx.g.NumVertices()) {
+							poison(out)
+							if err := k.RunRows(context.Background(), rows); err != nil {
+								t.Fatal(err)
+							}
+							checkRows(t, label, out, want, rows)
+						}
 					}
 				}
 			})
@@ -157,10 +175,10 @@ func TestRegionRunRowsMatchesRun(t *testing.T) {
 	}
 }
 
-// TestWhichLoweringsRunRows pins the capability table: the flat row walk and
-// what wraps it without stages say yes; edge-output, sharded, reference, sim,
-// unfused, a region with a stage, and a ladder whose primary is already the
-// fallback say no.
+// TestWhichLoweringsRunRows pins the capability table: the row walk, flat or
+// sharded, the row-resident region, flat or sharded, and what wraps them
+// without stages say yes; edge-output, reference, sim, unfused, a region with
+// a stage, and a ladder whose primary is already the fallback say no.
 func TestWhichLoweringsRunRows(t *testing.T) {
 	g := hubFixture(t)
 	numV, numE := g.NumVertices(), g.NumEdges()
@@ -199,7 +217,9 @@ func TestWhichLoweringsRunRows(t *testing.T) {
 		{"composed region with a staged prologue", ComposeRegion(lower(flat, sum, aggr()), stage, nil, "r", g), false},
 		{"composed region with an epilogue stage", ComposeRegion(lower(flat, sum, aggr()), nil, stage, "r", g), false},
 		{"edge-output", lower(flat, msg, Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Edge(tensor.NewDense(numE, 8))}), false},
-		{"sharded", lower(NewShardedParallelBackend(2, 4), sum, aggr()), false},
+		{"sharded", lower(NewShardedParallelBackend(2, 4), sum, aggr()), true},
+		{"row-resident region", lower(flat, MustCompile(rc.op, tvSchedule), rc.o), true},
+		{"sharded row-resident region", lower(NewShardedParallelBackend(2, 4), MustCompile(rc.op, tvSchedule), rc.o), true},
 		{"reference", lower(ReferenceBackend(), sum, aggr()), false},
 		{"sim", lower(NewSimBackend(nil), sum, aggr()), false},
 		{"unfused region", unfused, false},

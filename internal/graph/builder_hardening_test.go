@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -142,4 +144,54 @@ func TestValidateCatchesCorruptIndexes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadEdgeListLimits: whatever an edge-list file holds and whatever the
+// bounds, the loader does not panic, and it ends one of two ways — an error
+// carrying the package prefix (or the scanner's line-too-long error), or a
+// graph within the bounds whose incoming CSR is consistent: InPtr runs from 0
+// to NumEdges without decreasing, and every in-edge position names an edge, once,
+// whose destination is the row and whose source InSrcs holds. The bounds are
+// kept small so that a header may not declare a graph the fuzzer cannot hold.
+func FuzzReadEdgeListLimits(f *testing.F) {
+	// The accepted forms; testdata/fuzz/FuzzReadEdgeListLimits holds the
+	// rejected and borderline ones.
+	for _, s := range []string{
+		"3 2\n0 1\n1 2\n", "# comment\n% comment\n4 3\n\n3 0\n0 3\n3 3\n", "5 0\n", "2 1\r\n1 0\r\n",
+	} {
+		f.Add(s, uint16(100), uint16(100))
+	}
+	f.Fuzz(func(t *testing.T, in string, maxV, maxE uint16) {
+		lim := Limits{MaxVertices: 1 + int(maxV)%4096, MaxEdges: 1 + int(maxE)%8192}
+		g, err := ReadEdgeListLimits(strings.NewReader(in), lim)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "graph: ") && !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("ReadEdgeListLimits(%q) error %q lacks the package prefix", in, err)
+			}
+			return
+		}
+		n, m := g.NumVertices(), g.NumEdges()
+		if n > lim.MaxVertices || m > lim.MaxEdges {
+			t.Fatalf("ReadEdgeListLimits(%q) under %+v built %d vertices, %d edges", in, lim, n, m)
+		}
+		inPtr, inSrcs, inEdges := g.InPtr(), g.InSrcs(), g.InEdgeIDs()
+		if len(inPtr) != n+1 || inPtr[0] != 0 || int(inPtr[n]) != m || len(inSrcs) != m || len(inEdges) != m {
+			t.Fatalf("ReadEdgeListLimits(%q): in-CSR of %d pointers ending at %d, %d sources, %d ids for %d vertices, %d edges",
+				in, len(inPtr), inPtr[len(inPtr)-1], len(inSrcs), len(inEdges), n, m)
+		}
+		seen := make([]bool, m)
+		srcs, dsts := g.EdgeSrcs(), g.EdgeDsts()
+		for v := 0; v < n; v++ {
+			if inPtr[v+1] < inPtr[v] {
+				t.Fatalf("ReadEdgeListLimits(%q): InPtr decreases at vertex %d", in, v)
+			}
+			for p := inPtr[v]; p < inPtr[v+1]; p++ {
+				e := inEdges[p]
+				if e < 0 || int(e) >= m || seen[e] || int(dsts[e]) != v || srcs[e] != inSrcs[p] {
+					t.Fatalf("ReadEdgeListLimits(%q): in-edge position %d of vertex %d names edge %d inconsistently", in, p, v, e)
+				}
+				seen[e] = true
+			}
+		}
+	})
 }

@@ -227,10 +227,10 @@ func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.Compi
 					if shards > 1 && cp.Stats().Shards < 2 {
 						t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
 					}
-					// GAT's edge-softmax chains run as row-resident regions on the
-					// flat kernel, the ladder's primary included, and as the
-					// recorded steps under a shard plan: both are in the matrix.
-					if want := map[bool]int{true: 2, false: 0}[m.Name() == "GAT" && shards == 1]; cp.Stats().RowRegions != want {
+					// GAT's edge-softmax chains run as row-resident regions on
+					// every parallel kernel, flat or sharded, the ladder's
+					// primary included.
+					if want := map[bool]int{true: 2, false: 0}[m.Name() == "GAT"]; cp.Stats().RowRegions != want {
 						t.Fatalf("%s: %d row-resident regions, want %d", label, cp.Stats().RowRegions, want)
 					}
 					dense, kernels := splitSteps(cp)

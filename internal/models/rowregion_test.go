@@ -50,8 +50,8 @@ func sinkGraph(t testing.TB) *graph.Graph {
 
 // TestRowRegionBitIdenticalToSteps: GAT compiled with its edge-softmax chains
 // as row-resident regions computes, bit for bit, what it computes with every
-// recorded step a step — on PR (4-edge rows), AR (hub rows far over a chunk's
-// edge budget), CO, a star and a graph whose last two thirds have no in-edges;
+// recorded step a step — on PR (4-edge rows), AR (hub rows far over the slab
+// budget), CO, a star and a graph whose last two thirds have no in-edges;
 // at one, two and four workers; under the host engine, a simulator-tuned one
 // and the resilient ladder; with the vector kernels and with the Go loops.
 func TestRowRegionBitIdenticalToSteps(t *testing.T) {

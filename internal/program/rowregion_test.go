@@ -163,12 +163,12 @@ func TestGrowInteriorDecisions(t *testing.T) {
 	}
 }
 
-// TestRowRegionCompiles: on the parallel backend the attention layer compiles
-// to its GEMM and one graph step whose kernel carries the four interior stages
-// (five with MsgC's epilogue) on chunk-sized slabs, and computes what the
-// recorded program computes; on backends without the lowering — and under a
-// shard plan — the same program compiles to the steps it always did, says why
-// in its provenance, and computes the same.
+// TestRowRegionCompiles: on the parallel backend, flat or under a shard plan,
+// the attention layer compiles to its GEMM and one graph step whose kernel
+// carries the four interior stages (five with MsgC's epilogue) on slabs, and
+// computes what the recorded program computes — the sharded program the flat
+// one's bits; on backends without the lowering the same program compiles to
+// the steps it always did, says why in its provenance, and computes the same.
 func TestRowRegionCompiles(t *testing.T) {
 	g := testGraph(t, 71, 300, 3000)
 	const heads, feat = 8, 16
@@ -178,7 +178,8 @@ func TestRowRegionCompiles(t *testing.T) {
 	for _, a := range []attention{{}, {noSoftmax: true}, {srcReadBack: true}, {denomRead: true}, {scoresRead: true}} {
 		p := attentionProgram(t, g.NumEdges(), heads, feat, a)
 		want := interpret(t, p, g, x)
-		var steps []int
+		steps := map[bool][]int{}
+		var flat *tensor.Dense
 		for _, tc := range []struct {
 			name    string
 			backend core.ExecBackend
@@ -188,7 +189,7 @@ func TestRowRegionCompiles(t *testing.T) {
 			{"resilient", core.NewResilientBackend(core.NewShardedParallelBackend(2, 1), nil), true},
 			{"reference", core.ReferenceBackend(), false},
 			{"sim", core.NewSimBackend(nil), false},
-			{"shards=4", core.NewShardedParallelBackend(2, 4), false},
+			{"shards=4", core.NewShardedParallelBackend(2, 4), true},
 		} {
 			cp, err := Compile(p, g, sched, tc.backend)
 			if err != nil {
@@ -222,10 +223,16 @@ func TestRowRegionCompiles(t *testing.T) {
 			if !got.AllClose(want, 1e-4, 1e-4) {
 				t.Errorf("%+v on %s: differs from the recorded program by %g", a, tc.name, got.MaxDiff(want))
 			}
-			steps = append(steps, st.Steps)
+			if flat == nil {
+				flat = got.Clone()
+			} else if d := got.BitDiff(flat); tc.region && d >= 0 {
+				t.Errorf("%+v on %s: differs from the flat parallel program at element %d", a, tc.name, d)
+			}
+			steps[tc.region] = append(steps[tc.region], st.Steps)
 		}
-		if steps[0] != steps[1] || steps[2] != steps[3] || steps[0] >= steps[2] {
-			t.Errorf("%+v: steps per backend %v, want fewer with the region and the same within each kind", a, steps)
+		with, without := steps[true], steps[false]
+		if slices.Min(with) != slices.Max(with) || slices.Min(without) != slices.Max(without) || with[0] >= without[0] {
+			t.Errorf("%+v: steps with the region %v, without %v; want fewer with it and the same within each kind", a, with, without)
 		}
 	}
 }

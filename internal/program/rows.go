@@ -111,7 +111,7 @@ func (cp *CompiledProgram) bindRows(st *step, n *Node) {
 	if st.kern != nil && st.rowDeclined == "" {
 		var ok bool
 		if st.rowKern, ok = core.AsRowRunner(st.kern); !ok {
-			st.rowDeclined = "its lowering has no row-set form (only the flat parallel row walk and the row-resident region have one)"
+			st.rowDeclined = "its lowering has no row-set form (only the parallel backend's reducing kernels have one)"
 		}
 	}
 	if st.rowDeclined != "" && cp.rowsDeclined == "" {

@@ -32,7 +32,7 @@ func BenchmarkRunRows(b *testing.B) {
 		g := loadGraph(b, abbr)
 		x := features(g, 42)
 		for _, m := range []models.Model{models.NewGCN(), models.NewGAT(), models.NewGIN()} {
-			cp := hostProgram(b, m, g, workers)
+			cp := hostProgram(b, m, g, workers, 1)
 			full := fullWork(cp, g)
 			name := m.Name() + "/" + abbr
 			b.Run(name+"/full", func(b *testing.B) {

@@ -43,10 +43,10 @@ func features(g *graph.Graph, seed int64) *tensor.Dense {
 }
 
 // hostProgram compiles m the way the daemon and `ugrapher -model` do, on a
-// flat parallel backend of the given worker count.
-func hostProgram(t testing.TB, m models.Model, g *graph.Graph, workers int) *program.CompiledProgram {
+// parallel backend of the given worker and shard count.
+func hostProgram(t testing.TB, m models.Model, g *graph.Graph, workers, shards int) *program.CompiledProgram {
 	t.Helper()
-	cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(core.NewShardedParallelBackend(workers, 1)))
+	cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(core.NewShardedParallelBackend(workers, shards)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,12 @@ func sameRows(t *testing.T, label string, got, want *tensor.Dense, rows []int32)
 }
 
 // TestRunRowsBitIdentical is the contract: for every model, graph, worker
-// count and row set, the requested rows of a row run — chosen by the rule and
-// forced — are the full pass's bits. The arena is poisoned before every forced
-// run, so a step that read a row this run did not write (a stale row of an
-// earlier run in a shared slot, a closure one row short) cannot agree by
-// luck; and a full Run after the row runs is the full pass again.
+// and shard count and row set, the requested rows of a row run — chosen by the
+// rule and forced — are the flat full pass's bits, and so is every
+// configuration's full pass. The arena is poisoned before every forced run, so
+// a step that read a row this run did not write (a stale row of an earlier run
+// in a shared slot, a closure one row short) cannot agree by luck; and a full
+// Run after the row runs is the full pass again.
 func TestRunRowsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, abbr := range []string{"CO", "PR", "AR"} {
@@ -137,9 +138,11 @@ func TestRunRowsBitIdentical(t *testing.T) {
 		x := features(g, 42)
 		cases := rowCases(g, rand.New(rand.NewSource(7)))
 		for _, m := range models.All() {
-			for _, workers := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s/%s/workers=%d", abbr, m.Name(), workers)
-				cp := hostProgram(t, m, g, workers)
+			var want *tensor.Dense
+			for _, cfg := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {1, 4}, {2, 4}, {4, 4}} {
+				workers, shards := cfg[0], cfg[1]
+				label := fmt.Sprintf("%s/%s/workers=%d/shards=%d", abbr, m.Name(), workers, shards)
+				cp := hostProgram(t, m, g, workers, shards)
 				if ok, why := cp.RowsCapable(); !ok {
 					t.Fatalf("%s: the host program is not rows-capable: %s", label, why)
 				}
@@ -147,7 +150,11 @@ func TestRunRowsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := out.Clone()
+				if want == nil {
+					want = out.Clone() // the flat pass on one worker
+				} else if d := out.BitDiff(want); d >= 0 {
+					t.Fatalf("%s: the full pass differs from the flat one at element %d", label, d)
+				}
 				for _, rc := range cases {
 					got, info, err := cp.RunRows(ctx, x, rc.rows)
 					if err != nil {
@@ -177,9 +184,9 @@ func TestRunRowsBitIdentical(t *testing.T) {
 }
 
 // TestRunRowsIncapableProgramsTakeFullPass: a program one of whose steps has
-// no row form — sharded kernels, the reference interpreter's, the edge-output
-// kernels a pair-only engine leaves in GAT — says which step declined and
-// answers RunRows with the full pass's rows.
+// no row form — the reference interpreter's kernels, the edge-output kernels a
+// pair-only engine leaves in GAT — says which step declined and answers
+// RunRows with the full pass's rows.
 func TestRunRowsIncapableProgramsTakeFullPass(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
@@ -189,7 +196,6 @@ func TestRunRowsIncapableProgramsTakeFullPass(t *testing.T) {
 		name string
 		eng  models.Engine
 	}{
-		{"sharded", models.NewHostEngine(core.NewShardedParallelBackend(2, 4))},
 		{"reference", models.NewHostEngine(core.ReferenceBackend())},
 		{"pair-only", pairOnly},
 	} {
@@ -271,7 +277,7 @@ func TestRunRowsZeroAllocs(t *testing.T) {
 	measure := func(t *testing.T, ctx context.Context, what string) {
 		for _, workers := range []int{1, 2} {
 			for _, m := range models.All() {
-				cp := hostProgram(t, m, g, workers)
+				cp := hostProgram(t, m, g, workers, 1)
 				for _, tc := range []struct {
 					name string
 					rows []int32
@@ -306,7 +312,7 @@ func TestRunRowsRejectsBadRowSets(t *testing.T) {
 	ctx := context.Background()
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
-	cp := hostProgram(t, models.NewGCN(), g, 1)
+	cp := hostProgram(t, models.NewGCN(), g, 1, 1)
 	if _, _, err := cp.RunRows(ctx, x, nil); !errors.Is(err, program.ErrEmptyRowSet) {
 		t.Errorf("empty row set: %v, want ErrEmptyRowSet", err)
 	}
@@ -334,7 +340,7 @@ func TestRunRowsNumericGuardScansWrittenRowsOnly(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
 	for _, m := range []models.Model{models.NewGCN(), models.NewGAT()} {
-		cp := hostProgram(t, m, g, 2)
+		cp := hostProgram(t, m, g, 2, 1)
 		cp.PoisonArena()
 		if _, _, err := cp.RunRowsForced(ctx, x, []int32{9, 1200}); err != nil {
 			t.Fatalf("%s over a poisoned arena: %v", m.Name(), err)
@@ -377,7 +383,7 @@ func TestRunRowsCrossover(t *testing.T) {
 		}
 		for _, tc := range cells {
 			label := abbr + "/" + tc.m.Name()
-			cp := hostProgram(t, tc.m, g, 2)
+			cp := hostProgram(t, tc.m, g, 2, 1)
 			out, err := cp.Run(x)
 			if err != nil {
 				t.Fatal(err)
@@ -415,7 +421,7 @@ func TestRunRowsCrossover(t *testing.T) {
 func TestRunRowsHonoursCancelAndDeadline(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
-	cp := hostProgram(t, models.NewGAT(), g, 2)
+	cp := hostProgram(t, models.NewGAT(), g, 2, 1)
 	out, err := cp.Run(x)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -130,26 +131,38 @@ func TestRequestRunsItsClosure(t *testing.T) {
 	}
 }
 
-// TestShardedDaemonListsTheDecliningStep: a daemon whose kernels have no row
-// form says which step declined and serves every request by the full pass.
-func TestShardedDaemonListsTheDecliningStep(t *testing.T) {
-	s, ts := newTestServer(t, Config{Models: []string{"GCN"}, Shards: 4})
-	h := s.hosts["gcn"]
-	ok, why := h.prog.RowsCapable()
-	if ok || !strings.Contains(why, "GCN_L1_Aggr") {
-		t.Fatalf("sharded program rows-capable=%v (%q), want GCN_L1_Aggr declining", ok, why)
-	}
-	want := referenceLogits(t, "GCN", "CO", 16, 8)
-	rows0, full0, _ := forwardModes(h)
-	code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3}})
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if d := maxAbsDiff(resp.Logits[0], want.Row(3)); d > 1e-4 {
-		t.Errorf("maxdiff %g vs reference", d)
-	}
-	if rows, full, _ := forwardModes(h); rows != rows0 || full != full0+1 {
-		t.Errorf("forward modes moved by rows=%d full=%d, want 0/1", rows-rows0, full-full0)
+// TestShardedDaemonRunsRowsLikeTheFlatOne: a daemon at four shards is
+// rows-capable, answers small stored-feature requests by row runs, and its
+// logits are the flat daemon's to the bit — GAT's row-resident regions
+// included.
+func TestShardedDaemonRunsRowsLikeTheFlatOne(t *testing.T) {
+	_, flatTS := newTestServer(t, Config{Models: []string{"GCN", "GAT"}})
+	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}, Shards: 4})
+	vertices := []int{3, 7, 100, 2000}
+	for _, name := range []string{"GCN", "GAT"} {
+		h := s.hosts[strings.ToLower(name)]
+		if ok, why := h.prog.RowsCapable(); !ok || h.prog.Stats().Shards != 4 {
+			t.Fatalf("%s: sharded program rows-capable=%v (%q) at %d shards", name, ok, why, h.prog.Stats().Shards)
+		}
+		code, want, e := postInfer(t, flatTS.URL, inferRequest{Model: name, Vertices: vertices})
+		if code != http.StatusOK {
+			t.Fatalf("%s flat: status %d (%s)", name, code, e.Error)
+		}
+		rows0, full0, _ := forwardModes(h)
+		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: name, Vertices: vertices})
+		if code != http.StatusOK {
+			t.Fatalf("%s sharded: status %d (%s)", name, code, e.Error)
+		}
+		if rows, full, _ := forwardModes(h); rows != rows0+1 || full != full0 {
+			t.Errorf("%s: forward modes moved by rows=%d full=%d, want 1/0", name, rows-rows0, full-full0)
+		}
+		for i, v := range vertices {
+			for j, got := range resp.Logits[i] {
+				if math.Float32bits(got) != math.Float32bits(want.Logits[i][j]) {
+					t.Fatalf("%s vertex %d logit %d: sharded %v, flat %v", name, v, j, got, want.Logits[i][j])
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package telemetry_test
 
 // Composition test for the fault-injection satellite: an injected kernel
-// panic must surface in telemetry as a failed kernel record/span whose
+// panic must surface in telemetry as a failed kernel span and site whose
 // identity (op, strategy) matches the *core.KernelError the caller sees —
 // the trace tells the same story as the error.
 
@@ -57,25 +57,22 @@ func TestInjectedKernelPanicRecordedAsFailedSpan(t *testing.T) {
 		t.Fatalf("Run with injected panic returned %v (%T), want *core.KernelError", err, err)
 	}
 
-	recs := telemetry.Default().Records()
-	if len(recs) != 1 {
-		t.Fatalf("got %d kernel records, want 1", len(recs))
+	stats := telemetry.Default().SiteStats()
+	if len(stats) != 1 {
+		t.Fatalf("got %d kernel sites, want 1", len(stats))
 	}
-	rec := recs[0]
-	if rec.Outcome != telemetry.OutcomeKernelError {
-		t.Errorf("record outcome = %q, want %q", rec.Outcome, telemetry.OutcomeKernelError)
+	site := stats[0]
+	if site.Runs != 1 || site.Failures != 1 {
+		t.Errorf("site counts %d runs, %d failures; want 1 and 1", site.Runs, site.Failures)
 	}
-	if rec.Op != ke.Op {
-		t.Errorf("record op %q != KernelError op %q", rec.Op, ke.Op)
+	if site.Op != ke.Op {
+		t.Errorf("site op %q != KernelError op %q", site.Op, ke.Op)
 	}
-	if rec.Schedule != ke.Strategy {
-		t.Errorf("record schedule %q != KernelError strategy %q", rec.Schedule, ke.Strategy)
+	if site.Schedule != ke.Strategy {
+		t.Errorf("site schedule %q != KernelError strategy %q", site.Schedule, ke.Strategy)
 	}
-	if rec.Backend != "parallel" {
-		t.Errorf("record backend = %q, want parallel", rec.Backend)
-	}
-	if rec.Err == "" {
-		t.Error("failed record carries no error text")
+	if site.Backend != "parallel" {
+		t.Errorf("site backend = %q, want parallel", site.Backend)
 	}
 
 	// The trace holds a failed kernel span on the parallel track with the
@@ -101,6 +98,9 @@ func TestInjectedKernelPanicRecordedAsFailedSpan(t *testing.T) {
 	if span.Args["op"] != ke.Op {
 		t.Errorf("span op arg = %q, want %q", span.Args["op"], ke.Op)
 	}
+	if span.Args["error"] == "" {
+		t.Error("failed span carries no error text")
+	}
 	if got := telemetry.Default().CounterValues()[`ugrapher_kernel_failures_total{backend="parallel",outcome="kernel_error"}`]; got != 1 {
 		t.Errorf("failure counter = %d, want 1", got)
 	}
@@ -110,16 +110,15 @@ func TestInjectedKernelPanicRecordedAsFailedSpan(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("rerun after recovered panic: %v", err)
 	}
-	recs = telemetry.Default().Records()
-	if len(recs) != 2 || recs[1].Outcome != telemetry.OutcomeOK {
-		t.Errorf("recovery run not recorded as ok: %+v", recs)
+	if st := telemetry.Default().SiteStats(); len(st) != 1 || st[0].Runs != 2 || st[0].Failures != 1 {
+		t.Errorf("recovery run not counted as ok: %+v", st)
 	}
 }
 
 // TestResilientFallbackSurfacesInTelemetry: the fallback ladder increments
 // ugrapher_fallbacks_total and emits a resilient-track instant event, and the
-// per-backend records show the failed primary run followed by the secondary
-// run.
+// per-backend kernel spans show the failed primary run followed by the
+// secondary run.
 func TestResilientFallbackSurfacesInTelemetry(t *testing.T) {
 	telemetry.Reset()
 	t.Cleanup(telemetry.Reset)
@@ -157,19 +156,24 @@ func TestResilientFallbackSurfacesInTelemetry(t *testing.T) {
 		t.Errorf("%s = %d, want 1", telemetry.MetricFallbacks, got)
 	}
 
-	recs := telemetry.Default().Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2 (failed primary + successful secondary): %+v", len(recs), recs)
+	tracks := telemetry.Default().TrackNames()
+	var kernels []telemetry.TraceEvent
+	for _, ev := range telemetry.Default().Events() {
+		if ev.Cat == "kernel" {
+			kernels = append(kernels, ev)
+		}
 	}
-	if recs[0].Backend != "parallel" || recs[0].Outcome != telemetry.OutcomeKernelError {
-		t.Errorf("primary record wrong: %+v", recs[0])
+	if len(kernels) != 2 {
+		t.Fatalf("got %d kernel spans, want 2 (failed primary + successful secondary): %+v", len(kernels), kernels)
 	}
-	if recs[1].Backend != "reference" || recs[1].Outcome != telemetry.OutcomeOK {
-		t.Errorf("secondary record wrong: %+v", recs[1])
+	if tracks[kernels[0].Track] != "parallel" || kernels[0].Args["outcome"] != string(telemetry.OutcomeKernelError) {
+		t.Errorf("primary span wrong: %+v", kernels[0])
+	}
+	if tracks[kernels[1].Track] != "reference" || kernels[1].Args["outcome"] != string(telemetry.OutcomeOK) {
+		t.Errorf("secondary span wrong: %+v", kernels[1])
 	}
 
 	// The resilient track carries the fallback instant event.
-	tracks := telemetry.Default().TrackNames()
 	found := false
 	for _, ev := range telemetry.Default().Events() {
 		if ev.Instant && ev.Cat == "fallback" && tracks[ev.Track] == "resilient" {

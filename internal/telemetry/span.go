@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Spans, trace events, kernel sites and the kernel-run record stream.
+// Spans, trace events and kernel sites.
 //
 // The span hierarchy (DESIGN.md §8):
 //
@@ -191,53 +191,6 @@ type SimSample struct {
 	L2HitRate float64
 }
 
-// KernelRecord is one entry of the per-kernel-run record stream.
-type KernelRecord struct {
-	Op       string
-	Strategy string // basic strategy code: TV, TE, WV, WE
-	Schedule string // full schedule, e.g. WE_G8_T4
-	Backend  string
-	Vertices int64
-	Edges    int64
-	WallNs   int64
-	Outcome  Outcome
-	Err      string
-	// HasSim marks records produced by the sim backend; the three fields
-	// below are only meaningful when it is set.
-	HasSim    bool
-	SimCycles float64
-	L1HitRate float64
-	L2HitRate float64
-}
-
-// addRecord appends to the bounded ring (oldest entries overwritten).
-func (r *Registry) addRecord(rec KernelRecord) {
-	r.mu.Lock()
-	if len(r.records) < cap(r.records) {
-		r.records = append(r.records, rec)
-	} else {
-		r.records[r.recPos] = rec
-		r.recPos = (r.recPos + 1) % cap(r.records)
-		r.recFull = true
-	}
-	r.mu.Unlock()
-}
-
-// Records snapshots the record stream, oldest first.
-func (r *Registry) Records() []KernelRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.recFull {
-		out := make([]KernelRecord, len(r.records))
-		copy(out, r.records)
-		return out
-	}
-	out := make([]KernelRecord, 0, len(r.records))
-	out = append(out, r.records[r.recPos:]...)
-	out = append(out, r.records[:r.recPos]...)
-	return out
-}
-
 // KernelSite is the per-lowered-kernel instrumentation handle. Backends
 // create one at Lower time (compile-time cost only) so each Run records
 // through pre-resolved counters with no map lookups. A nil *KernelSite is
@@ -326,8 +279,8 @@ func (s *KernelSite) Begin() int64 {
 }
 
 // End closes a kernel run begun at start: bumps the per-strategy counters,
-// observes the latency histogram, appends the trace span and the kernel
-// record, and — for sim-backend runs — publishes the cache-hit gauges.
+// observes the latency histogram, appends the trace span, and — for
+// sim-backend runs — publishes the cache-hit gauges.
 // Inert while disabled or on a nil site.
 func (s *KernelSite) End(start int64, outcome Outcome, errText string, sim *SimSample) {
 	if s == nil || !Enabled() {
@@ -360,32 +313,24 @@ func (s *KernelSite) endTrace(ts *TraceState, start int64, outcome Outcome, errT
 	s.nRuns.Inc()
 	s.totalNs.Add(dur)
 
-	rec := KernelRecord{
-		Op: s.Op, Strategy: s.Strategy, Schedule: s.Schedule, Backend: s.Backend,
-		Vertices: s.Vertices, Edges: s.Edges,
-		WallNs: dur, Outcome: outcome, Err: errText,
-	}
 	args := s.outcomeArgs(outcome, errText, sim != nil)
 	if sim != nil {
-		rec.HasSim = true
-		rec.SimCycles, rec.L1HitRate, rec.L2HitRate = sim.Cycles, sim.L1HitRate, sim.L2HitRate
 		s.reg.Gauge("ugrapher_sim_l1_hit_rate").Set(sim.L1HitRate)
 		s.reg.Gauge("ugrapher_sim_l2_hit_rate").Set(sim.L2HitRate)
 		s.reg.Gauge("ugrapher_sim_cycles_last").Set(sim.Cycles)
 		s.reg.Counter("ugrapher_sim_runs_total").Inc()
 		args["sim_cycles"] = formatFloat(sim.Cycles)
 	}
-	s.reg.addRecord(rec)
 	s.span(ts, start, dur, args, errText)
 }
 
 // EndRowsCtx closes a row-subset run of the kernel (core.RowRunner) begun at
 // start: the kernel span joins the request's tree like a full run's, so the
 // tree still says where the time went, and a failure is counted — but the
-// site's run, edge and wall-time series and the kernel record stream are left
-// alone: they describe full runs over the site's whole graph, and a run over
-// a few dozen rows is not a sample of that. Inert while disabled or on a nil
-// site; the OK path allocates nothing.
+// site's run, edge and wall-time series are left alone: they describe full
+// runs over the site's whole graph, and a run over a few dozen rows is not a
+// sample of that. Inert while disabled or on a nil site; the OK path
+// allocates nothing.
 func (s *KernelSite) EndRowsCtx(ctx context.Context, start int64, outcome Outcome, errText string) {
 	if s == nil || !Enabled() {
 		return

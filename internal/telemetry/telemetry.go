@@ -1,7 +1,7 @@
 // Package telemetry is the execution layer's observability subsystem: named
-// atomic counters and gauges, fixed-bucket latency histograms, a per-kernel
-// run record stream, and span-based tracing with two exporters (Chrome
-// trace-event JSON and Prometheus text format).
+// atomic counters and gauges, fixed-bucket latency histograms, per-kernel
+// sites, and span-based tracing with two exporters (Chrome trace-event JSON
+// and Prometheus text format).
 //
 // The package follows the one-atomic-load disarmed-hook pattern proven in
 // internal/faultinject: every instrumentation site first checks Enabled(),
@@ -129,8 +129,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // SumSeconds reports the observation total in seconds.
 func (h *Histogram) SumSeconds() float64 { return float64(h.sumNs.Load()) / 1e9 }
 
-// Registry holds a metric namespace plus the trace-event and kernel-record
-// streams. The package-level Default registry is what the instrumentation
+// Registry holds a metric namespace plus the trace-event stream and the
+// kernel sites. The package-level Default registry is what the instrumentation
 // hooks write to; tests may build private registries.
 type Registry struct {
 	mu       sync.Mutex
@@ -145,10 +145,7 @@ type Registry struct {
 	// noEvents turns the global event buffer off (SetEventRetention).
 	noEvents atomic.Bool
 
-	sites   []*KernelSite
-	records []KernelRecord // ring buffer, maxRecords capacity
-	recPos  int
-	recFull bool
+	sites []*KernelSite
 
 	// Pre-registered series, resolved once so hot paths skip the map.
 	fallbacks     *Counter
@@ -197,10 +194,7 @@ func addProcessGauges(gauges map[string]float64) {
 	gauges[Series1(MetricKernelISA, "isa", vec.ISA())] = 1
 }
 
-const (
-	defaultMaxEvents  = 1 << 19
-	defaultMaxRecords = 1 << 13
-)
+const defaultMaxEvents = 1 << 19
 
 // NewRegistry builds an empty registry with the well-known series
 // pre-registered (so snapshots always carry fallbacks_total etc., even at
@@ -221,9 +215,6 @@ func (r *Registry) init() {
 	r.maxEvents = defaultMaxEvents
 	r.noEvents.Store(false)
 	r.sites = nil
-	r.records = make([]KernelRecord, 0, defaultMaxRecords)
-	r.recPos = 0
-	r.recFull = false
 	r.fallbacks = r.counterLocked(MetricFallbacks)
 	r.numericFails = r.counterLocked(MetricNumericFailures)
 	r.dropped = r.counterLocked(MetricDroppedEvents)
@@ -255,7 +246,7 @@ func (r *Registry) SetMaxEvents(n int) {
 // started without -trace — turns it off: nothing is appended, nothing is
 // counted as dropped (an event nobody asked for is not a loss), and
 // everything else a span feeds is unchanged — request trees, exemplars,
-// histograms, counters, kernel records.
+// histograms, counters.
 func (r *Registry) SetEventRetention(on bool) { r.noEvents.Store(!on) }
 
 // SetBuildInfo publishes the conventional ugrapher_build_info gauge (value

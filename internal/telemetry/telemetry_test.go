@@ -105,20 +105,23 @@ func TestKernelSiteRecordsRunsAndFailures(t *testing.T) {
 		t.Errorf("failures counter = %d, want 1", got)
 	}
 
-	recs := Default().Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	evs := Default().Events()
+	if len(evs) != 2 {
+		t.Fatalf("got %d kernel spans, want 2", len(evs))
 	}
-	if recs[1].Outcome != OutcomeKernelError || recs[1].Err != "boom" {
-		t.Errorf("failure record wrong: %+v", recs[1])
+	if evs[1].Args["outcome"] != string(OutcomeKernelError) || evs[1].Args["error"] != "boom" {
+		t.Errorf("failure span wrong: %+v", evs[1])
 	}
-	if recs[0].Op != "op.sum" || recs[0].Strategy != "WE" || recs[0].Schedule != "WE_G8_T4" {
-		t.Errorf("record identity wrong: %+v", recs[0])
+	if a := evs[0].Args; evs[0].Name != "op.sum" || a["outcome"] != string(OutcomeOK) || a["strategy"] != "WE" || a["schedule"] != "WE_G8_T4" {
+		t.Errorf("span identity wrong: %+v", evs[0])
 	}
 
 	stats := Default().SiteStats()
 	if len(stats) != 1 || stats[0].Runs != 2 || stats[0].Failures != 1 {
 		t.Errorf("site stats wrong: %+v", stats)
+	}
+	if st := stats[0]; st.Op != "op.sum" || st.Strategy != "WE" || st.Schedule != "WE_G8_T4" || st.Backend != "parallel" {
+		t.Errorf("site identity wrong: %+v", st)
 	}
 }
 
@@ -136,8 +139,11 @@ func TestKernelSiteDisabledIsInert(t *testing.T) {
 		t.Error("nil site Begin != 0")
 	}
 	nilSite.End(0, OutcomeOK, "", nil) // must not panic
-	if recs := Default().Records(); len(recs) != 0 {
-		t.Errorf("disabled site recorded %d records", len(recs))
+	if evs := Default().Events(); len(evs) != 0 {
+		t.Errorf("disabled site emitted %d spans", len(evs))
+	}
+	if stats := Default().SiteStats(); len(stats) != 1 || stats[0].Runs != 0 {
+		t.Errorf("disabled site counted runs: %+v", stats)
 	}
 }
 
@@ -153,9 +159,8 @@ func TestSimSamplePublishesGauges(t *testing.T) {
 	if gs["ugrapher_sim_l1_hit_rate"] != 0.5 || gs["ugrapher_sim_l2_hit_rate"] != 0.75 {
 		t.Errorf("sim gauges wrong: %+v", gs)
 	}
-	recs := Default().Records()
-	if len(recs) != 1 || !recs[0].HasSim || recs[0].SimCycles != 123 {
-		t.Errorf("sim record wrong: %+v", recs)
+	if evs := Default().Events(); len(evs) != 1 || evs[0].Args["sim_cycles"] != "123" {
+		t.Errorf("sim span wrong: %+v", evs)
 	}
 }
 
@@ -177,25 +182,6 @@ func TestRecordFallbackCountsEvenWhenDisabled(t *testing.T) {
 	}
 	if evs := Default().Events(); len(evs) != 1 {
 		t.Errorf("enabled fallback emitted %d events, want 1", len(evs))
-	}
-}
-
-func TestRecordRingBounded(t *testing.T) {
-	Reset()
-	t.Cleanup(Reset)
-	SetEnabled(true)
-
-	s := NewKernelSite("op", "TE", "TE_G1_T1", "parallel", 1, 1)
-	n := defaultMaxRecords + 10
-	for i := 0; i < n; i++ {
-		s.End(s.Begin(), OutcomeOK, "", nil)
-	}
-	recs := Default().Records()
-	if len(recs) != defaultMaxRecords {
-		t.Fatalf("ring holds %d records, want %d", len(recs), defaultMaxRecords)
-	}
-	if got := Default().Counter(Series2("ugrapher_kernel_runs_total", "backend", "parallel", "strategy", "TE")).Value(); got != int64(n) {
-		t.Errorf("runs counter = %d, want %d (counters must not be bounded)", got, n)
 	}
 }
 
