@@ -8,13 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# test-generic runs the packages that sit on the vector kernels — the dense
-# operators, the compiled-program runtime and the whole-model suites — a
-# second time with the kernels off (a flag of those test binaries,
-# internal/vec/vectest), so every test there also answers for the Go loops a
-# CPU without AVX2 runs.
+# test-generic runs the packages that sit on the vector kernels — the graph
+# kernels, the dense operators, the compiled-program runtime and the
+# whole-model suites — a second time with the kernels off (a flag of those
+# test binaries, internal/vec/vectest), so every test there also answers for
+# the Go loops a CPU without AVX2 runs.
 test-generic:
-	$(GO) test ./internal/tensor/... ./internal/program/... ./internal/models/... -args -vec.generic
+	$(GO) test ./internal/core/... ./internal/tensor/... ./internal/program/... ./internal/models/... -args -vec.generic
 
 # portable-build proves the tree builds and vets where there are no vector
 # kernels: internal/vec's assembly is amd64-only, and every other
@@ -113,7 +113,8 @@ bench-obs:
 # program/dense.go's cost constants: the operator shapes the benchmark's
 # models run (GCN on AR, Sage on PU, GAT on PR) as the per-edge loop the span
 # kernels replaced, as each span form on one worker (in-place, blocked = the
-# Go loop, vector = the AVX2 kernel under it), and as lowered on one and two
+# Go loop, vector = the AVX2 kernel under it at one call per row,
+# rows-per-call = the multi-row kernel), and as lowered on one and two
 # workers; GAT's two edge-output shapes (u_add_v, e_div_v at eight heads on PR
 # and AR) as the Go loop and the vector kernel; then the packed GEMM at the six
 # models' shapes, the elementwise operators over Sage's hidden activations

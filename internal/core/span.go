@@ -27,6 +27,14 @@ import (
 // stopped at: the sub-8 tail, everything on any other CPU, and the whole row
 // again when the vector form met an index outside the operand, so that the
 // bounds panic is Go's own (vecDone).
+//
+// The gathered sums (spanSumCopy, spanSumMulScalar) also have a multi-row
+// vector form, which reduceSpans tries before any of that: one call reduces
+// the whole row range [lo, hi) over InPtr[lo:hi+1], each row with the same
+// passes and bits as its per-row call, and returns the row it stopped at —
+// the range's end, or a row with an index outside its operand or a segment
+// outside the index array — where the per-row loop resumes. Every reducing
+// kernel's full pass, shard runs and row runs come through it.
 
 // spanBlock is how many output columns a blocked span kernel keeps in scalar
 // register accumulators per pass over the in-edge list — the trick
@@ -36,25 +44,28 @@ import (
 // edge. The blocked form re-walks the in-edge list feat/8 times, which is
 // cheap while a row's sources stay in cache. It is also the width of one
 // vector register, so the vector form takes one to four blocks per pass.
-// BenchmarkSpanKernel, one worker, 2-CPU bench host, ms per kernel (`make
-// bench-kernels`; EXPERIMENTS.md "Row-span kernels" and "Vector kernels" have
-// every row):
+// BenchmarkSpanKernel, one worker, 2-CPU bench host, ms per kernel, the
+// faster of two runs (`make bench-kernels`; EXPERIMENTS.md "Row-span
+// kernels", "Vector kernels" and "Rows per call for the gathered span
+// kernels" have every row):
 //
-//	                        per-edge  in-place  blocked  vector
-//	AR u_mul_e.sum feat   8     27.8      27.2     17.4     6.5
-//	AR u_mul_e.sum feat  16     40.3      42.5     27.6     7.9
-//	AR u_mul_e.sum feat  32     65.9      70.5     50.2    13.7
-//	AR copy_u.sum  feat 128    239.5     250.2    127.0    41.8
-//	PU copy_u.sum  feat 256     23.3      23.8     13.1     6.1
-//	PR copy_e.sum  feat   8      2.5       2.8      1.3     1.3
-//	PR u_mul_e.sum feat  64     10.0      10.1      8.6     3.1
+//	                        per-edge  in-place  blocked  vector  rows-per-call
+//	AR u_mul_e.sum feat   8     33.2      36.1     22.3    12.4            4.8
+//	AR u_mul_e.sum feat  16     52.4      45.3     33.9    13.4            9.7
+//	AR u_mul_e.sum feat  32     77.0      84.7     61.0    19.9           13.2
+//	AR copy_u.sum  feat 128    362.2     392.7    177.1    46.0           37.0
+//	PU copy_u.sum  feat 256     31.0      33.0     17.0     6.9            5.5
+//	PR copy_e.sum  feat   8      2.8       3.0      1.5     1.9            0.7
+//	PR u_mul_e.sum feat  64     12.4      13.1     11.7     3.9            2.3
 //
-// The Go blocked loop beats the in-place one at every width here (by 15 % on
-// PR's 4-edge rows at 64 columns, by 35-50 % elsewhere), so the in-place form
+// The Go blocked loop beats the in-place one at every width here (by 11 % on
+// PR's 4-edge rows at 64 columns, by 25-55 % elsewhere), so the in-place form
 // serves only the sub-block tail and the operator shapes without a blocked
-// kernel. The vector form under it is 2-3.5x faster again wherever a row has
-// more than a handful of in-edges; on PR's 4-edge, 8-column rows the call
-// costs what the lanes save.
+// kernel. The vector form under it, at one call per row, is 1.8-3.9x faster
+// again wherever a row has more than a handful of in-edges; on PR's 4-edge,
+// 8-column rows the call costs more than the lanes save. One call for the
+// whole row range (reduceSpans) is 1.2-1.7x faster again at 16 columns and up
+// and 2.6x at 8, where the per-row Go call chain was most of a row's cost.
 const spanBlock = 8
 
 // spanOperand is one input tensor of a lowered operator: its storage, its
@@ -111,13 +122,18 @@ type rowReducer struct {
 	full, scalar spanOperand
 	// row folds one edge into an accumulator row (kernels_host.go): the
 	// in-place form of every operator, and the tail of the blocked ones.
-	row      fusedRow
-	span     spanFn
+	row  fusedRow
+	span spanFn
+	// spans marks the gathered sums (spanSumCopy, spanSumMulScalar), which
+	// have a multi-row vector form: sumSpans reduces a whole run of rows per
+	// call.
+	spans    bool
 	identity float32
 	mean     bool
 	// plainSum marks the sum of a copied full-width operand (spanSumCopy
 	// without the mean division): over a slab, whose rows are the in-edge
-	// positions themselves, reduceSlab sums whole runs of rows per call.
+	// positions themselves, reduceSlab sums whole runs of rows per call
+	// without a gather.
 	plainSum bool
 }
 
@@ -149,7 +165,7 @@ func lowerRowReducer(op ops.OpInfo, o Operands, feat int) (rowReducer, error) {
 		}
 		switch {
 		case sum:
-			r.span = spanSumCopy
+			r.span, r.spans = spanSumCopy, true
 			r.plainSum = !r.mean
 		case op.GatherOp == ops.GatherMax:
 			r.span = spanMaxCopy
@@ -163,7 +179,7 @@ func lowerRowReducer(op ops.OpInfo, o Operands, feat int) (rowReducer, error) {
 			r.full, r.scalar = r.b, r.a
 		}
 		if sum && r.full.cols == feat && r.scalar.cols == 1 {
-			r.span = spanSumMulScalar
+			r.span, r.spans = spanSumMulScalar, true
 		}
 	}
 	return r, nil
@@ -191,28 +207,38 @@ func (r *rowReducer) reduce(row []float32, srcs, eids []int32, v int32) {
 // reduceRows is the chunk body of the row walk: output rows [lo, hi) of out
 // from graph g's incoming CSR, one owner per row.
 func (r *rowReducer) reduceRows(out *tensor.Dense, g *graph.Graph, lo, hi int32) {
-	inPtr, inSrc, inEdge := g.InPtr(), g.InSrcs(), g.InEdgeIDs()
-	for v := lo; v < hi; v++ {
-		s, e := inPtr[v], inPtr[v+1]
-		r.reduce(out.Row(int(v)), inSrc[s:e], inEdge[s:e], v)
-	}
+	r.reduceSpans(out, g.InPtr(), lo, hi, 0, g.InSrcs(), g.InEdgeIDs())
 }
 
 // reduceSlab is reduceRows inside a row-resident region (region_rows.go): the
 // reducer's Edge operand is a slab whose row i holds in-edge position base+i,
-// and pos is 0, 1, 2, ..., what stands in for edge ids there. The plain sum
-// first hands the whole row range to the vector kernel — a destination's
-// in-edges are consecutive slab rows, so there is nothing to gather and no
-// call per row, which is most of the cost on rows of a few edges — and the
-// per-row loop resumes at the row it stopped at.
+// and pos is 0, 1, 2, ..., what stands in for edge ids there. A
+// destination's in-edges are consecutive slab rows, so the plain sum has
+// nothing to gather: vec.SegmentSum adds them without reading an index,
+// which on rows of a few edges beats the gathered kernel by a fifth.
 func (r *rowReducer) reduceSlab(out *tensor.Dense, g *graph.Graph, lo, hi int32, base int, pos []int32) {
-	inPtr, inSrc := g.InPtr(), g.InSrcs()
+	inPtr := g.InPtr()
 	if r.plainSum {
 		lo += int32(vec.SegmentSum(out.Data[int(lo)*out.Cols:], out.Cols, r.full.data, inPtr[lo:hi+1], base))
 	}
+	r.reduceSpans(out, inPtr, lo, hi, base, g.InSrcs()[base:], pos)
+}
+
+// reduceSpans computes output rows [lo, hi) of out, row v from the in-edge
+// lists srcs[inPtr[v]-base : inPtr[v+1]-base] and eids likewise. The
+// gathered sums first hand the whole row range to their multi-row vector
+// kernel — one call, not a Go call chain per row, which is most of the cost
+// on rows of a few edges — and the per-row loop resumes at the row it
+// stopped at: every row on a CPU without the kernels or at a width that is
+// not a multiple of eight, and a row with an index outside its operand, so
+// that the bounds panic is Go's own.
+func (r *rowReducer) reduceSpans(out *tensor.Dense, inPtr []int32, lo, hi int32, base int, srcs, eids []int32) {
+	if r.spans {
+		lo += int32(r.sumSpans(out.Data[int(lo)*out.Cols:], inPtr[lo:hi+1], base, srcs, eids))
+	}
 	for v := lo; v < hi; v++ {
-		a, b := int(inPtr[v]), int(inPtr[v+1])
-		r.reduce(out.Row(int(v)), inSrc[a:b], pos[a-base:b-base], v)
+		a, b := int(inPtr[v])-base, int(inPtr[v+1])-base
+		r.reduce(out.Row(int(v)), srcs[a:b], eids[a:b], v)
 	}
 }
 
@@ -252,6 +278,27 @@ func (r *rowReducer) inPlace(acc []float32, srcs, eids []int32, v int32, j0 int)
 // Go loop walks the same edge and its slice check raises the panic the
 // kernel's recover turns into a KernelError.
 func vecDone(cols int) int { return max(cols, 0) }
+
+// sumSpans is the multi-row form of spanSumCopy (no scalar operand) and
+// spanSumMulScalar: output rows r = 0, 1, ... of out, one per slot of ptr but
+// the last, from the in-edge lists srcs[ptr[r]-base : ptr[r+1]-base] (eids
+// likewise) in one vector call. It returns how many rows it finished: none
+// for a Dst_V operand (stride 0), whose one row per destination the kernel
+// does not take.
+func (r *rowReducer) sumSpans(out []float32, ptr []int32, base int, srcs, eids []int32) int {
+	idx, _, stride := r.full.at(srcs, eids, 0)
+	if stride == 0 {
+		return 0
+	}
+	if r.scalar.cols == 0 {
+		return vec.SumSpans(out, r.full.cols, r.full.data, stride, r.full.rows, idx, ptr, base, r.mean)
+	}
+	widx, _, wstride := r.scalar.at(srcs, eids, 0)
+	if wstride != 1 {
+		return 0
+	}
+	return vec.SumSpansScaled(out, r.full.cols, r.full.data, stride, r.full.rows, idx, ptr, base, r.scalar.data, widx, r.mean)
+}
 
 // spanSumCopy is sum/mean of a copied full-width operand (copy_u.sum,
 // copy_e.sum): eight columns at a time in registers.

@@ -359,6 +359,22 @@ func TestSpanVectorEqualsGo(t *testing.T) {
 				}
 				perEdgeOracle(g, vo.op, want)
 				vectest.EachKernelSet(t, func(t *testing.T) {
+					// One call for all rows and one call per row: the same bits,
+					// NaN payloads included.
+					r, err := lowerRowReducer(vo.op, want, feat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rowsPerCall, perRow := tensor.NewDense(g.NumVertices(), feat), tensor.NewDense(g.NumVertices(), feat)
+					r.reduceRows(rowsPerCall, g, 0, int32(g.NumVertices()))
+					r.spans = false
+					r.reduceRows(perRow, g, 0, int32(g.NumVertices()))
+					for i, v := range rowsPerCall.Data {
+						if math.Float32bits(v) != math.Float32bits(perRow.Data[i]) {
+							t.Fatalf("%s feat=%d %s: row %d col %d is %#x in one call for all rows, %#x at a call per row",
+								vo.name, feat, fx.name, i/feat, i%feat, math.Float32bits(v), math.Float32bits(perRow.Data[i]))
+						}
+					}
 					for _, workers := range []int{1, 3} {
 						got := want
 						got.C.T = tensor.NewDense(g.NumVertices(), feat)
@@ -427,6 +443,40 @@ func TestSpanCorruptIndexIsKernelError(t *testing.T) {
 						t.Errorf("%s feat=%d index %d: vector path recovered %q, Go loops %q", vo.name, feat, bad, msgs[0], msgs[1])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSpanCorruptRowPointerIsKernelError: a row pointer that runs backwards
+// or past the in-edge arrays, as a corrupted CSR would, stops the multi-row
+// kernel at that row, and the per-row loop resuming there raises Go's own
+// slice panic — the same *KernelError text with and without the kernels.
+func TestSpanCorruptRowPointerIsKernelError(t *testing.T) {
+	for _, vo := range vectorOps {
+		for _, corrupt := range []string{"backwards", "past the end"} {
+			g := testGraph(t, 300, 2400, 11)
+			o := shapedOperands(g, vo.op, 32, 32, map[bool]int{true: 1, false: 32}[vo.scalarB], 3)
+			p := MustCompile(vo.op, Schedule{Strategy: ThreadVertex, Group: 1, Tile: 1})
+			k, err := NewShardedParallelBackend(1, 1).Lower(p, g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inPtr := g.InPtr()
+			inPtr[41] = inPtr[40] - 1
+			if corrupt == "past the end" {
+				inPtr[41] = int32(g.NumEdges() + 5)
+			}
+			var msgs []string
+			vectest.EachKernelSet(t, func(t *testing.T) {
+				var ke *KernelError
+				if err := k.Run(); !errors.As(err, &ke) || !strings.Contains(ke.Err.Error(), "out of range") {
+					t.Fatalf("%s, row pointer %s: err = %v, want a *KernelError with Go's bounds panic", vo.name, corrupt, err)
+				}
+				msgs = append(msgs, ke.Err.Error())
+			})
+			if vec.Enabled() && msgs[0] != msgs[1] {
+				t.Errorf("%s, row pointer %s: vector path recovered %q, Go loops %q", vo.name, corrupt, msgs[0], msgs[1])
 			}
 		}
 	}
@@ -657,12 +707,14 @@ var spanBenchCases = []spanBenchCase{
 // u_mul_e.sum on AR, Sage's copy_u.sum on PU, GAT's copy_e.sum and 64-wide
 // u_mul_e.sum on PR — as the per-edge loop, as each span form on one worker
 // (in-place; blocked, the Go loop alone; vector, the blocked form with the
-// AVX2 kernel under it, where the CPU has one), and as lowered and dispatched
-// on one and two workers. spanBlock cites its rows (`make bench-kernels`).
+// AVX2 kernel under it, one call per row; rows-per-call, the multi-row vector
+// kernel, one call for all rows; the last two where the CPU has the kernels),
+// and as lowered and dispatched on one and two workers. spanBlock cites its
+// rows (`make bench-kernels`).
 func BenchmarkSpanKernel(b *testing.B) {
 	forms := []string{"in-place", "blocked"}
 	if vec.Enabled() {
-		forms = append(forms, "vector")
+		forms = append(forms, "vector", "rows-per-call")
 	}
 	for _, bc := range spanBenchCases {
 		g, _, err := datasets.Load(bc.dataset)
@@ -690,12 +742,15 @@ func BenchmarkSpanKernel(b *testing.B) {
 				case form == "in-place":
 					r.span = spanInPlace
 				case bc.scalarB:
-					r.full, r.scalar, r.span = r.a, r.b, spanSumMulScalar
+					r.full, r.scalar, r.span, r.spans = r.a, r.b, spanSumMulScalar, true
 				default:
-					r.full, r.span = r.a, spanSumCopy
+					r.full, r.span, r.spans = r.a, spanSumCopy, true
 					if r.a.cols == 0 {
 						r.full = r.b
 					}
+				}
+				if form != "rows-per-call" {
+					r.spans = false // one r.reduce per row
 				}
 				if form == "blocked" {
 					vec.ForceGeneric(b)
@@ -707,11 +762,10 @@ func BenchmarkSpanKernel(b *testing.B) {
 			})
 		}
 		if vec.Enabled() && bc.op == ops.CopyESum {
-			// ROADMAP 4(d): on PR's 4-edge rows the 8-column pass costs a call
-			// per row, not an add chain. This is the same sum with the edge
-			// rows laid out in in-edge order — what a row-resident region's
-			// slab is — and one kernel call for all rows (reduceSlab).
-			b.Run(name+"/rows-per-call", func(b *testing.B) {
+			// The same sum with the edge rows laid out in in-edge order — what
+			// a row-resident region's slab is — and one kernel call for all
+			// rows (reduceSlab): the gather reads consecutive rows.
+			b.Run(name+"/slab", func(b *testing.B) {
 				slab := tensor.NewDense(g.NumEdges(), bc.feat)
 				for p, e := range g.InEdgeIDs() {
 					copy(slab.Row(p), o.B.T.Row(int(e)))

@@ -1,6 +1,9 @@
 package vec
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // cpuid and xgetbv are the two instructions the dispatch decision reads.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -68,10 +71,7 @@ var edgeKernels = [...]func(out *float32, nvec, n int, a *float32, idxA *int32, 
 }
 
 //go:noescape
-func spanSum(acc *float32, nvec int, data *float32, stride int, idx *int32, n int, rows int) bool
-
-//go:noescape
-func spanSumScaled(acc *float32, nvec int, data *float32, stride int, idx *int32, n int, rows int, w *float32, widx *int32, wrows int) bool
+func sumSpans(out *float32, nvec int, data *float32, stride int, rows int, idx *int32, limit int, ptr *int32, nrows int, base int, w *float32, widx *int32, wrows int, mean bool) int
 
 //go:noescape
 func spanMax(acc *float32, nvec int, data *float32, stride int, idx *int32, n int, rows int, identity float32) bool
@@ -266,37 +266,87 @@ func shifted(x, y []float32, n int) bool {
 // through that index and the caller's Go form, re-run, raises the bounds
 // panic.
 func SumRows(acc, data []float32, stride, rows int, idx []int32) int {
-	if !enabled || len(idx) == 0 || !gatherOK(len(acc), len(data), stride, rows) {
-		return 0
-	}
-	j := 0
-	for _, nv := range spanPasses {
-		for w := nv * lanes; j+w <= len(acc); j += w {
-			if !spanSum(&acc[j], nv, &data[j], stride*4, &idx[0], len(idx), rows) {
-				return -1
-			}
-		}
-	}
-	return j
+	return sumRow(acc, data, stride, rows, idx, nil, nil)
 }
 
 // SumRowsScaled is SumRows with each row scaled by the scalar
 // w[int(widx[i])] first, the product rounded before it is added. widx is as
 // long as idx; an index of either outside its operand returns -1.
 func SumRowsScaled(acc, data []float32, stride, rows int, idx []int32, w []float32, widx []int32) int {
-	if !enabled || len(idx) == 0 || len(widx) < len(idx) || len(w) == 0 || len(w) > 1<<31-1 ||
-		!gatherOK(len(acc), len(data), stride, rows) {
+	if len(widx) < len(idx) || len(w) == 0 || len(w) > 1<<31-1 {
 		return 0
 	}
-	j := 0
-	for _, nv := range spanPasses {
-		for c := nv * lanes; j+c <= len(acc); j += c {
-			if !spanSumScaled(&acc[j], nv, &data[j], stride*4, &idx[0], len(idx), rows, &w[0], &widx[0], len(w)) {
-				return -1
-			}
+	return sumRow(acc, data, stride, rows, idx, w, widx)
+}
+
+// sumRow is one row of the multi-row kernel: acc's leading whole vectors are
+// its output row, idx its one segment.
+func sumRow(acc, data []float32, stride, rows int, idx []int32, w []float32, widx []int32) int {
+	cols := len(acc) &^ (lanes - 1)
+	if !enabled || cols == 0 || len(idx) == 0 || len(idx) > 1<<31-1 || !gatherOK(len(acc), len(data), stride, rows) {
+		return 0
+	}
+	// The checks above imply sumSpansOf's, so finishing no row means an
+	// index failed its range check.
+	ptr := [2]int32{0, int32(len(idx))}
+	if sumSpansOf(acc[:cols], cols, data, stride, rows, idx, ptr[:], 0, w, widx, false) == 0 {
+		return -1
+	}
+	return cols
+}
+
+// SumSpans is SumRows over a run of destination rows in one call: row r of
+// out (cols columns, a multiple of eight; the rows follow one another) is the
+// sum of data's rows idx[ptr[r]-base : ptr[r+1]-base], each column added in
+// ascending order from +0 — an empty row is zeros — and, with mean, a
+// non-empty row is then multiplied by 1/float32(n) for its n in-edges, both
+// rounded, for r = 0, 1, ... It returns how many rows it finished: len(ptr)-1,
+// or fewer when row r's segment does not satisfy 0 <= lo <= hi <= len(idx) or
+// one of its indices is outside [0, rows) — nothing was read through the bad
+// value and row r was not written, so the caller's Go loop, resuming at that
+// row, raises the bounds panic — or none when the vector path is off or the
+// arguments do not prove every in-range index in-bounds.
+func SumSpans(out []float32, cols int, data []float32, stride, rows int, idx, ptr []int32, base int, mean bool) int {
+	return sumSpansOf(out, cols, data, stride, rows, idx, ptr, base, nil, nil, mean)
+}
+
+// SumSpansScaled is SumSpans with each row scaled by the scalar
+// w[int(widx[i])] first, the product rounded before it is added; widx is read
+// at the positions idx is, so a segment must also end inside widx, and a
+// scalar index outside [0, len(w)) stops the kernel as a row index does.
+func SumSpansScaled(out []float32, cols int, data []float32, stride, rows int, idx, ptr []int32, base int, w []float32, widx []int32, mean bool) int {
+	if len(w) == 0 || len(w) > 1<<31-1 {
+		return 0
+	}
+	return sumSpansOf(out, cols, data, stride, rows, idx, ptr, base, w, widx, mean)
+}
+
+func sumSpansOf(out []float32, cols int, data []float32, stride, rows int, idx, ptr []int32, base int, w []float32, widx []int32, mean bool) int {
+	nrows := len(ptr) - 1
+	if !enabled || nrows <= 0 || cols <= 0 || cols%lanes != 0 || !gatherOK(cols, len(data), stride, rows) {
+		return 0
+	}
+	// len(out) >= nrows*cols, checked without a division: a row run calls
+	// this for a single row of a few edges.
+	if hi, lo := bits.Mul64(uint64(nrows), uint64(cols)); hi != 0 || lo > uint64(len(out)) {
+		return 0
+	}
+	// The kernel never dereferences an index slot past limit, so an empty
+	// index array passes nil and leaves only empty segments in range.
+	limit := len(idx)
+	var pidx, pwidx *int32
+	var pw *float32
+	if limit > 0 {
+		pidx = &idx[0]
+	}
+	if w != nil {
+		limit = min(limit, len(widx))
+		pw = &w[0]
+		if len(widx) > 0 {
+			pwidx = &widx[0]
 		}
 	}
-	return j
+	return sumSpans(&out[0], cols/lanes, &data[0], stride*4, rows, pidx, limit, &ptr[0], nrows, base, pw, pwidx, len(w), mean)
 }
 
 // MaxRows is SumRows for the maximum: every column starts at identity and a

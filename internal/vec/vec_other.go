@@ -39,6 +39,16 @@ func SumRowsScaled(acc, data []float32, stride, rows int, idx []int32, w []float
 	return 0
 }
 
+// SumSpans computes nothing here; see the amd64 form.
+func SumSpans(out []float32, cols int, data []float32, stride, rows int, idx, ptr []int32, base int, mean bool) int {
+	return 0
+}
+
+// SumSpansScaled computes nothing here; see the amd64 form.
+func SumSpansScaled(out []float32, cols int, data []float32, stride, rows int, idx, ptr []int32, base int, w []float32, widx []int32, mean bool) int {
+	return 0
+}
+
 // MaxRows computes nothing here; see the amd64 form.
 func MaxRows(acc, data []float32, stride, rows int, idx []int32, identity float32) int { return 0 }
 

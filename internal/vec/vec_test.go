@@ -48,6 +48,9 @@ func TestForceGeneric(t *testing.T) {
 		if n := SumRows(acc, data, 8, 1, []int32{0}); n != 0 {
 			t.Fatalf("SumRows finished %d columns with the kernels forced off", n)
 		}
+		if n := SumSpans(acc, 8, data, 8, 1, []int32{0}, []int32{0, 1}, 0, false); n != 0 {
+			t.Fatalf("SumSpans finished %d rows with the kernels forced off", n)
+		}
 		if n := GemmPanels(make([]float32, 32), make([]float32, 4), make([]float32, 8), 0, 4, 1, 8); n != 0 {
 			t.Fatalf("GemmPanels finished %d panels with the kernels forced off", n)
 		}
@@ -116,6 +119,60 @@ func TestSpanKernelsRefuseWhatTheyCannotBound(t *testing.T) {
 	}
 	if n := SumRowsScaled(acc, data, stride, rows, idx, w, []int32{0, 1}); n != 0 {
 		t.Errorf("scaled: a scalar index list shorter than the edge list finished %d columns", n)
+	}
+
+	// The multi-row forms refuse the same calls, and a bad index in row 1 —
+	// or a segment that runs backwards or past the index array — stops them
+	// after row 0.
+	out := make([]float32, 3*stride)
+	ptr := []int32{0, 2, 5, 6}
+	spans := map[string]func(out, data []float32, cols, stride, rows int, idx, ptr []int32) int{
+		"sum spans": func(out, data []float32, cols, stride, rows int, idx, ptr []int32) int {
+			return SumSpans(out, cols, data, stride, rows, idx, ptr, 0, false)
+		},
+		"scaled spans": func(out, data []float32, cols, stride, rows int, idx, ptr []int32) int {
+			return SumSpansScaled(out, cols, data, stride, rows, idx, ptr, 0, w, []int32{0, 1, 2, 0, 1, 2}, true)
+		},
+	}
+	six := []int32{0, 4, 2, 1, 3, 0}
+	for name, k := range spans {
+		if n := k(out, data, stride, stride, rows, six, ptr); n != 3 {
+			t.Errorf("%s: finished %d of 3 rows on a well-formed call", name, n)
+		}
+		for what, n := range map[string]int{
+			"no rows":                k(out, data, stride, stride, rows, six, ptr[:1]),
+			"output too short":       k(out[:2*stride], data, stride, stride, rows, six, ptr),
+			"rows beyond the data":   k(out, data, stride, stride, rows+1, six, ptr),
+			"no data rows":           k(out, data, stride, stride, 0, six, ptr),
+			"stride under the width": k(out, data, stride, stride/2, rows, six, ptr),
+			"width not a multiple":   k(out, data, 12, stride, rows, six, ptr),
+		} {
+			if n != 0 {
+				t.Errorf("%s, %s: finished %d rows, want 0", name, what, n)
+			}
+		}
+		for _, bad := range []int32{rows, -1, math.MinInt32, math.MaxInt32} {
+			if n := k(out, data, stride, stride, rows, []int32{0, 4, 2, bad, 3, 0}, ptr); n != 1 {
+				t.Errorf("%s: index %d of %d rows in row 1 finished %d rows, want 1", name, bad, rows, n)
+			}
+		}
+		for what, p := range map[string][]int32{
+			"backwards":      {0, 2, 1, 6},
+			"past the index": {0, 2, 7, 7},
+		} {
+			if n := k(out, data, stride, stride, rows, six, p); n != 1 {
+				t.Errorf("%s: row 1 running %s finished %d rows, want 1", name, what, n)
+			}
+		}
+	}
+	if n := SumSpansScaled(out, stride, data, stride, rows, six, ptr, 0, w, []int32{0, 1, 2, 3, 0, 1}, false); n != 1 {
+		t.Errorf("scaled spans: scalar index 3 of 3 in row 1 finished %d rows, want 1", n)
+	}
+	if n := SumSpansScaled(out, stride, data, stride, rows, six, ptr, 0, w, []int32{0, 1, 2, 0}, false); n != 1 {
+		t.Errorf("scaled spans: a scalar index list ending in row 1 finished %d rows, want 1", n)
+	}
+	if n := SumSpansScaled(out, stride, data, stride, rows, six, ptr, 0, nil, nil, false); n != 0 {
+		t.Errorf("scaled spans: no scalars finished %d rows, want 0", n)
 	}
 }
 
