@@ -43,7 +43,7 @@ verify:
 # kernels' wrappers, the parallel host backend and its consumers, including the compiled-program
 # runtime, the hardening layer's fault-injection points, and the graph
 # loaders) under the race detector — the row-subset runs' BitDiff matrix on CO
-# and PR and the daemon's overlapping-batch tests included. Then the simulator
+# and PR and the daemon's overlapping-request tests included. Then the simulator
 # and the grid-search tuner, whose candidates run concurrently over pooled
 # simulator workspaces: -short keeps the serial-equivalence test to the pruned
 # spaces, and eight concurrent searches check against the serial result. CI
@@ -60,13 +60,27 @@ race:
 # TestDenseStepHonoursDeadlineAndCancel flake of PRs 13-14 only reproduced
 # this way) — the row-subset runs' among them (TestRunRowsCancelPanicAndNumerics,
 # TestRunRowsHonoursCancelAndDeadline). Then the daemon's row-path ownership
-# tests three times the same way: overlapping batches on one CPU, where the
+# tests three times the same way: overlapping requests on one CPU, where the
 # worker and the handlers that read its rows take turns, and a sharded daemon's
-# row runs, whose kernels deal whole shards to the pool. CI runs it as its own
-# job.
+# row runs, whose kernels deal whole shards to the pool; with them the worker's
+# other contracts — one pass per request, the fast 429, degraded ≡ reference,
+# a request's own deadline and the drain. Before each run,
+# require-tests fails the target if an alternative of the -run pattern names
+# no test in those packages (a renamed test would otherwise drop out
+# silently). CI runs it as its own job.
 race-pinned:
+	$(call require-tests,Cancel|Deadline,./internal/workpool/... ./internal/core/... ./internal/program/... ./internal/models/...)
 	taskset -c 0 $(GO) test -race -count=12 -run 'Cancel|Deadline' ./internal/workpool/... ./internal/core/... ./internal/program/... ./internal/models/...
-	taskset -c 0 $(GO) test -race -count=3 -run 'ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure|ShardedDaemonRunsRows' ./internal/serve/
+	$(call require-tests,ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure|ShardedDaemonRunsRows|OnePassPerRequest|QueueFullRejectsFast|BreakerTripsAndRecovers|MemberTimeout|Drain$$,./internal/serve/)
+	taskset -c 0 $(GO) test -race -count=3 -run 'ConcurrentOverlapping|OpenBreakerKeepsTheFullPass|RequestRunsItsClosure|ShardedDaemonRunsRows|OnePassPerRequest|QueueFullRejectsFast|BreakerTripsAndRecovers|MemberTimeout|Drain$$' ./internal/serve/
+
+# require-tests,PATTERN,PACKAGES fails unless every |-separated alternative of
+# PATTERN names at least one test in PACKAGES (go test -list).
+define require-tests
+	@for re in $$(echo '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "$$re" $(2) | grep -q '^Test' || { echo "no test in $(2) matches -run '$$re'"; exit 1; }; \
+	done
+endef
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").
@@ -101,7 +115,7 @@ check: vet lint verify race faults
 obs:
 	$(GO) test -race ./internal/telemetry/...
 	$(GO) test -race -run 'Telemetry|Trace' ./internal/models/...
-	$(GO) test -race -run '^Test(Trace|Batch|Error|Untraced)' ./internal/serve/
+	$(GO) test -race -run '^Test(Trace|Error|Untraced)' ./internal/serve/
 
 # bench-obs measures the telemetry hooks' cost around a copy_u.sum kernel
 # on AR and PR (enabled vs disabled) and the request-trace cost around a

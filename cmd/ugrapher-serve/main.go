@@ -1,7 +1,7 @@
 // Command ugrapher-serve is the inference daemon: it loads named models,
 // compiles one program per model, and serves JSON inference over HTTP with
-// admission control, request batching, per-model circuit breaking and
-// graceful drain (DESIGN.md §13).
+// admission control, one forward pass per request, per-model circuit breaking
+// and graceful drain (DESIGN.md §13).
 //
 // Examples:
 //
@@ -15,7 +15,7 @@
 // second, operator-only listener carrying net/http/pprof — never the serving
 // port, so profiling cannot be reached from the service's exposure surface.
 // SIGTERM (or SIGINT) starts a graceful drain: /readyz flips unready, new
-// requests get 503, in-flight batches finish under -drain-timeout, then the
+// requests get 503, in-flight requests finish under -drain-timeout, then the
 // process exits 0. With -trace, the collected causal trace (one span tree
 // per request; see DESIGN.md §8) is written as Chrome trace-event JSON after
 // the drain, openable in Perfetto.
@@ -45,13 +45,10 @@ import (
 // this build pipeline; bump by hand with releases).
 const version = "0.9.0"
 
-// maxQueueDepth and maxBatchSize bound the -queue and -batch flags: a queue
-// channel and batch slice of these sizes are preallocated per model, so the
-// caps keep a fat-fingered flag from pinning gigabytes at startup.
-const (
-	maxQueueDepth = 1 << 16
-	maxBatchSize  = 1024
-)
+// maxQueueDepth bounds the -queue flag: a queue channel of this size is
+// preallocated per model, so the cap keeps a fat-fingered flag from pinning
+// gigabytes at startup.
+const maxQueueDepth = 1 << 16
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
@@ -61,7 +58,6 @@ func main() {
 	classes := flag.Int("classes", 8, "output classes")
 	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
-	batch := flag.Int("batch", 8, "max requests coalesced into one forward pass")
 	reqTimeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline when the request carries no timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "upper bound on any request's deadline")
 	breakerN := flag.Int("breaker-threshold", 3, "consecutive kernel failures that trip a model's circuit breaker")
@@ -83,15 +79,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
 		os.Exit(2)
 	}
-	// serve.New silently substitutes defaults for non-positive queue/batch
-	// values; the CLI rejects them instead so a typo'd unit file fails loud
+	// serve.New silently substitutes a default for a non-positive queue
+	// depth; the CLI rejects it instead so a typo'd unit file fails loud
 	// at startup rather than running with a surprise configuration.
 	if *queue < 1 || *queue > maxQueueDepth {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -queue %d (valid: 1 through %d)\n", *queue, maxQueueDepth)
-		os.Exit(2)
-	}
-	if *batch < 1 || *batch > maxBatchSize {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -batch %d (valid: 1 through %d)\n", *batch, maxBatchSize)
 		os.Exit(2)
 	}
 	program.SetParallelSteps(*parallelSteps)
@@ -101,7 +93,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// A daemon always collects: breaker transitions, batch spans and the
+	// A daemon always collects: breaker transitions, forward spans and the
 	// serving counters are the operator's only window into it.
 	telemetry.SetEnabled(true)
 	// The global event buffer exists to be written out by -trace. Without a
@@ -119,7 +111,6 @@ func main() {
 		Classes:          *classes,
 		Shards:           *shards,
 		QueueDepth:       *queue,
-		MaxBatch:         *batch,
 		DefaultTimeout:   *reqTimeout,
 		MaxTimeout:       *maxTimeout,
 		BreakerThreshold: *breakerN,
@@ -190,7 +181,7 @@ func run(cfg serve.Config, addr, debugAddr, tracePath string) error {
 		fmt.Printf("received %v; draining (budget %v)\n", sig, cfg.DrainTimeout)
 	}
 	// Drain first — the listener stays open so /healthz and /readyz keep
-	// answering while in-flight batches finish — then close the listener.
+	// answering while in-flight requests finish — then close the listener.
 	drainErr := s.Drain(cfg.DrainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -119,7 +119,6 @@ var hookPackages = map[string]map[string]bool{
 		"StartTraceSpan":       true,
 		"TraceOf":              true,
 		"RecordSpan":           true,
-		"FlowLink":             true,
 		"RecordScheduleChoice": true,
 		"CountProgramRun":      true,
 		"CountTrainerEpoch":    true,

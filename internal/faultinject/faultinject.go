@@ -78,9 +78,9 @@ const (
 	// by the armed Spec's Delay, simulating a slow ingress path so drain and
 	// per-request deadline guarantees can be proven under handler latency.
 	SlowHandler
-	// QueueStall delays a serve batch worker before it collects the next
-	// batch, so the bounded per-model queue fills and the admission
-	// controller's fast 429 rejection can be proven under load.
+	// QueueStall delays a serve model worker after it takes a request and
+	// before it runs the pass, so the bounded per-model queue fills and the
+	// admission controller's fast 429 rejection can be proven under load.
 	QueueStall
 	// KernelPanicLoad is KernelPanic restricted to the parallel host
 	// backend's workers (the sharded path included, the reference

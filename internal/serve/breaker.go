@@ -14,7 +14,7 @@ import (
 // panic-recover cycles. The breaker counts consecutive kernel failures and,
 // at the threshold, turns on the fallback ladder of the backend the model's
 // program was compiled on (core.ResilientBackend: a failing kernel reruns on
-// the reference interpreter) until a cooldown passes. Then one probe batch
+// the reference interpreter) until a cooldown passes. Then one probe request
 // runs with the ladder off again: success closes the breaker, another kernel
 // failure re-opens it.
 //
@@ -80,10 +80,10 @@ func (b *breaker) transition(next breakerState, reason string) {
 	})
 }
 
-// route decides how the next batch runs: degraded (fallback ladder on) while
+// route decides how the next forward pass runs: degraded (fallback ladder on) while
 // open, otherwise with the ladder off so kernel failures surface and count.
 // When the cooldown has passed it flips open → half-open and lets exactly
-// one probe batch through with the ladder off (single worker: no second
+// one probe pass through with the ladder off (single worker: no second
 // probe can race in). Worker goroutine only.
 func (b *breaker) route(now time.Time) (degraded, probe bool) {
 	switch b.current() {
@@ -95,7 +95,7 @@ func (b *breaker) route(now time.Time) (degraded, probe bool) {
 			return false, true
 		}
 		return true, false
-	default: // half-open: the in-flight probe's batch
+	default: // half-open: the in-flight probe's pass
 		return false, true
 	}
 }
@@ -127,8 +127,8 @@ func (b *breaker) onFailure(probe bool, now time.Time) bool {
 	return false
 }
 
-// onInconclusive records a probe whose batch failed for reasons unrelated
-// to the kernels (e.g. the batch deadline expired mid-run): the
+// onInconclusive records a probe whose pass failed for reasons unrelated
+// to the kernels (e.g. the request deadline expired mid-run): the
 // probe proved nothing, so the breaker re-opens and waits out another
 // cooldown. Worker goroutine only.
 func (b *breaker) onInconclusive(now time.Time) {

@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -140,7 +141,6 @@ type e2eInferRequest struct {
 type e2eInferResponse struct {
 	Model    string      `json:"model"`
 	Logits   [][]float32 `json:"logits"`
-	Batched  int         `json:"batched"`
 	Degraded bool        `json:"degraded"`
 }
 
@@ -337,7 +337,7 @@ func TestE2EBreakerDegradesToReference(t *testing.T) {
 
 // TestE2EDrainOnSIGTERM: acceptance (c) — SIGTERM flips /readyz unready
 // while the listener still answers, refuses new work, completes the
-// in-flight batch, and exits 0.
+// in-flight request, and exits 0.
 func TestE2EDrainOnSIGTERM(t *testing.T) {
 	// The daemon has no backend selection (every model runs the parallel
 	// backend under the resilient ladder), so UGRAPHER_BACKEND — even a value
@@ -384,7 +384,7 @@ func TestE2EDrainOnSIGTERM(t *testing.T) {
 	if code, _, _ := infer(t, d, e2eInferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusServiceUnavailable {
 		t.Errorf("infer during drain: status %d, want 503", code)
 	}
-	// The in-flight batch completes rather than being dropped.
+	// The in-flight request completes rather than being dropped.
 	select {
 	case code := <-inflight:
 		if code != http.StatusOK {
@@ -423,5 +423,82 @@ func TestE2EBadEnvironmentExits2(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte(name)) {
 			t.Errorf("%s: err %v, output %q; want exit code 2 naming %s", env, err, out, name)
 		}
+	}
+}
+
+// docFlagRe matches a command-line flag token: a dash after a space, a
+// backtick or an opening bracket, then a lower-case name.
+var docFlagRe = regexp.MustCompile("(?:^|[\\s`(\\[])(-[a-z][a-z0-9-]*)")
+
+// foreignFlags are flags the daemon's documentation gives to other tools.
+var foreignFlags = map[string]string{"-s": "curl", "-si": "curl", "-d": "curl", "-race": "go build"}
+
+// docSection returns the lines of the markdown file from the heading that
+// starts with heading up to the next heading of the same or a higher level
+// (a "#" line inside a fenced code block is a shell comment, not a heading).
+func docSection(t *testing.T, file, heading string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := strings.Index(heading, " ")
+	var out []string
+	in, fenced := false, false
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if in {
+			if n := strings.Index(line, " "); !fenced && n > 0 && n <= level && strings.Trim(line[:n], "#") == "" {
+				break
+			}
+			out = append(out, line)
+		} else if strings.HasPrefix(line, heading) {
+			in = true
+		}
+	}
+	if !in {
+		t.Fatalf("%s has no section %q", file, heading)
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestE2EDocumentedFlagsExist: every flag the serving docs show — README's
+// quick-start and tracing sections, DESIGN.md §13 — is one `ugrapher-serve -h`
+// lists, and a flag the daemon does not have is a usage error (exit 2).
+func TestE2EDocumentedFlagsExist(t *testing.T) {
+	bin := serveBinary(t)
+	help, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, help)
+	}
+	have := map[string]bool{}
+	for _, line := range strings.Split(string(help), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "  -") {
+			have[f[0]] = true
+		}
+	}
+	if len(have) < 10 {
+		t.Fatalf("-h lists %d flags:\n%s", len(have), help)
+	}
+	for _, sec := range []struct{ file, heading string }{
+		{"README.md", "### Serving quick-start"},
+		{"README.md", "### Tracing and profiling the daemon"},
+		{"DESIGN.md", "## 13. "},
+	} {
+		for _, m := range docFlagRe.FindAllStringSubmatch(docSection(t, sec.file, sec.heading), -1) {
+			if flag := m[1]; !have[flag] && foreignFlags[flag] == "" {
+				t.Errorf("%s %q shows %s, which ugrapher-serve -h does not list", sec.file, sec.heading, flag)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-batch", "8", "-addr", "127.0.0.1:0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("-batch")) {
+		t.Errorf("-batch 8: err %v, output %q; want exit code 2 naming the unknown flag", err, out)
 	}
 }

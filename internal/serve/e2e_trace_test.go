@@ -22,7 +22,6 @@ type e2eTiming struct {
 	TraceID     string  `json:"trace_id"`
 	AdmissionMS float64 `json:"admission_ms"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	BatchWaitMS float64 `json:"batch_wait_ms"`
 	KernelMS    float64 `json:"kernel_ms"`
 	RespondMS   float64 `json:"respond_ms"`
 	TotalMS     float64 `json:"total_ms"`
@@ -125,8 +124,8 @@ func TestE2ESlowHandlerAttributedToAdmission(t *testing.T) {
 }
 
 // TestE2EMetricsCarryTracingSeries: after traffic, one scrape holds every
-// serving series this PR added — the six stage histograms, the batch-size
-// distribution, build info and the trace-drop counter.
+// serving series the tracing layer exports — the five stage histograms, the
+// request latency histogram, build info and the trace-drop counter.
 func TestE2EMetricsCarryTracingSeries(t *testing.T) {
 	d := startDaemon(t, "-models", "GCN")
 	if code, _, _ := infer(t, d, e2eInferRequest{Model: "GCN", Vertices: []int{0, 1, 2}}); code != http.StatusOK {
@@ -142,12 +141,9 @@ func TestE2EMetricsCarryTracingSeries(t *testing.T) {
 	for _, series := range []string{
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="admission",le="+Inf"}`,
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="queue_wait",le="+Inf"}`,
-		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="batch_wait",le="+Inf"}`,
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="kernel",le="+Inf"}`,
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="respond",le="+Inf"}`,
 		`ugrapher_serve_stage_seconds_count{model="GCN",stage="compile"} 1`,
-		`ugrapher_serve_batch_size_bucket{model="GCN",le="1"}`,
-		`ugrapher_serve_batch_size_count{model="GCN"}`,
 		`ugrapher_serve_request_seconds_bucket{model="GCN",le="+Inf"} 1`,
 		`ugrapher_build_info{version=`,
 		`backend="parallel"} 1`,
@@ -203,18 +199,13 @@ func TestE2EPprofOnlyOnDebugListener(t *testing.T) {
 	}
 }
 
-// TestE2ETraceFileConnectedSpanTrees: the acceptance criterion for the
-// tentpole — run traced traffic (including a coalesced batch), drain via
-// SIGTERM, and verify the written Chrome trace: valid JSON, every traced
-// span's parent resolving within its trace, flow arrows in bound pairs, and
+// TestE2ETraceFileConnectedSpanTrees: run traced traffic (concurrent
+// requests included), drain via SIGTERM, and verify the written Chrome trace:
+// valid JSON, every traced span's parent resolving within its trace, and
 // async shadow pairs grouping each request.
 func TestE2ETraceFileConnectedSpanTrees(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "serve-trace.json")
-	// The stall fires on the second batch: the adopted request runs clean,
-	// then the first burst member stalls its worker long enough for the
-	// remaining members to coalesce behind it.
-	d := startDaemon(t, "-models", "GCN", "-trace", tracePath,
-		"-faults", "queue-stall:after=2,limit=1,delay=300ms")
+	d := startDaemon(t, "-models", "GCN", "-trace", tracePath)
 
 	// A traced request with an adopted W3C identity...
 	body := []byte(`{"model":"GCN","vertices":[0]}`)
@@ -230,7 +221,7 @@ func TestE2ETraceFileConnectedSpanTrees(t *testing.T) {
 	if adopted != "8448eb211c80319c" {
 		t.Fatalf("X-Trace-Id %q, want adopted 8448eb211c80319c", adopted)
 	}
-	// ...then a burst that coalesces behind the stalled worker.
+	// ...then a burst of concurrent requests, each its own tree.
 	done := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		go func(v int) {
@@ -307,26 +298,16 @@ func TestE2ETraceFileConnectedSpanTrees(t *testing.T) {
 				ev.Name, ev.Args["trace_id"], parent)
 		}
 	}
-	for _, want := range []string{"request", "stage", "batch", "run", "step", "kernel"} {
+	for _, want := range []string{"request", "stage", "forward", "run", "step", "kernel"} {
 		if !cats[want] {
 			t.Errorf("trace missing %q spans (got %v)", want, cats)
 		}
 	}
 
-	// Flow arrows come in bound pairs (the coalesced batch fan-in), and every
-	// traced span has its async shadow pair.
-	flows := map[string][2]int{}
+	// Every traced span has its async shadow pair.
 	async := map[string][2]int{}
 	for _, ev := range trace.TraceEvents {
 		switch ev.Ph {
-		case "s":
-			c := flows[ev.ID]
-			c[0]++
-			flows[ev.ID] = c
-		case "f":
-			c := flows[ev.ID]
-			c[1]++
-			flows[ev.ID] = c
 		case "b":
 			c := async[ev.ID]
 			c[0]++
@@ -335,14 +316,6 @@ func TestE2ETraceFileConnectedSpanTrees(t *testing.T) {
 			c := async[ev.ID]
 			c[1]++
 			async[ev.ID] = c
-		}
-	}
-	if len(flows) == 0 {
-		t.Error("no flow arrows in the trace despite a coalesced batch")
-	}
-	for id, c := range flows {
-		if c[0] != c[1] {
-			t.Errorf("flow %s has %d starts and %d finishes", id, c[0], c[1])
 		}
 	}
 	if len(async) < 5 {

@@ -19,13 +19,14 @@ const (
 	// per model — the backpressure signal.
 	metricRejected = "ugrapher_serve_rejected_total"
 	// metricTimeouts counts requests that hit their server-enforced
-	// deadline before their batch delivered, per model.
+	// deadline before their forward pass delivered, per model.
 	metricTimeouts = "ugrapher_serve_timeouts_total"
-	// metricBatches counts executed batches, per model; requests_total /
-	// batches_total is the realized coalescing factor.
+	// metricBatches counts forward passes, per model: one per request the
+	// worker ran (the name predates one-request passes and stays for the
+	// readers of the series, the benchmark among them).
 	metricBatches = "ugrapher_serve_batches_total"
-	// metricDegraded counts batches served with the fallback ladder on
-	// while the breaker was open, per model.
+	// metricDegraded counts forward passes served with the fallback ladder
+	// on while the breaker was open, per model.
 	metricDegraded = "ugrapher_serve_degraded_total"
 	// metricBreakerTransitions counts breaker state transitions, labelled
 	// by model and target state.
@@ -52,22 +53,18 @@ const (
 	metricProgramStagingBytes = "ugrapher_program_staging_bytes"
 	metricProgramSlabBytes    = "ugrapher_program_slab_bytes"
 	// metricStageSeconds is the per-stage latency attribution histogram,
-	// labelled by model and stage (admission, queue_wait, batch_wait,
-	// compile, kernel, respond) — the aggregate view of the per-request
-	// timing breakdown (DESIGN.md §8).
+	// labelled by model and stage (admission, queue_wait, compile, kernel,
+	// respond) — the aggregate view of the per-request timing breakdown
+	// (DESIGN.md §8).
 	metricStageSeconds = "ugrapher_serve_stage_seconds"
-	// metricBatchSize is the realized coalescing distribution per model;
-	// requests_total/batches_total only yields the mean, and the shape is
-	// what says whether -batch is sized right.
-	metricBatchSize = "ugrapher_serve_batch_size"
 	// metricForwardMode counts successful forward passes by how the program
 	// answered them, per model: mode="rows" for a row-subset run of the
-	// batch's closure, mode="full" for the whole graph (the closure was past
-	// the crossover, the program has a step without a row form, or the
-	// breaker was open). The two sum to the successful batches.
+	// request's closure, mode="full" for the whole graph (the closure was
+	// past the crossover, the program has a step without a row form, or the
+	// breaker was open). The two sum to the successful passes.
 	metricForwardMode = "ugrapher_serve_forward_mode_total"
 	// metricClosureRows is the distribution of |R_0| per forward pass: the
-	// input rows the answer was computed from — the batch's exact L-hop
+	// input rows the answer was computed from — the request's exact L-hop
 	// in-closure for a row run, |V| for a full pass. It is the cost of a
 	// request (2408.01902), and the gap to |V| is what a row run saves.
 	metricClosureRows = "ugrapher_serve_closure_rows"
@@ -80,13 +77,12 @@ var closureRowsBuckets = []float64{4, 16, 64, 256, 1024, 4096, 16384, 65536, 262
 // hostMetrics resolves one model's counter/histogram series once, so the
 // request path never takes the registry map lock.
 type hostMetrics struct {
-	requests  *telemetry.Counter
-	rejected  *telemetry.Counter
-	timeouts  *telemetry.Counter
-	batches   *telemetry.Counter
-	degraded  *telemetry.Counter
-	latency   *telemetry.Histogram
-	batchSize *telemetry.Histogram
+	requests *telemetry.Counter
+	rejected *telemetry.Counter
+	timeouts *telemetry.Counter
+	batches  *telemetry.Counter
+	degraded *telemetry.Counter
+	latency  *telemetry.Histogram
 
 	forwardRows *telemetry.Counter
 	forwardFull *telemetry.Counter
@@ -97,7 +93,6 @@ type hostMetrics struct {
 	// stage series from the first scrape, observations or not.
 	stageAdmission *telemetry.Histogram
 	stageQueueWait *telemetry.Histogram
-	stageBatchWait *telemetry.Histogram
 	stageKernel    *telemetry.Histogram
 	stageRespond   *telemetry.Histogram
 	stageCompile   *telemetry.Histogram
@@ -117,14 +112,11 @@ func newHostMetrics(model string) hostMetrics {
 		degraded: r.Counter(telemetry.Series1(metricDegraded, "model", model)),
 		latency: r.Histogram(telemetry.Series1(metricRequestSeconds, "model", model),
 			telemetry.DefaultLatencyBuckets),
-		batchSize: r.Histogram(telemetry.Series1(metricBatchSize, "model", model),
-			telemetry.BatchSizeBuckets),
 		forwardRows:    r.Counter(telemetry.Series2(metricForwardMode, "model", model, "mode", "rows")),
 		forwardFull:    r.Counter(telemetry.Series2(metricForwardMode, "model", model, "mode", "full")),
 		closureRows:    r.Histogram(telemetry.Series1(metricClosureRows, "model", model), closureRowsBuckets),
 		stageAdmission: stage("admission"),
 		stageQueueWait: stage("queue_wait"),
-		stageBatchWait: stage("batch_wait"),
 		stageKernel:    stage("kernel"),
 		stageRespond:   stage("respond"),
 		stageCompile:   stage("compile"),

@@ -20,10 +20,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// forwardModes reads one model's forward-mode and batch counters. The series
+// forwardModes reads one model's forward-mode and forward-pass counters. The series
 // live in the process-wide registry, so a test that has not just reset it
 // compares two readings.
-func forwardModes(h *modelHost) (rows, full, batches int64) {
+func forwardModes(h *modelHost) (rows, full, passes int64) {
 	return h.m.forwardRows.Value(), h.m.forwardFull.Value(), h.m.batches.Value()
 }
 
@@ -54,8 +54,8 @@ func TestRequestRunsItsClosure(t *testing.T) {
 				t.Errorf("%s vertex %d: maxdiff %g vs reference", name, v, d)
 			}
 		}
-		if rows, full, batches := forwardModes(h); rows != 1 || full != 0 || batches != 1 {
-			t.Errorf("%s: forward modes rows=%d full=%d over %d batches after one small request, want 1/0 over 1", name, rows, full, batches)
+		if rows, full, passes := forwardModes(h); rows != 1 || full != 0 || passes != 1 {
+			t.Errorf("%s: forward modes rows=%d full=%d over %d passes after one small request, want 1/0 over 1", name, rows, full, passes)
 		}
 		if n := h.m.closureRows.Count(); n != 1 {
 			t.Errorf("%s: closure-rows histogram holds %d observations, want 1", name, n)
@@ -131,6 +131,48 @@ func TestRequestRunsItsClosure(t *testing.T) {
 	}
 }
 
+// TestOnePassPerRequest: every request is its own forward pass. N sequential
+// requests add exactly N to ugrapher_serve_batches_total and to
+// forward_mode_total{mode="rows"}; so do N requests queued together behind a
+// stalled worker, which a batching worker would have merged.
+func TestOnePassPerRequest(t *testing.T) {
+	defer faultinject.Reset()
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	h := s.hosts["gcn"]
+	check := func(what string, n int64, rows0, full0, passes0 int64) {
+		t.Helper()
+		rows, full, passes := forwardModes(h)
+		if passes-passes0 != n || rows-rows0 != n || full != full0 {
+			t.Errorf("%s: %d requests moved passes by %d, rows by %d, full by %d; want %d, %d, 0",
+				what, n, passes-passes0, rows-rows0, full-full0, n, n)
+		}
+	}
+
+	const n = 7
+	rows0, full0, passes0 := forwardModes(h)
+	for i := 0; i < n; i++ {
+		if code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{i, 100 + i}}); code != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, code, e.Error)
+		}
+	}
+	check("sequential", n, rows0, full0, passes0)
+
+	rows0, full0, passes0 = forwardModes(h)
+	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 200 * time.Millisecond})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			if code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{v}}); code != http.StatusOK {
+				t.Errorf("queued request %d: status %d (%s)", v, code, e.Error)
+			}
+		}(i)
+	}
+	wg.Wait()
+	check("queued behind a stall", n, rows0, full0, passes0)
+}
+
 // TestShardedDaemonRunsRowsLikeTheFlatOne: a daemon at four shards is
 // rows-capable, answers small stored-feature requests by row runs, and its
 // logits are the flat daemon's to the bit — GAT's row-resident regions
@@ -166,7 +208,7 @@ func TestShardedDaemonRunsRowsLikeTheFlatOne(t *testing.T) {
 	}
 }
 
-// TestOpenBreakerKeepsTheFullPass: while the breaker is open the batch runs
+// TestOpenBreakerKeepsTheFullPass: while the breaker is open the pass runs
 // the whole graph with the ladder on — the row path's kernels are the ones
 // failing — and the answer is the reference's; the row runs that tripped it
 // were failures, not answers.
@@ -210,12 +252,12 @@ func TestOpenBreakerKeepsTheFullPass(t *testing.T) {
 
 // TestConcurrentOverlappingRequests drives both models from many goroutines
 // at once with vertex sets that overlap, stored and caller-supplied features
-// mixed, so batches of every size form and dissolve: every response holds its
-// own rows' reference logits, whatever it was coalesced with and whatever rows
-// the run before it left in the arena. Under -race at GOMAXPROCS=4 (CI's
+// mixed, so the queues fill and drain while handlers read their rows: every
+// response holds its own rows' reference logits, whatever rows the run before
+// it left in the arena. Under -race at GOMAXPROCS=4 (CI's
 // race-e2e job) this is the ownership proof for the row path.
 func TestConcurrentOverlappingRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}, MaxBatch: 8, QueueDepth: 256})
+	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}, QueueDepth: 256})
 	g := s.Graph()
 	custom := tensor.NewDense(g.NumVertices(), 16)
 	custom.FillRandom(rand.New(rand.NewSource(5)), 1)
@@ -246,7 +288,7 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < perClient; i++ {
 				name := []string{"GCN", "GAT"}[rng.Intn(2)]
-				// A narrow id range makes the members of a batch overlap.
+				// A narrow id range makes consecutive requests' closures overlap.
 				vertices := make([]int, 1+rng.Intn(4))
 				for j := range vertices {
 					vertices[j] = 1000 + rng.Intn(40)
@@ -262,7 +304,7 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 				}
 				for j, v := range vertices {
 					if d := maxAbsDiff(resp.Logits[j], want[name][which].Row(v)); d > 1e-4 {
-						t.Errorf("client %d request %d (%s, custom=%v, batched %d): vertex %d maxdiff %g", c, i, name, which == 1, resp.Batched, v, d)
+						t.Errorf("client %d request %d (%s, custom=%v): vertex %d maxdiff %g", c, i, name, which == 1, v, d)
 					}
 				}
 			}
@@ -270,10 +312,10 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 	}
 	wg.Wait()
 	for i, name := range []string{"gcn", "gat"} {
-		rows, full, batches := forwardModes(s.hosts[name])
-		rows, full, batches = rows-before[i][0], full-before[i][1], batches-before[i][2]
-		if rows == 0 || full != 0 || rows != batches {
-			t.Errorf("%s: forward modes rows=%d full=%d over %d batches, want every batch a row run", name, rows, full, batches)
+		rows, full, passes := forwardModes(s.hosts[name])
+		rows, full, passes = rows-before[i][0], full-before[i][1], passes-before[i][2]
+		if rows == 0 || full != 0 || rows != passes {
+			t.Errorf("%s: forward modes rows=%d full=%d over %d passes, want every pass a row run", name, rows, full, passes)
 		}
 	}
 }

@@ -1,17 +1,16 @@
 // Package serve is the inference daemon behind cmd/ugrapher-serve: an HTTP
 // JSON front end over compiled model programs (DESIGN.md §13).
 //
-// The pipeline per request is admission → queue → batcher → compiled
-// program, with four failure-containment mechanisms layered on:
+// The pipeline per request is admission → queue → the model's worker →
+// compiled program, with four failure-containment mechanisms layered on:
 //
 //   - admission control: each model has a bounded queue; when it is full
 //     the handler rejects immediately with 429 + Retry-After instead of
 //     letting latency grow without bound (reject-fast backpressure).
-//   - batching with deadline propagation: concurrent same-model requests
-//     coalesce into one forward pass; the batch context carries the latest
-//     member deadline, and every member's handler enforces its own earlier
-//     deadline independently, so one slow batch cannot wedge a worker or
-//     starve a fast client.
+//   - deadline propagation: each request is one forward pass whose context
+//     carries the request's deadline, and the handler enforces the same
+//     deadline on its own timer, so a slow pass cannot wedge a worker or
+//     hold a client past its budget.
 //   - graceful degradation: each model's one program is compiled on a
 //     core.ResilientBackend; a per-model circuit breaker counts consecutive
 //     *core.KernelError failures with that backend's per-kernel fallback
@@ -19,12 +18,12 @@
 //     with the ladder on until a half-open probe proves the kernels healthy
 //     again.
 //   - graceful drain: Drain stops admission (readyz flips unready first),
-//     lets in-flight batches finish under a deadline, and shuts the
+//     lets in-flight requests finish under a deadline, and shuts the
 //     workers down.
 //
 // A CompiledProgram is not safe for concurrent use (one shared arena), so
-// each model is owned by exactly one worker goroutine; concurrency scales
-// through batching, not through parallel runs of one program.
+// each model is owned by exactly one worker goroutine, which runs one
+// request's forward pass at a time.
 package serve
 
 import (
@@ -32,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -66,8 +66,6 @@ type Config struct {
 	// QueueDepth bounds each model's request queue; a full queue
 	// fast-rejects with 429.
 	QueueDepth int
-	// MaxBatch caps how many requests coalesce into one forward pass.
-	MaxBatch int
 	// DefaultTimeout applies when a request carries no timeout_ms;
 	// MaxTimeout clamps what a request may ask for.
 	DefaultTimeout time.Duration
@@ -108,9 +106,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
@@ -235,8 +230,6 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 		resilient:   rb,
 		compileTime: compileTime,
 		features:    x,
-		classes:     s.cfg.Classes,
-		maxBatch:    s.cfg.MaxBatch,
 		br:          newBreaker(m.Name(), s.cfg.BreakerThreshold, s.cfg.BreakerCooldown),
 		m:           hm,
 		warm:        make(chan struct{}),
@@ -310,14 +303,13 @@ type inferRequest struct {
 	// default; clamped to the server maximum).
 	TimeoutMS int `json:"timeout_ms"`
 	// Features optionally replaces the stored feature matrix for this one
-	// request (|V| × feat); such requests run unbatched.
+	// request (|V| × feat).
 	Features [][]float32 `json:"features,omitempty"`
 }
 
 type inferResponse struct {
 	Model    string      `json:"model"`
 	Logits   [][]float32 `json:"logits"`
-	Batched  int         `json:"batched"`
 	Degraded bool        `json:"degraded"`
 	// Timing is the per-stage latency breakdown, present while telemetry is
 	// enabled.
@@ -339,9 +331,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleInfer is admission control plus the request half of batching: queue
-// with a non-blocking send (full queue → fast 429), then wait for the
-// worker's response or this request's own deadline, whichever is first.
+// handleInfer is admission control plus the request's half of the worker
+// hand-off: queue with a non-blocking send (full queue → fast 429), then wait
+// for the worker's response or this request's own deadline, whichever is
+// first.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// The trace context is minted (or adopted from traceparent /
 	// X-Request-ID) before anything else can stall the handler, so a
@@ -416,11 +409,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Clamped in milliseconds, before the conversion: a huge timeout_ms
+	// would overflow time.Duration and wrap negative.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		timeout = s.cfg.MaxTimeout
+		if int64(req.TimeoutMS) < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 
@@ -467,12 +462,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	case resp := <-rq.resp:
 		h.m.latency.Observe(int64(time.Since(start)))
 		switch {
+		case resp.err == nil && !allFinite(resp.logits):
+			// JSON carries no NaN or infinity. The stored features are in
+			// [-1, 1]; only a request's own features can overflow.
+			fail(http.StatusBadRequest, "the forward pass overflows float32 on the request's features")
 		case resp.err == nil:
 			status = "ok"
-			out := inferResponse{
-				Model: h.name, Logits: resp.logits,
-				Batched: resp.batched, Degraded: resp.degraded,
-			}
+			out := inferResponse{Model: h.name, Logits: resp.logits, Degraded: resp.degraded}
 			if ts != nil {
 				done := telemetry.Now()
 				telemetry.RecordSpan(ts, "serve", "stage", "respond", resp.runEnd, done, root.SpanID())
@@ -480,8 +476,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 				out.Timing = &timingBreakdown{
 					TraceID:     fmt.Sprintf("%016x", ts.TraceID()),
 					AdmissionMS: msBetween(arrived, rq.enqueued),
-					QueueWaitMS: msBetween(rq.enqueued, rq.dequeued),
-					BatchWaitMS: msBetween(rq.dequeued, resp.runStart),
+					QueueWaitMS: msBetween(rq.enqueued, resp.runStart),
 					KernelMS:    msBetween(resp.runStart, resp.runEnd),
 					RespondMS:   msBetween(resp.runEnd, done),
 					TotalMS:     msBetween(arrived, done),
@@ -491,14 +486,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(resp.err, context.DeadlineExceeded):
 			status = "timeout"
 			h.m.timeouts.Inc()
-			fail(http.StatusGatewayTimeout, "deadline exceeded in batch: %v", resp.err)
+			fail(http.StatusGatewayTimeout, "deadline exceeded in the forward pass: %v", resp.err)
 		default:
 			fail(http.StatusInternalServerError, "inference failed: %v", resp.err)
 		}
 	case <-timer.C:
-		// This member's own deadline passed while its batch was still
-		// running (or queued). The batch carries on for members with more
-		// budget; the buffered response channel absorbs our late result.
+		// The request's deadline passed while it was queued or its pass was
+		// running. The pass's context carries the same deadline, so the
+		// kernels stop too; the buffered response channel absorbs the late
+		// result.
 		status = "timeout"
 		h.m.timeouts.Inc()
 		fail(http.StatusGatewayTimeout, "deadline exceeded after %v", timeout)
@@ -518,7 +514,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		// under which verifier rule) or rejected (and why), and the bytes the
 		// recorded and the rewritten order stream.
 		Rewrites []string `json:"rewrites"`
-		// RowsCapable says whether a batch's forward pass can run just the
+		// RowsCapable says whether a request's forward pass can run just the
 		// closure of the requested rows (program.RunRows); when it cannot,
 		// RowsDeclined names the step without a row form and every pass is
 		// the whole graph.
@@ -584,4 +580,16 @@ func denseFromRows(rows [][]float32, wantRows, wantCols int) (*tensor.Dense, err
 		copy(d.Data[i*wantCols:(i+1)*wantCols], row)
 	}
 	return d, nil
+}
+
+// allFinite reports whether no row holds a NaN or an infinity.
+func allFinite(rows [][]float32) bool {
+	for _, row := range rows {
+		for _, v := range row {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -118,27 +118,107 @@ func maxAbsDiff(got []float32, want []float32) float64 {
 }
 
 // TestInferMatchesReference: a served vertex query returns the same logits
-// the reference interpreter computes for those vertices.
+// the reference interpreter computes for those vertices, on the stored
+// features and on a feature matrix the request carries.
 func TestInferMatchesReference(t *testing.T) {
-	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
-	want := referenceLogits(t, "GCN", "CO", 16, 8)
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	stored := referenceLogits(t, "GCN", "CO", 16, 8)
 
-	vertices := []int{0, 7, 100, 2707}
-	code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "gcn", Vertices: vertices})
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	// Caller-supplied features: all ones.
+	g := s.Graph()
+	ones := tensor.NewDense(g.NumVertices(), 16)
+	ones.Fill(1)
+	m, err := models.ByName("GCN")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp.Degraded {
-		t.Error("healthy server answered degraded")
+	onOnes, err := m.Forward(g, ones, 8, models.NewHostEngine(core.ReferenceBackend()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(resp.Logits) != len(vertices) {
-		t.Fatalf("got %d rows, want %d", len(resp.Logits), len(vertices))
+	feats := make([][]float32, ones.Rows)
+	for i := range feats {
+		feats[i] = ones.Row(i)
 	}
-	for i, v := range vertices {
-		row := want.Data[v*want.Cols : (v+1)*want.Cols]
-		if d := maxAbsDiff(resp.Logits[i], row); d > 1e-4 {
-			t.Errorf("vertex %d: maxdiff %g vs reference", v, d)
+
+	for _, c := range []struct {
+		name     string
+		vertices []int
+		features [][]float32
+		want     *tensor.Dense
+	}{
+		{"stored", []int{0, 7, 100, 2707}, nil, stored},
+		{"caller features", []int{17}, feats, onOnes},
+	} {
+		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "gcn", Vertices: c.vertices, Features: c.features})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", c.name, code, e.Error)
 		}
+		if resp.Degraded {
+			t.Errorf("%s: healthy server answered degraded", c.name)
+		}
+		if len(resp.Logits) != len(c.vertices) {
+			t.Fatalf("%s: got %d rows, want %d", c.name, len(resp.Logits), len(c.vertices))
+		}
+		for i, v := range c.vertices {
+			if d := maxAbsDiff(resp.Logits[i], c.want.Row(v)); d > 1e-4 {
+				t.Errorf("%s, vertex %d: maxdiff %g vs reference", c.name, v, d)
+			}
+		}
+	}
+}
+
+// TestCustomFeaturesRunSolo: a request that carries its own feature matrix
+// runs as one forward pass of its own and answers like the reference
+// interpreter on those features.
+func TestCustomFeaturesRunSolo(t *testing.T) {
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+
+	// Oracle on custom features: all-ones input.
+	g := s.Graph()
+	x := tensor.NewDense(g.NumVertices(), 16)
+	x.Fill(1)
+	m, err := models.ByName("GCN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Forward(g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	feats := make([][]float32, g.NumVertices())
+	for i := range feats {
+		feats[i] = x.Row(i)
+	}
+	h := s.hosts["gcn"]
+	passes0 := h.m.batches.Value()
+	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{17}, Features: feats})
+	if code != http.StatusOK {
+		t.Fatalf("status %d (%s)", code, e.Error)
+	}
+	if n := h.m.batches.Value() - passes0; n != 1 {
+		t.Errorf("feature-bearing request ran %d forward passes, want 1 (solo)", n)
+	}
+	if d := maxAbsDiff(resp.Logits[0], want.Row(17)); d > 1e-4 {
+		t.Errorf("custom-features output maxdiff %g vs reference", d)
+	}
+}
+
+// TestTimeoutMSClampedBeforeConversion: a timeout_ms past what
+// time.Duration holds is clamped to the server maximum, not wrapped to a
+// negative deadline that answers 504 at once.
+func TestTimeoutMSClampedBeforeConversion(t *testing.T) {
+	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	resp, err := http.Post(ts.URL+"/v1/infer", "application/json",
+		strings.NewReader(`{"model":"GCN","vertices":[0],"timeout_ms":10000000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200 under the clamped 30 s deadline", resp.StatusCode, raw)
 	}
 }
 
@@ -165,6 +245,19 @@ func TestInferValidation(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("bad feature shape: status %d", code)
 	}
+	// Features at the edge of float32 overflow in the pass: a 200 could not
+	// carry the logits (JSON has no infinity), so the request is refused.
+	huge := make([][]float32, 2708)
+	for i := range huge {
+		huge[i] = make([]float32, 16)
+		for j := range huge[i] {
+			huge[i][j] = 3e38
+		}
+	}
+	code, _, e = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0, 1}, Features: huge})
+	if code != http.StatusBadRequest {
+		t.Errorf("features that overflow the pass: status %d (%s)", code, e.Error)
+	}
 }
 
 // TestQueueFullRejectsFast: with the worker stalled and the bounded queue
@@ -174,8 +267,8 @@ func TestQueueFullRejectsFast(t *testing.T) {
 	defer faultinject.Reset()
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}, QueueDepth: 2})
 
-	// The first batch's worker stalls 400ms before collecting; everything
-	// sent during the stall sits in (or overflows) the queue.
+	// The worker stalls 400ms on the first request; everything sent during
+	// the stall sits in (or overflows) the queue.
 	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 400 * time.Millisecond})
 	var wg sync.WaitGroup
 	codes := make(chan int, 8)
@@ -230,51 +323,9 @@ func TestQueueFullRejectsFast(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces: requests arriving while the worker is busy merge
-// into one forward pass, and every member sees the batch size.
-func TestBatchingCoalesces(t *testing.T) {
-	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{Models: []string{"GCN"}, MaxBatch: 16, QueueDepth: 16})
-	h := s.hosts["gcn"]
-	batchesBefore := h.m.batches.Value()
-
-	// Stall the worker once so all concurrent sends are queued when it
-	// collects its batch.
-	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 300 * time.Millisecond})
-	const n = 6
-	var wg sync.WaitGroup
-	sizes := make(chan int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{v}})
-			if code != http.StatusOK {
-				t.Errorf("status %d", code)
-				return
-			}
-			sizes <- resp.Batched
-		}(i)
-	}
-	wg.Wait()
-	close(sizes)
-	maxBatched := 0
-	for b := range sizes {
-		if b > maxBatched {
-			maxBatched = b
-		}
-	}
-	if maxBatched < 2 {
-		t.Errorf("no coalescing observed (max batched = %d)", maxBatched)
-	}
-	if got := h.m.batches.Value() - batchesBefore; got >= n {
-		t.Errorf("%d batches for %d requests; batching saved nothing", got, n)
-	}
-}
-
-// TestMemberTimeoutDoesNotWedgeWorker: a request whose own deadline lapses
-// mid-batch gets its 504 immediately, the batch finishes for the others,
-// and the worker keeps serving.
+// TestMemberTimeoutDoesNotWedgeWorker: a request whose deadline lapses while
+// its worker is stalled gets its 504 at the deadline, not when the worker
+// gets to it, and the worker keeps serving.
 func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 	defer faultinject.Reset()
 	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
@@ -287,7 +338,7 @@ func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 		t.Fatalf("status %d, want 504", code)
 	}
 	if elapsed > 250*time.Millisecond {
-		t.Errorf("504 delivered after %v; the member deadline must not wait out the batch", elapsed)
+		t.Errorf("504 delivered after %v; the request deadline must not wait out the stalled worker", elapsed)
 	}
 	// The worker survived the timed-out member.
 	code, _, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
@@ -337,7 +388,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		}
 	}
 	if h.resilient.Fallbacks() == 0 {
-		t.Error("degraded batch recorded no resilient fallbacks")
+		t.Error("degraded pass recorded no resilient fallbacks")
 	}
 
 	// Heal the backend, wait out the cooldown: the half-open probe runs on
@@ -373,15 +424,14 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 		t.Fatalf("breaker %v, want open", got)
 	}
 	time.Sleep(150 * time.Millisecond)
-	// Cooldown elapsed, faults still armed: the probe fails on the
-	// primary, the batch is re-served... no — the probe batch itself
-	// errors; the breaker re-opens and the member gets the error.
+	// Cooldown elapsed, faults still armed: the probe request fails on the
+	// primary, the breaker re-opens and the request gets the error.
 	fallbacks := h.resilient.Fallbacks()
 	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusInternalServerError {
 		t.Fatalf("failed probe: status %d, want 500", code)
 	}
 	if got := h.resilient.Fallbacks(); got != fallbacks {
-		t.Errorf("probe batch ran the fallback ladder: %d fallbacks, want %d", got, fallbacks)
+		t.Errorf("probe pass ran the fallback ladder: %d fallbacks, want %d", got, fallbacks)
 	}
 	if got := h.br.current(); got != breakerOpen {
 		t.Errorf("breaker %v after failed probe, want open", got)
@@ -486,7 +536,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}, BreakerThreshold: 1})
 	h := s.hosts["gcn"]
 
-	// Trip the breaker so a degraded batch records resilient fallbacks.
+	// Trip the breaker so a degraded pass records resilient fallbacks.
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
 	postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}) // trips
 	code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
@@ -608,45 +658,5 @@ func TestModelsEndpointListsRewrites(t *testing.T) {
 		if !strings.HasPrefix(line, head) || !strings.Contains(line, stages) || !strings.HasSuffix(line, " KiB") {
 			t.Errorf("rewrite line %d is %q", i, line)
 		}
-	}
-}
-
-// TestCustomFeaturesRunSolo: a request carrying its own feature matrix
-// computes on those features (not the stored ones) and never coalesces
-// with other requests.
-func TestCustomFeaturesRunSolo(t *testing.T) {
-	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
-
-	// Oracle on custom features: all-ones input.
-	g := s.Graph()
-	x := tensor.NewDense(g.NumVertices(), 16)
-	x.Fill(1)
-	m, err := models.ByName("GCN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Forward(g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	feats := make([][]float32, g.NumVertices())
-	for i := range feats {
-		row := make([]float32, 16)
-		for j := range row {
-			row[j] = 1
-		}
-		feats[i] = row
-	}
-	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{17}, Features: feats})
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%s)", code, e.Error)
-	}
-	if resp.Batched != 1 {
-		t.Errorf("feature-bearing request batched %d, want 1 (solo)", resp.Batched)
-	}
-	row := want.Data[17*want.Cols : 18*want.Cols]
-	if d := maxAbsDiff(resp.Logits[0], row); d > 1e-4 {
-		t.Errorf("custom-features output maxdiff %g vs reference", d)
 	}
 }

@@ -47,13 +47,12 @@ func traceIdentity(r *http.Request) (trace, parent uint64) {
 // timingBreakdown is the per-stage latency attribution object returned in
 // the inference response while telemetry is enabled. Stages are disjoint and
 // sum (within clock skew) to total: admission (handler entry → enqueue),
-// queue_wait (enqueue → worker pickup), batch_wait (pickup → forward-pass
-// start), kernel (the forward pass), respond (pass end → response write).
+// queue_wait (enqueue → forward-pass start), kernel (the forward pass),
+// respond (pass end → response write).
 type timingBreakdown struct {
 	TraceID     string  `json:"trace_id"`
 	AdmissionMS float64 `json:"admission_ms"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	BatchWaitMS float64 `json:"batch_wait_ms"`
 	KernelMS    float64 `json:"kernel_ms"`
 	RespondMS   float64 `json:"respond_ms"`
 	TotalMS     float64 `json:"total_ms"`

@@ -6,17 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
 
 // Request-scoped tracing through the serving pipeline: identity adoption from
-// inbound headers, the per-request timing breakdown, the connected span tree
-// behind /debug/requests, and the fan-in flow links a coalesced batch emits.
+// inbound headers, the per-request timing breakdown, and the connected span
+// tree behind /debug/requests.
 
 func TestTraceIdentityAdoption(t *testing.T) {
 	mk := func(hdr map[string]string) *http.Request {
@@ -86,7 +83,7 @@ func TestTracedRequestBreakdownAndDebugEndpoint(t *testing.T) {
 	if tb.TotalMS <= 0 {
 		t.Errorf("total_ms %v, want > 0", tb.TotalMS)
 	}
-	sum := tb.AdmissionMS + tb.QueueWaitMS + tb.BatchWaitMS + tb.KernelMS + tb.RespondMS
+	sum := tb.AdmissionMS + tb.QueueWaitMS + tb.KernelMS + tb.RespondMS
 	if sum > tb.TotalMS+0.5 {
 		t.Errorf("stage sum %.3fms exceeds total %.3fms", sum, tb.TotalMS)
 	}
@@ -119,13 +116,13 @@ func TestTracedRequestBreakdownAndDebugEndpoint(t *testing.T) {
 	for _, st := range ex.Stages {
 		stages[st.Stage] = true
 	}
-	for _, want := range []string{"admission", "queue_wait", "batch_wait", "kernel", "respond"} {
+	for _, want := range []string{"admission", "queue_wait", "kernel", "respond"} {
 		if !stages[want] {
 			t.Errorf("exemplar missing stage %q (got %v)", want, ex.Stages)
 		}
 	}
 	// One root (the request span) and the whole pipeline nested under it:
-	// batch → program run → steps → kernels all resolve as descendants.
+	// forward → program run → steps → kernels all resolve as descendants.
 	if len(ex.Spans) != 1 {
 		t.Fatalf("span tree has %d roots, want 1 connected tree:\n%s", len(ex.Spans), raw)
 	}
@@ -142,97 +139,10 @@ func TestTracedRequestBreakdownAndDebugEndpoint(t *testing.T) {
 	for _, c := range cats {
 		seen[c] = true
 	}
-	for _, want := range []string{"request", "stage", "batch", "run", "step", "kernel"} {
+	for _, want := range []string{"request", "stage", "forward", "run", "step", "kernel"} {
 		if !seen[want] {
 			t.Errorf("span tree missing a %q span (categories: %v)", want, cats)
 		}
-	}
-}
-
-// TestBatchFanInFlowLinks wedges the worker so several requests coalesce,
-// then checks the fan-in contract: one batch span joins the lead member's
-// trace, and every other member is linked to it by a paired flow arrow.
-func TestBatchFanInFlowLinks(t *testing.T) {
-	telemetry.Reset()
-	t.Cleanup(telemetry.Reset)
-	telemetry.SetEnabled(true)
-	defer faultinject.Reset()
-
-	_, ts := newTestServer(t, Config{Models: []string{"GCN"}, MaxBatch: 16, QueueDepth: 16})
-	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 300 * time.Millisecond})
-
-	const n = 5
-	var wg sync.WaitGroup
-	batched := make(chan int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{v}})
-			if code == http.StatusOK {
-				batched <- resp.Batched
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(batched)
-	maxBatch := 0
-	for b := range batched {
-		if b > maxBatch {
-			maxBatch = b
-		}
-	}
-	if maxBatch < 2 {
-		t.Skip("no coalescing this run; fan-in links need a real batch")
-	}
-
-	// Find the biggest batch span and count flow pairs targeting it.
-	events := telemetry.Default().Events()
-	var batchSpan *telemetry.TraceEvent
-	for i := range events {
-		ev := &events[i]
-		if ev.Cat == "batch" && ev.TraceID != 0 {
-			if batchSpan == nil || ev.Dur > batchSpan.Dur {
-				batchSpan = ev
-			}
-		}
-	}
-	if batchSpan == nil {
-		t.Fatal("no traced batch span recorded")
-	}
-	flowStarts := map[uint64]telemetry.TraceEvent{}
-	flowEndsToBatch := 0
-	for _, ev := range events {
-		if ev.FlowID == 0 {
-			continue
-		}
-		if !ev.FlowEnd {
-			flowStarts[ev.FlowID] = ev
-			continue
-		}
-		if ev.SpanID != batchSpan.SpanID {
-			continue
-		}
-		flowEndsToBatch++
-		from, ok := flowStarts[ev.FlowID]
-		if !ok {
-			t.Errorf("flow finish %d has no matching start", ev.FlowID)
-			continue
-		}
-		if from.TraceID == batchSpan.TraceID {
-			t.Error("flow arrow starts in the lead trace; only non-lead members get arrows")
-		}
-		if from.TraceID == 0 || from.SpanID == 0 {
-			t.Error("flow start lost its member identity")
-		}
-	}
-	if flowEndsToBatch != maxBatch-1 {
-		t.Errorf("batch of %d produced %d fan-in flow links, want %d (every non-lead member)",
-			maxBatch, flowEndsToBatch, maxBatch-1)
-	}
-	// The batch span hangs off the lead member's root span.
-	if batchSpan.ParentID == 0 {
-		t.Error("batch span has no parent; it must join the lead member's tree")
 	}
 }
 

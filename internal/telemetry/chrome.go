@@ -11,13 +11,10 @@ import (
 // track in chrome://tracing or https://ui.perfetto.dev. The format is the
 // "JSON object" flavour of the trace-event spec: a traceEvents array of
 // complete ("X") and instant ("i") events plus thread_name metadata ("M")
-// naming each track. Causal traces add three phases (DESIGN.md §8):
-//
-//   - "s"/"f"  flow arrows — the batching fan-in links from each member
-//     request's root span to the batch span that executed it;
-//   - "b"/"e"  async nestable events — every traced span is shadowed as an
-//     async pair under id = trace id and cat "request", so Perfetto groups
-//     one tree per request regardless of which track the work ran on.
+// naming each track. Causal traces (DESIGN.md §8) add async nestable events
+// ("b"/"e"): every traced span is shadowed as an async pair under id = trace
+// id and cat "request", so Perfetto groups one tree per request regardless of
+// which track the work ran on.
 
 // chromeEvent is one trace-event record. Ts and Dur are microseconds (the
 // unit the spec fixes); fractional microseconds keep nanosecond ordering.
@@ -31,7 +28,6 @@ type chromeEvent struct {
 	Dur  float64           `json:"dur,omitempty"`
 	S    string            `json:"s,omitempty"`
 	ID   string            `json:"id,omitempty"`
-	Bp   string            `json:"bp,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
 }
 
@@ -95,19 +91,10 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 		if ev.TraceID != 0 {
 			ce.Args = traceArgs(ev)
 		}
-		switch {
-		case ev.FlowID != 0:
-			ce.ID = hexID(ev.FlowID)
-			if ev.FlowEnd {
-				ce.Ph = "f"
-				ce.Bp = "e" // bind to the enclosing slice, not the next one
-			} else {
-				ce.Ph = "s"
-			}
-		case ev.Instant:
+		if ev.Instant {
 			ce.Ph = "i"
 			ce.S = "t"
-		default:
+		} else {
 			ce.Ph = "X"
 			ce.Dur = float64(ev.Dur) / 1e3
 		}
@@ -115,7 +102,7 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 
 		// Shadow every traced span as an async nestable pair keyed by the
 		// trace id: Perfetto renders the request's spans as one tree.
-		if ev.TraceID != 0 && ev.FlowID == 0 && !ev.Instant {
+		if ev.TraceID != 0 && !ev.Instant {
 			id := hexID(ev.TraceID)
 			out.TraceEvents = append(out.TraceEvents,
 				chromeEvent{

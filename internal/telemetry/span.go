@@ -35,10 +35,6 @@ type TraceEvent struct {
 	TraceID  uint64
 	SpanID   uint64
 	ParentID uint64
-	// FlowID marks a flow-arrow endpoint (Chrome ph "s"/"f"); FlowEnd
-	// distinguishes the finish end.
-	FlowID  uint64
-	FlowEnd bool
 }
 
 // Track interns a track name to a stable id (the Chrome "tid").

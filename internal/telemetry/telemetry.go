@@ -82,11 +82,6 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // of Table 3 span roughly 50us-100ms on the host backends).
 var DefaultLatencyBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
-// BatchSizeBuckets are the bounds for the serve batch-size histogram
-// (observed with ObserveValue): powers of two up to the plausible -batch
-// range.
-var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // Histogram is a fixed-bucket latency histogram with atomic buckets. Bounds
 // are upper-inclusive in seconds (Prometheus "le" semantics); observations
 // arrive in nanoseconds.

@@ -4,8 +4,8 @@ package telemetry
 // HTTP admission (or adopted from an incoming traceparent / X-Request-ID
 // header) and rides through context.Context across every layer. Spans opened
 // under a trace carry a 64-bit span id and a parent link; the Chrome exporter
-// renders each trace as one async-event tree plus flow arrows across the
-// batching fan-in, so Perfetto shows one connected tree per request.
+// renders each trace as one async-event tree, so Perfetto shows one connected
+// tree per request.
 //
 // Allocation discipline: the enabled steady-state Run path stays zero-alloc.
 // A TraceState is one allocation at admission (span records live in a
@@ -19,7 +19,7 @@ import (
 	"sync/atomic"
 )
 
-// spanSeq allocates process-unique span and flow ids. Sequential ids are
+// spanSeq allocates process-unique span ids. Sequential ids are
 // fine: uniqueness within the process is all the exporters need.
 var spanSeq atomic.Uint64
 
@@ -61,7 +61,7 @@ type SpanRecord struct {
 // TraceState is the per-request trace context: the trace id, the current
 // causal parent, and a bounded pre-sized buffer of completed spans. One
 // TraceState is shared by every layer a request touches; the span buffer is
-// mutex-guarded because batch delivery and the admission goroutine both
+// mutex-guarded because the model's worker and the request's handler both
 // append.
 type TraceState struct {
 	traceID uint64
@@ -128,9 +128,9 @@ func (ts *TraceState) Snapshot() ([]SpanRecord, int) {
 // makes ctx.Value lookups allocation-free.
 type traceKey struct{}
 
-// ContextWithTrace attaches ts to ctx. Called once per request at admission
-// (and once per batch at fan-in) — never on the per-span path, so the one
-// context allocation amortises over the whole request.
+// ContextWithTrace attaches ts to ctx. Called once per request's forward
+// pass — never on the per-span path, so the one context allocation
+// amortises over the whole request.
 func ContextWithTrace(ctx context.Context, ts *TraceState) context.Context {
 	return context.WithValue(ctx, traceKey{}, ts)
 }
@@ -204,9 +204,9 @@ func (s Span) TraceID() uint64 { return s.traceID }
 func (s Span) Start() int64 { return s.start }
 
 // RecordSpan records an already-measured interval as a completed span on the
-// trace: the serving layer uses it for stage attribution (queue_wait,
-// batch_wait, respond) where begin and end were stamped earlier with Now().
-// parent 0 adopts the trace's current parent. Returns the new span id.
+// trace: the serving layer uses it for stage attribution (admission,
+// queue_wait, kernel, respond) where begin and end were stamped earlier with
+// Now(). parent 0 adopts the trace's current parent. Returns the new span id.
 func RecordSpan(ts *TraceState, track, cat, name string, start, end int64, parent uint64) uint64 {
 	if !Enabled() {
 		return 0
@@ -241,32 +241,4 @@ func (r *Registry) RecordSpan(ts *TraceState, track, cat, name string, start, en
 	}
 	r.addEvent(ev)
 	return ev.SpanID
-}
-
-// FlowPoint names one end of a flow arrow: a position (track, timestamp)
-// inside an already-recorded span of some trace.
-type FlowPoint struct {
-	Track string
-	Ts    int64
-	Trace uint64
-	Span  uint64
-}
-
-// FlowLink records a flow arrow from one span to another — the batching
-// fan-in link from each member request's root span to the batch span that
-// executed it. Renders as Chrome flow ("s"/"f") events; the from/to
-// timestamps must fall inside the respective spans for viewers to bind them.
-func FlowLink(cat, name string, from, to FlowPoint) {
-	if !Enabled() {
-		return
-	}
-	id := nextSpanID()
-	defaultReg.addEvent(TraceEvent{
-		Name: name, Cat: cat, Track: defaultReg.Track(from.Track),
-		Start: from.Ts, FlowID: id, TraceID: from.Trace, SpanID: from.Span,
-	})
-	defaultReg.addEvent(TraceEvent{
-		Name: name, Cat: cat, Track: defaultReg.Track(to.Track),
-		Start: to.Ts, FlowID: id, FlowEnd: true, TraceID: to.Trace, SpanID: to.Span,
-	})
 }

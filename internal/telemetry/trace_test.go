@@ -10,9 +10,9 @@ import (
 
 // Causal-trace contracts (DESIGN.md §8): span ids are unique and parent links
 // form one connected tree per trace; MakeCurrent/RestoreCurrent swap the
-// causal parent correctly; flow links come in bound pairs; the exemplar store
-// retains exactly the slowest and most recent errored requests; and the
-// Chrome exporter stays valid JSON with the three new phases present.
+// causal parent correctly; recorded spans keep their parent; the exemplar
+// store retains exactly the slowest and most recent errored requests; and the
+// Chrome exporter stays valid JSON with every traced span's async pair.
 
 func TestTraceSpanTreeParentLinks(t *testing.T) {
 	Reset()
@@ -112,7 +112,7 @@ func TestTraceStateAdoptedParentAndTruncation(t *testing.T) {
 	}
 }
 
-func TestRecordSpanAndFlowLink(t *testing.T) {
+func TestRecordSpan(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 	SetEnabled(true)
@@ -141,31 +141,6 @@ func TestRecordSpanAndFlowLink(t *testing.T) {
 	if got := byName["respond"]; got.Dur != 100 || got.ParentID != root.SpanID() {
 		t.Errorf("respond dur=%d parent=%d, want 100 and %d", got.Dur, got.ParentID, root.SpanID())
 	}
-
-	FlowLink("batch", "coalesced",
-		FlowPoint{Track: "serve", Ts: 10, Trace: ts.TraceID(), Span: root.SpanID()},
-		FlowPoint{Track: "serve", Ts: 20, Trace: 0xbeef, Span: 7})
-
-	var starts, finishes []TraceEvent
-	for _, ev := range Default().Events() {
-		if ev.FlowID == 0 {
-			continue
-		}
-		if ev.FlowEnd {
-			finishes = append(finishes, ev)
-		} else {
-			starts = append(starts, ev)
-		}
-	}
-	if len(starts) != 1 || len(finishes) != 1 {
-		t.Fatalf("got %d flow starts, %d finishes; want 1 and 1", len(starts), len(finishes))
-	}
-	if starts[0].FlowID != finishes[0].FlowID {
-		t.Error("flow pair ids differ — viewers cannot bind the arrow")
-	}
-	if starts[0].TraceID != ts.TraceID() || finishes[0].TraceID != 0xbeef {
-		t.Error("flow endpoints lost their trace identity")
-	}
 }
 
 func TestTraceDisabledPathsAreInert(t *testing.T) {
@@ -183,7 +158,6 @@ func TestTraceDisabledPathsAreInert(t *testing.T) {
 	if RecordSpan(ts, "serve", "stage", "x", 0, 1, 0) != 0 {
 		t.Error("disabled RecordSpan recorded")
 	}
-	FlowLink("batch", "x", FlowPoint{}, FlowPoint{})
 	ctx := ContextWithTrace(context.Background(), ts)
 	StartSpanCtx(ctx, "serve", "request", "x").End()
 	if n := len(Default().Events()); n != 0 {
@@ -356,7 +330,7 @@ func TestPrometheusBuildInfoAndDroppedCounter(t *testing.T) {
 	}
 }
 
-func TestChromeTraceWithFlowAndAsyncEventsIsValidJSON(t *testing.T) {
+func TestChromeTraceWithAsyncEventsIsValidJSON(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 	SetEnabled(true)
@@ -367,10 +341,6 @@ func TestChromeTraceWithFlowAndAsyncEventsIsValidJSON(t *testing.T) {
 	StartTraceSpan(ts, "program", "run", "forward").End()
 	root.RestoreCurrent(prev)
 	root.End()
-	other := NewTraceState(0, 0, 4)
-	FlowLink("batch", "coalesced",
-		FlowPoint{Track: "serve", Ts: root.Start(), Trace: other.TraceID(), Span: 1},
-		FlowPoint{Track: "serve", Ts: root.Start() + 1, Trace: ts.TraceID(), Span: root.SpanID()})
 
 	var sb strings.Builder
 	if err := Default().WriteChromeTrace(&sb); err != nil {
@@ -382,7 +352,6 @@ func TestChromeTraceWithFlowAndAsyncEventsIsValidJSON(t *testing.T) {
 			Cat  string            `json:"cat"`
 			Ph   string            `json:"ph"`
 			ID   string            `json:"id"`
-			Bp   string            `json:"bp"`
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -391,17 +360,10 @@ func TestChromeTraceWithFlowAndAsyncEventsIsValidJSON(t *testing.T) {
 	}
 
 	phases := map[string]int{}
-	var flowStartID, flowFinishID, asyncBegin, asyncEnd string
+	var asyncBegin, asyncEnd string
 	for _, ev := range trace.TraceEvents {
 		phases[ev.Ph]++
 		switch ev.Ph {
-		case "s":
-			flowStartID = ev.ID
-		case "f":
-			flowFinishID = ev.ID
-			if ev.Bp != "e" {
-				t.Errorf("flow finish bp=%q, want e (bind to enclosing slice)", ev.Bp)
-			}
 		case "b":
 			if ev.Cat == "request" {
 				asyncBegin = ev.ID
@@ -415,14 +377,11 @@ func TestChromeTraceWithFlowAndAsyncEventsIsValidJSON(t *testing.T) {
 			t.Errorf("traced span %q exported without trace_id arg", ev.Name)
 		}
 	}
-	if phases["X"] != 2 || phases["s"] != 1 || phases["f"] != 1 {
-		t.Fatalf("phase counts %v, want 2 X, 1 s, 1 f", phases)
+	if phases["X"] != 2 {
+		t.Fatalf("phase counts %v, want 2 X", phases)
 	}
 	if phases["b"] != 2 || phases["e"] != 2 {
 		t.Fatalf("async shadow pairs %v, want 2 b and 2 e", phases)
-	}
-	if flowStartID == "" || flowStartID != flowFinishID {
-		t.Errorf("flow pair ids %q vs %q — must match", flowStartID, flowFinishID)
 	}
 	if asyncBegin == "" || asyncBegin != asyncEnd {
 		t.Errorf("async pair ids %q vs %q — must match", asyncBegin, asyncEnd)
