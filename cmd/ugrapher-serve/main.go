@@ -1,7 +1,8 @@
 // Command ugrapher-serve is the inference daemon: it loads named models,
 // compiles one program per model, and serves JSON inference over HTTP with
-// admission control, one forward pass per request, per-model circuit breaking
-// and graceful drain (DESIGN.md §13).
+// admission control, one forward pass per request, a fallback onto the
+// reference interpreter for failing kernels and graceful drain (DESIGN.md
+// §13).
 //
 // Examples:
 //
@@ -36,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -60,10 +60,7 @@ func main() {
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
 	reqTimeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline when the request carries no timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "upper bound on any request's deadline")
-	breakerN := flag.Int("breaker-threshold", 3, "consecutive kernel failures that trip a model's circuit breaker")
-	breakerCool := flag.Duration("breaker-cooldown", 2*time.Second, "open breaker cooldown before a half-open probe")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget after SIGTERM")
-	parallelSteps := flag.Bool("parallel-steps", false, "execute provably independent compiled steps concurrently (verified wave schedule)")
 	faults := flag.String("faults", "", "arm fault-injection points, e.g. 'queue-stall:after=1,limit=1,delay=2s;kernel-panic-load:every=1' (testing)")
 	debugAddr := flag.String("debug-addr", "", "operator-only debug listener with net/http/pprof (host:port; empty = off; never the serving port)")
 	tracePath := flag.String("trace", "", "write the collected Chrome trace-event JSON here after drain (openable in Perfetto)")
@@ -71,13 +68,11 @@ func main() {
 
 	// Exit codes: 1 = startup/serve error, 2 = usage (bad flags or
 	// environment). A drained SIGTERM exit is 0.
-	if err := core.ValidateEnvShards(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvWorkers(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
-		os.Exit(2)
+	for _, validate := range []func() error{core.ValidateEnvShards, core.ValidateEnvWorkers} {
+		if err := validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	// serve.New silently substitutes a default for a non-positive queue
 	// depth; the CLI rejects it instead so a typo'd unit file fails loud
@@ -86,15 +81,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -queue %d (valid: 1 through %d)\n", *queue, maxQueueDepth)
 		os.Exit(2)
 	}
-	program.SetParallelSteps(*parallelSteps)
 	if *faults != "" {
 		if err := faultinject.ParseAndArm(*faults); err != nil {
 			fmt.Fprintf(os.Stderr, "ugrapher-serve: -faults: %v\n", err)
 			os.Exit(2)
 		}
 	}
-	// A daemon always collects: breaker transitions, forward spans and the
-	// serving counters are the operator's only window into it.
+	// A daemon always collects: forward spans and the serving counters are
+	// the operator's only window into it.
 	telemetry.SetEnabled(true)
 	// The global event buffer exists to be written out by -trace. Without a
 	// path nothing ever reads it, and at a few spans per request it is the
@@ -105,17 +99,15 @@ func main() {
 	telemetry.Default().SetBuildInfo(version, "parallel")
 
 	cfg := serve.Config{
-		Dataset:          *dataset,
-		Models:           strings.Split(*modelsFlag, ","),
-		Feat:             *feat,
-		Classes:          *classes,
-		Shards:           *shards,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *reqTimeout,
-		MaxTimeout:       *maxTimeout,
-		BreakerThreshold: *breakerN,
-		BreakerCooldown:  *breakerCool,
-		DrainTimeout:     *drainTimeout,
+		Dataset:        *dataset,
+		Models:         strings.Split(*modelsFlag, ","),
+		Feat:           *feat,
+		Classes:        *classes,
+		Shards:         *shards,
+		QueueDepth:     *queue,
+		DefaultTimeout: *reqTimeout,
+		MaxTimeout:     *maxTimeout,
+		DrainTimeout:   *drainTimeout,
 	}
 	if err := run(cfg, *addr, *debugAddr, *tracePath); err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
@@ -142,6 +134,10 @@ func run(cfg serve.Config, addr, debugAddr, tracePath string) error {
 	if err != nil {
 		return err
 	}
+	// The handler is in place before the daemon can be reached: a SIGTERM
+	// right after the handshake drains like any other.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -172,8 +168,6 @@ func run(cfg serve.Config, addr, debugAddr, tracePath string) error {
 		}()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	select {
 	case err := <-errc:
 		return err
@@ -183,13 +177,16 @@ func run(cfg serve.Config, addr, debugAddr, tracePath string) error {
 	// Drain first — the listener stays open so /healthz and /readyz keep
 	// answering while in-flight requests finish — then close the listener.
 	drainErr := s.Drain(cfg.DrainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// Every admitted request has its answer now. Shutdown still waits on a
+	// response being written out, and on a dialed, never used connection
+	// for five seconds: give the writes a second, then close the rest.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil && drainErr == nil {
-		drainErr = err
+	if srv.Shutdown(ctx) != nil {
+		srv.Close()
 	}
 	if debugSrv != nil {
-		_ = debugSrv.Shutdown(ctx)
+		debugSrv.Close()
 	}
 	// The trace is written after the drain so in-flight requests' span
 	// trees are complete; a failed drain still writes what was collected.

@@ -283,13 +283,13 @@ func TestResilientFallbackMatchesReference(t *testing.T) {
 	}
 }
 
-// TestResilientLadderGate: one lowered kernel is both the fast path and its
-// degraded form. Through the wrapper the primary still takes a region
-// epilogue into its chunks and a sharded lowering stays visible; with the
-// ladder on, a primary that fails after some chunks already ran the epilogue
-// is rerun on the reference interpreter and the epilogue lands exactly once
-// per row; with the ladder off the same fault surfaces as a *KernelError and
-// nothing is counted or rerun.
+// TestResilientLadderGate: what passes the ladder's gate — a *KernelError
+// from a full run — reruns; a row run does not. Through the wrapper the
+// primary still takes a region epilogue into its chunks and a sharded
+// lowering stays visible; a primary that fails after some chunks already ran
+// the epilogue is rerun on the reference interpreter and the epilogue lands
+// exactly once per row; the same fault in a row run surfaces as a
+// *KernelError and nothing is counted or rerun.
 func TestResilientLadderGate(t *testing.T) {
 	defer faultinject.Reset()
 	g := testGraph(t, 700, 9000, 29)
@@ -341,14 +341,17 @@ func TestResilientLadderGate(t *testing.T) {
 		}
 		check("after a rerun")
 
-		rb.SetLadder(false)
-		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 3})
+		rr, ok := AsRowRunner(k)
+		if !ok {
+			t.Fatalf("shards=%d: no row form behind the ladder", shards)
+		}
+		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1})
 		var ke *KernelError
-		if err := k.Run(); !errors.As(err, &ke) {
-			t.Fatalf("shards=%d: ladder off: Run = %v, want *KernelError", shards, err)
+		if err := rr.RunRows(context.Background(), []int32{1, 2, 3}); !errors.As(err, &ke) {
+			t.Fatalf("shards=%d: row run = %v, want *KernelError", shards, err)
 		}
 		if got := rb.Fallbacks(); got != 1 {
-			t.Errorf("shards=%d: ladder off counted a fallback: %d, want still 1", shards, got)
+			t.Errorf("shards=%d: a row run counted a fallback: %d, want still 1", shards, got)
 		}
 		faultinject.Reset()
 		if err := k.Run(); err != nil {

@@ -267,9 +267,10 @@ func TestRowRegionCapability(t *testing.T) {
 	}
 }
 
-// TestRowRegionBehindLadder: with the ladder on, a region whose primary
-// panics reruns as its steps on the reference interpreter — the bound epilogue
-// applied exactly once per row — and with it off the *KernelError surfaces.
+// TestRowRegionBehindLadder: a region whose primary panics in a full run
+// reruns as its steps on the reference interpreter — the bound epilogue
+// applied exactly once per row — and in a row run, which never ladders, the
+// *KernelError naming the head surfaces.
 func TestRowRegionBehindLadder(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	g := hubFixture(t)
@@ -302,10 +303,13 @@ func TestRowRegionBehindLadder(t *testing.T) {
 	if !out.Equal(want) || rb.Fallbacks() != 1 {
 		t.Fatalf("ladder on: max diff %g from the reference steps, %d fallbacks (want 0 and 1)", out.MaxDiff(want), rb.Fallbacks())
 	}
-	rb.SetLadder(false)
+	rr, ok := AsRowRunner(k)
+	if !ok {
+		t.Fatal("the region has no row form behind the ladder")
+	}
 	var ke *KernelError
-	if err := k.Run(); !errors.As(err, &ke) || ke.Op != "head" || rb.Fallbacks() != 1 {
-		t.Fatalf("ladder off: err %v, %d fallbacks; want a *KernelError naming the head and no new fallback", err, rb.Fallbacks())
+	if err := rr.RunRows(context.Background(), []int32{0, 1}); !errors.As(err, &ke) || ke.Op != "head" || rb.Fallbacks() != 1 {
+		t.Fatalf("row run: err %v, %d fallbacks; want a *KernelError naming the head and no new fallback", err, rb.Fallbacks())
 	}
 }
 

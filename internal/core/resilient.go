@@ -21,14 +21,8 @@ import (
 // retried run produces the answer the primary should have. Only
 // *KernelError triggers the ladder: validation errors, *NumericError and
 // context cancellation would fail identically on any backend and pass
-// through untouched.
-//
-// The ladder has a gate (SetLadder). With it off a *KernelError surfaces to
-// the caller like any other error, so one set of lowered kernels serves both
-// as the plain fast path and as its own degraded form: the serving layer's
-// circuit breaker keeps the gate off while it is counting failures and turns
-// it on while it is open. On the success path the wrapper costs one
-// interface call per kernel; the gate is read only after a kernel failed.
+// through untouched. On the success path the wrapper costs one interface
+// call per kernel.
 
 // ResilientBackend wraps a primary ExecBackend with a per-kernel fallback
 // onto a secondary (reference by default).
@@ -41,9 +35,6 @@ type ResilientBackend struct {
 	// monotonic for the process lifetime; window supports per-interval rates
 	// (a metrics scraper calls Reset each window and reports the delta).
 	window atomic.Int64
-	// ladder gates the per-Run fallback (SetLadder); read on a kernel's
-	// error path only.
-	ladder atomic.Bool
 }
 
 // NewResilientBackend wraps primary (nil = the parallel host backend) with
@@ -56,9 +47,7 @@ func NewResilientBackend(primary, secondary ExecBackend) *ResilientBackend {
 	if secondary == nil {
 		secondary = ReferenceBackend()
 	}
-	b := &ResilientBackend{primary: primary, secondary: secondary, logw: os.Stderr}
-	b.ladder.Store(true)
-	return b
+	return &ResilientBackend{primary: primary, secondary: secondary, logw: os.Stderr}
 }
 
 // Name implements ExecBackend.
@@ -71,12 +60,6 @@ func (b *ResilientBackend) SetLogger(w io.Writer) {
 	}
 	b.logw = w
 }
-
-// SetLadder turns the per-Run fallback on (the default) or off. Off, a
-// kernel's *KernelError is returned to the caller and nothing is counted or
-// rerun; kernels whose primary could not lower at all keep running on the
-// secondary either way. Safe to call between runs from any goroutine.
-func (b *ResilientBackend) SetLadder(on bool) { b.ladder.Store(on) }
 
 // Fallbacks reports how many times the ladder fell back to the secondary
 // backend (lowering failures and run failures both count). The counter is
@@ -207,13 +190,13 @@ func (k *resilientKernel) RunCtx(ctx context.Context) error {
 }
 
 // rerun is the ladder: on a *KernelError (and only then — see the package
-// comment for why other errors pass through) with the ladder on, log, count,
-// and run the same plan/operands on the secondary. The primary kernel is
-// kept: a panic is assumed transient until proven otherwise, so the next Run
-// tries the fast path again.
+// comment for why other errors pass through), log, count, and run the same
+// plan/operands on the secondary. The primary kernel is kept: a panic is
+// assumed transient until proven otherwise, so the next Run tries the fast
+// path again.
 func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	var ke *KernelError
-	if !errors.As(err, &ke) || !k.b.ladder.Load() {
+	if !errors.As(err, &ke) {
 		return err
 	}
 	k.b.countFallback(ke.Op)

@@ -84,8 +84,8 @@ const (
 	QueueStall
 	// KernelPanicLoad is KernelPanic restricted to the parallel host
 	// backend's workers (the sharded path included, the reference
-	// interpreter excluded). Sustained-failure scenarios — the serve layer's
-	// circuit breaker tripping under load — arm it with Every: 1 so every
+	// interpreter excluded). Sustained-failure scenarios — the serve layer
+	// answering on the fallback ladder under load — arm it with Every: 1 so every
 	// primary-path run panics while the reference fallback keeps producing
 	// correct outputs; the shared KernelPanic point cannot express that,
 	// because the fallback rung fires it too.

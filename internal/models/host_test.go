@@ -1,7 +1,6 @@
 package models
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -25,8 +24,8 @@ func quietLadder(workers, shards int) *core.ResilientBackend {
 }
 
 // TestHostProgramEqualsPlainAndTuned: for all six models, the one program the
-// daemon holds — compiled with fixed host schedules on a resilient ladder,
-// ladder off — produces the bits of the plain parallel program and of the
+// daemon holds — compiled with fixed host schedules on a resilient ladder —
+// produces the bits of the plain parallel program and of the
 // program a simulator-tuned engine compiles (what the daemon served before),
 // and keeps every fused epilogue in the chunk that produced the rows.
 func TestHostProgramEqualsPlainAndTuned(t *testing.T) {
@@ -51,9 +50,7 @@ func TestHostProgramEqualsPlainAndTuned(t *testing.T) {
 		plain := compile(NewHostEngine(core.NewShardedParallelBackend(2, 1)))
 		tuned := NewTunedEngine(gpu.V100())
 		tuned.Compute = core.NewShardedParallelBackend(2, 1)
-		rb := quietLadder(2, 1)
-		rb.SetLadder(false)
-		served := compile(NewHostEngine(rb))
+		served := compile(NewHostEngine(quietLadder(2, 1)))
 
 		want := run(plain)
 		if got := run(served); !got.Equal(want) {
@@ -73,9 +70,8 @@ func TestHostProgramEqualsPlainAndTuned(t *testing.T) {
 }
 
 // TestHostProgramLadder: with every primary kernel failing, the served
-// program answers ≡ the reference interpreter while the ladder is on (each
-// region's epilogue applied once after its kernel's rerun) and fails with a
-// *KernelError, rerunning nothing, while it is off.
+// program answers ≡ the reference interpreter, each region's epilogue applied
+// once after its kernel's rerun.
 func TestHostProgramLadder(t *testing.T) {
 	defer faultinject.Reset()
 	g := smallGraph(t, 47)
@@ -96,18 +92,9 @@ func TestHostProgramLadder(t *testing.T) {
 		// KernelPanicLoad fires in the parallel backend's chunks only, so the
 		// reference rung survives every=1.
 		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-		rb.SetLadder(false)
-		var ke *core.KernelError
-		if _, err := served.Run(x); !errors.As(err, &ke) {
-			t.Fatalf("%s: ladder off: Run = %v, want *core.KernelError", m.Name(), err)
-		}
-		if n := rb.Fallbacks(); n != 0 {
-			t.Errorf("%s: ladder off recorded %d fallbacks", m.Name(), n)
-		}
-		rb.SetLadder(true)
 		got, err := served.Run(x)
 		if err != nil {
-			t.Fatalf("%s: ladder on: %v", m.Name(), err)
+			t.Fatalf("%s: %v", m.Name(), err)
 		}
 		if !got.AllClose(want, 1e-4, 1e-4) {
 			t.Errorf("%s: degraded output differs from the reference interpreter (maxdiff %g)", m.Name(), got.MaxDiff(want))
@@ -145,9 +132,7 @@ func TestHostProgramShardedBehindLadder(t *testing.T) {
 				}
 				return cp
 			}
-			rb := quietLadder(2, 4)
-			rb.SetLadder(false)
-			flat, served, plain := compile(core.NewShardedParallelBackend(2, 1)), compile(rb), compile(core.NewShardedParallelBackend(2, 4))
+			flat, served, plain := compile(core.NewShardedParallelBackend(2, 1)), compile(quietLadder(2, 4)), compile(core.NewShardedParallelBackend(2, 4))
 			st, pst, fst := served.Stats(), plain.Stats(), flat.Stats()
 			if st.Shards != 4 || pst.Shards != 4 || fst.Shards != 1 || st.ShardEdgeCut <= 0 || st.ShardEdgeCut != pst.ShardEdgeCut {
 				t.Errorf("%s: behind the ladder shards=%d cut=%g; plain sharded program: shards=%d cut=%g",

@@ -234,7 +234,6 @@ func TestRunRowsBehindTheLadder(t *testing.T) {
 	x := features(g, 42)
 	for _, m := range models.All() {
 		rb := core.NewResilientBackend(core.NewShardedParallelBackend(2, 1), nil)
-		rb.SetLadder(false)
 		cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(rb))
 		if err != nil {
 			t.Fatal(err)

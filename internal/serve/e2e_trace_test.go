@@ -132,12 +132,7 @@ func TestE2EMetricsCarryTracingSeries(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 
-	resp, err := http.Get(d.url("/metrics"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	metrics := scrape(t, d)
 	for _, series := range []string{
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="admission",le="+Inf"}`,
 		`ugrapher_serve_stage_seconds_bucket{model="GCN",stage="queue_wait",le="+Inf"}`,
@@ -149,12 +144,12 @@ func TestE2EMetricsCarryTracingSeries(t *testing.T) {
 		`backend="parallel"} 1`,
 		`ugrapher_trace_events_dropped_total`,
 	} {
-		if !bytes.Contains(metrics, []byte(series)) {
+		if !strings.Contains(metrics, series) {
 			t.Errorf("metrics missing %q", series)
 		}
 	}
 	// The kernel stage saw the one request.
-	if !bytes.Contains(metrics, []byte(`ugrapher_serve_stage_seconds_count{model="GCN",stage="kernel"} 1`)) {
+	if !strings.Contains(metrics, `ugrapher_serve_stage_seconds_count{model="GCN",stage="kernel"} 1`) {
 		t.Errorf("kernel stage count wrong:\n%.2000s", metrics)
 	}
 }

@@ -16,16 +16,16 @@ import (
 
 // The model host: one goroutine per model owns that model's compiled program
 // and is the only goroutine that ever runs it. The program is compiled on a
-// core.ResilientBackend whose fallback ladder the breaker switches per
-// forward pass, so the same kernels are the fast path (ladder off) and the
-// degraded path (ladder on). A CompiledProgram shares one arena across runs
-// and is not safe for concurrent use (program.ErrConcurrentRun makes that
-// loud); serializing through a single worker is what makes the rest of the
-// layer — breaker bookkeeping, fault handling, the rows a response copies out
-// of the arena — free of locks on the execution path. Each request is its own
-// forward pass over its own rows' closure (DESIGN.md §15): at a few hundredths
-// of a millisecond per pass, coalescing requests would save only a call's
-// overhead (EXPERIMENTS.md "One request, one forward pass").
+// core.ResilientBackend, whose fallback ladder reruns a failing kernel of a
+// full pass on the reference interpreter. A CompiledProgram shares one arena
+// across runs and is not safe for concurrent use (program.ErrConcurrentRun
+// makes that loud); serializing through a single worker is what makes the rest
+// of the layer — the ladder's fallback count, fault handling, the rows a
+// response copies out of the arena — free of locks on the execution path. Each
+// request is its own forward pass over its own rows' closure (DESIGN.md §15):
+// at a few hundredths of a millisecond per pass, coalescing requests would
+// save only a call's overhead (EXPERIMENTS.md "One request, one forward
+// pass").
 
 // warmupFor is how long a model's worker runs its program on the stored
 // features before the daemon reports ready. The passes leave the arena
@@ -57,7 +57,7 @@ type request struct {
 // response is what the worker delivers back to the handler.
 type response struct {
 	logits   [][]float32
-	degraded bool // served with the fallback ladder on (breaker open)
+	degraded bool // a kernel of the request's passes fell back to the reference
 	err      error
 	// Forward-pass stamps (span-clock ns) for stage attribution; zero when
 	// untraced.
@@ -65,19 +65,18 @@ type response struct {
 	runEnd   int64
 }
 
-// modelHost owns one model's queue, program and breaker.
+// modelHost owns one model's queue and program.
 type modelHost struct {
 	name  string
 	queue chan *request
 
 	prog        *program.CompiledProgram
-	resilient   *core.ResilientBackend // prog's backend: the ladder gate and the fallback counts
+	resilient   *core.ResilientBackend // prog's backend: the fallback counts
 	compileTime time.Duration
 
 	features *tensor.Dense // stored feature matrix (seed 42, as cmd/ugrapher)
 	rows     []int32       // the request's vertices as row ids; worker-only scratch
 
-	br   *breaker
 	m    hostMetrics
 	warm chan struct{} // closed when the worker has warmed the program up
 	done chan struct{} // closed when the worker exits
@@ -88,8 +87,8 @@ type modelHost struct {
 func (h *modelHost) run() {
 	defer close(h.done)
 	for start := time.Now(); time.Since(start) < warmupFor; {
-		// A failing pass (an armed fault) is the breaker's to count once
-		// requests arrive; warming up only needs the passes to run.
+		// A pass that fails or falls back (an armed fault) warms up as well;
+		// warming up only needs the passes to run.
 		_, _ = h.prog.Run(h.features)
 	}
 	close(h.warm)
@@ -110,10 +109,16 @@ func (h *modelHost) run() {
 // crossover; the rows delivered are bit-identical either way. This worker owns
 // the contract that makes that safe: only the requested rows of the
 // arena-resident output are valid, and only until the next run, and
-// extractRows copies exactly those rows before the next pass starts. While the
-// breaker is open the pass is the full one, as it always has been: the
-// ladder's lower rung is a whole-tensor kernel, and the degraded ≡ reference
-// proof is about that path.
+// extractRows copies exactly those rows before the next pass starts.
+//
+// A row run never ladders: its inputs hold the closure's rows and nothing
+// else, which the ladder's whole-tensor reference rung cannot run on. So a row
+// run that fails with a *core.KernelError is answered once more by a full
+// pass, where each failing kernel reruns on the reference interpreter. The
+// response is degraded when the request's passes moved the ladder's fallback
+// count; only this worker runs the program, so whatever moved it was this
+// request. A *core.NumericError, the deadline and cancellation would fail a
+// second pass the same way and are not retried.
 //
 // The pass's context carries the request's deadline, so the kernels stop once
 // nobody is waiting; the handler watches the same deadline on its own timer
@@ -123,86 +128,34 @@ func (h *modelHost) run() {
 func (h *modelHost) forward(r *request) {
 	ctx, cancel := context.WithDeadline(context.Background(), r.deadline)
 	defer cancel()
-
-	// The breaker's decision is the ladder's gate: off, a kernel failure
-	// fails the pass and counts toward the threshold; on (breaker open), the
-	// failing kernel reruns on the reference interpreter inside the same run.
-	degraded, probe := h.br.route(time.Now())
-	h.resilient.SetLadder(degraded)
-	label := "primary"
-	if degraded {
-		label = "degraded"
-		h.m.degraded.Inc()
-	}
 	x := h.features
 	if r.features != nil {
 		x = r.features
 	}
-	h.m.batches.Inc()
-
-	// The forward span (and the program run, steps and kernels below it)
-	// joins the request's own tree under its root span.
-	sp := telemetry.StartTraceSpan(r.ts, "serve", "forward", h.name+"/"+label)
-	prev := sp.MakeCurrent()
+	h.rows = h.rows[:0]
+	for _, v := range r.vertices {
+		h.rows = append(h.rows, int32(v))
+	}
 	var runStart, runEnd int64
 	if r.ts != nil {
-		if degraded {
-			// The breaker's routing decision as a zero-length span on the
-			// tree: *why* this pass ran degraded.
-			telemetry.RecordSpan(r.ts, "serve", "breaker", "degraded-route", sp.Start(), sp.Start(), sp.SpanID())
-		}
 		ctx = telemetry.ContextWithTrace(ctx, r.ts)
 		runStart = telemetry.Now()
 	}
-	var (
-		out *tensor.Dense
-		err error
-		fwd = program.RowRun{RowsIn: x.Rows}
-	)
+	fallbacks := h.resilient.Fallbacks()
+	out, err := h.pass(ctx, r, x, false)
+	var ke *core.KernelError
+	if errors.As(err, &ke) {
+		out, err = h.pass(ctx, r, x, true)
+	}
+	degraded := err == nil && h.resilient.Fallbacks() != fallbacks
 	if degraded {
-		out, err = h.prog.RunCtx(ctx, x)
-	} else {
-		h.rows = h.rows[:0]
-		for _, v := range r.vertices {
-			h.rows = append(h.rows, int32(v))
-		}
-		out, fwd, err = h.prog.RunRows(ctx, x, h.rows)
-	}
-	if r.ts != nil {
-		runEnd = telemetry.Now()
-	}
-	sp.RestoreCurrent(prev)
-	if err != nil {
-		sp.EndErr(err.Error())
-	} else {
-		sp.EndArgs(map[string]string{
-			"mode": fwd.Mode(), "rows_out": strconv.Itoa(fwd.RowsOut),
-			"rows_in": strconv.Itoa(fwd.RowsIn), "edges": strconv.Itoa(fwd.Edges),
-		})
-		if fwd.Rows {
-			h.m.forwardRows.Inc()
-		} else {
-			h.m.forwardFull.Inc()
-		}
-		h.m.closureRows.ObserveValue(float64(fwd.RowsIn))
-	}
-
-	if !degraded {
-		var ke *core.KernelError
-		switch {
-		case err == nil:
-			h.br.onSuccess(probe)
-		case errors.As(err, &ke):
-			h.br.onFailure(probe, time.Now())
-		default:
-			// Deadline/cancellation: says nothing about the kernels' health.
-			h.br.onInconclusive(time.Now())
-		}
+		h.m.degraded.Inc()
 	}
 
 	if r.ts != nil {
 		// Stage attribution on the request's own tree: queue_wait runs from
-		// the enqueue to the start of the pass, kernel is the pass.
+		// the enqueue to the start of the first pass, kernel is the passes.
+		runEnd = telemetry.Now()
 		telemetry.RecordSpan(r.ts, "serve", "stage", "queue_wait", r.enqueued, runStart, r.rootSpan)
 		telemetry.RecordSpan(r.ts, "serve", "stage", "kernel", runStart, runEnd, r.rootSpan)
 		h.m.stageQueueWait.Observe(runStart - r.enqueued)
@@ -213,6 +166,45 @@ func (h *modelHost) forward(r *request) {
 		resp.logits = extractRows(out, r.vertices)
 	}
 	r.resp <- resp
+}
+
+// pass runs one forward pass, the request's row set or, with full, the whole
+// graph, under its own forward span in the request's tree (and the program
+// run, steps and kernels below it).
+func (h *modelHost) pass(ctx context.Context, r *request, x *tensor.Dense, full bool) (*tensor.Dense, error) {
+	label := "primary"
+	if full {
+		label = "degraded"
+	}
+	h.m.batches.Inc()
+	sp := telemetry.StartTraceSpan(r.ts, "serve", "forward", h.name+"/"+label)
+	prev := sp.MakeCurrent()
+	var (
+		out *tensor.Dense
+		err error
+		fwd = program.RowRun{RowsIn: x.Rows}
+	)
+	if full {
+		out, err = h.prog.RunCtx(ctx, x)
+	} else {
+		out, fwd, err = h.prog.RunRows(ctx, x, h.rows)
+	}
+	sp.RestoreCurrent(prev)
+	if err != nil {
+		sp.EndErr(err.Error())
+		return nil, err
+	}
+	sp.EndArgs(map[string]string{
+		"mode": fwd.Mode(), "rows_out": strconv.Itoa(fwd.RowsOut),
+		"rows_in": strconv.Itoa(fwd.RowsIn), "edges": strconv.Itoa(fwd.Edges),
+	})
+	if fwd.Rows {
+		h.m.forwardRows.Inc()
+	} else {
+		h.m.forwardFull.Inc()
+	}
+	h.m.closureRows.ObserveValue(float64(fwd.RowsIn))
+	return out, nil
 }
 
 // extractRows copies the requested vertex rows out of the arena-resident

@@ -22,20 +22,15 @@ const (
 	// deadline before their forward pass delivered, per model.
 	metricTimeouts = "ugrapher_serve_timeouts_total"
 	// metricBatches counts forward passes, per model: one per request the
-	// worker ran (the name predates one-request passes and stays for the
-	// readers of the series, the benchmark among them).
+	// worker ran, two when a failed row run was answered by a full pass (the
+	// name predates one-request passes and stays for the readers of the
+	// series, the benchmark among them).
 	metricBatches = "ugrapher_serve_batches_total"
-	// metricDegraded counts forward passes served with the fallback ladder
-	// on while the breaker was open, per model.
+	// metricDegraded counts requests answered with a kernel rerun on the
+	// reference interpreter (the fallback ladder), per model.
 	metricDegraded = "ugrapher_serve_degraded_total"
-	// metricBreakerTransitions counts breaker state transitions, labelled
-	// by model and target state.
-	metricBreakerTransitions = "ugrapher_serve_breaker_transitions_total"
 	// metricQueueDepth gauges the per-model queue occupancy at scrape time.
 	metricQueueDepth = "ugrapher_serve_queue_depth"
-	// metricBreakerState gauges the breaker state at scrape time
-	// (0 = closed, 1 = open, 2 = half-open).
-	metricBreakerState = "ugrapher_serve_breaker_state"
 	// metricFallbackWindow gauges the resilient-ladder fallbacks since the
 	// previous scrape (core.ResilientBackend.Reset per window), per model.
 	// The monotonic total stays in ugrapher_fallbacks_total.
@@ -61,7 +56,7 @@ const (
 	// answered them, per model: mode="rows" for a row-subset run of the
 	// request's closure, mode="full" for the whole graph (the closure was
 	// past the crossover, the program has a step without a row form, or the
-	// breaker was open). The two sum to the successful passes.
+	// row run failed a kernel). The two sum to the successful passes.
 	metricForwardMode = "ugrapher_serve_forward_mode_total"
 	// metricClosureRows is the distribution of |R_0| per forward pass: the
 	// input rows the answer was computed from — the request's exact L-hop
@@ -141,7 +136,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := telemetry.Default()
 	for _, h := range s.hosts {
 		reg.Gauge(telemetry.Series1(metricQueueDepth, "model", h.name)).Set(float64(len(h.queue)))
-		reg.Gauge(telemetry.Series1(metricBreakerState, "model", h.name)).Set(float64(h.br.current()))
 		// One fallback window per scrape: the gauge carries this window's
 		// ladder activations, the monotonic ugrapher_fallbacks_total keeps
 		// the lifetime count.

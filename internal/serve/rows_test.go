@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -208,45 +209,59 @@ func TestShardedDaemonRunsRowsLikeTheFlatOne(t *testing.T) {
 	}
 }
 
-// TestOpenBreakerKeepsTheFullPass: while the breaker is open the pass runs
-// the whole graph with the ladder on — the row path's kernels are the ones
-// failing — and the answer is the reference's; the row runs that tripped it
-// were failures, not answers.
-func TestOpenBreakerKeepsTheFullPass(t *testing.T) {
+// TestFailedRowRunRetriesAsFullPass: from the first failing kernel, a
+// request whose row run fails is answered by one full pass on the fallback
+// ladder — degraded, with the reference interpreter's logits, counted as a
+// full pass and not as a row run — for GCN and for GAT, whose row-resident
+// regions rerun as their recorded steps. The request's trace holds the failed
+// row run and the full pass as two forward spans.
+func TestFailedRowRunRetriesAsFullPass(t *testing.T) {
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{
-		Models: []string{"GAT"}, BreakerThreshold: 2, BreakerCooldown: time.Minute,
-	})
-	h := s.hosts["gat"]
-	want := referenceLogits(t, "GAT", "CO", 16, 8)
-	rows0, full0, _ := forwardModes(h)
-	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-	for i := 0; i < 2; i++ {
-		if code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GAT", Vertices: []int{3}}); code != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d (%s), want 500 from the failing row run", i, code, e.Error)
-		}
-	}
-	if got := h.br.current(); got != breakerOpen {
-		t.Fatalf("breaker %v after two failed row runs, want open", got)
-	}
-	if rows, full, _ := forwardModes(h); rows != rows0 || full != full0 {
-		t.Errorf("failed passes were counted as answers: rows=%d full=%d", rows-rows0, full-full0)
-	}
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
+	telemetry.SetEnabled(true)
+	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}})
 	vertices := []int{3, 42, 2000}
-	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GAT", Vertices: vertices})
-	if code != http.StatusOK || !resp.Degraded {
-		t.Fatalf("open breaker: status %d degraded=%v (%s)", code, resp.Degraded, e.Error)
-	}
-	for i, v := range vertices {
-		if d := maxAbsDiff(resp.Logits[i], want.Row(v)); d > 1e-4 {
-			t.Errorf("degraded vertex %d: maxdiff %g vs reference", v, d)
+	for _, name := range []string{"GCN", "GAT"} {
+		h := s.hosts[strings.ToLower(name)]
+		want := referenceLogits(t, name, "CO", 16, 8)
+		rows0, full0, passes0 := forwardModes(h)
+		degraded0 := h.m.degraded.Value()
+
+		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
+		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: name, Vertices: vertices})
+		if code != http.StatusOK || !resp.Degraded {
+			t.Fatalf("%s: first failing request: status %d degraded=%v (%s), want a degraded 200", name, code, resp.Degraded, e.Error)
 		}
-	}
-	if rows, full, _ := forwardModes(h); rows != rows0 || full != full0+1 {
-		t.Errorf("forward modes moved by rows=%d full=%d while open, want 0/1", rows-rows0, full-full0)
-	}
-	if h.resilient.Fallbacks() == 0 {
-		t.Error("the degraded full pass recorded no ladder fallbacks")
+		for i, v := range vertices {
+			if d := maxAbsDiff(resp.Logits[i], want.Row(v)); d > 1e-4 {
+				t.Errorf("%s degraded vertex %d: maxdiff %g vs reference", name, v, d)
+			}
+		}
+		if rows, full, passes := forwardModes(h); rows != rows0 || full != full0+1 || passes != passes0+2 {
+			t.Errorf("%s: forward modes moved by rows=%d full=%d over %d passes, want 0/1 over 2", name, rows-rows0, full-full0, passes-passes0)
+		}
+		if n := h.m.degraded.Value(); n != degraded0+1 {
+			t.Errorf("%s: degraded counter moved by %d, want 1", name, n-degraded0)
+		}
+		if h.resilient.Fallbacks() == 0 {
+			t.Errorf("%s: the degraded full pass recorded no ladder fallbacks", name)
+		}
+		var forwards []string
+		slowest, _ := s.exemplars.Snapshot()
+		for _, ex := range slowest {
+			if fmt.Sprintf("%016x", ex.TraceID) != resp.Timing.TraceID {
+				continue
+			}
+			for _, sp := range ex.Spans {
+				if sp.Cat == "forward" {
+					forwards = append(forwards, fmt.Sprintf("%s failed=%v", sp.Name, sp.Err != ""))
+				}
+			}
+		}
+		if got, want := fmt.Sprint(forwards), fmt.Sprintf("[%s/primary failed=true %s/degraded failed=false]", name, name); got != want {
+			t.Errorf("%s: forward spans %s, want %s", name, got, want)
+		}
 	}
 }
 

@@ -12,11 +12,10 @@
 //     deadline on its own timer, so a slow pass cannot wedge a worker or
 //     hold a client past its budget.
 //   - graceful degradation: each model's one program is compiled on a
-//     core.ResilientBackend; a per-model circuit breaker counts consecutive
-//     *core.KernelError failures with that backend's per-kernel fallback
-//     ladder (onto the reference interpreter) off and, once open, serves
-//     with the ladder on until a half-open probe proves the kernels healthy
-//     again.
+//     core.ResilientBackend; a request whose row run fails a kernel
+//     (*core.KernelError) is answered by a full pass, where the backend's
+//     fallback ladder reruns each failing kernel on the reference
+//     interpreter, and the response says degraded.
 //   - graceful drain: Drain stops admission (readyz flips unready first),
 //     lets in-flight requests finish under a deadline, and shuts the
 //     workers down.
@@ -60,9 +59,6 @@ type Config struct {
 	Classes int
 	// Shards is the graph shard count (-1 = core.DefaultShards()).
 	Shards int
-	// Workers sizes the parallel backend's pool (0 = $UGRAPHER_WORKERS /
-	// NumCPU).
-	Workers int
 	// QueueDepth bounds each model's request queue; a full queue
 	// fast-rejects with 429.
 	QueueDepth int
@@ -70,22 +66,21 @@ type Config struct {
 	// MaxTimeout clamps what a request may ask for.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// BreakerThreshold is the consecutive kernel-failure count that trips
-	// a model's breaker; BreakerCooldown is the open → half-open delay.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// DrainTimeout bounds how long Drain waits for in-flight work.
 	DrainTimeout time.Duration
-	// ExemplarSlow and ExemplarErrors bound the tail-sampled request
+}
+
+const (
+	// exemplarSlow and exemplarErrors bound the tail-sampled request
 	// exemplar store behind /debug/requests: the N slowest and the N most
 	// recent errored requests keep their full span trees.
-	ExemplarSlow   int
-	ExemplarErrors int
-	// TraceSpanCap bounds the span records retained per request trace
+	exemplarSlow   = 16
+	exemplarErrors = 16
+	// traceSpanCap bounds the span records retained per request trace
 	// (beyond it, spans still export to the global buffer but drop from the
 	// request's own tree).
-	TraceSpanCap int
-}
+	traceSpanCap = 192
+)
 
 // applyDefaults fills zero fields with serving defaults.
 func (c *Config) applyDefaults() {
@@ -113,23 +108,8 @@ func (c *Config) applyDefaults() {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.ExemplarSlow <= 0 {
-		c.ExemplarSlow = 16
-	}
-	if c.ExemplarErrors <= 0 {
-		c.ExemplarErrors = 16
-	}
-	if c.TraceSpanCap <= 0 {
-		c.TraceSpanCap = 192
 	}
 }
 
@@ -170,7 +150,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		g:         g,
 		hosts:     make(map[string]*modelHost),
-		exemplars: telemetry.NewExemplarStore(cfg.ExemplarSlow, cfg.ExemplarErrors),
+		exemplars: telemetry.NewExemplarStore(exemplarSlow, exemplarErrors),
 	}
 	for _, name := range cfg.Models {
 		m, err := models.ByName(name)
@@ -206,11 +186,10 @@ func New(cfg Config) (*Server, error) {
 // engine fixes the schedules (models.NewHostEngine): nothing the host
 // lowering runs depends on a simulator search, so none is paid here.
 func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
-	// One program, compiled on the ladder the breaker gates: a kernel that
-	// fails on the parallel backend reruns on the reference interpreter
-	// while the gate is on. It rests where a closed breaker leaves it: off.
-	rb := core.NewResilientBackend(core.NewShardedParallelBackend(s.cfg.Workers, s.cfg.Shards), nil)
-	rb.SetLadder(false)
+	// One program, compiled on the ladder: a kernel of a full pass that fails
+	// on the parallel backend reruns on the reference interpreter. The pool
+	// is sized by $UGRAPHER_WORKERS or NumCPU.
+	rb := core.NewResilientBackend(core.NewShardedParallelBackend(0, s.cfg.Shards), nil)
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.
 	compileStart := time.Now()
@@ -230,7 +209,6 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 		resilient:   rb,
 		compileTime: compileTime,
 		features:    x,
-		br:          newBreaker(m.Name(), s.cfg.BreakerThreshold, s.cfg.BreakerCooldown),
 		m:           hm,
 		warm:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -348,7 +326,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if telemetry.Enabled() {
 		arrived = telemetry.Now()
 		id, parent := traceIdentity(r)
-		ts = telemetry.NewTraceState(id, parent, s.cfg.TraceSpanCap)
+		ts = telemetry.NewTraceState(id, parent, traceSpanCap)
 		root = telemetry.StartTraceSpan(ts, "serve", "request", "infer")
 		root.MakeCurrent()
 		w.Header().Set("X-Trace-Id", fmt.Sprintf("%016x", ts.TraceID()))
@@ -504,9 +482,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // handleModels lists what the daemon serves.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	type modelInfo struct {
-		Name    string `json:"name"`
-		Breaker string `json:"breaker"`
-		Queue   int    `json:"queue"`
+		Name  string `json:"name"`
+		Queue int    `json:"queue"`
 		// CompileMS is what building the model's one program cost at start-up.
 		CompileMS float64 `json:"compile_ms"`
 		// Rewrites is what the compiler's dense-rewrite stage decided for the
@@ -537,7 +514,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.order {
 		h := s.hosts[strings.ToLower(name)]
 		info := modelInfo{
-			Name: h.name, Breaker: h.br.current().String(), Queue: len(h.queue),
+			Name: h.name, Queue: len(h.queue),
 			CompileMS: float64(h.compileTime) / float64(time.Millisecond),
 		}
 		for _, n := range h.prog.Rewrites() {

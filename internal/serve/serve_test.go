@@ -328,7 +328,8 @@ func TestQueueFullRejectsFast(t *testing.T) {
 // gets to it, and the worker keeps serving.
 func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 	defer faultinject.Reset()
-	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	_, _, passes := forwardModes(s.hosts["gcn"])
 
 	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 300 * time.Millisecond})
 	start := time.Now()
@@ -340,105 +341,87 @@ func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 	if elapsed > 250*time.Millisecond {
 		t.Errorf("504 delivered after %v; the request deadline must not wait out the stalled worker", elapsed)
 	}
-	// The worker survived the timed-out member.
+	// The worker survived the timed-out member, whose pass ended in the
+	// deadline and was not retried: one pass each.
 	code, _, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
 	if code != http.StatusOK {
 		t.Fatalf("follow-up status %d; worker wedged?", code)
 	}
+	if _, _, n := forwardModes(s.hosts["gcn"]); n != passes+2 {
+		t.Errorf("the timed-out request and the follow-up ran %d forward passes, want 2", n-passes)
+	}
 }
 
-// TestBreakerTripsAndRecovers drives the full breaker lifecycle with
-// injected kernel panics: closed (failures surface) → open (degraded
-// service with reference-correct outputs) → half-open probe → closed.
-func TestBreakerTripsAndRecovers(t *testing.T) {
+// TestNumericErrorRunsOnePass: only a *core.KernelError earns the full pass
+// on the ladder; a numeric failure would fail it the same way, so the request
+// fails after its one pass.
+func TestNumericErrorRunsOnePass(t *testing.T) {
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{
-		Models: []string{"GCN"}, BreakerThreshold: 2, BreakerCooldown: 150 * time.Millisecond,
-	})
+	core.SetCheckNumerics(true)
+	defer core.SetCheckNumerics(false)
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
+	h := s.hosts["gcn"]
+
+	_, _, passes := forwardModes(h)
+	faultinject.Arm(faultinject.NaNPoke, faultinject.Spec{After: 1})
+	code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3}})
+	if code != http.StatusInternalServerError || !strings.Contains(e.Error, "numeric guard") {
+		t.Fatalf("status %d (%s), want 500 from the numeric guard", code, e.Error)
+	}
+	if _, _, n := forwardModes(h); n != passes+1 {
+		t.Errorf("a numeric failure ran %d forward passes, want 1", n-passes)
+	}
+	if n := h.resilient.Fallbacks(); n != 0 {
+		t.Errorf("a numeric failure fell back %d times", n)
+	}
+}
+
+// TestEveryFailingRequestDegradesUntilKernelsHeal: while every primary kernel
+// run panics, each request — the first one too — is a degraded 200 with the
+// reference interpreter's logits, counted once in the degraded series and
+// backed by ladder fallbacks. Once the kernels heal, the next request is a
+// clean row run and the degraded series stands still.
+func TestEveryFailingRequestDegradesUntilKernelsHeal(t *testing.T) {
+	defer faultinject.Reset()
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
 	h := s.hosts["gcn"]
 	want := referenceLogits(t, "GCN", "CO", 16, 8)
+	vertices := []int{3, 42}
+	degraded0 := h.m.degraded.Value()
 
-	// Every primary-backend run panics; the reference interpreter (the
-	// resilient ladder's fallback rung) is untouched by KernelPanicLoad.
+	// The reference interpreter (the ladder's fallback rung) is untouched by
+	// KernelPanicLoad.
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-
-	// Failures below the threshold surface as 500s from the closed breaker.
-	for i := 0; i < 2; i++ {
-		code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3}})
-		if code != http.StatusInternalServerError {
-			t.Fatalf("request %d: status %d (%s), want 500 while breaker closed", i, code, e.Error)
+	const failing = 3
+	for i := 0; i < failing; i++ {
+		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: vertices})
+		if code != http.StatusOK || !resp.Degraded {
+			t.Fatalf("failing request %d: status %d degraded=%v (%s), want a degraded 200", i, code, resp.Degraded, e.Error)
+		}
+		for j, v := range vertices {
+			if d := maxAbsDiff(resp.Logits[j], want.Row(v)); d > 1e-4 {
+				t.Errorf("failing request %d vertex %d: maxdiff %g vs reference", i, v, d)
+			}
 		}
 	}
-	if got := h.br.current(); got != breakerOpen {
-		t.Fatalf("breaker %v after %d kernel failures, want open", got, 2)
-	}
-
-	// Open: requests succeed on the degraded program, outputs ≡ reference.
-	code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3, 42}})
-	if code != http.StatusOK {
-		t.Fatalf("degraded request: status %d", code)
-	}
-	if !resp.Degraded {
-		t.Error("open breaker served degraded=false")
-	}
-	for i, v := range []int{3, 42} {
-		row := want.Data[v*want.Cols : (v+1)*want.Cols]
-		if d := maxAbsDiff(resp.Logits[i], row); d > 1e-4 {
-			t.Errorf("degraded vertex %d: maxdiff %g vs reference", v, d)
-		}
+	if n := h.m.degraded.Value(); n != degraded0+failing {
+		t.Errorf("degraded counter moved by %d over %d failing requests", n-degraded0, failing)
 	}
 	if h.resilient.Fallbacks() == 0 {
-		t.Error("degraded pass recorded no resilient fallbacks")
+		t.Error("the degraded passes recorded no ladder fallbacks")
 	}
 
-	// Heal the backend, wait out the cooldown: the half-open probe runs on
-	// the primary, succeeds, and closes the breaker.
 	faultinject.Reset()
-	time.Sleep(200 * time.Millisecond)
-	code, resp, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3}})
-	if code != http.StatusOK {
-		t.Fatalf("probe request: status %d", code)
+	rows0, _, _ := forwardModes(h)
+	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: vertices})
+	if code != http.StatusOK || resp.Degraded {
+		t.Fatalf("after the kernels heal: status %d degraded=%v (%s), want a clean 200", code, resp.Degraded, e.Error)
 	}
-	if resp.Degraded {
-		t.Error("probe request served degraded; it should run the primary")
+	if rows, _, _ := forwardModes(h); rows != rows0+1 {
+		t.Error("the healed request was not a row run")
 	}
-	if got := h.br.current(); got != breakerClosed {
-		t.Errorf("breaker %v after successful probe, want closed", got)
-	}
-}
-
-// TestBreakerReopensOnFailedProbe: a probe that still fails sends the
-// breaker straight back to open.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{
-		Models: []string{"GCN"}, BreakerThreshold: 1, BreakerCooldown: 100 * time.Millisecond,
-	})
-	h := s.hosts["gcn"]
-
-	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusInternalServerError {
-		t.Fatalf("trip request: status %d", code)
-	}
-	if got := h.br.current(); got != breakerOpen {
-		t.Fatalf("breaker %v, want open", got)
-	}
-	time.Sleep(150 * time.Millisecond)
-	// Cooldown elapsed, faults still armed: the probe request fails on the
-	// primary, the breaker re-opens and the request gets the error.
-	fallbacks := h.resilient.Fallbacks()
-	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusInternalServerError {
-		t.Fatalf("failed probe: status %d, want 500", code)
-	}
-	if got := h.resilient.Fallbacks(); got != fallbacks {
-		t.Errorf("probe pass ran the fallback ladder: %d fallbacks, want %d", got, fallbacks)
-	}
-	if got := h.br.current(); got != breakerOpen {
-		t.Errorf("breaker %v after failed probe, want open", got)
-	}
-	// And while open, service continues degraded.
-	if code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusOK || !resp.Degraded {
-		t.Errorf("post-probe request: status %d degraded=%v, want degraded 200", code, resp.Degraded)
+	if n := h.m.degraded.Value(); n != degraded0+failing {
+		t.Errorf("the healed request moved the degraded counter to %d", n-degraded0)
 	}
 }
 
@@ -533,12 +516,11 @@ func TestOneCompilePerModel(t *testing.T) {
 // including the per-window fallback gauge backed by Snapshot/Reset.
 func TestMetricsEndpoint(t *testing.T) {
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{Models: []string{"GCN"}, BreakerThreshold: 1})
+	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
 	h := s.hosts["gcn"]
 
-	// Trip the breaker so a degraded pass records resilient fallbacks.
+	// A failing kernel so a degraded pass records resilient fallbacks.
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-	postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}) // trips
 	code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
 	if code != http.StatusOK {
 		t.Fatalf("degraded request: status %d", code)
@@ -564,7 +546,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ugrapher_serve_batches_total{model="GCN"}`,
 		`ugrapher_serve_degraded_total{model="GCN"}`,
 		`ugrapher_serve_queue_depth{model="GCN"}`,
-		`ugrapher_serve_breaker_state{model="GCN"}`,
 		`ugrapher_fallbacks_total`,
 		`ugrapher_kernel_isa{isa="` + vec.ISA() + `"} 1`,
 		fmt.Sprintf(`ugrapher_program_arena_bytes{model="GCN"} %d`, h.prog.Stats().ArenaFloats*4),

@@ -47,8 +47,8 @@ func traceIdentity(r *http.Request) (trace, parent uint64) {
 // timingBreakdown is the per-stage latency attribution object returned in
 // the inference response while telemetry is enabled. Stages are disjoint and
 // sum (within clock skew) to total: admission (handler entry → enqueue),
-// queue_wait (enqueue → forward-pass start), kernel (the forward pass),
-// respond (pass end → response write).
+// queue_wait (enqueue → forward-pass start), kernel (the forward pass, and
+// the full pass after a failed row run), respond (pass end → response write).
 type timingBreakdown struct {
 	TraceID     string  `json:"trace_id"`
 	AdmissionMS float64 `json:"admission_ms"`
