@@ -70,20 +70,6 @@ func BenchmarkGridSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccess isolates the cache model's hot loop.
-func BenchmarkCacheAccess(b *testing.B) {
-	c := gpu.NewCache(6<<20, 128, 16)
-	rng := rand.New(rand.NewSource(3))
-	lines := make([]int64, 1<<16)
-	for i := range lines {
-		lines[i] = int64(rng.Intn(1 << 18))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(lines[i&(1<<16-1)])
-	}
-}
-
 // --- telemetry and tracing overhead (make bench-obs) ---
 
 // obsBenchGraphs lazily generates the two datasets once: AR (artist, 1.6M
@@ -98,8 +84,13 @@ var obsBenchGraphs = struct {
 func loadObsBenchGraphs(b *testing.B) (skewed, regular *graph.Graph) {
 	b.Helper()
 	obsBenchGraphs.once.Do(func() {
-		obsBenchGraphs.ar, _ = datasets.MustLoad("AR")
-		obsBenchGraphs.pr, _ = datasets.MustLoad("PR")
+		var err error
+		if obsBenchGraphs.ar, _, err = datasets.Load("AR"); err == nil {
+			obsBenchGraphs.pr, _, err = datasets.Load("PR")
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	})
 	return obsBenchGraphs.ar, obsBenchGraphs.pr
 }

@@ -10,7 +10,9 @@
 //	ugrapher-lint -rules               # list the rule ids
 //
 // The default source target set includes cmd/ugrapher-lint itself, so every
-// run lints the linter as a self-test.
+// run lints the linter as a self-test. The unread rule reads the whole module
+// the targets sit in, examples/ and benchmark/ included, for each
+// declaration's readers.
 //
 // Exit codes: 0 = clean, 1 = findings/violations, 2 = usage or internal
 // error. Scripts (and make check) rely on this contract.

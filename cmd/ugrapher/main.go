@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -58,7 +59,7 @@ func main() {
 	tune := flag.Bool("tune", false, "grid-search the schedule space and report the ranking")
 	top := flag.Int("top", 5, "with -tune: how many candidates to print")
 	source := flag.Bool("source", false, "print the generated kernel source")
-	backend := flag.String("backend", "", "host compute backend: reference, parallel or sim (empty = parallel / $UGRAPHER_BACKEND)")
+	backend := flag.String("backend", "", "host compute backend: "+strings.Join(core.BackendNames, ", ")+" (empty = parallel / $UGRAPHER_BACKEND)")
 	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
 	model := flag.String("model", "", "run a whole model instead of one operator: GCN, GIN, GAT, SSum, SMax or SMean")
 	classes := flag.Int("classes", 16, "with -model: number of output classes")

@@ -176,6 +176,8 @@ func (e *VerifyError) Error() string {
 }
 
 // HasRule reports whether any diagnostic violates the given rule.
+//
+//lint:allow unread -- the corruption tests of analysis, core, program and models assert their rule with it
 func (e *VerifyError) HasRule(rule string) bool {
 	for _, d := range e.Diags {
 		if d.Rule == rule {

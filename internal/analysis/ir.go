@@ -137,11 +137,6 @@ type IRDense struct {
 	CommutedFrom int
 }
 
-// NewIRDense returns an annotation with every value reference absent.
-func NewIRDense() *IRDense {
-	return &IRDense{X2: NoValue, W2: NoValue, ViewOf: NoValue, CommutedFrom: NoValue}
-}
-
 // binds lists the values bound to n's own operand slots, NoValue for absent
 // ones: X, Y and a split-weight GEMM's second pair.
 func (n *IRNode) binds() [4]int {
@@ -188,7 +183,7 @@ type ProgramIR struct {
 
 // BufferFacts is the verifier's view of a buffer plan for one graph size.
 type BufferFacts struct {
-	// Assign maps each value id to its arena slot (NoSlot for constants and
+	// Assign maps each value id to its arena slot (-1 for constants and
 	// values outside the plan).
 	Assign []int
 	// InPlace marks nodes that write into their X operand's slot.
@@ -198,9 +193,6 @@ type BufferFacts struct {
 	// NumVertices and NumEdges size the planning graph.
 	NumVertices, NumEdges int
 }
-
-// NoSlot marks values without an arena slot.
-const NoSlot = -1
 
 // ProgramCheck bundles everything VerifyProgram inspects: the pre-fusion
 // program, the compiled (post-fusion, post-DCE) program, and the buffer

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -71,6 +70,9 @@ import (
 //     of telemetry.NewKernelSite or kernelSite). Every reduction walks
 //     destination rows with one owner per row whatever strategy the plan
 //     names; a schedule read would be a second code path nobody measured.
+//   - unread: every top-level declaration under internal/ and cmd/ has a
+//     reader in the module's non-test code (lint_unread.go). It reads the
+//     whole module, so it runs from LintDirs, not per file.
 //
 // Exemptions are explicit: `//lint:allow <rule> -- <reason>` on the
 // offending line or the line above. A directive without a reason is itself
@@ -90,7 +92,7 @@ const (
 )
 
 // LintRules lists the linter's rules.
-var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintSimulatedOnly, LintHostScheduleFree, LintDirective}
+var LintRules = []string{LintHookDiscipline, LintPanicJustification, LintNoAllocInRun, LintTracePropagation, LintGoroutineAccounting, LintHostEngine, LintSimulatedOnly, LintHostScheduleFree, LintUnread, LintDirective}
 
 // Finding is one linter hit.
 type Finding struct {
@@ -124,7 +126,6 @@ var hookPackages = map[string]map[string]bool{
 		"CountTrainerEpoch":    true,
 	},
 	"repro/internal/faultinject": {
-		"Enabled":    true,
 		"Armed":      true,
 		"Fire":       true,
 		"Fires":      true,
@@ -148,7 +149,7 @@ var goroutineScopedDirs = []string{"internal/serve", "internal/program", "intern
 // the simulator and the repro/internal/models constructors that run it.
 var (
 	hostEngineDirs   = []string{"internal/serve", "cmd/ugrapher-serve"}
-	simulatorEngines = map[string]bool{"NewTunedEngine": true, "NewPredictedEngine": true}
+	simulatorEngines = map[string]bool{"NewTunedEngine": true}
 )
 
 // importBoundaries are the two halves of the tree that must not link each
@@ -244,8 +245,7 @@ func ExpandDirs(patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata") {
+			if skipDir(path, root, d.Name()) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(path) {
@@ -261,6 +261,12 @@ func ExpandDirs(patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
+// skipDir reports whether a walk from root skips the directory at path: a
+// vendor, testdata or hidden directory below the root.
+func skipDir(path, root, name string) bool {
+	return path != root && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata")
+}
+
 // hasGoFiles reports whether dir directly contains a non-test .go file.
 func hasGoFiles(dir string) bool {
 	entries, err := os.ReadDir(dir)
@@ -273,67 +279,6 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
-}
-
-// LintDirs lints every directory as one package and returns all findings,
-// sorted by file and line.
-func LintDirs(dirs []string) ([]Finding, error) {
-	var all []Finding
-	for _, d := range dirs {
-		fs, err := LintDir(d)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].File != all[j].File {
-			return all[i].File < all[j].File
-		}
-		return all[i].Line < all[j].Line
-	})
-	return all, nil
-}
-
-// LintDir parses the non-test .go files of one package directory and lints
-// them.
-func LintDir(dir string) ([]Finding, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	return lintFiles(fset, files, dir), nil
-}
-
-// LintSource lints a single in-memory file (test hook).
-func LintSource(filename, src, dir string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return lintFiles(fset, []*ast.File{f}, dir), nil
 }
 
 // stubImporter satisfies go/types imports with empty marker packages: the
@@ -356,18 +301,9 @@ func (im *stubImporter) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// lintFiles runs every rule over one package's files.
-func lintFiles(fset *token.FileSet, files []*ast.File, dir string) []Finding {
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
-	conf := types.Config{
-		Importer:                 &stubImporter{pkgs: make(map[string]*types.Package)},
-		Error:                    func(error) {}, // stub imports cannot fully typecheck
-		DisableUnusedImportCheck: true,
-	}
-	// The (expected) errors from stub-package member lookups are discarded;
-	// Uses is still populated for package names and builtins.
-	_, _ = conf.Check(dir, fset, files, info)
-
+// lintFiles runs every rule over one package's files. info is the package's
+// type-check; the rules read only its Uses, for package names and builtins.
+func lintFiles(fset *token.FileSet, files []*ast.File, dir string, info *types.Info) []Finding {
 	cleanDir := filepath.ToSlash(filepath.Clean(dir))
 	inDirs := func(suffixes []string) bool {
 		for _, suffix := range suffixes {

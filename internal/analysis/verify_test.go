@@ -432,7 +432,7 @@ func TestBufferRules(t *testing.T) {
 	})
 	t.Run("live value without slot", func(t *testing.T) {
 		plan := bufferPlan()
-		plan.Assign[1] = NoSlot
+		plan.Assign[1] = -1 // no slot
 		wantRule(t, VerifyProgram(ProgramCheck{Post: bufferProgram(), Plan: plan}), RuleBufferAlias)
 	})
 	t.Run("slot too small", func(t *testing.T) {

@@ -80,8 +80,3 @@ func SupportsModel(engineName, modelName string) bool {
 	}
 	return true
 }
-
-// All returns the three baseline engines for a device.
-func All(dev *gpu.Device) []models.Engine {
-	return []models.Engine{NewDGL(dev), NewPyG(dev), NewGNNAdvisor(dev)}
-}

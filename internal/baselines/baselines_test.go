@@ -12,6 +12,11 @@ import (
 	"repro/internal/schedule"
 )
 
+// All returns the three baseline engines for a device.
+func All(dev *gpu.Device) []models.Engine {
+	return []models.Engine{NewDGL(dev), NewPyG(dev), NewGNNAdvisor(dev)}
+}
+
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))

@@ -34,11 +34,6 @@ func Run(g *graph.Graph, op ops.OpInfo, o Operands, sched Schedule, dev *gpu.Dev
 	return RunWith(DefaultBackend(), g, op, o, sched, dev)
 }
 
-// RunCtx is Run with cancellation/deadline support.
-func RunCtx(ctx context.Context, g *graph.Graph, op ops.OpInfo, o Operands, sched Schedule, dev *gpu.Device) (Result, error) {
-	return RunWithCtx(ctx, DefaultBackend(), g, op, o, sched, dev)
-}
-
 // RunWith is Run with an explicit compute backend: the plan is lowered
 // once (validating operands once), executed on b, and simulated on dev for
 // the schedule-cost metrics.

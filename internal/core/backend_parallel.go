@@ -72,9 +72,6 @@ func (b *ParallelBackend) Name() string { return "parallel" }
 // Workers reports the worker-pool size.
 func (b *ParallelBackend) Workers() int { return b.workers }
 
-// Shards reports the configured shard count (0 = auto, 1 = unsharded).
-func (b *ParallelBackend) Shards() int { return b.shards }
-
 // Lower implements ExecBackend: validate once and resolve the operator's
 // span kernel (or edge writer) for the bound operands.
 func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck CompiledKernel, err error) {

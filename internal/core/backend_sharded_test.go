@@ -283,21 +283,31 @@ func TestShardedLowerRejectsCorruptPlan(t *testing.T) {
 }
 
 // TestShardPlanCacheReuse: lowering several kernels against one graph
-// partitions it once.
+// partitions it once. Partition returns a new plan on every call, so the
+// cached plan staying the same pointer across lowers shows no later lower
+// partitioned again.
 func TestShardPlanCacheReuse(t *testing.T) {
 	g := testGraph(t, 400, 5000, 33)
 	op := ops.AggrSum
 	b := NewShardedParallelBackend(2, 4)
-	before := shard.Stats().Partitions
-	for _, strat := range Strategies {
+	var first *shard.Plan
+	for i, strat := range Strategies {
 		p := MustCompile(op, Schedule{Strategy: strat, Group: 1, Tile: 1})
 		o := makeOperands(g, op, 6, false, 2)
 		if _, err := b.Lower(p, g, o); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := shard.Stats().Partitions - before; got != 1 {
-		t.Errorf("lowering 4 kernels partitioned %d times, want 1", got)
+		shardPlanMu.Lock()
+		plan := shardPlanCache[shardPlanKey{g, b.shards}]
+		shardPlanMu.Unlock()
+		if plan == nil {
+			t.Fatalf("lower %d left no cached shard plan for the graph", i)
+		}
+		if i == 0 {
+			first = plan
+		} else if plan != first {
+			t.Errorf("lower %d partitioned the graph again, want the plan of the first lower reused", i)
+		}
 	}
 }
 
@@ -312,8 +322,8 @@ func TestShardedBackendDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if b := NewParallelBackend(2); b.Shards() != 3 {
-		t.Errorf("NewParallelBackend shards = %d, want the default 3", b.Shards())
+	if b := NewParallelBackend(2); b.shards != 3 {
+		t.Errorf("NewParallelBackend shards = %d, want the default 3", b.shards)
 	}
 	if err := SetDefaultShards(-1); err == nil {
 		t.Error("SetDefaultShards(-1) should fail")

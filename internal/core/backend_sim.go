@@ -95,9 +95,6 @@ func (k *simKernel) RunCtx(ctx context.Context) error {
 	return nil
 }
 
-// Metrics returns the simulated metrics of the last Run.
-func (k *simKernel) Metrics() gpu.Metrics { return k.metrics }
-
 // Counters implements CompiledKernel.
 func (k *simKernel) Counters() Counters {
 	return Counters{

@@ -115,9 +115,6 @@ var checkNumericsOn atomic.Bool
 // naming the first offending op. CLIs expose it as -check-numerics.
 func SetCheckNumerics(on bool) { checkNumericsOn.Store(on) }
 
-// CheckNumerics reports whether the numeric guard is on.
-func CheckNumerics() bool { return checkNumericsOn.Load() }
-
 // scanNumerics returns a *NumericError for the first NaN/Inf in out, or nil.
 func scanNumerics(op string, out *tensor.Dense) error { return scanNumericsAt(op, out.Data, 0) }
 

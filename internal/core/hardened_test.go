@@ -192,7 +192,7 @@ func TestCheckNumericsNamesOffendingOp(t *testing.T) {
 	defer faultinject.Reset()
 	SetCheckNumerics(true)
 	defer SetCheckNumerics(false)
-	if !CheckNumerics() {
+	if !checkNumericsOn.Load() {
 		t.Fatal("SetCheckNumerics(true) did not stick")
 	}
 
@@ -428,8 +428,8 @@ func TestResilientPassesThroughNonKernelErrors(t *testing.T) {
 	}
 }
 
-// TestResilientWindowCounter: Snapshot/Reset expose a per-window fallback
-// count on top of the monotonic Fallbacks counter.
+// TestResilientWindowCounter: Reset exposes a per-window fallback count on
+// top of the monotonic Fallbacks counter.
 func TestResilientWindowCounter(t *testing.T) {
 	defer faultinject.Reset()
 	g := testGraph(t, 200, 3000, 23)
@@ -441,21 +441,21 @@ func TestResilientWindowCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rb.Snapshot(); got != 0 {
-		t.Fatalf("Snapshot() before any fallback = %d", got)
+	if got := rb.window.Load(); got != 0 {
+		t.Fatalf("window before any fallback = %d", got)
 	}
 	faultinject.Arm(faultinject.KernelPanic, faultinject.Spec{After: 1})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rb.Snapshot(); got != 1 {
-		t.Errorf("Snapshot() = %d, want 1", got)
+	if got := rb.window.Load(); got != 1 {
+		t.Errorf("window = %d, want 1", got)
 	}
 	if got := rb.Reset(); got != 1 {
 		t.Errorf("Reset() = %d, want 1", got)
 	}
-	if got := rb.Snapshot(); got != 0 {
-		t.Errorf("Snapshot() after Reset = %d, want 0", got)
+	if got := rb.window.Load(); got != 0 {
+		t.Errorf("window after Reset = %d, want 0", got)
 	}
 	if got := rb.Fallbacks(); got != 1 {
 		t.Errorf("Fallbacks() after Reset = %d, want 1 (monotonic)", got)
@@ -465,8 +465,8 @@ func TestResilientWindowCounter(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rb.Snapshot(), int64(1); got != want {
-		t.Errorf("second window Snapshot() = %d, want %d", got, want)
+	if got, want := rb.window.Load(), int64(1); got != want {
+		t.Errorf("second window = %d, want %d", got, want)
 	}
 	if got := rb.Fallbacks(); got != 2 {
 		t.Errorf("Fallbacks() = %d, want 2", got)

@@ -54,6 +54,8 @@ func NewResilientBackend(primary, secondary ExecBackend) *ResilientBackend {
 func (b *ResilientBackend) Name() string { return "resilient" }
 
 // SetLogger redirects fallback logging (nil silences it).
+//
+//lint:allow unread -- the resilient-ladder tests of core, models and telemetry silence their expected fallbacks with it
 func (b *ResilientBackend) SetLogger(w io.Writer) {
 	if w == nil {
 		w = io.Discard
@@ -63,15 +65,8 @@ func (b *ResilientBackend) SetLogger(w io.Writer) {
 
 // Fallbacks reports how many times the ladder fell back to the secondary
 // backend (lowering failures and run failures both count). The counter is
-// monotonic for the backend's lifetime; use Snapshot/Reset for windowed
-// rates.
+// monotonic for the backend's lifetime; use Reset for windowed rates.
 func (b *ResilientBackend) Fallbacks() int64 { return b.fallbacks.Load() }
-
-// Snapshot reports the fallbacks recorded since the last Reset without
-// disturbing the window. Together with Reset it supports per-window fallback
-// rates (e.g. a serving layer's per-scrape gauge) on top of the monotonic
-// Fallbacks counter.
-func (b *ResilientBackend) Snapshot() int64 { return b.window.Load() }
 
 // Reset returns the fallbacks recorded since the previous Reset and zeroes
 // the window. Fallbacks() is unaffected.

@@ -63,9 +63,6 @@ func (s Strategy) Valid() bool { return int(s) < len(strategyCodes) }
 // VertexParallel reports whether work items are destination vertices.
 func (s Strategy) VertexParallel() bool { return s == ThreadVertex || s == WarpVertex }
 
-// WarpMapped reports whether the owning unit is a warp (lanes split features).
-func (s Strategy) WarpMapped() bool { return s == WarpVertex || s == WarpEdge }
-
 // ParseStrategy accepts either the code ("WE") or the long name ("warp-edge").
 func ParseStrategy(text string) (Strategy, error) {
 	for i := range strategyCodes {

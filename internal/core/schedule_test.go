@@ -14,9 +14,6 @@ func TestStrategyMeta(t *testing.T) {
 	if !ThreadVertex.VertexParallel() || ThreadEdge.VertexParallel() {
 		t.Error("VertexParallel wrong")
 	}
-	if !WarpEdge.WarpMapped() || ThreadVertex.WarpMapped() {
-		t.Error("WarpMapped wrong")
-	}
 	if Strategy(9).Code() != "S9" || Strategy(9).String() != "Strategy(9)" {
 		t.Error("unknown strategy formatting")
 	}

@@ -57,15 +57,6 @@ var Table3 = []Spec{
 	{Name: "OVCAR-8H", Abbr: "OV", V: 1889542, E: 3946402, Std: 1.16, Feat: 66, Class: 2, Locality: 0.95, Window: 8},
 }
 
-// Abbrs returns the paper's dataset codes in Table 3 order.
-func Abbrs() []string {
-	out := make([]string, len(Table3))
-	for i, s := range Table3 {
-		out[i] = s.Abbr
-	}
-	return out
-}
-
 // ByAbbr finds a spec by its two-letter (or four-letter) code.
 func ByAbbr(abbr string) (Spec, error) {
 	for _, s := range Table3 {
@@ -191,17 +182,6 @@ func Load(abbr string) (*graph.Graph, Spec, error) {
 	g := spec.Generate()
 	cache[spec.Name] = g
 	return g, spec, nil
-}
-
-// MustLoad is Load for known-good codes; it panics on error.
-func MustLoad(abbr string) (*graph.Graph, Spec) {
-	g, s, err := Load(abbr)
-	if err != nil {
-		// invariant: only for literal dataset codes in tests and examples;
-		// user-supplied codes go through Load and handle the error.
-		panic(err)
-	}
-	return g, s
 }
 
 // RandomSpec draws a random dataset spec for predictor training, spanning

@@ -23,12 +23,11 @@ func TestByAbbr(t *testing.T) {
 }
 
 func TestAbbrsOrder(t *testing.T) {
-	a := Abbrs()
-	if len(a) != 15 {
-		t.Fatalf("want 15 datasets, got %d", len(a))
+	if len(Table3) != 15 {
+		t.Fatalf("want 15 datasets, got %d", len(Table3))
 	}
-	if a[0] != "CO" || a[14] != "OV" {
-		t.Errorf("order wrong: %v", a)
+	if Table3[0].Abbr != "CO" || Table3[14].Abbr != "OV" {
+		t.Errorf("order wrong: %s ... %s", Table3[0].Abbr, Table3[14].Abbr)
 	}
 }
 
@@ -99,15 +98,6 @@ func TestLoadMemoises(t *testing.T) {
 	if g1 != g2 {
 		t.Error("Load should return the cached graph")
 	}
-}
-
-func TestMustLoadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustLoad("ZZ")
 }
 
 func TestSampleDegreesSumExact(t *testing.T) {

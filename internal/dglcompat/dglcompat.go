@@ -13,7 +13,6 @@
 package dglcompat
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -38,12 +37,10 @@ type Graph struct {
 	edgeData map[string]*tensor.Dense
 
 	dev *gpu.Device
-	// chooser picks the schedule per operator; defaults to a cached tuner
-	// (the paper's automatic mode when no parallel_info is given).
-	chooser func(schedule.Task) core.Schedule
-	tuner   *schedule.Tuner
+	// tuner picks the schedule per operator (the paper's automatic mode).
+	tuner *schedule.Tuner
 	// backend computes the functional outputs (schedule cost still comes
-	// from the simulator); defaults to core.DefaultBackend().
+	// from the simulator): the process default when the graph was wrapped.
 	backend core.ExecBackend
 }
 
@@ -61,31 +58,7 @@ func Wrap(g *graph.Graph, dev *gpu.Device) *Graph {
 		tuner:    schedule.NewTuner(gpu.WithMaxSampledBlocks(64)),
 		backend:  core.DefaultBackend(),
 	}
-	w.chooser = func(t schedule.Task) core.Schedule {
-		if best, ok := w.tuner.Tune(t); ok {
-			return best.Schedule
-		}
-		return core.DefaultSchedule
-	}
 	return w
-}
-
-// Structure returns the underlying graph.
-func (w *Graph) Structure() *graph.Graph { return w.g }
-
-// SetScheduleChooser overrides automatic tuning (the explicit parallel_info
-// path of the uGrapher API).
-func (w *Graph) SetScheduleChooser(f func(schedule.Task) core.Schedule) { w.chooser = f }
-
-// SetBackend selects the host compute backend by name ("reference",
-// "parallel", "sim"; empty = process default).
-func (w *Graph) SetBackend(name string) error {
-	b, err := core.Backend(name)
-	if err != nil {
-		return err
-	}
-	w.backend = b
-	return nil
 }
 
 // SetNData stores a per-vertex feature tensor under name (DGL:
@@ -181,16 +154,6 @@ func Binary(name, aField, bField, outField string) (MessageFn, error) {
 	}, nil
 }
 
-// CopyU builds copy_u(field, out): message = source feature.
-func CopyU(field, outField string) MessageFn {
-	return MessageFn{op: ops.CopyLHS, aKind: tensor.SrcV, aField: field, outField: outField, name: "copy_u"}
-}
-
-// CopyE builds copy_e(field, out): message = edge feature.
-func CopyE(field, outField string) MessageFn {
-	return MessageFn{op: ops.CopyRHS, bKind: tensor.EdgeK, bField: field, outField: outField, name: "copy_e"}
-}
-
 // Reduce builds a reduce function by DGL name ("sum", "max", "min", "mean").
 func Reduce(name, msgField, outField string) (ReduceFn, error) {
 	gop, err := ops.ParseGatherOp(name)
@@ -274,7 +237,10 @@ func (w *Graph) runOp(info ops.OpInfo, operands core.Operands, feat int, outFiel
 		ACols: cols(operands.A), BCols: cols(operands.B),
 		Device: w.dev,
 	}
-	sched := w.chooser(task)
+	sched := core.DefaultSchedule
+	if best, ok := w.tuner.Tune(task); ok {
+		sched = best.Schedule
+	}
 	if telemetry.Enabled() {
 		telemetry.RecordScheduleChoice(info.Name, sched.Strategy.Code(), sched.String())
 	}
@@ -314,77 +280,3 @@ func (w *Graph) ApplyEdges(msg MessageFn) (gpu.Metrics, error) {
 	}
 	return w.runOp(info, operands, feat, msg.outField)
 }
-
-// CompiledUpdateAll is a reusable handle for one update_all call: field
-// resolution, schedule choice and kernel lowering happened once at
-// CompileUpdateAll time, so each Run only executes the kernel — no lookup,
-// no tuning, no allocation. It reads the SAME operand tensors it captured
-// at compile time (mutate them in place to change inputs; replacing a frame
-// with SetNData/SetEData requires recompiling) and writes the same output
-// tensor, registered under the reduce function's output field.
-type CompiledUpdateAll struct {
-	kern  core.CompiledKernel
-	sched core.Schedule
-	info  ops.OpInfo
-	out   *tensor.Dense
-}
-
-// CompileUpdateAll resolves and lowers update_all(msg, reduce) once,
-// returning a handle whose Run re-executes the kernel against the captured
-// frames. This is the epoch-loop shape: DGL programs call update_all with
-// identical arguments every layer of every epoch, and all the work besides
-// the kernel itself is loop-invariant.
-func (w *Graph) CompileUpdateAll(msg MessageFn, reduce ReduceFn) (*CompiledUpdateAll, error) {
-	// Recognise the pair against the §5.3 switching table up front: an
-	// unknown combination (e.g. a zero-valued MessageFn) must surface as an
-	// error here, not as a panic or a misassembled op downstream.
-	pair := msg.name + "." + reduce.name
-	if _, ok := ops.Lookup(pair); !ok {
-		return nil, fmt.Errorf("dglcompat: update_all pair %q is not in the operator registry", pair)
-	}
-	info, operands, feat, err := w.opInfoFor(msg, &reduce)
-	if err != nil {
-		return nil, err
-	}
-	cols := func(t tensor.Typed) int {
-		if t.T == nil {
-			return 0
-		}
-		return t.T.Cols
-	}
-	task := schedule.Task{
-		Graph: w.g, Op: info, Feat: feat,
-		ACols: cols(operands.A), BCols: cols(operands.B),
-		Device: w.dev,
-	}
-	sched := w.chooser(task)
-	if telemetry.Enabled() {
-		telemetry.RecordScheduleChoice(info.Name, sched.Strategy.Code(), sched.String())
-	}
-	plan, err := core.Compile(info, sched)
-	if err != nil {
-		return nil, err
-	}
-	kern, err := w.backend.Lower(plan, w.g, operands)
-	if err != nil {
-		return nil, err
-	}
-	w.nodeData[reduce.outField] = operands.C.T
-	return &CompiledUpdateAll{kern: kern, sched: sched, info: info, out: operands.C.T}, nil
-}
-
-// Run executes the compiled kernel, refreshing the output field in place.
-func (c *CompiledUpdateAll) Run() error { return c.kern.Run() }
-
-// RunCtx is Run with cancellation, honoured at the backend's granularity.
-func (c *CompiledUpdateAll) RunCtx(ctx context.Context) error { return c.kern.RunCtx(ctx) }
-
-// Output returns the destination tensor the kernel writes (aliased by the
-// graph's output field).
-func (c *CompiledUpdateAll) Output() *tensor.Dense { return c.out }
-
-// Schedule reports the schedule resolved at compile time.
-func (c *CompiledUpdateAll) Schedule() core.Schedule { return c.sched }
-
-// OpInfo reports the operator the handle executes.
-func (c *CompiledUpdateAll) OpInfo() ops.OpInfo { return c.info }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ops"
-	"repro/internal/schedule"
 	"repro/internal/tensor"
 )
 
@@ -25,9 +24,19 @@ func testWrap(t *testing.T, seed int64) *Graph {
 	return Wrap(g, nil)
 }
 
+// CopyU builds copy_u(field, out): message = source feature.
+func CopyU(field, outField string) MessageFn {
+	return MessageFn{op: ops.CopyLHS, aKind: tensor.SrcV, aField: field, outField: outField, name: "copy_u"}
+}
+
+// CopyE builds copy_e(field, out): message = edge feature.
+func CopyE(field, outField string) MessageFn {
+	return MessageFn{op: ops.CopyRHS, bKind: tensor.EdgeK, bField: field, outField: outField, name: "copy_e"}
+}
+
 func fillND(t *testing.T, w *Graph, name string, cols int, seed int64) *tensor.Dense {
 	t.Helper()
-	d := tensor.NewDense(w.Structure().NumVertices(), cols)
+	d := tensor.NewDense(w.g.NumVertices(), cols)
 	d.FillRandom(rand.New(rand.NewSource(seed)), 1)
 	if err := w.SetNData(name, d); err != nil {
 		t.Fatal(err)
@@ -37,7 +46,7 @@ func fillND(t *testing.T, w *Graph, name string, cols int, seed int64) *tensor.D
 
 func fillED(t *testing.T, w *Graph, name string, cols int, seed int64) *tensor.Dense {
 	t.Helper()
-	d := tensor.NewDense(w.Structure().NumEdges(), cols)
+	d := tensor.NewDense(w.g.NumEdges(), cols)
 	d.FillRandom(rand.New(rand.NewSource(seed)), 1)
 	if err := w.SetEData(name, d); err != nil {
 		t.Fatal(err)
@@ -73,8 +82,8 @@ func TestGCNLayerViaUpdateAll(t *testing.T) {
 	}
 
 	// Reference via the core API directly.
-	ref := tensor.NewDense(w.Structure().NumVertices(), 16)
-	err = core.Reference(w.Structure(), ops.WeightedAggrSum, core.Operands{
+	ref := tensor.NewDense(w.g.NumVertices(), 16)
+	err = core.Reference(w.g, ops.WeightedAggrSum, core.Operands{
 		A: tensor.Src(h), B: tensor.Edge(ew), C: tensor.Dst(ref),
 	})
 	if err != nil {
@@ -102,7 +111,7 @@ func TestGATMsgCViaApplyEdges(t *testing.T) {
 		t.Fatal("edge output missing")
 	}
 	// Spot-check edge 0.
-	src, dst := w.Structure().EdgeEndpoints(0)
+	src, dst := w.g.EdgeEndpoints(0)
 	for j := 0; j < 8; j++ {
 		want := x.At(int(src), j) + x.At(int(dst), j)
 		if got := e.At(0, j); got != want {
@@ -195,30 +204,12 @@ func TestFrameShapeValidation(t *testing.T) {
 	}
 }
 
-func TestScheduleChooserOverride(t *testing.T) {
-	w := testWrap(t, 12)
-	fillND(t, w, "h", 8, 13)
-	var sawTask bool
-	forced := core.Schedule{Strategy: core.ThreadVertex, Group: 1, Tile: 1}
-	w.SetScheduleChooser(func(task schedule.Task) core.Schedule {
-		sawTask = task.Feat == 8
-		return forced
-	})
-	red, _ := Reduce("sum", "m", "rst")
-	if _, err := w.UpdateAll(CopyU("h", "m"), red); err != nil {
-		t.Fatal(err)
-	}
-	if !sawTask {
-		t.Error("chooser did not receive the task")
-	}
-}
-
 // TestBroadcastWeights: scalar edge weights broadcast across wide features,
 // exactly as GCN uses them.
 func TestBroadcastWeights(t *testing.T) {
 	w := testWrap(t, 14)
 	fillND(t, w, "h", 12, 15)
-	ew := tensor.NewDense(w.Structure().NumEdges(), 1)
+	ew := tensor.NewDense(w.g.NumEdges(), 1)
 	ew.Fill(2)
 	if err := w.SetEData("w", ew); err != nil {
 		t.Fatal(err)
@@ -236,101 +227,10 @@ func TestBroadcastWeights(t *testing.T) {
 	rst, _ := w.NData("rst")
 	plain, _ := w.NData("plain")
 	scaled := plain.Clone()
-	tensor.Scale(scaled, 2)
+	for i := range scaled.Data {
+		scaled.Data[i] *= 2
+	}
 	if !rst.AllClose(scaled, 1e-3, 1e-3) {
 		t.Errorf("broadcast weighting wrong (maxdiff %v)", rst.MaxDiff(scaled))
-	}
-}
-
-// TestCompileUpdateAll: the compiled handle matches the one-shot UpdateAll,
-// reruns see in-place input mutations, and the steady state allocates
-// nothing.
-func TestCompileUpdateAll(t *testing.T) {
-	w := testWrap(t, 30)
-	if err := w.SetBackend("reference"); err != nil {
-		t.Fatal(err)
-	}
-	h := fillND(t, w, "h", 8, 31)
-	fillED(t, w, "w", 1, 32)
-
-	msg, err := Binary("u_mul_e", "h", "w", "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := Reduce("sum", "m", "rst")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Oracle: the one-shot path on a second wrapper with identical frames.
-	w2 := Wrap(w.Structure(), nil)
-	if err := w2.SetBackend("reference"); err != nil {
-		t.Fatal(err)
-	}
-	fillND(t, w2, "h", 8, 31)
-	fillED(t, w2, "w", 1, 32)
-	if _, err := w2.UpdateAll(msg, red); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := w2.NData("rst")
-
-	c, err := w.CompileUpdateAll(msg, red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := w.NData("rst")
-	if !ok {
-		t.Fatal("rst field not registered")
-	}
-	if got != c.Output() {
-		t.Error("output field does not alias the handle's tensor")
-	}
-	if !got.AllClose(want, 1e-5, 1e-5) {
-		t.Fatalf("compiled result diverges from UpdateAll (maxdiff %v)", got.MaxDiff(want))
-	}
-
-	// In-place input mutation is visible to the next Run.
-	for i := range h.Data {
-		h.Data[i] *= 2
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want2 := want.Clone()
-	for i := range want2.Data {
-		want2.Data[i] *= 2
-	}
-	if !got.AllClose(want2, 1e-5, 1e-5) {
-		t.Fatalf("rerun after input mutation diverges (maxdiff %v)", got.MaxDiff(want2))
-	}
-
-	// Steady state: the handle's Run allocates nothing.
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("compiled Run allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-// TestCompileUpdateAllMissingField: compilation fails fast on unresolved
-// frames instead of deferring the error to Run.
-func TestCompileUpdateAllMissingField(t *testing.T) {
-	w := testWrap(t, 33)
-	msg, err := Binary("u_mul_e", "h", "w", "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := Reduce("sum", "m", "rst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.CompileUpdateAll(msg, red); err == nil {
-		t.Fatal("expected missing-field error")
 	}
 }

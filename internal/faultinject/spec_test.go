@@ -45,7 +45,7 @@ func TestParseAndArmRejectsBadInput(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "faultinject: ") {
 			t.Errorf("ParseAndArm(%q) error %q lacks the package prefix", s, err)
 		}
-		if Enabled() {
+		if armedMask.Load() != 0 {
 			t.Errorf("ParseAndArm(%q) armed a point", s)
 			Reset()
 		}
@@ -126,7 +126,7 @@ func FuzzParseAndArm(f *testing.F) {
 			if !strings.HasPrefix(err.Error(), "faultinject: ") {
 				t.Errorf("ParseAndArm(%q) error %q lacks the package prefix", s, err)
 			}
-			if Enabled() {
+			if armedMask.Load() != 0 {
 				t.Errorf("ParseAndArm(%q) failed (%v) yet armed a point", s, err)
 			}
 			return

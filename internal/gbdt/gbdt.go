@@ -57,9 +57,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// NumNodes reports the tree size.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // fitTree grows a tree on the sample set (indices into X/y).
 func fitTree(X [][]float64, y []float64, idx []int, p TreeParams) *Tree {
 	t := &Tree{}

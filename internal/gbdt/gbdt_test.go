@@ -176,10 +176,10 @@ func TestTreeDepthBounded(t *testing.T) {
 	}
 	tree := fitTree(X, y, idx, p)
 	// Depth 3 => at most 2^4 - 1 nodes.
-	if tree.NumNodes() > 15 {
-		t.Fatalf("tree has %d nodes, exceeds depth bound", tree.NumNodes())
+	if len(tree.nodes) > 15 {
+		t.Fatalf("tree has %d nodes, exceeds depth bound", len(tree.nodes))
 	}
-	if tree.NumNodes() < 3 {
+	if len(tree.nodes) < 3 {
 		t.Fatalf("tree failed to split at all")
 	}
 }

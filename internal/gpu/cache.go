@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"fmt"
 	"math/bits"
 )
 
@@ -22,24 +21,13 @@ type Cache struct {
 	// never used, which only an invalid way is).
 	stamps []int64
 	tick   int64
-
-	accesses int64
-	hits     int64
 }
 
-// NewCache builds a cache of capacityBytes with the given line size and
-// associativity. Capacity is rounded down to a whole number of sets; a
-// capacity smaller than one way per set still yields a functional (tiny)
-// cache.
-func NewCache(capacityBytes, lineBytes, ways int) *Cache {
-	c := &Cache{}
-	c.init(capacityBytes, lineBytes, ways)
-	return c
-}
-
-// init shapes c as NewCache(capacityBytes, lineBytes, ways) would, empty,
-// reusing its arrays when they are large enough: the simulator's workspace
-// keeps one L2 and a pool of L1s across calls.
+// init shapes c as an empty cache of capacityBytes with the given line size
+// and associativity (capacity rounded down to whole sets; a capacity smaller
+// than one way per set still yields a one-line cache), reusing its arrays
+// when they are large enough: the simulator's workspace keeps one L2 and a
+// pool of L1s across calls.
 func (c *Cache) init(capacityBytes, lineBytes, ways int) {
 	lines := capacityBytes / lineBytes
 	if lines < 1 {
@@ -71,30 +59,18 @@ func (c *Cache) set(line uint32) int {
 	return int(hi)
 }
 
-// Access touches a line address and reports whether it hit. A miss installs
-// the line, evicting the set's LRU way: the first way holding the minimum
-// stamp. The tags are scanned first and the stamps only on a miss — a hit,
-// the common case, touches one array.
-func (c *Cache) Access(line int64) bool {
-	if uint64(line) > MaxTraceLine {
-		// invariant: lines are trace line ids, which Simulate bounds before
-		// any reaches a cache; a caller passing another number is a bug.
-		panic(fmt.Sprintf("gpu: cache line %d outside [0, %d]", line, uint64(MaxTraceLine)))
-	}
-	return c.access(uint32(line))
-}
-
-// access is Access for a line id Simulate's recording already bounded.
+// access touches a line id Simulate's recording already bounded and reports
+// whether it hit. A miss installs the line, evicting the set's LRU way: the
+// first way holding the minimum stamp. The tags are scanned first and the
+// stamps only on a miss — a hit, the common case, touches one array.
 func (c *Cache) access(line uint32) bool {
 	c.tick++
-	c.accesses++
 	base := c.set(line) * c.ways
 	tag := line + 1
 	tags := c.tags[base : base+c.ways]
 	for w, t := range tags {
 		if t == tag {
 			c.stamps[base+w] = c.tick
-			c.hits++
 			return true
 		}
 	}
@@ -110,20 +86,9 @@ func (c *Cache) access(line uint32) bool {
 	return false
 }
 
-// Stats returns (accesses, hits) so far.
-func (c *Cache) Stats() (accesses, hits int64) { return c.accesses, c.hits }
-
-// HitRate returns hits/accesses, or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.accesses)
-}
-
-// Reset clears contents and counters.
+// Reset clears the contents.
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.stamps)
-	c.tick, c.accesses, c.hits = 0, 0, 0
+	c.tick = 0
 }

@@ -6,73 +6,81 @@ import (
 	"testing/quick"
 )
 
+// newCache is a standalone cache shaped as the simulator's workspace shapes
+// its L1s and L2.
+func newCache(capacityBytes, lineBytes, ways int) *Cache {
+	c := &Cache{}
+	c.init(capacityBytes, lineBytes, ways)
+	return c
+}
+
+// hitRate touches lines in order and returns the share that hit.
+func hitRate(c *Cache, lines []uint32) float64 {
+	hits := 0
+	for _, l := range lines {
+		if c.access(l) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(lines))
+}
+
 func TestCacheBasic(t *testing.T) {
-	c := NewCache(4*128, 128, 2) // 4 lines, 2-way: 2 sets
-	if c.Access(0) {
+	c := newCache(4*128, 128, 2) // 4 lines, 2-way: 2 sets
+	if c.access(0) {
 		t.Fatal("cold access should miss")
 	}
-	if !c.Access(0) {
+	if !c.access(0) {
 		t.Fatal("repeat access should hit")
-	}
-	acc, hits := c.Stats()
-	if acc != 2 || hits != 1 {
-		t.Fatalf("stats = (%d,%d)", acc, hits)
-	}
-	if c.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", c.HitRate())
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2 sets x 2 ways. Lines 0,2,4 map to set 0.
-	c := NewCache(4*128, 128, 2)
-	c.Access(0)
-	c.Access(2)
-	c.Access(0) // 0 is now MRU
-	c.Access(4) // evicts LRU (2)
-	if !c.Access(0) {
+	c := newCache(4*128, 128, 2)
+	c.access(0)
+	c.access(2)
+	c.access(0) // 0 is now MRU
+	c.access(4) // evicts LRU (2)
+	if !c.access(0) {
 		t.Fatal("0 should still be cached")
 	}
-	if c.Access(2) {
+	if c.access(2) {
 		t.Fatal("2 should have been evicted")
 	}
 }
 
 func TestCacheTinyCapacity(t *testing.T) {
-	c := NewCache(10, 128, 4) // less than one line: degrades to 1 line
-	c.Access(1)
-	if !c.Access(1) {
+	c := newCache(10, 128, 4) // less than one line: degrades to 1 line
+	c.access(1)
+	if !c.access(1) {
 		t.Fatal("single-line cache should hold one line")
 	}
-	if c.Access(2) {
+	if c.access(2) {
 		t.Fatal("different line must miss in single-line cache")
 	}
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache(1024, 128, 2)
-	c.Access(1)
+	c := newCache(1024, 128, 2)
+	c.access(1)
 	c.Reset()
-	if acc, _ := c.Stats(); acc != 0 {
-		t.Fatal("reset should clear counters")
-	}
-	if c.Access(1) {
+	if c.access(1) {
 		t.Fatal("reset should clear contents")
-	}
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate of empty cache should be 0")
 	}
 }
 
-// Property: hit rate is always within [0,1] and hits <= accesses.
+// Property: whatever came before, touching the line just touched hits.
 func TestQuickCacheInvariant(t *testing.T) {
 	f := func(lines []uint8) bool {
-		c := NewCache(2048, 128, 4)
+		c := newCache(2048, 128, 4)
 		for _, l := range lines {
-			c.Access(int64(l))
+			c.access(uint32(l))
+			if !c.access(uint32(l)) {
+				return false
+			}
 		}
-		acc, hits := c.Stats()
-		return hits <= acc && c.HitRate() >= 0 && c.HitRate() <= 1
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -83,23 +91,34 @@ func TestCacheWorkingSetTransition(t *testing.T) {
 	// Working set smaller than capacity: near-perfect reuse hit rate.
 	// Working set 4x capacity with cyclic access: near-zero hit rate (LRU
 	// pathological pattern).
-	c := NewCache(64*128, 128, 4)
-	for pass := 0; pass < 10; pass++ {
-		for l := int64(0); l < 32; l++ {
-			c.Access(l)
+	cyclic := func(n uint32) []uint32 {
+		var s []uint32
+		for pass := 0; pass < 10; pass++ {
+			for l := uint32(0); l < n; l++ {
+				s = append(s, l)
+			}
 		}
+		return s
 	}
-	if c.HitRate() < 0.85 {
-		t.Errorf("small working set hit rate = %v, want high", c.HitRate())
+	if r := hitRate(newCache(64*128, 128, 4), cyclic(32)); r < 0.85 {
+		t.Errorf("small working set hit rate = %v, want high", r)
 	}
-	c2 := NewCache(64*128, 128, 4)
-	for pass := 0; pass < 10; pass++ {
-		for l := int64(0); l < 256; l++ {
-			c2.Access(l)
-		}
+	if r := hitRate(newCache(64*128, 128, 4), cyclic(256)); r > 0.2 {
+		t.Errorf("oversized cyclic working set hit rate = %v, want low", r)
 	}
-	if c2.HitRate() > 0.2 {
-		t.Errorf("oversized cyclic working set hit rate = %v, want low", c2.HitRate())
+}
+
+// BenchmarkCacheAccess isolates the cache model's hot loop.
+func BenchmarkCacheAccess(b *testing.B) {
+	c := newCache(6<<20, 128, 16)
+	rng := rand.New(rand.NewSource(3))
+	lines := make([]uint32, 1<<16)
+	for i := range lines {
+		lines[i] = uint32(rng.Intn(1 << 18))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.access(lines[i&(1<<16-1)])
 	}
 }
 

@@ -94,6 +94,18 @@ func TestLineSetReset(t *testing.T) {
 	}
 }
 
+// WithMaxWorkBlocks overrides the threshold above which per-block work
+// accounting switches to stride sampling with scaling. Launches that large
+// have thousands of blocks per SM, so per-block variance averages out and
+// sampling loses almost no load-balance fidelity.
+func WithMaxWorkBlocks(n int) Option {
+	return func(c *simConfig) {
+		if n > 0 {
+			c.maxWorkBlocks = n
+		}
+	}
+}
+
 func TestWithMaxWorkBlocksSampling(t *testing.T) {
 	d := V100()
 	w := BlockWork{Insts: 100, Transactions: 10, ActiveWarps: 8}

@@ -62,18 +62,6 @@ func WithMaxSampledBlocks(n int) Option {
 	}
 }
 
-// WithMaxWorkBlocks overrides the threshold above which per-block work
-// accounting switches to stride sampling with scaling. Launches that large
-// have thousands of blocks per SM, so per-block variance averages out and
-// sampling loses almost no load-balance fidelity.
-func WithMaxWorkBlocks(n int) Option {
-	return func(c *simConfig) {
-		if n > 0 {
-			c.maxWorkBlocks = n
-		}
-	}
-}
-
 // resolve applies opts to the default fidelity.
 func resolve(opts []Option) simConfig {
 	cfg := simConfig{maxSampledBlocks: 192, maxWorkBlocks: 16384, maxTraceLines: 1 << 20, l1Ways: 4, l2Ways: 16}

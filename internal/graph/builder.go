@@ -27,15 +27,6 @@ func (b *Builder) AddEdge(src, dst int32) {
 	b.dst = append(b.dst, dst)
 }
 
-// AddUndirected appends both directions of an undirected edge.
-func (b *Builder) AddUndirected(u, v int32) {
-	b.AddEdge(u, v)
-	b.AddEdge(v, u)
-}
-
-// NumEdges reports the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.src) }
-
 // Build validates and freezes the accumulated edges into a Graph.
 func (b *Builder) Build() (*Graph, error) {
 	return FromCOO(b.numVertices, b.src, b.dst)
@@ -43,6 +34,8 @@ func (b *Builder) Build() (*Graph, error) {
 
 // WriteEdgeList writes the graph as "numVertices numEdges" followed by one
 // "src dst" pair per line, a minimal interchange format used by the CLIs.
+//
+//lint:allow unread -- cmd/ugrapher's tests write the edge-list files its -graph flag loads
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.NumVertices(), g.NumEdges()); err != nil {

@@ -268,8 +268,9 @@ func gini(xs []float64) float64 {
 	return (2*weighted - (n+1)*cum) / (n * cum)
 }
 
-// Validate checks internal consistency of the dual-CSR indexes. It is used
-// by tests and by dataset generators as a post-condition.
+// Validate checks internal consistency of the dual-CSR indexes.
+//
+//lint:allow unread -- the graph, datasets and sample tests check every graph they build with it
 func (g *Graph) Validate() error {
 	n, m := g.numVertices, g.numEdges
 	if int32(len(g.inPtr)) != n+1 || int32(len(g.outPtr)) != n+1 {

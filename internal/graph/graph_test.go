@@ -300,18 +300,22 @@ func TestRelabelRejectsBadPerm(t *testing.T) {
 }
 
 func TestBuilderUndirected(t *testing.T) {
+	// An undirected edge is the two directed ones; each end gets one of each.
 	b := NewBuilder(4)
-	b.AddUndirected(0, 1)
-	b.AddUndirected(2, 3)
-	if b.NumEdges() != 4 {
-		t.Fatalf("NumEdges = %d, want 4", b.NumEdges())
+	for _, e := range [][2]int32{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
+		b.AddEdge(e[0], e[1])
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.InDegree(0) != 1 || g.OutDegree(0) != 1 {
-		t.Fatal("undirected edge should create both directions")
+	if g.NumEdges() != 4 {
+		t.Fatalf("NumEdges = %d, want 4", g.NumEdges())
+	}
+	for v := int32(0); v < 4; v++ {
+		if g.InDegree(v) != 1 || g.OutDegree(v) != 1 {
+			t.Fatalf("vertex %d: in %d out %d, want 1 and 1", v, g.InDegree(v), g.OutDegree(v))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package models
 import (
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/predictor"
 	"repro/internal/program"
 	"repro/internal/schedule"
 )
@@ -52,43 +51,6 @@ func (e *TunedEngine) ScheduleFor(t schedule.Task) core.Schedule {
 		return core.DefaultSchedule
 	}
 	return best.Schedule
-}
-
-// PredictedEngine is uGrapher with the learned strategy selector (§5.4): a
-// trained GBDT ranks the schedule space per operator, eliminating the
-// grid-search cost.
-type PredictedEngine struct {
-	Dev *gpu.Device
-	P   *predictor.Predictor
-	// Compute is the host backend functional execution runs on
-	// (nil = core.DefaultBackend()).
-	Compute core.ExecBackend
-}
-
-// NewPredictedEngine wraps a trained predictor.
-func NewPredictedEngine(dev *gpu.Device, p *predictor.Predictor) *PredictedEngine {
-	return &PredictedEngine{Dev: dev, P: p}
-}
-
-// ComputeBackend implements BackendProvider.
-func (e *PredictedEngine) ComputeBackend() core.ExecBackend { return e.Compute }
-
-// Name implements Engine.
-func (e *PredictedEngine) Name() string { return "uGrapher-pred" }
-
-// Device implements Engine.
-func (e *PredictedEngine) Device() *gpu.Device { return e.Dev }
-
-// Fused implements Engine.
-func (e *PredictedEngine) Fused() bool { return true }
-
-// GraphOpOverheadCycles implements Engine (same dispatch path as the tuned
-// engine; the one-off prediction happens before inference).
-func (e *PredictedEngine) GraphOpOverheadCycles() float64 { return 8000 }
-
-// ScheduleFor implements Engine via model prediction.
-func (e *PredictedEngine) ScheduleFor(t schedule.Task) core.Schedule {
-	return e.P.Pick(t, nil)
 }
 
 // FixedEngine runs every operator with static schedules — the baseline

@@ -4,46 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
-	"repro/internal/predictor"
 	"repro/internal/program"
 	"repro/internal/tensor"
 )
 
-var (
-	predOnce sync.Once
-	predP    *predictor.Predictor
-	predErr  error
-)
-
-// smallPredictor trains a reduced predictor once, shared across tests (same
-// configuration the predictor package's own tests use).
-func smallPredictor(t *testing.T) *predictor.Predictor {
-	t.Helper()
-	predOnce.Do(func() {
-		cfg := predictor.DefaultTrainConfig(gpu.V100())
-		cfg.NumGraphs = 24
-		cfg.MaxVertices = 8000
-		cfg.SchedulesPerTask = 12
-		cfg.GBDT.Rounds = 60
-		predP, _, predErr = predictor.Train(cfg)
-	})
-	if predErr != nil {
-		t.Fatal(predErr)
-	}
-	return predP
-}
-
 // TestCompiledMatchesForward is the golden equivalence suite: for every
 // model, the compiled program must reproduce the interpreter's Forward
-// within 1e-4, across both uGrapher engines (tuned and predicted) and both
-// host backends (reference and parallel).
+// within 1e-4, under the tuned uGrapher engine on the host backends (reference and parallel).
 func TestCompiledMatchesForward(t *testing.T) {
 	g := smallGraph(t, 21)
 	const inFeat, classes = 12, 5
@@ -61,11 +34,6 @@ func TestCompiledMatchesForward(t *testing.T) {
 	}{
 		{"tuned", func(b core.ExecBackend) Engine {
 			eng := NewTunedEngine(gpu.V100())
-			eng.Compute = b
-			return eng
-		}},
-		{"predicted", func(b core.ExecBackend) Engine {
-			eng := NewPredictedEngine(gpu.V100(), smallPredictor(t))
 			eng.Compute = b
 			return eng
 		}},

@@ -13,7 +13,7 @@ import (
 // TestWaveParallelMatchesReference is the wave-execution equivalence suite:
 // for every model, wave-parallel execution must match both the sequential
 // compiled run and the interpreter's reference Forward within 1e-4, across
-// the tuned and predicted engines and the reference/parallel/sharded
+// the tuned engine and the reference/parallel/sharded
 // backends at 1 and 4 shards.
 func TestWaveParallelMatchesReference(t *testing.T) {
 	g := smallGraph(t, 31)
@@ -33,11 +33,6 @@ func TestWaveParallelMatchesReference(t *testing.T) {
 	}{
 		{"tuned", func(b core.ExecBackend) Engine {
 			eng := NewTunedEngine(gpu.V100())
-			eng.Compute = b
-			return eng
-		}},
-		{"predicted", func(b core.ExecBackend) Engine {
-			eng := NewPredictedEngine(gpu.V100(), smallPredictor(t))
 			eng.Compute = b
 			return eng
 		}},

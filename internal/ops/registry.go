@@ -252,13 +252,15 @@ var (
 	UAddV = OpInfo{Name: "u_add_v", EdgeOp: EdgeAdd, GatherOp: GatherCopyRHS,
 		AKind: tensor.SrcV, BKind: tensor.DstV, CKind: tensor.EdgeK}
 	// CopyU materialises source features onto edges (message creation).
+	//lint:allow unread -- core's kernel and source tests and analysis' verifier tests build their message-creation plans from it
 	CopyU = OpInfo{Name: "copy_u", EdgeOp: CopyLHS, GatherOp: GatherCopyRHS,
 		AKind: tensor.SrcV, BKind: tensor.Null, CKind: tensor.EdgeK}
 	// CopyESum is the pure message aggregation copy_e.sum.
 	CopyESum = OpInfo{Name: "copy_e.sum", EdgeOp: CopyRHS, GatherOp: GatherSum,
 		AKind: tensor.Null, BKind: tensor.EdgeK, CKind: tensor.DstV}
-	// EDivVSum normalises edge values by a destination-vertex scalar then
-	// sums (used for softmax normalisation in GAT).
+	// EDivV normalises edge values by a destination-vertex scalar (GAT's
+	// softmax division).
+	//lint:allow unread -- core's execution-equivalence table runs it
 	EDivV = OpInfo{Name: "e_div_v", EdgeOp: EdgeDiv, GatherOp: GatherCopyRHS,
 		AKind: tensor.EdgeK, BKind: tensor.DstV, CKind: tensor.EdgeK}
 )

@@ -44,15 +44,17 @@ import (
 // rowFullShare is the crossover: a row run is abandoned for the full pass once
 // the rows plus in-edges its graph steps would process, times the worker count
 // (the full pass is split over the pool, a row run is not), exceed this share
-// of the full pass's. Measured, not tuned: the forced-row-mode sweep of
-// BenchmarkRunRows on the 2-CPU bench host puts the break-even at a share of
-// about 0.25 for GCN and GAT on PR, 0.45 for both on AR, 0.65 for GIN on PR
-// and 0.9 for GIN on AR (EXPERIMENTS.md "Row-subset runs": a row run costs
+// of the full pass's. Six forced-row-mode sweeps of BenchmarkRunRows on a
+// 2-vCPU Xeon host put the break-even — the share at which a forced row run
+// takes as long as the full pass on two workers — at about 0.07–0.13 for GCN
+// on PR, 0.14–0.23 for GAT on PR, 0.13–0.21 for GCN on AR, 0.45 for GAT on
+// AR, 0.55–0.7 for GIN on PR and 0.85–0.95 for GIN on AR. A row run costs
 // more per row than the streamed pass — single-row GEMM and span calls, the
-// walk, the sort — and less so where rows are heavy). The constant sits under
-// all of them, so a borderline closure goes to the full pass, whose cost is
-// known, rather than to a row run about as long; the dense steps are not in
-// the count, which is why deep, MLP-heavy GIN breaks even latest.
+// walk, the sort — and less so where rows are heavy; the dense steps are not
+// in the count, which is why deep, MLP-heavy GIN breaks even latest. 0.2 sits
+// under GIN's and GAT-on-AR's break-even but above GCN-on-PR's and inside
+// GAT-on-PR's and GCN-on-AR's: there a closure of 0.1–0.2 of the pass runs
+// rows up to about twice as long as the full pass would take.
 const rowFullShare = 0.2
 
 // rowRead is one operand of a step as the backward walk sees it.

@@ -23,8 +23,10 @@ import (
 //     would have refused included;
 //   - full: Run, the pass the rule falls back to.
 //
-// The crossover is where forced meets full; rowFullShare sits under the
-// work-share at which it does on every model and graph here.
+// The crossover is where forced meets full: the work-share at which it does is
+// the break-even rowFullShare's comment records per model and graph; the
+// constant sits under it for GIN and for GAT on AR, not for GCN and GAT on PR
+// or GCN on AR.
 func BenchmarkRunRows(b *testing.B) {
 	ctx := context.Background()
 	const workers = 2

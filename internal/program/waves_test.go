@@ -171,10 +171,7 @@ func TestWaveParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	h1 := tensor.NewDense(g.NumVertices(), 4)
-	h2 := tensor.NewDense(g.NumVertices(), 4)
-	tensor.MatMulInto(h1, x, w1)
-	tensor.MatMulInto(h2, x, w2)
+	h1, h2 := tensor.MatMul(x, w1), tensor.MatMul(x, w2)
 	want := tensor.NewDense(g.NumVertices(), 8)
 	tensor.ConcatInto(want, h1, h2)
 	for i, v := range want.Data {

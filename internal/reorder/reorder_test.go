@@ -7,6 +7,26 @@ import (
 	"repro/internal/graph"
 )
 
+// Locality scores an ordering: the mean |src - dst| gap over edges,
+// normalised by vertex count (lower is better): the oracle that a reorder
+// actually tightened the graph.
+func Locality(g *graph.Graph) float64 {
+	m := g.NumEdges()
+	if m == 0 || g.NumVertices() == 0 {
+		return 0
+	}
+	var sum float64
+	for e := int32(0); e < int32(m); e++ {
+		s, d := g.EdgeEndpoints(e)
+		gap := float64(s - d)
+		if gap < 0 {
+			gap = -gap
+		}
+		sum += gap
+	}
+	return sum / float64(m) / float64(g.NumVertices())
+}
+
 // clusteredButScrambled builds a graph with strong community structure whose
 // vertex ids are randomly scrambled, so a locality reorder has something to
 // recover.

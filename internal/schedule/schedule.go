@@ -6,7 +6,6 @@
 package schedule
 
 import (
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,16 +34,6 @@ func Space() []core.Schedule {
 				out = append(out, core.Schedule{Strategy: s, Group: g, Tile: t})
 			}
 		}
-	}
-	return out
-}
-
-// BasicSpace returns only the four basic strategies (Group=1, Tile=1), the
-// configuration Fig. 7 and Fig. 17 contrast against the tuned optimum.
-func BasicSpace() []core.Schedule {
-	out := make([]core.Schedule, len(core.Strategies))
-	for i, s := range core.Strategies {
-		out[i] = core.Schedule{Strategy: s, Group: 1, Tile: 1}
 	}
 	return out
 }
@@ -233,13 +222,4 @@ func (tu *Tuner) Tune(t Task) (Candidate, bool) {
 	tu.cache[key] = best
 	tu.mu.Unlock()
 	return best, true
-}
-
-// Speedup returns how much faster best is than the given baseline schedule.
-func Speedup(t Task, baseline core.Schedule, best Candidate, opts ...gpu.Option) float64 {
-	b, err := Evaluate(t, baseline, opts...)
-	if err != nil {
-		return math.NaN()
-	}
-	return b.Metrics.Cycles / best.Metrics.Cycles
 }

@@ -37,7 +37,7 @@ func TestRequestRunsItsClosure(t *testing.T) {
 	t.Cleanup(telemetry.Reset)
 	telemetry.SetEnabled(true)
 	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}})
-	g := s.Graph()
+	g := s.g
 
 	for _, name := range []string{"GCN", "GAT"} {
 		h := s.hosts[strings.ToLower(name)]
@@ -273,7 +273,7 @@ func TestFailedRowRunRetriesAsFullPass(t *testing.T) {
 // race-e2e job) this is the ownership proof for the row path.
 func TestConcurrentOverlappingRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}, QueueDepth: 256})
-	g := s.Graph()
+	g := s.g
 	custom := tensor.NewDense(g.NumVertices(), 16)
 	custom.FillRandom(rand.New(rand.NewSource(5)), 1)
 	feats := make([][]float32, custom.Rows)

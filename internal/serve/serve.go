@@ -228,9 +228,6 @@ func (s *Server) buildMux() {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Graph exposes the served graph (tests compute reference outputs on it).
-func (s *Server) Graph() *graph.Graph { return s.g }
-
 // Drain performs graceful shutdown of the serving layer: flip unready,
 // stop admitting, wait out in-flight requests under the deadline, then
 // stop the workers. The HTTP listener itself is the caller's to close

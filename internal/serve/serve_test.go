@@ -125,7 +125,7 @@ func TestInferMatchesReference(t *testing.T) {
 	stored := referenceLogits(t, "GCN", "CO", 16, 8)
 
 	// Caller-supplied features: all ones.
-	g := s.Graph()
+	g := s.g
 	ones := tensor.NewDense(g.NumVertices(), 16)
 	ones.Fill(1)
 	m, err := models.ByName("GCN")
@@ -175,7 +175,7 @@ func TestCustomFeaturesRunSolo(t *testing.T) {
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
 
 	// Oracle on custom features: all-ones input.
-	g := s.Graph()
+	g := s.g
 	x := tensor.NewDense(g.NumVertices(), 16)
 	x.Fill(1)
 	m, err := models.ByName("GCN")
@@ -513,7 +513,7 @@ func TestOneCompilePerModel(t *testing.T) {
 }
 
 // TestMetricsEndpoint: the Prometheus snapshot carries the serving series,
-// including the per-window fallback gauge backed by Snapshot/Reset.
+// including the per-window fallback gauge backed by Reset.
 func TestMetricsEndpoint(t *testing.T) {
 	defer faultinject.Reset()
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
@@ -525,7 +525,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("degraded request: status %d", code)
 	}
-	window := h.resilient.Snapshot()
+	window := h.resilient.Fallbacks() // no scrape yet: the window is the lifetime count
 	if window == 0 {
 		t.Fatal("no fallbacks in window before scrape")
 	}
@@ -581,7 +581,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("metrics snapshot missing %q\n(snapshot contains: %.300s...)", want, text)
 	}
 	// The scrape consumed the window; the lifetime counter is untouched.
-	if h.resilient.Snapshot() != 0 {
+	if h.resilient.Reset() != 0 {
 		t.Error("scrape did not reset the fallback window")
 	}
 	if h.resilient.Fallbacks() != window {

@@ -17,7 +17,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/faultinject"
@@ -46,9 +45,6 @@ type Shard struct {
 	Owned []int32
 }
 
-// NumOwned reports how many vertices the shard owns.
-func (s *Shard) NumOwned() int { return len(s.Owned) }
-
 // Plan is a verified partition of one graph into K shards.
 type Plan struct {
 	// NumVertices is the vertex count of the partitioned graph.
@@ -67,9 +63,6 @@ type Plan struct {
 	// ("identity", "bfs" or "degree").
 	Seed string
 }
-
-// OwnerOf returns the shard owning global vertex v.
-func (p *Plan) OwnerOf(v int32) int32 { return p.Owner[v] }
 
 // seedCandidate is one ordering the partitioner scores.
 type seedCandidate struct {
@@ -189,31 +182,15 @@ func corruptFacts(f *analysis.ShardFacts, seed uint64) {
 	}
 }
 
-// partitions counts the plans Partition built, so a caller can prove a graph
-// was partitioned once and not per operator.
-var partitions atomic.Int64
-
-// PartitionStats snapshots the package counter.
-type PartitionStats struct {
-	// Partitions is how many plans Partition built (and verified).
-	Partitions int64
-}
-
-// Stats reads the partition counter.
-func Stats() PartitionStats {
-	return PartitionStats{Partitions: partitions.Load()}
-}
-
 // Telemetry gauge names for the most recent partition.
 const (
 	GaugeShardCount = "ugrapher_shard_count"
 	GaugeEdgeCut    = "ugrapher_shard_edgecut_fraction"
 )
 
-// recordStats counts a verified plan and, when telemetry is armed, publishes
-// its shape to the shard gauges.
+// recordStats publishes a verified plan's shape to the shard gauges when
+// telemetry is armed.
 func recordStats(p *Plan) {
-	partitions.Add(1)
 	if telemetry.Enabled() {
 		r := telemetry.Default()
 		r.Gauge(GaugeShardCount).Set(float64(p.K))

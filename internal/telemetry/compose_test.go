@@ -149,9 +149,6 @@ func TestResilientFallbackSurfacesInTelemetry(t *testing.T) {
 	if got := rb.Fallbacks(); got != 1 {
 		t.Fatalf("backend fallbacks = %d, want 1", got)
 	}
-	if got := telemetry.Fallbacks(); got != 1 {
-		t.Errorf("telemetry fallbacks = %d, want 1", got)
-	}
 	if got := telemetry.Default().CounterValues()[telemetry.MetricFallbacks]; got != 1 {
 		t.Errorf("%s = %d, want 1", telemetry.MetricFallbacks, got)
 	}

@@ -274,22 +274,13 @@ func (s *KernelSite) Begin() int64 {
 	return now()
 }
 
-// End closes a kernel run begun at start: bumps the per-strategy counters,
-// observes the latency histogram, appends the trace span, and — for
-// sim-backend runs — publishes the cache-hit gauges.
-// Inert while disabled or on a nil site.
-func (s *KernelSite) End(start int64, outcome Outcome, errText string, sim *SimSample) {
-	if s == nil || !Enabled() {
-		return
-	}
-	s.endTrace(nil, start, outcome, errText, sim)
-}
-
-// EndCtx is End under the request trace carried by ctx: the kernel span
-// parents onto the trace's current causal parent (the program step that ran
-// it). Inert while disabled or on a nil site; identical to End when ctx
-// carries no trace. The OK path allocates nothing — span args are the
-// precomputed okArgs, ids ride in the pre-sized structs.
+// EndCtx closes a kernel run begun at start: bumps the per-strategy
+// counters, observes the latency histogram, appends the trace span, and —
+// for sim-backend runs — publishes the cache-hit gauges. The span parents
+// onto the current causal parent of the request trace carried by ctx (the
+// program step that ran it), or is a root span when ctx carries no trace.
+// Inert while disabled or on a nil site. The OK path allocates nothing —
+// span args are the precomputed okArgs, ids ride in the pre-sized structs.
 func (s *KernelSite) EndCtx(ctx context.Context, start int64, outcome Outcome, errText string, sim *SimSample) {
 	if s == nil || !Enabled() {
 		return
@@ -438,9 +429,6 @@ func RecordFallback(op, from, to string) {
 		})
 	}
 }
-
-// Fallbacks reports the process-wide fallback count.
-func Fallbacks() int64 { return defaultReg.fallbacks.Value() }
 
 // CountProgramRun counts one compiled-program Run completion.
 func CountProgramRun() {

@@ -221,6 +221,8 @@ func (r *Registry) init() {
 // its backing array, so enabled-path appends never grow the slice — the
 // zero-alloc guarantee for traced steady-state runs. Events beyond the bound
 // are dropped and counted (ugrapher_trace_events_dropped_total).
+//
+//lint:allow unread -- the traced zero-alloc tests of program and models pre-size the buffer with it
 func (r *Registry) SetMaxEvents(n int) {
 	if n < 1 {
 		n = 1
@@ -269,8 +271,9 @@ var defaultReg = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultReg }
 
-// Reset disarms telemetry and clears the default registry. Tests use it to
-// isolate from each other.
+// Reset disarms telemetry and clears the default registry.
+//
+//lint:allow unread -- tests in most packages isolate from each other with it
 func Reset() {
 	SetEnabled(false)
 	defaultReg.Reset()
@@ -319,8 +322,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// CounterValues snapshots every counter series (tests and exporter
-// round-trip checks).
+// CounterValues snapshots every counter series.
+//
+//lint:allow unread -- the telemetry and models tests read counters through it
 func (r *Registry) CounterValues() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -333,6 +337,8 @@ func (r *Registry) CounterValues() map[string]int64 {
 }
 
 // GaugeValues snapshots every gauge series.
+//
+//lint:allow unread -- the telemetry and shard tests read gauges through it
 func (r *Registry) GaugeValues() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -90,9 +91,9 @@ func TestKernelSiteRecordsRunsAndFailures(t *testing.T) {
 
 	s := NewKernelSite("op.sum", "WE", "WE_G8_T4", "parallel", 100, 400)
 	start := s.Begin()
-	s.End(start, OutcomeOK, "", nil)
+	s.EndCtx(context.Background(), start, OutcomeOK, "", nil)
 	start = s.Begin()
-	s.End(start, OutcomeKernelError, "boom", nil)
+	s.EndCtx(context.Background(), start, OutcomeKernelError, "boom", nil)
 
 	vals := Default().CounterValues()
 	if got := vals[`ugrapher_kernel_runs_total{backend="parallel",strategy="WE"}`]; got != 2 {
@@ -133,12 +134,12 @@ func TestKernelSiteDisabledIsInert(t *testing.T) {
 	if start := s.Begin(); start != 0 {
 		t.Errorf("disabled Begin = %d, want 0", start)
 	}
-	s.End(0, OutcomeOK, "", nil)
+	s.EndCtx(context.Background(), 0, OutcomeOK, "", nil)
 	var nilSite *KernelSite
 	if nilSite.Begin() != 0 {
 		t.Error("nil site Begin != 0")
 	}
-	nilSite.End(0, OutcomeOK, "", nil) // must not panic
+	nilSite.EndCtx(context.Background(), 0, OutcomeOK, "", nil) // must not panic
 	if evs := Default().Events(); len(evs) != 0 {
 		t.Errorf("disabled site emitted %d spans", len(evs))
 	}
@@ -153,7 +154,7 @@ func TestSimSamplePublishesGauges(t *testing.T) {
 	SetEnabled(true)
 
 	s := NewKernelSite("op", "WV", "WV_G2_T1", "sim", 10, 20)
-	s.End(s.Begin(), OutcomeOK, "", &SimSample{Cycles: 123, L1HitRate: 0.5, L2HitRate: 0.75})
+	s.EndCtx(context.Background(), s.Begin(), OutcomeOK, "", &SimSample{Cycles: 123, L1HitRate: 0.5, L2HitRate: 0.75})
 
 	gs := Default().GaugeValues()
 	if gs["ugrapher_sim_l1_hit_rate"] != 0.5 || gs["ugrapher_sim_l2_hit_rate"] != 0.75 {
@@ -169,7 +170,7 @@ func TestRecordFallbackCountsEvenWhenDisabled(t *testing.T) {
 	t.Cleanup(Reset)
 
 	RecordFallback("op", "parallel", "reference")
-	if got := Fallbacks(); got != 1 {
+	if got := defaultReg.fallbacks.Value(); got != 1 {
 		t.Errorf("Fallbacks = %d, want 1 (the counter must survive a disabled phase)", got)
 	}
 	if evs := Default().Events(); len(evs) != 0 {
@@ -177,7 +178,7 @@ func TestRecordFallbackCountsEvenWhenDisabled(t *testing.T) {
 	}
 	SetEnabled(true)
 	RecordFallback("op", "parallel", "reference")
-	if got := Fallbacks(); got != 2 {
+	if got := defaultReg.fallbacks.Value(); got != 2 {
 		t.Errorf("Fallbacks = %d, want 2", got)
 	}
 	if evs := Default().Events(); len(evs) != 1 {
@@ -223,7 +224,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				Default().Counter("concurrent_total").Inc()
 				sp := StartSpan("worker", "test", "span")
-				site.End(site.Begin(), OutcomeOK, "", nil)
+				site.EndCtx(context.Background(), site.Begin(), OutcomeOK, "", nil)
 				sp.End()
 				if w == 0 && i%50 == 0 {
 					Default().Gauge("concurrent_gauge").Set(float64(i))
@@ -270,8 +271,8 @@ func TestWriteProfileMergesSites(t *testing.T) {
 
 	a := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 10, 40)
 	b := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 10, 40) // same identity, second lowering
-	a.End(a.Begin(), OutcomeOK, "", nil)
-	b.End(b.Begin(), OutcomeKernelError, "x", nil)
+	a.EndCtx(context.Background(), a.Begin(), OutcomeOK, "", nil)
+	b.EndCtx(context.Background(), b.Begin(), OutcomeKernelError, "x", nil)
 
 	var sb strings.Builder
 	if err := Default().WriteProfile(&sb); err != nil {

@@ -100,9 +100,6 @@ func NewTraceState(traceID, parentSpan uint64, maxSpans int) *TraceState {
 // TraceID returns the 64-bit trace id.
 func (ts *TraceState) TraceID() uint64 { return ts.traceID }
 
-// Current returns the span id of the current causal parent (0 at the root).
-func (ts *TraceState) Current() uint64 { return ts.cur.Load() }
-
 // record appends one completed span, dropping (and counting) past the
 // pre-sized capacity so a pathological request cannot grow without bound.
 func (ts *TraceState) record(rec SpanRecord) {
@@ -196,12 +193,6 @@ func (s Span) RestoreCurrent(prev uint64) {
 
 // SpanID returns the span's id (0 when untraced or inert).
 func (s Span) SpanID() uint64 { return s.spanID }
-
-// TraceID returns the trace id the span belongs to (0 when untraced).
-func (s Span) TraceID() uint64 { return s.traceID }
-
-// Start returns the span's opening timestamp (span-clock nanoseconds).
-func (s Span) Start() int64 { return s.start }
 
 // RecordSpan records an already-measured interval as a completed span on the
 // trace: the serving layer uses it for stage attribution (admission,

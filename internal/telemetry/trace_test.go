@@ -25,15 +25,15 @@ func TestTraceSpanTreeParentLinks(t *testing.T) {
 	}
 
 	root := StartTraceSpan(ts, "serve", "request", "infer")
-	if root.SpanID() == 0 || root.TraceID() != ts.TraceID() {
-		t.Fatalf("root span identity wrong: span=%d trace=%d", root.SpanID(), root.TraceID())
+	if root.SpanID() == 0 || root.traceID != ts.TraceID() {
+		t.Fatalf("root span identity wrong: span=%d trace=%d", root.SpanID(), root.traceID)
 	}
 	if root.parentID != 0 {
 		t.Fatalf("locally minted root has parent %d, want 0", root.parentID)
 	}
 	prevRoot := root.MakeCurrent()
-	if prevRoot != 0 || ts.Current() != root.SpanID() {
-		t.Fatalf("MakeCurrent: prev=%d cur=%d, want 0 and %d", prevRoot, ts.Current(), root.SpanID())
+	if prevRoot != 0 || ts.cur.Load() != root.SpanID() {
+		t.Fatalf("MakeCurrent: prev=%d cur=%d, want 0 and %d", prevRoot, ts.cur.Load(), root.SpanID())
 	}
 
 	// Two sequential children under the root, each briefly current — the
@@ -54,8 +54,8 @@ func TestTraceSpanTreeParentLinks(t *testing.T) {
 		sp.End()
 		stepIDs = append(stepIDs, sp.SpanID())
 	}
-	if ts.Current() != root.SpanID() {
-		t.Fatalf("RestoreCurrent left cur=%d, want root %d", ts.Current(), root.SpanID())
+	if ts.cur.Load() != root.SpanID() {
+		t.Fatalf("RestoreCurrent left cur=%d, want root %d", ts.cur.Load(), root.SpanID())
 	}
 	root.RestoreCurrent(prevRoot)
 	root.End()
@@ -422,7 +422,7 @@ func TestEventRetentionOff(t *testing.T) {
 	r.SetEventRetention(false)
 	ts := NewTraceState(0, 0, 8)
 	sp := StartTraceSpan(ts, "serve", "request", "infer")
-	RecordSpan(ts, "serve", "stage", "admission", sp.Start(), sp.Start()+10, sp.SpanID())
+	RecordSpan(ts, "serve", "stage", "admission", sp.start, sp.start+10, sp.SpanID())
 	sp.End()
 	r.Instant("serve", "x", "e", nil)
 	if n := len(r.Events()); n != 0 {

@@ -22,9 +22,6 @@ func NewArena(n int) *Arena {
 	return &Arena{buf: make([]float32, n)}
 }
 
-// Floats returns the arena capacity in float32 elements.
-func (a *Arena) Floats() int { return len(a.buf) }
-
 // View returns a rows×cols Dense aliasing the arena at the given float
 // offset. Views may overlap; the caller (the buffer planner) is responsible
 // for ensuring overlapping views are never simultaneously live. An

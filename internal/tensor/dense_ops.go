@@ -27,35 +27,13 @@ func MatMul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Cols)
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	matMulAdd(out, a, b)
 	return out
 }
 
-// MatMulInto computes out = a @ b without allocating, for a: m×k, b: k×n,
-// out: m×n. out must not alias a or b. The inner loop mirrors MatMul exactly
-// (including the zero-skip) so both produce bit-identical results. Shape
-// mismatch is an invariant panic (see the file header).
-func MatMulInto(out, a, b *Dense) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul output %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-	out.Zero()
+// matMulAdd accumulates a @ b into out (m×n, not aliasing a or b), ascending
+// k with a zero-skip on a[i][k] — the order GemmPackedRowsInto reproduces.
+func matMulAdd(out, a, b *Dense) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
@@ -147,26 +125,6 @@ func LeakyReLU(t *Dense, alpha float32) {
 		b := math.Float32bits(d[i])
 		m := negMask(b)
 		d[i] = math.Float32frombits(b&^m | math.Float32bits(alpha*d[i])&m)
-	}
-}
-
-// Add returns a + b element-wise. Shape mismatch is an invariant panic (see
-// the file header).
-func Add(a, b *Dense) *Dense {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("tensor: add shape mismatch")
-	}
-	out := NewDense(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Scale multiplies every element by s in place.
-func Scale(t *Dense, s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Cache-blocked GEMM with a packed column-panel layout, the dense half of
-// the fusion-region work (ROADMAP "Raw speed"). The naive MatMulInto walk
+// the fusion-region work (ROADMAP "Raw speed"). The naive MatMul walk
 // streams B row by row and keeps the whole N-wide output row as the
 // accumulation target; for the wide weight matrices GEMM-dominated models
 // use (Sage's hidden width 256, DESIGN.md §2) that output row no longer
@@ -24,7 +24,7 @@ import (
 // inner body: B is read as a single forward stream (hardware-prefetch
 // friendly), and each output element is written exactly once.
 //
-// Accumulation order is deliberately identical to MatMulInto — ascending k
+// Accumulation order is deliberately identical to MatMul — ascending k
 // with the same zero-skip on a[i][k] — so the two paths produce
 // bit-identical results and the compiled program can switch between them
 // without perturbing the golden compiled≡interpreted comparisons.
@@ -89,7 +89,7 @@ func PackB(b *Dense) *PackedB {
 
 // GemmPackedInto computes out = a @ B for the packed B, without allocating.
 // out must not alias a. Results are bit-identical to
-// MatMulInto(out, a, unpackedB): per output element the partial products
+// MatMul(a, unpackedB): per output element the partial products
 // accumulate in the same ascending-k order with the same zero-skip.
 func GemmPackedInto(out, a *Dense, pb *PackedB) {
 	GemmPackedRowsInto(out, a, pb, 0, a.Rows)

@@ -35,8 +35,7 @@ func TestGemmPackedMatchesNaive(t *testing.T) {
 			for i := 0; i < len(a.Data); i += 3 {
 				a.Data[i] = 0
 			}
-			want := NewDense(m, n)
-			MatMulInto(want, a, b)
+			want := MatMul(a, b)
 			vectest.EachKernelSet(t, func(t *testing.T) {
 				got := NewDense(m, n)
 				GemmPackedInto(got, a, PackB(b))
@@ -61,8 +60,7 @@ func TestGemmPackedFeatureWidths(t *testing.T) {
 		b := NewDense(19, n)
 		a.FillRandom(rng, 1)
 		b.FillRandom(rng, 1)
-		want := NewDense(37, n)
-		MatMulInto(want, a, b)
+		want := MatMul(a, b)
 		vectest.EachKernelSet(t, func(t *testing.T) {
 			got := NewDense(37, n)
 			GemmPackedInto(got, a, PackB(b))
@@ -182,7 +180,8 @@ func BenchmarkGemm(b *testing.B) {
 		out := NewDense(m, n)
 		b.Run(fmt.Sprintf("naive/%dx%dx%d", m, k, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MatMulInto(out, a, w)
+				out.Zero()
+				matMulAdd(out, a, w)
 			}
 		})
 		pb := PackB(w)

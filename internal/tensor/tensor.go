@@ -90,9 +90,6 @@ func (t *Dense) RowRange(lo, hi int) Dense {
 // At returns element (r, c).
 func (t *Dense) At(r, c int) float32 { return t.Data[r*t.Cols+c] }
 
-// Set assigns element (r, c).
-func (t *Dense) Set(r, c int, v float32) { t.Data[r*t.Cols+c] = v }
-
 // Clone returns a deep copy.
 func (t *Dense) Clone() *Dense {
 	d := make([]float32, len(t.Data))
@@ -123,6 +120,8 @@ func (t *Dense) FillRandom(rng *rand.Rand, scale float32) {
 }
 
 // Equal reports exact element-wise equality of shape and contents.
+//
+//lint:allow unread -- the tensor, core, program and models tests compare outputs with it
 func (t *Dense) Equal(o *Dense) bool {
 	if t.Rows != o.Rows || t.Cols != o.Cols {
 		return false
@@ -140,6 +139,8 @@ func (t *Dense) Equal(o *Dense) bool {
 // and a denormal's last bit must match — except that any NaN matches any NaN:
 // which payload survives when two NaNs meet depends on operand order, and Go
 // leaves that to its register allocator. A shape mismatch differs at 0.
+//
+//lint:allow unread -- the bit-identity tests of tensor, core, program and models are built on it
 func (t *Dense) BitDiff(o *Dense) int {
 	if t.Rows != o.Rows || t.Cols != o.Cols {
 		return 0
@@ -211,6 +212,8 @@ func Src(t *Dense) Typed { return Typed{Kind: SrcV, T: t} }
 func Dst(t *Dense) Typed { return Typed{Kind: DstV, T: t} }
 
 // Edge wraps t as an edge tensor.
+//
+//lint:allow unread -- the core, program and dglcompat tests bind their edge operands with it
 func Edge(t *Dense) Typed { return Typed{Kind: EdgeK, T: t} }
 
 // Validate checks that a typed operand of feature width wantCols is

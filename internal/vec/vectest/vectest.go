@@ -16,6 +16,8 @@ var generic = flag.Bool("vec.generic", false, "run every test with the vector ke
 
 // Main is a TestMain body: m.Run(), with the vector kernels off for the whole
 // run when the binary was given -vec.generic.
+//
+//lint:allow unread -- the TestMain of the core, tensor, program and models tests
 func Main(m *testing.M) int {
 	flag.Parse()
 	if *generic {
@@ -41,6 +43,8 @@ func (c cleanups) run() {
 // dispatches to ("avx2" or "generic") and, when those are the vector
 // kernels, again as "generic" with the Go loops forced, so that both sets
 // answer to the same assertions.
+//
+//lint:allow unread -- the kernel tests of core, tensor, program and models run both kernel sets through it
 func EachKernelSet(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	t.Run(vec.ISA(), f)
