@@ -81,8 +81,10 @@ race-pinned:
 SERVE_CONTRACTS = ConcurrentOverlapping|FailedRowRunRetriesAsFullPass|EveryFailingRequestDegradesUntilKernelsHeal|RequestRunsItsClosure|ShardedDaemonRunsRows|OnePassPerRequest|QueueFullRejectsFast|NumericErrorRunsOnePass|MemberTimeout|Drain$$
 
 # stress runs the black-box e2e suite and SERVE_CONTRACTS twenty times beside
-# a CPU hog, at GOMAXPROCS 1, 2 and 8 (the daemon children inherit it), so a
-# test that leans on scheduling luck fails here rather than in tier-1. It is
+# a CPU hog, at GOMAXPROCS 1, 2 and 8 (the daemon children inherit it, and it
+# is also the parallel backend's worker count: the arms run 1, 2 and 8
+# workers), so a test that leans on scheduling luck fails here rather than in
+# tier-1. It is
 # not part of tier-1; CI runs it as its own job. A failure is a program defect
 # until shown otherwise: retries, longer sleeps and skips do not fix it.
 stress:

@@ -35,9 +35,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -56,7 +56,7 @@ func main() {
 	dataset := flag.String("dataset", "CO", "dataset code from Table 3 the models serve")
 	feat := flag.Int("feat", 16, "input feature width")
 	classes := flag.Int("classes", 8, "output classes")
-	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
+	shards := flag.Int("shards", 1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count; workers = GOMAXPROCS")
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
 	reqTimeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline when the request carries no timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "upper bound on any request's deadline")
@@ -66,13 +66,11 @@ func main() {
 	tracePath := flag.String("trace", "", "write the collected Chrome trace-event JSON here after drain (openable in Perfetto)")
 	flag.Parse()
 
-	// Exit codes: 1 = startup/serve error, 2 = usage (bad flags or
-	// environment). A drained SIGTERM exit is 0.
-	for _, validate := range []func() error{core.ValidateEnvShards, core.ValidateEnvWorkers} {
-		if err := validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher-serve: %v\n", err)
-			os.Exit(2)
-		}
+	// Exit codes: 1 = startup/serve error, 2 = usage (bad flags). A drained
+	// SIGTERM exit is 0.
+	if *shards < 0 || *shards > shard.MaxShards {
+		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -shards %d (valid: 0 (auto) through %d; 1 = unsharded)\n", *shards, shard.MaxShards)
+		os.Exit(2)
 	}
 	// serve.New silently substitutes a default for a non-positive queue
 	// depth; the CLI rejects it instead so a typo'd unit file fails loud

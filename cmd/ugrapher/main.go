@@ -59,8 +59,8 @@ func main() {
 	tune := flag.Bool("tune", false, "grid-search the schedule space and report the ranking")
 	top := flag.Int("top", 5, "with -tune: how many candidates to print")
 	source := flag.Bool("source", false, "print the generated kernel source")
-	backend := flag.String("backend", "", "host compute backend: "+strings.Join(core.BackendNames, ", ")+" (empty = parallel / $UGRAPHER_BACKEND)")
-	shards := flag.Int("shards", -1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count (-1 = $UGRAPHER_SHARDS / 1)")
+	backendName := flag.String("backend", "parallel", "host compute backend: "+strings.Join(core.BackendNames, ", ")+"; workers = GOMAXPROCS")
+	shards := flag.Int("shards", 1, "graph shards for the parallel and resilient backends: 0 = auto-size, 1 = unsharded, N = fixed count (reference and sim take 1 only)")
 	model := flag.String("model", "", "run a whole model instead of one operator: GCN, GIN, GAT, SSum, SMax or SMean")
 	classes := flag.Int("classes", 16, "with -model: number of output classes")
 	runs := flag.Int("runs", 5, "with -model: steady-state repetitions to time")
@@ -74,31 +74,12 @@ func main() {
 	parallelSteps := flag.Bool("parallel-steps", false, "with -model: execute provably independent compiled steps concurrently (verified wave schedule)")
 	flag.Parse()
 
-	// Exit codes: 1 = execution error, 2 = usage (bad flags or environment),
-	// 3 = -timeout exceeded.
-	if err := core.ValidateEnvBackend(); err != nil {
+	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
+	// exceeded.
+	backend, err := core.Backend(*backendName, *shards)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
 		os.Exit(2)
-	}
-	if err := core.ValidateEnvShards(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
-		os.Exit(2)
-	}
-	if err := core.ValidateEnvWorkers(); err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
-		os.Exit(2)
-	}
-	if *backend != "" {
-		if err := core.SetDefaultBackend(*backend); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *shards >= 0 {
-		if err := core.SetDefaultShards(*shards); err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
-			os.Exit(2)
-		}
 	}
 	core.SetCheckNumerics(*checkNumerics)
 	program.SetParallelSteps(*parallelSteps)
@@ -110,11 +91,10 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var err error
 	if *model != "" {
-		err = runModel(ctx, *dataset, *graphFile, *model, *feat, *classes, *runs, *noCompile, *verify, *profile)
+		err = runModel(ctx, backend, *dataset, *graphFile, *model, *feat, *classes, *runs, *noCompile, *verify, *profile)
 	} else {
-		err = run(ctx, *dataset, *graphFile, *opName, *feat, *gpuName, *schedText, *tune, *top, *source, *verify)
+		err = run(ctx, backend, *dataset, *graphFile, *opName, *feat, *gpuName, *schedText, *tune, *top, *source, *verify)
 	}
 	// Telemetry outputs are written even when the run failed, so a trace of
 	// the failure (failed spans, fallback events) is never lost.
@@ -142,8 +122,9 @@ func exitCode(err error) int {
 // runModel times a whole model, either compiled (record -> fuse -> schedule
 // -> buffer-plan once, then repeated zero-allocation runs) or interpreted
 // (the op-by-op path, rebuilt every run), printing the one-off compile cost
-// and the steady-state per-run wall clock on separate lines.
-func runModel(ctx context.Context, dataset, graphFile, name string, feat, classes, runs int, noCompile, verify, profile bool) error {
+// and the steady-state per-run wall clock on separate lines. Every kernel
+// lowers onto backend.
+func runModel(ctx context.Context, backend core.ExecBackend, dataset, graphFile, name string, feat, classes, runs int, noCompile, verify, profile bool) error {
 	g, err := loadGraph(dataset, graphFile)
 	if err != nil {
 		return err
@@ -157,7 +138,7 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	}
 	// Host wall clock is what this mode reports, so schedules are the fixed
 	// host ones: a simulator search would only lengthen the compile line.
-	eng := models.NewHostEngine(nil)
+	eng := models.NewHostEngine(backend)
 	st := g.ComputeStats()
 	fmt.Printf("graph: |V|=%d |E|=%d mean-degree=%.1f std=%.1f\n",
 		st.NumVertices, st.NumEdges, st.MeanInDegree, st.StdInDegree)
@@ -182,7 +163,7 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 		}
 		per := time.Since(start) / time.Duration(runs)
 		fmt.Printf("model: %s feat=%d classes=%d path=interpreter backend=%s\n",
-			m.Name(), feat, classes, core.DefaultBackend().Name())
+			m.Name(), feat, classes, backend.Name())
 		fmt.Printf("steady-state: %v/run over %d runs (interpreter rebuilds kernels every run)\n",
 			per.Round(time.Microsecond), runs)
 		return nil
@@ -225,7 +206,7 @@ func runModel(ctx context.Context, dataset, graphFile, name string, feat, classe
 	per := time.Since(start) / time.Duration(runs)
 	s := cp.Stats()
 	fmt.Printf("model: %s feat=%d classes=%d path=compiled backend=%s\n",
-		m.Name(), feat, classes, core.DefaultBackend().Name())
+		m.Name(), feat, classes, backend.Name())
 	mib := func(floats int) float64 { return float64(floats) * 4 / (1 << 20) }
 	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB slabs=%.1f MiB\n",
 		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats), mib(s.SlabFloats))
@@ -303,7 +284,7 @@ func loadGraph(dataset, graphFile string) (*graph.Graph, error) {
 	}
 }
 
-func run(ctx context.Context, dataset, graphFile, opName string, feat int, gpuName, schedText string, tune bool, top int, source, verify bool) error {
+func run(ctx context.Context, backend core.ExecBackend, dataset, graphFile, opName string, feat int, gpuName, schedText string, tune bool, top int, source, verify bool) error {
 	g, err := loadGraph(dataset, graphFile)
 	if err != nil {
 		return err
@@ -346,7 +327,7 @@ func run(ctx context.Context, dataset, graphFile, opName string, feat int, gpuNa
 				return err
 			}
 		}
-		if err := timeFunctional(ctx, g, entry.Info, feat, sched); err != nil {
+		if err := timeFunctional(ctx, backend, g, entry.Info, feat, sched); err != nil {
 			return err
 		}
 		if source {
@@ -377,7 +358,7 @@ func run(ctx context.Context, dataset, graphFile, opName string, feat int, gpuNa
 			return err
 		}
 	}
-	if err := timeFunctional(ctx, g, entry.Info, feat, cands[0].Schedule); err != nil {
+	if err := timeFunctional(ctx, backend, g, entry.Info, feat, cands[0].Schedule); err != nil {
 		return err
 	}
 	if source {
@@ -389,8 +370,7 @@ func run(ctx context.Context, dataset, graphFile, opName string, feat int, gpuNa
 // timeFunctional executes the operator for real on the selected host
 // backend and reports measured wall-clock — explicitly distinct from the
 // simulated cycles above, which are the GPU performance model.
-func timeFunctional(ctx context.Context, g *graph.Graph, op ops.OpInfo, feat int, sched core.Schedule) error {
-	backend := core.DefaultBackend()
+func timeFunctional(ctx context.Context, backend core.ExecBackend, g *graph.Graph, op ops.OpInfo, feat int, sched core.Schedule) error {
 	plan, err := core.Compile(op, sched)
 	if err != nil {
 		return err

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,58 @@ import (
 	"repro/internal/graph"
 	"repro/internal/vec"
 )
+
+// TestMain runs the command itself, with the test binary's arguments as its
+// flags, when a test re-executes the binary with cliChildEnv set.
+func TestMain(m *testing.M) {
+	if os.Getenv(cliChildEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const cliChildEnv = "GO_WANT_CLI_MAIN"
+
+// runCLI runs ugrapher with args in a child process and returns its combined
+// output and exit code.
+func runCLI(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), cliChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestBackendAndShardsFlags: -backend and -shards resolve to one backend
+// together. -shards 1 keeps the named backend, and a shard count a backend
+// has no path for is a usage error (exit 2), not a silent switch to
+// parallel.
+func TestBackendAndShardsFlags(t *testing.T) {
+	model := []string{"-dataset", "CO", "-model", "GCN", "-runs", "1"}
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-backend", "reference", "-shards", "1"}, 0, "backend=reference"},
+		{[]string{"-backend", "sim", "-shards", "1"}, 0, "backend=sim"},
+		{[]string{"-backend", "resilient", "-shards", "4"}, 0, "backend=resilient"},
+		{[]string{"-shards", "4"}, 0, "sharding: 4 shards"},
+		{[]string{"-backend", "reference", "-shards", "4"}, 2, "no shard path"},
+		{[]string{"-backend", "sim", "-shards", "0"}, 2, "no shard path"},
+		{[]string{"-shards", "-7"}, 2, "invalid shard count"},
+	} {
+		out, code := runCLI(t, append(model, c.args...)...)
+		if code != c.code || !strings.Contains(out, c.want) {
+			t.Errorf("%v: exit %d, output %q; want exit %d and %q", c.args, code, out, c.code, c.want)
+		}
+	}
+}
 
 // TestModelTimeoutCutsDenseStep drives the -model path the way main does
 // with -timeout set: a GEMM-dominated model (SageMean, hidden 256) whose
@@ -24,10 +78,7 @@ import (
 func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	defer faultinject.Reset()
 	// Two workers whatever the host has, so the dense steps split.
-	t.Setenv("UGRAPHER_WORKERS", "2")
-	if err := core.SetDefaultBackend("parallel"); err != nil {
-		t.Fatal(err)
-	}
+	backend := core.NewParallelBackend(2)
 
 	rng := rand.New(rand.NewSource(1))
 	const n = 400
@@ -62,7 +113,7 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	// Unslowed, the run fits any budget; this also measures how long the
 	// set-up (load, tune, compile) takes here, which the budget must cover.
 	start := time.Now()
-	if err := runModel(context.Background(), "", path, "SMean", feat, 8, 1, false, false, false); err != nil {
+	if err := runModel(context.Background(), backend, "", path, "SMean", feat, 8, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	budget := 2*time.Since(start) + 200*time.Millisecond
@@ -73,7 +124,7 @@ func TestModelTimeoutCutsDenseStep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start = time.Now()
-	err = runModel(ctx, "", path, "SMean", feat, 8, 1, false, false, false)
+	err = runModel(ctx, backend, "", path, "SMean", feat, 8, 1, false, false, false)
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -206,7 +206,8 @@ var envVarRe = regexp.MustCompile(`UGRAPHER_[A-Z0-9]+(?:_[A-Z0-9]+)*`)
 // TestDocumentedEnvVarsAreRead: every UGRAPHER_* variable README.md,
 // DESIGN.md or the verify recipe names is read by an os.Getenv or
 // os.LookupEnv call in the main module's non-test code, and every variable
-// read there is named in one of them.
+// read there is named in one of them. Configuration is passed as flags and
+// arguments, so today both sets are empty.
 func TestDocumentedEnvVarsAreRead(t *testing.T) {
 	documented := map[string]string{}
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
@@ -219,6 +220,7 @@ func TestDocumentedEnvVarsAreRead(t *testing.T) {
 		}
 	}
 	read := map[string]string{}
+	parsed := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, top := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(filepath.Join("..", "..", top), func(path string, d fs.DirEntry, err error) error {
@@ -229,6 +231,7 @@ func TestDocumentedEnvVarsAreRead(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			parsed[filepath.ToSlash(path)] = true
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || len(call.Args) != 1 {
@@ -252,8 +255,10 @@ func TestDocumentedEnvVarsAreRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(read) == 0 {
-		t.Fatal("found no os.Getenv/LookupEnv reader at all")
+	// The walk must have reached the commands' code, or an empty read set
+	// proves nothing.
+	if !parsed["../../cmd/ugrapher/main.go"] {
+		t.Fatal("the walk did not parse cmd/ugrapher/main.go")
 	}
 	for name, doc := range documented {
 		if read[name] == "" {

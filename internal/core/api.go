@@ -27,11 +27,11 @@ type Result struct {
 }
 
 // Run executes the graph operator described by op on g with the given
-// operands under schedule sched, computing on the default host backend and
-// simulating on dev. The output is written into o.C.T; metrics are
+// operands under schedule sched, computing on the parallel host backend
+// (NewParallelBackend(0)) and simulating on dev. The output is written into o.C.T; metrics are
 // returned.
 func Run(g *graph.Graph, op ops.OpInfo, o Operands, sched Schedule, dev *gpu.Device) (Result, error) {
-	return RunWith(DefaultBackend(), g, op, o, sched, dev)
+	return RunWith(NewParallelBackend(0), g, op, o, sched, dev)
 }
 
 // RunWith is Run with an explicit compute backend: the plan is lowered

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/shard"
@@ -130,19 +127,28 @@ type ExecBackend interface {
 // BackendNames lists the selectable backend names in presentation order.
 var BackendNames = []string{"parallel", "resilient", "reference", "sim"}
 
-// Backend resolves a backend by name. The empty string resolves to the
-// default backend (see DefaultBackend).
-func Backend(name string) (ExecBackend, error) {
+// Backend resolves a backend by name and shard count. The shard count
+// applies to the parallel backend, bare or under the resilient ladder: 0
+// auto-sizes shards per graph, 1 is unsharded, K > 1 partitions every graph
+// into K. The reference interpreter and the simulator have no shard path and
+// take 1 only. Workers are GOMAXPROCS.
+func Backend(name string, shards int) (ExecBackend, error) {
+	if shards < 0 || shards > shard.MaxShards {
+		return nil, fmt.Errorf("core: invalid shard count %d (valid: 0 (auto) through %d; 1 = unsharded)",
+			shards, shard.MaxShards)
+	}
 	switch name {
-	case "":
-		return DefaultBackend(), nil
-	case "reference":
-		return ReferenceBackend(), nil
 	case "parallel":
-		return NewParallelBackend(0), nil
+		return NewShardedParallelBackend(0, shards), nil
 	case "resilient":
-		return NewResilientBackend(nil, nil), nil
-	case "sim":
+		return NewResilientBackend(NewShardedParallelBackend(0, shards), nil), nil
+	case "reference", "sim":
+		if shards != 1 {
+			return nil, fmt.Errorf("core: the %s backend has no shard path (shard count %d; valid: 1)", name, shards)
+		}
+		if name == "reference" {
+			return ReferenceBackend(), nil
+		}
 		return NewSimBackend(nil), nil
 	default:
 		return nil, fmt.Errorf("core: unknown backend %q (valid backends: %s)",
@@ -150,181 +156,10 @@ func Backend(name string) (ExecBackend, error) {
 	}
 }
 
-// ValidateEnvBackend checks the UGRAPHER_BACKEND environment variable
-// without instantiating the default backend, so CLIs can fail fast at
-// startup with the valid names instead of warning mid-run.
-func ValidateEnvBackend() error {
-	name := os.Getenv("UGRAPHER_BACKEND")
-	if name == "" {
-		return nil
-	}
-	if _, err := Backend(name); err != nil {
-		return fmt.Errorf("UGRAPHER_BACKEND: %w", err)
-	}
-	return nil
-}
-
-var (
-	defaultBackendMu sync.Mutex
-	defaultBackendV  ExecBackend
-)
-
-// DefaultBackend returns the process-wide default compute backend: the
-// parallel host backend, unless the UGRAPHER_BACKEND environment variable
-// names another one or SetDefaultBackend overrode it.
-func DefaultBackend() ExecBackend {
-	defaultBackendMu.Lock()
-	defer defaultBackendMu.Unlock()
-	if defaultBackendV == nil {
-		b, err := backendForDefault(os.Getenv("UGRAPHER_BACKEND"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ugrapher: UGRAPHER_BACKEND: %v (using parallel)\n", err)
-			b = NewParallelBackend(0)
-		}
-		defaultBackendV = b
-	}
-	return defaultBackendV
-}
-
-// backendForDefault is Backend without the empty-name recursion into
-// DefaultBackend.
-func backendForDefault(name string) (ExecBackend, error) {
-	if name == "" {
-		return NewParallelBackend(0), nil
-	}
-	return Backend(name)
-}
-
-// SetDefaultBackend overrides the process-wide default compute backend by
-// name (CLI -backend flags funnel through this).
-func SetDefaultBackend(name string) error {
-	b, err := backendForDefault(name)
-	if err != nil {
-		return err
-	}
-	defaultBackendMu.Lock()
-	defaultBackendV = b
-	defaultBackendMu.Unlock()
-	return nil
-}
-
-// Shard-count plumbing, mirroring the backend selection above: CLI -shards
-// flags funnel through SetDefaultShards, UGRAPHER_SHARDS covers headless
-// runs, and ValidateEnvShards lets CLIs fail fast at startup. 0 means auto
-// (size shards from the cache budget, see shard.AutoShards); 1 disables
-// sharding — today's single-CSR execution.
-
-var (
-	defaultShardsMu sync.Mutex
-	defaultShardsV  = -1 // unresolved: fall through to UGRAPHER_SHARDS
-)
-
-// parseShards validates a shard-count string against [0, shard.MaxShards].
-func parseShards(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > shard.MaxShards {
-		return 0, fmt.Errorf("core: invalid shard count %q (valid: 0 (auto) through %d; 1 = unsharded)",
-			s, shard.MaxShards)
-	}
-	return n, nil
-}
-
-// ValidateEnvShards checks the UGRAPHER_SHARDS environment variable so CLIs
-// can exit with the valid range at startup instead of warning mid-run.
-func ValidateEnvShards() error {
-	s := os.Getenv("UGRAPHER_SHARDS")
-	if s == "" {
-		return nil
-	}
-	if _, err := parseShards(s); err != nil {
-		return fmt.Errorf("UGRAPHER_SHARDS: %w", err)
-	}
-	return nil
-}
-
-// SetDefaultShards overrides the process-wide default shard count and
-// resets the cached default backend so the next DefaultBackend() call picks
-// the new count up.
-func SetDefaultShards(n int) error {
-	if n < 0 || n > shard.MaxShards {
-		return fmt.Errorf("core: invalid shard count %d (valid: 0 (auto) through %d; 1 = unsharded)",
-			n, shard.MaxShards)
-	}
-	defaultShardsMu.Lock()
-	defaultShardsV = n
-	defaultShardsMu.Unlock()
-	defaultBackendMu.Lock()
-	defaultBackendV = nil
-	defaultBackendMu.Unlock()
-	return nil
-}
-
-// DefaultShards resolves the process-wide default shard count: the
-// SetDefaultShards override, else UGRAPHER_SHARDS, else 1 (unsharded).
-func DefaultShards() int {
-	defaultShardsMu.Lock()
-	defer defaultShardsMu.Unlock()
-	if defaultShardsV >= 0 {
-		return defaultShardsV
-	}
-	if s := os.Getenv("UGRAPHER_SHARDS"); s != "" {
-		n, err := parseShards(s)
-		if err == nil {
-			return n
-		}
-		fmt.Fprintf(os.Stderr, "ugrapher: UGRAPHER_SHARDS: %v (using 1)\n", err)
-	}
-	return 1
-}
-
-// Worker-count plumbing. The worker pool size has always been settable via
-// UGRAPHER_WORKERS; like UGRAPHER_BACKEND and UGRAPHER_SHARDS it is now
-// validated at CLI startup (exit 2 with the valid range) instead of being
-// silently ignored when malformed mid-run.
-
 // MaxWorkers bounds the worker-pool size a single process may configure.
 // Far above any host this runs on; it exists so a typo ("10000000") fails
 // fast instead of spawning a pathological goroutine count.
 const MaxWorkers = 4096
-
-// parseWorkers validates a worker-count string against [1, MaxWorkers].
-func parseWorkers(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 || n > MaxWorkers {
-		return 0, fmt.Errorf("core: invalid worker count %q (valid: 1 through %d)", s, MaxWorkers)
-	}
-	return n, nil
-}
-
-// ValidateEnvWorkers checks the UGRAPHER_WORKERS environment variable so
-// CLIs can exit with the valid range at startup instead of silently falling
-// back to runtime.NumCPU() mid-run.
-func ValidateEnvWorkers() error {
-	s := os.Getenv("UGRAPHER_WORKERS")
-	if s == "" {
-		return nil
-	}
-	if _, err := parseWorkers(s); err != nil {
-		return fmt.Errorf("UGRAPHER_WORKERS: %w", err)
-	}
-	return nil
-}
-
-// envWorkers resolves UGRAPHER_WORKERS: 0 when unset, the parsed count when
-// valid, and 0 with a stderr warning when malformed (mirrors DefaultShards;
-// CLIs that called ValidateEnvWorkers never reach the warning).
-func envWorkers() int {
-	s := os.Getenv("UGRAPHER_WORKERS")
-	if s == "" {
-		return 0
-	}
-	n, err := parseWorkers(s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ugrapher: UGRAPHER_WORKERS: %v (using NumCPU)\n", err)
-		return 0
-	}
-	return n
-}
 
 // ExecuteOn is the convenience path compile-once callers use: lower p onto
 // backend b for (g, o) and run the kernel once.

@@ -31,7 +31,7 @@ import (
 // both properties.
 
 // ParallelBackend executes plans on a host worker pool. The zero worker
-// count resolves to UGRAPHER_WORKERS or runtime.NumCPU(). A shard count
+// count resolves to runtime.GOMAXPROCS(0). A shard count
 // other than 1 routes aggregation kernels through the partition-aware
 // lowering path (backend_sharded.go).
 type ParallelBackend struct {
@@ -39,11 +39,10 @@ type ParallelBackend struct {
 	shards  int
 }
 
-// NewParallelBackend builds a backend with the given worker-pool size
-// (0 = UGRAPHER_WORKERS env var, else runtime.NumCPU()) and the
-// process-default shard count (DefaultShards).
+// NewParallelBackend builds an unsharded backend with the given worker-pool
+// size (0 = runtime.GOMAXPROCS(0)).
 func NewParallelBackend(workers int) *ParallelBackend {
-	return NewShardedParallelBackend(workers, DefaultShards())
+	return NewShardedParallelBackend(workers, 1)
 }
 
 // NewShardedParallelBackend builds a backend with an explicit shard count:
@@ -52,10 +51,7 @@ func NewParallelBackend(workers int) *ParallelBackend {
 // [0, shard.MaxShards] clamp to the unsharded default.
 func NewShardedParallelBackend(workers, shards int) *ParallelBackend {
 	if workers <= 0 {
-		workers = envWorkers()
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > MaxWorkers {
 		workers = MaxWorkers

@@ -311,36 +311,36 @@ func TestShardPlanCacheReuse(t *testing.T) {
 	}
 }
 
-// TestShardedBackendDefaults: shard counts resolve through the same
-// default/env plumbing the backend name uses.
+// TestShardedBackendDefaults: NewParallelBackend is unsharded, and Backend
+// takes the shard count with the name: the parallel backend, bare or under
+// the resilient ladder, carries it; reference and sim take 1 only; a count
+// outside [0, shard.MaxShards] is an error, not a silent default.
 func TestShardedBackendDefaults(t *testing.T) {
-	if err := SetDefaultShards(3); err != nil {
+	if b := NewParallelBackend(2); b.shards != 1 {
+		t.Errorf("NewParallelBackend shards = %d, want 1", b.shards)
+	}
+	b, err := Backend("parallel", 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := SetDefaultShards(1); err != nil {
-			t.Fatal(err)
+	if got := b.(*ParallelBackend).shards; got != 3 {
+		t.Errorf("Backend(parallel, 3) shards = %d, want 3", got)
+	}
+	rb, err := Backend("resilient", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.(*ResilientBackend).primary.(*ParallelBackend).shards; got != 0 {
+		t.Errorf("Backend(resilient, 0) primary shards = %d, want 0 (auto)", got)
+	}
+	for _, name := range []string{"reference", "sim"} {
+		if _, err := Backend(name, 4); err == nil {
+			t.Errorf("Backend(%s, 4) accepted a shard count it has no path for", name)
 		}
-	}()
-	if b := NewParallelBackend(2); b.shards != 3 {
-		t.Errorf("NewParallelBackend shards = %d, want the default 3", b.shards)
 	}
-	if err := SetDefaultShards(-1); err == nil {
-		t.Error("SetDefaultShards(-1) should fail")
-	}
-	if err := SetDefaultShards(shard.MaxShards + 1); err == nil {
-		t.Error("SetDefaultShards above MaxShards should fail")
-	}
-	t.Setenv("UGRAPHER_SHARDS", "9999999")
-	if err := ValidateEnvShards(); err == nil {
-		t.Error("ValidateEnvShards should reject 9999999")
-	}
-	t.Setenv("UGRAPHER_SHARDS", "banana")
-	if err := ValidateEnvShards(); err == nil {
-		t.Error("ValidateEnvShards should reject a non-integer")
-	}
-	t.Setenv("UGRAPHER_SHARDS", "0")
-	if err := ValidateEnvShards(); err != nil {
-		t.Errorf("ValidateEnvShards(0) = %v, want nil (auto)", err)
+	for _, n := range []int{-1, shard.MaxShards + 1} {
+		if _, err := Backend("parallel", n); err == nil {
+			t.Errorf("Backend(parallel, %d) should fail", n)
+		}
 	}
 }

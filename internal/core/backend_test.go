@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,7 +17,7 @@ import (
 
 func TestBackendRegistry(t *testing.T) {
 	for _, name := range BackendNames {
-		b, err := Backend(name)
+		b, err := Backend(name, 1)
 		if err != nil {
 			t.Fatalf("Backend(%q): %v", name, err)
 		}
@@ -24,25 +25,14 @@ func TestBackendRegistry(t *testing.T) {
 			t.Errorf("Backend(%q).Name() = %q", name, b.Name())
 		}
 	}
-	if _, err := Backend("cuda"); err == nil {
-		t.Error("unknown backend should fail")
+	_, err := Backend("cuda", 1)
+	if err == nil {
+		t.Fatal("unknown backend should fail")
 	}
-	if b, err := Backend(""); err != nil || b == nil {
-		t.Errorf("empty name should resolve to the default backend, got %v", err)
-	}
-}
-
-func TestSetDefaultBackend(t *testing.T) {
-	orig := DefaultBackend()
-	defer func() { _ = SetDefaultBackend(orig.Name()) }()
-	if err := SetDefaultBackend("reference"); err != nil {
-		t.Fatal(err)
-	}
-	if got := DefaultBackend().Name(); got != "reference" {
-		t.Errorf("default backend = %q, want reference", got)
-	}
-	if err := SetDefaultBackend("no-such"); err == nil {
-		t.Error("bad name should fail")
+	for _, name := range BackendNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid backend %q", err, name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -473,57 +474,20 @@ func TestResilientWindowCounter(t *testing.T) {
 	}
 }
 
-func TestValidateEnvBackend(t *testing.T) {
-	t.Setenv("UGRAPHER_BACKEND", "")
-	if err := ValidateEnvBackend(); err != nil {
-		t.Errorf("empty env: %v", err)
+// TestParallelBackendWorkersFollowGOMAXPROCS: the zero worker count is
+// GOMAXPROCS at construction, and an explicit count is clamped to MaxWorkers.
+func TestParallelBackendWorkersFollowGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	if got := NewParallelBackend(0).Workers(); got != 3 {
+		t.Errorf("workers = %d under GOMAXPROCS 3, want 3", got)
 	}
-	t.Setenv("UGRAPHER_BACKEND", "resilient")
-	if err := ValidateEnvBackend(); err != nil {
-		t.Errorf("resilient: %v", err)
+	runtime.GOMAXPROCS(1)
+	if got := NewShardedParallelBackend(0, 4).Workers(); got != 1 {
+		t.Errorf("workers = %d under GOMAXPROCS 1, want 1", got)
 	}
-	t.Setenv("UGRAPHER_BACKEND", "cuda")
-	err := ValidateEnvBackend()
-	if err == nil {
-		t.Fatal("bad backend name accepted")
-	}
-	for _, name := range BackendNames {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list valid backend %q", err, name)
-		}
-	}
-}
-
-func TestValidateEnvWorkers(t *testing.T) {
-	t.Setenv("UGRAPHER_WORKERS", "")
-	if err := ValidateEnvWorkers(); err != nil {
-		t.Errorf("empty env: %v", err)
-	}
-	t.Setenv("UGRAPHER_WORKERS", "8")
-	if err := ValidateEnvWorkers(); err != nil {
-		t.Errorf("8 workers: %v", err)
-	}
-	for _, bad := range []string{"0", "-2", "abc", "10000000"} {
-		t.Setenv("UGRAPHER_WORKERS", bad)
-		err := ValidateEnvWorkers()
-		if err == nil {
-			t.Errorf("UGRAPHER_WORKERS=%q accepted, want error", bad)
-			continue
-		}
-		// The CLI contract: the error names the valid range.
-		if !strings.Contains(err.Error(), "1 through 4096") {
-			t.Errorf("error %q does not list the valid range", err)
-		}
-	}
-	// The backend constructor honours a valid env count and survives (with a
-	// warning) an invalid one.
-	t.Setenv("UGRAPHER_WORKERS", "6")
-	if got := NewShardedParallelBackend(0, 1).Workers(); got != 6 {
-		t.Errorf("workers = %d, want 6 from env", got)
-	}
-	t.Setenv("UGRAPHER_WORKERS", "bogus")
-	if got := NewShardedParallelBackend(0, 1).Workers(); got < 1 {
-		t.Errorf("workers = %d with invalid env, want NumCPU fallback", got)
+	if got := NewParallelBackend(MaxWorkers + 1).Workers(); got != MaxWorkers {
+		t.Errorf("workers = %d, want the MaxWorkers clamp %d", got, MaxWorkers)
 	}
 }
 

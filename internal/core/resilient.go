@@ -37,13 +37,10 @@ type ResilientBackend struct {
 	window atomic.Int64
 }
 
-// NewResilientBackend wraps primary (nil = the parallel host backend) with
-// a fallback onto secondary (nil = the reference interpreter). Fallbacks
-// are logged to stderr; SetLogger redirects or silences them.
+// NewResilientBackend wraps primary with a fallback onto secondary (nil =
+// the reference interpreter). Fallbacks are logged to stderr; SetLogger
+// redirects or silences them.
 func NewResilientBackend(primary, secondary ExecBackend) *ResilientBackend {
-	if primary == nil {
-		primary = NewParallelBackend(0)
-	}
 	if secondary == nil {
 		secondary = ReferenceBackend()
 	}

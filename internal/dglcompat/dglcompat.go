@@ -40,7 +40,7 @@ type Graph struct {
 	// tuner picks the schedule per operator (the paper's automatic mode).
 	tuner *schedule.Tuner
 	// backend computes the functional outputs (schedule cost still comes
-	// from the simulator): the process default when the graph was wrapped.
+	// from the simulator): the parallel backend, GOMAXPROCS workers.
 	backend core.ExecBackend
 }
 
@@ -56,7 +56,7 @@ func Wrap(g *graph.Graph, dev *gpu.Device) *Graph {
 		edgeData: map[string]*tensor.Dense{},
 		dev:      dev,
 		tuner:    schedule.NewTuner(gpu.WithMaxSampledBlocks(64)),
-		backend:  core.DefaultBackend(),
+		backend:  core.NewParallelBackend(0),
 	}
 	return w
 }

@@ -15,7 +15,7 @@ type TunedEngine struct {
 	Dev   *gpu.Device
 	Tuner *schedule.Tuner
 	// Compute is the host backend functional execution runs on
-	// (nil = core.DefaultBackend()). Schedule cost always comes from the
+	// (nil = core.NewParallelBackend(0)). Schedule cost always comes from the
 	// simulator regardless of this choice.
 	Compute core.ExecBackend
 }
@@ -77,7 +77,7 @@ type FixedEngine struct {
 	// framework's host path.
 	HostOverheadCycles float64
 	// Compute is the host backend functional execution runs on
-	// (nil = core.DefaultBackend()). Baselines differ in *schedule*, not in
+	// (nil = core.NewParallelBackend(0)). Baselines differ in *schedule*, not in
 	// functional semantics, so they share whatever backend computes
 	// outputs.
 	Compute core.ExecBackend
@@ -90,7 +90,7 @@ type FixedEngine struct {
 // this engine fixes the schedules to the ones that name what the host runs —
 // TV_G1_T1, the owner-per-row walk, for vertex-output operators and TE_G1_T1,
 // one edge per output row, for edge-output ones — with fusion and regions on.
-// compute is the backend the kernels lower onto (nil = core.DefaultBackend()).
+// compute is the backend the kernels lower onto (nil = core.NewParallelBackend(0)).
 // The device only prices the op-by-op interpreter's cost report. Choosing
 // host schedules by timing host kernels is ROADMAP item 4(b).
 func NewHostEngine(compute core.ExecBackend) *FixedEngine {

@@ -50,7 +50,7 @@ type Engine interface {
 // BackendProvider is optionally implemented by engines that pin the host
 // compute backend functional execution runs on (reference interpreter,
 // parallel worker pool, or simulator). Engines without it use
-// core.DefaultBackend(). Note the separation: ScheduleFor decides the
+// core.NewParallelBackend(0). Note the separation: ScheduleFor decides the
 // simulated schedule *cost*, the compute backend only decides how the
 // functional outputs are produced.
 type BackendProvider interface {
@@ -64,7 +64,7 @@ func computeBackend(eng Engine) core.ExecBackend {
 			return b
 		}
 	}
-	return core.DefaultBackend()
+	return core.NewParallelBackend(0)
 }
 
 // OpCost records one executed operator in a cost report.
@@ -122,8 +122,7 @@ func newExec(g *graph.Graph, eng Engine, functional bool, model string) *exec {
 		rng:        rand.New(rand.NewSource(1234)),
 		report:     CostReport{Model: model, Engine: eng.Name()},
 	}
-	// A cost-only pass lowers nothing, so it resolves no host backend (and
-	// reads none of the environment that configures one).
+	// A cost-only pass lowers nothing, so it resolves no host backend.
 	if functional {
 		e.backend = computeBackend(eng)
 	}

@@ -249,10 +249,10 @@ type CompiledProgram struct {
 }
 
 // Compile lowers p onto graph g with schedules chosen by s and kernels
-// executed by backend (nil = core.DefaultBackend()).
+// executed by backend (nil = core.NewParallelBackend(0)).
 func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) (cp *CompiledProgram, err error) {
 	if backend == nil {
-		backend = core.DefaultBackend()
+		backend = core.NewParallelBackend(0)
 	}
 	csp := telemetry.StartSpan("program", "compile", "compile")
 	defer func() {

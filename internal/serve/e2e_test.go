@@ -33,6 +33,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/gpu"
 	"repro/internal/models"
+	"repro/internal/shard"
 	"repro/internal/tensor"
 )
 
@@ -339,10 +340,6 @@ func scrape(t *testing.T, d *daemon) string {
 // while the listener still answers, refuses new work, completes the
 // in-flight request, and exits 0.
 func TestE2EDrainOnSIGTERM(t *testing.T) {
-	// The daemon has no backend selection (every model runs the parallel
-	// backend under the resilient ladder), so UGRAPHER_BACKEND — even a value
-	// no CLI would accept — is not its business and must not stop it.
-	t.Setenv("UGRAPHER_BACKEND", "cuda")
 	d := startDaemon(t, "-models", "GCN", "-drain-timeout", "10s",
 		"-faults", "queue-stall:after=1,limit=1,delay=1500ms")
 
@@ -445,21 +442,18 @@ func TestE2EIdleConnectionDoesNotHoldTheDrain(t *testing.T) {
 	waitExit(t, d, 4*time.Second)
 }
 
-// TestE2EBadEnvironmentExits2: the environment variables the daemon does read
-// are validated at start-up — a bad value is exit code 2 naming the variable,
-// not a daemon running on a silently substituted default.
-func TestE2EBadEnvironmentExits2(t *testing.T) {
-	for _, env := range []string{"UGRAPHER_SHARDS=banana", "UGRAPHER_WORKERS=-4"} {
+// TestE2EBadShardsExits2: -shards outside [0, shard.MaxShards] is exit code 2
+// naming the valid range, not a daemon serving unsharded.
+func TestE2EBadShardsExits2(t *testing.T) {
+	want := fmt.Sprintf("0 (auto) through %d", shard.MaxShards)
+	for _, n := range []string{"99999", "-7"} {
 		// Bounded: a daemon that accepted the value would listen forever.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0")
-		cmd.Env = append(os.Environ(), env)
-		out, err := cmd.CombinedOutput()
+		out, err := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0", "-shards", n).CombinedOutput()
 		cancel()
-		name, _, _ := strings.Cut(env, "=")
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte(name)) {
-			t.Errorf("%s: err %v, output %q; want exit code 2 naming %s", env, err, out, name)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), want) {
+			t.Errorf("-shards %s: err %v, output %q; want exit code 2 naming %q", n, err, out, want)
 		}
 	}
 }

@@ -57,7 +57,7 @@ type Config struct {
 	// Feat and Classes shape the compiled forward pass.
 	Feat    int
 	Classes int
-	// Shards is the graph shard count (-1 = core.DefaultShards()).
+	// Shards is the graph shard count: 0 = auto-size, 1 = unsharded.
 	Shards int
 	// QueueDepth bounds each model's request queue; a full queue
 	// fast-rejects with 429.
@@ -95,9 +95,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Classes <= 0 {
 		c.Classes = 8
-	}
-	if c.Shards < 0 {
-		c.Shards = core.DefaultShards()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -188,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	// One program, compiled on the ladder: a kernel of a full pass that fails
 	// on the parallel backend reruns on the reference interpreter. The pool
-	// is sized by $UGRAPHER_WORKERS or NumCPU.
+	// is sized by GOMAXPROCS.
 	rb := core.NewResilientBackend(core.NewShardedParallelBackend(0, s.cfg.Shards), nil)
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.
