@@ -60,7 +60,7 @@ func main() {
 	top := flag.Int("top", 5, "with -tune: how many candidates to print")
 	source := flag.Bool("source", false, "print the generated kernel source")
 	backendName := flag.String("backend", "parallel", "host compute backend: "+strings.Join(core.BackendNames, ", ")+"; workers = GOMAXPROCS")
-	shards := flag.Int("shards", 1, "graph shards for the parallel and resilient backends: 0 = auto-size, 1 = unsharded, N = fixed count (reference and sim take 1 only)")
+	shards := flag.Int("shards", 1, "graph shards for the parallel and resilient backends: 0 = auto-size, 1 = unsharded, N = fixed count (reference takes 1 only)")
 	model := flag.String("model", "", "run a whole model instead of one operator: GCN, GIN, GAT, SSum, SMax or SMean")
 	classes := flag.Int("classes", 16, "with -model: number of output classes")
 	runs := flag.Int("runs", 5, "with -model: steady-state repetitions to time")

@@ -55,11 +55,10 @@ func TestBackendAndShardsFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-backend", "reference", "-shards", "1"}, 0, "backend=reference"},
-		{[]string{"-backend", "sim", "-shards", "1"}, 0, "backend=sim"},
 		{[]string{"-backend", "resilient", "-shards", "4"}, 0, "backend=resilient"},
 		{[]string{"-shards", "4"}, 0, "sharding: 4 shards"},
 		{[]string{"-backend", "reference", "-shards", "4"}, 2, "no shard path"},
-		{[]string{"-backend", "sim", "-shards", "0"}, 2, "no shard path"},
+		{[]string{"-backend", "sim"}, 2, "parallel, resilient, reference"},
 		{[]string{"-shards", "-7"}, 2, "invalid shard count"},
 	} {
 		out, code := runCLI(t, append(model, c.args...)...)

@@ -849,7 +849,7 @@ func (k *parallelKernel) pick() bool { return k.p.Schedule.Strategy.VertexParall
 import "repro/internal/telemetry"
 func site(p *Plan) {
 	//lint:allow hook-discipline -- test fixture
-	_ = telemetry.NewKernelSite(opLabel(p), p.Schedule.Strategy.Code(), p.Schedule.String(), "parallel", 0, 0)
+	_ = telemetry.NewKernelSite(opLabel(p), p.Schedule.Strategy.Code(), p.Schedule.String(), "parallel", 0)
 	_ = kernelSite(p.Schedule, "parallel", nil)
 }
 `))

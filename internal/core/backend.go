@@ -14,7 +14,7 @@ import (
 // lowered kernel. The Plan layer (core.go) is the paper's code generator —
 // operator semantics plus schedule analyses — while an ExecBackend is one
 // way of actually carrying the computation out: the sequential reference
-// interpreter, the parallel host backend, or the GPU cycle simulator.
+// interpreter, the parallel host backend, or the fallback ladder over them.
 // Decoupling the two mirrors the paper's own thesis (computation vs
 // schedule, §3-§5) one level down: one abstraction, many substrates.
 
@@ -37,19 +37,14 @@ type CompiledKernel interface {
 	// data, but the kernel remains reusable — every Run re-initialises its
 	// output, so the next call produces a complete result.
 	RunCtx(ctx context.Context) error
-	// Counters reports cumulative execution statistics across Run calls.
+	// Counters describes how the kernel was lowered.
 	Counters() Counters
 }
 
-// Counters are the execution statistics a backend accumulates per kernel.
+// Counters describe a kernel's lowering: how many goroutines it runs on and
+// how it walks the graph. How often it ran is the kernel site's record
+// (ugrapher_kernel_runs_total).
 type Counters struct {
-	// Runs is how many times Run completed.
-	Runs int64
-	// Edges is the total number of edges processed across runs.
-	Edges int64
-	// Shards is the total number of work shards executed (1 per run for
-	// sequential backends, one per worker chunk for the parallel backend).
-	Shards int64
 	// Workers is the backend's configured worker count (1 for sequential
 	// backends).
 	Workers int
@@ -57,9 +52,6 @@ type Counters struct {
 	// Workers for a kernel above the small-work threshold, 1 (or 0, for
 	// sequential backends) when the kernel runs inline on the caller.
 	Fanout int
-	// SimCycles is the simulated cycle count of the last run, for backends
-	// that model cost (zero for pure host backends).
-	SimCycles float64
 	// Walk says how the host kernel traverses the graph: WalkRows or
 	// WalkEdgeChunks for the parallel backend ("" for sequential backends).
 	// It is a property of the host lowering, not of the plan's GPU strategy:
@@ -115,9 +107,10 @@ func epilogueMode(f RowEpilogue) string {
 
 // ExecBackend lowers plans into runnable kernels. Implementations:
 // the sequential reference interpreter ("reference"), the multi-core host
-// executor ("parallel"), and the GPU cycle simulator ("sim").
+// executor ("parallel"), and the fallback ladder from the latter onto the
+// former ("resilient").
 type ExecBackend interface {
-	// Name identifies the backend ("reference", "parallel", "sim").
+	// Name identifies the backend ("reference", "parallel", "resilient").
 	Name() string
 	// Lower specializes p for graph g and operand binding o, validating the
 	// operands against the plan exactly once.
@@ -125,13 +118,12 @@ type ExecBackend interface {
 }
 
 // BackendNames lists the selectable backend names in presentation order.
-var BackendNames = []string{"parallel", "resilient", "reference", "sim"}
+var BackendNames = []string{"parallel", "resilient", "reference"}
 
 // Backend resolves a backend by name and shard count. The shard count
 // applies to the parallel backend, bare or under the resilient ladder: 0
 // auto-sizes shards per graph, 1 is unsharded, K > 1 partitions every graph
-// into K. The reference interpreter and the simulator have no shard path and
-// take 1 only. Workers are GOMAXPROCS.
+// into K. The reference interpreter has no shard path and takes 1 only. Workers are GOMAXPROCS.
 func Backend(name string, shards int) (ExecBackend, error) {
 	if shards < 0 || shards > shard.MaxShards {
 		return nil, fmt.Errorf("core: invalid shard count %d (valid: 0 (auto) through %d; 1 = unsharded)",
@@ -141,15 +133,12 @@ func Backend(name string, shards int) (ExecBackend, error) {
 	case "parallel":
 		return NewShardedParallelBackend(0, shards), nil
 	case "resilient":
-		return NewResilientBackend(NewShardedParallelBackend(0, shards), nil), nil
-	case "reference", "sim":
+		return NewResilientBackend(NewShardedParallelBackend(0, shards)), nil
+	case "reference":
 		if shards != 1 {
 			return nil, fmt.Errorf("core: the %s backend has no shard path (shard count %d; valid: 1)", name, shards)
 		}
-		if name == "reference" {
-			return ReferenceBackend(), nil
-		}
-		return NewSimBackend(nil), nil
+		return ReferenceBackend(), nil
 	default:
 		return nil, fmt.Errorf("core: unknown backend %q (valid backends: %s)",
 			name, strings.Join(BackendNames, ", "))

@@ -168,9 +168,6 @@ type parallelKernel struct {
 	// chunk that produced them (BindEpilogue).
 	epilogue RowEpilogue
 
-	runs   int64
-	shards int64
-
 	// site is the telemetry handle, resolved at Lower time.
 	site *telemetry.KernelSite
 }
@@ -204,9 +201,6 @@ func (k *parallelKernel) Plan() *Plan { return k.p }
 // Counters implements CompiledKernel.
 func (k *parallelKernel) Counters() Counters {
 	c := Counters{
-		Runs:     k.runs,
-		Edges:    k.runs * int64(k.g.NumEdges()),
-		Shards:   k.shards,
 		Workers:  k.b.workers,
 		Fanout:   k.fanout,
 		Walk:     k.walk(),
@@ -260,7 +254,7 @@ func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 	// observes the panic already converted into err.
 	defer func() {
 		oc, detail := outcomeOf(err)
-		k.site.EndCtx(ctx, tstart, oc, detail, nil)
+		k.site.EndCtx(ctx, tstart, oc, detail)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -273,16 +267,10 @@ func (k *parallelKernel) RunCtx(ctx context.Context) (err error) {
 	// Each output row — an edge's or a destination vertex's — is written by
 	// exactly one chunk, so rows split freely; cancellation is checked at
 	// chunk claims.
-	err = workpool.Run(ctx, k.main, k.items, k.chunk, k.fanout)
-	k.shards += k.main.Chunks()
-	if err != nil {
+	if err := workpool.Run(ctx, k.main, k.items, k.chunk, k.fanout); err != nil {
 		return kernelErr(k.p, k.b.Name(), err)
 	}
-	if err := finishRun(k.p, k.o.C.T); err != nil {
-		return err
-	}
-	k.runs++
-	return nil
+	return finishRun(k.p, k.o.C.T)
 }
 
 // chunkSize picks a dynamic-scheduling chunk: small enough to balance

@@ -49,9 +49,9 @@ type refKernel struct {
 	o      Operands
 	fa, fb fetcher
 	acc    []float32
-	runs   int64
-	// site is the telemetry handle, resolved at Lower time. Backends that
-	// wrap this kernel (sim) null it to keep one record per logical run.
+	// site is the telemetry handle, resolved at Lower time. Kernels that
+	// wrap this one (a composed region) null it to keep one record per
+	// logical run.
 	site *telemetry.KernelSite
 }
 
@@ -71,7 +71,7 @@ func (k *refKernel) RunCtx(ctx context.Context) (err error) {
 	// observes the panic already converted into err.
 	defer func() {
 		oc, detail := outcomeOf(err)
-		k.site.EndCtx(ctx, tstart, oc, detail, nil)
+		k.site.EndCtx(ctx, tstart, oc, detail)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -93,19 +93,8 @@ func (k *refKernel) RunCtx(ctx context.Context) (err error) {
 	default:
 		p.executeEdgeCentric(g, o, k.fa, k.fb, f)
 	}
-	if err := finishRun(k.p, o.C.T); err != nil {
-		return err
-	}
-	k.runs++
-	return nil
+	return finishRun(k.p, o.C.T)
 }
 
 // Counters implements CompiledKernel.
-func (k *refKernel) Counters() Counters {
-	return Counters{
-		Runs:    k.runs,
-		Edges:   k.runs * int64(k.g.NumEdges()),
-		Shards:  k.runs,
-		Workers: 1,
-	}
-}
+func (k *refKernel) Counters() Counters { return Counters{Workers: 1} }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -159,7 +160,7 @@ func TestShardedLoweringInterface(t *testing.T) {
 		if cut := sl.ShardEdgeCut(); cut <= 0 || cut > 1 {
 			t.Errorf("%s: ShardEdgeCut = %v, want in (0,1]", strat, cut)
 		}
-		rk, err := NewResilientBackend(NewShardedParallelBackend(2, 5), nil).Lower(p, g, o)
+		rk, err := NewResilientBackend(NewShardedParallelBackend(2, 5)).Lower(p, g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +178,13 @@ func TestShardedLoweringInterface(t *testing.T) {
 	}
 }
 
-// TestShardedCounters: shard executions accumulate in Counters.Shards.
+// TestShardedCounters: a sharded kernel's runs are recorded at its kernel
+// site, whole runs over the whole graph, and its Counters describe the
+// lowering: the backend's workers and the row walk.
 func TestShardedCounters(t *testing.T) {
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
+	telemetry.SetEnabled(true)
 	g := testGraph(t, 200, 3000, 5)
 	op := ops.AggrSum
 	p := MustCompile(op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
@@ -192,15 +198,15 @@ func TestShardedCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := k.Counters()
-	if c.Runs != 3 {
-		t.Errorf("Runs = %d, want 3", c.Runs)
+	vals := telemetry.Default().CounterValues()
+	if got := vals[telemetry.Series2("ugrapher_kernel_runs_total", "backend", "parallel", "strategy", "TE")]; got != 3 {
+		t.Errorf("runs = %d, want 3", got)
 	}
-	if c.Shards != 3*6 {
-		t.Errorf("Shards = %d, want %d", c.Shards, 3*6)
+	if got := vals[telemetry.Series1("ugrapher_kernel_edges_processed_total", "backend", "parallel")]; got != 3*int64(g.NumEdges()) {
+		t.Errorf("edges = %d, want %d", got, 3*g.NumEdges())
 	}
-	if c.Edges != 3*int64(g.NumEdges()) {
-		t.Errorf("Edges = %d, want %d", c.Edges, 3*g.NumEdges())
+	if c := k.Counters(); c.Workers != 4 || c.Walk != WalkRows {
+		t.Errorf("counters = %+v, want 4 workers and the row walk", c)
 	}
 }
 
@@ -313,7 +319,7 @@ func TestShardPlanCacheReuse(t *testing.T) {
 
 // TestShardedBackendDefaults: NewParallelBackend is unsharded, and Backend
 // takes the shard count with the name: the parallel backend, bare or under
-// the resilient ladder, carries it; reference and sim take 1 only; a count
+// the resilient ladder, carries it; reference takes 1 only; a count
 // outside [0, shard.MaxShards] is an error, not a silent default.
 func TestShardedBackendDefaults(t *testing.T) {
 	if b := NewParallelBackend(2); b.shards != 1 {
@@ -333,10 +339,8 @@ func TestShardedBackendDefaults(t *testing.T) {
 	if got := rb.(*ResilientBackend).primary.(*ParallelBackend).shards; got != 0 {
 		t.Errorf("Backend(resilient, 0) primary shards = %d, want 0 (auto)", got)
 	}
-	for _, name := range []string{"reference", "sim"} {
-		if _, err := Backend(name, 4); err == nil {
-			t.Errorf("Backend(%s, 4) accepted a shard count it has no path for", name)
-		}
+	if _, err := Backend("reference", 4); err == nil {
+		t.Error("Backend(reference, 4) accepted a shard count it has no path for")
 	}
 	for _, n := range []int{-1, shard.MaxShards + 1} {
 		if _, err := Backend("parallel", n); err == nil {

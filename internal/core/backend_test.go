@@ -39,7 +39,9 @@ func TestBackendRegistry(t *testing.T) {
 // allBackends returns one instance of each backend, with the parallel one
 // forced to 4 workers so races are reachable under -race.
 func allBackends() []ExecBackend {
-	return []ExecBackend{ReferenceBackend(), NewParallelBackend(4), NewSimBackend(nil)}
+	rb := NewResilientBackend(NewParallelBackend(4))
+	rb.SetLogger(nil)
+	return []ExecBackend{ReferenceBackend(), NewParallelBackend(4), rb}
 }
 
 // TestParallelMatchesReferencePerStrategy is the per-strategy equivalence
@@ -95,12 +97,8 @@ func TestParallelRepeatedRuns(t *testing.T) {
 	if !o.C.T.Equal(first) {
 		t.Error("second Run produced different output")
 	}
-	c := k.Counters()
-	if c.Runs != 2 || c.Workers != 4 || c.Edges != 2*int64(g.NumEdges()) {
-		t.Errorf("counters = %+v, want Runs=2 Workers=4 Edges=%d", c, 2*g.NumEdges())
-	}
-	if c.Shards < 2 {
-		t.Errorf("counters.Shards = %d, want >= 2", c.Shards)
+	if c := k.Counters(); c.Workers != 4 {
+		t.Errorf("counters = %+v, want Workers=4", c)
 	}
 }
 
@@ -126,32 +124,6 @@ func TestLoweringValidatesOnce(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Errorf("%s: Run: %v", b.Name(), err)
 		}
-	}
-}
-
-// TestSimBackendRecordsCycles: the sim backend produces both the
-// functional output and simulated cycle counters.
-func TestSimBackendRecordsCycles(t *testing.T) {
-	g := testGraph(t, 100, 800, 6)
-	sim := NewSimBackend(nil)
-	o := makeOperands(g, ops.AggrSum, 16, false, 2)
-	ref := makeOperands(g, ops.AggrSum, 16, false, 2)
-	if err := Reference(g, ops.AggrSum, ref); err != nil {
-		t.Fatal(err)
-	}
-	p := MustCompile(ops.AggrSum, Schedule{Strategy: WarpVertex, Group: 1, Tile: 1})
-	k, err := sim.Lower(p, g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !o.C.T.AllClose(ref.C.T, 1e-4, 1e-4) {
-		t.Error("sim backend output differs from reference")
-	}
-	if c := k.Counters(); c.SimCycles <= 0 {
-		t.Errorf("sim counters missing cycles: %+v", c)
 	}
 }
 

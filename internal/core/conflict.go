@@ -31,16 +31,6 @@ func (k *parallelKernel) ConflictHandling() string {
 	return analysis.ConflictOwnerPerRow
 }
 
-// ConflictHandling implements ConflictReporter: the functional output comes
-// from the wrapped compute kernel, so the discipline is whatever that
-// kernel declares (the simulation replay writes no operand data).
-func (k *simKernel) ConflictHandling() string {
-	if cr, ok := k.compute.(ConflictReporter); ok {
-		return cr.ConflictHandling()
-	}
-	return analysis.ConflictSequential
-}
-
 // ConflictHandling implements ConflictReporter by delegating to the primary
 // kernel; the fallback path re-lowers on the reference backend, which is
 // sequential and therefore never less safe.

@@ -48,7 +48,7 @@ func makeFetcher(t tensor.Typed) fetcher {
 
 // Execute runs the plan functionally on g with the sequential reference
 // interpreter, writing the output into o.C.T. Callers that want the
-// multi-core host executor (or the simulator) lower through an ExecBackend
+// multi-core host executor lower through an ExecBackend
 // instead; Execute stays the semantic oracle.
 func (p *Plan) Execute(g *graph.Graph, o Operands) error {
 	return p.ExecuteOn(ReferenceBackend(), g, o)

@@ -243,7 +243,7 @@ func TestResilientFallbackMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := NewResilientBackend(NewParallelBackend(4), nil)
+	rb := NewResilientBackend(NewParallelBackend(4))
 	rb.SetLogger(nil)
 	if rb.Name() != "resilient" {
 		t.Fatalf("Name() = %q", rb.Name())
@@ -300,7 +300,7 @@ func TestResilientLadderGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 5} {
-		rb := NewResilientBackend(NewShardedParallelBackend(4, shards), nil)
+		rb := NewResilientBackend(NewShardedParallelBackend(4, shards))
 		rb.SetLogger(nil)
 		o := makeOperands(g, ops.AggrSum, feat, false, 5)
 		p := MustCompile(ops.AggrSum, Schedule{Strategy: WarpEdge, Group: 1, Tile: 1})
@@ -372,7 +372,7 @@ func TestResilientLowerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := NewResilientBackend(NewParallelBackend(4), nil)
+	rb := NewResilientBackend(NewParallelBackend(4))
 	rb.SetLogger(nil)
 	o := makeOperands(g, ops.AggrMean, 8, false, 4)
 	p := MustCompile(ops.AggrMean, Schedule{Strategy: WarpEdge, Group: 1, Tile: 1})
@@ -399,7 +399,7 @@ func TestResilientLowerFallback(t *testing.T) {
 func TestResilientPassesThroughNonKernelErrors(t *testing.T) {
 	defer faultinject.Reset()
 	g := testGraph(t, 200, 3000, 19)
-	rb := NewResilientBackend(NewParallelBackend(4), nil)
+	rb := NewResilientBackend(NewParallelBackend(4))
 	rb.SetLogger(nil)
 	o := makeOperands(g, ops.AggrSum, 8, false, 4)
 	p := MustCompile(ops.AggrSum, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
@@ -434,7 +434,7 @@ func TestResilientPassesThroughNonKernelErrors(t *testing.T) {
 func TestResilientWindowCounter(t *testing.T) {
 	defer faultinject.Reset()
 	g := testGraph(t, 200, 3000, 23)
-	rb := NewResilientBackend(NewParallelBackend(4), nil)
+	rb := NewResilientBackend(NewParallelBackend(4))
 	rb.SetLogger(nil)
 	o := makeOperands(g, ops.AggrSum, 8, false, 4)
 	p := MustCompile(ops.AggrSum, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})

@@ -18,9 +18,9 @@ import (
 // where the inner kernel cannot take it into its chunk bodies
 // (EpilogueBinder); the compiler tries that first.
 //
-// Telemetry follows the sim backend's precedent: one logical run must count
-// once, so the inner kernel's site is silenced and the region registers its
-// own site under the "region" backend label.
+// Telemetry: one logical run must count once, so the inner kernel's site is
+// silenced and the region registers its own site under the "region" backend
+// label.
 
 // RegionStage is one pre-built elementwise stage of a composed region: a
 // staging copy that applies an absorbed operand chain, or an in-place
@@ -30,7 +30,7 @@ type RegionStage func()
 
 // telemetrySilencer is implemented by lowered kernels whose per-run
 // telemetry a wrapping kernel can turn off, keeping one record per logical
-// run (the sim backend nulls the reference kernel's site the same way).
+// run.
 type telemetrySilencer interface{ silenceTelemetry() }
 
 // silenceTelemetry implements telemetrySilencer: the site is released from
@@ -41,9 +41,6 @@ func (k *refKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer.
 func (k *parallelKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
-
-// silenceTelemetry implements telemetrySilencer.
-func (k *simKernel) silenceTelemetry() { k.site.Release(); k.site = nil }
 
 // silenceTelemetry implements telemetrySilencer: the region's own site and
 // the inner kernel's.
@@ -92,8 +89,7 @@ func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, 
 	p := inner.Plan()
 	//lint:allow hook-discipline -- site registration happens once at compose time, off the Run hot path
 	site := telemetry.NewKernelSite(
-		label, p.Schedule.Strategy.Code(), p.Schedule.String(), "region",
-		int64(g.NumVertices()), int64(g.NumEdges()))
+		label, p.Schedule.Strategy.Code(), p.Schedule.String(), "region", int64(g.NumEdges()))
 	site.Walk = inner.Counters().Walk
 	return &regionKernel{inner: inner, pre: pre, post: post, site: site}
 }
@@ -101,7 +97,6 @@ func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, 
 type regionKernel struct {
 	inner     CompiledKernel
 	pre, post []RegionStage
-	runs      int64
 	site      *telemetry.KernelSite
 }
 
@@ -111,9 +106,8 @@ func (k *regionKernel) Plan() *Plan { return k.inner.Plan() }
 // Unwrap returns the kernel the region was composed around.
 func (k *regionKernel) Unwrap() CompiledKernel { return k.inner }
 
-// Counters implements CompiledKernel: the inner kernel's counters (its runs
-// equal the region's), with a post stage reported as an epilogue that runs
-// after the kernel.
+// Counters implements CompiledKernel: the inner kernel's counters, with a
+// post stage reported as an epilogue that runs after the kernel.
 func (k *regionKernel) Counters() Counters {
 	c := k.inner.Counters()
 	if len(k.post) > 0 {
@@ -146,7 +140,7 @@ func (k *regionKernel) RunCtx(ctx context.Context) (err error) {
 	// observes the panic already converted into err.
 	defer func() {
 		oc, detail := outcomeOf(err)
-		k.site.EndCtx(ctx, tstart, oc, detail, nil)
+		k.site.EndCtx(ctx, tstart, oc, detail)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -165,6 +159,5 @@ func (k *regionKernel) RunCtx(ctx context.Context) (err error) {
 	for _, st := range k.post {
 		st()
 	}
-	k.runs++
 	return nil
 }

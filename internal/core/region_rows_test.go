@@ -229,20 +229,20 @@ func TestRowRegionMatchesSteps(t *testing.T) {
 
 // TestRowRegionCapability: every parallel lowering takes an Interior, flat or
 // sharded, and so does the ladder over one, on its primary. The reference
-// interpreter, the simulator and the ladder over the reference answer
+// interpreter and the ladder over the reference answer
 // ErrNoRowRegion — and the ladder counts no fallback for it.
 func TestRowRegionCapability(t *testing.T) {
 	g := skewedFixture(t)
 	rc := softmaxRegions(g, 8, 16, 5)[0]
 	p := MustCompile(rc.op, tvSchedule)
 	quiet := func(primary ExecBackend) *ResilientBackend {
-		rb := NewResilientBackend(primary, nil)
+		rb := NewResilientBackend(primary)
 		rb.SetLogger(nil)
 		return rb
 	}
 	referenceLadder := quiet(ReferenceBackend())
 	for name, b := range map[string]ExecBackend{
-		"reference": ReferenceBackend(), "sim": NewSimBackend(nil), "resilient over reference": referenceLadder,
+		"reference": ReferenceBackend(), "resilient over reference": referenceLadder,
 	} {
 		if _, err := b.Lower(p, g, rc.o); !errors.Is(err, ErrNoRowRegion) {
 			t.Errorf("%s: Lower of a region head returned %v, want ErrNoRowRegion", name, err)
@@ -279,7 +279,7 @@ func TestRowRegionBehindLadder(t *testing.T) {
 	for i := range want.Data {
 		want.Data[i] += 1 // the epilogue below
 	}
-	rb := NewResilientBackend(NewShardedParallelBackend(2, 1), nil)
+	rb := NewResilientBackend(NewShardedParallelBackend(2, 1))
 	rb.SetLogger(nil)
 	k, err := rb.Lower(MustCompile(rc.op, tvSchedule), g, rc.o)
 	if err != nil {

@@ -25,10 +25,9 @@ import (
 // call per kernel.
 
 // ResilientBackend wraps a primary ExecBackend with a per-kernel fallback
-// onto a secondary (reference by default).
+// onto the reference interpreter.
 type ResilientBackend struct {
 	primary   ExecBackend
-	secondary ExecBackend
 	logw      io.Writer
 	fallbacks atomic.Int64
 	// window counts fallbacks since the last Reset. Fallbacks stays
@@ -37,14 +36,11 @@ type ResilientBackend struct {
 	window atomic.Int64
 }
 
-// NewResilientBackend wraps primary with a fallback onto secondary (nil =
-// the reference interpreter). Fallbacks are logged to stderr; SetLogger
-// redirects or silences them.
-func NewResilientBackend(primary, secondary ExecBackend) *ResilientBackend {
-	if secondary == nil {
-		secondary = ReferenceBackend()
-	}
-	return &ResilientBackend{primary: primary, secondary: secondary, logw: os.Stderr}
+// NewResilientBackend wraps primary with a fallback onto the reference
+// interpreter. Fallbacks are logged to stderr; SetLogger redirects or
+// silences them.
+func NewResilientBackend(primary ExecBackend) *ResilientBackend {
+	return &ResilientBackend{primary: primary, logw: os.Stderr}
 }
 
 // Name implements ExecBackend.
@@ -60,9 +56,9 @@ func (b *ResilientBackend) SetLogger(w io.Writer) {
 	b.logw = w
 }
 
-// Fallbacks reports how many times the ladder fell back to the secondary
-// backend (lowering failures and run failures both count). The counter is
-// monotonic for the backend's lifetime; use Reset for windowed rates.
+// Fallbacks reports how many times the ladder fell back to the reference
+// interpreter (lowering failures and run failures both count). The counter
+// is monotonic for the backend's lifetime; use Reset for windowed rates.
 func (b *ResilientBackend) Fallbacks() int64 { return b.fallbacks.Load() }
 
 // Reset returns the fallbacks recorded since the previous Reset and zeroes
@@ -83,18 +79,18 @@ func (b *ResilientBackend) logf(format string, args ...any) {
 // fires — the signal that the fast path is misbehaving.
 func (b *ResilientBackend) countFallback(op string) {
 	//lint:allow hook-discipline -- fallbacks must be counted even with telemetry disabled; this is a cold error path
-	telemetry.RecordFallback(op, b.primary.Name(), b.secondary.Name())
+	telemetry.RecordFallback(op, b.primary.Name(), ReferenceBackend().Name())
 	b.window.Add(1)
 	if b.fallbacks.Add(1) == 1 {
 		b.logf("warning: first fallback from %s to %s — the primary backend is failing kernels; rerun with -trace/-metrics for details",
-			b.primary.Name(), b.secondary.Name())
+			b.primary.Name(), ReferenceBackend().Name())
 	}
 }
 
 // Lower implements ExecBackend. If the primary cannot lower the plan at
-// all, the kernel is lowered on the secondary instead (counted as a
-// fallback); otherwise the returned kernel runs on the primary and ladders
-// down per Run on *KernelError.
+// all, the kernel is lowered on the reference interpreter instead (counted
+// as a fallback); otherwise the returned kernel runs on the primary and
+// ladders down per Run on *KernelError.
 func (b *ResilientBackend) Lower(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
 	pk, err := b.primary.Lower(p, g, o)
 	if errors.Is(err, ErrNoRowRegion) {
@@ -105,8 +101,8 @@ func (b *ResilientBackend) Lower(p *Plan, g *graph.Graph, o Operands) (CompiledK
 	if err != nil {
 		b.countFallback(opLabel(p))
 		b.logf("%s backend failed to lower %s: %v; lowering on %s",
-			b.primary.Name(), opLabel(p), err, b.secondary.Name())
-		sk, serr := b.lowerSecondary(p, g, o)
+			b.primary.Name(), opLabel(p), err, ReferenceBackend().Name())
+		sk, serr := b.lowerReference(p, g, o)
 		if serr != nil {
 			return nil, serr
 		}
@@ -115,14 +111,14 @@ func (b *ResilientBackend) Lower(p *Plan, g *graph.Graph, o Operands) (CompiledK
 	return &resilientKernel{b: b, p: p, g: g, o: o, primary: pk}, nil
 }
 
-// lowerSecondary lowers on the fallback rung. The head of a row-resident
+// lowerReference lowers on the fallback rung, the reference interpreter. The head of a row-resident
 // region is lowered there as the steps it stands for, on whole tensors: the
-// secondary is the oracle, and the oracle runs the recorded program.
-func (b *ResilientBackend) lowerSecondary(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
+// reference rung is the oracle, and the oracle runs the recorded program.
+func (b *ResilientBackend) lowerReference(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
 	if o.Interior != nil {
-		return lowerUnfused(b.secondary, p, g, o)
+		return lowerUnfused(ReferenceBackend(), p, g, o)
 	}
-	return b.secondary.Lower(p, g, o)
+	return ReferenceBackend().Lower(p, g, o)
 }
 
 type resilientKernel struct {
@@ -132,14 +128,14 @@ type resilientKernel struct {
 	o       Operands
 	primary CompiledKernel
 	// primaryIsFallback marks a kernel whose "primary" is already the
-	// secondary backend (the primary backend could not even lower the plan),
-	// so there is no further rung to fall to.
+	// reference interpreter (the primary backend could not even lower the
+	// plan), so there is no further rung to fall to.
 	primaryIsFallback bool
-	// fallback is the lazily lowered secondary kernel, cached across runs.
+	// fallback is the lazily lowered reference kernel, cached across runs.
 	fallback CompiledKernel
 	// epilogue is the region epilogue bound into the primary's chunk bodies
-	// (BindEpilogue); a rerun on the secondary, which has no chunks to carry
-	// it, is followed by one application over the whole output.
+	// (BindEpilogue); a rerun on the reference rung, which has no chunks to
+	// carry it, is followed by one application over the whole output.
 	epilogue RowEpilogue
 }
 
@@ -183,9 +179,9 @@ func (k *resilientKernel) RunCtx(ctx context.Context) error {
 
 // rerun is the ladder: on a *KernelError (and only then — see the package
 // comment for why other errors pass through), log, count, and run the same
-// plan/operands on the secondary. The primary kernel is kept: a panic is
-// assumed transient until proven otherwise, so the next Run tries the fast
-// path again.
+// plan/operands on the reference interpreter. The primary kernel is kept: a
+// panic is assumed transient until proven otherwise, so the next Run tries
+// the fast path again.
 func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	var ke *KernelError
 	if !errors.As(err, &ke) {
@@ -193,9 +189,9 @@ func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	}
 	k.b.countFallback(ke.Op)
 	k.b.logf("kernel %s [%s] failed on %s: %v; retrying on %s",
-		ke.Op, ke.Strategy, ke.Backend, ke.Err, k.b.secondary.Name())
+		ke.Op, ke.Strategy, ke.Backend, ke.Err, ReferenceBackend().Name())
 	if k.fallback == nil {
-		fk, lerr := k.b.lowerSecondary(k.p, k.g, k.o)
+		fk, lerr := k.b.lowerReference(k.p, k.g, k.o)
 		if lerr != nil {
 			return fmt.Errorf("resilient fallback lowering failed: %w (after %w)", lerr, err)
 		}

@@ -17,7 +17,7 @@ import (
 // through RowRunner, in the style of EpilogueBinder; every reducing parallel
 // kernel does, flat or sharded, plain or row-resident, the region and
 // resilient wrappers pass the question on, and every other lowering
-// (reference, sim, unfused, edge-output) does not, which makes the program
+// (reference, unfused, edge-output) does not, which makes the program
 // that holds it answer a row run with a full pass.
 
 // RowRunner is implemented by lowered kernels that can produce a chosen set of
@@ -133,7 +133,7 @@ func (k *regionKernel) RunRows(ctx context.Context, rows []int32) error {
 }
 
 // RunsRows implements RowRunner for the ladder: a primary that can, unless the
-// "primary" already is the secondary's lowering.
+// "primary" already is the reference lowering.
 func (k *resilientKernel) RunsRows() bool {
 	if k.primaryIsFallback {
 		return false
@@ -143,7 +143,7 @@ func (k *resilientKernel) RunsRows() bool {
 }
 
 // RunRows implements RowRunner by the primary alone. A row run never ladders:
-// its inputs hold the closure's rows and nothing else, which the secondary,
+// its inputs hold the closure's rows and nothing else, which the reference rung,
 // a whole-tensor kernel, cannot run on. A caller that wants the ladder after
 // a *KernelError here runs the full pass.
 func (k *resilientKernel) RunRows(ctx context.Context, rows []int32) error {

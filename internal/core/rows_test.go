@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/ops"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/vec/vectest"
 )
@@ -72,8 +73,10 @@ func checkRows(t *testing.T, label string, out, want *tensor.Dense, rows []int32
 // rows asked for, the bits the flat Run writes there — sum, mean, max, the
 // scaled sum, a Dst_V operand — with a bound epilogue applied to those rows
 // once, at every worker and shard count the kernel was lowered for, on both
-// kernel sets; a sharded Run writes the flat Run's bits.
+// kernel sets; a sharded Run writes the flat Run's bits. The kernel site
+// counts the full run only.
 func TestKernelRunRowsMatchesRun(t *testing.T) {
+	t.Cleanup(telemetry.Reset)
 	g := hubFixture(t)
 	numV, numE := g.NumVertices(), g.NumEdges()
 	rng := rand.New(rand.NewSource(9))
@@ -96,6 +99,8 @@ func TestKernelRunRowsMatchesRun(t *testing.T) {
 				for _, shards := range []int{1, 4} {
 					label := fmt.Sprintf("%s workers=%d shards=%d", tc.name, workers, shards)
 					out := tensor.NewDense(numV, 24)
+					telemetry.Reset()
+					telemetry.SetEnabled(true)
 					k, err := NewShardedParallelBackend(workers, shards).Lower(MustCompile(tc.op, tvSchedule), g, Operands{A: tc.a, B: tc.b, C: tensor.Dst(out)})
 					if err != nil {
 						t.Fatal(err)
@@ -123,8 +128,8 @@ func TestKernelRunRowsMatchesRun(t *testing.T) {
 						}
 						checkRows(t, label, out, want, rows)
 					}
-					if c := k.Counters(); c.Runs != 1 {
-						t.Errorf("%s: Counters.Runs = %d after one Run and six RunRows, want 1", label, c.Runs)
+					if st := telemetry.Default().SiteStats(); len(st) != 1 || st[0].Runs != 1 {
+						t.Errorf("%s: kernel sites %+v after one Run and six RunRows, want one site with 1 run", label, st)
 					}
 				}
 			}
@@ -177,7 +182,7 @@ func TestRegionRunRowsMatchesRun(t *testing.T) {
 
 // TestWhichLoweringsRunRows pins the capability table: the row walk, flat or
 // sharded, the row-resident region, flat or sharded, and what wraps them
-// without stages say yes; edge-output, reference, sim, unfused, a region with
+// without stages say yes; edge-output, reference, unfused, a region with
 // a stage, and a ladder whose primary is already the fallback say no.
 func TestWhichLoweringsRunRows(t *testing.T) {
 	g := hubFixture(t)
@@ -198,7 +203,7 @@ func TestWhichLoweringsRunRows(t *testing.T) {
 	}
 	flat := NewShardedParallelBackend(2, 1)
 	stage := []RegionStage{func() {}}
-	failing := NewResilientBackend(failLowerBackend{}, nil)
+	failing := NewResilientBackend(failLowerBackend{})
 	failing.SetLogger(nil)
 	rc := softmaxRegions(g, 8, 16, 31)[0]
 	unfused, err := lowerUnfused(flat, MustCompile(rc.op, tvSchedule), g, rc.o)
@@ -211,9 +216,9 @@ func TestWhichLoweringsRunRows(t *testing.T) {
 		want bool
 	}{
 		{"flat row walk", lower(flat, sum, aggr()), true},
-		{"behind the ladder", lower(NewResilientBackend(flat, nil), sum, aggr()), true},
+		{"behind the ladder", lower(NewResilientBackend(flat), sum, aggr()), true},
 		{"composed region, epilogue in the chunks", ComposeRegion(lower(flat, sum, aggr()), nil, nil, "r", g), true},
-		{"ladder around a composed region", ComposeRegion(lower(NewResilientBackend(flat, nil), sum, aggr()), nil, nil, "r", g), true},
+		{"ladder around a composed region", ComposeRegion(lower(NewResilientBackend(flat), sum, aggr()), nil, nil, "r", g), true},
 		{"composed region with a staged prologue", ComposeRegion(lower(flat, sum, aggr()), stage, nil, "r", g), false},
 		{"composed region with an epilogue stage", ComposeRegion(lower(flat, sum, aggr()), nil, stage, "r", g), false},
 		{"edge-output", lower(flat, msg, Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Edge(tensor.NewDense(numE, 8))}), false},
@@ -221,7 +226,6 @@ func TestWhichLoweringsRunRows(t *testing.T) {
 		{"row-resident region", lower(flat, MustCompile(rc.op, tvSchedule), rc.o), true},
 		{"sharded row-resident region", lower(NewShardedParallelBackend(2, 4), MustCompile(rc.op, tvSchedule), rc.o), true},
 		{"reference", lower(ReferenceBackend(), sum, aggr()), false},
-		{"sim", lower(NewSimBackend(nil), sum, aggr()), false},
 		{"unfused region", unfused, false},
 		{"ladder whose primary could not lower", lower(failing, sum, aggr()), false},
 	} {
@@ -249,7 +253,7 @@ func TestRunRowsCancelPanicAndNumerics(t *testing.T) {
 	numV := g.NumVertices()
 	x := randomDense(rand.New(rand.NewSource(1)), numV, 8)
 	out := tensor.NewDense(numV, 8)
-	rb := NewResilientBackend(NewShardedParallelBackend(2, 1), nil)
+	rb := NewResilientBackend(NewShardedParallelBackend(2, 1))
 	rb.SetLogger(nil)
 	k, err := rb.Lower(MustCompile(ops.OpInfo{EdgeOp: ops.CopyLHS, GatherOp: ops.GatherSum, AKind: tensor.SrcV, CKind: tensor.DstV}, tvSchedule),
 		g, Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Dst(out)})

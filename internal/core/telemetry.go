@@ -18,8 +18,7 @@ import (
 func kernelSite(p *Plan, backendName string, g *graph.Graph) *telemetry.KernelSite {
 	//lint:allow hook-discipline -- site registration happens once at Lower time, off the Run hot path
 	return telemetry.NewKernelSite(
-		opLabel(p), p.Schedule.Strategy.Code(), p.Schedule.String(), backendName,
-		int64(g.NumVertices()), int64(g.NumEdges()))
+		opLabel(p), p.Schedule.Strategy.Code(), p.Schedule.String(), backendName, int64(g.NumEdges()))
 }
 
 // outcomeOf maps the execution layer's error taxonomy (DESIGN.md §7) onto

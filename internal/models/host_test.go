@@ -18,7 +18,7 @@ import (
 // quietLadder is the daemon's backend: a resilient ladder over the parallel
 // backend, its fallback log silenced.
 func quietLadder(workers, shards int) *core.ResilientBackend {
-	rb := core.NewResilientBackend(core.NewShardedParallelBackend(workers, shards), nil)
+	rb := core.NewResilientBackend(core.NewShardedParallelBackend(workers, shards))
 	rb.SetLogger(nil)
 	return rb
 }

@@ -49,10 +49,10 @@ type Engine interface {
 
 // BackendProvider is optionally implemented by engines that pin the host
 // compute backend functional execution runs on (reference interpreter,
-// parallel worker pool, or simulator). Engines without it use
-// core.NewParallelBackend(0). Note the separation: ScheduleFor decides the
-// simulated schedule *cost*, the compute backend only decides how the
-// functional outputs are produced.
+// parallel worker pool, or the resilient ladder over it). Engines without
+// it use core.NewParallelBackend(0). Note the separation: ScheduleFor
+// decides the simulated schedule *cost*, the compute backend only decides
+// how the functional outputs are produced.
 type BackendProvider interface {
 	ComputeBackend() core.ExecBackend
 }

@@ -176,7 +176,7 @@ func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.Compi
 				shards := cell.shards
 				var compute core.ExecBackend = core.NewShardedParallelBackend(workers, shards)
 				if cell.ladder {
-					compute = core.NewResilientBackend(compute, nil)
+					compute = core.NewResilientBackend(compute)
 				}
 				eng := &FixedEngine{
 					EngineName:   "fixed-test",

@@ -251,7 +251,7 @@ func TestStepWallTimesCoverDenseSteps(t *testing.T) {
 }
 
 // TestDecliningBackendRegistersOnlyTheRunningKernels: on a backend without a
-// row-resident lowering — the reference interpreter, the simulator — GAT
+// row-resident lowering — the reference interpreter — GAT
 // compiles twice, the first attempt stopping at the region head; the parallel
 // backend at four shards lowers the regions at the first attempt. Neither a
 // declined attempt's lowered kernels nor the inner kernels a region wraps may
@@ -259,7 +259,7 @@ func TestStepWallTimesCoverDenseSteps(t *testing.T) {
 // are exactly the graph kernels of the program that runs, each with its one
 // run.
 func TestDecliningBackendRegistersOnlyTheRunningKernels(t *testing.T) {
-	for _, be := range []core.ExecBackend{core.ReferenceBackend(), core.NewSimBackend(nil), core.NewShardedParallelBackend(2, 4)} {
+	for _, be := range []core.ExecBackend{core.ReferenceBackend(), core.NewShardedParallelBackend(2, 4)} {
 		t.Run(be.Name(), func(t *testing.T) {
 			telemetry.Reset()
 			t.Cleanup(telemetry.Reset)

@@ -186,9 +186,8 @@ func TestRowRegionCompiles(t *testing.T) {
 			region  bool
 		}{
 			{"parallel", core.NewShardedParallelBackend(2, 1), true},
-			{"resilient", core.NewResilientBackend(core.NewShardedParallelBackend(2, 1), nil), true},
+			{"resilient", core.NewResilientBackend(core.NewShardedParallelBackend(2, 1)), true},
 			{"reference", core.ReferenceBackend(), false},
-			{"sim", core.NewSimBackend(nil), false},
 			{"shards=4", core.NewShardedParallelBackend(2, 4), true},
 		} {
 			cp, err := Compile(p, g, sched, tc.backend)

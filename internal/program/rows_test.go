@@ -233,7 +233,7 @@ func TestRunRowsBehindTheLadder(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
 	for _, m := range models.All() {
-		rb := core.NewResilientBackend(core.NewShardedParallelBackend(2, 1), nil)
+		rb := core.NewResilientBackend(core.NewShardedParallelBackend(2, 1))
 		cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(rb))
 		if err != nil {
 			t.Fatal(err)

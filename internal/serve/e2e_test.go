@@ -545,7 +545,7 @@ var (
 	labelsRe    = regexp.MustCompile(`\{[^}]*\}$`)
 )
 
-// expandMetric turns a table name such as ugrapher_sim_{l1,l2}_hit_rate or
+// expandMetric turns a table name such as ugrapher_program_{arena,packed}_bytes or
 // ugrapher_step_wall_seconds{model,step} into the families it names.
 func expandMetric(name string) []string {
 	name = labelsRe.ReplaceAllString(name, "")
@@ -558,13 +558,6 @@ func expandMetric(name string) []string {
 		out = append(out, expandMetric(m[1]+alt+m[3])...)
 	}
 	return out
-}
-
-// foreignMetrics are families DESIGN.md §8 documents that the daemon never
-// exports: the GPU simulator's, which only a CLI's -backend sim runs.
-var foreignMetrics = map[string]bool{
-	"ugrapher_sim_runs_total": true, "ugrapher_sim_l1_hit_rate": true,
-	"ugrapher_sim_l2_hit_rate": true, "ugrapher_sim_cycles_last": true,
 }
 
 // TestE2EMetricsTableMatchesDaemon: DESIGN.md §8's metrics table and the
@@ -600,7 +593,7 @@ func TestE2EMetricsTableMatchesDaemon(t *testing.T) {
 		}
 	}
 	for f := range documented {
-		if !exported[f] && !foreignMetrics[f] {
+		if !exported[f] {
 			t.Errorf("DESIGN.md §8's table lists %s, which the daemon does not export", f)
 		}
 	}

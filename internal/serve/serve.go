@@ -186,7 +186,7 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	// One program, compiled on the ladder: a kernel of a full pass that fails
 	// on the parallel backend reruns on the reference interpreter. The pool
 	// is sized by GOMAXPROCS.
-	rb := core.NewResilientBackend(core.NewShardedParallelBackend(0, s.cfg.Shards), nil)
+	rb := core.NewResilientBackend(core.NewShardedParallelBackend(0, s.cfg.Shards))
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.
 	compileStart := time.Now()

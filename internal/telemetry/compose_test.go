@@ -133,7 +133,7 @@ func TestResilientFallbackSurfacesInTelemetry(t *testing.T) {
 	o := core.Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Dst(out)}
 	p := core.MustCompile(ops.AggrSum, core.Schedule{Strategy: core.ThreadEdge, Group: 1, Tile: 1})
 
-	rb := core.NewResilientBackend(core.NewParallelBackend(1), nil)
+	rb := core.NewResilientBackend(core.NewParallelBackend(1))
 	rb.SetLogger(nil)
 	k, err := rb.Lower(p, g, o)
 	if err != nil {

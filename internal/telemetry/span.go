@@ -180,13 +180,6 @@ const (
 	OutcomeError        Outcome = "error"
 )
 
-// SimSample carries the simulator metrics of one sim-backend run.
-type SimSample struct {
-	Cycles    float64
-	L1HitRate float64
-	L2HitRate float64
-}
-
 // KernelSite is the per-lowered-kernel instrumentation handle. Backends
 // create one at Lower time (compile-time cost only) so each Run records
 // through pre-resolved counters with no map lookups. A nil *KernelSite is
@@ -198,7 +191,6 @@ type KernelSite struct {
 	Strategy string
 	Schedule string
 	Backend  string
-	Vertices int64
 	Edges    int64
 	// Walk is how the host kernel traverses the graph ("row-walk",
 	// "edge-chunks"; "" for sequential backends) — set by the backend at
@@ -220,17 +212,16 @@ type KernelSite struct {
 }
 
 // NewKernelSite registers a site on the default registry.
-func NewKernelSite(op, strategy, schedule, backend string, vertices, edges int64) *KernelSite {
-	return defaultReg.NewKernelSite(op, strategy, schedule, backend, vertices, edges)
+func NewKernelSite(op, strategy, schedule, backend string, edges int64) *KernelSite {
+	return defaultReg.NewKernelSite(op, strategy, schedule, backend, edges)
 }
 
 // NewKernelSite builds and registers the instrumentation handle for one
 // lowered kernel. Safe to call with telemetry disabled; the site arms itself
 // automatically when telemetry is enabled later.
-func (r *Registry) NewKernelSite(op, strategy, schedule, backend string, vertices, edges int64) *KernelSite {
+func (r *Registry) NewKernelSite(op, strategy, schedule, backend string, edges int64) *KernelSite {
 	s := &KernelSite{
-		reg: r, Op: op, Strategy: strategy, Schedule: schedule, Backend: backend,
-		Vertices: vertices, Edges: edges,
+		reg: r, Op: op, Strategy: strategy, Schedule: schedule, Backend: backend, Edges: edges,
 		track: r.Track(backend),
 		runs:  r.Counter(Series2("ugrapher_kernel_runs_total", "backend", backend, "strategy", strategy)),
 		edges: r.Counter(Series1("ugrapher_kernel_edges_processed_total", "backend", backend)),
@@ -275,20 +266,16 @@ func (s *KernelSite) Begin() int64 {
 }
 
 // EndCtx closes a kernel run begun at start: bumps the per-strategy
-// counters, observes the latency histogram, appends the trace span, and —
-// for sim-backend runs — publishes the cache-hit gauges. The span parents
-// onto the current causal parent of the request trace carried by ctx (the
-// program step that ran it), or is a root span when ctx carries no trace.
+// counters, observes the latency histogram and appends the trace span. The
+// span parents onto the current causal parent of the request trace carried
+// by ctx (the program step that ran it), or is a root span when ctx carries
+// no trace.
 // Inert while disabled or on a nil site. The OK path allocates nothing —
 // span args are the precomputed okArgs, ids ride in the pre-sized structs.
-func (s *KernelSite) EndCtx(ctx context.Context, start int64, outcome Outcome, errText string, sim *SimSample) {
+func (s *KernelSite) EndCtx(ctx context.Context, start int64, outcome Outcome, errText string) {
 	if s == nil || !Enabled() {
 		return
 	}
-	s.endTrace(TraceOf(ctx), start, outcome, errText, sim)
-}
-
-func (s *KernelSite) endTrace(ts *TraceState, start int64, outcome Outcome, errText string, sim *SimSample) {
 	end := now()
 	if start == 0 {
 		start = end // enabled mid-run: report a zero-length span, not garbage
@@ -299,16 +286,7 @@ func (s *KernelSite) endTrace(ts *TraceState, start int64, outcome Outcome, errT
 	s.wall.Observe(dur)
 	s.nRuns.Inc()
 	s.totalNs.Add(dur)
-
-	args := s.outcomeArgs(outcome, errText, sim != nil)
-	if sim != nil {
-		s.reg.Gauge("ugrapher_sim_l1_hit_rate").Set(sim.L1HitRate)
-		s.reg.Gauge("ugrapher_sim_l2_hit_rate").Set(sim.L2HitRate)
-		s.reg.Gauge("ugrapher_sim_cycles_last").Set(sim.Cycles)
-		s.reg.Counter("ugrapher_sim_runs_total").Inc()
-		args["sim_cycles"] = formatFloat(sim.Cycles)
-	}
-	s.span(ts, start, dur, args, errText)
+	s.span(TraceOf(ctx), start, dur, s.outcomeArgs(outcome, errText), errText)
 }
 
 // EndRowsCtx closes a row-subset run of the kernel (core.RowRunner) begun at
@@ -326,15 +304,14 @@ func (s *KernelSite) EndRowsCtx(ctx context.Context, start int64, outcome Outcom
 	if start == 0 {
 		start = end
 	}
-	s.span(TraceOf(ctx), start, end-start, s.outcomeArgs(outcome, errText, false), errText)
+	s.span(TraceOf(ctx), start, end-start, s.outcomeArgs(outcome, errText), errText)
 }
 
 // outcomeArgs counts a failed run and returns the span args of a run that
-// ended in outcome. Steady state (ok, nothing to add) is the precomputed map;
-// failures, and runs whose caller will add to the args (fresh), are cold and
-// get a map of their own.
-func (s *KernelSite) outcomeArgs(outcome Outcome, errText string, fresh bool) map[string]string {
-	if outcome == OutcomeOK && !fresh {
+// ended in outcome. Steady state (ok) is the precomputed map; failures are
+// cold and get a map of their own.
+func (s *KernelSite) outcomeArgs(outcome Outcome, errText string) map[string]string {
+	if outcome == OutcomeOK {
 		return s.okArgs
 	}
 	args := map[string]string{

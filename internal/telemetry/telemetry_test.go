@@ -89,11 +89,11 @@ func TestKernelSiteRecordsRunsAndFailures(t *testing.T) {
 	t.Cleanup(Reset)
 	SetEnabled(true)
 
-	s := NewKernelSite("op.sum", "WE", "WE_G8_T4", "parallel", 100, 400)
+	s := NewKernelSite("op.sum", "WE", "WE_G8_T4", "parallel", 400)
 	start := s.Begin()
-	s.EndCtx(context.Background(), start, OutcomeOK, "", nil)
+	s.EndCtx(context.Background(), start, OutcomeOK, "")
 	start = s.Begin()
-	s.EndCtx(context.Background(), start, OutcomeKernelError, "boom", nil)
+	s.EndCtx(context.Background(), start, OutcomeKernelError, "boom")
 
 	vals := Default().CounterValues()
 	if got := vals[`ugrapher_kernel_runs_total{backend="parallel",strategy="WE"}`]; got != 2 {
@@ -130,38 +130,21 @@ func TestKernelSiteDisabledIsInert(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 
-	s := NewKernelSite("op", "TV", "TV_G1_T1", "reference", 10, 20)
+	s := NewKernelSite("op", "TV", "TV_G1_T1", "reference", 20)
 	if start := s.Begin(); start != 0 {
 		t.Errorf("disabled Begin = %d, want 0", start)
 	}
-	s.EndCtx(context.Background(), 0, OutcomeOK, "", nil)
+	s.EndCtx(context.Background(), 0, OutcomeOK, "")
 	var nilSite *KernelSite
 	if nilSite.Begin() != 0 {
 		t.Error("nil site Begin != 0")
 	}
-	nilSite.EndCtx(context.Background(), 0, OutcomeOK, "", nil) // must not panic
+	nilSite.EndCtx(context.Background(), 0, OutcomeOK, "") // must not panic
 	if evs := Default().Events(); len(evs) != 0 {
 		t.Errorf("disabled site emitted %d spans", len(evs))
 	}
 	if stats := Default().SiteStats(); len(stats) != 1 || stats[0].Runs != 0 {
 		t.Errorf("disabled site counted runs: %+v", stats)
-	}
-}
-
-func TestSimSamplePublishesGauges(t *testing.T) {
-	Reset()
-	t.Cleanup(Reset)
-	SetEnabled(true)
-
-	s := NewKernelSite("op", "WV", "WV_G2_T1", "sim", 10, 20)
-	s.EndCtx(context.Background(), s.Begin(), OutcomeOK, "", &SimSample{Cycles: 123, L1HitRate: 0.5, L2HitRate: 0.75})
-
-	gs := Default().GaugeValues()
-	if gs["ugrapher_sim_l1_hit_rate"] != 0.5 || gs["ugrapher_sim_l2_hit_rate"] != 0.75 {
-		t.Errorf("sim gauges wrong: %+v", gs)
-	}
-	if evs := Default().Events(); len(evs) != 1 || evs[0].Args["sim_cycles"] != "123" {
-		t.Errorf("sim span wrong: %+v", evs)
 	}
 }
 
@@ -214,7 +197,7 @@ func TestConcurrentRecording(t *testing.T) {
 	SetEnabled(true)
 
 	const workers, iters = 8, 200
-	site := NewKernelSite("op", "WE", "WE_G4_T2", "parallel", 50, 100)
+	site := NewKernelSite("op", "WE", "WE_G4_T2", "parallel", 100)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -224,7 +207,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				Default().Counter("concurrent_total").Inc()
 				sp := StartSpan("worker", "test", "span")
-				site.EndCtx(context.Background(), site.Begin(), OutcomeOK, "", nil)
+				site.EndCtx(context.Background(), site.Begin(), OutcomeOK, "")
 				sp.End()
 				if w == 0 && i%50 == 0 {
 					Default().Gauge("concurrent_gauge").Set(float64(i))
@@ -269,10 +252,10 @@ func TestWriteProfileMergesSites(t *testing.T) {
 	t.Cleanup(Reset)
 	SetEnabled(true)
 
-	a := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 10, 40)
-	b := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 10, 40) // same identity, second lowering
-	a.EndCtx(context.Background(), a.Begin(), OutcomeOK, "", nil)
-	b.EndCtx(context.Background(), b.Begin(), OutcomeKernelError, "x", nil)
+	a := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 40)
+	b := NewKernelSite("aggr", "WV", "WV_G2_T1", "parallel", 40) // same identity, second lowering
+	a.EndCtx(context.Background(), a.Begin(), OutcomeOK, "")
+	b.EndCtx(context.Background(), b.Begin(), OutcomeKernelError, "x")
 
 	var sb strings.Builder
 	if err := Default().WriteProfile(&sb); err != nil {

@@ -115,6 +115,8 @@ func (j *Job) Stopped() bool {
 }
 
 // Chunks reports how many chunks the last run completed.
+//
+//lint:allow unread -- workpool's inline and helper tests and core's row-region cancellation test read it
 func (j *Job) Chunks() int64 { return j.chunks.Load() }
 
 // offer asks one helper to join generation gen of job j.
