@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-generic portable-build check bench-obs bench-kernels race race-pinned stress vet faults obs lint verify serve e2e
+.PHONY: build test test-generic portable-build check bench-obs bench-kernels race race-pinned stress vet faults obs lint verify serve e2e examples
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,15 @@ define require-tests
 		$(GO) test -list "$$re" $(2) | grep -q '^Test' || { echo "no test in $(2) matches -run '$$re'"; exit 1; }; \
 	done
 endef
+
+# examples builds and runs every program under examples/ and fails on the
+# first one that exits nonzero (40-50 s on 2 CPUs, autotune and training the
+# longest). Not part of tier-1; CI runs it as its own job.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $${d%/}"; \
+		$(GO) run ./$${d%/} || { echo "examples: $${d%/} failed"; exit 1; }; \
+	done
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").

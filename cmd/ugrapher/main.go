@@ -77,6 +77,13 @@ func main() {
 	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
 	// exceeded.
 	backend, err := core.Backend(*backendName, *shards)
+	switch {
+	case err != nil:
+	case *feat < 1:
+		err = fmt.Errorf("-feat must be at least 1, got %d", *feat)
+	case *model != "" && *classes < 1:
+		err = fmt.Errorf("-classes must be at least 1, got %d", *classes)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
 		os.Exit(2)

@@ -68,6 +68,24 @@ func TestBackendAndShardsFlags(t *testing.T) {
 	}
 }
 
+// TestWidthFlags: a feature or class width below 1 is a usage error (exit 2)
+// that names the flag, caught before any tensor is shaped from it.
+func TestWidthFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-model", "GCN", "-dataset", "CO", "-feat", "-1"}, "-feat"},
+		{[]string{"-model", "GCN", "-dataset", "CO", "-classes", "-3"}, "-classes"},
+		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-feat", "-2"}, "-feat"},
+	} {
+		out, code := runCLI(t, c.args...)
+		if code != 2 || !strings.Contains(out, c.flag) || strings.Contains(out, "goroutine") {
+			t.Errorf("%v: exit %d, output %q; want exit 2 naming %s and no goroutine dump", c.args, code, out, c.flag)
+		}
+	}
+}
+
 // TestModelTimeoutCutsDenseStep drives the -model path the way main does
 // with -timeout set: a GEMM-dominated model (SageMean, hidden 256) whose
 // dense steps are split over two workers and slowed so that one pass would

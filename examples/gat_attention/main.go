@@ -28,7 +28,7 @@ func main() {
 	gat := models.NewGAT()
 
 	for _, eng := range []models.Engine{baselines.NewDGL(dev), models.NewTunedEngine(dev)} {
-		rep, err := gat.InferenceCost(g, spec.Feat, spec.Class, eng)
+		rep, err := models.InferenceCost(gat, g, spec.Feat, spec.Class, eng)
 		if err != nil {
 			log.Fatal(err)
 		}

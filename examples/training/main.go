@@ -33,7 +33,7 @@ func main() {
 	eng := models.NewTunedEngine(dev)
 	m := models.NewGCN()
 
-	fwd, err := m.InferenceCost(g, spec.Feat, spec.Class, eng)
+	fwd, err := models.InferenceCost(m, g, spec.Feat, spec.Class, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

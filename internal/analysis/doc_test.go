@@ -200,6 +200,170 @@ func TestDocumentedCLIFlagsExist(t *testing.T) {
 	}
 }
 
+// identRe matches a Go identifier a document names: a lower-case package,
+// an upper-case name, an optional member and an optional trailing * (a
+// prefix). A dot, slash or word character before the package rules out paths
+// and longer selectors.
+var identRe = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?(\*)?`)
+
+// packageDecls holds what one package's non-test files declare: top-level
+// names, and per type its methods, struct fields and interface methods.
+type packageDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+}
+
+// has reports whether name, or with prefix any name starting with it, is in
+// set.
+func has(set map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return set[name]
+	}
+	for n := range set {
+		if strings.HasPrefix(n, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// parsePackageDecls reads the declarations of the non-test files in dir.
+func parsePackageDecls(t *testing.T, dir string) packageDecls {
+	t.Helper()
+	d := packageDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.top[decl.Name.Name] = true
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					member(id.Name, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						d.top[spec.Name.Name] = true
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, field := range fields.List {
+							for _, n := range field.Names {
+								member(spec.Name.Name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// TestDocumentedIdentifiersExist: every `pkg.Name` or `pkg.Type.Member`
+// README.md or DESIGN.md shows in an inline code span, where pkg is a
+// directory under internal/, names a declaration of that package's non-test
+// files — a top-level func, type, var or const, or a method, struct field or
+// interface method of one of its types (so the shorthand `program.RunRows`
+// passes). A trailing * matches a prefix. Lower-case second parts are metric
+// names (`shard.edge_cut`) and are not checked.
+func TestDocumentedIdentifiersExist(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]packageDecls{}
+	for _, e := range entries {
+		if e.IsDir() {
+			decls[e.Name()] = parsePackageDecls(t, filepath.Join("..", "..", "internal", e.Name()))
+		}
+	}
+	if len(decls["models"].top) == 0 {
+		t.Fatal("internal/models declares nothing")
+	}
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(raw), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpanRe.FindAllStringSubmatch(line, -1) {
+				for _, m := range identRe.FindAllStringSubmatch(span[1], -1) {
+					d, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					checked++
+					name, member, prefix := m[2], m[3], m[4] == "*"
+					var found bool
+					if member != "" {
+						found = has(d.members[name], member, prefix)
+					} else {
+						found = has(d.top, name, prefix)
+						for _, set := range d.members {
+							found = found || has(set, name, prefix)
+						}
+					}
+					if !found {
+						t.Errorf("%s:%d shows `%s`: internal/%s declares no %s",
+							doc, i+1, span[1], m[1], m[0][strings.Index(m[0], m[1]+"."):])
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("README.md and DESIGN.md name no internal identifier; the scan is broken")
+	}
+}
+
 // envVarRe matches an environment variable of the repo's.
 var envVarRe = regexp.MustCompile(`UGRAPHER_[A-Z0-9]+(?:_[A-Z0-9]+)*`)
 

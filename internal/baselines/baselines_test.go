@@ -107,12 +107,12 @@ func TestUGrapherBeatsBaselinesOnGraphCycles(t *testing.T) {
 	g := testGraph(t)
 	tuned := models.NewTunedEngine(dev)
 	for _, m := range []models.Model{models.NewGCN(), models.NewGIN()} {
-		repT, err := m.InferenceCost(g, 64, 8, tuned)
+		repT, err := models.InferenceCost(m, g, 64, 8, tuned)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, base := range All(dev) {
-			repB, err := m.InferenceCost(g, 64, 8, base)
+			repB, err := models.InferenceCost(m, g, 64, 8, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +131,11 @@ func TestPyGMaterialisesMessages(t *testing.T) {
 	dgl := NewDGL(dev)
 	pyg := NewPyG(dev)
 	m := models.NewGCN()
-	repD, err := m.InferenceCost(g, 64, 8, dgl)
+	repD, err := models.InferenceCost(m, g, 64, 8, dgl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repP, err := m.InferenceCost(g, 64, 8, pyg)
+	repP, err := models.InferenceCost(m, g, 64, 8, pyg)
 	if err != nil {
 		t.Fatal(err)
 	}

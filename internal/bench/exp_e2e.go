@@ -91,7 +91,7 @@ func runE2E(o Options) ([]e2eCell, []string, error) {
 					if !baselineSupports(eng.Name(), mname) {
 						continue
 					}
-					rep, err := m.InferenceCost(h.g, h.spec.Feat, h.spec.Class, eng)
+					rep, err := models.InferenceCost(m, h.g, h.spec.Feat, h.spec.Class, eng)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -316,7 +316,7 @@ func runFig19(o Options) (*Table, error) {
 		best := 0.0
 		for _, layout := range layouts {
 			for _, eng := range []models.Engine{enginesFor(dev)[0], models.NewTunedEngine(dev)} {
-				rep, err := m.InferenceCost(layout.g, h.spec.Feat, h.spec.Class, eng)
+				rep, err := models.InferenceCost(m, layout.g, h.spec.Feat, h.spec.Class, eng)
 				if err != nil {
 					return nil, err
 				}

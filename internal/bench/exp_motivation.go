@@ -54,7 +54,7 @@ func runFig1(o Options) (*Table, error) {
 					cells[i] = -1
 					continue
 				}
-				rep, err := m.InferenceCost(h.g, h.spec.Feat, h.spec.Class, eng)
+				rep, err := models.InferenceCost(m, h.g, h.spec.Feat, h.spec.Class, eng)
 				if err != nil {
 					return nil, err
 				}

@@ -49,7 +49,7 @@ func runExtTraining(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ugFwd, err := m.InferenceCost(h.g, h.spec.Feat, h.spec.Class, ug)
+			ugFwd, err := models.InferenceCost(m, h.g, h.spec.Feat, h.spec.Class, ug)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ func TestModelsOnEdgelessGraph(t *testing.T) {
 	}
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
 	for _, m := range All() {
-		rep, err := m.InferenceCost(g, 16, 4, eng)
+		rep, err := InferenceCost(m, g, 16, 4, eng)
 		if err != nil {
 			t.Fatalf("%s cost on edgeless graph: %v", m.Name(), err)
 		}
@@ -29,7 +30,7 @@ func TestModelsOnEdgelessGraph(t *testing.T) {
 		}
 		x := tensor.NewDense(50, 16)
 		x.Fill(1)
-		out, err := m.Forward(g, x, 4, eng)
+		out, err := ForwardCtx(context.Background(), m, g, x, 4, eng)
 		if err != nil {
 			t.Fatalf("%s forward on edgeless graph: %v", m.Name(), err)
 		}
@@ -56,7 +57,7 @@ func TestModelsOnSelfLoopGraph(t *testing.T) {
 	x := tensor.NewDense(20, 8)
 	x.FillRandom(newRand(1), 1)
 	for _, m := range All() {
-		if _, err := m.Forward(g, x.Clone(), 3, eng); err != nil {
+		if _, err := ForwardCtx(context.Background(), m, g, x.Clone(), 3, eng); err != nil {
 			t.Fatalf("%s on self-loop graph: %v", m.Name(), err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
 	x := tensor.NewDense(1, 4)
 	x.Fill(2)
-	out, err := NewGCN().Forward(g, x, 2, eng)
+	out, err := ForwardCtx(context.Background(), NewGCN(), g, x, 2, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestGINEpsInfluencesOutput(t *testing.T) {
 
 	m1 := &GIN{Hidden: 16, Layers: 2, Eps: 0}
 	m2 := &GIN{Hidden: 16, Layers: 2, Eps: 5}
-	o1, err := m1.Forward(g, x.Clone(), 3, eng)
+	o1, err := ForwardCtx(context.Background(), m1, g, x.Clone(), 3, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := m2.Forward(g, x.Clone(), 3, eng)
+	o2, err := ForwardCtx(context.Background(), m2, g, x.Clone(), 3, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCostDoesNotAllocateOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
-	rep, err := NewGCN().InferenceCost(g, 512, 16, eng)
+	rep, err := InferenceCost(NewGCN(), g, 512, 16, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

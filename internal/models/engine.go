@@ -91,8 +91,10 @@ type FixedEngine struct {
 // TV_G1_T1, the owner-per-row walk, for vertex-output operators and TE_G1_T1,
 // one edge per output row, for edge-output ones — with fusion and regions on.
 // compute is the backend the kernels lower onto (nil = core.NewParallelBackend(0)).
-// The device only prices the op-by-op interpreter's cost report. Choosing
-// host schedules by timing host kernels is ROADMAP item 4(b).
+// The device only prices InferenceCost and TrainingCost reports: a fixed
+// schedule reads no device, so neither a compiled program nor ForwardCtx
+// touches it. Choosing host schedules by timing host kernels is ROADMAP item
+// 4(b).
 func NewHostEngine(compute core.ExecBackend) *FixedEngine {
 	return &FixedEngine{
 		EngineName:         "uGrapher-host",

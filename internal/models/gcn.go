@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/program"
 	"repro/internal/tensor"
@@ -38,30 +37,4 @@ func (m *GCN) run(st stage, h vt, classes int) vt {
 		h = st.unary(tag+"_bias_relu", h, 1, []program.Unary{{Kind: program.UnaryReLU}})
 	}
 	return h
-}
-
-// InferenceCost implements Model.
-func (m *GCN) InferenceCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
-	e := newExec(g, eng, false, m.Name())
-	m.run(e, vt{kind: tensor.SrcV, cols: inFeat}, classes)
-	return e.finish()
-}
-
-// Forward implements Model.
-func (m *GCN) Forward(g *graph.Graph, x *tensor.Dense, classes int, eng Engine) (*tensor.Dense, error) {
-	e := newExec(g, eng, true, m.Name())
-	h := m.run(e, e.input(x, x.Cols), classes)
-	if _, err := e.finish(); err != nil {
-		return nil, err
-	}
-	return h.data, nil
-}
-
-// trainingCost implements the models.TrainingCost extension: the same stage
-// pipeline with backward kernels charged per stage.
-func (m *GCN) trainingCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
-	e := newExec(g, eng, false, m.Name())
-	e.enableTraining()
-	m.run(e, vt{kind: tensor.SrcV, cols: inFeat}, classes)
-	return e.finish()
 }

@@ -14,22 +14,32 @@ import (
 // Hardening tests for the model layer: context-aware forward passes and
 // training epochs.
 
-func TestForwardCtxMatchesForward(t *testing.T) {
+// TestForwardCtxPricesNothing holds the functional pass to computing: an
+// engine with no device would panic in the first GEMM, elementwise or
+// graph-operator estimate, and the device may not change a logit bit.
+func TestForwardCtxPricesNothing(t *testing.T) {
 	g := smallGraph(t, 21)
-	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
 	x := tensor.NewDense(g.NumVertices(), 16)
 	x.FillRandom(rand.New(rand.NewSource(4)), 1)
+	priced := FixedEngine{
+		EngineName: "oracle", Dev: gpu.V100(),
+		AggrSchedule: core.DefaultSchedule, MsgCSchedule: core.DefaultSchedule,
+		Fuses: true, Compute: core.ReferenceBackend(),
+	}
+	deviceless := priced
+	deviceless.Dev = nil
 	for _, m := range All() {
-		want, err := m.Forward(g, x, 5, eng)
+		want, err := ForwardCtx(context.Background(), m, g, x, 5, &priced)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		got, err := ForwardCtx(context.Background(), m, g, x, 5, eng)
+		got, err := ForwardCtx(context.Background(), m, g, x, 5, &deviceless)
 		if err != nil {
-			t.Fatalf("%s: ForwardCtx: %v", m.Name(), err)
+			t.Fatalf("%s without a device: %v", m.Name(), err)
 		}
-		if !got.AllClose(want, 1e-4, 1e-4) {
-			t.Errorf("%s: ForwardCtx differs from Forward (maxdiff %v)", m.Name(), got.MaxDiff(want))
+		if i := got.BitDiff(want); i >= 0 {
+			t.Errorf("%s: logits without a device differ at element %d: %v vs %v",
+				m.Name(), i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestHostProgramLadder(t *testing.T) {
 	x := tensor.NewDense(g.NumVertices(), inFeat)
 	x.FillRandom(rand.New(rand.NewSource(11)), 1)
 	for _, m := range All() {
-		want, err := m.Forward(g, x, classes, NewHostEngine(core.ReferenceBackend()))
+		want, err := ForwardCtx(context.Background(), m, g, x, classes, NewHostEngine(core.ReferenceBackend()))
 		if err != nil {
 			t.Fatal(err)
 		}

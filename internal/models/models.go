@@ -2,14 +2,15 @@
 // GraphSage with sum/max/mean aggregators (§6 "Benchmarks") — as pipelines
 // of dense operators and uGrapher graph operators.
 //
-// Each model runs through an Engine, which decides the schedule of every
-// graph operator: the uGrapher engines tune or predict per operator and
-// dataset, while the baseline engines (internal/baselines) use the fixed
-// strategies of DGL, PyG and GNNAdvisor. Models execute in two modes:
-// functional (real tensors, used by tests and examples) and cost-only
-// (shapes only, used by the end-to-end experiments of Figs. 13-15, where
-// the large datasets make full dense arithmetic in Go pointless — the
-// simulated metrics depend only on shapes and graph structure).
+// Each model is written once, as a run method over the stage interface, and
+// the package drives that one pipeline three ways: InferenceCost and
+// TrainingCost price it (shapes only, simulated cycles through the engine's
+// schedules — the end-to-end experiments of Figs. 13-15), ForwardCtx
+// computes it op by op on real tensors (the oracle tests and examples check
+// against), and Record records it as a program for CompileModel. The Engine
+// decides the schedule of every graph operator: the uGrapher engines tune or
+// predict per operator and dataset, while the baseline engines
+// (internal/baselines) use the fixed strategies of DGL, PyG and GNNAdvisor.
 package models
 
 import (
@@ -86,20 +87,16 @@ type CostReport struct {
 	PerOp  []OpCost
 }
 
-// Model is one benchmark GNN.
+// Model is one benchmark GNN: a name and its stage pipeline. The package
+// functions InferenceCost, TrainingCost, ForwardCtx and Record drive it.
 type Model interface {
 	Name() string
-	// InferenceCost estimates end-to-end inference cycles for a graph with
-	// the given input feature width and output classes.
-	InferenceCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error)
-	// Forward runs real inference on (small) inputs, returning per-vertex
-	// logits. Weights are deterministic pseudo-random per model.
-	Forward(g *graph.Graph, x *tensor.Dense, classes int, eng Engine) (*tensor.Dense, error)
+	run(st stage, h vt, classes int) vt
 }
 
-// exec is the shared execution context: it chains tensors through dense and
-// graph stages, computing real values only in functional mode, and always
-// accumulating simulated cost.
+// exec is the op-by-op stage. In functional mode it computes real tensors on
+// the engine's compute backend and prices nothing; otherwise it computes
+// nothing and accumulates simulated cost from shapes.
 type exec struct {
 	g          *graph.Graph
 	eng        Engine
@@ -114,27 +111,12 @@ type exec struct {
 	err        error
 }
 
-func newExec(g *graph.Graph, eng Engine, functional bool, model string) *exec {
-	e := &exec{
-		g: g, eng: eng, dev: eng.Device(),
-		ctx:        context.Background(),
-		functional: functional,
-		rng:        rand.New(rand.NewSource(1234)),
-		report:     CostReport{Model: model, Engine: eng.Name()},
-	}
-	// A cost-only pass lowers nothing, so it resolves no host backend.
-	if functional {
-		e.backend = computeBackend(eng)
-	}
-	return e
-}
-
 // stage is the model-building vocabulary: every model's run method drives a
-// stage, and two implementations exist — exec (this file), which interprets
-// the pipeline op by op, and recorder (program.go), which records it as a
-// program.Program for whole-model compilation. Keeping one run method per
-// model guarantees the two paths see identical stage sequences, weights and
-// edge scalars.
+// stage, and two implementations exist — exec (this file), which computes
+// (ForwardCtx) or prices (InferenceCost, TrainingCost) the pipeline op by op,
+// and recorder (program.go), which records it as a program.Program for
+// whole-model compilation. Keeping one run method per model guarantees every
+// driver sees identical stage sequences, weights and edge scalars.
 type stage interface {
 	// fused reports whether aggregations run as single fused kernels; the
 	// recorder always answers false (programs record the decomposed form and
@@ -170,26 +152,17 @@ func (e *exec) rows(kind tensor.Kind) int {
 	return e.g.NumVertices()
 }
 
-// input wraps the caller-provided feature matrix.
-func (e *exec) input(x *tensor.Dense, cols int) vt {
-	return vt{kind: tensor.SrcV, cols: cols, data: x}
-}
-
-// weights materialises a deterministic random weight matrix in functional
-// mode.
-func (e *exec) weights(k, n int) *tensor.Dense {
-	if !e.functional {
-		return nil
-	}
-	w := tensor.NewDense(k, n)
-	w.FillRandom(e.rng, 0.5)
-	return w
-}
-
-// gemm applies a dense linear transform t @ W[k x n].
+// gemm applies a dense linear transform t @ W[k x n], W deterministic random.
 func (e *exec) gemm(name string, t vt, n int) vt {
 	if e.err != nil {
 		return vt{}
+	}
+	out := vt{kind: t.kind, cols: n}
+	if e.functional {
+		w := tensor.NewDense(t.cols, n)
+		w.FillRandom(e.rng, 0.5)
+		out.data = tensor.MatMul(t.data, w)
+		return out
 	}
 	rows := e.rows(t.kind)
 	cycles := gpu.GEMMCycles(e.dev, rows, t.cols, n)
@@ -198,11 +171,6 @@ func (e *exec) gemm(name string, t vt, n int) vt {
 	if e.training {
 		e.chargeGEMMBackward(name, rows, t.cols, n)
 	}
-	out := vt{kind: t.kind, cols: n}
-	if e.functional {
-		w := e.weights(t.cols, n)
-		out.data = tensor.MatMul(t.data, w)
-	}
 	return out
 }
 
@@ -210,8 +178,12 @@ func (e *exec) gemm(name string, t vt, n int) vt {
 func (e *exec) fused() bool { return e.eng.Fused() }
 
 // chargeElementwise accounts one streaming op over n elements with `reads`
-// extra operand streams (plus the backward twin in training mode).
+// extra operand streams (plus the backward twin in training mode). A
+// functional exec charges nothing.
 func (e *exec) chargeElementwise(name string, n, reads int) {
+	if e.functional {
+		return
+	}
 	cycles := gpu.ElementwiseCycles(e.dev, n, reads)
 	e.report.PerOp = append(e.report.PerOp, OpCost{Name: name, Kind: "dense", Cycles: cycles})
 	e.report.Dense += cycles
@@ -221,8 +193,8 @@ func (e *exec) chargeElementwise(name string, n, reads int) {
 	}
 }
 
-// unary charges a streaming elementwise chain over t (relu, bias+relu,
-// leaky-relu+exp, ...), applying it in place in functional mode.
+// unary applies a streaming elementwise chain over t in place (relu,
+// bias+relu, leaky-relu+exp, ...), or charges it.
 func (e *exec) unary(name string, t vt, reads int, chain []program.Unary) vt {
 	if e.err != nil {
 		return vt{}
@@ -236,20 +208,20 @@ func (e *exec) unary(name string, t vt, reads int, chain []program.Unary) vt {
 	return t
 }
 
-// addScaled charges and computes t += scale*other in place on t.
+// addScaled computes t += scale*other in place on t, or charges it.
 func (e *exec) addScaled(name string, t, other vt, scale float32) vt {
 	if e.err != nil {
 		return vt{}
 	}
 	e.chargeElementwise(name, e.rows(t.kind)*t.cols, 1)
-	if e.functional && other.data != nil {
+	if e.functional {
 		tensor.AddScaledInto(t.data, t.data, other.data, scale)
 	}
 	return t
 }
 
-// headMerge charges one read-reduce stream over t and produces its per-row
-// column mean as a width-1 tensor.
+// headMerge produces t's per-row column mean as a width-1 tensor, or charges
+// one read-reduce stream over t.
 func (e *exec) headMerge(name string, t vt) vt {
 	if e.err != nil {
 		return vt{}
@@ -276,8 +248,10 @@ func (e *exec) concat(name string, a, b vt) vt {
 	return out
 }
 
-// graphOp runs one graph operator through the engine's schedule.
-// a and b become the A/B operands (b may be the zero vt for Null).
+// graphOp runs one graph operator under the engine's schedule, or prices it
+// there. a and b become the A/B operands (b may be the zero vt for Null).
+// The functional pass asks for the schedule too: the reference
+// interpreter's traversal, and so its rounding, follows it.
 func (e *exec) graphOp(name string, op ops.OpInfo, a, b vt, outCols int) vt {
 	if e.err != nil {
 		return vt{}
@@ -291,21 +265,6 @@ func (e *exec) graphOp(name string, op ops.OpInfo, a, b vt, outCols int) vt {
 	}
 	op.Name = name
 	sched := e.eng.ScheduleFor(task)
-	metrics, err := core.Estimate(e.g, op, outCols, task.ACols, task.BCols, sched, e.dev,
-		gpu.WithMaxSampledBlocks(96))
-	if err != nil {
-		e.err = fmt.Errorf("models: %s: %w", name, err)
-		return vt{}
-	}
-	metrics.Cycles += e.eng.GraphOpOverheadCycles()
-	e.report.PerOp = append(e.report.PerOp, OpCost{
-		Name: name, Kind: "graph", Cycles: metrics.Cycles, Schedule: sched, Metrics: metrics,
-	})
-	e.report.Graph += metrics.Cycles
-	if e.training {
-		e.chargeGraphBackward(name, op, outCols, task.ACols, task.BCols)
-	}
-
 	out := vt{kind: op.CKind, cols: outCols}
 	if e.functional {
 		out.data = tensor.NewDense(e.rows(op.CKind), outCols)
@@ -329,6 +288,21 @@ func (e *exec) graphOp(name string, op ops.OpInfo, a, b vt, outCols int) vt {
 			e.err = err
 			return vt{}
 		}
+		return out
+	}
+	metrics, err := core.Estimate(e.g, op, outCols, task.ACols, task.BCols, sched, e.dev,
+		gpu.WithMaxSampledBlocks(96))
+	if err != nil {
+		e.err = fmt.Errorf("models: %s: %w", name, err)
+		return vt{}
+	}
+	metrics.Cycles += e.eng.GraphOpOverheadCycles()
+	e.report.PerOp = append(e.report.PerOp, OpCost{
+		Name: name, Kind: "graph", Cycles: metrics.Cycles, Schedule: sched, Metrics: metrics,
+	})
+	e.report.Graph += metrics.Cycles
+	if e.training {
+		e.chargeGraphBackward(name, op, outCols, task.ACols, task.BCols)
 	}
 	return out
 }
@@ -337,15 +311,6 @@ func (e *exec) graphOp(name string, op ops.OpInfo, a, b vt, outCols int) vt {
 func asKind(t vt, kind tensor.Kind) vt {
 	t.kind = kind
 	return t
-}
-
-// finish seals the report.
-func (e *exec) finish() (CostReport, error) {
-	if e.err != nil {
-		return CostReport{}, e.err
-	}
-	e.report.Total = e.report.Graph + e.report.Dense
-	return e.report, nil
 }
 
 // All returns the paper's six benchmark models (§6): GCN, GIN, GAT, and the
@@ -357,23 +322,42 @@ func All() []Model {
 	}
 }
 
-// ForwardCtx is Model.Forward with cancellation: ctx is checked by every
-// graph kernel at its backend's granularity, so a deadline interrupts a
-// forward pass mid-model. Models that do not expose their stage pipeline
-// fall back to an uncancellable Forward.
+// InferenceCost prices one inference pass of m through eng for a graph with
+// inFeat input features and classes output classes: shapes only, simulated
+// cycles per operator under the engine's schedules.
+func InferenceCost(m Model, g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
+	return price(m, g, inFeat, classes, eng, false)
+}
+
+// price runs m's pipeline on a pricing exec; training adds every stage's
+// backward kernels.
+func price(m Model, g *graph.Graph, inFeat, classes int, eng Engine, training bool) (CostReport, error) {
+	e := &exec{
+		g: g, eng: eng, dev: eng.Device(), training: training,
+		report: CostReport{Model: m.Name(), Engine: eng.Name()},
+	}
+	m.run(e, vt{kind: tensor.SrcV, cols: inFeat}, classes)
+	if e.err != nil {
+		return CostReport{}, e.err
+	}
+	e.report.Total = e.report.Graph + e.report.Dense
+	return e.report, nil
+}
+
+// ForwardCtx runs real inference of m on x through eng's schedules and
+// compute backend, op by op, returning per-vertex logits; weights are
+// deterministic per model and identical to the ones Record embeds. It is the
+// oracle compiled programs are checked against, and it computes only: no
+// operator is priced. ctx is checked by every graph kernel at its backend's
+// granularity, so a deadline interrupts a pass mid-model.
 func ForwardCtx(ctx context.Context, m Model, g *graph.Graph, x *tensor.Dense, classes int, eng Engine) (*tensor.Dense, error) {
-	type runner interface {
-		run(st stage, h vt, classes int) vt
+	e := &exec{
+		g: g, eng: eng, dev: eng.Device(), backend: computeBackend(eng), ctx: ctx,
+		functional: true, rng: rand.New(rand.NewSource(1234)),
 	}
-	rm, ok := m.(runner)
-	if !ok {
-		return m.Forward(g, x, classes, eng)
-	}
-	e := newExec(g, eng, true, m.Name())
-	e.ctx = ctx
-	h := rm.run(e, e.input(x, x.Cols), classes)
-	if _, err := e.finish(); err != nil {
-		return nil, err
+	h := m.run(e, vt{kind: tensor.SrcV, cols: x.Cols, data: x}, classes)
+	if e.err != nil {
+		return nil, e.err
 	}
 	return h.data, nil
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -68,7 +69,7 @@ func TestInferenceCostAllModels(t *testing.T) {
 	g := smallGraph(t, 1)
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
 	for _, m := range All() {
-		rep, err := m.InferenceCost(g, 64, 7, eng)
+		rep, err := InferenceCost(m, g, 64, 7, eng)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -93,7 +94,7 @@ func TestForwardAllModelsShapes(t *testing.T) {
 	x := tensor.NewDense(g.NumVertices(), 32)
 	x.FillRandom(rand.New(rand.NewSource(3)), 1)
 	for _, m := range All() {
-		out, err := m.Forward(g, x, 5, eng)
+		out, err := ForwardCtx(context.Background(), m, g, x, 5, eng)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -128,7 +129,7 @@ func TestForwardScheduleInvariance(t *testing.T) {
 			{Strategy: core.WarpEdge, Group: 4, Tile: 2},
 		} {
 			eng := fixedTestEngine{dev: gpu.V100(), sched: sched, fused: true}
-			out, err := m.Forward(g, x.Clone(), 4, eng)
+			out, err := ForwardCtx(context.Background(), m, g, x.Clone(), 4, eng)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", m.Name(), sched, err)
 			}
@@ -154,11 +155,11 @@ func TestFusionDecomposition(t *testing.T) {
 	unfused := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: false}
 
 	m := NewGCN()
-	outF, err := m.Forward(g, x.Clone(), 4, fused)
+	outF, err := ForwardCtx(context.Background(), m, g, x.Clone(), 4, fused)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outU, err := m.Forward(g, x.Clone(), 4, unfused)
+	outU, err := ForwardCtx(context.Background(), m, g, x.Clone(), 4, unfused)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestFusionDecomposition(t *testing.T) {
 		t.Fatalf("fusion changed values: maxdiff %v", outF.MaxDiff(outU))
 	}
 
-	repF, err := m.InferenceCost(g, 16, 4, fused)
+	repF, err := InferenceCost(m, g, 16, 4, fused)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repU, err := m.InferenceCost(g, 16, 4, unfused)
+	repU, err := InferenceCost(m, g, 16, 4, unfused)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestSageGEMMShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
-	gcn, err := NewGCN().InferenceCost(g, 128, 8, eng)
+	gcn, err := InferenceCost(NewGCN(), g, 128, 8, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smax, err := NewSage(ops.GatherMax).InferenceCost(g, 128, 8, eng)
+	smax, err := InferenceCost(NewSage(ops.GatherMax), g, 128, 8, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +237,11 @@ func TestTunedEngineBeatsFixedOnCost(t *testing.T) {
 	tuned := NewTunedEngine(dev)
 	fixed := fixedTestEngine{dev: dev, sched: core.Schedule{Strategy: core.ThreadVertex, Group: 1, Tile: 1}, fused: true}
 	m := NewGCN()
-	repT, err := m.InferenceCost(g, 64, 8, tuned)
+	repT, err := InferenceCost(m, g, 64, 8, tuned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repF, err := m.InferenceCost(g, 64, 8, fixed)
+	repF, err := InferenceCost(m, g, 64, 8, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}

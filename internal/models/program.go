@@ -1,7 +1,6 @@
 package models
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -79,19 +78,12 @@ func (r *recorder) graphOp(name string, op ops.OpInfo, a, b vt, outCols int) vt 
 // Record replays m's forward pass through a recorder and returns the
 // whole-model program for a graph with inCols input features and `classes`
 // output classes. The program embeds deterministic weights identical to the
-// ones Forward draws.
+// ones ForwardCtx draws.
 func Record(m Model, g *graph.Graph, inCols, classes int) (*program.Program, error) {
-	type runner interface {
-		run(st stage, h vt, classes int) vt
-	}
-	rm, ok := m.(runner)
-	if !ok {
-		return nil, fmt.Errorf("models: model %q does not support program recording", m.Name())
-	}
 	b := program.NewBuilder(m.Name(), inCols, classes)
 	r := &recorder{g: g, b: b, rng: rand.New(rand.NewSource(1234))}
 	in := b.Input(inCols)
-	h := rm.run(r, vt{kind: tensor.SrcV, cols: inCols, val: in}, classes)
+	h := m.run(r, vt{kind: tensor.SrcV, cols: inCols, val: in}, classes)
 	b.SetOutput(h.val)
 	return b.Finish()
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestCompiledMatchesForward is the golden equivalence suite: for every
-// model, the compiled program must reproduce the interpreter's Forward
+// model, the compiled program must reproduce the interpreter's ForwardCtx
 // within 1e-4, under the tuned uGrapher engine on the host backends (reference and parallel).
 func TestCompiledMatchesForward(t *testing.T) {
 	g := smallGraph(t, 21)
@@ -43,9 +44,9 @@ func TestCompiledMatchesForward(t *testing.T) {
 		for _, ec := range engines {
 			for _, b := range backends {
 				eng := ec.mk(b)
-				want, err := m.Forward(g, x, classes, eng)
+				want, err := ForwardCtx(context.Background(), m, g, x, classes, eng)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: Forward: %v", m.Name(), ec.name, b.Name(), err)
+					t.Fatalf("%s/%s/%s: ForwardCtx: %v", m.Name(), ec.name, b.Name(), err)
 				}
 				cp, err := CompileModel(m, g, inFeat, classes, eng)
 				if err != nil {
@@ -87,7 +88,7 @@ func TestCompiledMatchesForwardUnfused(t *testing.T) {
 			Compute:      core.ReferenceBackend(),
 		}
 		for _, m := range All() {
-			want, err := m.Forward(g, x, classes, eng)
+			want, err := ForwardCtx(context.Background(), m, g, x, classes, eng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +349,7 @@ func TestTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Forward(g, tensorOnes(g.NumVertices(), inFeat), classes, eng)
+	want, err := ForwardCtx(context.Background(), m, g, tensorOnes(g.NumVertices(), inFeat), classes, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestTrainer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !logits.AllClose(want, 1e-4, 1e-4) {
-			t.Fatalf("epoch %d logits diverge from Forward (maxdiff %v)", e, logits.MaxDiff(want))
+			t.Fatalf("epoch %d logits diverge from ForwardCtx (maxdiff %v)", e, logits.MaxDiff(want))
 		}
 	}
 	if tr.Epochs() != 3 {

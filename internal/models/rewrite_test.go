@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,10 +37,10 @@ func TestDenseRewritesAcrossModels(t *testing.T) {
 	g := denseGraph(t, 47)
 	const inFeat, classes = 64, 7
 	x := poolInput(g, inFeat)
-	ref := regionEngine(false) // the reference backend: Forward interprets op by op
+	ref := regionEngine(false) // the reference backend: ForwardCtx interprets op by op
 	defer program.SetParallelSteps(false)
 	for _, m := range All() {
-		want, err := m.Forward(g, x, classes, ref)
+		want, err := ForwardCtx(context.Background(), m, g, x, classes, ref)
 		if err != nil {
 			t.Fatal(err)
 		}

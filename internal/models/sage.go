@@ -3,10 +3,8 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/program"
-	"repro/internal/tensor"
 )
 
 // Sage is GraphSage (Hamilton et al.) with its original hidden width 256 and
@@ -54,30 +52,4 @@ func (m *Sage) run(st stage, h vt, classes int) vt {
 		h = st.unary(tag+"_relu", h, 0, []program.Unary{{Kind: program.UnaryReLU}})
 	}
 	return h
-}
-
-// InferenceCost implements Model.
-func (m *Sage) InferenceCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
-	e := newExec(g, eng, false, m.Name())
-	m.run(e, vt{kind: tensor.SrcV, cols: inFeat}, classes)
-	return e.finish()
-}
-
-// Forward implements Model.
-func (m *Sage) Forward(g *graph.Graph, x *tensor.Dense, classes int, eng Engine) (*tensor.Dense, error) {
-	e := newExec(g, eng, true, m.Name())
-	h := m.run(e, e.input(x, x.Cols), classes)
-	if _, err := e.finish(); err != nil {
-		return nil, err
-	}
-	return h.data, nil
-}
-
-// trainingCost implements the models.TrainingCost extension: the same stage
-// pipeline with backward kernels charged per stage.
-func (m *Sage) trainingCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
-	e := newExec(g, eng, false, m.Name())
-	e.enableTraining()
-	m.run(e, vt{kind: tensor.SrcV, cols: inFeat}, classes)
-	return e.finish()
 }

@@ -23,11 +23,6 @@ import (
 // and get their own tuned schedules (on a graph whose degree distribution
 // is the transpose's).
 
-// enableTraining switches the context to also charge backward costs.
-func (e *exec) enableTraining() {
-	e.training = true
-}
-
 // reversedGraph lazily materialises the transpose.
 func (e *exec) reversedGraph() *graph.Graph {
 	if e.reversed == nil {
@@ -170,24 +165,10 @@ func (t *Trainer) StepCost() CostReport { return t.stepCost }
 func (t *Trainer) Compiled() *program.CompiledProgram { return t.compiled }
 
 // TrainingCost estimates one training step (forward + backward) of a model
-// through an engine. Optimiser update cost (elementwise over parameters) is
-// negligible for GNN-sized weights and not charged.
+// through an engine: the same stage pipeline InferenceCost prices, with each
+// stage's backward kernels charged beside it. Optimiser update cost
+// (elementwise over parameters) is negligible for GNN-sized weights and not
+// charged.
 func TrainingCost(m Model, g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error) {
-	type trainer interface {
-		trainingCost(g *graph.Graph, inFeat, classes int, eng Engine) (CostReport, error)
-	}
-	tm, ok := m.(trainer)
-	if !ok {
-		// Generic fallback: forward cost plus a conservative 2x for the
-		// backward pass.
-		rep, err := m.InferenceCost(g, inFeat, classes, eng)
-		if err != nil {
-			return CostReport{}, err
-		}
-		rep.Total *= 3
-		rep.Graph *= 3
-		rep.Dense *= 3
-		return rep, nil
-	}
-	return tm.trainingCost(g, inFeat, classes, eng)
+	return price(m, g, inFeat, classes, eng, true)
 }

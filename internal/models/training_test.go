@@ -14,7 +14,7 @@ func TestTrainingCostAllModels(t *testing.T) {
 	g := smallGraph(t, 31)
 	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
 	for _, m := range All() {
-		fwd, err := m.InferenceCost(g, 32, 4, eng)
+		fwd, err := InferenceCost(m, g, 32, 4, eng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // TestWaveParallelMatchesReference is the wave-execution equivalence suite:
 // for every model, wave-parallel execution must match both the sequential
-// compiled run and the interpreter's reference Forward within 1e-4, across
+// compiled run and the interpreter's reference ForwardCtx within 1e-4, across
 // the tuned engine and the reference/parallel/sharded
 // backends at 1 and 4 shards.
 func TestWaveParallelMatchesReference(t *testing.T) {
@@ -43,9 +44,9 @@ func TestWaveParallelMatchesReference(t *testing.T) {
 		for _, ec := range engines {
 			for _, b := range backends {
 				eng := ec.mk(b)
-				ref, err := m.Forward(g, x, classes, eng)
+				ref, err := ForwardCtx(context.Background(), m, g, x, classes, eng)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: Forward: %v", m.Name(), ec.name, b.Name(), err)
+					t.Fatalf("%s/%s/%s: ForwardCtx: %v", m.Name(), ec.name, b.Name(), err)
 				}
 				cp, err := CompileModel(m, g, inFeat, classes, eng)
 				if err != nil {

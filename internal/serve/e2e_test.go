@@ -184,7 +184,7 @@ func getStatus(t *testing.T, d *daemon, path string) int {
 }
 
 // oracleLogits recomputes, in this process, what the daemon must serve:
-// the reference interpreter's Forward with the daemon's seeds (features
+// the reference interpreter's ForwardCtx with the daemon's seeds (features
 // 42, model weights 1234) on the same dataset/shape defaults.
 func oracleLogits(t *testing.T, model string) *tensor.Dense {
 	t.Helper()
@@ -200,7 +200,7 @@ func oracleLogits(t *testing.T, model string) *tensor.Dense {
 	x.FillRandom(rand.New(rand.NewSource(42)), 1)
 	eng := models.NewTunedEngine(gpu.V100())
 	eng.Compute = core.ReferenceBackend()
-	want, err := m.Forward(g, x, 8, eng)
+	want, err := models.ForwardCtx(context.Background(), m, g, x, 8, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -71,7 +72,7 @@ func TestRequestRunsItsClosure(t *testing.T) {
 	x := tensor.NewDense(g.NumVertices(), 16)
 	x.FillRandom(rand.New(rand.NewSource(9)), 1)
 	gcn, _ := models.ByName("GCN")
-	want, err := gcn.Forward(g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
+	want, err := models.ForwardCtx(context.Background(), gcn, g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 	want := map[string][2]*tensor.Dense{}
 	for _, name := range []string{"GCN", "GAT"} {
 		m, _ := models.ByName(name)
-		onCustom, err := m.Forward(g, custom, 8, models.NewHostEngine(core.ReferenceBackend()))
+		onCustom, err := models.ForwardCtx(context.Background(), m, g, custom, 8, models.NewHostEngine(core.ReferenceBackend()))
 		if err != nil {
 			t.Fatal(err)
 		}

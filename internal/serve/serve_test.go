@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -86,7 +87,7 @@ func postInfer(t *testing.T, url string, req inferRequest) (int, inferResponse, 
 }
 
 // referenceLogits computes the oracle output the served model must match:
-// the interpreter's Forward on the reference backend, with the same seeds
+// the interpreter's ForwardCtx on the reference backend, with the same seeds
 // the server uses (features 42, weights 1234).
 func referenceLogits(t *testing.T, model, dataset string, feat, classes int) *tensor.Dense {
 	t.Helper()
@@ -100,7 +101,7 @@ func referenceLogits(t *testing.T, model, dataset string, feat, classes int) *te
 	}
 	x := tensor.NewDense(g.NumVertices(), feat)
 	x.FillRandom(rand.New(rand.NewSource(42)), 1)
-	want, err := m.Forward(g, x, classes, models.NewHostEngine(core.ReferenceBackend()))
+	want, err := models.ForwardCtx(context.Background(), m, g, x, classes, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestInferMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onOnes, err := m.Forward(g, ones, 8, models.NewHostEngine(core.ReferenceBackend()))
+	onOnes, err := models.ForwardCtx(context.Background(), m, g, ones, 8, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestCustomFeaturesRunSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Forward(g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
+	want, err := models.ForwardCtx(context.Background(), m, g, x, 8, models.NewHostEngine(core.ReferenceBackend()))
 	if err != nil {
 		t.Fatal(err)
 	}
