@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-generic portable-build check bench-obs bench-kernels race race-pinned stress vet faults obs lint verify serve e2e examples
+.PHONY: build test test-generic portable-build check bench-obs bench-kernels race race-pinned stress vet faults obs lint verify serve e2e examples fuzz
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,15 @@ examples:
 		echo "examples: $${d%/}"; \
 		$(GO) run ./$${d%/} || { echo "examples: $${d%/} failed"; exit 1; }; \
 	done
+
+# fuzz runs the daemon's two request-body fuzzers for 30 s each:
+# FuzzDecodeInfer holds the one-pass /v1/infer decoder to encoding/json on
+# arbitrary bodies (DESIGN.md §13, "Admission"), FuzzInferBody drives the
+# whole handler. A failing input lands in internal/serve/testdata/fuzz/; keep
+# it. Not part of tier-1; CI runs it as its own job.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInfer$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzInferBody$$' -fuzztime 30s ./internal/serve/
 
 # serve runs the HTTP inference daemon (GCN on CO at :8080 by default;
 # see cmd/ugrapher-serve for flags and README "Serving quick-start").

@@ -77,12 +77,19 @@ func main() {
 	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
 	// exceeded.
 	backend, err := core.Backend(*backendName, *shards)
+	var sched *core.Schedule // nil: tune automatically
 	switch {
 	case err != nil:
 	case *feat < 1:
 		err = fmt.Errorf("-feat must be at least 1, got %d", *feat)
 	case *model != "" && *classes < 1:
 		err = fmt.Errorf("-classes must be at least 1, got %d", *classes)
+	case *schedText != "":
+		s, perr := core.ParseSchedule(*schedText)
+		if perr != nil {
+			err = fmt.Errorf("-schedule: %v", perr)
+		}
+		sched = &s
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ugrapher: %v\n", err)
@@ -101,7 +108,7 @@ func main() {
 	if *model != "" {
 		err = runModel(ctx, backend, *dataset, *graphFile, *model, *feat, *classes, *runs, *noCompile, *verify, *profile)
 	} else {
-		err = run(ctx, backend, *dataset, *graphFile, *opName, *feat, *gpuName, *schedText, *tune, *top, *source, *verify)
+		err = run(ctx, backend, *dataset, *graphFile, *opName, *feat, *gpuName, sched, *tune, *top, *source, *verify)
 	}
 	// Telemetry outputs are written even when the run failed, so a trace of
 	// the failure (failed spans, fallback events) is never lost.
@@ -291,7 +298,7 @@ func loadGraph(dataset, graphFile string) (*graph.Graph, error) {
 	}
 }
 
-func run(ctx context.Context, backend core.ExecBackend, dataset, graphFile, opName string, feat int, gpuName, schedText string, tune bool, top int, source, verify bool) error {
+func run(ctx context.Context, backend core.ExecBackend, dataset, graphFile, opName string, feat int, gpuName string, sched *core.Schedule, tune bool, top int, source, verify bool) error {
 	g, err := loadGraph(dataset, graphFile)
 	if err != nil {
 		return err
@@ -319,26 +326,22 @@ func run(ctx context.Context, backend core.ExecBackend, dataset, graphFile, opNa
 			m.L1HitRate, m.L2HitRate, m.NumBlocks, m.AtomicTransactions, m.BoundBy)
 	}
 
-	if schedText != "" {
-		sched, err := core.ParseSchedule(schedText)
-		if err != nil {
-			return err
-		}
-		c, err := schedule.Evaluate(task, sched)
+	if sched != nil {
+		c, err := schedule.Evaluate(task, *sched)
 		if err != nil {
 			return err
 		}
 		report("run:", c)
 		if verify {
-			if err := verifyPlanReport(entry.Info, sched); err != nil {
+			if err := verifyPlanReport(entry.Info, *sched); err != nil {
 				return err
 			}
 		}
-		if err := timeFunctional(ctx, backend, g, entry.Info, feat, sched); err != nil {
+		if err := timeFunctional(ctx, backend, g, entry.Info, feat, *sched); err != nil {
 			return err
 		}
 		if source {
-			printSource(entry.Info, sched)
+			printSource(entry.Info, *sched)
 		}
 		if !tune {
 			return nil

@@ -68,8 +68,9 @@ func TestBackendAndShardsFlags(t *testing.T) {
 	}
 }
 
-// TestWidthFlags: a feature or class width below 1 is a usage error (exit 2)
-// that names the flag, caught before any tensor is shaped from it.
+// TestWidthFlags: a feature or class width below 1, or a schedule that does
+// not parse, is a usage error (exit 2) that names the flag, caught before any
+// tensor is shaped from it.
 func TestWidthFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -78,6 +79,9 @@ func TestWidthFlags(t *testing.T) {
 		{[]string{"-model", "GCN", "-dataset", "CO", "-feat", "-1"}, "-feat"},
 		{[]string{"-model", "GCN", "-dataset", "CO", "-classes", "-3"}, "-classes"},
 		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-feat", "-2"}, "-feat"},
+		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-schedule", "XX_G0"}, "-schedule"},
+		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-schedule", "TV_G0_T1"}, "-schedule"},
+		{[]string{"-op", "u_mul_e.sum", "-dataset", "CO", "-schedule", "WE_G-4_T1"}, "-schedule"},
 	} {
 		out, code := runCLI(t, c.args...)
 		if code != 2 || !strings.Contains(out, c.flag) || strings.Contains(out, "goroutine") {

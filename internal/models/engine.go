@@ -93,8 +93,8 @@ type FixedEngine struct {
 // compute is the backend the kernels lower onto (nil = core.NewParallelBackend(0)).
 // The device only prices InferenceCost and TrainingCost reports: a fixed
 // schedule reads no device, so neither a compiled program nor ForwardCtx
-// touches it. Choosing host schedules by timing host kernels is ROADMAP item
-// 4(b).
+// touches it. Choosing host schedules by timing host kernels, rather than
+// fixing them here, is an open question (DESIGN.md §5, host lowering).
 func NewHostEngine(compute core.ExecBackend) *FixedEngine {
 	return &FixedEngine{
 		EngineName:         "uGrapher-host",

@@ -48,7 +48,7 @@ func FuzzInferBody(f *testing.F) {
 			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
 		}
 		// The handler decodes the first JSON value of the body; so does this.
-		var req inferRequest
+		var req wireRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
 		}

@@ -47,7 +47,7 @@ func TestRequestRunsItsClosure(t *testing.T) {
 		}
 		want := referenceLogits(t, name, "CO", 16, 8)
 		vertices := []int{2707, 7, 100, 7}
-		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: name, Vertices: vertices})
+		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: name, Vertices: vertices})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", name, code, e.Error)
 		}
@@ -80,7 +80,7 @@ func TestRequestRunsItsClosure(t *testing.T) {
 	for i := range feats {
 		feats[i] = x.Row(i)
 	}
-	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{17, 1500}, Features: feats})
+	code, resp, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{17, 1500}, Features: feats})
 	if code != http.StatusOK {
 		t.Fatalf("custom features: status %d (%s)", code, e.Error)
 	}
@@ -153,7 +153,7 @@ func TestOnePassPerRequest(t *testing.T) {
 	const n = 7
 	rows0, full0, passes0 := forwardModes(h)
 	for i := 0; i < n; i++ {
-		if code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{i, 100 + i}}); code != http.StatusOK {
+		if code, _, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{i, 100 + i}}); code != http.StatusOK {
 			t.Fatalf("request %d: status %d (%s)", i, code, e.Error)
 		}
 	}
@@ -166,7 +166,7 @@ func TestOnePassPerRequest(t *testing.T) {
 		wg.Add(1)
 		go func(v int) {
 			defer wg.Done()
-			if code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{v}}); code != http.StatusOK {
+			if code, _, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{v}}); code != http.StatusOK {
 				t.Errorf("queued request %d: status %d (%s)", v, code, e.Error)
 			}
 		}(i)
@@ -188,12 +188,12 @@ func TestShardedDaemonRunsRowsLikeTheFlatOne(t *testing.T) {
 		if ok, why := h.prog.RowsCapable(); !ok || h.prog.Stats().Shards != 4 {
 			t.Fatalf("%s: sharded program rows-capable=%v (%q) at %d shards", name, ok, why, h.prog.Stats().Shards)
 		}
-		code, want, e := postInfer(t, flatTS.URL, inferRequest{Model: name, Vertices: vertices})
+		code, want, e := postInfer(t, flatTS.URL, wireRequest{Model: name, Vertices: vertices})
 		if code != http.StatusOK {
 			t.Fatalf("%s flat: status %d (%s)", name, code, e.Error)
 		}
 		rows0, full0, _ := forwardModes(h)
-		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: name, Vertices: vertices})
+		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: name, Vertices: vertices})
 		if code != http.StatusOK {
 			t.Fatalf("%s sharded: status %d (%s)", name, code, e.Error)
 		}
@@ -230,7 +230,7 @@ func TestFailedRowRunRetriesAsFullPass(t *testing.T) {
 		degraded0 := h.m.degraded.Value()
 
 		faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: name, Vertices: vertices})
+		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: name, Vertices: vertices})
 		if code != http.StatusOK || !resp.Degraded {
 			t.Fatalf("%s: first failing request: status %d degraded=%v (%s), want a degraded 200", name, code, resp.Degraded, e.Error)
 		}
@@ -309,7 +309,7 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 				for j := range vertices {
 					vertices[j] = 1000 + rng.Intn(40)
 				}
-				req, which := inferRequest{Model: name, Vertices: vertices, TimeoutMS: 20000}, 0
+				req, which := wireRequest{Model: name, Vertices: vertices, TimeoutMS: 20000}, 0
 				if rng.Intn(6) == 0 {
 					req.Features, which = feats, 1
 				}

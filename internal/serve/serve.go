@@ -266,18 +266,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// The wire format.
-
-type inferRequest struct {
-	Model    string `json:"model"`
-	Vertices []int  `json:"vertices"`
-	// TimeoutMS is the caller's deadline in milliseconds (0 = server
-	// default; clamped to the server maximum).
-	TimeoutMS int `json:"timeout_ms"`
-	// Features optionally replaces the stored feature matrix for this one
-	// request (|V| × feat).
-	Features [][]float32 `json:"features,omitempty"`
-}
+// The wire format. Requests are decoded by readInfer (body.go).
 
 type inferResponse struct {
 	Model    string      `json:"model"`
@@ -355,39 +344,36 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req inferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	if err := dec.Decode(&req); err != nil {
+	// A syntax or type error anywhere in the body is reported before the
+	// model, the model before the vertices, the vertices before the shape
+	// of a caller's feature matrix.
+	req, err := readInfer(http.MaxBytesReader(w, r.Body, maxBodyBytes), s.g.NumVertices(), s.cfg.Feat)
+	if err != nil {
 		fail(http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	h, ok := s.hosts[strings.ToLower(req.Model)]
+	h, ok := s.hosts[strings.ToLower(req.model)]
 	if !ok {
 		fail(http.StatusNotFound, "unknown model %q (serving: %s)",
-			req.Model, strings.Join(s.order, ", "))
+			req.model, strings.Join(s.order, ", "))
 		return
 	}
 	model = h.name
-	if err := h.validate(req.Vertices, s.g.NumVertices()); err != nil {
+	if err := h.validate(req.vertices, s.g.NumVertices()); err != nil {
 		fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	var features *tensor.Dense
-	if req.Features != nil {
-		var err error
-		features, err = denseFromRows(req.Features, s.g.NumVertices(), s.cfg.Feat)
-		if err != nil {
-			fail(http.StatusBadRequest, "%v", err)
-			return
-		}
+	if req.featuresErr != nil {
+		fail(http.StatusBadRequest, "%v", req.featuresErr)
+		return
 	}
 	// Clamped in milliseconds, before the conversion: a huge timeout_ms
 	// would overflow time.Duration and wrap negative.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
+	if req.timeoutMS > 0 {
 		timeout = s.cfg.MaxTimeout
-		if int64(req.TimeoutMS) < s.cfg.MaxTimeout.Milliseconds() {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		if int64(req.timeoutMS) < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.timeoutMS) * time.Millisecond
 		}
 	}
 
@@ -404,8 +390,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	rq := &request{
-		vertices: req.Vertices,
-		features: features,
+		vertices: req.vertices,
+		features: req.features,
 		deadline: start.Add(timeout),
 		resp:     make(chan response, 1),
 	}
@@ -536,21 +522,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ready")
-}
-
-// denseFromRows validates and copies a caller-supplied feature matrix.
-func denseFromRows(rows [][]float32, wantRows, wantCols int) (*tensor.Dense, error) {
-	if len(rows) != wantRows {
-		return nil, fmt.Errorf("features must have %d rows (one per vertex), got %d", wantRows, len(rows))
-	}
-	d := tensor.NewDense(wantRows, wantCols)
-	for i, row := range rows {
-		if len(row) != wantCols {
-			return nil, fmt.Errorf("features row %d has %d columns, want %d", i, len(row), wantCols)
-		}
-		copy(d.Data[i*wantCols:(i+1)*wantCols], row)
-	}
-	return d, nil
 }
 
 // allFinite reports whether no row holds a NaN or an infinity.

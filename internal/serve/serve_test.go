@@ -54,7 +54,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // postInfer sends one inference request and decodes the response. Failures
 // report via Errorf (safe from spawned goroutines) and return status 0.
-func postInfer(t *testing.T, url string, req inferRequest) (int, inferResponse, errorResponse) {
+func postInfer(t *testing.T, url string, req wireRequest) (int, inferResponse, errorResponse) {
 	t.Helper()
 	var ok inferResponse
 	var bad errorResponse
@@ -151,7 +151,7 @@ func TestInferMatchesReference(t *testing.T) {
 		{"stored", []int{0, 7, 100, 2707}, nil, stored},
 		{"caller features", []int{17}, feats, onOnes},
 	} {
-		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "gcn", Vertices: c.vertices, Features: c.features})
+		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: "gcn", Vertices: c.vertices, Features: c.features})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", c.name, code, e.Error)
 		}
@@ -194,7 +194,7 @@ func TestCustomFeaturesRunSolo(t *testing.T) {
 	}
 	h := s.hosts["gcn"]
 	passes0 := h.m.batches.Value()
-	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{17}, Features: feats})
+	code, resp, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{17}, Features: feats})
 	if code != http.StatusOK {
 		t.Fatalf("status %d (%s)", code, e.Error)
 	}
@@ -228,19 +228,19 @@ func TestTimeoutMSClampedBeforeConversion(t *testing.T) {
 func TestInferValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
 
-	code, _, e := postInfer(t, ts.URL, inferRequest{Model: "nope", Vertices: []int{0}})
+	code, _, e := postInfer(t, ts.URL, wireRequest{Model: "nope", Vertices: []int{0}})
 	if code != http.StatusNotFound {
 		t.Errorf("unknown model: status %d (%s)", code, e.Error)
 	}
-	code, _, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{999999}})
+	code, _, _ = postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{999999}})
 	if code != http.StatusBadRequest {
 		t.Errorf("out-of-range vertex: status %d", code)
 	}
-	code, _, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN"})
+	code, _, _ = postInfer(t, ts.URL, wireRequest{Model: "GCN"})
 	if code != http.StatusBadRequest {
 		t.Errorf("no vertices: status %d", code)
 	}
-	code, _, _ = postInfer(t, ts.URL, inferRequest{
+	code, _, _ = postInfer(t, ts.URL, wireRequest{
 		Model: "GCN", Vertices: []int{0}, Features: [][]float32{{1, 2}},
 	})
 	if code != http.StatusBadRequest {
@@ -255,7 +255,7 @@ func TestInferValidation(t *testing.T) {
 			huge[i][j] = 3e38
 		}
 	}
-	code, _, e = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0, 1}, Features: huge})
+	code, _, e = postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0, 1}, Features: huge})
 	if code != http.StatusBadRequest {
 		t.Errorf("features that overflow the pass: status %d (%s)", code, e.Error)
 	}
@@ -277,7 +277,7 @@ func TestQueueFullRejectsFast(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{1}})
+			code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{1}})
 			codes <- code
 		}()
 	}
@@ -306,15 +306,15 @@ func TestQueueFullRejectsFast(t *testing.T) {
 	// it must return fast even though the worker is stalled.
 	faultinject.Reset()
 	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 400 * time.Millisecond})
-	go postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{1}}) // stalls the worker
+	go postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{1}}) // stalls the worker
 	time.Sleep(100 * time.Millisecond)
 	// Fill the queue.
 	for len(s.hosts["gcn"].queue) < 2 {
-		go postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{1}})
+		go postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{1}})
 		time.Sleep(5 * time.Millisecond)
 	}
 	start := time.Now()
-	code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{1}})
+	code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{1}})
 	elapsed := time.Since(start)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d with a full queue, want 429", code)
@@ -334,7 +334,7 @@ func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 
 	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 300 * time.Millisecond})
 	start := time.Now()
-	code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}, TimeoutMS: 50})
+	code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0}, TimeoutMS: 50})
 	elapsed := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
@@ -344,7 +344,7 @@ func TestMemberTimeoutDoesNotWedgeWorker(t *testing.T) {
 	}
 	// The worker survived the timed-out member, whose pass ended in the
 	// deadline and was not retried: one pass each.
-	code, _, _ = postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
+	code, _, _ = postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0}})
 	if code != http.StatusOK {
 		t.Fatalf("follow-up status %d; worker wedged?", code)
 	}
@@ -365,7 +365,7 @@ func TestNumericErrorRunsOnePass(t *testing.T) {
 
 	_, _, passes := forwardModes(h)
 	faultinject.Arm(faultinject.NaNPoke, faultinject.Spec{After: 1})
-	code, _, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{3}})
+	code, _, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{3}})
 	if code != http.StatusInternalServerError || !strings.Contains(e.Error, "numeric guard") {
 		t.Fatalf("status %d (%s), want 500 from the numeric guard", code, e.Error)
 	}
@@ -395,7 +395,7 @@ func TestEveryFailingRequestDegradesUntilKernelsHeal(t *testing.T) {
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
 	const failing = 3
 	for i := 0; i < failing; i++ {
-		code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: vertices})
+		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: vertices})
 		if code != http.StatusOK || !resp.Degraded {
 			t.Fatalf("failing request %d: status %d degraded=%v (%s), want a degraded 200", i, code, resp.Degraded, e.Error)
 		}
@@ -414,7 +414,7 @@ func TestEveryFailingRequestDegradesUntilKernelsHeal(t *testing.T) {
 
 	faultinject.Reset()
 	rows0, _, _ := forwardModes(h)
-	code, resp, e := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: vertices})
+	code, resp, e := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: vertices})
 	if code != http.StatusOK || resp.Degraded {
 		t.Fatalf("after the kernels heal: status %d degraded=%v (%s), want a clean 200", code, resp.Degraded, e.Error)
 	}
@@ -441,7 +441,7 @@ func TestDrain(t *testing.T) {
 	faultinject.Arm(faultinject.QueueStall, faultinject.Spec{After: 1, Limit: 1, Delay: 300 * time.Millisecond})
 	inflightCode := make(chan int, 1)
 	go func() {
-		code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{5}})
+		code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{5}})
 		inflightCode <- code
 	}()
 	time.Sleep(100 * time.Millisecond) // the worker is now stalled holding the request
@@ -465,7 +465,7 @@ func TestDrain(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// New work is refused while draining.
-	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusServiceUnavailable {
+	if code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0}}); code != http.StatusServiceUnavailable {
 		t.Errorf("infer during drain: status %d, want 503", code)
 	}
 	// The in-flight request still completes, and the drain finishes.
@@ -522,7 +522,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// A failing kernel so a degraded pass records resilient fallbacks.
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
-	code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0}})
+	code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0}})
 	if code != http.StatusOK {
 		t.Fatalf("degraded request: status %d", code)
 	}

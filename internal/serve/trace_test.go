@@ -69,7 +69,7 @@ func TestTracedRequestBreakdownAndDebugEndpoint(t *testing.T) {
 	telemetry.SetEnabled(true)
 
 	_, ts := newTestServer(t, Config{Models: []string{"GCN"}})
-	code, resp, _ := postInfer(t, ts.URL, inferRequest{Model: "GCN", Vertices: []int{0, 7}})
+	code, resp, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0, 7}})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -154,7 +154,7 @@ func TestErrorRequestsLandInExemplarErrors(t *testing.T) {
 	telemetry.SetEnabled(true)
 
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
-	if code, _, _ := postInfer(t, ts.URL, inferRequest{Model: "nope", Vertices: []int{0}}); code != http.StatusNotFound {
+	if code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "nope", Vertices: []int{0}}); code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", code)
 	}
 	_, errs := s.exemplars.Snapshot()

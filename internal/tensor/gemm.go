@@ -7,7 +7,7 @@ import (
 )
 
 // Cache-blocked GEMM with a packed column-panel layout, the dense half of
-// the fusion-region work (ROADMAP "Raw speed"). The naive MatMul walk
+// the fusion-region work (DESIGN.md §5, "Vector micro-kernels"). The naive MatMul walk
 // streams B row by row and keeps the whole N-wide output row as the
 // accumulation target; for the wide weight matrices GEMM-dominated models
 // use (Sage's hidden width 256, DESIGN.md §2) that output row no longer
