@@ -156,6 +156,9 @@ func TestSimulateEmptyKernel(t *testing.T) {
 	if m.Cycles != d.LaunchOverheadCycles {
 		t.Fatalf("empty kernel cycles = %v", m.Cycles)
 	}
+	if b := LowerBound(d, fakeKernel{blocks: 0, warps: 8}); b != m.Cycles {
+		t.Fatalf("empty kernel bound = %v, want the %v cycles it simulates", b, m.Cycles)
+	}
 }
 
 func TestSimulateMoreBlocksTakeLonger(t *testing.T) {
@@ -327,12 +330,16 @@ func TestSimulateRandomisedInvariants(t *testing.T) {
 		w := BlockWork{
 			Insts:        float64(rng.Intn(10000)),
 			Transactions: float64(rng.Intn(1000)),
+			MemInsts:     float64(rng.Intn(500)),
 			ActiveWarps:  1 + rng.Intn(8),
 		}
 		k := fakeKernel{blocks: 1 + rng.Intn(3000), warps: 8, work: w, lineSpread: 1 + int64(rng.Intn(64))}
 		m := Simulate(d, k)
 		if m.Cycles < d.LaunchOverheadCycles {
 			t.Fatalf("trial %d: cycles below launch overhead", trial)
+		}
+		if b := LowerBound(d, k); b > m.Cycles {
+			t.Fatalf("trial %d: lower bound %v above the simulated %v cycles", trial, b, m.Cycles)
 		}
 		if m.Occupancy < 0 || m.Occupancy > 1 || m.SMEfficiency < 0 || m.SMEfficiency > 1 {
 			t.Fatalf("trial %d: metric out of range: %+v", trial, m)

@@ -212,54 +212,10 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	m.L2HitRate = l2HitRate
 
 	// --- Pass 2: exact work accounting and SM scheduling. ---
-
-	// Collect (sampled) per-block work first: residency and latency hiding
-	// must be computed from blocks that actually have work — an over-tiled
-	// launch's empty blocks retire immediately and hide nothing.
-	workBlocks := numBlocks
-	workStride := 1
-	if numBlocks > cfg.maxWorkBlocks {
-		workBlocks = cfg.maxWorkBlocks
-		workStride = numBlocks / workBlocks
-	}
-	workScale := float64(numBlocks) / float64(workBlocks)
-
-	works := ws.blockWork(workBlocks)
-	activeBlocks := 0
-	var total BlockWork
-	for i := 0; i < workBlocks; i++ {
-		works[i] = k.BlockWork(i * workStride)
-		total.Add(works[i])
-		if works[i].ActiveWarps > 0 {
-			activeBlocks++
-		}
-	}
-	launchedActive := int(float64(activeBlocks) * workScale)
-	if launchedActive < 1 {
-		launchedActive = 1
-	}
-
-	// Resident blocks per SM: limited by the block slots and the warp budget;
-	// cannot exceed the active blocks that exist per SM on average.
-	residentBlocks := d.MaxBlocksPerSM
-	if byWarps := d.MaxWarpsPerSM / warpsPerBlock; byWarps < residentBlocks {
-		residentBlocks = byWarps
-	}
-	if residentBlocks < 1 {
-		residentBlocks = 1
-	}
-	avgBlocksPerSM := (launchedActive + d.NumSMs - 1) / d.NumSMs
-	if avgBlocksPerSM < residentBlocks {
-		residentBlocks = avgBlocksPerSM
-	}
+	pass2 := sampleWork(d, k, cfg, ws)
+	works, total, workScale := pass2.works, pass2.total, pass2.scale
+	residentBlocks := pass2.residentBlocks
 	residentWarps := float64(residentBlocks * warpsPerBlock)
-	hiding := residentWarps
-	if hiding > d.HidingWarps {
-		hiding = d.HidingWarps
-	}
-	if hiding < 1 {
-		hiding = 1
-	}
 
 	missL1 := 1 - l1HitRate
 	missL2 := 1 - l2HitRate
@@ -273,38 +229,8 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	// block's contribution.
 	sms := makeSMHeap(d.NumSMs)
 	var busyWeighted float64 // sum over blocks of cost x effective warps
-	for i := 0; i < workBlocks; i++ {
-		w := works[i]
-
-		l1req := w.L1Requests
-		if l1req < w.Transactions {
-			l1req = w.Transactions
-		}
-		issue := w.Insts / d.IssuePerSM
-		l1t := l1req / d.L1PerSM
-		// Exposed latency is charged per load instruction — the misses of
-		// one warp load overlap with each other — with replay throughput in
-		// the l1t term. Kernels that do not report MemInsts fall back to
-		// per-transaction charging.
-		memInsts := w.MemInsts
-		if memInsts == 0 {
-			memInsts = w.Transactions
-		}
-		latency := (w.Insts*InstLatencyCycles +
-			memInsts*avgAccessLatency +
-			w.SerialRounds*d.L2Latency) / hiding
-		cost := issue
-		if l1t > cost {
-			cost = l1t
-		}
-		if latency > cost {
-			cost = latency
-		}
-		// Divergence tail: the block cannot finish before its longest warp's
-		// serial instruction stream drains.
-		if w.MaxWarpCycles > cost {
-			cost = w.MaxWarpCycles
-		}
+	for _, w := range works {
+		cost := blockCost(d, w, avgAccessLatency, pass2.hiding)
 		// The SM runs residentBlocks concurrently sharing its pipelines, so a
 		// block's own cost is its resource demand; queuing onto the same SM
 		// serialises demands, which the heap accumulation models.
@@ -403,6 +329,135 @@ func Simulate(d *Device, k Kernel, opts ...Option) Metrics {
 	occ = math.Min(occ, residencyCap)
 	m.Occupancy = math.Min(occ, 1)
 	return m
+}
+
+// LowerBound returns a number of cycles that Simulate(d, k, opts...) never
+// reports fewer of, at the price of pass 2's work accounting alone: no trace
+// is generated and no cache simulated. Every block is costed as Simulate
+// costs it, but with each load at the best access latency
+// min(L1Latency, L2Latency, DRAMLatency) — Simulate's average access latency
+// is a convex combination of the three, so at least their minimum, and no
+// other term of a block's cost reads the hit rates. The makespan of any
+// assignment of those costs to SMs is at least their mean per SM and at least
+// the largest one, and Simulate's bandwidth floors can only raise its result.
+// A tuner simulates a candidate only while this bound does not exceed the
+// best cycles found so far (schedule.Best).
+func LowerBound(d *Device, k Kernel, opts ...Option) float64 {
+	if k.NumBlocks() == 0 {
+		return d.LaunchOverheadCycles
+	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	pass2 := sampleWork(d, k, resolve(opts), ws)
+	latency := min(d.L1Latency, d.L2Latency, d.DRAMLatency)
+	var sum, most float64
+	for _, w := range pass2.works {
+		cost := blockCost(d, w, latency, pass2.hiding)
+		sum += cost
+		most = max(most, cost)
+	}
+	return max(sum/float64(d.NumSMs), most)*pass2.scale + d.LaunchOverheadCycles
+}
+
+// workSample is pass 2's input, shared by Simulate and LowerBound: the work of
+// the blocks it accounts for and the residency that work implies.
+type workSample struct {
+	works []BlockWork // per accounted block, in the workspace
+	total BlockWork   // their sum
+	scale float64     // launched blocks per accounted block
+	// residentBlocks run concurrently on one SM; hiding is the resident
+	// warps that hide latency, in [1, d.HidingWarps].
+	residentBlocks int
+	hiding         float64
+}
+
+// sampleWork collects the BlockWork of every block of k (or of a stride
+// sample of cfg.maxWorkBlocks, scaled back by workSample.scale) into ws and
+// derives the residency from it. Residency and latency hiding are computed
+// from blocks that actually have work: an over-tiled launch's empty blocks
+// retire immediately and hide nothing.
+func sampleWork(d *Device, k Kernel, cfg simConfig, ws *workspace) workSample {
+	numBlocks := k.NumBlocks()
+	workBlocks := numBlocks
+	workStride := 1
+	if numBlocks > cfg.maxWorkBlocks {
+		workBlocks = cfg.maxWorkBlocks
+		workStride = numBlocks / workBlocks
+	}
+	s := workSample{works: ws.blockWork(workBlocks), scale: float64(numBlocks) / float64(workBlocks)}
+	activeBlocks := 0
+	for i := range s.works {
+		s.works[i] = k.BlockWork(i * workStride)
+		s.total.Add(s.works[i])
+		if s.works[i].ActiveWarps > 0 {
+			activeBlocks++
+		}
+	}
+	launchedActive := int(float64(activeBlocks) * s.scale)
+	if launchedActive < 1 {
+		launchedActive = 1
+	}
+
+	// Resident blocks per SM: limited by the block slots and the warp budget;
+	// cannot exceed the active blocks that exist per SM on average.
+	warpsPerBlock := k.WarpsPerBlock()
+	s.residentBlocks = d.MaxBlocksPerSM
+	if byWarps := d.MaxWarpsPerSM / warpsPerBlock; byWarps < s.residentBlocks {
+		s.residentBlocks = byWarps
+	}
+	if s.residentBlocks < 1 {
+		s.residentBlocks = 1
+	}
+	avgBlocksPerSM := (launchedActive + d.NumSMs - 1) / d.NumSMs
+	if avgBlocksPerSM < s.residentBlocks {
+		s.residentBlocks = avgBlocksPerSM
+	}
+	s.hiding = float64(s.residentBlocks * warpsPerBlock)
+	if s.hiding > d.HidingWarps {
+		s.hiding = d.HidingWarps
+	}
+	if s.hiding < 1 {
+		s.hiding = 1
+	}
+	return s
+}
+
+// blockCost is the cycles block work w occupies its SM for: the max of its
+// issue demand, its L1 throughput demand, its exposed latency with loads at
+// accessLatency cycles and hiding warps covering it, and its longest warp's
+// serial stream. It grows with accessLatency, which is all LowerBound relies
+// on.
+func blockCost(d *Device, w BlockWork, accessLatency, hiding float64) float64 {
+	l1req := w.L1Requests
+	if l1req < w.Transactions {
+		l1req = w.Transactions
+	}
+	issue := w.Insts / d.IssuePerSM
+	l1t := l1req / d.L1PerSM
+	// Exposed latency is charged per load instruction — the misses of one
+	// warp load overlap with each other — with replay throughput in the l1t
+	// term. Kernels that do not report MemInsts fall back to
+	// per-transaction charging.
+	memInsts := w.MemInsts
+	if memInsts == 0 {
+		memInsts = w.Transactions
+	}
+	latency := (w.Insts*InstLatencyCycles +
+		memInsts*accessLatency +
+		w.SerialRounds*d.L2Latency) / hiding
+	cost := issue
+	if l1t > cost {
+		cost = l1t
+	}
+	if latency > cost {
+		cost = latency
+	}
+	// Divergence tail: the block cannot finish before its longest warp's
+	// serial instruction stream drains.
+	if w.MaxWarpCycles > cost {
+		cost = w.MaxWarpCycles
+	}
+	return cost
 }
 
 // smHeap is a min-heap of SM loads for greedy list scheduling.

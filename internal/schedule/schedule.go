@@ -84,54 +84,117 @@ func Evaluate(t Task, s core.Schedule, opts ...gpu.Option) (Candidate, error) {
 }
 
 // GridSearch evaluates every schedule in space (default: Space()) and
-// returns the candidates sorted by ascending cycles. Schedules that fail to
-// compile for the operator are skipped.
+// returns the candidates ranked by ascending cycles, equal cycles in space
+// order. Schedules that fail to compile for the operator are skipped.
 //
 // The candidates are independent pure simulations, evaluated on
-// runtime.GOMAXPROCS(0) goroutines that claim space indices from a shared
-// cursor. Each result lands in its candidate's slot and the failures are
-// dropped in space order, so the list sorted here is the one a serial loop
-// builds and the result is identical field for field at any GOMAXPROCS.
+// runtime.GOMAXPROCS(0) goroutines (parallelFor). Each result lands in its
+// candidate's slot and the failures are dropped in space order, so the list
+// ranked here is the one a serial loop builds and the result is identical
+// field for field at any GOMAXPROCS.
 func GridSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate {
 	if space == nil {
 		space = Space()
 	}
 	slots := make([]Candidate, len(space))
 	ok := make([]bool, len(space))
-	var next atomic.Int64
-	evaluate := func() {
-		for i := int(next.Add(1) - 1); i < len(space); i = int(next.Add(1) - 1) {
-			c, err := Evaluate(t, space[i], opts...)
-			slots[i], ok[i] = c, err == nil
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(space)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			evaluate()
-		}()
-	}
-	evaluate()
-	wg.Wait()
+	parallelFor(len(space), func(i int) {
+		c, err := Evaluate(t, space[i], opts...)
+		slots[i], ok[i] = c, err == nil
+	})
 	out := slots[:0]
 	for i, c := range slots {
 		if ok[i] {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
 	return out
 }
 
-// Best returns the grid-search winner, or an error if nothing evaluated.
+// boundSlack is the relative margin by which a candidate's lower bound must
+// exceed the best cycles found before Best skips it: the bound and the
+// simulation sum their block costs in different orders, and rounding must
+// never cut the winner.
+const boundSlack = 1e-9
+
+// Best returns GridSearch(t, space, opts...)[0] — the fewest cycles, the
+// earliest in space among equals — or false if no schedule compiles.
+//
+// It is a branch-and-bound search rather than a ranking: every compilable
+// candidate is bounded by gpu.LowerBound, the candidates are visited in
+// ascending bound order on runtime.GOMAXPROCS(0) goroutines, and one is
+// simulated (Evaluate) only while its bound does not exceed the best cycles
+// found so far. The best only falls, so every candidate whose bound is at
+// most the final best is simulated, ties included, and the winner does not
+// depend on how the goroutines interleave.
 func Best(t Task, space []core.Schedule, opts ...gpu.Option) (Candidate, bool) {
-	cands := GridSearch(t, space, opts...)
-	if len(cands) == 0 {
-		return Candidate{}, false
+	if space == nil {
+		space = Space()
 	}
-	return cands[0], true
+	bounds := make([]float64, len(space))
+	ok := make([]bool, len(space))
+	parallelFor(len(space), func(i int) {
+		p, err := core.Compile(t.Op, space[i])
+		if err != nil {
+			return
+		}
+		bounds[i] = gpu.LowerBound(t.Device, p.Kernel(t.Graph, t.Feat, t.ACols, t.BCols, t.Device), opts...)
+		ok[i] = true
+	})
+	order := make([]int, 0, len(space))
+	for i := range space {
+		if ok[i] {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
+
+	var mu sync.Mutex
+	var best Candidate
+	bestAt := -1
+	parallelFor(len(order), func(j int) {
+		i := order[j]
+		mu.Lock()
+		cut := bestAt >= 0 && bounds[i] > best.Metrics.Cycles*(1+boundSlack)
+		mu.Unlock()
+		if cut {
+			return
+		}
+		c, err := Evaluate(t, space[i], opts...)
+		if err != nil {
+			return
+		}
+		mu.Lock()
+		if bestAt < 0 || c.Metrics.Cycles < best.Metrics.Cycles ||
+			c.Metrics.Cycles == best.Metrics.Cycles && i < bestAt {
+			best, bestAt = c, i
+		}
+		mu.Unlock()
+	})
+	return best, bestAt >= 0
+}
+
+// parallelFor calls f(i) for every i in [0, n) on up to runtime.GOMAXPROCS(0)
+// goroutines, the caller's included, that claim indices in ascending order
+// from a shared cursor, and returns when every call has.
+func parallelFor(n int, f func(i int)) {
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // PrunedSpace trims knob values that cannot help the task: grouping beyond

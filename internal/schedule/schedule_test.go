@@ -222,9 +222,10 @@ func TestGridSearchNilSpaceUsesFull(t *testing.T) {
 }
 
 // serialSearch is GridSearch as a plain loop: every schedule evaluated in
-// space order on the caller, failures skipped, the survivors sorted the same
-// way. It simulates through core.Estimate, Evaluate's body without the memo,
-// so the result it is compared with never came from the memo it filled.
+// space order on the caller, failures skipped, the survivors ranked the same
+// way (equal cycles in space order). It simulates through core.Estimate,
+// Evaluate's body without the memo, so the result it is compared with never
+// came from the memo it filled.
 func serialSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate {
 	var out []Candidate
 	for _, s := range space {
@@ -233,7 +234,7 @@ func serialSearch(t Task, space []core.Schedule, opts ...gpu.Option) []Candidate
 			out = append(out, Candidate{Schedule: s, Metrics: m})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Metrics.Cycles < out[j].Metrics.Cycles })
 	return out
 }
 
