@@ -138,10 +138,11 @@ e2e:
 # faults runs the fault-injection suite under the race detector: injected
 # kernel panics, NaN pokes, slow chunks and lowering failures, each proven
 # to be caught by the corresponding guard (KernelError recovery, numeric
-# scan, deadlines, fallback ladder).
+# scan, deadlines, fallback ladder), and the verifier's corruption seeds,
+# each proven to fire its rule.
 faults:
 	$(GO) test -race ./internal/faultinject/...
-	$(GO) test -race -run 'Fault|Inject|Resilient|Cancel|Deadline|Numeric|KernelPanic|Revalidate|DenseChunk' ./internal/core/... ./internal/program/... ./internal/models/...
+	$(GO) test -race -run 'Fault|Inject|Resilient|Cancel|Deadline|Numeric|KernelPanic|Revalidate|DenseChunk|Corrupt' ./internal/core/... ./internal/program/... ./internal/models/...
 
 # check is the pre-commit gate: static analysis (go vet, the repo linter,
 # the IR/plan verifier) plus the race-enabled tests of the backend-facing

@@ -1,15 +1,21 @@
-// Package analysis is the static-analysis layer of the reproduction: an
-// independent checker that proves each compiled program and plan safe
-// *before* execution, plus a stdlib go/ast-based source linter that
-// mechanically enforces the repo's hand-maintained invariants (hook
-// discipline, panic justification, allocation-free Run paths).
+// Package analysis is the static-analysis layer of the reproduction: the
+// vocabulary and the plan-level half of an independent checker that proves
+// each compiled program and plan safe *before* execution, plus a stdlib
+// go/ast-based source linter that mechanically enforces the repo's
+// hand-maintained invariants (hook discipline, panic justification,
+// allocation-free Run paths).
 //
-// The verifier half re-derives the two code-generator analyses the paper's
-// codegen relies on — the NULL-op fusion pass and the atomic-need analysis
-// (§5.2, Table 4) — from first principles and cross-checks them against
-// what internal/program and the backends actually produced. It deliberately
-// shares no code with the passes it checks: a bug in fuse.go or in the
-// buffer planner cannot also hide in the checker. The linter half
+// The verifier re-derives the two code-generator analyses the paper's codegen
+// relies on — the NULL-op fusion pass and the atomic-need analysis (§5.2,
+// Table 4) — from first principles and cross-checks them against what was
+// actually produced. This package owns every rule id and rule list, the
+// Diagnostic, VerifyError and Report types, the process-wide counters, and
+// the rules over artifacts below the program layer: kernel plans and their
+// lowerings (core.Compile), shard plans (shard.Partition) and the wave
+// schedule's step effects. The program-level rules — SSA form, operand
+// typing, fusion, dense rewrites, buffers, row closure — read
+// *program.Program directly and live beside it in internal/program
+// (verify_*.go), sharing no code with the passes they check. The linter half
 // (lint.go) parses the repo's own source and enforces the invariants
 // DESIGN.md states in prose, so they cannot rot silently.
 //
@@ -110,7 +116,8 @@ const (
 	RuleRowClosure = "row-closure"
 )
 
-// ProgramRules lists the rules VerifyProgram checks, in report order.
+// ProgramRules lists the program-level rules every program.Compile checks
+// (internal/program, verify_*.go), in report order.
 var ProgramRules = []string{
 	RuleSSAForm, RuleOperandType,
 	RuleFusionPair, RuleFusionSingleConsumer,
@@ -124,6 +131,10 @@ var PlanRules = []string{RuleOperandType, RuleWriteConflict}
 
 // WaveRules lists the rules VerifyWaves checks, in report order.
 var WaveRules = []string{RuleStepDeps, RuleWaveLegal}
+
+// RowRules lists the rules program.Compile checks on the row reads a
+// row-subset run walks by.
+var RowRules = []string{RuleRowClosure}
 
 // Diagnostic is one verifier finding: which rule, where, and how to fix it.
 type Diagnostic struct {
@@ -220,6 +231,23 @@ type VerifyStats struct {
 	ShardPlans int64
 	// Violations is how many diagnostics all verifications produced.
 	Violations int64
+}
+
+// ProgramVerified counts one whole-program verification and its findings, and
+// returns them as a *VerifyError, nil when there are none.
+func ProgramVerified(diags []Diagnostic) error {
+	programsVerified.Add(1)
+	return Finish(diags)
+}
+
+// Finish counts the findings of a verification and returns them as a
+// *VerifyError, nil when there are none.
+func Finish(diags []Diagnostic) error {
+	if len(diags) == 0 {
+		return nil
+	}
+	violationsFound.Add(int64(len(diags)))
+	return &VerifyError{Diags: diags}
 }
 
 // Stats snapshots the verification counters.

@@ -66,7 +66,7 @@ func VerifyPlan(f PlanFacts) error {
 			Hint: "atomic need = reducing into Dst_V under an edge-parallel strategy",
 		})
 	}
-	return finish(diags)
+	return Finish(diags)
 }
 
 // VerifyLowering cross-checks the conflict-handling discipline a lowered
@@ -88,9 +88,9 @@ func VerifyLowering(f PlanFacts, handling string) error {
 		safe = f.Op.CKind == tensor.DstV
 	}
 	if safe {
-		return finish(nil)
+		return Finish(nil)
 	}
-	return finish([]Diagnostic{{
+	return Finish([]Diagnostic{{
 		Rule: RuleWriteConflict, Node: f.Op.Name,
 		Msg: fmt.Sprintf("backend lowered %q write handling for %s output under schedule %s",
 			handling, f.Op.CKind, f.Schedule),

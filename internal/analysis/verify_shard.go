@@ -43,7 +43,7 @@ func VerifyShardPlan(f ShardFacts) error {
 	}
 	if len(f.Owner) != f.NumVertices {
 		bad("plan", fmt.Sprintf("owner map covers %d of %d vertices", len(f.Owner), f.NumVertices))
-		return finish(diags)
+		return Finish(diags)
 	}
 	seen := make([]int32, f.NumVertices) // owning shard + 1, 0 = unowned
 	for s := range f.Shards {
@@ -68,5 +68,5 @@ func VerifyShardPlan(f ShardFacts) error {
 			bad("plan", fmt.Sprintf("vertex %d owned by no shard", v))
 		}
 	}
-	return finish(diags)
+	return Finish(diags)
 }

@@ -80,7 +80,7 @@ func VerifyWaves(f WaveFacts) error {
 	var diags []Diagnostic
 	diags = append(diags, checkStepDeps(&f)...)
 	diags = append(diags, checkWaveLegal(&f)...)
-	return finish(diags)
+	return Finish(diags)
 }
 
 // depKey identifies one (from, to, kind) hazard for set membership.

@@ -38,19 +38,19 @@ const (
 	SlowChunk
 	// LowerFail makes backend plan lowering return an injected error.
 	LowerFail
-	// CorruptOperandKind corrupts the typing of the view the static verifier
-	// checks, proving the operand-type rules fire. The armed Spec's Seed
-	// selects the variant: 0 flips a graph operand's addressing class
-	// (operand-type), 1 points a node at a value outside the table
-	// (ssa-form).
+	// CorruptOperandKind corrupts the typing of a clone of the compiled
+	// program the static verifier checks, proving the operand-type rules
+	// fire. The armed Spec's Seed selects the variant: 0 flips a graph
+	// operand's addressing class (operand-type), 1 points a node at a value
+	// outside the table (ssa-form).
 	CorruptOperandKind
-	// CorruptFusion mislabels a fusion decision in the verified IR, proving
+	// CorruptFusion mislabels a fusion decision in the verified clone, proving
 	// the fusion-legality rules fire. Seed selects the variant: 0 toggles a
 	// Fused marker (fusion-pair), 1 declares a fused intermediate to be the
 	// program output (fusion-single-consumer), 2 drops a live node from the
-	// compiled view (dce-soundness).
+	// compiled program (dce-soundness).
 	CorruptFusion
-	// CorruptBufferPlan corrupts the verified buffer plan, proving the
+	// CorruptBufferPlan corrupts a clone of the buffer plan, proving the
 	// buffer rules fire. Seed selects the variant: 0 aliases two
 	// simultaneously-live values onto one arena slot (buffer-alias), 1
 	// shrinks a slot below its hosted value (buffer-capacity), 2 marks a
@@ -60,11 +60,11 @@ const (
 	// facts, proving the write-conflict rule fires.
 	CorruptAtomicFlag
 	// CorruptFusionRegion corrupts a fusion region's recorded metadata in the
-	// verified IR, proving the fusion-region rules fire. Seed selects the
+	// verified clone, proving the fusion-region rules fire. Seed selects the
 	// variant: 0 inflates the region's claimed saved-traffic bytes
 	// (fusion-region-cost), 1 rewrites the absorbed post-epilogue chain so it
 	// no longer matches the recorded unary node (fusion-region), 2 appends a
-	// phantom consumer of an erased interior value to the pre-fusion view
+	// phantom consumer of an erased interior value to the recorded program
 	// (fusion-region); on a row-resident region, 3 has a scatter's Dst_V
 	// result read back through a Src_V operand and 4 gives an interior value
 	// a recorded reader outside the region (fusion-region, one diagnostic
@@ -104,14 +104,14 @@ const (
 	// Delay, so a deadline can be shown to cut the step between chunks.
 	SlowDenseChunk
 	// CorruptDenseRewrite corrupts what the dense-rewrite stage recorded in
-	// the verified IR, proving its three rules fire. Seed selects the variant:
-	// 0 gives the value under an absorbed GEMM epilogue a second recorded
+	// the verified clone, proving its three rules fire. Seed selects the
+	// variant: 0 gives the value under an absorbed GEMM epilogue a second recorded
 	// reader (dense-epilogue), 1 shifts the row range of a split GEMM's weight
 	// view (split-gemm), 2 gives the recorded aggregate behind a commuted
 	// gather a second reader (aggregate-commute).
 	CorruptDenseRewrite
-	// CorruptRowClosure corrupts the verified view of the row transfers a
-	// compiled program's row-subset runs walk by, proving row-closure fires.
+	// CorruptRowClosure corrupts a clone of the row reads a compiled
+	// program's row-subset runs walk by, proving row-closure fires.
 	// Seed selects the variant: 0 records a Src_V operand as carried instead
 	// of expanded through the in-edges, 1 drops an external operand of a
 	// row-resident region's interior.

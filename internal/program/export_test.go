@@ -31,3 +31,16 @@ func (cp *CompiledProgram) PoisonArena() {
 
 // RowFullShare is the crossover constant RunRows decides by.
 const RowFullShare = rowFullShare
+
+// Verified lists everything Verify reads: the recorded program, the compiled
+// one, the buffer plan, the wave schedule and, per step, its name, the values
+// it reads and writes and its recorded row reads. The purity test compares a
+// deep copy of it before Verify with it after.
+func (cp *CompiledProgram) Verified() []any {
+	v := []any{cp.pre, cp.prog, cp.plan, cp.slotOffsets, cp.depEdges, cp.waves}
+	for i := range cp.steps {
+		st := &cp.steps[i]
+		v = append(v, st.name, st.reads, st.vx2, st.vout, st.rowReads, st.rowDeclined)
+	}
+	return v
+}

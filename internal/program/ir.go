@@ -17,6 +17,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ops"
 	"repro/internal/tensor"
@@ -167,6 +168,77 @@ type Node struct {
 	Dense *DenseInfo
 }
 
+// binds lists the values bound to n's own operand slots: X, Y and, on a
+// split-weight GEMM, the second (operand, weight) pair. Absent ones are
+// NoValue.
+func (n *Node) binds() []ValueID {
+	vs := []ValueID{n.X, n.Y}
+	if d := n.Dense; d != nil {
+		vs = append(vs, d.X2, d.W2)
+	}
+	return vs
+}
+
+// operands lists the values n reads from storage: what it binds and, for the
+// head of a row-resident region, also what its interior nodes read from
+// outside the region, and not the interior value bound to its own operand,
+// which no storage holds. Absent ones are NoValue.
+func (n *Node) operands() []ValueID {
+	vs := n.binds()
+	r := n.Region
+	if r == nil || len(r.Interior) == 0 {
+		return vs
+	}
+	for i := range r.Interior {
+		vs = append(vs, r.Interior[i].operands()...)
+	}
+	return slices.DeleteFunc(vs, r.interior)
+}
+
+// interior reports whether v is defined by one of the region's interior
+// nodes; false on a nil region.
+func (r *RegionInfo) interior(v ValueID) bool {
+	if r == nil {
+		return false
+	}
+	for i := range r.Interior {
+		if r.Interior[i].Out == v {
+			return v != NoValue
+		}
+	}
+	return false
+}
+
+// clone is a deep copy of n: its chains and annotations are fresh, its
+// constant payload is shared (nothing that clones a node writes weights).
+func (n Node) clone() Node {
+	n.Chain = slices.Clone(n.Chain)
+	if r := n.Region; r != nil {
+		c := *r
+		c.PreX, c.PreY, c.Post = slices.Clone(r.PreX), slices.Clone(r.PreY), slices.Clone(r.Post)
+		c.Interior = cloneNodes(r.Interior)
+		n.Region = &c
+	}
+	if d := n.Dense; d != nil {
+		c := *d
+		c.Post = slices.Clone(d.Post)
+		n.Dense = &c
+	}
+	return n
+}
+
+// cloneNodes clones each node of ns; nil stays nil.
+func cloneNodes(ns []Node) []Node {
+	if ns == nil {
+		return nil
+	}
+	out := make([]Node, len(ns))
+	for i := range ns {
+		out[i] = ns[i].clone()
+	}
+	return out
+}
+
 // Program is a recorded model forward pass: nodes in topological (recording)
 // order over an SSA value table. Programs are graph-shape-typed (vertex vs
 // edge rows) but graph-instance-independent except for recorded constants
@@ -180,6 +252,14 @@ type Program struct {
 	Nodes           []Node
 	// Input and Output are the program's boundary values.
 	Input, Output ValueID
+}
+
+// clone is a deep copy of p (constant payloads shared, see Node.clone).
+func (p *Program) clone() *Program {
+	c := *p
+	c.Values = slices.Clone(p.Values)
+	c.Nodes = cloneNodes(p.Nodes)
+	return &c
 }
 
 // value returns the value descriptor.

@@ -96,16 +96,6 @@ type RegionInfo struct {
 	Interior []Node
 }
 
-// interior reports whether v is defined by one of the region's interior nodes.
-func (r *RegionInfo) interior(v ValueID) bool {
-	for i := range r.Interior {
-		if r.Interior[i].Out == v {
-			return v != NoValue
-		}
-	}
-	return false
-}
-
 // RegionStats summarises what FuseRegions did.
 type RegionStats struct {
 	// Pairs is how many materialise+scatter pairs merged (same as Fuse).

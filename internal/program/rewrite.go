@@ -2,9 +2,7 @@ package program
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/internal/analysis"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -60,38 +58,6 @@ type DenseInfo struct {
 
 func newDenseInfo() *DenseInfo {
 	return &DenseInfo{X2: NoValue, W2: NoValue, ViewOf: NoValue, CommutedFrom: NoValue}
-}
-
-// operands lists the values n reads from storage: X, Y and, on a split-weight
-// GEMM, the second (operand, weight) pair; for the head of a row-resident
-// region, also what its interior nodes read from outside the region, and not
-// the interior value bound to its own operand, which no storage holds.
-// Absent ones are NoValue.
-func (n *Node) operands() []ValueID {
-	vs := []ValueID{n.X, n.Y}
-	if d := n.Dense; d != nil {
-		vs = append(vs, d.X2, d.W2)
-	}
-	r := n.Region
-	if r == nil || len(r.Interior) == 0 {
-		return vs
-	}
-	for i := range r.Interior {
-		vs = append(vs, r.Interior[i].operands()...)
-	}
-	return slices.DeleteFunc(vs, r.interior)
-}
-
-// ir mirrors the annotation for the verifier (nil for a nil annotation).
-func (d *DenseInfo) ir() *analysis.IRDense {
-	if d == nil {
-		return nil
-	}
-	return &analysis.IRDense{
-		Post: elemsOf(d.Post), X2: int(d.X2), W2: int(d.W2),
-		ViewOf: int(d.ViewOf), ViewLo: d.Lo, ViewHi: d.Hi,
-		CommutedFrom: int(d.CommutedFrom),
-	}
 }
 
 // Rewrite pass names, as they appear in notes and provenance. The last is
@@ -414,31 +380,32 @@ func (rw *rewriter) absorbEpilogue(i int) {
 	}
 }
 
-// corruptDense corrupts what the dense-rewrite stage recorded. Seed 0 gives
-// the value under an absorbed chain a second recorded reader
-// (dense-epilogue); seed 1 shifts the row range of a split GEMM's weight
-// view (split-gemm); seed 2 gives the recorded aggregate behind a commuted
-// gather a second reader (aggregate-commute).
-func corruptDense(c *analysis.ProgramCheck, seed uint64) {
-	for i := range c.Post.Nodes {
-		n := &c.Post.Nodes[i]
+// corruptDense corrupts what the dense-rewrite stage recorded, on clones of
+// the recorded and the compiled program (verify.go). Seed 0 gives the value
+// under an absorbed chain a second recorded reader (dense-epilogue); seed 1
+// shifts the row range of a split GEMM's weight view (split-gemm); seed 2
+// gives the recorded aggregate behind a commuted gather a second reader
+// (aggregate-commute).
+func corruptDense(pre, post *Program, seed uint64) {
+	for i := range post.Nodes {
+		n := &post.Nodes[i]
 		d := n.Dense
 		switch {
 		case d == nil:
-		case seed == 0 && len(d.Post) > 0 && c.Pre != nil:
+		case seed == 0 && len(d.Post) > 0:
 			// The recorded unary defining the node's value reads the erased
 			// interior.
-			for j := range c.Pre.Nodes {
-				if u := &c.Pre.Nodes[j]; u.Out == n.Out && u.Kind == analysis.KindUnary {
-					phantomReader(c, u.X)
+			for j := range pre.Nodes {
+				if u := &pre.Nodes[j]; u.Out == n.Out && u.Op == OpUnary {
+					phantomReader(pre, u.X)
 					return
 				}
 			}
-		case seed == 1 && d.ViewOf != analysis.NoValue:
-			d.ViewLo++
+		case seed == 1 && d.ViewOf != NoValue:
+			d.Lo++
 			return
-		case seed == 2 && d.CommutedFrom != analysis.NoValue && c.Pre != nil:
-			phantomReader(c, d.CommutedFrom)
+		case seed == 2 && d.CommutedFrom != NoValue:
+			phantomReader(pre, d.CommutedFrom)
 			return
 		}
 	}

@@ -317,7 +317,7 @@ func TestRewriteNoteNamesTheReassociation(t *testing.T) {
 
 // TestVerifierRejectsIllegalCommutation: the aggregate-commute rule decides
 // legality on its own, not by trusting the pass — a legal commutation's
-// verified view, edited into each shape the pass must decline, is rejected
+// compiled program, edited into each shape the pass must decline, is rejected
 // under that rule.
 func TestVerifierRejectsIllegalCommutation(t *testing.T) {
 	g := testGraph(t, 56, 90, 700)
@@ -329,53 +329,49 @@ func TestVerifierRejectsIllegalCommutation(t *testing.T) {
 		t.Fatalf("fixture did not commute: %v", notes)
 	}
 	rewritten, _ = EliminateDead(rewritten)
-	check := func() analysis.ProgramCheck {
-		return analysis.ProgramCheck{Subject: "sage-toy", Pre: irOf(p), Post: irOf(rewritten), NumVertices: numV, NumEdges: numE}
-	}
-	if err := analysis.VerifyProgram(check()); err != nil {
+	if err := verifyCompilation(p, rewritten, nil, numV, numE); err != nil {
 		t.Fatalf("legal commutation rejected: %v", err)
 	}
-	commuted := func(c analysis.ProgramCheck) *analysis.IRNode {
-		for i := range c.Post.Nodes {
-			if d := c.Post.Nodes[i].Dense; d != nil && d.CommutedFrom != analysis.NoValue {
-				return &c.Post.Nodes[i]
+	commuted := func(post *Program) *Node {
+		for i := range post.Nodes {
+			if d := post.Nodes[i].Dense; d != nil && d.CommutedFrom != NoValue {
+				return &post.Nodes[i]
 			}
 		}
-		t.Fatal("no commuted aggregate in the compiled view")
+		t.Fatal("no commuted aggregate in the compiled program")
 		return nil
 	}
-	for name, edit := range map[string]func(c analysis.ProgramCheck){
-		"max gather": func(c analysis.ProgramCheck) {
+	for name, edit := range map[string]func(pre, post *Program){
+		"max gather": func(pre, post *Program) {
 			// Recorded and compiled alike, so only the commutation is at fault.
-			commuted(c).Op.GatherOp = ops.GatherMax
-			for i := range c.Pre.Nodes {
-				if c.Pre.Nodes[i].Op.GatherOp == ops.GatherMean {
-					c.Pre.Nodes[i].Op.GatherOp = ops.GatherMax
+			commuted(post).GOp.GatherOp = ops.GatherMax
+			for i := range pre.Nodes {
+				if pre.Nodes[i].GOp.GatherOp == ops.GatherMean {
+					pre.Nodes[i].GOp.GatherOp = ops.GatherMax
 				}
 			}
 		},
-		"leaky-relu between aggregate and GEMM": func(c analysis.ProgramCheck) {
-			n := commuted(c)
-			n.HasRegion, n.Post = true, []analysis.Elem{{Kind: uint8(UnaryLeakyReLU), Alpha: 0.2}}
+		"leaky-relu between aggregate and GEMM": func(pre, post *Program) {
+			commuted(post).Region = &RegionInfo{Post: []Unary{{Kind: UnaryLeakyReLU, Alpha: 0.2}}}
 		},
-		"aggregate with two consumers": func(c analysis.ProgramCheck) {
-			phantomReader(&c, commuted(c).Dense.CommutedFrom)
+		"aggregate with two consumers": func(pre, post *Program) {
+			phantomReader(pre, commuted(post).Dense.CommutedFrom)
 		},
-		"widening weight": func(c analysis.ProgramCheck) {
+		"widening weight": func(pre, post *Program) {
 			// The layer's result as wide as the aggregate it was to narrow.
-			wide := c.Pre.Values[commuted(c).Dense.CommutedFrom].Cols
-			for i := range c.Pre.Nodes {
-				if c.Pre.Nodes[i].Name == "w_concat" {
-					c.Pre.Values[c.Pre.Nodes[i].Out].Cols = wide
+			wide := pre.Values[commuted(post).Dense.CommutedFrom].Cols
+			for i := range pre.Nodes {
+				if pre.Nodes[i].Name == "w_concat" {
+					pre.Values[pre.Nodes[i].Out].Cols = wide
 				}
 			}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			c := check()
-			edit(c)
+			pre, post := p.clone(), rewritten.clone()
+			edit(pre, post)
 			var ve *analysis.VerifyError
-			if err := analysis.VerifyProgram(c); !errors.As(err, &ve) || !ve.HasRule(analysis.RuleAggregateCommute) {
+			if err := verifyCompilation(pre, post, nil, numV, numE); !errors.As(err, &ve) || !ve.HasRule(analysis.RuleAggregateCommute) {
 				t.Fatalf("want an %s violation, got %v", analysis.RuleAggregateCommute, err)
 			}
 		})

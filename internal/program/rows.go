@@ -7,9 +7,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
@@ -31,7 +29,7 @@ import (
 // (carry: a dense operand, a Dst_V operand) or the sources of S's in-edges
 // (expand: a Src_V operand). They are derived here from operand kinds at
 // compile time and proven by the verifier's row-closure rule, which re-derives
-// them on its own (analysis/verify_rows.go).
+// them on its own (verify_rows.go).
 //
 // The exact L-hop in-closure of a few rows is usually tiny and sometimes most
 // of the graph (a hub, a deep model), and past some size the full pass —
@@ -74,7 +72,7 @@ func rowReadsOf(p *Program, n *Node) (reads []rowRead, declined string) {
 		return nil, "it writes an Edge value, whose rows are not vertices"
 	}
 	add := func(v ValueID, kind tensor.Kind) {
-		if v == NoValue || p.Values[v].Const || (n.Region != nil && n.Region.interior(v)) {
+		if v == NoValue || p.Values[v].Const || n.Region.interior(v) {
 			return // absent, needs no rows, or computed inside the rows that read it
 		}
 		if p.Values[v].Rows == EdgeRows {
@@ -130,63 +128,35 @@ func (cp *CompiledProgram) RowsCapable() (ok bool, declined string) {
 	return cp.rowsDeclined == "", cp.rowsDeclined
 }
 
-// rowFactsOf builds the row-closure rule's view of the compiled steps. The
-// slices are fresh, so the corruption point mutates only the view.
-func (cp *CompiledProgram) rowFactsOf() analysis.RowClosureFacts {
-	f := analysis.RowClosureFacts{Subject: cp.prog.Model, Post: irOf(cp.prog), Steps: make([]analysis.RowStep, len(cp.steps))}
-	for i := range cp.steps {
-		st := &cp.steps[i]
-		rs := analysis.RowStep{Name: st.name, Declined: st.rowDeclined != ""}
-		for _, r := range st.rowReads {
-			t := analysis.RowCarry
-			if r.expand {
-				t = analysis.RowExpand
-			}
-			rs.Reads = append(rs.Reads, analysis.RowRead{Value: int(r.v), Transfer: t})
-		}
-		f.Steps[i] = rs
-	}
-	return f
-}
-
-// verifyRowClosure runs the mandatory row-closure rule over the recorded row
-// reads.
-func (cp *CompiledProgram) verifyRowClosure() error {
-	f := cp.rowFactsOf()
-	if faultinject.Fire(faultinject.CorruptRowClosure) {
-		corruptRows(&f, faultinject.SpecOf(faultinject.CorruptRowClosure).Seed)
-	}
-	return analysis.VerifyRowClosure(f)
-}
-
-// corruptRows corrupts the row-closure rule's view. Seed 0 records the first
-// Src_V operand as carried; seed 1 drops, from the first row-resident region's
-// head, a read that only its interior makes. Either way the step is presented
-// as running row sets, whatever its lowering said.
-func corruptRows(f *analysis.RowClosureFacts, seed uint64) {
+// corruptRows corrupts a clone of the steps' recorded row reads (verify.go).
+// Seed 0 records the first Src_V operand as carried; seed 1 drops, from the
+// first row-resident region's head, a read that only its interior makes.
+// Either way the step is presented as running row sets, whatever its lowering
+// said.
+func corruptRows(p *Program, steps []step, seed uint64) {
 	k := -1
-	for i := range f.Post.Nodes {
-		n := &f.Post.Nodes[i]
-		if n.Kind == analysis.KindInput || n.Kind == analysis.KindConst {
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Op == OpInput || n.Op == OpConst {
 			continue
 		}
 		k++
-		st := &f.Steps[k]
+		st := &steps[k]
 		if seed == 0 {
-			for j := range st.Reads {
-				if st.Reads[j].Transfer == analysis.RowExpand {
-					st.Reads[j].Transfer, st.Declined = analysis.RowCarry, false
+			for j := range st.rowReads {
+				if st.rowReads[j].expand {
+					st.rowReads[j].expand, st.rowDeclined = false, ""
 					return
 				}
 			}
 			continue
 		}
-		if len(n.Interior) == 0 {
+		if n.Region == nil || len(n.Region.Interior) == 0 {
 			continue
 		}
-		for j, r := range st.Reads {
-			if r.Value != n.X && r.Value != n.Y {
-				st.Reads, st.Declined = append(st.Reads[:j:j], st.Reads[j+1:]...), false
+		for j, r := range st.rowReads {
+			if r.v != n.X && r.v != n.Y {
+				st.rowReads, st.rowDeclined = slices.Delete(st.rowReads, j, j+1), ""
 				return
 			}
 		}

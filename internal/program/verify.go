@@ -11,109 +11,74 @@ import (
 	"repro/internal/tensor"
 )
 
-// The bridge to the static verifier: Compile hands the analysis layer its
-// own view of the pre-fusion program, the compiled program and the buffer
-// plan, and aborts on any violation. The faultinject corruption points
-// mutate ONLY that view (freshly copied slices), never the real compile
-// artifacts — so the fault-injection suite can prove every rule fires while
-// a corrupted compilation still fails safely.
+// The bridge to the static verifier. The program-level rules (verify_*.go)
+// read the compiled artifacts themselves — the recorded program, the compiled
+// one, the buffer plan and each step's row reads — and share nothing with the
+// passes they check but the IR's types and the accessors ir.go declares on
+// them (TestVerifierIndependentOfPasses). The faultinject corruption points
+// corrupt a deep clone of what the rules read, made only when a point is
+// armed: the compile artifacts stay intact, so the fault-injection suite can
+// prove every rule fires while a corrupted compilation still fails safely.
 
-// irKinds maps a NodeOp to the verifier's coarser node classification; a
-// kind outside the table (hand-built IR) is KindOther.
-var irKinds = [...]analysis.NodeKind{
-	OpInput: analysis.KindInput, OpConst: analysis.KindConst, OpGEMM: analysis.KindGEMM,
-	OpUnary: analysis.KindUnary, OpAddScaled: analysis.KindAddScaled, OpHeadMerge: analysis.KindOther,
-	OpConcat: analysis.KindConcat, OpGraph: analysis.KindGraph,
-}
-
-func kindOf(op NodeOp) analysis.NodeKind {
-	if int(op) < len(irKinds) {
-		return irKinds[op]
-	}
-	return analysis.KindOther
-}
-
-// irOf converts a Program into the verifier's exchange form. The slices are
-// fresh, so corruption passes may mutate them freely.
-func irOf(p *Program) *analysis.ProgramIR {
-	ir := &analysis.ProgramIR{
-		Values: make([]analysis.IRValue, len(p.Values)),
-		Nodes:  make([]analysis.IRNode, len(p.Nodes)),
-		Input:  int(p.Input),
-		Output: int(p.Output),
-	}
-	for i, v := range p.Values {
-		rows := analysis.VertexRows
-		if v.Rows == EdgeRows {
-			rows = analysis.EdgeRows
-		}
-		ir.Values[i] = analysis.IRValue{Rows: rows, Cols: v.Cols, Const: v.Const}
-	}
-	for i := range p.Nodes {
-		ir.Nodes[i] = irNodeOf(&p.Nodes[i])
-	}
-	return ir
-}
-
-// irNodeOf converts one node, a row-resident region's interior nodes included.
-func irNodeOf(n *Node) analysis.IRNode {
-	in := analysis.IRNode{
-		Name: n.Name, Kind: kindOf(n.Op),
-		X: int(n.X), Y: int(n.Y), Out: int(n.Out),
-		Op: n.GOp, Fused: n.Fused,
-		Chain: elemsOf(n.Chain), Scale: n.Scale, Dense: n.Dense.ir(),
-	}
-	if r := n.Region; r != nil {
-		in.HasRegion = true
-		in.PreX = elemsOf(r.PreX)
-		in.PreY = elemsOf(r.PreY)
-		in.Post = elemsOf(r.Post)
-		in.RegionSavedBytes = r.SavedBytes
-		for i := range r.Interior {
-			in.Interior = append(in.Interior, irNodeOf(&r.Interior[i]))
-		}
-	}
-	return in
-}
-
-// elemsOf converts a unary chain into the verifier's primitive mirror. The
-// slice is fresh, so corruption passes may mutate it freely.
-func elemsOf(chain []Unary) []analysis.Elem {
-	if len(chain) == 0 {
-		return nil
-	}
-	es := make([]analysis.Elem, len(chain))
-	for i, u := range chain {
-		es[i] = analysis.Elem{Kind: uint8(u.Kind), Alpha: u.Alpha}
-	}
-	return es
-}
-
-// factsOf converts a buffer plan into the verifier's exchange form, copying
-// the plan slices so corruption never reaches the real plan.
-func factsOf(plan *BufferPlan, numV, numE int) *analysis.BufferFacts {
-	return &analysis.BufferFacts{
-		Assign:      append([]int(nil), plan.Assign...),
-		InPlace:     append([]bool(nil), plan.InPlace...),
-		SlotFloats:  append([]int(nil), plan.SlotFloats...),
-		NumVertices: numV,
-		NumEdges:    numE,
-	}
+// programCorruptions are the points that corrupt what the program-level
+// rules read.
+var programCorruptions = [...]faultinject.Point{
+	faultinject.CorruptOperandKind, faultinject.CorruptFusion, faultinject.CorruptFusionRegion,
+	faultinject.CorruptBufferPlan, faultinject.CorruptDenseRewrite,
 }
 
 // verifyCompilation runs the mandatory program-level verification for one
-// compilation: pre is the recorded program, post the fused+pruned one.
+// compilation: pre is the recorded program, post the fused+pruned one, plan
+// its buffer plan on a graph of numV vertices and numE edges. Compile passes
+// all three; the rule tests pass a nil pre or plan (see checkProgram) and arm
+// no corruption point.
 func verifyCompilation(pre, post *Program, plan *BufferPlan, numV, numE int) error {
-	c := analysis.ProgramCheck{
-		Subject:     post.Model,
-		Pre:         irOf(pre),
-		Post:        irOf(post),
-		Plan:        factsOf(plan, numV, numE),
-		NumVertices: numV,
-		NumEdges:    numE,
+	for _, pt := range programCorruptions {
+		if faultinject.Armed(pt) {
+			pre, post, plan = pre.clone(), post.clone(), plan.clone()
+			corrupt(pre, post, plan)
+			break
+		}
 	}
-	corruptCheck(&c)
-	return analysis.VerifyProgram(c)
+	return analysis.ProgramVerified(checkProgram(pre, post, plan, numV, numE))
+}
+
+// clone is a deep copy of b.
+func (b *BufferPlan) clone() *BufferPlan {
+	c := *b
+	c.Assign, c.InPlace, c.SlotFloats = slices.Clone(b.Assign), slices.Clone(b.InPlace), slices.Clone(b.SlotFloats)
+	c.Def, c.LastUse = slices.Clone(b.Def), slices.Clone(b.LastUse)
+	return &c
+}
+
+// checkProgram runs every program-level rule, in analysis.ProgramRules
+// order. A nil pre skips the fusion, dense and DCE rules, a nil plan the
+// buffer rules; zero graph sizes skip the region cost bound.
+func checkProgram(pre, post *Program, plan *BufferPlan, numV, numE int) []analysis.Diagnostic {
+	diags := append(checkSSA(post), checkOperandTypes(post)...)
+	if pre != nil {
+		diags = append(diags, checkFusion(pre, post, numV, numE)...)
+	}
+	if plan != nil {
+		diags = append(diags, checkBuffers(post, plan, numV, numE)...)
+	}
+	return diags
+}
+
+// verifyRowClosure runs the mandatory row-closure rule over the steps'
+// recorded row reads.
+func (cp *CompiledProgram) verifyRowClosure() error {
+	steps := cp.steps
+	if faultinject.Armed(faultinject.CorruptRowClosure) {
+		steps = slices.Clone(steps)
+		for i := range steps {
+			steps[i].rowReads = slices.Clone(steps[i].rowReads)
+		}
+		if faultinject.Fire(faultinject.CorruptRowClosure) {
+			corruptRows(cp.prog, steps, faultinject.SpecOf(faultinject.CorruptRowClosure).Seed)
+		}
+	}
+	return analysis.Finish(checkRowClosure(cp.prog, steps))
 }
 
 // verifyStepLowerings cross-checks each lowered graph kernel's declared
@@ -196,58 +161,59 @@ func (cp *CompiledProgram) Verify() analysis.Report {
 	return rep
 }
 
-// corruptCheck applies any armed plan-corruption faults to the verifier's
-// view. Each point's Spec.Seed selects the corrupted rule variant (see the
-// faultinject.Corrupt* docs).
-func corruptCheck(c *analysis.ProgramCheck) {
+// corrupt applies the armed program corruptions to clones of what the
+// program-level rules read. Each point's Spec.Seed selects the corrupted rule
+// variant (see the faultinject.Corrupt* docs).
+func corrupt(pre, post *Program, plan *BufferPlan) {
+	seed := func(p faultinject.Point) uint64 { return faultinject.SpecOf(p).Seed }
 	if faultinject.Fire(faultinject.CorruptOperandKind) {
-		corruptOperand(c, faultinject.SpecOf(faultinject.CorruptOperandKind).Seed)
+		corruptOperand(post, seed(faultinject.CorruptOperandKind))
 	}
 	if faultinject.Fire(faultinject.CorruptFusion) {
-		corruptFusion(c, faultinject.SpecOf(faultinject.CorruptFusion).Seed)
+		corruptFusion(pre, post, plan, seed(faultinject.CorruptFusion))
 	}
 	if faultinject.Fire(faultinject.CorruptFusionRegion) {
-		corruptRegion(c, faultinject.SpecOf(faultinject.CorruptFusionRegion).Seed)
+		corruptRegion(pre, post, seed(faultinject.CorruptFusionRegion))
 	}
 	if faultinject.Fire(faultinject.CorruptBufferPlan) {
-		corruptBuffers(c, faultinject.SpecOf(faultinject.CorruptBufferPlan).Seed)
+		corruptBuffers(post, plan, seed(faultinject.CorruptBufferPlan))
 	}
 	if faultinject.Fire(faultinject.CorruptDenseRewrite) {
-		corruptDense(c, faultinject.SpecOf(faultinject.CorruptDenseRewrite).Seed)
+		corruptDense(pre, post, seed(faultinject.CorruptDenseRewrite))
 	}
 }
 
-// phantomReader appends to the recorded view a dead unary node reading v: a
-// second consumer no rewrite that erased v could have honoured.
-func phantomReader(c *analysis.ProgramCheck, v int) {
-	c.Pre.Values = append(c.Pre.Values, c.Pre.Values[v])
-	c.Pre.Nodes = append(c.Pre.Nodes, analysis.IRNode{
-		Name: "phantom", Kind: analysis.KindUnary,
-		X: v, Y: analysis.NoValue, Out: len(c.Pre.Values) - 1,
-		Chain: []analysis.Elem{{}},
+// phantomReader appends to the recorded program a dead unary node reading v:
+// a second consumer no rewrite that erased v could have honoured.
+func phantomReader(pre *Program, v ValueID) {
+	pre.Values = append(pre.Values, pre.Values[v])
+	pre.Nodes = append(pre.Nodes, Node{
+		Name: "phantom", Op: OpUnary,
+		X: v, Y: NoValue, Out: ValueID(len(pre.Values) - 1),
+		Chain: []Unary{{}},
 	})
 }
 
-// firstGraphNode returns the index of the first graph node in ir, or -1.
-func firstGraphNode(ir *analysis.ProgramIR) int {
-	for i := range ir.Nodes {
-		if ir.Nodes[i].Kind == analysis.KindGraph {
+// firstGraphNode returns the index of the first graph node in p, or -1.
+func firstGraphNode(p *Program) int {
+	for i := range p.Nodes {
+		if p.Nodes[i].Op == OpGraph {
 			return i
 		}
 	}
 	return -1
 }
 
-// corruptOperand corrupts the compiled view's typing. Seed 0 flips a graph
+// corruptOperand corrupts the compiled program's typing. Seed 0 flips a graph
 // operand's addressing class; seed 1 points a node outside the value table.
-func corruptOperand(c *analysis.ProgramCheck, seed uint64) {
-	i := firstGraphNode(c.Post)
+func corruptOperand(post *Program, seed uint64) {
+	i := firstGraphNode(post)
 	if i < 0 {
 		return
 	}
-	n := &c.Post.Nodes[i]
+	n := &post.Nodes[i]
 	if seed == 1 {
-		n.Out = len(c.Post.Values) + 7
+		n.Out = ValueID(len(post.Values) + 7)
 		return
 	}
 	flip := func(k tensor.Kind) tensor.Kind {
@@ -256,62 +222,60 @@ func corruptOperand(c *analysis.ProgramCheck, seed uint64) {
 		}
 		return tensor.EdgeK
 	}
-	if n.Op.AKind != tensor.Null {
-		n.Op.AKind = flip(n.Op.AKind)
+	if n.GOp.AKind != tensor.Null {
+		n.GOp.AKind = flip(n.GOp.AKind)
 	} else {
-		n.Op.BKind = flip(n.Op.BKind)
+		n.GOp.BKind = flip(n.GOp.BKind)
 	}
 }
 
 // corruptFusion corrupts the fusion bookkeeping. Seed 0 mis-merges a fused
 // operator (or toggles a Fused marker when no pair fused); seed 1 declares a
 // fused intermediate to be the program output; seed 2 drops a live node from
-// the compiled view.
-func corruptFusion(c *analysis.ProgramCheck, seed uint64) {
+// the compiled program.
+func corruptFusion(pre, post *Program, plan *BufferPlan, seed uint64) {
 	switch seed {
 	case 1:
-		if c.Pre == nil {
-			return
-		}
 		// Find the recorded scatter: its Y operand is the intermediate the
-		// fusion pass erased. (Looked up in the pre view directly, since a
-		// fused node's output may have moved past an absorbed epilogue.)
-		for j := range c.Pre.Nodes {
-			d := &c.Pre.Nodes[j]
-			if d.Kind == analysis.KindGraph && d.Op.EdgeOp == ops.CopyRHS &&
-				d.Op.GatherOp.IsReduction() && d.Op.BKind == tensor.EdgeK &&
-				d.Op.CKind == tensor.DstV {
-				c.Pre.Output = d.Y
+		// fusion pass erased. (Looked up in the recorded program directly,
+		// since a fused node's output may have moved past an absorbed
+		// epilogue.)
+		for j := range pre.Nodes {
+			d := &pre.Nodes[j]
+			if d.Op == OpGraph && d.GOp.EdgeOp == ops.CopyRHS &&
+				d.GOp.GatherOp.IsReduction() && d.GOp.BKind == tensor.EdgeK &&
+				d.GOp.CKind == tensor.DstV {
+				pre.Output = d.Y
 				return
 			}
 		}
 	case 2:
-		i := firstGraphNode(c.Post)
+		i := firstGraphNode(post)
 		if i < 0 {
 			return
 		}
-		c.Post.Nodes = append(c.Post.Nodes[:i:i], c.Post.Nodes[i+1:]...)
-		if c.Plan != nil && i < len(c.Plan.InPlace) {
-			c.Plan.InPlace = append(c.Plan.InPlace[:i:i], c.Plan.InPlace[i+1:]...)
+		post.Nodes = slices.Delete(post.Nodes, i, i+1)
+		if i < len(plan.InPlace) {
+			plan.InPlace = slices.Delete(plan.InPlace, i, i+1)
 		}
 	default:
 		// Mis-merge the fused operator's reduction: the op-composition check
 		// fires fusion-pair whether the node is a bare pair or a region head.
-		for i := range c.Post.Nodes {
-			n := &c.Post.Nodes[i]
+		for i := range post.Nodes {
+			n := &post.Nodes[i]
 			if !n.Fused {
 				continue
 			}
-			if n.Op.GatherOp == ops.GatherSum {
-				n.Op.GatherOp = ops.GatherMax
+			if n.GOp.GatherOp == ops.GatherSum {
+				n.GOp.GatherOp = ops.GatherMax
 			} else {
-				n.Op.GatherOp = ops.GatherSum
+				n.GOp.GatherOp = ops.GatherSum
 			}
 			return
 		}
-		for i := range c.Post.Nodes {
-			n := &c.Post.Nodes[i]
-			if n.Kind == analysis.KindGraph && n.Op.CKind == tensor.DstV {
+		for i := range post.Nodes {
+			n := &post.Nodes[i]
+			if n.Op == OpGraph && n.GOp.CKind == tensor.DstV {
 				n.Fused = true
 				return
 			}
@@ -323,79 +287,69 @@ func corruptFusion(c *analysis.ProgramCheck, seed uint64) {
 // inflates the claimed saved bytes past any recomputable bound; seed 1
 // rewrites the absorbed epilogue chain so it no longer matches the recorded
 // unary node; seed 2 appends a phantom consumer of the region's erased
-// interior value to the pre-fusion view. Seeds 3 and 4 corrupt a row-resident
-// region (corruptRowRegion).
-func corruptRegion(c *analysis.ProgramCheck, seed uint64) {
+// interior value to the recorded program. Seeds 3 and 4 corrupt a
+// row-resident region (corruptRowRegion).
+func corruptRegion(pre, post *Program, seed uint64) {
 	if seed >= 3 {
-		corruptRowRegion(c, seed)
+		corruptRowRegion(pre, post, seed)
 		return
 	}
-	ri := -1
-	for i := range c.Post.Nodes {
-		n := &c.Post.Nodes[i]
-		if n.HasRegion && len(n.Post) > 0 {
-			ri = i
+	var n *Node
+	for i := range post.Nodes {
+		if r := post.Nodes[i].Region; r != nil && len(r.Post) > 0 {
+			n = &post.Nodes[i]
 			break
 		}
 	}
-	if ri < 0 {
+	if n == nil {
 		return
 	}
-	n := &c.Post.Nodes[ri]
 	switch seed {
 	case 1:
-		n.Post[0].Kind = 255
+		n.Region.Post[0].Kind = 255
 	case 2:
-		if c.Pre == nil {
-			return
-		}
-		// The pre node defining the region output is the absorbed epilogue
-		// unary; its X operand is the erased interior value. A phantom
-		// second consumer of that value makes the absorption illegal.
-		for j := range c.Pre.Nodes {
-			d := &c.Pre.Nodes[j]
-			if d.Out != n.Out || d.Kind != analysis.KindUnary {
-				continue
+		// The recorded node defining the region output is the absorbed
+		// epilogue unary; its X operand is the erased interior value. A
+		// phantom second consumer of that value makes the absorption illegal.
+		for j := range pre.Nodes {
+			if d := &pre.Nodes[j]; d.Out == n.Out && d.Op == OpUnary {
+				phantomReader(pre, d.X)
+				return
 			}
-			phantomReader(c, d.X)
-			return
 		}
 	default:
-		n.RegionSavedBytes = 1 << 50
+		n.Region.SavedBytes = 1 << 50
 	}
 }
 
-// corruptRowRegion corrupts the first row-resident region of the view. Seed 3
-// makes an interior reader take a scatter's Dst_V result through a Src_V
-// operand, in the recorded program and the compiled one alike, so that only
-// the closure rule can object; seed 4 (any other) gives an interior value a
-// recorded reader outside the region.
-func corruptRowRegion(c *analysis.ProgramCheck, seed uint64) {
-	if c.Pre == nil {
-		return
-	}
-	for i := range c.Post.Nodes {
-		n := &c.Post.Nodes[i]
-		if len(n.Interior) == 0 {
+// corruptRowRegion corrupts the first row-resident region. Seed 3 makes an
+// interior reader take a scatter's Dst_V result through a Src_V operand, in
+// the recorded program and the compiled one alike, so that only the closure
+// rule can object; seed 4 (any other) gives an interior value a recorded
+// reader outside the region.
+func corruptRowRegion(pre, post *Program, seed uint64) {
+	for i := range post.Nodes {
+		r := post.Nodes[i].Region
+		if r == nil || len(r.Interior) == 0 {
 			continue
 		}
 		if seed != 3 {
-			phantomReader(c, n.Interior[0].Out)
+			phantomReader(pre, r.Interior[0].Out)
 			return
 		}
-		for j := range n.Interior {
-			r := &n.Interior[j]
-			if r.Kind != analysis.KindGraph || r.Op.BKind != tensor.DstV {
+		for j := range r.Interior {
+			rd := &r.Interior[j]
+			if rd.Op != OpGraph || rd.GOp.BKind != tensor.DstV {
 				continue
 			}
-			for k := range n.Interior {
-				if n.Interior[k].Out != r.Y || n.Interior[k].Op.CKind != tensor.DstV {
+			for k := range r.Interior {
+				if r.Interior[k].Out != rd.Y || r.Interior[k].GOp.CKind != tensor.DstV {
 					continue
 				}
-				r.Op.BKind = tensor.SrcV
-				for m := range c.Pre.Nodes {
-					if c.Pre.Nodes[m].Out == r.Out {
-						c.Pre.Nodes[m].Op.BKind = tensor.SrcV
+				rd.GOp.BKind = tensor.SrcV
+				for m := range pre.Nodes {
+					if pre.Nodes[m].Out == rd.Out {
+						pre.Nodes[m].GOp.BKind = tensor.SrcV
 					}
 				}
 				return
@@ -442,39 +396,35 @@ func corruptWaves(f *analysis.WaveFacts, seed uint64) {
 // corruptBuffers corrupts the verified buffer plan. Seed 0 aliases a
 // node's output onto a live operand's slot; seed 1 shrinks the output
 // value's slot; seed 2 marks a non-elementwise node in-place.
-func corruptBuffers(c *analysis.ProgramCheck, seed uint64) {
-	if c.Plan == nil {
-		return
-	}
+func corruptBuffers(post *Program, plan *BufferPlan, seed uint64) {
 	switch seed {
 	case 1:
-		out := c.Post.Output
-		if out >= 0 && out < len(c.Plan.Assign) {
-			if s := c.Plan.Assign[out]; s >= 0 && s < len(c.Plan.SlotFloats) {
-				c.Plan.SlotFloats[s] = 0
+		if out := post.Output; out >= 0 && int(out) < len(plan.Assign) {
+			if s := plan.Assign[out]; s >= 0 && s < len(plan.SlotFloats) {
+				plan.SlotFloats[s] = 0
 			}
 		}
 	case 2:
-		for i := range c.Post.Nodes {
-			n := &c.Post.Nodes[i]
-			if !n.Kind.Elementwise() && n.Kind != analysis.KindConst && n.Kind != analysis.KindInput &&
-				n.X != analysis.NoValue && i < len(c.Plan.InPlace) {
-				c.Plan.InPlace[i] = true
+		for i := range post.Nodes {
+			n := &post.Nodes[i]
+			if !elementwise(n.Op) && n.Op != OpConst && n.Op != OpInput &&
+				n.X != NoValue && i < len(plan.InPlace) {
+				plan.InPlace[i] = true
 				return
 			}
 		}
 	default:
-		for i := range c.Post.Nodes {
-			n := &c.Post.Nodes[i]
-			if n.Kind.Elementwise() || n.X == analysis.NoValue {
+		for i := range post.Nodes {
+			n := &post.Nodes[i]
+			if elementwise(n.Op) || n.X == NoValue {
 				continue
 			}
-			if n.X >= len(c.Plan.Assign) || n.Out >= len(c.Plan.Assign) {
+			if int(n.X) >= len(plan.Assign) || int(n.Out) >= len(plan.Assign) {
 				continue
 			}
-			sx, so := c.Plan.Assign[n.X], c.Plan.Assign[n.Out]
+			sx, so := plan.Assign[n.X], plan.Assign[n.Out]
 			if sx >= 0 && so >= 0 && sx != so {
-				c.Plan.Assign[n.Out] = sx
+				plan.Assign[n.Out] = sx
 				return
 			}
 		}

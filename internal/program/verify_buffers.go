@@ -1,13 +1,18 @@
-package analysis
+package program
 
-import "fmt"
+import (
+	"fmt"
 
-// Buffer-plan rules. The planner (program/buffers.go) maps intermediates
-// onto a small pool of reusable arena slots; these rules recompute liveness
-// intervals from the compiled IR alone and prove the assignment safe: no two
+	"repro/internal/analysis"
+)
+
+// Buffer-plan rules. The planner (buffers.go) maps intermediates onto a small
+// pool of reusable arena slots; these rules recompute liveness intervals from
+// the compiled IR alone and prove the assignment safe: no two
 // simultaneously-live values share storage, every slot fits its values, and
 // in-place writes happen only where element i of the output depends on
-// element i of the input alone.
+// element i of the input alone. They read the plan's Assign, InPlace and
+// SlotFloats, never the Def/LastUse intervals the planner derived.
 
 // interval is a value's live range in node indices: [def, last]. last is
 // def itself for values nothing reads, and len(nodes) for the output (which
@@ -18,12 +23,18 @@ func (iv interval) overlaps(other interval) bool {
 	return iv.def <= other.last && other.def <= iv.last
 }
 
-// checkBuffers verifies the buffer plan b against program p.
-func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
-	var diags []Diagnostic
+// elementwise reports whether node kind op computes element i of its output
+// from element i of its operands only — the precondition for in-place
+// aliasing.
+func elementwise(op NodeOp) bool { return op == OpUnary || op == OpAddScaled }
+
+// checkBuffers verifies the buffer plan b of program p on a graph of numV
+// vertices and numE edges.
+func checkBuffers(p *Program, b *BufferPlan, numV, numE int) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
 	if len(b.Assign) != len(p.Values) || len(b.InPlace) != len(p.Nodes) {
-		return []Diagnostic{{
-			Rule: RuleBufferAlias,
+		return []analysis.Diagnostic{{
+			Rule: analysis.RuleBufferAlias,
 			Msg: fmt.Sprintf("plan shape mismatch: %d assignments for %d values, %d in-place marks for %d nodes",
 				len(b.Assign), len(p.Values), len(b.InPlace), len(p.Nodes)),
 			Hint: "the plan must cover exactly the compiled program",
@@ -38,16 +49,16 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 	}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		if n.Kind != KindConst && n.Out >= 0 && n.Out < len(p.Values) {
+		if n.Op != OpConst && inTable(p, n.Out) {
 			ivs[n.Out].def = i
 		}
 		for _, v := range n.operands() {
-			if v != NoValue && v >= 0 && v < len(p.Values) && !p.Values[v].Const {
+			if inTable(p, v) && !p.Values[v].Const {
 				ivs[v].last = i
 			}
 		}
 	}
-	if p.Output >= 0 && p.Output < len(p.Values) {
+	if inTable(p, p.Output) {
 		ivs[p.Output].last = len(p.Nodes)
 	}
 	for v := range ivs {
@@ -58,30 +69,27 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 
 	// Per-value checks: every planned value needs a slot, and the slot must
 	// fit the value's footprint on this graph.
-	planned := func(v int) bool {
-		return ivs[v].def >= 0 && !p.Values[v].Const
-	}
 	bySlot := make(map[int][]int)
-	for v := range p.Values {
-		if !planned(v) {
+	for v, val := range p.Values {
+		if ivs[v].def < 0 || val.Const {
 			continue
 		}
 		s := b.Assign[v]
 		if s < 0 || s >= len(b.SlotFloats) {
-			diags = append(diags, Diagnostic{
-				Rule: RuleBufferAlias, Values: []int{v},
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleBufferAlias, Values: []int{v},
 				Msg:  fmt.Sprintf("live value %d has no arena slot (assigned %d of %d)", v, s, len(b.SlotFloats)),
 				Hint: "every non-constant defined value needs storage",
 			})
 			continue
 		}
-		rows := b.NumVertices
-		if p.Values[v].Rows == EdgeRows {
-			rows = b.NumEdges
+		rows := numV
+		if val.Rows == EdgeRows {
+			rows = numE
 		}
-		if need := rows * p.Values[v].Cols; need > b.SlotFloats[s] {
-			diags = append(diags, Diagnostic{
-				Rule: RuleBufferCapacity, Values: []int{v},
+		if need := rows * val.Cols; need > b.SlotFloats[s] {
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleBufferCapacity, Values: []int{v},
 				Msg:  fmt.Sprintf("value %d needs %d floats but slot %d holds %d", v, need, s, b.SlotFloats[s]),
 				Hint: "slot capacity must cover the largest hosted value",
 			})
@@ -99,15 +107,15 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 		}
 		n := &p.Nodes[i]
 		bad := func(msg string) {
-			diags = append(diags, Diagnostic{
-				Rule: RuleInPlace, Node: n.Name, Values: []int{n.Out},
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleInPlace, Node: n.Name, Values: ids(n.Out),
 				Msg:  msg,
 				Hint: "in-place writes need an elementwise node over a dying operand",
 			})
 		}
 		switch {
-		case !n.Kind.Elementwise():
-			bad(fmt.Sprintf("%s node marked in-place; only elementwise nodes may alias their operand", n.Kind))
+		case !elementwise(n.Op):
+			bad(fmt.Sprintf("%s node marked in-place; only elementwise nodes may alias their operand", n.Op))
 		case n.X == NoValue || n.X == n.Y:
 			bad("in-place node lacks a distinct X operand")
 		case b.Assign[n.X] != b.Assign[n.Out]:
@@ -115,7 +123,7 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 		case ivs[n.X].last != i:
 			bad(fmt.Sprintf("in-place node overwrites value %d which is still read at node %d", n.X, ivs[n.X].last))
 		default:
-			inPlacePair[[2]int{n.X, n.Out}] = true
+			inPlacePair[[2]int{int(n.X), int(n.Out)}] = true
 		}
 	}
 
@@ -132,8 +140,8 @@ func checkBuffers(p *ProgramIR, b *BufferFacts) []Diagnostic {
 				if inPlacePair[[2]int{a, c}] || inPlacePair[[2]int{c, a}] {
 					continue
 				}
-				diags = append(diags, Diagnostic{
-					Rule: RuleBufferAlias, Values: []int{a, c},
+				diags = append(diags, analysis.Diagnostic{
+					Rule: analysis.RuleBufferAlias, Values: []int{a, c},
 					Msg: fmt.Sprintf("values %d (live [%d,%d]) and %d (live [%d,%d]) share slot %d while both live",
 						a, ivs[a].def, ivs[a].last, c, ivs[c].def, ivs[c].last, s),
 					Hint: "overlapping live ranges need distinct slots",

@@ -31,8 +31,9 @@ func TestVerifyCleanCompile(t *testing.T) {
 
 // TestCorruptionFiresEachRule arms every plan-corruption point/seed variant
 // and proves the matching verifier rule rejects the compilation. The
-// corruption mutates only the verified view, so a firing rule must abort
-// Compile — silence would mean the rule cannot catch the bug it claims to.
+// corruption mutates only a clone of what the rules read, so a firing rule
+// must abort Compile — silence would mean the rule cannot catch the bug it
+// claims to.
 func TestCorruptionFiresEachRule(t *testing.T) {
 	g := testGraph(t, 12, 60, 400)
 	p, _, _ := toyProgram(t, g, 4, 3)
@@ -149,31 +150,28 @@ func TestFuseSkipsReadAfterScatter(t *testing.T) {
 func TestVerifierRejectsIllegalHandFusion(t *testing.T) {
 	g := testGraph(t, 14, 40, 200)
 	p := readAfterScatterProgram(t, g.NumEdges())
-	pre := irOf(p)
-
 	// Build the illegal post program: drop the materialise and its scatter,
 	// replace them with one fused node, leaving the normalise reading an
 	// erased intermediate.
-	var matOut, scatOut, matX, matY int
-	post := &analysis.ProgramIR{Values: pre.Values, Input: pre.Input, Output: pre.Output}
-	for _, n := range pre.Nodes {
+	var scatOut, matX, matY ValueID
+	post := &Program{Model: p.Model, Values: p.Values, Input: p.Input, Output: p.Output}
+	for _, n := range p.Nodes {
 		switch n.Name {
 		case "att_materialize":
-			matOut, matX, matY = n.Out, n.X, n.Y
+			matX, matY = n.X, n.Y
 		case "att_scatter":
 			scatOut = n.Out
 		default:
 			post.Nodes = append(post.Nodes, n)
 		}
 	}
-	post.Nodes = append(post.Nodes, analysis.IRNode{
-		Name: "att", Kind: analysis.KindGraph, X: matX, Y: matY, Out: scatOut, Fused: true,
-		Op: ops.OpInfo{EdgeOp: ops.EdgeMul, GatherOp: ops.GatherSum,
+	post.Nodes = append(post.Nodes, Node{
+		Name: "att", Op: OpGraph, X: matX, Y: matY, Out: scatOut, Fused: true,
+		GOp: ops.OpInfo{EdgeOp: ops.EdgeMul, GatherOp: ops.GatherSum,
 			AKind: tensor.SrcV, BKind: tensor.EdgeK, CKind: tensor.DstV},
 	})
-	_ = matOut
 
-	err := analysis.VerifyProgram(analysis.ProgramCheck{Subject: "ras", Pre: pre, Post: post})
+	err := verifyCompilation(p, post, nil, 0, 0)
 	if err == nil {
 		t.Fatal("illegal hand-fusion verified clean")
 	}

@@ -1,64 +1,81 @@
-package analysis
+package program
 
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
 // SSA-form and operand-type rules. The Table-4 legality conditions are
-// restated here from the paper, independently of ops.OpInfo.Validate, so a
-// bug in the ops-layer validation cannot hide from the verifier.
+// restated here from the paper, independently of ops.OpInfo.Validate and of
+// the Builder's checks, so a bug in either cannot hide from the verifier.
+
+// ids lists value ids for a diagnostic, nil for none.
+func ids(vs ...ValueID) []int {
+	if len(vs) == 0 {
+		return nil
+	}
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	return out
+}
+
+// inTable reports whether v names a value of p.
+func inTable(p *Program, v ValueID) bool { return v >= 0 && int(v) < len(p.Values) }
 
 // checkSSA verifies the DAG's well-formedness: every operand reference in
 // range, every value defined at most once, every read after its definition,
 // and the program boundaries defined.
-func checkSSA(p *ProgramIR) []Diagnostic {
-	var diags []Diagnostic
+func checkSSA(p *Program) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
 	def := make([]int, len(p.Values))
 	for i := range def {
 		def[i] = -1
 	}
-	inRange := func(v int) bool { return v >= 0 && v < len(p.Values) }
 	// A row-resident region's interior nodes define their values just before
 	// the head that reads them.
-	var visit func(n *IRNode, i int)
-	visit = func(n *IRNode, i int) {
-		for j := range n.Interior {
-			visit(&n.Interior[j], i)
+	var visit func(n *Node, i int)
+	visit = func(n *Node, i int) {
+		if r := n.Region; r != nil {
+			for j := range r.Interior {
+				visit(&r.Interior[j], i)
+			}
 		}
 		for _, v := range n.binds() {
 			if v == NoValue {
 				continue
 			}
-			if !inRange(v) {
-				diags = append(diags, Diagnostic{
-					Rule: RuleSSAForm, Node: n.Name, Values: []int{v},
+			if !inTable(p, v) {
+				diags = append(diags, analysis.Diagnostic{
+					Rule: analysis.RuleSSAForm, Node: n.Name, Values: ids(v),
 					Msg:  fmt.Sprintf("operand references value %d outside the value table (len %d)", v, len(p.Values)),
 					Hint: "node operands must name recorded values",
 				})
 				continue
 			}
 			if def[v] < 0 {
-				diags = append(diags, Diagnostic{
-					Rule: RuleSSAForm, Node: n.Name, Values: []int{v},
+				diags = append(diags, analysis.Diagnostic{
+					Rule: analysis.RuleSSAForm, Node: n.Name, Values: ids(v),
 					Msg:  fmt.Sprintf("value %d read at node %d before any definition", v, i),
 					Hint: "nodes must stay in topological order",
 				})
 			}
 		}
-		if !inRange(n.Out) {
-			diags = append(diags, Diagnostic{
-				Rule: RuleSSAForm, Node: n.Name, Values: []int{n.Out},
+		if !inTable(p, n.Out) {
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleSSAForm, Node: n.Name, Values: ids(n.Out),
 				Msg:  fmt.Sprintf("node defines value %d outside the value table (len %d)", n.Out, len(p.Values)),
 				Hint: "node outputs must name recorded values",
 			})
 			return
 		}
 		if def[n.Out] >= 0 {
-			diags = append(diags, Diagnostic{
-				Rule: RuleSSAForm, Node: n.Name, Values: []int{n.Out},
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleSSAForm, Node: n.Name, Values: ids(n.Out),
 				Msg:  fmt.Sprintf("value %d defined twice (nodes %d and %d)", n.Out, def[n.Out], i),
 				Hint: "SSA values have exactly one definition",
 			})
@@ -71,11 +88,11 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 	}
 	for _, b := range [2]struct {
 		what string
-		v    int
+		v    ValueID
 	}{{"input", p.Input}, {"output", p.Output}} {
-		if !inRange(b.v) || def[b.v] < 0 {
-			diags = append(diags, Diagnostic{
-				Rule: RuleSSAForm, Values: []int{b.v},
+		if !inTable(p, b.v) || def[b.v] < 0 {
+			diags = append(diags, analysis.Diagnostic{
+				Rule: analysis.RuleSSAForm, Values: ids(b.v),
 				Msg:  fmt.Sprintf("program %s value %d has no defining node", b.what, b.v),
 				Hint: "programs must define their boundary values",
 			})
@@ -86,7 +103,7 @@ func checkSSA(p *ProgramIR) []Diagnostic {
 
 // rowsForKind is the addressing rule: Src_V/Dst_V operands read vertex
 // tensors, Edge operands read edge tensors.
-func rowsForKind(k tensor.Kind) Rows {
+func rowsForKind(k tensor.Kind) RowsClass {
 	if k == tensor.EdgeK {
 		return EdgeRows
 	}
@@ -95,14 +112,16 @@ func rowsForKind(k tensor.Kind) Rows {
 
 // checkOperandTypes re-derives the Table-4 legality of every graph operator
 // and checks each bound operand against its declared addressing kind.
-func checkOperandTypes(p *ProgramIR) []Diagnostic {
-	var diags []Diagnostic
-	var visit func(n *IRNode)
-	visit = func(n *IRNode) {
-		for j := range n.Interior {
-			visit(&n.Interior[j])
+func checkOperandTypes(p *Program) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
+	var visit func(n *Node)
+	visit = func(n *Node) {
+		if r := n.Region; r != nil {
+			for j := range r.Interior {
+				visit(&r.Interior[j])
+			}
 		}
-		if n.Kind == KindGraph {
+		if n.Op == OpGraph {
 			diags = append(diags, checkGraphOp(p, n)...)
 		}
 	}
@@ -113,12 +132,12 @@ func checkOperandTypes(p *ProgramIR) []Diagnostic {
 }
 
 // checkGraphOp checks one graph operator node.
-func checkGraphOp(p *ProgramIR, n *IRNode) []Diagnostic {
-	var diags []Diagnostic
+func checkGraphOp(p *Program, n *Node) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
 	bad := func(values []int, msg, hint string) {
-		diags = append(diags, Diagnostic{Rule: RuleOperandType, Node: n.Name, Values: values, Msg: msg, Hint: hint})
+		diags = append(diags, analysis.Diagnostic{Rule: analysis.RuleOperandType, Node: n.Name, Values: values, Msg: msg, Hint: hint})
 	}
-	op := n.Op
+	op := n.GOp
 
 	// Output-kind rules (Table 4): message creation writes an edge tensor
 	// with no reduction; aggregation reduces into a Dst_V tensor. Src_V and
@@ -164,18 +183,18 @@ func checkGraphOp(p *ProgramIR, n *IRNode) []Diagnostic {
 	// whose row class matches the addressing kind, and whose width matches
 	// the output width or broadcasts (width 1).
 	outCols := 0
-	if n.Out >= 0 && n.Out < len(p.Values) {
+	if inTable(p, n.Out) {
 		ov := p.Values[n.Out]
 		outCols = ov.Cols
 		if want := rowsForKind(op.CKind); ov.Rows != want && op.CKind != tensor.Null {
-			bad([]int{n.Out}, fmt.Sprintf("output value is %s-rows but kind %s addresses %s-rows", ov.Rows, op.CKind, want),
+			bad(ids(n.Out), fmt.Sprintf("output value is %s-rows but kind %s addresses %s-rows", ov.Rows, op.CKind, want),
 				"store the output in a tensor of the addressed class")
 		}
 	}
-	checkBinding := func(what string, v int, kind tensor.Kind) {
+	checkBinding := func(what string, v ValueID, kind tensor.Kind) {
 		if kind == tensor.Null {
 			if v != NoValue {
-				bad([]int{v}, fmt.Sprintf("operand %s bound but kind is Null", what),
+				bad(ids(v), fmt.Sprintf("operand %s bound but kind is Null", what),
 					"unbind the operand or give it a kind")
 			}
 			return
@@ -185,16 +204,16 @@ func checkGraphOp(p *ProgramIR, n *IRNode) []Diagnostic {
 				"bind the operand")
 			return
 		}
-		if v < 0 || v >= len(p.Values) {
+		if !inTable(p, v) {
 			return // ssa-form already reported
 		}
 		val := p.Values[v]
 		if want := rowsForKind(kind); val.Rows != want {
-			bad([]int{v}, fmt.Sprintf("operand %s is %s-rows but kind %s addresses %s-rows", what, val.Rows, kind, want),
+			bad(ids(v), fmt.Sprintf("operand %s is %s-rows but kind %s addresses %s-rows", what, val.Rows, kind, want),
 				"operand row class must match its addressing kind")
 		}
 		if outCols > 0 && val.Cols != outCols && val.Cols != 1 {
-			bad([]int{v}, fmt.Sprintf("operand %s width %d neither matches output width %d nor broadcasts", what, val.Cols, outCols),
+			bad(ids(v), fmt.Sprintf("operand %s width %d neither matches output width %d nor broadcasts", what, val.Cols, outCols),
 				"operand widths must equal the feature width or be 1")
 		}
 	}

@@ -162,14 +162,15 @@ func TestPrometheusCounterRoundTripExact(t *testing.T) {
 }
 
 // TestPrometheusAlwaysCarriesWellKnownSeries: even a fresh registry exports
-// fallbacks/numeric-failure counters at zero, so dashboards never see gaps.
+// the fallback, program-run and trainer-epoch counters at zero, so dashboards
+// never see gaps.
 func TestPrometheusAlwaysCarriesWellKnownSeries(t *testing.T) {
 	r := NewRegistry()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{MetricFallbacks, MetricNumericFailures, MetricProgramRuns, MetricTrainerEpochs} {
+	for _, name := range []string{MetricFallbacks, MetricProgramRuns, MetricTrainerEpochs} {
 		if !strings.Contains(sb.String(), name+" 0") {
 			t.Errorf("fresh snapshot missing %s:\n%s", name, sb.String())
 		}

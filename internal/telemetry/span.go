@@ -323,9 +323,6 @@ func (s *KernelSite) outcomeArgs(outcome Outcome, errText string) map[string]str
 	if outcome != OutcomeOK {
 		s.nFails.Inc()
 		s.reg.Counter(Series2("ugrapher_kernel_failures_total", "backend", s.Backend, "outcome", string(outcome))).Inc()
-		if outcome == OutcomeNumericError {
-			s.reg.numericFails.Inc()
-		}
 		if errText != "" {
 			args["error"] = errText
 		}

@@ -144,7 +144,6 @@ type Registry struct {
 
 	// Pre-registered series, resolved once so hot paths skip the map.
 	fallbacks     *Counter
-	numericFails  *Counter
 	dropped       *Counter
 	programRuns   *Counter
 	trainerEpochs *Counter
@@ -152,12 +151,11 @@ type Registry struct {
 
 // Well-known series names. Counters end in _total per Prometheus convention.
 const (
-	MetricFallbacks       = "ugrapher_fallbacks_total"
-	MetricNumericFailures = "ugrapher_numeric_check_failures_total"
-	MetricDroppedEvents   = "ugrapher_trace_events_dropped_total"
-	MetricProgramRuns     = "ugrapher_program_runs_total"
-	MetricTrainerEpochs   = "ugrapher_trainer_epochs_total"
-	MetricKernelWall      = "ugrapher_kernel_wall_seconds"
+	MetricFallbacks     = "ugrapher_fallbacks_total"
+	MetricDroppedEvents = "ugrapher_trace_events_dropped_total"
+	MetricProgramRuns   = "ugrapher_program_runs_total"
+	MetricTrainerEpochs = "ugrapher_trainer_epochs_total"
+	MetricKernelWall    = "ugrapher_kernel_wall_seconds"
 	// The worker pool's series are read from the pool at snapshot time
 	// rather than stored: the pool is process-wide, so every registry
 	// reports the same values and Reset does not clear them.
@@ -211,7 +209,6 @@ func (r *Registry) init() {
 	r.noEvents.Store(false)
 	r.sites = nil
 	r.fallbacks = r.counterLocked(MetricFallbacks)
-	r.numericFails = r.counterLocked(MetricNumericFailures)
 	r.dropped = r.counterLocked(MetricDroppedEvents)
 	r.programRuns = r.counterLocked(MetricProgramRuns)
 	r.trainerEpochs = r.counterLocked(MetricTrainerEpochs)
