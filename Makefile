@@ -142,7 +142,15 @@ e2e:
 # each proven to fire its rule.
 faults:
 	$(GO) test -race ./internal/faultinject/...
-	$(GO) test -race -run 'Fault|Inject|Resilient|Cancel|Deadline|Numeric|KernelPanic|Revalidate|DenseChunk|Corrupt' ./internal/core/... ./internal/program/... ./internal/models/...
+	$(call require-tests,$(FAULT_TESTS),./internal/core/... ./internal/program/... ./internal/models/...)
+	$(GO) test -race -run '$(FAULT_TESTS)' ./internal/core/... ./internal/program/... ./internal/models/...
+
+# FAULT_TESTS are the fault-injection and corruption tests of the kernels, the
+# compiled program and the models: the fallback ladder, cancellation and
+# deadlines, the numeric scan, kernel panics isolated into errors (a failing
+# kernel's step named, a concurrent run refused), revalidation, dense-chunk
+# panics and the verifier's corruption seeds.
+FAULT_TESTS = Resilient|Ladder|Cancel|Deadline|Numeric|KernelPanic|PanicIsolated|FailingKernel|ConcurrentGuard|Revalidate|DenseChunk|Corrupt
 
 # check is the pre-commit gate: static analysis (go vet, the repo linter,
 # the IR/plan verifier) plus the race-enabled tests of the backend-facing
@@ -156,8 +164,20 @@ check: vet lint verify race faults
 # spans, resilient-fallback surfacing) and the serving-side trace tests.
 obs:
 	$(GO) test -race ./internal/telemetry/...
-	$(GO) test -race -run 'Telemetry|Trace' ./internal/models/...
-	$(GO) test -race -run '^Test(Trace|Error|Untraced)' ./internal/serve/
+	$(call require-tests,$(OBS_MODEL_TESTS),./internal/models/...)
+	$(GO) test -race -run '$(OBS_MODEL_TESTS)' ./internal/models/...
+	$(call require-tests,$(OBS_SERVE_TESTS),./internal/serve/)
+	$(GO) test -race -run '$(OBS_SERVE_TESTS)' ./internal/serve/
+
+# OBS_MODEL_TESTS are the models' telemetry tests: kernel and step spans of a
+# compiled run, causal parent links, the traced zero-alloc run, per-step wall
+# times, and which kernel sites a declining backend or a failed compile
+# leaves registered.
+OBS_MODEL_TESTS = Trace|StepWall|DecliningBackend|FailedCompileReleases
+
+# OBS_SERVE_TESTS are the daemon's in-process trace tests: trace identity,
+# the per-request breakdown, error exemplars and the untraced path.
+OBS_SERVE_TESTS = ^TestTrace|^TestError|^TestUntraced
 
 # bench-obs measures the telemetry hooks' cost around a copy_u.sum kernel
 # on AR and PR (enabled vs disabled) and the request-trace cost around a

@@ -72,12 +72,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -shards %d (valid: 0 (auto) through %d; 1 = unsharded)\n", *shards, shard.MaxShards)
 		os.Exit(2)
 	}
-	// serve.New silently substitutes a default for a non-positive queue
-	// depth; the CLI rejects it instead so a typo'd unit file fails loud
+	// serve.New substitutes its default for a non-positive size or
+	// duration; the CLI rejects one instead so a typo'd unit file fails loud
 	// at startup rather than running with a surprise configuration.
 	if *queue < 1 || *queue > maxQueueDepth {
 		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -queue %d (valid: 1 through %d)\n", *queue, maxQueueDepth)
 		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name  string
+		ok    bool
+		value any
+	}{
+		{"feat", *feat > 0, *feat},
+		{"classes", *classes > 0, *classes},
+		{"timeout", *reqTimeout > 0, *reqTimeout},
+		{"max-timeout", *maxTimeout > 0, *maxTimeout},
+		{"drain-timeout", *drainTimeout > 0, *drainTimeout},
+	} {
+		if !f.ok {
+			fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -%s %v (must be positive)\n", f.name, f.value)
+			os.Exit(2)
+		}
 	}
 	if *faults != "" {
 		if err := faultinject.ParseAndArm(*faults); err != nil {

@@ -1,7 +1,8 @@
 // training demonstrates the beyond-the-paper extension: estimating a full
-// GNN training step, served from ONE compile. models.NewTrainer records the
-// model as a program, fuses and schedules it, and plans its buffers once;
-// every epoch after that reuses the compiled kernels and arena. The backward
+// GNN training step beside a forward pass compiled ONCE. models.CompileModel
+// records the model as a program, fuses and schedules it, and plans its
+// buffers once; every epoch's forward pass reuses the compiled kernels and
+// arena. models.TrainingCost prices the whole step. The backward
 // pass is cost-modelled: each backward graph operator is itself a graph
 // operator on the REVERSED graph, so it flows through the same uGrapher
 // abstraction and gets its own tuned schedule — often a different one than
@@ -40,32 +41,36 @@ func main() {
 
 	// Compile once: record -> fuse -> assign schedules -> plan buffers.
 	compileStart := time.Now()
-	trainer, err := models.NewTrainer(m, g, spec.Feat, spec.Class, eng)
+	cp, err := models.CompileModel(m, g, spec.Feat, spec.Class, eng)
 	if err != nil {
 		log.Fatal(err)
 	}
 	compileTime := time.Since(compileStart)
-	train := trainer.StepCost()
+	train, err := models.TrainingCost(m, g, spec.Feat, spec.Class, eng)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Epoch loop: every iteration reuses the compiled kernels and arena —
-	// no retuning, no relowering, no per-stage tensor allocation.
+	// Epoch loop (forward passes only: the backward pass is priced, not
+	// computed): every iteration reuses the compiled kernels and arena — no
+	// retuning, no relowering, no per-stage tensor allocation.
 	x := tensor.NewDense(g.NumVertices(), spec.Feat)
 	x.FillRandom(rand.New(rand.NewSource(7)), 1)
 	const epochs = 10
 	epochStart := time.Now()
 	var logits *tensor.Dense
 	for e := 0; e < epochs; e++ {
-		if logits, err = trainer.Epoch(x); err != nil {
+		if logits, err = cp.Run(x); err != nil {
 			log.Fatal(err)
 		}
 	}
 	perEpoch := time.Since(epochStart) / epochs
-	st := trainer.Compiled().Stats()
+	st := cp.Stats()
 	fmt.Printf("compiled program: %d graph kernels (%d pairs fused), %d buffer slots, arena %.1f MiB\n",
 		st.GraphKernels, st.FusedPairs, st.BufferSlots, float64(st.ArenaFloats)*4/(1<<20))
 	fmt.Printf("compile: %v once; epochs: %v each (%d run, logits %dx%d)\n\n",
 		compileTime.Round(time.Millisecond), perEpoch.Round(time.Microsecond),
-		trainer.Epochs(), logits.Rows, logits.Cols)
+		epochs, logits.Rows, logits.Cols)
 
 	fmt.Printf("GCN on %s (|V|=%d |E|=%d)\n", spec.Name, g.NumVertices(), g.NumEdges())
 	fmt.Printf("inference: %12.0f cycles (graph %.0f%%)\n",

@@ -115,15 +115,12 @@ func (f Finding) String() string {
 // (each is a single atomic load while disabled).
 var hookPackages = map[string]map[string]bool{
 	"repro/internal/telemetry": {
-		"Enabled":              true,
-		"StartSpan":            true,
-		"StartSpanCtx":         true,
-		"StartTraceSpan":       true,
-		"TraceOf":              true,
-		"RecordSpan":           true,
-		"RecordScheduleChoice": true,
-		"CountProgramRun":      true,
-		"CountTrainerEpoch":    true,
+		"Enabled":        true,
+		"StartSpan":      true,
+		"StartSpanCtx":   true,
+		"StartTraceSpan": true,
+		"TraceOf":        true,
+		"RecordSpan":     true,
 	},
 	"repro/internal/faultinject": {
 		"Armed":      true,

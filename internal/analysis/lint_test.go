@@ -81,7 +81,6 @@ func f() { telemetry.RecordKernelRun() }
 	t.Run("self-guarded hooks pass", func(t *testing.T) {
 		fs := lintOne(t, "internal/core", hdr+`
 func f() {
-	telemetry.CountProgramRun()
 	sp := telemetry.StartSpan("a", "b", "c")
 	_ = sp
 }

@@ -429,51 +429,6 @@ func TestResilientPassesThroughNonKernelErrors(t *testing.T) {
 	}
 }
 
-// TestResilientWindowCounter: Reset exposes a per-window fallback count on
-// top of the monotonic Fallbacks counter.
-func TestResilientWindowCounter(t *testing.T) {
-	defer faultinject.Reset()
-	g := testGraph(t, 200, 3000, 23)
-	rb := NewResilientBackend(NewParallelBackend(4))
-	rb.SetLogger(nil)
-	o := makeOperands(g, ops.AggrSum, 8, false, 4)
-	p := MustCompile(ops.AggrSum, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
-	k, err := rb.Lower(p, g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rb.window.Load(); got != 0 {
-		t.Fatalf("window before any fallback = %d", got)
-	}
-	faultinject.Arm(faultinject.KernelPanic, faultinject.Spec{After: 1})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rb.window.Load(); got != 1 {
-		t.Errorf("window = %d, want 1", got)
-	}
-	if got := rb.Reset(); got != 1 {
-		t.Errorf("Reset() = %d, want 1", got)
-	}
-	if got := rb.window.Load(); got != 0 {
-		t.Errorf("window after Reset = %d, want 0", got)
-	}
-	if got := rb.Fallbacks(); got != 1 {
-		t.Errorf("Fallbacks() after Reset = %d, want 1 (monotonic)", got)
-	}
-	// A second window accumulates independently.
-	faultinject.Arm(faultinject.KernelPanic, faultinject.Spec{After: 1})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rb.window.Load(), int64(1); got != want {
-		t.Errorf("second window = %d, want %d", got, want)
-	}
-	if got := rb.Fallbacks(); got != 2 {
-		t.Errorf("Fallbacks() = %d, want 2", got)
-	}
-}
-
 // TestParallelBackendWorkersFollowGOMAXPROCS: the zero worker count is
 // GOMAXPROCS at construction, and an explicit count is clamped to MaxWorkers.
 func TestParallelBackendWorkersFollowGOMAXPROCS(t *testing.T) {

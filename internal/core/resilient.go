@@ -30,10 +30,6 @@ type ResilientBackend struct {
 	primary   ExecBackend
 	logw      io.Writer
 	fallbacks atomic.Int64
-	// window counts fallbacks since the last Reset. Fallbacks stays
-	// monotonic for the process lifetime; window supports per-interval rates
-	// (a metrics scraper calls Reset each window and reports the delta).
-	window atomic.Int64
 }
 
 // NewResilientBackend wraps primary with a fallback onto the reference
@@ -58,12 +54,8 @@ func (b *ResilientBackend) SetLogger(w io.Writer) {
 
 // Fallbacks reports how many times the ladder fell back to the reference
 // interpreter (lowering failures and run failures both count). The counter
-// is monotonic for the backend's lifetime; use Reset for windowed rates.
+// is monotonic for the backend's lifetime.
 func (b *ResilientBackend) Fallbacks() int64 { return b.fallbacks.Load() }
-
-// Reset returns the fallbacks recorded since the previous Reset and zeroes
-// the window. Fallbacks() is unaffected.
-func (b *ResilientBackend) Reset() int64 { return b.window.Swap(0) }
 
 // Workers reports the primary backend's worker-pool size (1 when the
 // primary runs sequentially).
@@ -80,7 +72,6 @@ func (b *ResilientBackend) logf(format string, args ...any) {
 func (b *ResilientBackend) countFallback(op string) {
 	//lint:allow hook-discipline -- fallbacks must be counted even with telemetry disabled; this is a cold error path
 	telemetry.RecordFallback(op, b.primary.Name(), ReferenceBackend().Name())
-	b.window.Add(1)
 	if b.fallbacks.Add(1) == 1 {
 		b.logf("warning: first fallback from %s to %s — the primary backend is failing kernels; rerun with -trace/-metrics for details",
 			b.primary.Name(), ReferenceBackend().Name())

@@ -21,7 +21,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/schedule"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -241,18 +240,12 @@ func (w *Graph) runOp(info ops.OpInfo, operands core.Operands, feat int, outFiel
 	if best, ok := w.tuner.Tune(task); ok {
 		sched = best.Schedule
 	}
-	if telemetry.Enabled() {
-		telemetry.RecordScheduleChoice(info.Name, sched.Strategy.Code(), sched.String())
-	}
-	sp := telemetry.StartSpan("dglcompat", "op", info.Name)
 	// RunWith lowers once through the backend abstraction: operand
 	// validation happens at lowering, not per execution.
 	res, err := core.RunWith(w.backend, w.g, info, operands, sched, w.dev)
 	if err != nil {
-		sp.EndErr(err.Error())
 		return gpu.Metrics{}, err
 	}
-	sp.End()
 	if info.CKind == tensor.EdgeK {
 		w.edgeData[outField] = operands.C.T
 	} else {

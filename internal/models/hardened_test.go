@@ -56,28 +56,3 @@ func TestForwardCtxCancelled(t *testing.T) {
 		t.Fatalf("ForwardCtx(cancelled) = %v, want context.Canceled", err)
 	}
 }
-
-func TestEpochCtxCancelled(t *testing.T) {
-	g := smallGraph(t, 23)
-	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
-	tr, err := NewTrainer(NewGCN(), g, 16, 5, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.NewDense(g.NumVertices(), 16)
-	x.FillRandom(rand.New(rand.NewSource(6)), 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := tr.EpochCtx(ctx, x); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EpochCtx(cancelled) = %v, want context.Canceled", err)
-	}
-	// The trainer survives a cancelled epoch: the next epoch runs normally.
-	out, err := tr.Epoch(x)
-	if err != nil {
-		t.Fatalf("epoch after cancellation: %v", err)
-	}
-	if out.Rows != g.NumVertices() || out.Cols != 5 {
-		t.Errorf("epoch output shape %dx%d", out.Rows, out.Cols)
-	}
-}

@@ -144,74 +144,112 @@ func TestGCNFusionReducesGraphOps(t *testing.T) {
 	}
 }
 
+// zeroAllocProgram is one compiled cell of the zero-alloc matrix and the
+// input it runs on.
+type zeroAllocProgram struct {
+	label string
+	cp    *program.CompiledProgram
+	x     *tensor.Dense
+}
+
+// zeroAllocCache holds the matrix's programs once compiled: the plain and the
+// traced zero-alloc tests measure the same programs, so the package compiles
+// them once between the two, and the second walk drops them. A build that
+// fails leaves it nil.
+var zeroAllocCache struct {
+	progs []zeroAllocProgram
+	walks int
+}
+
 // zeroAllocConfigs walks the matrix the zero-alloc contract is claimed over:
-// workers {1, 2, 4} x shards {1, 4} x parallel-steps {off, on} x all six
-// models, plus the unsharded backend behind a resilient ladder — the program
-// the serving daemon runs. The multi-worker configurations compile on a graph
-// large enough that the graph kernels leave the calling goroutine (edges x
-// features >= smallWork) and the widest GEMM of every model crosses the dense
-// inline threshold; workers=1 never leaves the caller on any graph, so it
-// keeps the small one. For each compiled program it checks that the parallel
-// machinery engaged exactly when it should before handing it to measure.
+// workers {1, 2, 4} x shards {1, 4} x all six models, plus the unsharded
+// backend behind a resilient ladder — the program the serving daemon runs —
+// each program run with parallel steps off and on. Parallel steps is a
+// run-time switch that only a program with a wave wider than one step reads,
+// so one compile serves both, and a pure chain runs once.
 func zeroAllocConfigs(t *testing.T, measure func(label string, cp *program.CompiledProgram, x *tensor.Dense)) {
-	const classes = 7
+	c := &zeroAllocCache
+	if c.progs == nil {
+		c.progs = compileZeroAllocMatrix(t)
+	}
 	defer program.SetParallelSteps(false)
 	for _, parallel := range []bool{false, true} {
 		program.SetParallelSteps(parallel)
-		for _, workers := range []int{1, 2, 4} {
-			g, inFeat := smallGraph(t, 24), 16
-			if workers > 1 {
-				if raceBuild {
-					// Minutes of instrumented GEMM for an allocation count;
-					// the multi-worker paths run race-enabled in pool_test.go.
-					continue
-				}
-				g, inFeat = denseGraph(t, 24), poolInFeat()
-			}
-			x := tensor.NewDense(g.NumVertices(), inFeat)
-			x.FillRandom(rand.New(rand.NewSource(3)), 1)
-			for _, cell := range []struct {
-				shards int
-				ladder bool
-			}{{1, false}, {4, false}, {1, true}} {
-				shards := cell.shards
-				var compute core.ExecBackend = core.NewShardedParallelBackend(workers, shards)
-				if cell.ladder {
-					compute = core.NewResilientBackend(compute)
-				}
-				eng := &FixedEngine{
-					EngineName:   "fixed-test",
-					Dev:          gpu.V100(),
-					AggrSchedule: core.DefaultSchedule,
-					MsgCSchedule: core.DefaultSchedule,
-					Fuses:        true,
-					Compute:      compute,
-				}
-				for _, m := range All() {
-					cp, err := CompileModel(m, g, inFeat, classes, eng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("%s workers=%d shards=%d ladder=%v parallel=%v", m.Name(), workers, shards, cell.ladder, parallel)
-					if shards > 1 && cp.Stats().Shards < 2 {
-						t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
-					}
-					// GAT's edge-softmax chains run as row-resident regions on
-					// every parallel kernel, flat or sharded, the ladder's
-					// primary included.
-					if want := map[bool]int{true: 2, false: 0}[m.Name() == "GAT"]; cp.Stats().RowRegions != want {
-						t.Fatalf("%s: %d row-resident regions, want %d", label, cp.Stats().RowRegions, want)
-					}
-					dense, kernels := splitSteps(cp)
-					if (workers > 1) != (len(dense) > 0) || (workers > 1) != (kernels > 0) {
-						t.Fatalf("%s: %d dense steps and %d graph kernels run on the pool; want some of each exactly when workers > 1",
-							label, len(dense), kernels)
-					}
-					measure(label, cp, x)
-				}
+		for _, p := range c.progs {
+			if !parallel || p.cp.Stats().MaxWaveWidth > 1 {
+				measure(fmt.Sprintf("%s parallel=%v", p.label, parallel), p.cp, p.x)
 			}
 		}
 	}
+	if c.walks++; c.walks == 2 {
+		c.progs = nil
+	}
+}
+
+// compileZeroAllocMatrix compiles zeroAllocConfigs' programs. The
+// multi-worker configurations compile on a graph large enough that the graph
+// kernels leave the calling goroutine (edges x features >= smallWork) and the
+// widest GEMM of every model crosses the dense inline threshold; workers=1
+// never leaves the caller on any graph, so it keeps the small one. For each
+// compiled program it checks that the parallel machinery engaged exactly when
+// it should.
+func compileZeroAllocMatrix(t *testing.T) []zeroAllocProgram {
+	const classes = 7
+	var progs []zeroAllocProgram
+	for _, workers := range []int{1, 2, 4} {
+		g, inFeat := smallGraph(t, 24), 16
+		if workers > 1 {
+			if raceBuild {
+				// Minutes of instrumented GEMM for an allocation count;
+				// the multi-worker paths run race-enabled in pool_test.go.
+				continue
+			}
+			g, inFeat = denseGraph(t, 24), poolInFeat()
+		}
+		x := tensor.NewDense(g.NumVertices(), inFeat)
+		x.FillRandom(rand.New(rand.NewSource(3)), 1)
+		for _, cell := range []struct {
+			shards int
+			ladder bool
+		}{{1, false}, {4, false}, {1, true}} {
+			shards := cell.shards
+			var compute core.ExecBackend = core.NewShardedParallelBackend(workers, shards)
+			if cell.ladder {
+				compute = core.NewResilientBackend(compute)
+			}
+			eng := &FixedEngine{
+				EngineName:   "fixed-test",
+				Dev:          gpu.V100(),
+				AggrSchedule: core.DefaultSchedule,
+				MsgCSchedule: core.DefaultSchedule,
+				Fuses:        true,
+				Compute:      compute,
+			}
+			for _, m := range All() {
+				cp, err := CompileModel(m, g, inFeat, classes, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s workers=%d shards=%d ladder=%v", m.Name(), workers, shards, cell.ladder)
+				if shards > 1 && cp.Stats().Shards < 2 {
+					t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
+				}
+				// GAT's edge-softmax chains run as row-resident regions on
+				// every parallel kernel, flat or sharded, the ladder's
+				// primary included.
+				if want := map[bool]int{true: 2, false: 0}[m.Name() == "GAT"]; cp.Stats().RowRegions != want {
+					t.Fatalf("%s: %d row-resident regions, want %d", label, cp.Stats().RowRegions, want)
+				}
+				dense, kernels := splitSteps(cp)
+				if (workers > 1) != (len(dense) > 0) || (workers > 1) != (kernels > 0) {
+					t.Fatalf("%s: %d dense steps and %d graph kernels run on the pool; want some of each exactly when workers > 1",
+						label, len(dense), kernels)
+				}
+				progs = append(progs, zeroAllocProgram{label: label, cp: cp, x: x})
+			}
+		}
+	}
+	return progs
 }
 
 // TestCompiledRunZeroAllocs pins the steady-state guarantee: after compile,
@@ -336,45 +374,4 @@ func TestCompiledRunRepeatStability(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestTrainer exercises the compile-once epoch loop.
-func TestTrainer(t *testing.T) {
-	g := smallGraph(t, 26)
-	const inFeat, classes = 12, 4
-	eng := fixedTestEngine{dev: gpu.V100(), sched: core.DefaultSchedule, fused: true}
-	m := NewGCN()
-
-	tr, err := NewTrainer(m, g, inFeat, classes, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ForwardCtx(context.Background(), m, g, tensorOnes(g.NumVertices(), inFeat), classes, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 3; e++ {
-		logits, err := tr.Epoch(tensorOnes(g.NumVertices(), inFeat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !logits.AllClose(want, 1e-4, 1e-4) {
-			t.Fatalf("epoch %d logits diverge from ForwardCtx (maxdiff %v)", e, logits.MaxDiff(want))
-		}
-	}
-	if tr.Epochs() != 3 {
-		t.Errorf("Epochs() = %d, want 3", tr.Epochs())
-	}
-	if tr.StepCost().Total <= 0 {
-		t.Errorf("StepCost total = %v, want > 0", tr.StepCost().Total)
-	}
-	if tr.Compiled() == nil || tr.Compiled().Stats().GraphKernels == 0 {
-		t.Error("Compiled() should expose a program with graph kernels")
-	}
-}
-
-func tensorOnes(rows, cols int) *tensor.Dense {
-	d := tensor.NewDense(rows, cols)
-	d.Fill(1)
-	return d
 }

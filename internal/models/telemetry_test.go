@@ -68,9 +68,6 @@ func TestTraceKernelSpansMatchCompiledProgram(t *testing.T) {
 	if stepSpans == 0 {
 		t.Error("trace has no program step spans")
 	}
-	if got := telemetry.Default().CounterValues()[telemetry.MetricProgramRuns]; got != 1 {
-		t.Errorf("%s = %d, want 1", telemetry.MetricProgramRuns, got)
-	}
 
 	// A second Run doubles the kernel spans: spans are per execution, not per
 	// lowering.
@@ -203,10 +200,9 @@ func TestTracedRunZeroAllocs(t *testing.T) {
 }
 
 // TestStepWallTimesCoverDenseSteps: with telemetry on, every compiled step —
-// GEMMs and the add among them, not only the graph kernels the kernel
-// histogram sees — records one ugrapher_step_wall_seconds{model,step}
-// observation per run and reports a median through StepModes; the exporter
-// carries the series. (TestTracedRunZeroAllocs holds the enabled path to zero
+// GEMMs and the add among them, not only the graph kernels — records one
+// ugrapher_step_wall_seconds{model,step} observation per run and reports a
+// median through StepModes; the exporter carries the series. (TestTracedRunZeroAllocs holds the enabled path to zero
 // allocations.)
 func TestStepWallTimesCoverDenseSteps(t *testing.T) {
 	telemetry.Reset()

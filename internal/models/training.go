@@ -1,15 +1,11 @@
 package models
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/ops"
-	"repro/internal/program"
 	"repro/internal/schedule"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -104,65 +100,6 @@ func (e *exec) estimateAux(op ops.OpInfo, g *graph.Graph, feat, aCols, bCols int
 	})
 	e.report.Graph += metrics.Cycles
 }
-
-// Trainer serves an epoch loop from one compile: the model's program is
-// recorded, fused, scheduled and buffer-planned once in NewTrainer, and
-// every Epoch after that reuses the compiled kernels and arena — the
-// rebuild-per-epoch overhead the interpreter pays (re-tuning lookups,
-// re-lowering, fresh tensors per stage) is gone from the steady state.
-type Trainer struct {
-	model    Model
-	compiled *program.CompiledProgram
-	stepCost CostReport
-	epochs   int
-}
-
-// NewTrainer compiles m once for (g, eng) and estimates the per-step
-// training cost (forward + backward) through the same engine.
-func NewTrainer(m Model, g *graph.Graph, inFeat, classes int, eng Engine) (*Trainer, error) {
-	cp, err := CompileModel(m, g, inFeat, classes, eng)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := TrainingCost(m, g, inFeat, classes, eng)
-	if err != nil {
-		return nil, err
-	}
-	return &Trainer{model: m, compiled: cp, stepCost: cost}, nil
-}
-
-// Epoch runs one functional forward pass over the compiled program. The
-// returned logits alias the program's arena and stay valid until the next
-// Epoch. (Backward execution is cost-modelled, not computed — see
-// TrainingCost; the forward pass is the part every epoch repeats.)
-func (t *Trainer) Epoch(x *tensor.Dense) (*tensor.Dense, error) {
-	return t.EpochCtx(context.Background(), x)
-}
-
-// EpochCtx is Epoch with cancellation: a fired deadline interrupts the
-// forward pass between steps and inside graph kernels. The trainer stays
-// usable after a cancelled epoch (the next run overwrites the arena).
-func (t *Trainer) EpochCtx(ctx context.Context, x *tensor.Dense) (*tensor.Dense, error) {
-	sp := telemetry.StartSpan("trainer", "epoch", "epoch")
-	out, err := t.compiled.RunCtx(ctx, x)
-	if err != nil {
-		sp.EndErr(err.Error())
-		return nil, err
-	}
-	t.epochs++
-	sp.End()
-	telemetry.CountTrainerEpoch()
-	return out, nil
-}
-
-// Epochs reports how many epochs ran.
-func (t *Trainer) Epochs() int { return t.epochs }
-
-// StepCost returns the simulated cost of one training step.
-func (t *Trainer) StepCost() CostReport { return t.stepCost }
-
-// Compiled exposes the underlying compiled program (schedules, stats).
-func (t *Trainer) Compiled() *program.CompiledProgram { return t.compiled }
 
 // TrainingCost estimates one training step (forward + backward) of a model
 // through an engine: the same stage pipeline InferenceCost prices, with each

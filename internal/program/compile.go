@@ -500,9 +500,6 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 			clk.lap(&times.Lower)
 			sched := s.ScheduleFor(task)
 			clk.lap(&times.Schedule)
-			if telemetry.Enabled() { // guard keeps sched.String() off the disabled path
-				telemetry.RecordScheduleChoice(n.Name, sched.Strategy.Code(), sched.String())
-			}
 			op := n.GOp
 			op.Name = n.Name
 			plan2, err := core.Compile(op, sched)
@@ -738,7 +735,6 @@ func (cp *CompiledProgram) forward(ctx context.Context, x *tensor.Dense) (*tenso
 		return nil, err
 	}
 	run.End()
-	telemetry.CountProgramRun()
 	return cp.output, nil
 }
 

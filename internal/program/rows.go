@@ -402,7 +402,6 @@ func (cp *CompiledProgram) runRowSets(ctx context.Context, x *tensor.Dense) (err
 		switch {
 		case err == nil:
 			run.End()
-			telemetry.CountProgramRun()
 		case err == ctx.Err():
 			run.EndErr("cancelled")
 		default:

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"math/rand"
 	"net"
@@ -442,18 +443,31 @@ func TestE2EIdleConnectionDoesNotHoldTheDrain(t *testing.T) {
 	waitExit(t, d, 4*time.Second)
 }
 
-// TestE2EBadShardsExits2: -shards outside [0, shard.MaxShards] is exit code 2
-// naming the valid range, not a daemon serving unsharded.
+// TestE2EBadShardsExits2: a flag value outside its range — -shards outside
+// [0, shard.MaxShards], a queue depth, feature width, class count or
+// duration that is not positive — is exit code 2 naming the flag, not a
+// daemon serving a default in its place.
 func TestE2EBadShardsExits2(t *testing.T) {
-	want := fmt.Sprintf("0 (auto) through %d", shard.MaxShards)
-	for _, n := range []string{"99999", "-7"} {
+	shards := fmt.Sprintf("valid: 0 (auto) through %d", shard.MaxShards)
+	for _, c := range []struct{ flag, value, rule string }{
+		{"-shards", "99999", shards},
+		{"-shards", "-7", shards},
+		{"-queue", "0", "valid: 1 through"},
+		{"-feat", "0", "must be positive"},
+		{"-feat", "-1", "must be positive"},
+		{"-classes", "-3", "must be positive"},
+		{"-timeout", "-1s", "must be positive"},
+		{"-max-timeout", "0s", "must be positive"},
+		{"-drain-timeout", "0s", "must be positive"},
+	} {
 		// Bounded: a daemon that accepted the value would listen forever.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0", "-shards", n).CombinedOutput()
+		out, err := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0", c.flag, c.value).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), want) {
-			t.Errorf("-shards %s: err %v, output %q; want exit code 2 naming %q", n, err, out, want)
+		named := "invalid " + c.flag + " " + c.value + " ("
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), named) || !strings.Contains(string(out), c.rule) {
+			t.Errorf("%s %s: err %v, output %q; want exit code 2 naming %q and %q", c.flag, c.value, err, out, named, c.rule)
 		}
 	}
 }
@@ -560,18 +574,96 @@ func expandMetric(name string) []string {
 	return out
 }
 
+// readerTestRe matches a test a "read by" cell names, readerBenchRe a
+// benchmark metric.
+var (
+	readerTestRe  = regexp.MustCompile("`(Test[A-Za-z0-9_]*)`")
+	readerBenchRe = regexp.MustCompile("benchmark `([^`]*)`")
+)
+
+// definedTests is the set of Test functions the module's test files define,
+// benchmark/ and examples/ included.
+func definedTests(t *testing.T) map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func (Test\w+)\(t \*testing\.T\)`)
+	defined := map[string]bool{}
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil || len(defined) < 100 {
+		t.Fatalf("found %d tests under %s (err %v)", len(defined), root, err)
+	}
+	return defined
+}
+
+// benchmarkMetrics is the set of metric names BENCHMARK.json declares.
+func benchmarkMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		names[m.Name] = true
+	}
+	return names
+}
+
 // TestE2EMetricsTableMatchesDaemon: DESIGN.md §8's metrics table and the
 // families a running daemon exports on /metrics name the same set, in both
-// directions. The daemon runs with a failing kernel, so the failure series
-// are exported too.
+// directions, and every row names its reader: a test that exists, a metric
+// BENCHMARK.json declares, or a procedure. The daemon runs with a failing
+// kernel, so the failure series are exported too.
 func TestE2EMetricsTableMatchesDaemon(t *testing.T) {
+	tests, bench := definedTests(t), benchmarkMetrics(t)
 	documented := map[string]bool{}
 	for _, line := range strings.Split(docSection(t, "DESIGN.md", "## 8. "), "\n") {
-		if cells := strings.Split(line, "|"); len(cells) > 2 {
-			for _, m := range tableNameRe.FindAllStringSubmatch(cells[1], -1) {
-				for _, f := range expandMetric(m[1]) {
-					documented[f] = true
-				}
+		cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")
+		if len(cells) < 3 || !tableNameRe.MatchString(cells[1]) {
+			continue
+		}
+		for _, m := range tableNameRe.FindAllStringSubmatch(cells[1], -1) {
+			for _, f := range expandMetric(m[1]) {
+				documented[f] = true
+			}
+		}
+		if len(cells) != 6 {
+			t.Errorf("DESIGN.md §8 row %s has %d columns, want metric | kind | meaning | read by", cells[1], len(cells)-2)
+			continue
+		}
+		reader := cells[4]
+		if strings.TrimSpace(reader) == "" {
+			t.Errorf("DESIGN.md §8 row %s names no reader", cells[1])
+		}
+		for _, m := range readerTestRe.FindAllStringSubmatch(reader, -1) {
+			if !tests[m[1]] {
+				t.Errorf("DESIGN.md §8 row %s is read by %s, which no test file defines", cells[1], m[1])
+			}
+		}
+		for _, m := range readerBenchRe.FindAllStringSubmatch(reader, -1) {
+			if !bench[m[1]] {
+				t.Errorf("DESIGN.md §8 row %s is read by benchmark %s, which BENCHMARK.json does not declare", cells[1], m[1])
 			}
 		}
 	}

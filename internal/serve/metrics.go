@@ -9,9 +9,10 @@ import (
 
 // Serving-layer metric names, exported through the telemetry registry's
 // Prometheus writer alongside the execution-layer series
-// (ugrapher_fallbacks_total, kernel histograms, ...). Counters are updated
-// at the event site; gauges are refreshed at scrape time by the /metrics
-// handler, which is the one consumer that needs a consistent snapshot.
+// (ugrapher_fallbacks_total, kernel counters, step histograms, ...).
+// Counters are updated at the event site; gauges are refreshed at scrape time
+// by the /metrics handler, which is the one consumer that needs a consistent
+// snapshot. DESIGN.md §8's table names each series' reader.
 const (
 	// metricRequests counts admitted inference requests, per model.
 	metricRequests = "ugrapher_serve_requests_total"
@@ -31,15 +32,9 @@ const (
 	metricDegraded = "ugrapher_serve_degraded_total"
 	// metricQueueDepth gauges the per-model queue occupancy at scrape time.
 	metricQueueDepth = "ugrapher_serve_queue_depth"
-	// metricFallbackWindow gauges the resilient-ladder fallbacks since the
-	// previous scrape (core.ResilientBackend.Reset per window), per model.
-	// The monotonic total stays in ugrapher_fallbacks_total.
-	metricFallbackWindow = "ugrapher_serve_fallback_window"
 	// metricRequestSeconds is the admitted-request latency histogram
 	// (admission to response delivery), per model.
 	metricRequestSeconds = "ugrapher_serve_request_seconds"
-	// metricCompiles counts programs compiled: one per distinct model.
-	metricCompiles = "ugrapher_serve_compiles_total"
 	// The resident size of a model's compiled program by part — arena, packed
 	// GEMM weights, region staging buffers, row-resident regions' slabs;
 	// gauges per model, set once at compile.
@@ -136,10 +131,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := telemetry.Default()
 	for _, h := range s.hosts {
 		reg.Gauge(telemetry.Series1(metricQueueDepth, "model", h.name)).Set(float64(len(h.queue)))
-		// One fallback window per scrape: the gauge carries this window's
-		// ladder activations, the monotonic ugrapher_fallbacks_total keeps
-		// the lifetime count.
-		reg.Gauge(telemetry.Series1(metricFallbackWindow, "model", h.name)).Set(float64(h.resilient.Reset()))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := reg.WritePrometheus(w); err != nil {

@@ -82,7 +82,7 @@ const (
 	traceSpanCap = 192
 )
 
-// applyDefaults fills zero fields with serving defaults.
+// applyDefaults fills zero and negative fields with serving defaults.
 func (c *Config) applyDefaults() {
 	if c.Dataset == "" {
 		c.Dataset = "CO"
@@ -190,7 +190,6 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.
 	compileStart := time.Now()
-	telemetry.Default().Counter(metricCompiles).Inc()
 	prog, err := models.CompileModel(m, s.g, s.cfg.Feat, s.cfg.Classes, models.NewHostEngine(rb))
 	if err != nil {
 		return nil, err

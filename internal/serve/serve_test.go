@@ -322,6 +322,16 @@ func TestQueueFullRejectsFast(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("429 took %v; reject-fast should not wait on the worker", elapsed)
 	}
+	// The stalled worker still holds the full queue, and /metrics says so.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `ugrapher_serve_queue_depth{model="GCN"} 2` + "\n"; err != nil || !bytes.Contains(body, []byte(want)) {
+		t.Errorf("/metrics with a full depth-2 queue lacks %q (err %v)", want, err)
+	}
 }
 
 // TestMemberTimeoutDoesNotWedgeWorker: a request whose deadline lapses while
@@ -492,13 +502,19 @@ func TestDrain(t *testing.T) {
 }
 
 // TestOneCompilePerModel: New compiles exactly one program per distinct
-// model, however the names are spelled or repeated, and returns only once
-// every worker has warmed up.
+// model, however the names are spelled or repeated — one observation of each
+// model's compile stage — and returns only once every worker has warmed up.
 func TestOneCompilePerModel(t *testing.T) {
-	compiles := telemetry.Default().Counter(metricCompiles)
-	before := compiles.Value()
+	compiles := func() (n int64) {
+		for _, model := range []string{"GCN", "GAT"} {
+			n += telemetry.Default().Histogram(telemetry.Series2(metricStageSeconds, "model", model, "stage", "compile"),
+				telemetry.DefaultLatencyBuckets).Count()
+		}
+		return n
+	}
+	before := compiles()
 	s, _ := newTestServer(t, Config{Models: []string{"GCN", "gcn", "GAT", "GCN"}})
-	if got := compiles.Value() - before; got != 2 {
+	if got := compiles() - before; got != 2 {
 		t.Errorf("%d compiles for models %v, want 2", got, s.order)
 	}
 	if len(s.hosts) != 2 {
@@ -513,22 +529,26 @@ func TestOneCompilePerModel(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: the Prometheus snapshot carries the serving series,
-// including the per-window fallback gauge backed by Reset.
+// TestMetricsEndpoint: after one request whose row run fails a kernel, the
+// Prometheus snapshot carries the serving series with their values: one
+// admitted request, answered degraded by a second (full) pass whose ladder
+// descents ugrapher_fallbacks_total counts, nothing rejected, timed out or
+// queued, and the program's size by part.
 func TestMetricsEndpoint(t *testing.T) {
+	telemetry.Reset()
+	t.Cleanup(telemetry.Reset)
 	defer faultinject.Reset()
 	s, ts := newTestServer(t, Config{Models: []string{"GCN"}})
 	h := s.hosts["gcn"]
 
-	// A failing kernel so a degraded pass records resilient fallbacks.
 	faultinject.Arm(faultinject.KernelPanicLoad, faultinject.Spec{After: 1, Every: 1})
 	code, _, _ := postInfer(t, ts.URL, wireRequest{Model: "GCN", Vertices: []int{0}})
 	if code != http.StatusOK {
 		t.Fatalf("degraded request: status %d", code)
 	}
-	window := h.resilient.Fallbacks() // no scrape yet: the window is the lifetime count
-	if window == 0 {
-		t.Fatal("no fallbacks in window before scrape")
+	fallbacks := h.resilient.Fallbacks()
+	if fallbacks == 0 {
+		t.Fatal("a failing kernel fell back nowhere")
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -540,22 +560,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
 	for _, series := range []string{
-		`ugrapher_serve_requests_total{model="GCN"}`,
-		`ugrapher_serve_rejected_total{model="GCN"}`,
-		`ugrapher_serve_batches_total{model="GCN"}`,
-		`ugrapher_serve_degraded_total{model="GCN"}`,
-		`ugrapher_serve_queue_depth{model="GCN"}`,
-		`ugrapher_fallbacks_total`,
+		`ugrapher_serve_requests_total{model="GCN"} 1`,
+		`ugrapher_serve_rejected_total{model="GCN"} 0`,
+		`ugrapher_serve_timeouts_total{model="GCN"} 0`,
+		`ugrapher_serve_batches_total{model="GCN"} 2`,
+		`ugrapher_serve_degraded_total{model="GCN"} 1`,
+		`ugrapher_serve_queue_depth{model="GCN"} 0`,
+		fmt.Sprintf("ugrapher_fallbacks_total %d", fallbacks),
 		`ugrapher_kernel_isa{isa="` + vec.ISA() + `"} 1`,
 		fmt.Sprintf(`ugrapher_program_arena_bytes{model="GCN"} %d`, h.prog.Stats().ArenaFloats*4),
 		fmt.Sprintf(`ugrapher_program_packed_bytes{model="GCN"} %d`, h.prog.Stats().PackedFloats*4),
 		`ugrapher_program_staging_bytes{model="GCN"} 0`,
 		`ugrapher_program_slab_bytes{model="GCN"} 0`,
 	} {
-		if !bytes.Contains(body, []byte(series)) {
-			t.Errorf("metrics snapshot missing %s", series)
+		if !bytes.Contains(body, []byte(series+"\n")) {
+			t.Errorf("metrics snapshot lacks the line %q:\n%s", series, body)
 		}
 	}
 	// The model listing names the same kernel set, and what the model's one
@@ -577,16 +597,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if len(listing.Models) != 1 || listing.Models[0].CompileMS <= 0 {
 		t.Errorf("/v1/models compile_ms missing: %+v", listing.Models)
-	}
-	if want := fmt.Sprintf(`ugrapher_serve_fallback_window{model="GCN"} %d`, window); !bytes.Contains(body, []byte(want)) {
-		t.Errorf("metrics snapshot missing %q\n(snapshot contains: %.300s...)", want, text)
-	}
-	// The scrape consumed the window; the lifetime counter is untouched.
-	if h.resilient.Reset() != 0 {
-		t.Error("scrape did not reset the fallback window")
-	}
-	if h.resilient.Fallbacks() != window {
-		t.Errorf("lifetime fallbacks %d changed by scrape, want %d", h.resilient.Fallbacks(), window)
 	}
 }
 

@@ -130,7 +130,8 @@ func TestPrometheusCounterRoundTripExact(t *testing.T) {
 		r.Counter(name).Add(v)
 	}
 	r.Gauge("some_gauge").Set(0.5)
-	r.Histogram(MetricKernelWall, DefaultLatencyBuckets).Observe(250_000)
+	step := Series2(MetricStepWall, "model", "GCN", "step", "gemm")
+	r.Histogram(step, DefaultLatencyBuckets).Observe(250_000)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -147,30 +148,30 @@ func TestPrometheusCounterRoundTripExact(t *testing.T) {
 	for _, frag := range []string{
 		"# TYPE ugrapher_fallbacks_total counter",
 		"# TYPE some_gauge gauge",
-		"# TYPE ugrapher_kernel_wall_seconds histogram",
-		`ugrapher_kernel_wall_seconds_bucket{le="+Inf"} 1`,
-		"ugrapher_kernel_wall_seconds_count 1",
+		"# TYPE ugrapher_step_wall_seconds histogram",
+		`ugrapher_step_wall_seconds_bucket{model="GCN",step="gemm",le="+Inf"} 1`,
+		`ugrapher_step_wall_seconds_count{model="GCN",step="gemm"} 1`,
 	} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("snapshot missing %q:\n%s", frag, text)
 		}
 	}
 	// The cumulative bucket for le=0.001 must include the 250µs observation.
-	if !strings.Contains(text, `ugrapher_kernel_wall_seconds_bucket{le="0.001"} 1`) {
+	if !strings.Contains(text, `ugrapher_step_wall_seconds_bucket{model="GCN",step="gemm",le="0.001"} 1`) {
 		t.Errorf("histogram buckets not cumulative:\n%s", text)
 	}
 }
 
 // TestPrometheusAlwaysCarriesWellKnownSeries: even a fresh registry exports
-// the fallback, program-run and trainer-epoch counters at zero, so dashboards
-// never see gaps.
+// the fallback and dropped-event counters at zero, so dashboards never see
+// gaps.
 func TestPrometheusAlwaysCarriesWellKnownSeries(t *testing.T) {
 	r := NewRegistry()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{MetricFallbacks, MetricProgramRuns, MetricTrainerEpochs} {
+	for _, name := range []string{MetricFallbacks, MetricDroppedEvents} {
 		if !strings.Contains(sb.String(), name+" 0") {
 			t.Errorf("fresh snapshot missing %s:\n%s", name, sb.String())
 		}

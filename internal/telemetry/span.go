@@ -10,10 +10,7 @@ import (
 // The span hierarchy (DESIGN.md §8):
 //
 //	track "program"    compile, run, one span per program step
-//	track "trainer"    one span per Trainer epoch
-//	track "dglcompat"  one span per update_all / apply_edges call
 //	track <backend>    lower spans and one kernel span per CompiledKernel.Run
-//	track "scheduler"  instant events for per-op strategy choices
 //	track "resilient"  instant events for fallback-ladder activations
 //
 // Tracks render as separate rows ("threads") in chrome://tracing / Perfetto.
@@ -157,7 +154,7 @@ func (s Span) end(args map[string]string) {
 	}
 }
 
-// Instant records a point event on a track (fallbacks, schedule choices).
+// Instant records a point event on a track (fallback-ladder activations).
 func (r *Registry) Instant(track, cat, name string, args map[string]string) {
 	if !Enabled() {
 		return
@@ -201,7 +198,6 @@ type KernelSite struct {
 	track int
 	runs  *Counter
 	edges *Counter
-	wall  *Histogram
 	// okArgs is the span-args map for successful runs, built once at Lower
 	// time so the steady-state End path allocates nothing.
 	okArgs map[string]string
@@ -225,7 +221,6 @@ func (r *Registry) NewKernelSite(op, strategy, schedule, backend string, edges i
 		track: r.Track(backend),
 		runs:  r.Counter(Series2("ugrapher_kernel_runs_total", "backend", backend, "strategy", strategy)),
 		edges: r.Counter(Series1("ugrapher_kernel_edges_processed_total", "backend", backend)),
-		wall:  r.Histogram(MetricKernelWall, DefaultLatencyBuckets),
 		okArgs: map[string]string{
 			"op":       op,
 			"strategy": strategy,
@@ -266,7 +261,7 @@ func (s *KernelSite) Begin() int64 {
 }
 
 // EndCtx closes a kernel run begun at start: bumps the per-strategy
-// counters, observes the latency histogram and appends the trace span. The
+// counters and the site's run totals, and appends the trace span. The
 // span parents onto the current causal parent of the request trace carried
 // by ctx (the program step that ran it), or is a root span when ctx carries
 // no trace.
@@ -283,7 +278,6 @@ func (s *KernelSite) EndCtx(ctx context.Context, start int64, outcome Outcome, e
 	dur := end - start
 	s.runs.Inc()
 	s.edges.Add(s.Edges)
-	s.wall.Observe(dur)
 	s.nRuns.Inc()
 	s.totalNs.Add(dur)
 	s.span(TraceOf(ctx), start, dur, s.outcomeArgs(outcome, errText), errText)
@@ -292,7 +286,7 @@ func (s *KernelSite) EndCtx(ctx context.Context, start int64, outcome Outcome, e
 // EndRowsCtx closes a row-subset run of the kernel (core.RowRunner) begun at
 // start: the kernel span joins the request's tree like a full run's, so the
 // tree still says where the time went, and a failure is counted — but the
-// site's run, edge and wall-time series are left alone: they describe full
+// site's run, edge and wall-time totals are left alone: they describe full
 // runs over the site's whole graph, and a run over a few dozen rows is not a
 // sample of that. Inert while disabled or on a nil site; the OK path
 // allocates nothing.
@@ -379,19 +373,6 @@ func (r *Registry) SiteStats() []SiteStats {
 	return out
 }
 
-// RecordScheduleChoice audits one scheduler decision: which schedule the
-// engine picked for op. Counted per basic strategy and emitted as an instant
-// event on the "scheduler" track. No-op while telemetry is disabled.
-func RecordScheduleChoice(op, strategy, schedule string) {
-	if !Enabled() {
-		return
-	}
-	defaultReg.Counter(Series1("ugrapher_schedule_choices_total", "strategy", strategy)).Inc()
-	defaultReg.Instant("scheduler", "schedule", op, map[string]string{
-		"op": op, "schedule": schedule, "strategy": strategy,
-	})
-}
-
 // RecordFallback counts one fallback-ladder activation. The counter always
 // increments (the fallback path is cold and the count must survive a later
 // enable); the instant event is only emitted while telemetry is enabled.
@@ -402,20 +383,4 @@ func RecordFallback(op, from, to string) {
 			"op": op, "from": from, "to": to,
 		})
 	}
-}
-
-// CountProgramRun counts one compiled-program Run completion.
-func CountProgramRun() {
-	if !Enabled() {
-		return
-	}
-	defaultReg.programRuns.Inc()
-}
-
-// CountTrainerEpoch counts one Trainer epoch completion.
-func CountTrainerEpoch() {
-	if !Enabled() {
-		return
-	}
-	defaultReg.trainerEpochs.Inc()
 }

@@ -7,7 +7,7 @@ import (
 
 // MetricStepWall is the per-step wall-time histogram family of compiled
 // programs, labelled by model and step name: dense steps (GEMM, elementwise)
-// and graph kernels alike, where MetricKernelWall sees graph kernels only.
+// and graph kernels alike.
 const MetricStepWall = "ugrapher_step_wall_seconds"
 
 // stepSamples is how many recent durations a StepSite keeps for its median.

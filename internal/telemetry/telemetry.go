@@ -15,7 +15,7 @@
 //
 // The package depends only on the standard library and the equally
 // dependency-free worker pool (whose counters it exports), so every layer —
-// core backends, the program runtime, models, dglcompat, the CLIs — can
+// core backends, the program runtime, models, the daemon, the CLIs — can
 // import it without cycles.
 package telemetry
 
@@ -77,8 +77,8 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// DefaultLatencyBuckets are the fixed histogram bounds for kernel wall
-// time, in seconds: 10us .. 10s, one decade apart (kernels on the datasets
+// DefaultLatencyBuckets are the fixed histogram bounds for step and request
+// wall time, in seconds: 10us .. 10s, one decade apart (kernels on the datasets
 // of Table 3 span roughly 50us-100ms on the host backends).
 var DefaultLatencyBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
@@ -143,19 +143,14 @@ type Registry struct {
 	sites []*KernelSite
 
 	// Pre-registered series, resolved once so hot paths skip the map.
-	fallbacks     *Counter
-	dropped       *Counter
-	programRuns   *Counter
-	trainerEpochs *Counter
+	fallbacks *Counter
+	dropped   *Counter
 }
 
 // Well-known series names. Counters end in _total per Prometheus convention.
 const (
 	MetricFallbacks     = "ugrapher_fallbacks_total"
 	MetricDroppedEvents = "ugrapher_trace_events_dropped_total"
-	MetricProgramRuns   = "ugrapher_program_runs_total"
-	MetricTrainerEpochs = "ugrapher_trainer_epochs_total"
-	MetricKernelWall    = "ugrapher_kernel_wall_seconds"
 	// The worker pool's series are read from the pool at snapshot time
 	// rather than stored: the pool is process-wide, so every registry
 	// reports the same values and Reset does not clear them.
@@ -210,8 +205,6 @@ func (r *Registry) init() {
 	r.sites = nil
 	r.fallbacks = r.counterLocked(MetricFallbacks)
 	r.dropped = r.counterLocked(MetricDroppedEvents)
-	r.programRuns = r.counterLocked(MetricProgramRuns)
-	r.trainerEpochs = r.counterLocked(MetricTrainerEpochs)
 }
 
 // SetMaxEvents bounds the trace-event buffer at n events and pre-allocates
