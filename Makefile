@@ -72,13 +72,12 @@ race-pinned:
 
 # SERVE_CONTRACTS are the daemon's row-path ownership tests — overlapping
 # requests on one CPU, where the worker and the handlers that read its rows
-# take turns, and a sharded daemon's row runs, whose kernels deal whole shards
-# to the pool — and the worker's other contracts: one pass per request, the
+# take turns — and the worker's other contracts: one pass per request, the
 # full pass on the ladder after a failed row run (degraded ≡ reference, from
 # the first failing request until the kernels heal), no
 # second pass after a numeric failure or a request's own deadline, the fast
 # 429 and the drain.
-SERVE_CONTRACTS = ConcurrentOverlapping|FailedRowRunRetriesAsFullPass|EveryFailingRequestDegradesUntilKernelsHeal|RequestRunsItsClosure|ShardedDaemonRunsRows|OnePassPerRequest|QueueFullRejectsFast|NumericErrorRunsOnePass|MemberTimeout|Drain$$
+SERVE_CONTRACTS = ConcurrentOverlapping|FailedRowRunRetriesAsFullPass|EveryFailingRequestDegradesUntilKernelsHeal|RequestRunsItsClosure|OnePassPerRequest|QueueFullRejectsFast|NumericErrorRunsOnePass|MemberTimeout|Drain$$
 
 # stress runs the black-box e2e suite and SERVE_CONTRACTS twenty times beside
 # a CPU hog, at GOMAXPROCS 1, 2 and 8 (the daemon children inherit it, and it

@@ -163,9 +163,9 @@ func verifyIR(w *os.File) (clean bool, err error) {
 					rep := cp.Verify()
 					checked++
 					if rep.OK() {
-						// Which cells compiled a row-resident region — the
-						// parallel backend's, flat and sharded, for the models
-						// with an edge-side chain — shows in the line.
+						// Which cells compiled a row-resident region — every
+						// backend's, for the models with an edge-side chain
+						// under region fusion — shows in the line.
 						fmt.Fprintf(w, "ok   %-6s %-3s %-9s %-7s %d rules, %d row-resident regions\n", mdl.Name(), strat.Code(), backend.Name(), fm.name, len(rep.RulesChecked), cp.Stats().RowRegions)
 						continue
 					}

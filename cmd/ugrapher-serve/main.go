@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -56,7 +55,6 @@ func main() {
 	dataset := flag.String("dataset", "CO", "dataset code from Table 3 the models serve")
 	feat := flag.Int("feat", 16, "input feature width")
 	classes := flag.Int("classes", 8, "output classes")
-	shards := flag.Int("shards", 1, "graph shards for the parallel backend: 0 = auto-size, 1 = unsharded, N = fixed count; workers = GOMAXPROCS")
 	queue := flag.Int("queue", 64, "per-model admission queue depth; full queue rejects with 429")
 	reqTimeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline when the request carries no timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "upper bound on any request's deadline")
@@ -68,10 +66,6 @@ func main() {
 
 	// Exit codes: 1 = startup/serve error, 2 = usage (bad flags). A drained
 	// SIGTERM exit is 0.
-	if *shards < 0 || *shards > shard.MaxShards {
-		fmt.Fprintf(os.Stderr, "ugrapher-serve: invalid -shards %d (valid: 0 (auto) through %d; 1 = unsharded)\n", *shards, shard.MaxShards)
-		os.Exit(2)
-	}
 	// serve.New substitutes its default for a non-positive size or
 	// duration; the CLI rejects one instead so a typo'd unit file fails loud
 	// at startup rather than running with a surprise configuration.
@@ -117,7 +111,6 @@ func main() {
 		Models:         strings.Split(*modelsFlag, ","),
 		Feat:           *feat,
 		Classes:        *classes,
-		Shards:         *shards,
 		QueueDepth:     *queue,
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,

@@ -41,8 +41,8 @@ func main() {
 	flag.Parse()
 
 	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
-	// exceeded. Training only ever calls the simulator, so no host backend,
-	// shard or worker setting is read here.
+	// exceeded. Training only ever calls the simulator, so no host backend or
+	// worker setting is read here.
 	obs := telemetry.CLIOptions{TracePath: *tracePath, MetricsPath: *metricsPath, Profile: *profile}
 	obs.Begin()
 	ctx := context.Background()

@@ -60,7 +60,6 @@ func main() {
 	top := flag.Int("top", 5, "with -tune: how many candidates to print")
 	source := flag.Bool("source", false, "print the generated kernel source")
 	backendName := flag.String("backend", "parallel", "host compute backend: "+strings.Join(core.BackendNames, ", ")+"; workers = GOMAXPROCS")
-	shards := flag.Int("shards", 1, "graph shards for the parallel and resilient backends: 0 = auto-size, 1 = unsharded, N = fixed count (reference takes 1 only)")
 	model := flag.String("model", "", "run a whole model instead of one operator: GCN, GIN, GAT, SSum, SMax or SMean")
 	classes := flag.Int("classes", 16, "with -model: number of output classes")
 	runs := flag.Int("runs", 5, "with -model: steady-state repetitions to time")
@@ -76,7 +75,7 @@ func main() {
 
 	// Exit codes: 1 = execution error, 2 = usage (bad flags), 3 = -timeout
 	// exceeded.
-	backend, err := core.Backend(*backendName, *shards)
+	backend, err := core.Backend(*backendName)
 	var sched *core.Schedule // nil: tune automatically
 	switch {
 	case err != nil:
@@ -84,6 +83,10 @@ func main() {
 		err = fmt.Errorf("-feat must be at least 1, got %d", *feat)
 	case *model != "" && *classes < 1:
 		err = fmt.Errorf("-classes must be at least 1, got %d", *classes)
+	case *runs < 1:
+		err = fmt.Errorf("-runs must be at least 1, got %d", *runs)
+	case *top < 1:
+		err = fmt.Errorf("-top must be at least 1, got %d", *top)
 	case *schedText != "":
 		s, perr := core.ParseSchedule(*schedText)
 		if perr != nil {
@@ -146,9 +149,6 @@ func runModel(ctx context.Context, backend core.ExecBackend, dataset, graphFile,
 	m, err := models.ByName(name)
 	if err != nil {
 		return err
-	}
-	if runs < 1 {
-		runs = 1
 	}
 	// Host wall clock is what this mode reports, so schedules are the fixed
 	// host ones: a simulator search would only lengthen the compile line.
@@ -224,9 +224,6 @@ func runModel(ctx context.Context, backend core.ExecBackend, dataset, graphFile,
 	mib := func(floats int) float64 { return float64(floats) * 4 / (1 << 20) }
 	fmt.Printf("program: %d graph kernels (%d fused pairs, %d nodes eliminated), %d reusable buffer slots, arena=%.1f MiB packed=%.1f MiB staging=%.1f MiB slabs=%.1f MiB\n",
 		s.GraphKernels, s.FusedPairs, s.RemovedNodes, s.BufferSlots, mib(s.ArenaFloats), mib(s.PackedFloats), mib(s.StagingFloats), mib(s.SlabFloats))
-	if s.Shards > 1 {
-		fmt.Printf("sharding: %d shards, edge-cut=%.3f\n", s.Shards, s.ShardEdgeCut)
-	}
 	fmt.Printf("fusion: %d regions grown, %d kernel launches, %.1f KiB traffic saved, %d blocked GEMMs\n",
 		s.FusedRegions, s.Steps, float64(s.RegionSavedBytes)/(1<<10), s.GemmBlocked)
 	fmt.Printf("dense rewrites: %d GEMM epilogues, %d split-weight GEMMs, %d commuted aggregates\n",

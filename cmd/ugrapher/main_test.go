@@ -43,10 +43,10 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 	return string(out), cmd.ProcessState.ExitCode()
 }
 
-// TestBackendAndShardsFlags: -backend and -shards resolve to one backend
-// together. -shards 1 keeps the named backend, and a shard count a backend
-// has no path for is a usage error (exit 2), not a silent switch to
-// parallel.
+// TestBackendAndShardsFlags: -backend names the one backend every kernel
+// lowers onto, and a name that is no backend is a usage error (exit 2), not a
+// silent switch to parallel. -shards is a usage error too: sharding is not an
+// option of the command.
 func TestBackendAndShardsFlags(t *testing.T) {
 	model := []string{"-dataset", "CO", "-model", "GCN", "-runs", "1"}
 	for _, c := range []struct {
@@ -54,12 +54,10 @@ func TestBackendAndShardsFlags(t *testing.T) {
 		code int
 		want string
 	}{
-		{[]string{"-backend", "reference", "-shards", "1"}, 0, "backend=reference"},
-		{[]string{"-backend", "resilient", "-shards", "4"}, 0, "backend=resilient"},
-		{[]string{"-shards", "4"}, 0, "sharding: 4 shards"},
-		{[]string{"-backend", "reference", "-shards", "4"}, 2, "no shard path"},
+		{[]string{"-backend", "reference"}, 0, "backend=reference"},
+		{[]string{"-backend", "resilient"}, 0, "backend=resilient"},
 		{[]string{"-backend", "sim"}, 2, "parallel, resilient, reference"},
-		{[]string{"-shards", "-7"}, 2, "invalid shard count"},
+		{[]string{"-shards", "4"}, 2, "flag provided but not defined: -shards"},
 	} {
 		out, code := runCLI(t, append(model, c.args...)...)
 		if code != c.code || !strings.Contains(out, c.want) {
@@ -68,9 +66,9 @@ func TestBackendAndShardsFlags(t *testing.T) {
 	}
 }
 
-// TestWidthFlags: a feature or class width below 1, or a schedule that does
-// not parse, is a usage error (exit 2) that names the flag, caught before any
-// tensor is shaped from it.
+// TestWidthFlags: a feature or class width, a run count or a candidate count
+// below 1, or a schedule that does not parse, is a usage error (exit 2) that
+// names the flag, caught before any tensor is shaped from it.
 func TestWidthFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -78,6 +76,9 @@ func TestWidthFlags(t *testing.T) {
 	}{
 		{[]string{"-model", "GCN", "-dataset", "CO", "-feat", "-1"}, "-feat"},
 		{[]string{"-model", "GCN", "-dataset", "CO", "-classes", "-3"}, "-classes"},
+		{[]string{"-model", "GCN", "-dataset", "CO", "-runs", "-3"}, "-runs"},
+		{[]string{"-model", "GCN", "-dataset", "CO", "-runs", "0"}, "-runs"},
+		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-tune", "-top", "-2"}, "-top"},
 		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-feat", "-2"}, "-feat"},
 		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-schedule", "XX_G0"}, "-schedule"},
 		{[]string{"-op", "copy_u.sum", "-dataset", "CO", "-schedule", "TV_G0_T1"}, "-schedule"},

@@ -217,7 +217,6 @@ func (r Report) OK() bool { return len(r.Diags) == 0 }
 var (
 	programsVerified atomic.Int64
 	plansVerified    atomic.Int64
-	shardsVerified   atomic.Int64
 	violationsFound  atomic.Int64
 )
 
@@ -227,8 +226,6 @@ type VerifyStats struct {
 	Programs int64
 	// Plans is how many plan-level verifications ran.
 	Plans int64
-	// ShardPlans is how many shard-plan verifications ran.
-	ShardPlans int64
 	// Violations is how many diagnostics all verifications produced.
 	Violations int64
 }
@@ -255,7 +252,6 @@ func Stats() VerifyStats {
 	return VerifyStats{
 		Programs:   programsVerified.Load(),
 		Plans:      plansVerified.Load(),
-		ShardPlans: shardsVerified.Load(),
 		Violations: violationsFound.Load(),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/shard"
 )
 
 // This file defines the execution-backend abstraction: the split between
@@ -120,24 +119,14 @@ type ExecBackend interface {
 // BackendNames lists the selectable backend names in presentation order.
 var BackendNames = []string{"parallel", "resilient", "reference"}
 
-// Backend resolves a backend by name and shard count. The shard count
-// applies to the parallel backend, bare or under the resilient ladder: 0
-// auto-sizes shards per graph, 1 is unsharded, K > 1 partitions every graph
-// into K. The reference interpreter has no shard path and takes 1 only. Workers are GOMAXPROCS.
-func Backend(name string, shards int) (ExecBackend, error) {
-	if shards < 0 || shards > shard.MaxShards {
-		return nil, fmt.Errorf("core: invalid shard count %d (valid: 0 (auto) through %d; 1 = unsharded)",
-			shards, shard.MaxShards)
-	}
+// Backend resolves a backend by name. Workers are GOMAXPROCS.
+func Backend(name string) (ExecBackend, error) {
 	switch name {
 	case "parallel":
-		return NewShardedParallelBackend(0, shards), nil
+		return NewParallelBackend(0), nil
 	case "resilient":
-		return NewResilientBackend(NewShardedParallelBackend(0, shards)), nil
+		return NewResilientBackend(NewParallelBackend(0)), nil
 	case "reference":
-		if shards != 1 {
-			return nil, fmt.Errorf("core: the %s backend has no shard path (shard count %d; valid: 1)", name, shards)
-		}
 		return ReferenceBackend(), nil
 	default:
 		return nil, fmt.Errorf("core: unknown backend %q (valid backends: %s)",

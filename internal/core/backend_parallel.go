@@ -31,9 +31,9 @@ import (
 // both properties.
 
 // ParallelBackend executes plans on a host worker pool. The zero worker
-// count resolves to runtime.GOMAXPROCS(0). A shard count
-// other than 1 routes aggregation kernels through the partition-aware
-// lowering path (backend_sharded.go).
+// count resolves to runtime.GOMAXPROCS(0). A shard count above 1 routes
+// aggregation kernels through the partition-aware lowering path
+// (backend_sharded.go).
 type ParallelBackend struct {
 	workers int
 	shards  int
@@ -45,19 +45,15 @@ func NewParallelBackend(workers int) *ParallelBackend {
 	return NewShardedParallelBackend(workers, 1)
 }
 
-// NewShardedParallelBackend builds a backend with an explicit shard count:
-// 0 auto-sizes shards from the cache budget per graph, 1 disables sharding,
-// K > 1 partitions every graph into K shards at Lower time. Counts outside
-// [0, shard.MaxShards] clamp to the unsharded default.
+// NewShardedParallelBackend builds a backend that, for shards > 1,
+// partitions every graph into that many shards at Lower time (shard.Partition,
+// which rejects a count above shard.MaxShards); a count below 2 is unsharded.
 func NewShardedParallelBackend(workers, shards int) *ParallelBackend {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > MaxWorkers {
 		workers = MaxWorkers
-	}
-	if shards < 0 || shards > shard.MaxShards {
-		shards = 1
 	}
 	return &ParallelBackend{workers: workers, shards: shards}
 }
@@ -89,8 +85,8 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 	// value taken per Run would allocate each call and break the
 	// zero-steady-state contract.
 	if p.Op.CKind == tensor.EdgeK {
-		// Message creation stays on the flat path even when sharding is on:
-		// per-edge output rows never conflict, so sharding buys it nothing.
+		// Message creation stays on the flat path even when sharded: per-edge
+		// output rows never conflict, so sharding buys it nothing.
 		if k.msg, err = lowerEdgeWriter(p.Op, g, o); err != nil {
 			return nil, err
 		}
@@ -105,18 +101,15 @@ func (b *ParallelBackend) Lower(p *Plan, g *graph.Graph, o Operands) (ck Compile
 
 // lowerRows binds a reducing kernel's row body — its reducer, or the slab
 // sets of the row-resident region its operands carry — and the job that deals
-// the rows: whole shards under a shard plan of more than one shard (a plan
-// that resolves to a single shard, auto on a small graph, stays flat),
-// chunkSize row ranges otherwise.
+// the rows: whole shards on a sharded backend, chunkSize row ranges
+// otherwise.
 func (k *parallelKernel) lowerRows() (err error) {
-	if k.b.shards != 1 {
+	if k.b.shards > 1 {
 		plan, err := shardPlanFor(k.g, k.b.shards)
 		if err != nil {
 			return err
 		}
-		if plan.K > 1 {
-			k.bindShards(plan)
-		}
+		k.bindShards(plan)
 	}
 	if k.o.Interior != nil {
 		k.region, err = lowerRowRegion(k, k.o.Interior)
@@ -154,9 +147,8 @@ type parallelKernel struct {
 	// computed in the chunk (region_rows.go), nil otherwise.
 	region *rowRegion
 	// sp is the shard plan of a sharded Dst_V kernel (backend_sharded.go),
-	// nil on the flat path; labels are its per-shard span names.
-	sp     *shard.Plan
-	labels []string
+	// nil on the flat path.
+	sp *shard.Plan
 	// fanout is the goroutine count chunks are dealt to (1 = inline).
 	fanout int
 	// main is the kernel's one pool job — rowChunk over destination rows,

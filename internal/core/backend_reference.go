@@ -24,8 +24,12 @@ func ReferenceBackend() ExecBackend { return refBackendInstance }
 func (refBackend) Name() string { return "reference" }
 
 // Lower implements ExecBackend: validation happens here, once, so repeated
-// Run calls skip it.
-func (refBackend) Lower(p *Plan, g *graph.Graph, o Operands) (k CompiledKernel, err error) {
+// Run calls skip it. The head of a row-resident region lowers as the steps it
+// stands for, on whole tensors: the oracle runs the recorded program.
+func (b refBackend) Lower(p *Plan, g *graph.Graph, o Operands) (k CompiledKernel, err error) {
+	if o.Interior != nil {
+		return lowerUnfused(b, p, g, o)
+	}
 	sp := lowerSpan("reference", p)
 	defer func() { endLower(sp, err) }()
 	if err := faultinject.ErrIf(faultinject.LowerFail); err != nil {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/telemetry"
 )
 
 // The partition-aware lowering path of the parallel backend. A graph's
@@ -62,35 +60,6 @@ func shardPlanFor(g *graph.Graph, k int) (*shard.Plan, error) {
 	return p, nil
 }
 
-// ShardedLowering is implemented by lowered kernels that can execute over a
-// shard plan. The program compiler uses it to report partition shape in its
-// stats.
-type ShardedLowering interface {
-	// ShardCount reports how many shards the kernel executes over (1 = flat).
-	ShardCount() int
-	// ShardEdgeCut reports the plan's cross-shard edge fraction.
-	ShardEdgeCut() float64
-}
-
-// AsShardedLowering finds the sharded lowering that k is or wraps: a kernel
-// executing over more than one shard. Kernels that run another lowered kernel
-// (a composed region, the resilient ladder) expose it through an Unwrap
-// method, so sharding stays visible behind any stack of them without each
-// re-exporting this interface.
-func AsShardedLowering(k CompiledKernel) (ShardedLowering, bool) {
-	for k != nil {
-		if sl, ok := k.(ShardedLowering); ok {
-			return sl, sl.ShardCount() > 1
-		}
-		w, ok := k.(interface{ Unwrap() CompiledKernel })
-		if !ok {
-			break
-		}
-		k = w.Unwrap()
-	}
-	return nil, false
-}
-
 // bindShards turns a reducing kernel into its sharded form: shardChunk over
 // the plan's shards, one shard per claim. Only called with a plan of at least
 // 2 shards, before the region's slab sets are sized by the fan-out.
@@ -98,51 +67,20 @@ func (k *parallelKernel) bindShards(sp *shard.Plan) {
 	k.sp = sp
 	k.fanout = min(k.fanout, sp.K)
 	k.setJob(k.shardChunk, sp.K, 1)
-	// Span labels are precomputed so per-shard tracing allocates nothing at
-	// Run time.
-	k.labels = make([]string, sp.K)
-	for s := range k.labels {
-		k.labels[s] = fmt.Sprintf("%s shard %d/%d", opLabel(k.p), s, sp.K)
-	}
 }
 
-// ShardCount implements ShardedLowering.
-func (k *parallelKernel) ShardCount() int {
-	if k.sp == nil {
-		return 1
-	}
-	return k.sp.K
-}
-
-// ShardEdgeCut implements ShardedLowering.
-func (k *parallelKernel) ShardEdgeCut() float64 {
-	if k.sp == nil {
-		return 0
-	}
-	return k.sp.EdgeCut
-}
-
-// shardChunk is the chunk body of a sharded reducing kernel: shards [lo, hi).
+// shardChunk is the chunk body of a sharded reducing kernel: shards [lo, hi),
+// the row body over each run of a shard's owned rows.
 func (k *parallelKernel) shardChunk(lo, hi int) {
 	ss := k.claim()
 	defer ss.release()
 	for s := lo; s < hi; s++ {
 		chunkFaults()
-		k.execShard(ss, s)
-	}
-}
-
-// execShard runs the row body over each run of shard s's owned rows, under a
-// per-shard span when telemetry is armed.
-func (k *parallelKernel) execShard(ss *slabSet, s int) {
-	if telemetry.Enabled() {
-		sp := telemetry.StartSpan(k.b.Name(), "shard", k.labels[s])
-		defer sp.End()
-	}
-	owned := k.sp.Shards[s].Owned
-	for i := 0; i < len(owned); {
-		lo, hi, next := NextRun(owned, i)
-		k.rows(ss, lo, hi)
-		i = next
+		owned := k.sp.Shards[s].Owned
+		for i := 0; i < len(owned); {
+			first, end, next := NextRun(owned, i)
+			k.rows(ss, first, end)
+			i = next
+		}
 	}
 }

@@ -42,8 +42,8 @@ func TestShardedBackendFullRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: lower: %v", entry.DGLName, strat, err)
 			}
-			if _, ok := AsShardedLowering(k); ok != (op.CKind == tensor.DstV) {
-				t.Fatalf("%s/%s: sharded=%v; aggregations take the sharded path, message creation stays flat", entry.DGLName, strat, ok)
+			if sharded := k.(*parallelKernel).sp != nil; sharded != (op.CKind == tensor.DstV) {
+				t.Fatalf("%s/%s: sharded=%v; aggregations take the sharded path, message creation stays flat", entry.DGLName, strat, sharded)
 			}
 			if err := k.Run(); err != nil {
 				t.Fatalf("%s/%s: run: %v", entry.DGLName, strat, err)
@@ -58,8 +58,8 @@ func TestShardedBackendFullRegistry(t *testing.T) {
 
 // TestShardedMatchesUnsharded: a sharded kernel is the flat kernel to the
 // bit — every reducing registry operator (message creation never shards,
-// TestShardedBackendFullRegistry) under all four strategies, fixed, auto (0)
-// and more-than-|V| shard counts, inline and on the pool. The graph has
+// TestShardedBackendFullRegistry) under all four strategies, fixed,
+// more-than-|V| and unsharded (0) shard counts, inline and on the pool. The graph has
 // vertices with out-edges only (zero in-degree) and fully isolated ones: a
 // row nobody sends to must come out as the flat kernel writes it, signed
 // zeros included.
@@ -80,7 +80,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		flat := makeOperands(g, op, feat, false, 5)
 		for _, strat := range Strategies {
 			p := MustCompile(op, Schedule{Strategy: strat, Group: 1, Tile: 1})
-			k, err := NewShardedParallelBackend(2, 1).Lower(p, g, flat)
+			k, err := NewParallelBackend(2).Lower(p, g, flat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,49 +131,6 @@ func TestShardedRunDeterministic(t *testing.T) {
 		}
 		if !o.C.T.Equal(first) {
 			t.Fatalf("rep %d differs from first run", rep)
-		}
-	}
-}
-
-// TestShardedLoweringInterface pins the program-compiler contract: shard
-// count and edge cut are reported under every strategy, also through a
-// composed region and the resilient ladder, and a flat kernel is not a
-// sharded lowering.
-func TestShardedLoweringInterface(t *testing.T) {
-	g := testGraph(t, 300, 4000, 13)
-	const feat = 12
-	op := ops.AggrSum
-	for _, strat := range Strategies {
-		p := MustCompile(op, Schedule{Strategy: strat, Group: 1, Tile: 1})
-		o := makeOperands(g, op, feat, false, 7)
-		k, err := NewShardedParallelBackend(2, 5).Lower(p, g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sl, ok := AsShardedLowering(k)
-		if !ok {
-			t.Fatalf("%s: aggregation at shards=5 must be a sharded lowering", strat)
-		}
-		if sl.ShardCount() != 5 {
-			t.Errorf("%s: ShardCount = %d, want 5", strat, sl.ShardCount())
-		}
-		if cut := sl.ShardEdgeCut(); cut <= 0 || cut > 1 {
-			t.Errorf("%s: ShardEdgeCut = %v, want in (0,1]", strat, cut)
-		}
-		rk, err := NewResilientBackend(NewShardedParallelBackend(2, 5)).Lower(p, g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped, ok := AsShardedLowering(ComposeRegion(rk, nil, nil, "r", g))
-		if !ok || wrapped.ShardCount() != 5 || wrapped.ShardEdgeCut() != sl.ShardEdgeCut() {
-			t.Errorf("%s: sharding not visible through a region around the ladder", strat)
-		}
-		fk, err := NewShardedParallelBackend(2, 1).Lower(p, g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := AsShardedLowering(fk); ok {
-			t.Errorf("%s: a flat kernel reported itself sharded", strat)
 		}
 	}
 }
@@ -317,34 +274,39 @@ func TestShardPlanCacheReuse(t *testing.T) {
 	}
 }
 
-// TestShardedBackendDefaults: NewParallelBackend is unsharded, and Backend
-// takes the shard count with the name: the parallel backend, bare or under
-// the resilient ladder, carries it; reference takes 1 only; a count
-// outside [0, shard.MaxShards] is an error, not a silent default.
+// TestShardedBackendDefaults: NewParallelBackend and every backend Backend
+// resolves are unsharded; a count below 2 lowers the flat kernel, and one
+// above shard.MaxShards fails to lower instead of falling back silently.
 func TestShardedBackendDefaults(t *testing.T) {
 	if b := NewParallelBackend(2); b.shards != 1 {
 		t.Errorf("NewParallelBackend shards = %d, want 1", b.shards)
 	}
-	b, err := Backend("parallel", 3)
+	b, err := Backend("parallel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.(*ParallelBackend).shards; got != 3 {
-		t.Errorf("Backend(parallel, 3) shards = %d, want 3", got)
+	if got := b.(*ParallelBackend).shards; got != 1 {
+		t.Errorf("Backend(parallel) shards = %d, want 1", got)
 	}
-	rb, err := Backend("resilient", 0)
+	rb, err := Backend("resilient")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rb.(*ResilientBackend).primary.(*ParallelBackend).shards; got != 0 {
-		t.Errorf("Backend(resilient, 0) primary shards = %d, want 0 (auto)", got)
+	if got := rb.(*ResilientBackend).primary.(*ParallelBackend).shards; got != 1 {
+		t.Errorf("Backend(resilient) primary shards = %d, want 1", got)
 	}
-	if _, err := Backend("reference", 4); err == nil {
-		t.Error("Backend(reference, 4) accepted a shard count it has no path for")
-	}
-	for _, n := range []int{-1, shard.MaxShards + 1} {
-		if _, err := Backend("parallel", n); err == nil {
-			t.Errorf("Backend(parallel, %d) should fail", n)
+	g := testGraph(t, 100, 1500, 41)
+	p := MustCompile(ops.AggrSum, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
+	for _, n := range []int{-1, 0, 1} {
+		k, err := NewShardedParallelBackend(2, n).Lower(p, g, makeOperands(g, ops.AggrSum, 4, false, 1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if k.(*parallelKernel).sp != nil {
+			t.Errorf("shards=%d lowered a sharded kernel, want the flat one", n)
+		}
+	}
+	if _, err := NewShardedParallelBackend(2, shard.MaxShards+1).Lower(p, g, makeOperands(g, ops.AggrSum, 4, false, 1)); err == nil {
+		t.Errorf("shards=%d lowered, want the partitioner's range error", shard.MaxShards+1)
 	}
 }

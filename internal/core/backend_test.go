@@ -17,7 +17,7 @@ import (
 
 func TestBackendRegistry(t *testing.T) {
 	for _, name := range BackendNames {
-		b, err := Backend(name, 1)
+		b, err := Backend(name)
 		if err != nil {
 			t.Fatalf("Backend(%q): %v", name, err)
 		}
@@ -25,7 +25,7 @@ func TestBackendRegistry(t *testing.T) {
 			t.Errorf("Backend(%q).Name() = %q", name, b.Name())
 		}
 	}
-	_, err := Backend("cuda", 1)
+	_, err := Backend("cuda")
 	if err == nil {
 		t.Fatal("unknown backend should fail")
 	}

@@ -40,3 +40,13 @@ func (k *resilientKernel) ConflictHandling() string {
 	}
 	return analysis.ConflictSequential
 }
+
+// ConflictHandling implements ConflictReporter with the head kernel's
+// discipline: the stages before it are whole kernels of the same backend, run
+// one after another.
+func (k *unfusedKernel) ConflictHandling() string {
+	if cr, ok := k.head.(ConflictReporter); ok {
+		return cr.ConflictHandling()
+	}
+	return ""
+}

@@ -120,8 +120,8 @@ type Operands struct {
 	A, B, C tensor.Typed
 	// Interior, when set, makes the operator the head of a row-resident
 	// region (region_rows.go): one of A and B is then an Edge operand without
-	// a tensor, computed chunk by chunk by the stages listed here. Backends
-	// without that lowering refuse such operands with ErrNoRowRegion.
+	// a tensor, computed by the stages listed here: chunk by chunk on the
+	// parallel backend, as whole-tensor steps on the reference interpreter.
 	Interior *Interior
 }
 
@@ -147,9 +147,6 @@ func (o Operands) featureWidth() (int, error) {
 
 // validateOperands checks kinds and shapes against the op and graph sizes.
 func (p *Plan) validateOperands(numVertices, numEdges int, o Operands) error {
-	if o.Interior != nil {
-		return ErrNoRowRegion
-	}
 	if o.A.Kind != p.Op.AKind {
 		return fmt.Errorf("core: operand A kind %s != op's %s", o.A.Kind, p.Op.AKind)
 	}

@@ -287,7 +287,7 @@ func TestResilientFallbackMatchesReference(t *testing.T) {
 // TestResilientLadderGate: what passes the ladder's gate — a *KernelError
 // from a full run — reruns; a row run does not. Through the wrapper the
 // primary still takes a region epilogue into its chunks and a sharded
-// lowering stays visible; a primary that fails after some chunks already ran
+// primary stays sharded; a primary that fails after some chunks already ran
 // the epilogue is rerun on the reference interpreter and the epilogue lands
 // exactly once per row; the same fault in a row run surfaces as a
 // *KernelError and nothing is counted or rerun.
@@ -320,8 +320,8 @@ func TestResilientLadderGate(t *testing.T) {
 		if c := k.Counters(); c.Epilogue != EpilogueInChunk {
 			t.Errorf("shards=%d: epilogue %q, want %q", shards, c.Epilogue, EpilogueInChunk)
 		}
-		if sl, ok := AsShardedLowering(k); ok != (shards > 1) || ok && sl.ShardCount() != shards {
-			t.Errorf("shards=%d: sharded lowering behind the ladder: found=%v", shards, ok)
+		if sp := k.(*resilientKernel).primary.(*parallelKernel).sp; (sp != nil) != (shards > 1) || sp != nil && sp.K != shards {
+			t.Errorf("shards=%d: the ladder's primary lowered over plan %v", shards, sp)
 		}
 		check := func(when string) {
 			t.Helper()

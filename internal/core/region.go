@@ -13,8 +13,8 @@ import (
 // one logical kernel launch. The stages are closures the compiler builds at
 // Compile time (they capture staging tensors and unary chains; see
 // internal/program); composition itself is backend-agnostic, so the same
-// region runs on the reference interpreter, the parallel host executor and
-// the sharded backend unchanged. An output epilogue is a post stage only
+// region runs on the reference interpreter and the parallel host executor,
+// flat or sharded, unchanged. An output epilogue is a post stage only
 // where the inner kernel cannot take it into its chunk bodies
 // (EpilogueBinder); the compiler tries that first.
 //
@@ -81,9 +81,7 @@ func (k *resilientKernel) silenceTelemetry() {
 
 // ComposeRegion wraps an already-lowered kernel with the region's pre and
 // post stages and returns the composed kernel. label names the region in
-// telemetry (the compiler passes the bounded region name). A sharded inner
-// lowering stays reachable through Unwrap, so the compiler's stats still see
-// it.
+// telemetry (the compiler passes the bounded region name).
 func ComposeRegion(inner CompiledKernel, pre, post []RegionStage, label string, g *graph.Graph) CompiledKernel {
 	ReleaseTelemetry(inner)
 	p := inner.Plan()
@@ -102,9 +100,6 @@ type regionKernel struct {
 
 // Plan implements CompiledKernel.
 func (k *regionKernel) Plan() *Plan { return k.inner.Plan() }
-
-// Unwrap returns the kernel the region was composed around.
-func (k *regionKernel) Unwrap() CompiledKernel { return k.inner }
 
 // Counters implements CompiledKernel: the inner kernel's counters, with a
 // post stage reported as an epilogue that runs after the kernel.

@@ -22,14 +22,9 @@ import (
 // the step-by-step program would have written.
 //
 // The parallel kernel lowers one, flat or sharded: its row body (rows in
-// backend_parallel.go) runs the stages over any row range. Every other
-// lowering answers ErrNoRowRegion, and the program compiler then compiles the
-// steps it recorded; the resilient ladder's lower rung runs those same steps
-// on whole tensors (lowerUnfused).
-
-// ErrNoRowRegion is returned by Lower for operands that carry an Interior
-// when the backend has no row-resident lowering for them.
-var ErrNoRowRegion = errors.New("core: no row-resident lowering on this backend")
+// backend_parallel.go) runs the stages over any row range. The reference
+// interpreter lowers the steps the region stands for on whole tensors
+// (lowerUnfused), which is also what the resilient ladder's lower rung runs.
 
 // Interior describes the row-resident part of a region to the backend
 // lowering its head (Operands.Interior). The head's own operand that is an
@@ -424,8 +419,8 @@ func (k *parallelKernel) regionRows(ss *slabSet, rlo, rhi int32) {
 // lowerUnfused lowers a plan whose operands carry an Interior on backend b as
 // the steps it stands for: every interior value a whole tensor, every graph
 // stage a kernel of b's, then the head over the materialised operand. It is
-// what the resilient ladder's lower rung runs, and the oracle the row-resident
-// form is tested against.
+// the reference interpreter's lowering of a region head, and the oracle the
+// row-resident form is tested against.
 func lowerUnfused(b ExecBackend, p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
 	in := o.Interior
 	if err := in.validate(p, g, o); err != nil {

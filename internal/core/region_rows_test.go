@@ -191,7 +191,7 @@ func TestRowRegionMatchesSteps(t *testing.T) {
 			for _, rc := range softmaxRegions(fx.g, shape[0], shape[1], 31) {
 				ref := unfusedOutput(t, ReferenceBackend(), fx.g, rc)
 				vectest.EachKernelSet(t, func(t *testing.T) {
-					want := unfusedOutput(t, NewShardedParallelBackend(1, 1), fx.g, rc)
+					want := unfusedOutput(t, NewParallelBackend(1), fx.g, rc)
 					if !want.Equal(ref) {
 						t.Fatalf("%s/%s: parallel steps differ from the reference interpreter (max diff %g)", fx.name, rc.name, want.MaxDiff(ref))
 					}
@@ -229,12 +229,14 @@ func TestRowRegionMatchesSteps(t *testing.T) {
 
 // TestRowRegionCapability: every parallel lowering takes an Interior, flat or
 // sharded, and so does the ladder over one, on its primary. The reference
-// interpreter and the ladder over the reference answer
-// ErrNoRowRegion — and the ladder counts no fallback for it.
+// interpreter and the ladder over it lower the head as the steps it stands
+// for, with no interior stage in a chunk, and write the steps' bits; the
+// ladder counts no fallback for it.
 func TestRowRegionCapability(t *testing.T) {
 	g := skewedFixture(t)
 	rc := softmaxRegions(g, 8, 16, 5)[0]
 	p := MustCompile(rc.op, tvSchedule)
+	want := unfusedOutput(t, ReferenceBackend(), g, rc)
 	quiet := func(primary ExecBackend) *ResilientBackend {
 		rb := NewResilientBackend(primary)
 		rb.SetLogger(nil)
@@ -244,16 +246,24 @@ func TestRowRegionCapability(t *testing.T) {
 	for name, b := range map[string]ExecBackend{
 		"reference": ReferenceBackend(), "resilient over reference": referenceLadder,
 	} {
-		if _, err := b.Lower(p, g, rc.o); !errors.Is(err, ErrNoRowRegion) {
-			t.Errorf("%s: Lower of a region head returned %v, want ErrNoRowRegion", name, err)
+		k, err := b.Lower(p, g, rc.o)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if c := k.Counters(); c.InteriorStages != 0 || c.SlabFloats != 0 {
+			t.Errorf("%s: counters %+v, want no interior stage and no slab", name, c)
+		}
+		if err := k.Run(); err != nil || rc.o.C.T.BitDiff(want) >= 0 {
+			t.Errorf("%s: err %v, max diff %g from the steps", name, err, rc.o.C.T.MaxDiff(want))
 		}
 	}
 	if n := referenceLadder.Fallbacks(); n != 0 {
-		t.Errorf("the ladder counted %d fallbacks for a lowering its primary does not have", n)
+		t.Errorf("the ladder counted %d fallbacks for the reference's own lowering", n)
 	}
 	for name, b := range map[string]ExecBackend{
-		"parallel": NewShardedParallelBackend(2, 1), "shards=0 resolving to one": NewShardedParallelBackend(2, 0),
-		"shards=4": NewShardedParallelBackend(2, 4), "resilient": quiet(NewShardedParallelBackend(2, 1)),
+		"parallel": NewParallelBackend(2), "shards=0 is unsharded": NewShardedParallelBackend(2, 0),
+		"shards=4": NewShardedParallelBackend(2, 4), "resilient": quiet(NewParallelBackend(2)),
 		"resilient over shards=4": quiet(NewShardedParallelBackend(2, 4)),
 	} {
 		k, err := b.Lower(p, g, rc.o)
@@ -279,7 +289,7 @@ func TestRowRegionBehindLadder(t *testing.T) {
 	for i := range want.Data {
 		want.Data[i] += 1 // the epilogue below
 	}
-	rb := NewResilientBackend(NewShardedParallelBackend(2, 1))
+	rb := NewResilientBackend(NewParallelBackend(2))
 	rb.SetLogger(nil)
 	k, err := rb.Lower(MustCompile(rc.op, tvSchedule), g, rc.o)
 	if err != nil {
@@ -402,13 +412,13 @@ func TestRowRegionRejectsMalformedInterior(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		k, err := NewShardedParallelBackend(2, 1).Lower(p, g, rc.o)
-		if err == nil || errors.Is(err, ErrNoRowRegion) {
+		k, err := NewParallelBackend(2).Lower(p, g, rc.o)
+		if err == nil {
 			t.Errorf("%s: Lower returned (%v, %v), want a validation error", name, k, err)
 		}
 	}
 	if rc := fresh(); true {
-		if _, err := NewShardedParallelBackend(2, 1).Lower(MustCompile(rc.op, tvSchedule), g, rc.o); err != nil {
+		if _, err := NewParallelBackend(2).Lower(MustCompile(rc.op, tvSchedule), g, rc.o); err != nil {
 			t.Fatalf("the uncorrupted region does not lower: %v", err)
 		}
 	}

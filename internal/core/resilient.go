@@ -84,32 +84,17 @@ func (b *ResilientBackend) countFallback(op string) {
 // ladders down per Run on *KernelError.
 func (b *ResilientBackend) Lower(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
 	pk, err := b.primary.Lower(p, g, o)
-	if errors.Is(err, ErrNoRowRegion) {
-		// Not a failure of the primary: it has no row-resident form for these
-		// operands, and the caller compiles the recorded steps instead.
-		return nil, err
-	}
 	if err != nil {
 		b.countFallback(opLabel(p))
 		b.logf("%s backend failed to lower %s: %v; lowering on %s",
 			b.primary.Name(), opLabel(p), err, ReferenceBackend().Name())
-		sk, serr := b.lowerReference(p, g, o)
+		sk, serr := ReferenceBackend().Lower(p, g, o)
 		if serr != nil {
 			return nil, serr
 		}
 		return &resilientKernel{b: b, p: p, g: g, o: o, primary: sk, primaryIsFallback: true}, nil
 	}
 	return &resilientKernel{b: b, p: p, g: g, o: o, primary: pk}, nil
-}
-
-// lowerReference lowers on the fallback rung, the reference interpreter. The head of a row-resident
-// region is lowered there as the steps it stands for, on whole tensors: the
-// reference rung is the oracle, and the oracle runs the recorded program.
-func (b *ResilientBackend) lowerReference(p *Plan, g *graph.Graph, o Operands) (CompiledKernel, error) {
-	if o.Interior != nil {
-		return lowerUnfused(ReferenceBackend(), p, g, o)
-	}
-	return ReferenceBackend().Lower(p, g, o)
 }
 
 type resilientKernel struct {
@@ -129,10 +114,6 @@ type resilientKernel struct {
 	// carry it, is followed by one application over the whole output.
 	epilogue RowEpilogue
 }
-
-// Unwrap returns the primary kernel, so a sharded lowering stays visible
-// behind the ladder (AsShardedLowering).
-func (k *resilientKernel) Unwrap() CompiledKernel { return k.primary }
 
 // BindEpilogue implements EpilogueBinder by passing f through to the primary
 // kernel; it reports false, and the compiler composes f as a stage, when the
@@ -182,7 +163,7 @@ func (k *resilientKernel) rerun(ctx context.Context, err error) error {
 	k.b.logf("kernel %s [%s] failed on %s: %v; retrying on %s",
 		ke.Op, ke.Strategy, ke.Backend, ke.Err, ReferenceBackend().Name())
 	if k.fallback == nil {
-		fk, lerr := k.b.lowerReference(k.p, k.g, k.o)
+		fk, lerr := ReferenceBackend().Lower(k.p, k.g, k.o)
 		if lerr != nil {
 			return fmt.Errorf("resilient fallback lowering failed: %w (after %w)", lerr, err)
 		}

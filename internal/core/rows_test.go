@@ -201,7 +201,7 @@ func TestWhichLoweringsRunRows(t *testing.T) {
 		}
 		return k
 	}
-	flat := NewShardedParallelBackend(2, 1)
+	flat := NewParallelBackend(2)
 	stage := []RegionStage{func() {}}
 	failing := NewResilientBackend(failLowerBackend{})
 	failing.SetLogger(nil)
@@ -253,7 +253,7 @@ func TestRunRowsCancelPanicAndNumerics(t *testing.T) {
 	numV := g.NumVertices()
 	x := randomDense(rand.New(rand.NewSource(1)), numV, 8)
 	out := tensor.NewDense(numV, 8)
-	rb := NewResilientBackend(NewShardedParallelBackend(2, 1))
+	rb := NewResilientBackend(NewParallelBackend(2))
 	rb.SetLogger(nil)
 	k, err := rb.Lower(MustCompile(ops.OpInfo{EdgeOp: ops.CopyLHS, GatherOp: ops.GatherSum, AKind: tensor.SrcV, CKind: tensor.DstV}, tvSchedule),
 		g, Operands{A: tensor.Src(x), B: tensor.NullTensor, C: tensor.Dst(out)})

@@ -412,7 +412,7 @@ func TestSpanCorruptIndexIsKernelError(t *testing.T) {
 					}
 					o := shapedOperands(g, vo.op, feat, feat, bCols, 3)
 					p := MustCompile(vo.op, Schedule{Strategy: ThreadVertex, Group: 1, Tile: 1})
-					k, err := NewShardedParallelBackend(workers, 1).Lower(p, g, o)
+					k, err := NewParallelBackend(workers).Lower(p, g, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -458,7 +458,7 @@ func TestSpanCorruptRowPointerIsKernelError(t *testing.T) {
 			g := testGraph(t, 300, 2400, 11)
 			o := shapedOperands(g, vo.op, 32, 32, map[bool]int{true: 1, false: 32}[vo.scalarB], 3)
 			p := MustCompile(vo.op, Schedule{Strategy: ThreadVertex, Group: 1, Tile: 1})
-			k, err := NewShardedParallelBackend(1, 1).Lower(p, g, o)
+			k, err := NewParallelBackend(1).Lower(p, g, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -592,7 +592,7 @@ func TestEdgeWriterCorruptIndexIsKernelError(t *testing.T) {
 					g := testGraph(t, 300, 2400, 11)
 					o := shapedOperands(g, op, feat, feat, feat, 3)
 					o.C.T = tensor.NewDense(g.NumEdges(), feat)
-					k, err := NewShardedParallelBackend(workers, 1).Lower(MustCompile(op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
+					k, err := NewParallelBackend(workers).Lower(MustCompile(op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -786,7 +786,7 @@ func BenchmarkSpanKernel(b *testing.B) {
 		}
 		p := MustCompile(bc.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1})
 		for _, workers := range []int{1, 2} {
-			k, err := NewShardedParallelBackend(workers, 1).Lower(p, g, o)
+			k, err := NewParallelBackend(workers).Lower(p, g, o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -840,7 +840,7 @@ func BenchmarkEdgeWriter(b *testing.B) {
 			if vec.Enabled() {
 				b.Run(name+"/vector", run)
 			}
-			k, err := NewShardedParallelBackend(2, 1).Lower(MustCompile(sh.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
+			k, err := NewParallelBackend(2).Lower(MustCompile(sh.op, Schedule{Strategy: ThreadEdge, Group: 1, Tile: 1}), g, o)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -85,8 +85,7 @@ type FixedEngine struct {
 
 // NewHostEngine is the engine for programs whose wall clock matters: the
 // serving daemon and `ugrapher -model`. The host lowering reads nothing of a
-// GPU schedule except, when sharded, whether it is vertex-parallel (DESIGN.md
-// §5), so a simulator grid search per operator buys a host program nothing;
+// GPU schedule (DESIGN.md §5), so a simulator grid search per operator buys a host program nothing;
 // this engine fixes the schedules to the ones that name what the host runs —
 // TV_G1_T1, the owner-per-row walk, for vertex-output operators and TE_G1_T1,
 // one edge per output row, for edge-output ones — with fusion and regions on.

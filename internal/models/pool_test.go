@@ -61,7 +61,7 @@ func poolEngine(workers int) *FixedEngine {
 		AggrSchedule: core.Schedule{Strategy: core.ThreadVertex, Group: 1, Tile: 1},
 		MsgCSchedule: core.DefaultSchedule,
 		Fuses:        true,
-		Compute:      core.NewShardedParallelBackend(workers, 1),
+		Compute:      core.NewParallelBackend(workers),
 	}
 }
 

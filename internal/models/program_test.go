@@ -231,9 +231,6 @@ func compileZeroAllocMatrix(t *testing.T) []zeroAllocProgram {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s workers=%d shards=%d ladder=%v", m.Name(), workers, shards, cell.ladder)
-				if shards > 1 && cp.Stats().Shards < 2 {
-					t.Fatalf("%s: compiled without a sharded lowering (stats: %d)", label, cp.Stats().Shards)
-				}
 				// GAT's edge-softmax chains run as row-resident regions on
 				// every parallel kernel, flat or sharded, the ladder's
 				// primary included.

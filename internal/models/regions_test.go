@@ -28,8 +28,9 @@ func regionEngine(pairOnly bool) *FixedEngine {
 // TestRegionFusionReducesSteps pins the tentpole acceptance criterion: on
 // GCN and GAT, region growth launches strictly fewer kernels than pair-only
 // fusion — the per-layer activation epilogues fold into the aggregation
-// kernels — while the graph-kernel count and the numeric output both stay
-// identical.
+// kernels — while the numeric output stays identical, and so does the
+// graph-kernel count outside GAT's row-resident regions, which take in its
+// edge-side graph steps too.
 func TestRegionFusionReducesSteps(t *testing.T) {
 	g := smallGraph(t, 31)
 	const inFeat, classes = 16, 7
@@ -56,9 +57,9 @@ func TestRegionFusionReducesSteps(t *testing.T) {
 			t.Errorf("%s: regions did not reduce kernel launches: %d -> %d",
 				m.Name(), ps.Steps, rs.Steps)
 		}
-		if rs.GraphKernels != ps.GraphKernels {
-			t.Errorf("%s: graph kernels changed %d -> %d (regions must only absorb elementwise nodes)",
-				m.Name(), ps.GraphKernels, rs.GraphKernels)
+		if rs.RowRegions == 0 && rs.GraphKernels != ps.GraphKernels || rs.RowRegions > 0 && rs.GraphKernels >= ps.GraphKernels {
+			t.Errorf("%s: graph kernels changed %d -> %d with %d row-resident regions (only those absorb graph nodes)",
+				m.Name(), ps.GraphKernels, rs.GraphKernels, rs.RowRegions)
 		}
 		if rs.RegionSavedBytes <= 0 {
 			t.Errorf("%s: region saved bytes = %d, want > 0", m.Name(), rs.RegionSavedBytes)
@@ -174,8 +175,8 @@ func TestEpilogueInChunkMatchesAfter(t *testing.T) {
 			}
 			return cp
 		}
-		in := compile(core.NewShardedParallelBackend(2, 1))
-		aft := compile(bareKernels{core.NewShardedParallelBackend(2, 1)})
+		in := compile(core.NewParallelBackend(2))
+		aft := compile(bareKernels{core.NewParallelBackend(2)})
 		if n, a := epilogueModes(in); n == 0 || a != 0 {
 			t.Fatalf("%s on parallel: %d epilogues in-chunk, %d after; want all in-chunk", m.Name(), n, a)
 		}

@@ -45,17 +45,17 @@ func TestDenseRewritesAcrossModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		tuned := NewTunedEngine(gpu.V100())
-		tuned.Compute = core.NewShardedParallelBackend(2, 1)
+		tuned.Compute = core.NewParallelBackend(2)
 		configs := []struct {
 			name     string
 			eng      Engine
 			parallel bool
 		}{
-			{"host", NewHostEngine(core.NewShardedParallelBackend(2, 1)), false},
+			{"host", NewHostEngine(core.NewParallelBackend(2)), false},
 			{"tuned", tuned, false},
 			{"resilient", NewHostEngine(quietLadder(2, 1)), false},
 			{"shards=4", NewHostEngine(core.NewShardedParallelBackend(2, 4)), false},
-			{"parallel-steps", NewHostEngine(core.NewShardedParallelBackend(2, 1)), true},
+			{"parallel-steps", NewHostEngine(core.NewParallelBackend(2)), true},
 		}
 		for _, c := range configs {
 			program.SetParallelSteps(c.parallel)

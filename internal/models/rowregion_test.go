@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,21 +14,14 @@ import (
 	"repro/internal/vec/vectest"
 )
 
-// stepsOnly is a backend that turns every row-resident region down, the way
-// the reference interpreter does: programs compiled on it keep the recorded
-// edge-side steps, on the wrapped backend's own kernels. It is what a region
-// is compared against.
-type stepsOnly struct{ core.ExecBackend }
-
-func (b stepsOnly) Lower(p *core.Plan, g *graph.Graph, o core.Operands) (core.CompiledKernel, error) {
-	if o.Interior != nil {
-		return nil, core.ErrNoRowRegion
-	}
-	return b.ExecBackend.Lower(p, g, o)
+// pairOnly is the host engine on b with fusion restricted to the
+// materialise+scatter pair: its programs keep every recorded edge-side step a
+// step, on b's own kernels. It is what a region is compared against.
+func pairOnly(b core.ExecBackend) *FixedEngine {
+	e := NewHostEngine(b)
+	e.PairFusionOnly = true
+	return e
 }
-
-// Workers keeps the wrapped pool size visible to the dense splitter.
-func (b stepsOnly) Workers() int { return core.Workers(b.ExecBackend) }
 
 // sinkGraph sends every edge into the first third of the vertices: the rest
 // have no in-edges, so their softmax sums over nothing.
@@ -91,12 +83,12 @@ func TestRowRegionBitIdenticalToSteps(t *testing.T) {
 			return out.Clone(), cp.Stats()
 		}
 		check := func(t *testing.T) {
-			want, st := run(t, NewHostEngine(stepsOnly{core.NewShardedParallelBackend(1, 1)}))
-			if st.RowRegions != 0 || st.Steps != 16 {
-				t.Fatalf("%s: the steps program has %d row-resident regions and %d steps, want 0 and 16", fx.name, st.RowRegions, st.Steps)
+			want, st := run(t, pairOnly(core.NewParallelBackend(1)))
+			if st.RowRegions != 0 || st.Steps != 20 {
+				t.Fatalf("%s: the steps program has %d row-resident regions and %d steps, want 0 and 20", fx.name, st.RowRegions, st.Steps)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				flat := core.NewShardedParallelBackend(workers, 1)
+				flat := core.NewParallelBackend(workers)
 				engines := map[string]Engine{"host": NewHostEngine(flat)}
 				if !fx.big {
 					engines["resilient"] = NewHostEngine(quietLadder(workers, 1))
@@ -124,55 +116,48 @@ func TestRowRegionBitIdenticalToSteps(t *testing.T) {
 }
 
 // TestOnlyEdgeChainsGrowRowRegions: the five models without an Edge-operand
-// chain compile, node for node, step for step and arena byte for arena byte,
-// to the program they compile to with that growth off; GAT is the one that
-// differs, by exactly its four absorbed steps a layer.
+// chain grow no row-resident region and their provenance names none, on the
+// parallel backend and on the reference interpreter; GAT grows one per layer
+// on both, twelve steps and six graph kernels fewer than its pair-only
+// program (whose epilogues are steps too).
 func TestOnlyEdgeChainsGrowRowRegions(t *testing.T) {
 	g := denseGraph(t, 47)
 	const inFeat, classes = 16, 5
-	flat := core.NewShardedParallelBackend(2, 1)
-	describe := func(cp *program.CompiledProgram) string {
-		var b strings.Builder
-		for _, n := range cp.Program().Nodes {
-			fmt.Fprintf(&b, "%s %s(%d,%d)->%d;", n.Op, n.Name, n.X, n.Y, n.Out)
-		}
-		st := cp.Stats()
-		fmt.Fprintf(&b, " steps=%d kernels=%d arena=%d regions=%d slots=%d", st.Steps, st.GraphKernels, st.ArenaFloats, st.FusedRegions, st.BufferSlots)
-		for _, s := range cp.Schedules() {
-			fmt.Fprintf(&b, " %s:%s", s.Name, s.Schedule)
-		}
-		return b.String()
-	}
+	flat := core.NewParallelBackend(2)
 	for _, m := range All() {
-		with, err := CompileModel(m, g, inFeat, classes, NewHostEngine(flat))
+		steps, err := CompileModel(m, g, inFeat, classes, pairOnly(flat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := CompileModel(m, g, inFeat, classes, NewHostEngine(stepsOnly{flat}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Name() == "GAT" {
-			if a, b := with.Stats(), without.Stats(); a.RowRegions != 2 || a.Steps != b.Steps-8 || a.GraphKernels != b.GraphKernels-6 {
-				t.Errorf("GAT: %d regions, steps %d vs %d, graph kernels %d vs %d; want 2 regions, 8 fewer steps, 6 fewer kernels",
-					a.RowRegions, a.Steps, b.Steps, a.GraphKernels, b.GraphKernels)
+		for _, b := range []core.ExecBackend{flat, core.ReferenceBackend()} {
+			with, err := CompileModel(m, g, inFeat, classes, NewHostEngine(b))
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if a, b := describe(with), describe(without); a != b || with.Stats().RowRegions != 0 || with.Stats().SlabFloats != 0 {
-			t.Errorf("%s compiles differently with row-resident growth on:\n%s\n%s", m.Name(), a, b)
-		}
-		for _, n := range with.Rewrites() {
-			if n.Pass == program.PassRowResident {
-				t.Errorf("%s: provenance mentions a row-resident region: %s", m.Name(), n)
+			a, o := with.Stats(), steps.Stats()
+			if m.Name() == "GAT" {
+				if a.RowRegions != 2 || a.Steps != o.Steps-12 || a.GraphKernels != o.GraphKernels-6 {
+					t.Errorf("GAT on %s: %d regions, steps %d vs %d, graph kernels %d vs %d; want 2 regions, 12 fewer steps, 6 fewer kernels",
+						b.Name(), a.RowRegions, a.Steps, o.Steps, a.GraphKernels, o.GraphKernels)
+				}
+				continue
+			}
+			if a.RowRegions != 0 || a.SlabFloats != 0 {
+				t.Errorf("%s on %s: %d row-resident regions, %d slab floats", m.Name(), b.Name(), a.RowRegions, a.SlabFloats)
+			}
+			for _, n := range with.Rewrites() {
+				if n.Pass == program.PassRowResident {
+					t.Errorf("%s on %s: provenance mentions a row-resident region: %s", m.Name(), b.Name(), n)
+				}
 			}
 		}
 	}
 }
 
 // BenchmarkGATLayer times a compiled GAT forward pass on PR (the gat-attn
-// workload's shape) with its edge-softmax chain as recorded steps and as one
-// row-resident region per layer, on one and two workers
+// workload's shape) with its edge-softmax chain as recorded steps (the
+// pair-only program) and as one row-resident region per layer, on one and two
+// workers
 // (`make bench-kernels`; EXPERIMENTS.md "GAT's message path").
 func BenchmarkGATLayer(b *testing.B) {
 	g, _, err := datasets.Load("PR")
@@ -183,12 +168,12 @@ func BenchmarkGATLayer(b *testing.B) {
 	x := tensor.NewDense(g.NumVertices(), inFeat)
 	x.Fill(0.25)
 	for _, workers := range []int{1, 2} {
-		flat := core.NewShardedParallelBackend(workers, 1)
+		flat := core.NewParallelBackend(workers)
 		for _, form := range []struct {
-			name    string
-			backend core.ExecBackend
-		}{{"steps", stepsOnly{flat}}, {"region", flat}} {
-			cp, err := CompileModel(NewGAT(), g, inFeat, classes, NewHostEngine(form.backend))
+			name string
+			eng  Engine
+		}{{"steps", pairOnly(flat)}, {"region", NewHostEngine(flat)}} {
+			cp, err := CompileModel(NewGAT(), g, inFeat, classes, form.eng)
 			if err != nil {
 				b.Fatal(err)
 			}

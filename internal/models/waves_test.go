@@ -25,7 +25,7 @@ func TestWaveParallelMatchesReference(t *testing.T) {
 	backends := []core.ExecBackend{
 		core.ReferenceBackend(),
 		core.NewParallelBackend(2),
-		core.NewShardedParallelBackend(2, 1),
+		core.NewParallelBackend(2),
 		core.NewShardedParallelBackend(2, 4),
 	}
 	engines := []struct {

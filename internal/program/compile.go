@@ -88,12 +88,6 @@ type Stats struct {
 	// StagingFloats is the compile-time staging buffers fusion regions read
 	// absorbed operand chains through.
 	StagingFloats int
-	// Shards is the shard count the backend lowered graph kernels over
-	// (1 when sharding is off or the backend has no sharded path).
-	Shards int
-	// ShardEdgeCut is the cross-shard edge fraction of the partition behind
-	// the sharded kernels (0 when unsharded).
-	ShardEdgeCut float64
 	// Waves is the number of topological levels in the verified wave
 	// schedule (waves.go); every step in one wave is provably independent
 	// of its wave-mates.
@@ -266,117 +260,13 @@ func Compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend) 
 	if rp, ok := s.(RegionPolicy); ok {
 		cm = rp.FusionCostModel()
 	}
-	var times CompileTimes
-	cp, err = compile(p, g, s, backend, cm, &times)
-	// Whether a backend can run a region's interior inside its head's row
-	// chunks is learnt by lowering the head (the lowered kernel is the one
-	// thing a decorator around the backend cannot hide). A backend that
-	// cannot gets the recorded steps: compile again with that growth off.
-	var declined *noRowRegionError
-	if errors.As(err, &declined) {
-		cm.stepsOnly = true
-		if cp, err = compile(p, g, s, backend, cm, &times); err == nil {
-			cp.rewrites = append(cp.rewrites, RewriteNote{Pass: PassRowResident, Node: declined.head, Rule: rejectBackend})
-		}
-	}
-	if err == nil {
-		cp.times = times
-	}
-	return cp, err
-}
-
-// CompileTimes is where Compile's wall time went, pass by pass, summed over
-// its attempts (a backend that declines row-resident regions compiles
-// twice). Schedule is the scheduler's ScheduleFor calls: with a tuned engine,
-// the simulator grid search, which is most of a tuned compile.
-type CompileTimes struct {
-	Fuse     time.Duration // region growth and dead-code elimination
-	Rewrite  time.Duration // dense rewrites
-	Buffers  time.Duration // buffer plan and the arena's views
-	Schedule time.Duration // schedule assignment
-	Lower    time.Duration // plan compile, backend lowering, regions, weight packing, dense bodies
-	Rows     time.Duration // row reads of row-subset runs
-	Waves    time.Duration // step-dependence DAG and wave schedule
-	Verify   time.Duration // the mandatory verifier rules
-}
-
-// passTime is one pass's name and time.
-type passTime struct {
-	name string
-	d    time.Duration
-}
-
-// passes lists the passes in the order compile runs them, with their names.
-func (t CompileTimes) passes() []passTime {
-	return []passTime{
-		{"fuse", t.Fuse}, {"rewrite", t.Rewrite}, {"buffers", t.Buffers}, {"schedule", t.Schedule},
-		{"lower", t.Lower}, {"rows", t.Rows}, {"waves", t.Waves}, {"verify", t.Verify},
-	}
-}
-
-// String renders "fuse 1.2ms, rewrite 0.3ms, …" in pass order.
-func (t CompileTimes) String() string {
-	var b strings.Builder
-	for i, p := range t.passes() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s %v", p.name, p.d.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// Total is the passes' sum.
-func (t CompileTimes) Total() time.Duration {
-	var sum time.Duration
-	for _, p := range t.passes() {
-		sum += p.d
-	}
-	return sum
-}
-
-// CompileTimes reports where Compile's time went, pass by pass.
-func (cp *CompiledProgram) CompileTimes() CompileTimes { return cp.times }
-
-// compileArgs are the compile span's arguments: every dense-rewrite decision
-// and each pass's time in milliseconds ("schedule_ms", …).
-func compileArgs(cp *CompiledProgram) map[string]string {
-	args := rewriteArgs(cp.rewrites)
-	if args == nil {
-		args = map[string]string{}
-	}
-	for _, p := range cp.times.passes() {
-		args[p.name+"_ms"] = fmt.Sprintf("%.3f", float64(p.d)/1e6)
-	}
-	return args
-}
-
-// passClock splits one compile attempt's wall time between passes: lap
-// charges the time since the previous lap to a pass.
-type passClock struct{ last time.Time }
-
-func (c *passClock) lap(d *time.Duration) {
-	now := time.Now()
-	*d += now.Sub(c.last)
-	c.last = now
-}
-
-// noRowRegionError is compile's report that the backend lowered the head of a
-// row-resident region with core.ErrNoRowRegion.
-type noRowRegionError struct{ head string }
-
-func (e *noRowRegionError) Error() string {
-	return fmt.Sprintf("program: %s: %v", e.head, core.ErrNoRowRegion)
-}
-
-// compile is one compilation under cost model cm, its passes' time added to
-// times. An attempt that fails releases the telemetry of every kernel it
-// lowered: they never run, and Compile's next attempt lowers its own.
-func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, cm CostModel, times *CompileTimes) (cp *CompiledProgram, err error) {
 	var notes []RewriteNote
 	var stats Stats
 	numV, numE := g.NumVertices(), g.NumEdges()
 	clk := passClock{last: time.Now()}
+	var times CompileTimes
+	// A compile that fails releases the telemetry of every kernel it lowered:
+	// they never run.
 	var lowered []core.CompiledKernel
 	defer func() {
 		if err != nil {
@@ -539,9 +429,6 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 				operands.Interior = interiorOf(work, n, views)
 			}
 			kern, err := backend.Lower(plan2, g, operands)
-			if errors.Is(err, core.ErrNoRowRegion) {
-				return nil, &noRowRegionError{head: n.Name}
-			}
 			if err != nil {
 				return nil, fmt.Errorf("program: %s: %w", n.Name, err)
 			}
@@ -550,7 +437,7 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 				cp.stats.RowRegions++
 				cp.stats.InteriorStages += c.InteriorStages
 				cp.stats.SlabFloats += c.SlabFloats
-				cp.rewrites = append(cp.rewrites, rowRegionNote(work, n, operands.Interior, numV, numE, c.SlabFloats))
+				cp.rewrites = append(cp.rewrites, rowRegionNote(work, n, operands.Interior, numV, numE, c))
 			}
 			// The lowered kernel reports the worker count too, which keeps it
 			// visible behind a backend decorator that hides Workers().
@@ -599,15 +486,6 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	}
 	cp.workers = workers
 
-	// Sharded kernels: fold the partition shape into the stats.
-	cp.stats.Shards = 1
-	for i := range cp.steps {
-		if sl, ok := core.AsShardedLowering(cp.steps[i].kern); ok {
-			cp.stats.Shards = max(cp.stats.Shards, sl.ShardCount())
-			cp.stats.ShardEdgeCut = max(cp.stats.ShardEdgeCut, sl.ShardEdgeCut())
-		}
-	}
-
 	clk.lap(&times.Lower)
 
 	// Cross-check what the backend actually lowered: each kernel's declared
@@ -636,7 +514,82 @@ func compile(p *Program, g *graph.Graph, s Scheduler, backend core.ExecBackend, 
 	clk.lap(&times.Verify)
 
 	cp.stats.Steps = len(cp.steps)
+	cp.times = times
 	return cp, nil
+}
+
+// CompileTimes is where Compile's wall time went, pass by pass. Schedule is the scheduler's ScheduleFor calls: with a tuned engine,
+// the simulator grid search, which is most of a tuned compile.
+type CompileTimes struct {
+	Fuse     time.Duration // region growth and dead-code elimination
+	Rewrite  time.Duration // dense rewrites
+	Buffers  time.Duration // buffer plan and the arena's views
+	Schedule time.Duration // schedule assignment
+	Lower    time.Duration // plan compile, backend lowering, regions, weight packing, dense bodies
+	Rows     time.Duration // row reads of row-subset runs
+	Waves    time.Duration // step-dependence DAG and wave schedule
+	Verify   time.Duration // the mandatory verifier rules
+}
+
+// passTime is one pass's name and time.
+type passTime struct {
+	name string
+	d    time.Duration
+}
+
+// passes lists the passes in the order Compile runs them, with their names.
+func (t CompileTimes) passes() []passTime {
+	return []passTime{
+		{"fuse", t.Fuse}, {"rewrite", t.Rewrite}, {"buffers", t.Buffers}, {"schedule", t.Schedule},
+		{"lower", t.Lower}, {"rows", t.Rows}, {"waves", t.Waves}, {"verify", t.Verify},
+	}
+}
+
+// String renders "fuse 1.2ms, rewrite 0.3ms, …" in pass order.
+func (t CompileTimes) String() string {
+	var b strings.Builder
+	for i, p := range t.passes() {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %v", p.name, p.d.Round(time.Microsecond))
+	}
+	return b.String()
+}
+
+// Total is the passes' sum.
+func (t CompileTimes) Total() time.Duration {
+	var sum time.Duration
+	for _, p := range t.passes() {
+		sum += p.d
+	}
+	return sum
+}
+
+// CompileTimes reports where Compile's time went, pass by pass.
+func (cp *CompiledProgram) CompileTimes() CompileTimes { return cp.times }
+
+// compileArgs are the compile span's arguments: every dense-rewrite decision
+// and each pass's time in milliseconds ("schedule_ms", …).
+func compileArgs(cp *CompiledProgram) map[string]string {
+	args := rewriteArgs(cp.rewrites)
+	if args == nil {
+		args = map[string]string{}
+	}
+	for _, p := range cp.times.passes() {
+		args[p.name+"_ms"] = fmt.Sprintf("%.3f", float64(p.d)/1e6)
+	}
+	return args
+}
+
+// passClock splits a compile's wall time between passes: lap
+// charges the time since the previous lap to a pass.
+type passClock struct{ last time.Time }
+
+func (c *passClock) lap(d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(c.last)
+	c.last = now
 }
 
 // stepLabel names a step for its trace span, computed once at compile time

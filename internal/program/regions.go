@@ -52,10 +52,6 @@ type CostModel struct {
 	// as a loss: only the materialise+scatter pair rewrite runs, which is what
 	// the baseline frameworks that fuse at all do (DGL).
 	PairOnly bool
-	// stepsOnly keeps every recorded edge-side step a step of its own: Compile
-	// sets it when the backend turned down a row-resident region
-	// (core.ErrNoRowRegion) and compiles again.
-	stepsOnly bool
 }
 
 // DefaultCostModel is the model Compile uses: a launch is worth 16 KiB of
@@ -298,20 +294,18 @@ func FuseRegions(p *Program, numV, numE int, cm CostModel) (*Program, RegionStat
 		// Growth through the Edge operand: a reducing head takes in the
 		// destination-local nodes that compute it (growInterior). Whatever it
 		// absorbs saves its launch and its value's write and read back.
-		if !cm.stepsOnly {
-			for _, di := range growInterior(nodes, removed, i, defIdx, work.Output) {
-				d := nodes[di]
-				info := ensure()
-				info.Interior = append(info.Interior, d)
-				info.Absorbed++
-				info.SavedBytes += 2*bytesOf(d.Out) + cm.LaunchOverheadBytes
-				if d.Region != nil {
-					info.Absorbed += d.Region.Absorbed
-					info.SavedBytes += d.Region.SavedBytes
-				}
-				removed[di] = true
-				delete(defIdx, d.Out)
+		for _, di := range growInterior(nodes, removed, i, defIdx, work.Output) {
+			d := nodes[di]
+			info := ensure()
+			info.Interior = append(info.Interior, d)
+			info.Absorbed++
+			info.SavedBytes += 2*bytesOf(d.Out) + cm.LaunchOverheadBytes
+			if d.Region != nil {
+				info.Absorbed += d.Region.Absorbed
+				info.SavedBytes += d.Region.SavedBytes
 			}
+			removed[di] = true
+			delete(defIdx, d.Out)
 		}
 
 		// Prologue absorption: fold single-consumer elementwise chains
@@ -563,8 +557,10 @@ func interiorOf(p *Program, n *Node, views []*tensor.Dense) *core.Interior {
 
 // rowRegionNote is the provenance line of a lowered row-resident region: what
 // the interior values would have streamed as tensors — each written once and
-// read once per reader — the stages that now run in the chunk, and the slabs.
-func rowRegionNote(p *Program, n *Node, in *core.Interior, numV, numE, slabFloats int) RewriteNote {
+// read once per reader — where the stages run, and the slabs. A kernel that
+// runs no stage in its chunks (the reference interpreter's) runs them as
+// whole-tensor steps, which stream those bytes still.
+func rowRegionNote(p *Program, n *Node, in *core.Interior, numV, numE int, c core.Counters) RewriteNote {
 	r := n.Region
 	var bytes int64
 	for i := range r.Interior {
@@ -584,10 +580,14 @@ func rowRegionNote(p *Program, n *Node, in *core.Interior, numV, numE, slabFloat
 	for i := range in.Stages {
 		names[i] = in.Stages[i].Name
 	}
+	where, after := "in the row chunks", int64(0)
+	if c.InteriorStages == 0 {
+		where, after = "as whole-tensor steps", bytes
+	}
 	return RewriteNote{
-		Pass: PassRowResident, Node: n.Name, Accepted: true, Rule: analysis.RuleFusionRegion, BytesBefore: bytes,
-		Detail: fmt.Sprintf("%d interior stages in the row chunks (%s), slabs %.1f KiB",
-			len(names), strings.Join(names, ", "), float64(slabFloats)*4/1024),
+		Pass: PassRowResident, Node: n.Name, Accepted: true, Rule: analysis.RuleFusionRegion, BytesBefore: bytes, BytesAfter: after,
+		Detail: fmt.Sprintf("%d interior stages %s (%s), slabs %.1f KiB",
+			len(names), where, strings.Join(names, ", "), float64(c.SlabFloats)*4/1024),
 	}
 }
 

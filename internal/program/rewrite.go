@@ -145,7 +145,6 @@ const (
 	rejectWeighted      = "aggregate is not an unweighted source gather"
 	rejectChainBetween  = "an elementwise chain sits between aggregate and GEMM"
 	rejectNotNarrowing  = "the weight does not narrow the aggregate"
-	rejectBackend       = "the backend has no row-resident lowering; the recorded steps compile"
 )
 
 // rewriter is the working state of one RewriteDense call: the node list with

@@ -124,10 +124,8 @@ func TestGrowInteriorDecisions(t *testing.T) {
 		if got := interiorNames(rp); got != tc.want {
 			t.Errorf("%s: interior %q, want %q", tc.name, got, tc.want)
 		}
-		for _, cm := range []CostModel{PairOnlyCostModel(), {LaunchOverheadBytes: 1 << 14, StagingPenalty: 0.5, stepsOnly: true}} {
-			if sp, _ := FuseRegions(p, numV, numE, cm); interiorNames(sp) != "" {
-				t.Errorf("%s: a region grew under %+v", tc.name, cm)
-			}
+		if sp, _ := FuseRegions(p, numV, numE, PairOnlyCostModel()); interiorNames(sp) != "" {
+			t.Errorf("%s: a region grew under the pair-only cost model", tc.name)
 		}
 	}
 
@@ -163,12 +161,13 @@ func TestGrowInteriorDecisions(t *testing.T) {
 	}
 }
 
-// TestRowRegionCompiles: on the parallel backend, flat or under a shard plan,
-// the attention layer compiles to its GEMM and one graph step whose kernel
-// carries the four interior stages (five with MsgC's epilogue) on slabs, and
-// computes what the recorded program computes — the sharded program the flat
-// one's bits; on backends without the lowering the same program compiles to
-// the steps it always did, says why in its provenance, and computes the same.
+// TestRowRegionCompiles: on every backend the attention layer compiles to
+// its GEMM and one graph step, the same number of steps everywhere, and
+// computes what the recorded program computes. On the parallel backend, flat
+// or under a shard plan, that step's kernel carries the four interior stages
+// (five with MsgC's epilogue) on slabs, and the sharded program writes the
+// flat one's bits; the reference interpreter runs the same step as the steps
+// it stands for, on whole tensors. The provenance says which.
 func TestRowRegionCompiles(t *testing.T) {
 	g := testGraph(t, 71, 300, 3000)
 	const heads, feat = 8, 16
@@ -178,15 +177,15 @@ func TestRowRegionCompiles(t *testing.T) {
 	for _, a := range []attention{{}, {noSoftmax: true}, {srcReadBack: true}, {denomRead: true}, {scoresRead: true}} {
 		p := attentionProgram(t, g.NumEdges(), heads, feat, a)
 		want := interpret(t, p, g, x)
-		steps := map[bool][]int{}
 		var flat *tensor.Dense
+		steps := 0
 		for _, tc := range []struct {
 			name    string
 			backend core.ExecBackend
-			region  bool
+			inChunk bool
 		}{
-			{"parallel", core.NewShardedParallelBackend(2, 1), true},
-			{"resilient", core.NewResilientBackend(core.NewShardedParallelBackend(2, 1)), true},
+			{"parallel", core.NewParallelBackend(2), true},
+			{"resilient", core.NewResilientBackend(core.NewParallelBackend(2)), true},
 			{"reference", core.ReferenceBackend(), false},
 			{"shards=4", core.NewShardedParallelBackend(2, 4), true},
 		} {
@@ -198,9 +197,9 @@ func TestRowRegionCompiles(t *testing.T) {
 				t.Fatalf("%+v on %s: %v", a, tc.name, rep.Diags)
 			}
 			st := cp.Stats()
-			if (st.RowRegions == 1) != tc.region || (st.InteriorStages > 0) != tc.region || (st.SlabFloats > 0) != tc.region {
-				t.Errorf("%+v on %s: %d row regions, %d interior stages, %d slab floats; region wanted: %v",
-					a, tc.name, st.RowRegions, st.InteriorStages, st.SlabFloats, tc.region)
+			if st.RowRegions != 1 || (st.InteriorStages > 0) != tc.inChunk || (st.SlabFloats > 0) != tc.inChunk {
+				t.Errorf("%+v on %s: %d row regions, %d interior stages, %d slab floats; want 1 region, stages in its chunks: %v",
+					a, tc.name, st.RowRegions, st.InteriorStages, st.SlabFloats, tc.inChunk)
 			}
 			if len(cp.Schedules()) != st.GraphKernels || st.GraphKernels != cp.Program().GraphOpCount() {
 				t.Errorf("%+v on %s: %d schedules, %d graph kernels, %d graph nodes: the three must leave together",
@@ -212,8 +211,9 @@ func TestRowRegionCompiles(t *testing.T) {
 					note = n.String()
 				}
 			}
-			if tc.region != strings.Contains(note, "accepted under rule fusion-region") || tc.region == strings.Contains(note, "no row-resident lowering") {
-				t.Errorf("%+v on %s: provenance %q", a, tc.name, note)
+			where := map[bool]string{true: "in the row chunks", false: "as whole-tensor steps"}[tc.inChunk]
+			if !strings.Contains(note, "accepted under rule fusion-region") || !strings.Contains(note, where) {
+				t.Errorf("%+v on %s: provenance %q, want the stages %s", a, tc.name, note, where)
 			}
 			got, err := cp.Run(x)
 			if err != nil {
@@ -223,15 +223,13 @@ func TestRowRegionCompiles(t *testing.T) {
 				t.Errorf("%+v on %s: differs from the recorded program by %g", a, tc.name, got.MaxDiff(want))
 			}
 			if flat == nil {
-				flat = got.Clone()
-			} else if d := got.BitDiff(flat); tc.region && d >= 0 {
+				flat, steps = got.Clone(), st.Steps
+			} else if d := got.BitDiff(flat); tc.inChunk && d >= 0 {
 				t.Errorf("%+v on %s: differs from the flat parallel program at element %d", a, tc.name, d)
 			}
-			steps[tc.region] = append(steps[tc.region], st.Steps)
-		}
-		with, without := steps[true], steps[false]
-		if slices.Min(with) != slices.Max(with) || slices.Min(without) != slices.Max(without) || with[0] >= without[0] {
-			t.Errorf("%+v: steps with the region %v, without %v; want fewer with it and the same within each kind", a, with, without)
+			if st.Steps != steps {
+				t.Errorf("%+v on %s: %d steps, the parallel program has %d", a, tc.name, st.Steps, steps)
+			}
 		}
 	}
 }
@@ -246,7 +244,7 @@ func TestRowRegionCorruptionFiresFusionRegion(t *testing.T) {
 	g := testGraph(t, 72, 60, 400)
 	sched := stubScheduler{sched: core.DefaultSchedule, fuse: true}
 	p := attentionProgram(t, g.NumEdges(), 8, 16, attention{})
-	backend := core.NewShardedParallelBackend(2, 1)
+	backend := core.NewParallelBackend(2)
 	clean, err := Compile(p, g, sched, backend)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,7 @@ func TestRowRegionCorruptionFiresFusionRegion(t *testing.T) {
 func TestRowRegionHeadIsAWaveEffect(t *testing.T) {
 	g := testGraph(t, 73, 60, 400)
 	p := attentionProgram(t, g.NumEdges(), 8, 16, attention{})
-	cp, err := Compile(p, g, stubScheduler{sched: core.DefaultSchedule, fuse: true}, core.NewShardedParallelBackend(2, 1))
+	cp, err := Compile(p, g, stubScheduler{sched: core.DefaultSchedule, fuse: true}, core.NewParallelBackend(2))
 	if err != nil {
 		t.Fatal(err)
 	}

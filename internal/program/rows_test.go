@@ -43,10 +43,10 @@ func features(g *graph.Graph, seed int64) *tensor.Dense {
 }
 
 // hostProgram compiles m the way the daemon and `ugrapher -model` do, on a
-// parallel backend of the given worker and shard count.
-func hostProgram(t testing.TB, m models.Model, g *graph.Graph, workers, shards int) *program.CompiledProgram {
+// parallel backend of the given worker count.
+func hostProgram(t testing.TB, m models.Model, g *graph.Graph, workers int) *program.CompiledProgram {
 	t.Helper()
-	cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(core.NewShardedParallelBackend(workers, shards)))
+	cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(core.NewParallelBackend(workers)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,9 @@ func sameRows(t *testing.T, label string, got, want *tensor.Dense, rows []int32)
 }
 
 // TestRunRowsBitIdentical is the contract: for every model, graph, worker
-// and shard count and row set, the requested rows of a row run — chosen by the
-// rule and forced — are the flat full pass's bits, and so is every
-// configuration's full pass. The arena is poisoned before every forced run, so
+// count and row set, the requested rows of a row run — chosen by the rule and
+// forced — are the one-worker full pass's bits, and so is every worker
+// count's full pass. The arena is poisoned before every forced run, so
 // a step that read a row this run did not write (a stale row of an earlier run
 // in a shared slot, a closure one row short) cannot agree by luck; and a full
 // Run after the row runs is the full pass again.
@@ -139,10 +139,9 @@ func TestRunRowsBitIdentical(t *testing.T) {
 		cases := rowCases(g, rand.New(rand.NewSource(7)))
 		for _, m := range models.All() {
 			var want *tensor.Dense
-			for _, cfg := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {1, 4}, {2, 4}, {4, 4}} {
-				workers, shards := cfg[0], cfg[1]
-				label := fmt.Sprintf("%s/%s/workers=%d/shards=%d", abbr, m.Name(), workers, shards)
-				cp := hostProgram(t, m, g, workers, shards)
+			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s/%s/workers=%d", abbr, m.Name(), workers)
+				cp := hostProgram(t, m, g, workers)
 				if ok, why := cp.RowsCapable(); !ok {
 					t.Fatalf("%s: the host program is not rows-capable: %s", label, why)
 				}
@@ -151,9 +150,9 @@ func TestRunRowsBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want == nil {
-					want = out.Clone() // the flat pass on one worker
+					want = out.Clone() // the pass on one worker
 				} else if d := out.BitDiff(want); d >= 0 {
-					t.Fatalf("%s: the full pass differs from the flat one at element %d", label, d)
+					t.Fatalf("%s: the full pass differs from the one-worker one at element %d", label, d)
 				}
 				for _, rc := range cases {
 					got, info, err := cp.RunRows(ctx, x, rc.rows)
@@ -190,7 +189,7 @@ func TestRunRowsBitIdentical(t *testing.T) {
 func TestRunRowsIncapableProgramsTakeFullPass(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
-	pairOnly := models.NewHostEngine(core.NewShardedParallelBackend(2, 1))
+	pairOnly := models.NewHostEngine(core.NewParallelBackend(2))
 	pairOnly.PairFusionOnly = true
 	for _, tc := range []struct {
 		name string
@@ -233,7 +232,7 @@ func TestRunRowsBehindTheLadder(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
 	for _, m := range models.All() {
-		rb := core.NewResilientBackend(core.NewShardedParallelBackend(2, 1))
+		rb := core.NewResilientBackend(core.NewParallelBackend(2))
 		cp, err := models.CompileModel(m, g, rowsFeat, rowsClasses, models.NewHostEngine(rb))
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +275,7 @@ func TestRunRowsZeroAllocs(t *testing.T) {
 	measure := func(t *testing.T, ctx context.Context, what string) {
 		for _, workers := range []int{1, 2} {
 			for _, m := range models.All() {
-				cp := hostProgram(t, m, g, workers, 1)
+				cp := hostProgram(t, m, g, workers)
 				for _, tc := range []struct {
 					name string
 					rows []int32
@@ -311,7 +310,7 @@ func TestRunRowsRejectsBadRowSets(t *testing.T) {
 	ctx := context.Background()
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
-	cp := hostProgram(t, models.NewGCN(), g, 1, 1)
+	cp := hostProgram(t, models.NewGCN(), g, 1)
 	if _, _, err := cp.RunRows(ctx, x, nil); !errors.Is(err, program.ErrEmptyRowSet) {
 		t.Errorf("empty row set: %v, want ErrEmptyRowSet", err)
 	}
@@ -339,7 +338,7 @@ func TestRunRowsNumericGuardScansWrittenRowsOnly(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
 	for _, m := range []models.Model{models.NewGCN(), models.NewGAT()} {
-		cp := hostProgram(t, m, g, 2, 1)
+		cp := hostProgram(t, m, g, 2)
 		cp.PoisonArena()
 		if _, _, err := cp.RunRowsForced(ctx, x, []int32{9, 1200}); err != nil {
 			t.Fatalf("%s over a poisoned arena: %v", m.Name(), err)
@@ -382,7 +381,7 @@ func TestRunRowsCrossover(t *testing.T) {
 		}
 		for _, tc := range cells {
 			label := abbr + "/" + tc.m.Name()
-			cp := hostProgram(t, tc.m, g, 2, 1)
+			cp := hostProgram(t, tc.m, g, 2)
 			out, err := cp.Run(x)
 			if err != nil {
 				t.Fatal(err)
@@ -420,7 +419,7 @@ func TestRunRowsCrossover(t *testing.T) {
 func TestRunRowsHonoursCancelAndDeadline(t *testing.T) {
 	g := loadGraph(t, "CO")
 	x := features(g, 42)
-	cp := hostProgram(t, models.NewGAT(), g, 2, 1)
+	cp := hostProgram(t, models.NewGAT(), g, 2)
 	out, err := cp.Run(x)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/gpu"
 	"repro/internal/models"
-	"repro/internal/shard"
 	"repro/internal/tensor"
 )
 
@@ -443,31 +442,31 @@ func TestE2EIdleConnectionDoesNotHoldTheDrain(t *testing.T) {
 	waitExit(t, d, 4*time.Second)
 }
 
-// TestE2EBadShardsExits2: a flag value outside its range — -shards outside
-// [0, shard.MaxShards], a queue depth, feature width, class count or
-// duration that is not positive — is exit code 2 naming the flag, not a
-// daemon serving a default in its place.
+// TestE2EBadShardsExits2: a flag value outside its range — a queue depth,
+// feature width, class count or duration that is not positive — is exit code
+// 2 naming the flag, not a daemon serving a default in its place; and -shards
+// is exit code 2 as an undefined flag: sharding is not a serving option.
 func TestE2EBadShardsExits2(t *testing.T) {
-	shards := fmt.Sprintf("valid: 0 (auto) through %d", shard.MaxShards)
-	for _, c := range []struct{ flag, value, rule string }{
-		{"-shards", "99999", shards},
-		{"-shards", "-7", shards},
-		{"-queue", "0", "valid: 1 through"},
-		{"-feat", "0", "must be positive"},
-		{"-feat", "-1", "must be positive"},
-		{"-classes", "-3", "must be positive"},
-		{"-timeout", "-1s", "must be positive"},
-		{"-max-timeout", "0s", "must be positive"},
-		{"-drain-timeout", "0s", "must be positive"},
+	for _, c := range []struct{ flag, value, named, rule string }{
+		{"-shards", "4", "flag provided but not defined: -shards", ""},
+		{"-queue", "0", "", "valid: 1 through"},
+		{"-feat", "0", "", "must be positive"},
+		{"-feat", "-1", "", "must be positive"},
+		{"-classes", "-3", "", "must be positive"},
+		{"-timeout", "-1s", "", "must be positive"},
+		{"-max-timeout", "0s", "", "must be positive"},
+		{"-drain-timeout", "0s", "", "must be positive"},
 	} {
+		if c.named == "" {
+			c.named = "invalid " + c.flag + " " + c.value + " ("
+		}
 		// Bounded: a daemon that accepted the value would listen forever.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, serveBinary(t), "-addr", "127.0.0.1:0", c.flag, c.value).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		named := "invalid " + c.flag + " " + c.value + " ("
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), named) || !strings.Contains(string(out), c.rule) {
-			t.Errorf("%s %s: err %v, output %q; want exit code 2 naming %q and %q", c.flag, c.value, err, out, named, c.rule)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.named) || !strings.Contains(string(out), c.rule) {
+			t.Errorf("%s %s: err %v, output %q; want exit code 2 naming %q and %q", c.flag, c.value, err, out, c.named, c.rule)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -173,41 +172,6 @@ func TestOnePassPerRequest(t *testing.T) {
 	}
 	wg.Wait()
 	check("queued behind a stall", n, rows0, full0, passes0)
-}
-
-// TestShardedDaemonRunsRowsLikeTheFlatOne: a daemon at four shards is
-// rows-capable, answers small stored-feature requests by row runs, and its
-// logits are the flat daemon's to the bit — GAT's row-resident regions
-// included.
-func TestShardedDaemonRunsRowsLikeTheFlatOne(t *testing.T) {
-	_, flatTS := newTestServer(t, Config{Models: []string{"GCN", "GAT"}})
-	s, ts := newTestServer(t, Config{Models: []string{"GCN", "GAT"}, Shards: 4})
-	vertices := []int{3, 7, 100, 2000}
-	for _, name := range []string{"GCN", "GAT"} {
-		h := s.hosts[strings.ToLower(name)]
-		if ok, why := h.prog.RowsCapable(); !ok || h.prog.Stats().Shards != 4 {
-			t.Fatalf("%s: sharded program rows-capable=%v (%q) at %d shards", name, ok, why, h.prog.Stats().Shards)
-		}
-		code, want, e := postInfer(t, flatTS.URL, wireRequest{Model: name, Vertices: vertices})
-		if code != http.StatusOK {
-			t.Fatalf("%s flat: status %d (%s)", name, code, e.Error)
-		}
-		rows0, full0, _ := forwardModes(h)
-		code, resp, e := postInfer(t, ts.URL, wireRequest{Model: name, Vertices: vertices})
-		if code != http.StatusOK {
-			t.Fatalf("%s sharded: status %d (%s)", name, code, e.Error)
-		}
-		if rows, full, _ := forwardModes(h); rows != rows0+1 || full != full0 {
-			t.Errorf("%s: forward modes moved by rows=%d full=%d, want 1/0", name, rows-rows0, full-full0)
-		}
-		for i, v := range vertices {
-			for j, got := range resp.Logits[i] {
-				if math.Float32bits(got) != math.Float32bits(want.Logits[i][j]) {
-					t.Fatalf("%s vertex %d logit %d: sharded %v, flat %v", name, v, j, got, want.Logits[i][j])
-				}
-			}
-		}
-	}
 }
 
 // TestFailedRowRunRetriesAsFullPass: from the first failing kernel, a

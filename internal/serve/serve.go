@@ -57,8 +57,6 @@ type Config struct {
 	// Feat and Classes shape the compiled forward pass.
 	Feat    int
 	Classes int
-	// Shards is the graph shard count: 0 = auto-size, 1 = unsharded.
-	Shards int
 	// QueueDepth bounds each model's request queue; a full queue
 	// fast-rejects with 429.
 	QueueDepth int
@@ -186,7 +184,7 @@ func (s *Server) newHost(m models.Model, x *tensor.Dense) (*modelHost, error) {
 	// One program, compiled on the ladder: a kernel of a full pass that fails
 	// on the parallel backend reruns on the reference interpreter. The pool
 	// is sized by GOMAXPROCS.
-	rb := core.NewResilientBackend(core.NewShardedParallelBackend(0, s.cfg.Shards))
+	rb := core.NewResilientBackend(core.NewParallelBackend(0))
 	// Compile time is a stage like any other: it records into the per-model
 	// stage histogram so a cold start is attributable.
 	compileStart := time.Now()

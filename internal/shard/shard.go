@@ -12,6 +12,10 @@
 // before it is returned; a wrong plan is unrepresentable as a successful
 // Partition. The paired faultinject.CorruptShardPlan point corrupts only
 // the verified view (never the plan itself) to prove the rule fires.
+//
+// No command, daemon option or backend name selects sharding: the one
+// lowering over a plan is core.NewShardedParallelBackend, which only the
+// benchmark's shard arm and ugrapher-lint -ir's verification matrix build.
 package shard
 
 import (
@@ -22,21 +26,11 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/reorder"
-	"repro/internal/telemetry"
 )
 
 // MaxShards bounds the shard count a plan may request; beyond it per-shard
 // bookkeeping dwarfs any locality gain.
 const MaxShards = 4096
-
-// Auto-sizing targets for Partition(g, 0): a shard's owned working set is
-// capped at ~8Ki vertices (one float32 feature row of width 64 per vertex is
-// then ~2 MiB of output rows — an L2-slice-sized block) and ~128Ki edges so
-// skewed graphs still split by traffic, not just by vertex count.
-const (
-	autoShardVertices = 1 << 13
-	autoShardEdges    = 1 << 17
-)
 
 // Shard is one partition element: the output rows it produces.
 type Shard struct {
@@ -76,36 +70,13 @@ var seedCandidates = []seedCandidate{
 	{"degree", reorder.DegreeSort},
 }
 
-// AutoShards returns the shard count Partition picks for k == 0: enough
-// shards that each holds at most ~8Ki owned vertices and ~128Ki edges,
-// clamped to [1, MaxShards].
-func AutoShards(g *graph.Graph) int {
-	byV := (g.NumVertices() + autoShardVertices - 1) / autoShardVertices
-	byE := (g.NumEdges() + autoShardEdges - 1) / autoShardEdges
-	k := byV
-	if byE > k {
-		k = byE
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > MaxShards {
-		k = MaxShards
-	}
-	return k
-}
-
-// Partition splits g into k shards. k == 0 auto-sizes from the cache
-// budget (AutoShards); k == 1 yields the trivial single-shard plan; k may
-// exceed the vertex count, leaving trailing shards empty. The returned plan
+// Partition splits g into k shards. k == 1 yields the trivial single-shard
+// plan; k may exceed the vertex count, leaving trailing shards empty. The returned plan
 // has passed analysis.VerifyShardPlan — a plan violating shard-no-alias is
 // returned as an error, never as a value.
 func Partition(g *graph.Graph, k int) (*Plan, error) {
-	if k < 0 || k > MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d out of range [0, %d]", k, MaxShards)
-	}
-	if k == 0 {
-		k = AutoShards(g)
+	if k < 1 || k > MaxShards {
+		return nil, fmt.Errorf("shard: shard count %d out of range [1, %d]", k, MaxShards)
 	}
 	numV := g.NumVertices()
 
@@ -132,7 +103,6 @@ func Partition(g *graph.Graph, k int) (*Plan, error) {
 	if err := verifyPlan(p); err != nil {
 		return nil, err
 	}
-	recordStats(p)
 	return p, nil
 }
 
@@ -179,21 +149,5 @@ func corruptFacts(f *analysis.ShardFacts, seed uint64) {
 		}
 		f.Shards[i].Owned = append([]int32{f.Shards[first].Owned[0]}, owned...)
 		return
-	}
-}
-
-// Telemetry gauge names for the most recent partition.
-const (
-	GaugeShardCount = "ugrapher_shard_count"
-	GaugeEdgeCut    = "ugrapher_shard_edgecut_fraction"
-)
-
-// recordStats publishes a verified plan's shape to the shard gauges when
-// telemetry is armed.
-func recordStats(p *Plan) {
-	if telemetry.Enabled() {
-		r := telemetry.Default()
-		r.Gauge(GaugeShardCount).Set(float64(p.K))
-		r.Gauge(GaugeEdgeCut).Set(p.EdgeCut)
 	}
 }

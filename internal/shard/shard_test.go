@@ -10,7 +10,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/reorder"
-	"repro/internal/telemetry"
 )
 
 // clustered builds a community-structured graph with scrambled ids, the
@@ -150,25 +149,10 @@ func TestPartitionSingleShardTrivial(t *testing.T) {
 
 func TestPartitionRejectsBadCounts(t *testing.T) {
 	g := clustered(t, 40, 20, 2)
-	for _, k := range []int{-1, MaxShards + 1} {
+	for _, k := range []int{-1, 0, MaxShards + 1} {
 		if _, err := Partition(g, k); err == nil {
 			t.Errorf("Partition(%d) should fail", k)
 		}
-	}
-}
-
-func TestAutoShards(t *testing.T) {
-	small := clustered(t, 200, 20, 2)
-	if k := AutoShards(small); k != 1 {
-		t.Errorf("small graph auto shards = %d, want 1", k)
-	}
-	p := mustPartition(t, small, 0)
-	if p.K != 1 {
-		t.Errorf("auto partition of a small graph has %d shards, want 1", p.K)
-	}
-	big := clustered(t, 3*autoShardVertices, 64, 3)
-	if k := AutoShards(big); k < 3 {
-		t.Errorf("big graph auto shards = %d, want >= 3", k)
 	}
 }
 
@@ -208,21 +192,6 @@ func TestPartitionDeterministic(t *testing.T) {
 				t.Fatalf("shard %d owned list differs", si)
 			}
 		}
-	}
-}
-
-func TestPartitionStatsAndGauges(t *testing.T) {
-	telemetry.Reset()
-	telemetry.SetEnabled(true)
-	defer telemetry.Reset()
-	g := clustered(t, 500, 50, 3)
-	p := mustPartition(t, g, 5)
-	gauges := telemetry.Default().GaugeValues()
-	if gauges[GaugeShardCount] != 5 {
-		t.Errorf("shard-count gauge = %v, want 5", gauges[GaugeShardCount])
-	}
-	if gauges[GaugeEdgeCut] != p.EdgeCut {
-		t.Errorf("edge-cut gauge = %v, want %v", gauges[GaugeEdgeCut], p.EdgeCut)
 	}
 }
 

@@ -328,7 +328,7 @@ func (r *Registry) CounterValues() map[string]int64 {
 
 // GaugeValues snapshots every gauge series.
 //
-//lint:allow unread -- the telemetry and shard tests read gauges through it
+//lint:allow unread -- the telemetry tests read gauges through it
 func (r *Registry) GaugeValues() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
